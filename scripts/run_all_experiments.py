@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 
-from smoothconvex.cli import EXPERIMENTS, RunConfig, run, write_csv
+from smoothconvex.cli import EXPERIMENTS, RunConfig, run, write_summary
 
 
 def main() -> int:
@@ -16,15 +16,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default=os.environ.get("SMOOTHCONVEX_OUT", "results"))
     args = ap.parse_args()
-    summaries = []
-    for name in sorted(EXPERIMENTS):
-        row = run(RunConfig(experiment=name, seed=args.seed, output_dir=args.out))
-        summaries.append(row)
-        print(f"{name}: final_metric={row['final_metric']:.6g} "
-              f"slope={row['slope']:.4g} runtime_ms={row['runtime_ms']}")
-    write_csv(os.path.join(args.out, "summary.csv"),
-              ["experiment", "seed", "final_metric", "slope", "runtime_ms"],
-              summaries)
+    write_summary(args.out, [run(RunConfig(experiment=name, seed=args.seed,
+                                           output_dir=args.out))
+                             for name in sorted(EXPERIMENTS)])
     return 0
 
 

@@ -214,14 +214,12 @@ def measure_egv(sequence: LossSequence, probe_points) -> float:
     if len(pts) < sequence.T:
         raise InputError("need one probe point per round (y_0 .. y_{T-1})")
     total = 0.0
-    prev_grad = None
     for t in range(sequence.T):
         y = pts[t]
         g_next = sequence.loss(t + 1).grad(y)
         g_prev = np.zeros_like(g_next) if t == 0 else sequence.loss(t).grad(y)
         d = g_next - g_prev
         total += float(d @ d)
-        prev_grad = g_next
     return total
 
 

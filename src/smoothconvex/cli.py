@@ -126,24 +126,8 @@ def _oneproj_setup(p):
     center = np.array([p["center_x"], 0.0])
     obj = problems.NoisyQuadratic(center=center, noise=p["noise"])
     dom = Domain.ball(p["radius"])
-    ref = metrics.reference_optimum(_QuadWrapper(obj), dom)
+    ref = metrics.reference_optimum(obj, dom)
     return obj, dom, ref["F"]
-
-
-class _QuadWrapper:
-    """Adapts a noisy quadratic to the full-gradient solver interface."""
-
-    def __init__(self, obj):
-        self.obj = obj
-        self.d = obj.d
-        self.constants = problems.Constants(L=1.0, lam=1.0, G=obj.grad_bound(),
-                                            sigma=obj.noise, L_comp=1.0, L_full=1.0)
-
-    def full_value(self, w):
-        return self.obj.value(w)
-
-    def full_grad(self, w):
-        return self.obj.grad(w)
 
 
 def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
@@ -461,7 +445,10 @@ def resolve_params(experiment: str, overrides: dict) -> dict:
         if k not in defaults:
             raise ConfigurationError(
                 f"unknown key {k!r}; valid keys: {', '.join(sorted(valid))}")
-        params[k] = _coerce(v, defaults[k]) if isinstance(v, str) else v
+        try:
+            params[k] = _coerce(v, defaults[k]) if isinstance(v, str) else v
+        except ValueError:
+            raise ConfigurationError(f"bad value for {k}: {v!r}") from None
     return params
 
 
@@ -490,11 +477,29 @@ def _run_one(args) -> dict:
     return run(RunConfig(**args))
 
 
+def write_summary(outdir: str, summaries) -> None:
+    """Write one row per run to `outdir/summary.csv` and echo it to stdout."""
+    write_csv(os.path.join(outdir, "summary.csv"),
+              ["experiment", "seed", "final_metric", "slope", "runtime_ms"],
+              summaries)
+    for row in summaries:
+        print(f"{row['experiment']} seed={row['seed']} "
+              f"final_metric={row['final_metric']:.6g} slope={row['slope']:.4g} "
+              f"runtime_ms={row['runtime_ms']}")
+
+
+def _int(flag: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(f"{flag} expects an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return _main_inner(argv)
-    except (ConfigurationError, InputError) as exc:
+    except (ConfigurationError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
@@ -519,18 +524,21 @@ def _main_inner(argv) -> int:
     i = 2
     while i < len(argv):
         arg = argv[i]
-        if arg == "--seed":
-            seeds = [int(s) for s in argv[i + 1].split(",")]
+        if arg in ("--seed", "--config", "--out", "--jobs"):
+            if i + 1 == len(argv):
+                raise ConfigurationError(f"{arg} needs a value")
+            value = argv[i + 1]
             i += 2
-        elif arg == "--config":
-            overrides.update(parse_config_file(argv[i + 1]))
-            i += 2
-        elif arg == "--out":
-            outdir = argv[i + 1]
-            i += 2
-        elif arg == "--jobs":
-            jobs = int(argv[i + 1])
-            i += 2
+            if arg == "--seed":
+                seeds = [_int(arg, s) for s in value.split(",")]
+            elif arg == "--config":
+                overrides.update(parse_config_file(value))
+            elif arg == "--out":
+                outdir = value
+            else:
+                jobs = _int(arg, value)
+                if jobs < 1:
+                    raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
         elif arg.startswith("--") and "=" in arg:
             k, v = arg[2:].split("=", 1)
             overrides[k] = v
@@ -543,22 +551,17 @@ def _main_inner(argv) -> int:
             + ", ".join(sorted(EXPERIMENTS)))
     seed_override = overrides.pop("seed", None)
     if seed_override is not None:
-        seeds = [int(seed_override)]
+        seeds = [_int("--seed", seed_override)]
     resolve_params(experiment, overrides)  # fail fast on unknown keys
     tasks = [{"experiment": experiment, "seed": s, "overrides": overrides,
               "output_dir": outdir} for s in seeds]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             summaries = list(ex.map(_run_one, tasks))
     else:
         summaries = [_run_one(t) for t in tasks]
-    write_csv(os.path.join(outdir, "summary.csv"),
-              ["experiment", "seed", "final_metric", "slope", "runtime_ms"],
-              summaries)
-    for row in summaries:
-        print(f"{row['experiment']} seed={row['seed']} "
-              f"final_metric={row['final_metric']:.6g} slope={row['slope']:.4g} "
-              f"runtime_ms={row['runtime_ms']}")
+    write_summary(outdir, summaries)
     return EXIT_OK
 
 

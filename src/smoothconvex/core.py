@@ -2,14 +2,14 @@
 
 Points are plain 1-D numpy arrays.  This module provides feasible sets with
 exact projections, mirror maps with Bregman divergences, the extra-gradient
-prox step used by every mirror-prox learner, gradient clipping, counted
-oracle access, and seeded counter-based randomness.
+prox step used by every mirror-prox learner, gradient clipping, and seeded
+counter-based randomness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -282,10 +282,6 @@ class Domain:
         raise UnsupportedDomainError(self.kind)
 
     # -- boundary constants ---------------------------------------------------
-
-    @property
-    def radius_R(self) -> float:
-        return self.outer_radius
 
     @property
     def rho(self) -> float:
@@ -596,38 +592,3 @@ def clip_component(gamma: float, g: Point) -> Point:
         raise ConfigurationError("clip level must be positive")
     g = np.asarray(g, dtype=np.float64)
     return np.sign(g) * np.minimum(gamma, np.abs(g))
-
-
-# ---------------------------------------------------------------------------
-# Counted oracles
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OracleSet:
-    """Wraps a problem's gradient access with monotone call counters."""
-
-    _full_gradient: object = None
-    _stochastic_gradient: object = None
-    _component: object = None
-    counters: dict = field(default_factory=lambda: {"full": 0, "stochastic": 0, "component": 0})
-
-    @classmethod
-    def from_problem(cls, problem) -> "OracleSet":
-        return cls(
-            _full_gradient=getattr(problem, "full_grad", None),
-            _stochastic_gradient=getattr(problem, "stochastic_grad", None),
-            _component=getattr(problem, "component", None),
-        )
-
-    def full_gradient(self, w: Point) -> Point:
-        self.counters["full"] += 1
-        return self._full_gradient(w)
-
-    def stochastic_gradient(self, w: Point, rng: np.random.Generator) -> Point:
-        self.counters["stochastic"] += 1
-        return self._stochastic_gradient(w, rng)
-
-    def component(self, rng: np.random.Generator):
-        self.counters["component"] += 1
-        return self._component(rng)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .core import Domain, UnsupportedDomainError
-from .stochastic import SolverConfig, agd, gd
+from .stochastic import SolverConfig, _smoothness, agd, gd
 
 
 def comparator_minimum(sequence, domain: Domain, grid_resolution: float = 1e-3,
@@ -102,11 +102,8 @@ def _prefix_comparators(losses, domain: Domain, dim: int | None = None) -> np.nd
         run = np.zeros_like(losses[0].linear)
         for t, l in enumerate(losses):
             run = run + l.linear
-            try:
-                x = domain.linear_minimizer(run)
-                out[t] = float(run @ x)
-            except UnsupportedDomainError:
-                raise
+            x = domain.linear_minimizer(run)
+            out[t] = float(run @ x)
         return out
     if all(l.quad_center is not None for l in losses):
         csum = np.zeros_like(losses[0].quad_center)
@@ -146,11 +143,11 @@ def violation(decisions, constraints) -> np.ndarray:
 def reference_optimum(problem, domain: Domain, steps: int = 100_000,
                       use_agd: bool = True) -> dict:
     """High-budget deterministic solve; returns the point, value, and a
-    projected-gradient-norm certificate."""
+    projected-gradient-norm certificate at the smoothness the solver ran with."""
     cfg = SolverConfig(seed=0, T=steps, snapshot_every=steps)
     trace = (agd if use_agd else gd)(problem, domain, cfg)
     w = trace.final_point
-    L = problem.constants.L if getattr(problem, "constants", None) else 1.0
+    L = _smoothness(problem, cfg, "full")
     g = problem.full_grad(w)
     pg = (w - domain.project(w - g / L)) * L
     return {"w": w, "F": problem.full_value(w),

@@ -1,13 +1,14 @@
-"""Loss functions, data ingestion, constant estimation, and synthetic problems.
+"""Loss functions, data ingestion, exact problem constants, and synthetic problems.
 
-Datasets are stored sparse (index:value pairs, 1-based); iterates and
-per-problem matrices are dense, which is the right trade at desk scale.
+Datasets, iterates and per-problem matrices are all dense, which is the right
+trade at desk scale.  `estimate_constants` computes exactly the constants the
+solvers read: the component and full-objective smoothness, the strong-convexity
+modulus, and the gradient noise at the origin.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,34 +27,30 @@ class ParseError(InputError):
 
 @dataclass
 class LabeledDataset:
-    rows: list  # list of list[(index, value)], indices 1-based strictly increasing
-    labels: np.ndarray
-    d: int
+    X: np.ndarray       # n × d dense features
+    labels: np.ndarray  # n labels
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.X.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
 
     def is_classification(self) -> bool:
         return bool(np.all(np.isin(self.labels, (-1.0, 1.0))))
-
-    def to_dense(self) -> np.ndarray:
-        X = np.zeros((self.n, self.d))
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                X[i, j - 1] = v
-        return X
 
 
 def load_libsvm(path, normalize: bool = False) -> LabeledDataset:
     """Read a text file with one example per line: "label idx:val idx:val ...".
 
     Comments after '#' are ignored; indices are 1-based and must be strictly
-    increasing within a row; a zero label is rejected.  With normalize=True
-    every row is scaled to unit l2 norm.
+    increasing within a row; a zero label is rejected.  The features are
+    returned dense, with d the largest index seen.  With normalize=True every
+    nonzero row is scaled to unit l2 norm.
     """
     rows, labels = [], []
-    d = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -78,16 +75,18 @@ def load_libsvm(path, normalize: bool = False) -> LabeledDataset:
                     raise ParseError(f"line {lineno}: feature indices must increase (got {idx} after {prev})")
                 prev = idx
                 row.append((idx, val))
-                d = max(d, idx)
-            if normalize and row:
-                nrm = math.sqrt(sum(v * v for _, v in row))
-                if nrm > 0:
-                    row = [(i, v / nrm) for i, v in row]
             rows.append(row)
             labels.append(label)
     if not rows:
         raise InputError("no examples")
-    return LabeledDataset(rows=rows, labels=np.asarray(labels, dtype=np.float64), d=d)
+    X = np.zeros((len(rows), max((row[-1][0] for row in rows if row), default=0)))
+    for i, row in enumerate(rows):
+        for idx, val in row:
+            X[i, idx - 1] = val
+    if normalize:
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        np.divide(X, norms, out=X, where=norms > 0)
+    return LabeledDataset(X=X, labels=np.asarray(labels, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +96,10 @@ def load_libsvm(path, normalize: bool = False) -> LabeledDataset:
 
 @dataclass
 class Constants:
-    L: float                  # Gram-spectrum smoothness bound (covers every component)
-    lam: float                # strong-convexity modulus of the full objective
-    G: float                  # gradient-norm bound over the sampled region
-    sigma: float              # stochastic-gradient standard deviation at the origin
-    L_comp: float | None = None  # tight max component smoothness (2·max‖x_i‖² etc.)
-    L_full: float | None = None  # tight full-objective smoothness (Gram/n spectrum)
-
-    @property
-    def kappa(self) -> float:
-        return self.L / self.lam if self.lam > 0 else math.inf
+    L_comp: float  # smoothness bound covering every component f_i
+    L_full: float  # smoothness of the averaged objective F
+    lam: float     # strong-convexity modulus of F
+    sigma: float   # stochastic-gradient standard deviation at the origin
 
 
 @dataclass
@@ -203,95 +196,47 @@ class FiniteSumProblem:
         return self.component_grad(self.component(rng), w)
 
 
-def _power_iteration_gram(X: np.ndarray, steps: int = 100, max_steps: int = 10_000,
-                          tol: float = 1e-10, seed: int = 0) -> float:
-    """Largest eigenvalue of XᵀX by power iteration."""
-    rng = make_rng(seed)
-    v = rng.standard_normal(X.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(max_steps):
-        w = X.T @ (X @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ (X.T @ (X @ v_new)))
-        done = abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-        v, lam = v_new, lam_new
-        if it + 1 >= steps and done:
-            return lam
-    warnings.warn("power iteration did not converge; returning best estimate",
-                  RuntimeWarning)
-    return lam
+def estimate_constants(problem: FiniteSumProblem) -> Constants:
+    """Exact (L_comp, L_full, λ, σ) of a finite-sum problem.
 
-
-def estimate_constants(problem: FiniteSumProblem, radius: float = 1.0,
-                       sigma_samples: int = 10_000, g_samples: int = 1_000,
-                       seed: int = 0) -> Constants:
-    """Estimate (L, λ, G, σ) for a finite-sum problem.
-
-    L comes from the data Gram spectrum (power iteration): 2·λ_max(XᵀX)+λ for
-    squared loss, λ_max(XᵀX)/4+λ for logistic — a bound that is valid for every
-    component since x_i x_iᵀ ⪯ XᵀX.  σ is the empirical stochastic-gradient
-    standard deviation at the origin; G the max gradient norm over sampled
-    feasible points.
+    With c = 2 for squared loss and c = 1/4 for logistic (the loss's curvature
+    bound in the margin): L_comp = c·max_i‖x_i‖² + λ_reg and
+    L_full = c·λ_max(XᵀX/n) + λ_reg.  λ is 2·λ_min(XᵀX/n) + λ_reg for squared
+    loss and λ_reg for logistic.  σ is the standard deviation of ∇f_i(0) for
+    i drawn uniformly from the n components.
     """
-    lam_max = _power_iteration_gram(problem.X, seed=seed)
-    max_row = float(np.max(np.sum(problem.X**2, axis=1)))
+    X, reg = problem.X, problem.lam_reg
+    evals = np.linalg.eigvalsh(X.T @ X / problem.n)
+    max_row = float(np.max(np.sum(X**2, axis=1)))
     if problem.loss == "squared":
-        L = 2.0 * lam_max + problem.lam_reg
-        L_comp = 2.0 * max_row + problem.lam_reg
-        L_full = 2.0 * lam_max / problem.n + problem.lam_reg
-        evals = np.linalg.eigvalsh(problem.X.T @ problem.X / problem.n)
-        lam = 2.0 * max(float(evals[0]), 0.0) + problem.lam_reg
+        c = 2.0
+        lam = 2.0 * max(float(evals[0]), 0.0) + reg
     else:
-        L = 0.25 * lam_max + problem.lam_reg
-        L_comp = 0.25 * max_row + problem.lam_reg
-        L_full = 0.25 * lam_max / problem.n + problem.lam_reg
-        lam = problem.lam_reg
-
-    rng = make_rng(seed + 1)
-    w0 = np.zeros(problem.d)
-    idx = rng.integers(problem.n, size=sigma_samples)
-    grads0 = problem.all_component_grads(w0)
-    sampled = grads0[idx]
-    mean = sampled.mean(axis=0)
-    sigma2 = float(np.mean(np.sum((sampled - mean) ** 2, axis=1)))
-
-    G = 0.0
-    for _ in range(g_samples):
-        v = rng.standard_normal(problem.d)
-        v *= radius * rng.uniform() ** (1.0 / problem.d) / max(np.linalg.norm(v), 1e-15)
-        G = max(G, float(np.max(np.linalg.norm(problem.all_component_grads(v), axis=1))))
-
-    return Constants(L=L, lam=lam, G=G, sigma=math.sqrt(sigma2), L_comp=L_comp, L_full=L_full)
+        c = 0.25
+        lam = reg
+    grads0 = problem.all_component_grads(np.zeros(problem.d))
+    sigma2 = float(np.mean(np.sum((grads0 - grads0.mean(axis=0)) ** 2, axis=1)))
+    return Constants(L_comp=c * max_row + reg, L_full=c * float(evals[-1]) + reg,
+                     lam=lam, sigma=math.sqrt(sigma2))
 
 
-def logistic_problem(data: LabeledDataset, lam: float, seed: int = 0) -> FiniteSumProblem:
+def logistic_problem(data: LabeledDataset, lam: float) -> FiniteSumProblem:
     """Regularized logistic regression over a labeled dataset."""
     if not data.is_classification():
         raise InputError("logistic loss needs labels in {-1, +1}")
-    prob = FiniteSumProblem(X=data.to_dense(), y=data.labels, lam_reg=float(lam),
-                            loss="logistic")
-    prob.constants = estimate_constants(prob, seed=seed)
-    return prob
+    return from_arrays(data.X, data.labels, lam, "logistic")
 
 
-def least_squares_problem(data: LabeledDataset, lam: float, seed: int = 0) -> FiniteSumProblem:
+def least_squares_problem(data: LabeledDataset, lam: float) -> FiniteSumProblem:
     """Squared-loss regression over a labeled dataset."""
-    prob = FiniteSumProblem(X=data.to_dense(), y=data.labels, lam_reg=float(lam),
-                            loss="squared")
-    prob.constants = estimate_constants(prob, seed=seed)
-    return prob
+    return from_arrays(data.X, data.labels, lam, "squared")
 
 
-def from_arrays(X: np.ndarray, y: np.ndarray, lam: float, loss: str,
-                seed: int = 0) -> FiniteSumProblem:
+def from_arrays(X: np.ndarray, y: np.ndarray, lam: float, loss: str) -> FiniteSumProblem:
     """Build a finite-sum problem directly from dense arrays."""
     prob = FiniteSumProblem(X=np.asarray(X, float), y=np.asarray(y, float),
                             lam_reg=float(lam), loss=loss)
-    prob.constants = estimate_constants(prob, seed=seed)
+    prob.constants = estimate_constants(prob)
     return prob
 
 
@@ -308,8 +253,7 @@ def synthetic_classification(n: int, d: int, seed: int, row_norm: float = 1.0) -
     wstar = rng.standard_normal(d)
     margins = X @ wstar + 0.3 * rng.standard_normal(n)
     y = np.where(margins >= 0, 1.0, -1.0)
-    rows = [[(j + 1, float(X[i, j])) for j in range(d)] for i in range(n)]
-    return LabeledDataset(rows=rows, labels=y, d=d)
+    return LabeledDataset(X=X, labels=y)
 
 
 def synthetic_regression(n: int, d: int, seed: int, noise: float = 0.1,
@@ -320,8 +264,7 @@ def synthetic_regression(n: int, d: int, seed: int, noise: float = 0.1,
         X *= row_norm / np.linalg.norm(X, axis=1, keepdims=True)
     wstar = rng.standard_normal(d)
     y = X @ wstar + noise * rng.standard_normal(n)
-    rows = [[(j + 1, float(X[i, j])) for j in range(d)] for i in range(n)]
-    return LabeledDataset(rows=rows, labels=y, d=d)
+    return LabeledDataset(X=X, labels=y)
 
 
 @dataclass
@@ -402,6 +345,10 @@ class NoisyQuadratic:
 
     def grad(self, x: Point) -> Point:
         return x - self.center
+
+    # the full-gradient solvers and reference_optimum read these names
+    full_value = value
+    full_grad = grad
 
     def stochastic_grad(self, x: Point, rng: np.random.Generator) -> Point:
         g = self.grad(x)

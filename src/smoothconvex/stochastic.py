@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ConfigurationError, Domain, MirrorMap, NumericError,
-                   OracleSet, Point, StepSchedule, clip_component, dykstra,
+                   Point, StepSchedule, clip_component, dykstra,
                    make_rng, project_ball, project_two_balls, prox_step)
 
 
@@ -28,7 +28,6 @@ class Trace:
     calls_full: int = 0
     calls_stochastic: int = 0
     projections: int = 0      # projections onto the true domain K
-    value_queries: int = 0    # zeroth-order value-oracle calls
     final_point: Point | None = None
 
     def column(self, name: str) -> np.ndarray:
@@ -81,19 +80,14 @@ def _smoothness(problem, config: SolverConfig, flavor: str = "component") -> flo
 
     flavor="component": the stochastic-oracle functions' constant (epoch
     solvers); flavor="full": the averaged objective's constant (full-gradient
-    step sizes).  Falls back to the conservative Gram bound when the tight
-    value is absent.
+    step sizes).  An objective without constants supplies its `beta`.
     """
     if config.L is not None:
         return config.L
     c = getattr(problem, "constants", None)
-    if c is not None:
-        if flavor == "component" and c.L_comp is not None:
-            return c.L_comp
-        if flavor == "full" and c.L_full is not None:
-            return c.L_full
-        return c.L
-    return getattr(problem, "beta")
+    if c is None:
+        return problem.beta
+    return c.L_comp if flavor == "component" else c.L_full
 
 
 def _strong_convexity(problem, config: SolverConfig) -> float:
@@ -127,7 +121,6 @@ def sgd(problem, domain: Domain, config: SolverConfig,
         mirror_map: MirrorMap | None = None) -> Trace:
     """Projected stochastic (mirror) descent with uniform iterate averaging."""
     rng = make_rng(config.seed)
-    oracle = OracleSet.from_problem(problem)
     mm = mirror_map or MirrorMap.euclidean()
     sched = config.schedule or StepSchedule.inverse_sqrt(config.eta or 1.0)
     trace = Trace(seed=config.seed, header={"solver": "sgd"})
@@ -141,11 +134,11 @@ def sgd(problem, domain: Domain, config: SolverConfig,
             if config.keep_iterates:
                 rec["w"] = w.copy()
             trace.add(**rec)
-        g = oracle.stochastic_gradient(w, rng)
+        g = problem.stochastic_grad(w, rng)
+        trace.calls_stochastic += 1
         w = prox_step(mm, domain, w, g, sched.at(t))
         trace.projections += 1
     avg /= config.T
-    trace.calls_stochastic = oracle.counters["stochastic"]
     trace.final_point = avg
     if config.keep_iterates:
         trace.add(iter=config.T + 1, objective=_objective(problem, w), w=w.copy())
@@ -316,13 +309,16 @@ def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
     gamma while epoch length grows by gamma².
 
     Works in shifted coordinates: epoch k optimizes over
-    {w : w + center ∈ domain, ‖w‖ ≤ Delta_k}.
+    {w : w + center ∈ domain, ‖w‖ ≤ Delta_k}, which is the intersection of
+    two balls only when the domain is a ball; other domains are refused.
     """
+    if domain.kind != "ball":
+        raise ConfigurationError(f"mixed_grad needs a ball domain, got {domain.kind!r}")
     gamma = config.gamma_shrink
     if gamma <= 1.0:
         raise ConfigurationError("shrink factor must exceed 1")
     beta = _smoothness(problem, config)
-    R = domain.r if domain.kind == "ball" else domain.outer_radius
+    R = domain.r
     m = config.m or 5
     T1_presc = math.ceil(300.0 * math.log(m / config.delta))
     budget_T1 = max(1, math.floor(config.T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))

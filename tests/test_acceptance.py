@@ -12,7 +12,6 @@ import numpy as np
 
 from smoothconvex.core import Domain, StepSchedule, make_rng
 from smoothconvex import adversary, metrics, online, problems, stochastic
-from smoothconvex.cli import _QuadWrapper
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -110,7 +109,7 @@ def test_criterion_03_mixedgrad_rate():
 def test_criterion_04_one_projection():
     obj = problems.NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.5)
     dom = Domain.ball(0.8)
-    fstar = metrics.reference_optimum(_QuadWrapper(obj), dom)["F"]
+    fstar = metrics.reference_optimum(obj, dom)["F"]
     Ts = [1000, 10_000, 100_000]
     subs_pd, ratios_st = [], []
     contract_ok = True

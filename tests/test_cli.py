@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from smoothconvex import cli
 from smoothconvex.cli import (EXIT_CONFIG, EXIT_OK, EXPERIMENTS, RunConfig,
                               main, parse_config_file, resolve_params, run)
 from smoothconvex.problems import psi_transform
@@ -35,6 +36,51 @@ class TestDispatch:
 
     def test_missing_experiment(self, capsys):
         assert main(["run"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("args", [
+        ["--T=abc"],
+        ["--seed", "1,x"],
+        ["--seed=x"],
+        ["--seed"],
+        ["--jobs"],
+        ["--jobs", "two"],
+        ["--jobs", "0"],
+        ["--config"],
+    ])
+    def test_malformed_flag_exits_2_with_message(self, tmp_path, capsys, args):
+        rc = main(["run", "penalty_impossibility", "--out", str(tmp_path), *args])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        rc = main(["run", "penalty_impossibility", "--config",
+                   str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "absent.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs,cpus,want", [(64, 8, 3), (64, 2, 2), (2, 8, 2)])
+    def test_jobs_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, want):
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        rc = main(["run", "penalty_impossibility", "--T=10", "--seed", "1,2,3",
+                   "--jobs", str(jobs), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert seen == [want]
 
     def test_every_registry_entry_has_defaults(self):
         for name, (fn, defaults) in EXPERIMENTS.items():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothconvex.core import (ConfigurationError, Domain, DomainError,
-                               InputError, MirrorMap, OracleSet, StepSchedule,
+                               InputError, MirrorMap, StepSchedule,
                                bregman, clip_component, dykstra, make_rng,
                                project_ball, project_l1_ball, project_simplex,
                                project_two_balls, prox_step, prox_step_hnorm)
@@ -299,17 +299,6 @@ class TestSchedulesAndOracles:
         assert StepSchedule.inverse_t(3.0).at(3) == 1.0
         with pytest.raises(ConfigurationError):
             StepSchedule.constant(0.0)
-
-    def test_oracle_counters_monotone(self):
-        prob = from_arrays(np.eye(3), np.zeros(3), 0.0, "squared")
-        oracle = OracleSet.from_problem(prob)
-        rng = make_rng(0)
-        w = np.zeros(3)
-        seen = 0
-        for _ in range(10):
-            oracle.stochastic_gradient(w, rng)
-            assert oracle.counters["stochastic"] > seen
-            seen = oracle.counters["stochastic"]
 
     def test_oracle_unbiased(self):
         rng0 = make_rng(123)

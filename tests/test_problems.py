@@ -31,7 +31,7 @@ class TestLibsvmParsing:
         p.write_text("1 1:0.5 3:-2\n")
         ds = load_libsvm(p)
         assert ds.labels[0] == 1.0
-        assert ds.rows[0] == [(1, 0.5), (3, -2.0)]
+        assert ds.X[0].tolist() == [0.5, 0.0, -2.0]
         assert ds.d >= 3
 
     def test_empty_file_rejected(self, tmp_path):
@@ -45,7 +45,7 @@ class TestLibsvmParsing:
         p.write_text("-1 2:1e3\n")
         ds = load_libsvm(p)
         assert ds.labels[0] == -1.0
-        assert ds.rows[0] == [(2, 1000.0)]
+        assert ds.X[0].tolist() == [0.0, 1000.0]
 
     def test_malformed_token_reports_line(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -69,7 +69,7 @@ class TestLibsvmParsing:
         p = tmp_path / "c.txt"
         p.write_text("# header\n+1 1:3 2:4  # trailing\n")
         ds = load_libsvm(p, normalize=True)
-        np.testing.assert_allclose(ds.rows[0], [(1, 0.6), (2, 0.8)])
+        np.testing.assert_allclose(ds.X[0], [0.6, 0.8])
 
 
 class TestLogistic:
@@ -97,7 +97,7 @@ class TestLogistic:
             assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
     def test_rejects_regression_labels(self):
-        ds = LabeledDataset(rows=[[(1, 1.0)]], labels=np.array([0.7]), d=1)
+        ds = LabeledDataset(X=np.array([[1.0]]), labels=np.array([0.7]))
         with pytest.raises(InputError):
             logistic_problem(ds, lam=0.0)
 
@@ -164,19 +164,21 @@ class TestLeastSquares:
 
 class TestConstants:
     def test_identity_design_smoothness(self):
+        # each row is a unit vector: every component is 2-smooth
         prob = from_arrays(np.eye(4), np.zeros(4), 0.0, "squared")
-        assert abs(prob.constants.L - 2.0) < 1e-8
+        assert abs(prob.constants.L_comp - 2.0) < 1e-8
 
     def test_single_unit_logistic_smoothness(self):
+        # one component: the average is that component
         prob = from_arrays([[0.6, 0.8]], [1.0], 0.0, "logistic")
-        assert abs(prob.constants.L - 0.25) < 1e-8
+        assert abs(prob.constants.L_full - 0.25) < 1e-8
 
     def test_power_iteration_matches_dense_eigensolve(self):
         rng = make_rng(8)
         X = rng.standard_normal((20, 5))
         prob = from_arrays(X, rng.standard_normal(20), 0.0, "squared")
-        lam_max = eigh(X.T @ X, eigvals_only=True)[-1]
-        assert abs(prob.constants.L - 2.0 * lam_max) <= 1e-2 * 2.0 * lam_max
+        lam_max = eigh(X.T @ X / 20, eigvals_only=True)[-1]
+        assert abs(prob.constants.L_full - 2.0 * lam_max) <= 1e-12 * 2.0 * lam_max
 
     def test_sigma_matches_exact_variance(self):
         rng = make_rng(9)
@@ -186,7 +188,7 @@ class TestConstants:
         grads = prob.all_component_grads(np.zeros(4))
         mean = grads.mean(axis=0)
         exact = math.sqrt(np.mean(np.sum((grads - mean) ** 2, axis=1)))
-        assert abs(prob.constants.sigma - exact) <= 0.05 * exact
+        assert abs(prob.constants.sigma - exact) <= 1e-12 * exact
 
 
 class TestOneDimTargetRisk:

@@ -221,6 +221,16 @@ class TestMixedGrad:
             mixed_grad(prob, Domain.ball(1.0),
                        SolverConfig(seed=0, T1=2, m=2, gamma_shrink=1.0))
 
+    def test_rejects_non_ball_domain(self):
+        # projecting onto the box's outer ball instead returned max|w| = 0.0656
+        X = make_rng(3).standard_normal((20, 5))
+        prob = from_arrays(X, X @ np.ones(5), 0.0, "squared")
+        box = Domain.box(-0.05 * np.ones(5), 0.05 * np.ones(5))
+        cfg = SolverConfig(seed=0, T1=20, m=3, lambda1=prob.constants.L_full,
+                           eta=0.25 / prob.constants.L_comp)
+        with pytest.raises(ConfigurationError, match="ball"):
+            mixed_grad(prob, box, cfg)
+
     def test_determinism(self):
         data = synthetic_regression(25, 3, seed=12)
         prob = least_squares_problem(data, lam=0.0)
@@ -345,9 +355,7 @@ class TestOneProjection:
         assert 1.0 / (1.0 + math.exp(-z)) == 0.5
 
     def test_pd_suboptimality_slope(self):
-        ref = None
-        from smoothconvex.cli import _QuadWrapper
-        ref = reference_optimum(_QuadWrapper(self.obj), self.dom)
+        ref = reference_optimum(self.obj, self.dom)
         subs, Ts = [], [1000, 10_000, 100_000]
         for T in Ts:
             tr = sgd_pd(self.obj, self.dom, SolverConfig(seed=3, T=T))
@@ -356,8 +364,7 @@ class TestOneProjection:
         assert -0.65 <= slope <= -0.35
 
     def test_st_log_over_t_ratio_bounded(self):
-        from smoothconvex.cli import _QuadWrapper
-        ref = reference_optimum(_QuadWrapper(self.obj), self.dom)
+        ref = reference_optimum(self.obj, self.dom)
         ratios = []
         for T in (1000, 10_000, 100_000):
             tr = sgd_st(self.obj, self.dom, SolverConfig(seed=3, T=T, lam=1.0))
