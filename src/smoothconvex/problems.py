@@ -192,6 +192,11 @@ class FiniteSumProblem:
     def component(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.n))
 
+    def components(self, rng: np.random.Generator, count: int) -> list:
+        """`count` uniform component indices: on the Philox generator, the
+        same stream as `count` calls of `component`."""
+        return rng.integers(self.n, size=count).tolist()
+
     def stochastic_grad(self, w: Point, rng: np.random.Generator) -> Point:
         return self.component_grad(self.component(rng), w)
 
@@ -234,8 +239,10 @@ def least_squares_problem(data: LabeledDataset, lam: float) -> FiniteSumProblem:
 
 def from_arrays(X: np.ndarray, y: np.ndarray, lam: float, loss: str) -> FiniteSumProblem:
     """Build a finite-sum problem directly from dense arrays."""
-    prob = FiniteSumProblem(X=np.asarray(X, float), y=np.asarray(y, float),
-                            lam_reg=float(lam), loss=loss)
+    X = np.asarray(X, float)
+    if X.ndim != 2 or 0 in X.shape:
+        raise InputError(f"need at least one example and one feature, got X of shape {X.shape}")
+    prob = FiniteSumProblem(X=X, y=np.asarray(y, float), lam_reg=float(lam), loss=loss)
     prob.constants = estimate_constants(prob)
     return prob
 

@@ -1,8 +1,9 @@
 """Stochastic and deterministic solvers returning per-iteration Traces.
 
 Epoch-based methods (the clipped-gradient solver and both mixed-oracle
-solvers) count full-gradient and stochastic calls exactly; the two
-single-projection solvers count domain projections (exactly one each).
+solvers) count full-gradient calls, stochastic calls and projections onto the
+domain exactly, once per epoch; the two single-projection solvers count their
+one projection each.
 """
 
 from __future__ import annotations
@@ -105,11 +106,25 @@ def _start(problem, domain: Domain, config: SolverConfig) -> Point:
     return np.zeros(d)
 
 
-def _project_intersection(domain: Domain, center: Point, radius: float, x: Point) -> Point:
-    """Projection onto domain ∩ ball(center, radius)."""
+def _intersection_projector(domain: Domain, center: Point, radius: float):
+    """Projection onto domain ∩ ball(center, radius), for one epoch's center
+    and radius."""
     if domain.kind == "ball":
-        return project_two_balls(x, np.zeros_like(x), domain.r, center, radius)
-    return dykstra(x, [domain.project, lambda v: project_ball(v, radius, center)])
+        origin = np.zeros_like(center)
+        return lambda x: project_two_balls(x, origin, domain.r, center, radius)
+    return lambda x: dykstra(x, [domain.project, lambda v: project_ball(v, radius, center)])
+
+
+_DRAW_BLOCK = 1024  # indices drawn per generator call; bounds the buffer
+
+
+def _component_draws(problem, rng: np.random.Generator, count: int):
+    """Yield `count` component indices, drawn in blocks of at most _DRAW_BLOCK.
+
+    The stream equals `count` calls of `problem.component(rng)`.
+    """
+    for start in range(0, count, _DRAW_BLOCK):
+        yield from problem.components(rng, min(_DRAW_BLOCK, count - start))
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +292,16 @@ def clipped_sgd(problem, domain: Domain, config: SolverConfig) -> Trace:
     fixed_point = math.sqrt(config.tau * config.target_risk / (1.0 - config.epsilon))
     for k in range(1, m + 1):
         gamma_k = 2.0 * xi * beta * Delta
+        project = _intersection_projector(domain, center, Delta)
         w = center.copy()
         ssum = np.zeros_like(w)
         for _ in range(T1):
             ssum += w
             g = problem.stochastic_grad(w, rng)
-            trace.calls_stochastic += 1
             v = clip_component(gamma_k, g)
-            w = _project_intersection(domain, center, Delta, w - eta * v)
+            w = project(w - eta * v)
+        trace.calls_stochastic += T1
+        trace.projections += T1
         center = ssum / T1
         new_Delta = math.sqrt(config.epsilon * Delta**2 + config.tau * config.target_risk)
         if abs(new_Delta - fixed_point) > abs(Delta - fixed_point) + 1e-12:
@@ -332,24 +349,23 @@ def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
         "T1_prescribed": T1_presc, "T1_capped": T1 < T1_presc,
     })
     rng = make_rng(config.seed)
+    diff = problem.anchored_component_diff
     center = np.zeros(problem.d)
+    origin = np.zeros(problem.d)
     Tk = T1
     for k in range(1, m + 1):
         g_full = problem.full_grad(center)
         trace.calls_full += 1
         g_anchor = lam * center + g_full
+        neg_center = -center
         w = np.zeros_like(center)
         ssum = np.zeros_like(center)
-        for _ in range(Tk):
+        for i in _component_draws(problem, rng, Tk):
             ssum += w
-            i = problem.component(rng)
-            trace.calls_stochastic += 1
-            if hasattr(problem, "anchored_component_diff"):
-                ghat = g_anchor + problem.anchored_component_diff(i, w + center, center)
-            else:
-                ghat = g_anchor + problem.component_grad(i, w + center) - problem.component_grad(i, center)
-            w = project_two_balls(w - eta * (ghat + lam * w),
-                                  -center, R, np.zeros_like(w), Delta)
+            ghat = g_anchor + diff(i, w + center, center)
+            w = project_two_balls(w - eta * (ghat + lam * w), neg_center, R, origin, Delta)
+        trace.calls_stochastic += Tk
+        trace.projections += Tk
         ssum += w
         wtilde = ssum / (Tk + 1)
         center = center + wtilde
@@ -384,21 +400,20 @@ def emgd(problem, domain: Domain, config: SolverConfig) -> Trace:
         "T_prescribed": T_presc, "T_capped": T < T_presc,
     })
     rng = make_rng(config.seed)
+    diff = problem.anchored_component_diff
     center = np.zeros(problem.d)
     for k in range(1, m + 1):
         g_full = problem.full_grad(center)
         trace.calls_full += 1
+        project = _intersection_projector(domain, center, Delta)
         w = center.copy()
         ssum = np.zeros_like(w)
-        for _ in range(T):
+        for i in _component_draws(problem, rng, T):
             ssum += w
-            i = problem.component(rng)
-            trace.calls_stochastic += 1
-            if hasattr(problem, "anchored_component_diff"):
-                gtilde = g_full + problem.anchored_component_diff(i, w, center)
-            else:
-                gtilde = g_full + problem.component_grad(i, w) - problem.component_grad(i, center)
-            w = _project_intersection(domain, center, Delta, w - eta * gtilde)
+            gtilde = g_full + diff(i, w, center)
+            w = project(w - eta * gtilde)
+        trace.calls_stochastic += T
+        trace.projections += T
         ssum += w
         new_center = ssum / (T + 1)
         rec = {"epoch": k, "objective": _objective(problem, new_center),

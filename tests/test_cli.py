@@ -2,9 +2,11 @@
 
 import os
 
+import numpy as np
 import pytest
 
-from smoothconvex import cli
+from smoothconvex import cli, metrics, problems, stochastic
+from smoothconvex.core import Domain
 from smoothconvex.cli import (EXIT_CONFIG, EXIT_OK, EXPERIMENTS, RunConfig,
                               main, parse_config_file, resolve_params, run)
 from smoothconvex.problems import psi_transform
@@ -82,6 +84,13 @@ class TestDispatch:
         assert rc == EXIT_OK
         assert seen == [want]
 
+    @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"]])
+    def test_mixedgrad_rate_epoch_range_exits_2(self, tmp_path, capsys, args):
+        rc = main(["run", "mixedgrad_rate", "--out", str(tmp_path), *args])
+        assert rc == EXIT_CONFIG
+        assert "m_min" in capsys.readouterr().err
+        assert not (tmp_path / "mixedgrad_rate_0.csv").exists()
+
     def test_every_registry_entry_has_defaults(self):
         for name, (fn, defaults) in EXPERIMENTS.items():
             assert callable(fn)
@@ -107,6 +116,26 @@ class TestRunOutputs:
         col = header.index("variance_mixed")
         vm = [float(r[col]) for r in rows]
         assert all(b <= a for a, b in zip(vm, vm[1:]))
+
+    def test_mixedgrad_rate_rows_equal_one_run_per_m(self):
+        p = resolve_params("mixedgrad_rate", {"m_min": "2", "m_max": "4", "T1": "5"})
+        got = cli.exp_mixedgrad_rate(3, p)
+        # each row as a run of its own at m computes it
+        data = problems.synthetic_regression(200, 10, seed=11, noise=0.3, row_norm=1.0)
+        prob = problems.least_squares_problem(data, lam=0.0)
+        wopt = np.linalg.lstsq(prob.X, prob.y, rcond=None)[0]
+        dom = Domain.ball(2.0 * float(np.linalg.norm(wopt)))
+        fstar = metrics.reference_optimum(prob, dom)["F"]
+        want = []
+        for m in (2, 3, 4):
+            tr = stochastic.mixed_grad(prob, dom, stochastic.SolverConfig(
+                seed=3, T1=5, m=m, lambda1=prob.constants.L_full,
+                eta=0.25 / prob.constants.L_comp))
+            want.append({"iter": m, "calls_full": tr.calls_full,
+                         "calls_stochastic": tr.calls_stochastic,
+                         "suboptimality": prob.full_value(tr.final_point) - fstar})
+        assert got.rows == want
+        assert got.final_metric == want[-1]["suboptimality"]
 
     def test_summary_row_per_run(self, tmp_path):
         rc = main(["run", "penalty_impossibility", "--seed", "1,2", "--out",

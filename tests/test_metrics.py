@@ -7,11 +7,12 @@ import pytest
 
 from smoothconvex.core import Domain, make_rng
 from smoothconvex.adversary import LossSequence
-from smoothconvex.metrics import (comparator_minimum, final_regret, loglog_slope,
-                                  reference_optimum, regret, violation)
+from smoothconvex.metrics import (CERTIFICATE_TOL, comparator_minimum, final_regret,
+                                  loglog_slope, reference_optimum, regret, violation)
 from smoothconvex.online import ConstraintSet, RoundLoss
 from smoothconvex.problems import (from_arrays, least_squares_problem,
                                    synthetic_regression)
+from smoothconvex.stochastic import SolverConfig, agd
 
 
 def linear(v):
@@ -106,6 +107,27 @@ class TestReferenceOptimum:
         ref = reference_optimum(prob, dom)
         assert np.linalg.norm(ref["w"] - wls) <= 1e-6 * max(1.0, np.linalg.norm(wls))
         assert ref["certificate"] <= 1e-9
+
+    def test_easy_problem_certifies_at_short_budget(self):
+        data = synthetic_regression(200, 10, seed=11, noise=0.3, row_norm=1.0)
+        prob = least_squares_problem(data, lam=0.0)
+        wls = np.linalg.lstsq(prob.X, prob.y, rcond=None)[0]
+        dom = Domain.ball(2.0 * float(np.linalg.norm(wls)))
+        ref = reference_optimum(prob, dom)
+        assert ref["certificate"] <= CERTIFICATE_TOL
+        short = agd(prob, dom, SolverConfig(seed=0, T=1000, snapshot_every=1000))
+        assert np.array_equal(ref["w"], short.final_point)
+
+    def test_uncertified_problem_gets_full_budget_answer(self):
+        # condition number 1e6: AGD is far from certified after 1000 steps
+        prob = from_arrays(np.diag([1.0, 1e-2, 1e-3]), np.ones(3), 0.0, "squared")
+        dom = Domain.ball(2000.0)
+        steps = 3000
+        ref = reference_optimum(prob, dom, steps=steps)
+        full = agd(prob, dom, SolverConfig(seed=0, T=steps, snapshot_every=steps))
+        assert ref["certificate"] > CERTIFICATE_TOL
+        assert np.array_equal(ref["w"], full.final_point)
+        assert ref["F"] == prob.full_value(full.final_point)
 
     def test_onedim_target_risk_matches_analytic(self):
         # least squares built on the two-point mixture reproduces the closed form

@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 
 from smoothconvex.core import ConfigurationError, DomainError, InputError, make_rng
 from smoothconvex.problems import (LabeledDataset, ParseError, from_arrays,
-                                   load_libsvm, logistic_problem,
+                                   least_squares_problem, load_libsvm, logistic_problem,
                                    onedim_target_risk_problem, psi_transform,
                                    smoothed_hinge_grad, smoothed_hinge_value,
                                    synthetic_classification)
@@ -70,6 +70,20 @@ class TestLibsvmParsing:
         p.write_text("# header\n+1 1:3 2:4  # trailing\n")
         ds = load_libsvm(p, normalize=True)
         np.testing.assert_allclose(ds.X[0], [0.6, 0.8])
+
+    def test_label_only_file_rejected_as_problem(self, tmp_path):
+        # labels without features load as a 2×0 design, which no problem accepts
+        p = tmp_path / "l.txt"
+        p.write_text("1\n-1\n")
+        ds = load_libsvm(p)
+        assert ds.X.shape == (2, 0)
+        for build in (logistic_problem, least_squares_problem):
+            with pytest.raises(InputError, match="feature"):
+                build(ds, 0.1)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(InputError, match="example"):
+            from_arrays(np.zeros((0, 3)), np.zeros(0), 0.0, "squared")
 
 
 class TestLogistic:

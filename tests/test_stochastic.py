@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from smoothconvex.core import (ConfigurationError, Domain, MirrorMap,
-                               StepSchedule, make_rng)
+                               StepSchedule, make_rng, project_two_balls)
 from smoothconvex.metrics import loglog_slope, reference_optimum
 from smoothconvex.problems import (NoisyQuadratic, from_arrays,
                                    onedim_target_risk_problem,
                                    synthetic_classification, synthetic_regression,
                                    least_squares_problem, logistic_problem)
-from smoothconvex.stochastic import (SolverConfig, Trace, agd, cgd, clipped_sgd,
+from smoothconvex.stochastic import (_DRAW_BLOCK, SolverConfig, Trace,
+                                     _component_draws, agd, cgd, clipped_sgd,
                                      emgd, gd, gradient_variance_probe,
                                      mirror_descent, mixed_grad, sgd, sgd_pd,
                                      sgd_st)
@@ -274,6 +275,127 @@ class TestEmgd:
         assert np.all(np.diff(vm) <= 1e-15)
         assert vm[9] <= 1e-3 * vm[0]
         assert vs.max() / vs.min() < 10.0
+
+
+def per_call_mixed_grad(prob, R, seed, T1, m, lam, eta, Delta, gamma=2.0):
+    """mixed_grad's epochs with one generator call, negation and zero vector
+    per step: the loop the solver must keep reproducing bit for bit."""
+    rng = make_rng(seed)
+    center = np.zeros(prob.d)
+    Tk = T1
+    for _ in range(m):
+        g_anchor = lam * center + prob.full_grad(center)
+        w = np.zeros_like(center)
+        ssum = np.zeros_like(center)
+        for _ in range(Tk):
+            ssum += w
+            i = prob.component(rng)
+            ghat = g_anchor + prob.anchored_component_diff(i, w + center, center)
+            w = project_two_balls(w - eta * (ghat + lam * w),
+                                  -center, R, np.zeros_like(w), Delta)
+        ssum += w
+        center = center + ssum / (Tk + 1)
+        Delta, lam, eta = Delta / gamma, lam / gamma, eta / gamma
+        Tk = int(round(Tk * gamma * gamma))
+    return center
+
+
+def per_call_emgd(prob, R, seed, T, m, eta, Delta):
+    """emgd's epochs on a ball with one generator call per step."""
+    rng = make_rng(seed)
+    center = np.zeros(prob.d)
+    for _ in range(m):
+        g_full = prob.full_grad(center)
+        w = center.copy()
+        ssum = np.zeros_like(w)
+        for _ in range(T):
+            ssum += w
+            i = prob.component(rng)
+            gtilde = g_full + prob.anchored_component_diff(i, w, center)
+            w = project_two_balls(w - eta * gtilde, np.zeros_like(w), R, center, Delta)
+        ssum += w
+        center = ssum / (T + 1)
+        Delta /= math.sqrt(2.0)
+    return center
+
+
+class TestEpochLoops:
+    """Invariants the epoch solvers' batched sampling and per-epoch counting keep."""
+
+    @pytest.mark.parametrize("n", [7, 200, 5000])
+    def test_block_draws_equal_per_call_draws(self, n):
+        prob = from_arrays(np.ones((n, 1)), np.zeros(n), 0.0, "squared")
+        for count in (1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3):
+            blocked, per_call = make_rng(count), make_rng(count)
+            got = list(_component_draws(prob, blocked, count))
+            assert got == [prob.component(per_call) for _ in range(count)]
+            assert all(type(i) is int for i in got)
+            # the generators are left in the same state
+            assert blocked.integers(1 << 62) == per_call.integers(1 << 62)
+
+    # (R, Delta1) pairs: the first makes the domain ball and the two-ball ring
+    # bind, the second the shrinking ball
+    @pytest.mark.parametrize("R,Delta1", [(1.0, 1.0), (2.0, 0.3)])
+    def test_mixed_grad_matches_per_call_loop(self, R, Delta1):
+        data = synthetic_regression(40, 5, seed=17, noise=0.3, row_norm=1.0)
+        prob = least_squares_problem(data, lam=0.0)
+        lam, eta = prob.constants.L_full, 0.25 / prob.constants.L_comp
+        # epochs of 300, 1200, 4800 steps cross the draw-block boundary
+        tr = mixed_grad(prob, Domain.ball(R), SolverConfig(
+            seed=4, T1=300, m=3, lambda1=lam, eta=eta, Delta1=Delta1))
+        want = per_call_mixed_grad(prob, R, seed=4, T1=300, m=3, lam=lam, eta=eta,
+                                   Delta=Delta1)
+        assert np.array_equal(tr.final_point, want)
+
+    @pytest.mark.parametrize("R,Delta1", [(2.0, 2.0), (0.3, 0.2)])
+    def test_emgd_matches_per_call_loop(self, R, Delta1):
+        data = synthetic_classification(60, 4, seed=18, row_norm=1.0)
+        prob = logistic_problem(data, lam=1e-2)
+        L = prob.constants.L_comp
+        T = 1500
+        tr = emgd(prob, Domain.ball(R), SolverConfig(seed=6, T1=T, m=3, Delta1=Delta1))
+        want = per_call_emgd(prob, R, seed=6, T=T, m=3, eta=1.0 / (L * math.sqrt(T)),
+                             Delta=Delta1)
+        assert np.array_equal(tr.final_point, want)
+
+    def test_shorter_mixed_grad_runs_are_epoch_prefixes(self):
+        # mixedgrad_rate reads its runs at m < m_max off one run at m_max
+        data = synthetic_regression(30, 4, seed=16, noise=0.3, row_norm=1.0)
+        prob = least_squares_problem(data, lam=0.0)
+        dom = Domain.ball(3.0)
+        centers = []
+        full_grad = prob.full_grad
+        prob.full_grad = lambda w: centers.append(w.copy()) or full_grad(w)
+
+        def run(m):
+            return mixed_grad(prob, dom, SolverConfig(
+                seed=7, T1=5, m=m, lambda1=prob.constants.L_full,
+                eta=0.25 / prob.constants.L_comp))
+
+        longest = run(5)
+        ends = centers[1:] + [longest.final_point]  # center after each epoch
+        for m in range(1, 6):
+            tr = run(m)
+            rec = longest.records[m - 1]
+            assert np.array_equal(tr.final_point, ends[m - 1])
+            assert tr.records == longest.records[:m]
+            assert rec["objective"] == prob.full_value(tr.final_point)
+            assert (tr.calls_full, tr.calls_stochastic) == (rec["calls_full"],
+                                                           rec["calls_stochastic"])
+
+    @pytest.mark.parametrize("solver", [mixed_grad, emgd])
+    def test_one_projection_counted_per_stochastic_step(self, solver):
+        data = synthetic_regression(20, 3, seed=19)
+        prob = least_squares_problem(data, lam=0.2)
+        tr = solver(prob, Domain.ball(2.0), SolverConfig(seed=0, T1=7, m=3))
+        assert tr.projections == tr.calls_stochastic > 0
+
+    def test_clipped_sgd_counts_projections(self):
+        prob = onedim_target_risk_problem(0.05)
+        cfg = SolverConfig(seed=0, m=3, T1=40, target_risk=2.0 * prob.eps_opt,
+                           L=prob.beta, lam=prob.alpha)
+        tr = clipped_sgd(prob, Domain.ball(1.0), cfg)
+        assert tr.projections == tr.calls_stochastic == 3 * 40
 
 
 class TestVarianceProbe:
