@@ -2,7 +2,9 @@
 gradual variation, plus the variation measures themselves.
 
 Sequences are pure: querying round t twice yields bitwise-identical losses
-because every generator precomputes its round data up front.
+because every generator precomputes its round data up front.  Rounds with the
+same loss may share one RoundLoss object; its cost vector or center is
+read-only, so no learner can change one round through another.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ def switching_linear(f, g, T: int) -> LossSequence:
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     half = T // 2
-    losses = [RoundLoss.from_linear(f) for _ in range(half)]
-    losses += [RoundLoss.from_linear(g) for _ in range(T - half)]
+    losses = [RoundLoss.from_linear(f)] * half + [RoundLoss.from_linear(g)] * (T - half)
     egv = float(f @ f) + float((g - f) @ (g - f))
     return LossSequence(T=T, kind="switching_linear", _losses=losses,
                         egv_target=egv, meta={"f": f, "g": g})
@@ -57,7 +58,8 @@ def alternating_linear(egv: float, T: int, d: int) -> LossSequence:
     scale = math.sqrt(egv / (4.0 * T - 3.0))
     f = np.zeros(d)
     f[0] = scale
-    losses = [RoundLoss.from_linear(f if t % 2 == 0 else -f) for t in range(T)]
+    pair = (RoundLoss.from_linear(f), RoundLoss.from_linear(-f))
+    losses = [pair[t % 2] for t in range(T)]
     return LossSequence(T=T, kind="alternating_linear", _losses=losses,
                         egv_target=float(egv), meta={"scale": scale})
 
@@ -96,7 +98,7 @@ def blocked_linear(egv: float, T: int, d: int, switches: int = 16,
     losses = []
     for j, vec in enumerate(vecs):
         span = block if j < switches else T - block * switches
-        losses += [RoundLoss.from_linear(vec) for _ in range(span)]
+        losses += [RoundLoss.from_linear(vec)] * span
     return LossSequence(T=T, kind="blocked_linear", _losses=losses,
                         egv_target=float(egv), meta={"switches": switches})
 
@@ -114,30 +116,21 @@ def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
         raise InputError("adversary needs the learner step size eta > 0")
     f = np.zeros(d)
     f[0] = 1.0
+    plus, minus = RoundLoss.from_linear(f), RoundLoss.from_linear(-f)
     s = math.floor(1.0 / eta)
-    losses = []
     if s >= math.sqrt(T):
         case = "I"
-        k = s // 2
-        losses = [RoundLoss.from_linear(f) for _ in range(min(k, T))]
+        losses = [plus] * min(s // 2, T)
     elif s > 0:
         case = "II"
         max_periods = T // (2 * s)
         tau = max_periods if gv_target is None else min(max_periods, int(gv_target // 4))
-        for _ in range(tau):
-            losses += [RoundLoss.from_linear(f) for _ in range(s)]
-            losses += [RoundLoss.from_linear(-f) for _ in range(s)]
+        losses = ([plus] * s + [minus] * s) * tau
     else:
         case = "III"
-        losses.append(RoundLoss.from_linear(-f))
-        sign = 1.0
         budget = T - 1 if gv_target is None else min(T - 1, int(gv_target // 4))
-        for _ in range(budget):
-            losses.append(RoundLoss.from_linear(sign * f))
-            sign = -sign
-    zero = np.zeros(d)
-    while len(losses) < T:
-        losses.append(RoundLoss.from_linear(zero))
+        losses = [minus] + [(plus, minus)[k % 2] for k in range(budget)]
+    losses += [RoundLoss.from_linear(np.zeros(d))] * (T - len(losses))
     return LossSequence(T=T, kind=f"ftrl_adversary_case_{case}",
                         _losses=losses[:T], egv_target=gv_target,
                         meta={"s": s, "case": case})
@@ -227,6 +220,15 @@ def measure_egv_exact(sequence: LossSequence, at=None) -> float:
     """Sup-form gradual variation for families whose gradient differences do
     not depend on the probe point (linear and shifted-quadratic losses)."""
     first = sequence.loss(1)
+    if all(l.linear is not None for l in sequence):
+        # ∇f_t(y) = linear for every y: measure_egv's terms without the probes
+        total, prev = 0.0, np.zeros_like(first.linear)
+        for t in range(1, sequence.T + 1):
+            f = sequence.loss(t).linear
+            d = f - prev
+            total += float(d.dot(d))
+            prev = f
+        return total
     d = first.linear.shape[0] if first.linear is not None else first.quad_center.shape[0]
     origin = np.zeros(d) if at is None else np.asarray(at, float)
     if all(l.linear is not None or l.quad_center is not None for l in sequence):

@@ -49,6 +49,28 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _grid(p: dict, key: str, cast=int, least=None) -> list:
+    """A ';'-separated grid parameter, each entry at least `least`."""
+    try:
+        values = [cast(v) for v in str(p[key]).split(";")]
+    except ValueError:
+        raise ConfigurationError(
+            f"{key} expects ';'-separated numbers, got {p[key]!r}") from None
+    if least is not None and min(values) < least:
+        raise ConfigurationError(f"{key} entries must be at least {least}, got {p[key]!r}")
+    return values
+
+
+def _at_least(p: dict, key: str, least) -> None:
+    if p[key] < least:
+        raise ConfigurationError(f"{key} must be at least {least}, got {p[key]!r}")
+
+
+def _positive(p: dict, key: str) -> None:
+    if not p[key] > 0:
+        raise ConfigurationError(f"{key} must be positive, got {p[key]!r}")
+
+
 def write_csv(path: str, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
@@ -136,7 +158,7 @@ def _oneproj_setup(p):
 def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, subs, Ts = [], [], []
-    for T in [int(t) for t in str(p["T_grid"]).split(";")]:
+    for T in _grid(p, "T_grid", least=1):
         cfg = stochastic.SolverConfig(seed=seed, T=T)
         tr = stochastic.sgd_pd(obj, dom, cfg)
         sub = obj.value(tr.final_point) - fstar
@@ -152,7 +174,7 @@ def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
 def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, ratios = [], []
-    for T in [int(t) for t in str(p["T_grid"]).split(";")]:
+    for T in _grid(p, "T_grid", least=2):   # the ratio divides by log T
         cfg = stochastic.SolverConfig(seed=seed, T=T, lam=1.0)
         tr = stochastic.sgd_st(obj, dom, cfg)
         sub = obj.value(tr.final_point) - fstar
@@ -165,9 +187,11 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
+    _at_least(p, "T", 1)
+    _at_least(p, "d", 1)
     T, d = int(p["T"]), int(p["d"])
     dom = Domain.ball(1.0)
-    egvs = [float(v) for v in str(p["egv_grid"]).split(";")]
+    egvs = _grid(p, "egv_grid", float)
     rows, regs = [], []
     for egv in egvs:
         seq = adversary.alternating_linear(egv, T, d)
@@ -177,8 +201,10 @@ def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
         for l in seq:
             omp.observe(l)
             ift.observe(l)
-        r_omp = metrics.final_regret(omp.decisions, seq, dom)
-        r_ift = metrics.final_regret(ift.decisions, seq, dom)
+        # each learner already priced its decisions: regret = Σ loss_values − best
+        _, best = metrics.comparator_minimum(seq, dom)
+        r_omp = sum(omp.loss_values) - best
+        r_ift = sum(ift.loss_values) - best
         rows.append({"egv": measured, "regret": r_omp, "regret_iftrl": r_ift})
         regs.append(max(r_omp, 1e-12))
     return ExperimentResult(["egv", "regret", "regret_iftrl"], rows,
@@ -187,6 +213,7 @@ def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
+    _at_least(p, "T", 1)
     T, eta = int(p["T"]), p["eta_ogd"]
     seq = adversary.ftrl_adversary(eta, T, gv_target=p["gv_target"])
     dom = Domain.ball(1.0)
@@ -197,8 +224,9 @@ def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
     omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, egv), dim=1)
     for l in seq:
         omp.observe(l)
-    r_ogd = metrics.final_regret(ogd.decisions, seq, dom)
-    r_omp = metrics.final_regret(omp.decisions, seq, dom)
+    _, best = metrics.comparator_minimum(seq, dom)
+    r_ogd = sum(ogd.loss_values) - best
+    r_omp = sum(omp.loss_values) - best
     margin = r_ogd - 5.0 * r_omp  # nonnegative iff the 5x separation holds
     rows = [{"egv": egv, "regret": r_ogd, "regret_omp": r_omp, "margin": margin}]
     return ExperimentResult(["egv", "regret", "regret_omp", "margin"], rows,
@@ -206,10 +234,11 @@ def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
+    _at_least(p, "T", 1)
     T = int(p["T"])
     rng = make_rng(seed)
     rows, worst = [], 0.0
-    for m in [int(v) for v in str(p["m_grid"]).split(";")]:
+    for m in _grid(p, "m_grid", least=2):   # the bound's log m must be positive
         c1 = rng.uniform(0.0, 1.0, size=m)
         c2 = rng.uniform(0.0, 1.0, size=m)
         losses = [online.RoundLoss.from_linear(c1)] * (T // 2)
@@ -221,9 +250,9 @@ def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
             learner.observe(l)
         total = np.zeros(m)
         learner_loss = 0.0
-        for l, x in zip(seq, learner.decisions):
+        for l, v in zip(seq, learner.loss_values):
             total += l.linear
-            learner_loss += float(l.linear @ x)
+            learner_loss += v
         regret = learner_loss - float(total.min())
         bound = math.sqrt(2.0 * egv_inf * math.log(m))
         rows.append({"iter": m, "egv": egv_inf, "regret": regret, "bound": bound})
@@ -232,9 +261,11 @@ def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
+    _at_least(p, "T", 1)
+    _positive(p, "delta")
     rows, worst = [], 0.0
     T = int(p["T"])
-    for d in [int(v) for v in str(p["d_grid"]).split(";")]:
+    for d in _grid(p, "d_grid", least=1):
         rng = make_rng(seed + d)
         dom = Domain.ball(1.0)
         delta = p["delta"]
@@ -257,6 +288,8 @@ def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
 
 
 def _soft_instance(seed: int, p: dict):
+    _at_least(p, "T", 1)
+    _positive(p, "radius_R")
     T, R = int(p["T"]), p["radius_R"]
     rng = make_rng(seed)
     r_c = p["constraint_radius"]
@@ -280,8 +313,9 @@ def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
     for l in seq:
         soft.observe(l)
         zero.observe(l)
-    reg_soft = metrics.final_regret(soft.decisions, seq, dom_true)
-    reg_zero = metrics.final_regret(zero.decisions, seq, dom_true)
+    _, best = metrics.comparator_minimum(seq, dom_true)
+    reg_soft = sum(soft.loss_values) - best
+    reg_zero = sum(zero.loss_values) - best
     viol_soft = float(np.sum([v[0] for v in soft.violations]))
     viol_zero = float(np.sum(zero.raw_violations))
     a, delta = soft.a, soft.delta
@@ -302,6 +336,7 @@ def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
+    _at_least(p, "T", 1)
     T = int(p["T"])
     v = np.array([1.0, 0.0])
     losses = [online.RoundLoss.from_linear(v)] * T
@@ -320,7 +355,7 @@ def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
 
 def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
     rows = []
-    for gamma in [float(v) for v in str(p["gamma_grid"]).split(";")]:
+    for gamma in _grid(p, "gamma_grid", float):
         for eta in [round(0.1 * k, 1) for k in range(1, 10)]:
             rows.append({"eta": eta, "gamma": gamma,
                          "psi": problems.psi_transform(eta, gamma)})
@@ -329,7 +364,10 @@ def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
+    _at_least(p, "T", 1)
     T, d, drift = int(p["T"]), int(p["d"]), p["drift"]
+    if d != 2:
+        raise ConfigurationError(f"hinge_mistakes compares on a 2-D grid: d must be 2, got {d}")
     seq = adversary.classification_stream(drift, T, d, seed=seed)
     learner = online.HingeClassifierPD(d, R=p["radius_R"])
     for gx in seq.meta["examples"]:

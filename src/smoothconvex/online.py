@@ -41,9 +41,19 @@ class MaxStructure:
         return np.zeros(self.A.shape[0]) if self.phi_hat_grad is None else self.phi_hat_grad(u)
 
 
+def _frozen(v) -> np.ndarray:
+    v = np.array(v, dtype=np.float64)
+    v.flags.writeable = False
+    return v
+
+
 @dataclass
 class RoundLoss:
-    """One round's cost: value/gradient access plus optional structure."""
+    """One round's cost: value/gradient access plus optional structure.
+
+    The constructors store a read-only copy of the cost vector or center, so
+    one RoundLoss can serve many rounds; grad returns a fresh writable array.
+    """
 
     value: object                        # Point -> float
     grad: object                         # Point -> Point
@@ -53,15 +63,19 @@ class RoundLoss:
 
     @classmethod
     def from_linear(cls, f: Point) -> "RoundLoss":
-        f = np.asarray(f, dtype=np.float64)
-        return cls(value=lambda x, f=f: float(f @ x),
+        f = _frozen(f)
+        return cls(value=lambda x, f=f: float(f.dot(x)),
                    grad=lambda x, f=f: f.copy(), linear=f)
 
     @classmethod
     def from_quadratic(cls, c: Point) -> "RoundLoss":
-        c = np.asarray(c, dtype=np.float64)
-        return cls(value=lambda x, c=c: 0.5 * float((x - c) @ (x - c)),
-                   grad=lambda x, c=c: x - c, quad_center=c)
+        c = _frozen(c)
+
+        def value(x, c=c):
+            r = x - c
+            return 0.5 * float(r.dot(r))
+
+        return cls(value=value, grad=lambda x, c=c: x - c, quad_center=c)
 
 
 class BaseLearner:
@@ -567,15 +581,17 @@ class SoftConstraintOGD(BaseLearner):
 
     def constraint_terms(self, x: Point):
         vals = self.cons.values(x)
-        grad = np.zeros_like(x)
+        grad = np.zeros(x.shape)
         for lam_i, (_, gg) in zip(self.lam, self.cons.funcs):
             if lam_i != 0.0:
                 grad = grad + lam_i * gg(x)
         return vals, grad
 
     def observe(self, loss: RoundLoss) -> None:
+        self._step(loss, *self.constraint_terms(self.x))
+
+    def _step(self, loss: RoundLoss, vals: np.ndarray, cons_grad: Point) -> None:
         self._record(self.x, loss)
-        vals, cons_grad = self.constraint_terms(self.x)
         self.violations.append(vals.copy())
         gx = loss.grad(self.x) + cons_grad
         glam = vals - self.eta * self.delta * self.lam
@@ -603,28 +619,39 @@ class ZeroViolationOGD(SoftConstraintOGD):
 
     def __init__(self, constraints: ConstraintSet, T: int, R: float = 1.0,
                  dim: int | None = None):
-        g_funcs = constraints.funcs
-
-        def g_max(x):
-            return max(float(g(x)) for g, _ in g_funcs)
-
-        def g_max_grad(x):
-            vals = [float(g(x)) for g, _ in g_funcs]
-            return g_funcs[int(np.argmax(vals))][1](x)
-
+        raw = constraints.funcs
         tun = zero_violation_tuning(constraints.G, constraints.D, constraints.F, R, T)
         self.gamma_tighten = tun["gamma"]
         tightened = ConstraintSet(
-            funcs=[(lambda x, g=g_max: g(x) + tun["gamma"], g_max_grad)],
+            funcs=[(lambda x: self._raw_max(x)[0] + tun["gamma"],
+                    lambda x: raw[self._raw_max(x)[1]][1](x))],
             D=constraints.D + tun["gamma"], G=constraints.G, F=constraints.F)
         super().__init__(tightened, T, R=R, dim=dim,
                          eta=R * R / (tun["a"] * math.sqrt(T)), delta=tun["delta"])
-        self._graw = g_max
+        self._raw = raw
         self.raw_violations: list[float] = []
 
+    def _raw_max(self, x: Point) -> tuple[float, int]:
+        """max_i g_i(x) and the first index attaining it."""
+        vals = [float(g(x)) for g, _ in self._raw]
+        g_max = max(vals)
+        return g_max, vals.index(g_max)
+
+    def _tightened_terms(self, x: Point, g_max: float, i: int):
+        grad = np.zeros(x.shape)
+        if self.lam[0] != 0.0:
+            grad = grad + self.lam[0] * self._raw[i][1](x)
+        return np.array([g_max + self.gamma_tighten]), grad
+
+    def constraint_terms(self, x: Point):
+        return self._tightened_terms(x, *self._raw_max(x))
+
     def observe(self, loss: RoundLoss) -> None:
-        self.raw_violations.append(self._graw(self.x))
-        super().observe(loss)
+        # one evaluation of the raw constraints serves the violation record,
+        # the tightened value and the subgradient
+        g_max, i = self._raw_max(self.x)
+        self.raw_violations.append(g_max)
+        self._step(loss, *self._tightened_terms(self.x, g_max, i))
 
 
 class PenaltyOGD(BaseLearner):

@@ -1,9 +1,10 @@
 """Stochastic and deterministic solvers returning per-iteration Traces.
 
-Epoch-based methods (the clipped-gradient solver and both mixed-oracle
-solvers) count full-gradient calls, stochastic calls and projections onto the
-domain exactly, once per epoch; the two single-projection solvers count their
-one projection each.
+Every solver counts full-gradient calls, stochastic calls and projections
+onto the domain exactly: the step loops (sgd, gd, agd, mirror_descent) one
+projection per step, the epoch-based methods (the clipped-gradient solver and
+both mixed-oracle solvers) one per stochastic step, added once per epoch, and
+the two single-projection solvers their one projection each.
 """
 
 from __future__ import annotations
@@ -181,6 +182,7 @@ def gd(problem, domain: Domain, config: SolverConfig) -> Trace:
         g = problem.full_grad(w)
         trace.calls_full += 1
         w = domain.project(w - eta * g)
+        trace.projections += 1
         if t % stride == 0 or t == config.T:
             trace.add(iter=t, objective=_objective(problem, w))
     trace.final_point = w
@@ -204,6 +206,7 @@ def agd(problem, domain: Domain, config: SolverConfig) -> Trace:
         grad = problem.full_grad(g_pt)
         trace.calls_full += 1
         f = domain.project(f - grad / (theta * L))
+        trace.projections += 1
         h = (1.0 - theta) * h + theta * f
         if (s + 1) % stride == 0 or s + 1 == config.T:
             trace.add(iter=s + 1, objective=_objective(problem, h))
@@ -245,6 +248,7 @@ def mirror_descent(problem, domain: Domain, config: SolverConfig,
         g = problem.full_grad(w)
         trace.calls_full += 1
         w = prox_step(mm, domain, w, g, sched.at(t))
+        trace.projections += 1
         if t % stride == 0 or t == config.T:
             trace.add(iter=t, objective=_objective(problem, w))
     trace.final_point = avg / config.T

@@ -197,3 +197,88 @@ class TestVariationMeasures:
             RoundLoss.from_linear(np.array([0.1, 0.9]))])
         want = 0.5 ** 2 + 0.7 ** 2
         assert measure_egv_inf(seq) == pytest.approx(want)
+
+
+def _one_object_per_round(name, *args, **kw):
+    """Per-round cost vectors of the generators as built with one RoundLoss
+    per round (the reference the shared-object generators must reproduce)."""
+    if name == "switching":
+        f, g, T = args
+        return [np.asarray(f, float)] * (T // 2) + [np.asarray(g, float)] * (T - T // 2)
+    if name == "alternating":
+        egv, T, d = args
+        f = np.zeros(d)
+        f[0] = math.sqrt(egv / (4.0 * T - 3.0))
+        return [f if t % 2 == 0 else -f for t in range(T)]
+    if name == "blocked":
+        egv, T, d = args
+        switches, rng = kw["switches"], make_rng(kw["seed"])
+        chord = math.sqrt((egv - 1.0) / switches)
+        v = np.zeros(d)
+        v[0] = 1.0
+        vecs = [v]
+        for _ in range(switches):
+            u = rng.standard_normal(d)
+            u -= (u @ v) * v
+            u /= np.linalg.norm(u)
+            angle = 2.0 * math.asin(min(chord / 2.0, 1.0))
+            v = math.cos(angle) * v + math.sin(angle) * u
+            v /= np.linalg.norm(v)
+            vecs.append(v)
+        block = T // (switches + 1)
+        out = []
+        for j, vec in enumerate(vecs):
+            out += [vec] * (block if j < switches else T - block * switches)
+        return out
+    eta, T = args   # ftrl
+    gv, f = kw.get("gv_target"), np.array([1.0])
+    s = math.floor(1.0 / eta)
+    if s >= math.sqrt(T):
+        out = [f] * min(s // 2, T)
+    elif s > 0:
+        tau = T // (2 * s) if gv is None else min(T // (2 * s), int(gv // 4))
+        out = ([f] * s + [-f] * s) * tau
+    else:
+        budget = T - 1 if gv is None else min(T - 1, int(gv // 4))
+        out, sign = [-f], 1.0
+        for _ in range(budget):
+            out.append(sign * f)
+            sign = -sign
+    return out + [np.zeros(1)] * (T - len(out))
+
+
+# long vectors, so a change of summation order inside a dot product shows
+_F37, _G37 = make_rng(37).standard_normal((2, 37))
+
+SHARED_GENERATORS = [
+    ("switching", lambda: switching_linear([0.3, -0.2], [-0.5, 0.1], 101),
+     ([0.3, -0.2], [-0.5, 0.1], 101), {}),
+    ("switching", lambda: switching_linear(_F37, _G37, 50), (_F37, _G37, 50), {}),
+    ("alternating", lambda: alternating_linear(16.0, 301, 4), (16.0, 301, 4), {}),
+    ("blocked", lambda: blocked_linear(9.0, 340, 37, switches=15, seed=3),
+     (9.0, 340, 37), {"switches": 15, "seed": 3}),
+    ("ftrl", lambda: ftrl_adversary(0.05, 100), (0.05, 100), {}),               # case I
+    ("ftrl", lambda: ftrl_adversary(0.2, 300, gv_target=200.0), (0.2, 300),     # case II
+     {"gv_target": 200.0}),
+    ("ftrl", lambda: ftrl_adversary(2.0, 301, gv_target=400.0), (2.0, 301),     # case III
+     {"gv_target": 400.0}),
+]
+
+
+class TestSharedRoundObjects:
+    @pytest.mark.parametrize("name,build,args,kw", SHARED_GENERATORS)
+    def test_rounds_equal_one_object_per_round(self, name, build, args, kw):
+        seq = build()
+        want = _one_object_per_round(name, *args, **kw)
+        assert len(want) == seq.T == len(list(seq))
+        for t, f in enumerate(want, start=1):
+            np.testing.assert_array_equal(seq.loss(t).linear, f, strict=True)
+            assert np.signbit(seq.loss(t).linear).tolist() == np.signbit(f).tolist()
+        # each distinct cost vector is one object
+        assert len({id(l) for l in seq}) == len({tuple(f) for f in want})
+
+    @pytest.mark.parametrize("name,build,args,kw", SHARED_GENERATORS)
+    def test_exact_variation_equals_point_form_at_origin(self, name, build, args, kw):
+        seq = build()
+        d = seq.loss(1).linear.shape[0]
+        assert measure_egv_exact(seq) == measure_egv(seq, [np.zeros(d)] * seq.T)

@@ -91,6 +91,33 @@ class TestDispatch:
         assert "m_min" in capsys.readouterr().err
         assert not (tmp_path / "mixedgrad_rate_0.csv").exists()
 
+    @pytest.mark.parametrize("experiment,arg,key", [
+        ("gv_regret_sweep", "--egv_grid=1;x", "egv_grid"),
+        ("gv_regret_sweep", "--egv_grid=", "egv_grid"),
+        ("expert_switch", "--m_grid=4;y", "m_grid"),
+        ("expert_switch", "--m_grid=1", "m_grid"),
+        ("bandit_estimate", "--d_grid=0", "d_grid"),
+        ("bandit_estimate", "--delta=0", "delta"),
+        ("gv_regret_sweep", "--T=0", "T"),
+        ("gv_regret_sweep", "--d=0", "d"),
+        ("ogd_vs_omp_adversary", "--T=0", "T"),
+        ("hinge_mistakes", "--T=0", "T"),
+        ("hinge_mistakes", "--d=3", "d"),
+        ("soft_constraints", "--T=0", "T"),
+        ("soft_constraints", "--radius_R=0", "radius_R"),
+        ("penalty_impossibility", "--T=0", "T"),
+        ("oneproj_general", "--T_grid=0", "T_grid"),
+        ("oneproj_strong", "--T_grid=1;10", "T_grid"),
+        ("psi_transform_table", "--gamma_grid=1;z", "gamma_grid"),
+    ])
+    def test_bad_experiment_parameter_exits_2(self, tmp_path, capsys, experiment,
+                                              arg, key):
+        rc = main(["run", experiment, "--out", str(tmp_path), arg])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / f"{experiment}_0.csv").exists()
+
     def test_every_registry_entry_has_defaults(self):
         for name, (fn, defaults) in EXPERIMENTS.items():
             assert callable(fn)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothconvex.core import (ConfigurationError, Domain, DomainError,
+from smoothconvex.core import (_norm, ConfigurationError, Domain, DomainError,
                                InputError, MirrorMap, StepSchedule,
                                bregman, clip_component, dykstra, make_rng,
                                project_ball, project_l1_ball, project_simplex,
@@ -119,6 +119,17 @@ class TestProjection:
                 continue
             n = np.linalg.norm(dom.g_grad(b))
             assert dom.rho - 1e-9 <= n <= dom.G2 + 1e-9
+
+
+class TestNorm:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_bitwise_equal_to_linalg_norm(self, n):
+        rng = make_rng(100 + n)
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            base = rng.standard_normal(4 * n) * scale
+            for v in (base[:n], base[::4], base[1::3][:n], base[::-1][:n],
+                      base.reshape(n, 4)[:, 2]):
+                assert _norm(v) == np.linalg.norm(v)
 
 
 class TestTwoBallProjection:

@@ -9,8 +9,8 @@ from smoothconvex.core import (ConfigurationError, Domain, InputError,
                                MirrorMap, StepSchedule, UnsupportedDomainError,
                                make_rng)
 from smoothconvex.adversary import (LossSequence, alternating_linear,
-                                    classification_stream)
-from smoothconvex.metrics import final_regret, regret
+                                    classification_stream, ftrl_adversary)
+from smoothconvex.metrics import comparator_minimum, final_regret, regret
 from smoothconvex.online import (OGD, OMP, IFTRL, BanditOMP, CompositeOMP,
                                  ConstraintSet, DoublingWrapper, ExpertOMP,
                                  ExplicitMaxPD, HingeClassifierPD, MaxStructure,
@@ -581,3 +581,138 @@ class TestExplicitMaxFunctional:
         for x, u in zip(lr.decisions, lr.duals):
             assert dom.g(x) <= 1e-10
             assert 0.0 - 1e-12 <= u[0] <= 1.0 + 1e-12
+
+
+class TestRoundLossReadOnly:
+    def test_cost_vector_and_center_are_read_only_copies(self):
+        f, c = np.array([0.3, -0.4]), np.array([1.0, 2.0])
+        lin, quad = RoundLoss.from_linear(f), RoundLoss.from_quadratic(c)
+        f[0], c[0] = 9.0, 9.0   # the caller's arrays stay writable and detached
+        assert lin.linear[0] == 0.3 and quad.quad_center[0] == 1.0
+        with pytest.raises(ValueError):
+            lin.linear[0] = 1.0
+        with pytest.raises(ValueError):
+            quad.quad_center[0] = 1.0
+
+    def test_grad_is_a_fresh_writable_array(self):
+        seq = alternating_linear(4.0, 10, 3)
+        g = seq.loss(1).grad(np.zeros(3))
+        g[0] = 5.0
+        assert seq.loss(1).linear[0] != 5.0 and seq.loss(3).linear[0] != 5.0
+
+    def test_shared_round_cannot_be_written_through(self):
+        seq = alternating_linear(4.0, 10, 3)
+        assert seq.loss(1) is seq.loss(3)
+        with pytest.raises(ValueError):
+            seq.loss(1).linear[0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 37, 64])
+    def test_values_equal_the_matmul_forms(self, n):
+        rng = make_rng(n)
+        for _ in range(50):
+            f, c, x = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) for _ in range(3))
+            assert RoundLoss.from_linear(f).value(x) == float(f @ x)
+            assert RoundLoss.from_quadratic(c).value(x) == 0.5 * float((x - c) @ (x - c))
+
+    def test_full_omp_run_leaves_every_round_intact(self):
+        seq = alternating_linear(4.0, 200, 3)
+        omp = OMP(UNIT, L=1.0, eta=0.3, dim=3)
+        for l in seq:
+            omp.observe(l)
+        fresh = alternating_linear(4.0, 200, 3)
+        for t in range(1, 201):
+            np.testing.assert_array_equal(seq.loss(t).linear, fresh.loss(t).linear)
+
+
+def _soft_rounds(T):
+    return LossSequence(T=T, kind="soft", _losses=[
+        RoundLoss.from_quadratic(0.9 * np.array([math.cos(0.01 * t), math.sin(0.01 * t)]))
+        for t in range(T)])
+
+
+def _soft_cons():
+    return ConstraintSet(funcs=[ball_constraint(0.7),
+                                (lambda x: float(x[1]) - 0.3, lambda x: np.array([0.0, 1.0]))],
+                         D=1.0, G=2.5, F=2.5)
+
+
+def _priced_run(kind):
+    """(learner, sequence, comparator domain) after a full run."""
+    dom = UNIT
+    if kind == "OMP":
+        seq = alternating_linear(4.0, 300, 3)
+        lr = OMP(UNIT, L=1.0, eta=OMP.tuned_eta(1.0, 4.0), dim=3)
+    elif kind == "IFTRL":
+        seq = alternating_linear(4.0, 300, 3)
+        lr = IFTRL(UNIT, L=1.0, eta=0.5, dim=3)
+    elif kind == "OGD":
+        seq = ftrl_adversary(0.2, 300, gv_target=200.0)
+        lr = OGD(UNIT, StepSchedule.constant(0.2), dim=1)
+    elif kind == "ExpertOMP":
+        rng = make_rng(4)
+        c1, c2 = rng.uniform(0, 1, size=5), rng.uniform(0, 1, size=5)
+        seq = LossSequence(T=300, kind="experts",
+                           _losses=[linear(c1)] * 150 + [linear(c2)] * 150)
+        lr, dom = ExpertOMP(5, eta=0.4), Domain.simplex(5)
+    else:
+        seq = _soft_rounds(300)
+        learner = SoftConstraintOGD if kind == "SoftConstraintOGD" else ZeroViolationOGD
+        lr, dom = learner(_soft_cons(), 300, R=1.0, dim=2), Domain.ball(0.7)
+    for l in seq:
+        lr.observe(l)
+    return lr, seq, dom
+
+
+class TestRegretFromLossValues:
+    @pytest.mark.parametrize("kind", ["OMP", "IFTRL", "OGD", "SoftConstraintOGD",
+                                      "ZeroViolationOGD", "ExpertOMP"])
+    def test_recorded_losses_price_the_final_regret_exactly(self, kind):
+        lr, seq, dom = _priced_run(kind)
+        _, best = comparator_minimum(seq, dom)
+        assert sum(lr.loss_values) - best == final_regret(lr.decisions, seq, dom)
+
+
+class TestZeroViolationRound:
+    def test_raw_constraints_evaluated_once_per_round(self):
+        calls = []
+        g, gg = ball_constraint(0.7)
+        cons = ConstraintSet(funcs=[(lambda x: calls.append(1) or g(x), gg)],
+                             D=1.0, G=2.5, F=2.5)
+        lr = ZeroViolationOGD(cons, T=200, R=1.0, dim=2)
+        for l in _soft_rounds(200):
+            lr.observe(l)
+        assert np.any(lr.lam > 0)   # the subgradient branch ran too
+        assert len(calls) == 200
+
+    def test_tie_takes_the_first_maximal_constraint(self):
+        g, gg = ball_constraint(0.7)
+        tied = ConstraintSet(funcs=[(g, gg), (g, lambda x: np.zeros(2))],
+                             D=1.0, G=2.5, F=2.5)
+        alone = ConstraintSet(funcs=[(g, gg)], D=1.0, G=2.5, F=2.5)
+        a = ZeroViolationOGD(tied, T=200, R=1.0, dim=2)
+        b = ZeroViolationOGD(alone, T=200, R=1.0, dim=2)
+        for l in _soft_rounds(200):
+            a.observe(l)
+            b.observe(l)
+        assert np.any(a.lam > 0)
+        np.testing.assert_array_equal(a.x, b.x)
+
+    def test_matches_generic_learner_on_the_tightened_set(self):
+        T = 400
+        cons = _soft_cons()
+        zero = ZeroViolationOGD(cons, T=T, R=1.0, dim=2)
+        ref = SoftConstraintOGD(zero.cons, T, R=1.0, eta=zero.eta, delta=zero.delta,
+                                dim=2)
+        for l in _soft_rounds(T):
+            zero.observe(l)
+            ref.observe(l)
+        assert np.any(zero.lam > 0)
+        for a, b in zip(zero.decisions, ref.decisions):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.array(zero.violations), np.array(ref.violations))
+        np.testing.assert_array_equal(zero.lam, ref.lam)
+        assert zero.raw_violations == [max(float(g(x)) for g, _ in cons.funcs)
+                                       for x in zero.decisions]
+        # both constraints attain the max at some round
+        assert {int(np.argmax([float(g(x)) for g, _ in cons.funcs]))
+                for x in zero.decisions} == {0, 1}

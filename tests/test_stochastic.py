@@ -153,6 +153,12 @@ class TestFullGradientBaselines:
         with pytest.raises(Exception, match="linear-minimization"):
             cgd(prob, dom, SolverConfig(seed=0, T=5))
 
+    @pytest.mark.parametrize("solver", [gd, agd, mirror_descent])
+    def test_one_projection_counted_per_step(self, solver):
+        prob = from_arrays(np.eye(3), np.ones(3), 0.0, "squared")
+        tr = solver(prob, Domain.ball(0.5), SolverConfig(seed=0, T=37, eta=0.1))
+        assert tr.projections == 37
+
     def test_mirror_descent_converges(self):
         data = synthetic_regression(30, 3, seed=11)
         prob = least_squares_problem(data, lam=0.1)
