@@ -84,6 +84,8 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
+    _at_least(p, "T", 1)
+    _at_least(p, "epochs", 1)
     data = problems.synthetic_classification(int(p["n"]), int(p["d"]), seed=7,
                                              row_norm=p["row_norm"])
     prob = problems.logistic_problem(data, lam=p["lam"])
@@ -105,6 +107,7 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     m_min, m_max = int(p["m_min"]), int(p["m_max"])
     if not 1 <= m_min <= m_max:
         raise ConfigurationError(f"need 1 <= m_min <= m_max, got m_min={m_min}, m_max={m_max}")
+    _at_least(p, "T1", 1)
     data = problems.synthetic_regression(int(p["n"]), int(p["d"]), seed=11, noise=0.3,
                                          row_norm=1.0)
     prob = problems.least_squares_problem(data, lam=0.0)
@@ -133,6 +136,8 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_clippedsgd_target(seed: int, p: dict) -> ExperimentResult:
+    _at_least(p, "T1", 1)
+    _at_least(p, "stages", 1)
     prob = problems.onedim_target_risk_problem(p["delta"])
     target = p["target_factor"] * prob.eps_opt
     cfg = stochastic.SolverConfig(seed=seed, m=int(p["stages"]), T1=int(p["T1"]),

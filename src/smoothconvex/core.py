@@ -9,6 +9,7 @@ counter-based randomness.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,8 +135,10 @@ def project_ball(x: Point, r: float, center: Point | None = None) -> Point:
     return y if center is None else y + center
 
 
-def project_two_balls(x: Point, c1: Point, r1: float, c2: Point, r2: float) -> Point:
-    """Exact Euclidean projection onto ball(c1,r1) ∩ ball(c2,r2).
+def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
+    """Exact Euclidean projection onto ball(c1,r1) ∩ ball(c2,r2), as a
+    function of the point; the gap ‖c1−c2‖ and the emptiness check are
+    computed once, so a loop with fixed balls builds one projector.
 
     Intersection must be nonempty (‖c1−c2‖ ≤ r1+r2).  Falls back to the
     sphere-sphere ring when both constraints are active.
@@ -143,43 +146,64 @@ def project_two_balls(x: Point, c1: Point, r1: float, c2: Point, r2: float) -> P
     gap = _norm(c1 - c2)
     if gap > r1 + r2 + 1e-12:
         raise DomainError("empty ball intersection")
-    p1 = project_ball(x, r1, c1)
-    if _norm(p1 - c2) <= r2 + 1e-12:
-        return p1
-    p2 = project_ball(x, r2, c2)
-    if _norm(p2 - c1) <= r1 + 1e-12:
-        return p2
-    # both boundaries active: project onto the (d-2)-sphere where they meet
-    n = (c2 - c1) / gap
-    # offset h of the ring plane from c1 along n
-    h = (gap * gap + r1 * r1 - r2 * r2) / (2.0 * gap)
-    q = c1 + h * n
-    rho2 = r1 * r1 - h * h
-    rho = math.sqrt(max(rho2, 0.0))
-    v = x - q
-    v_perp = v - np.dot(v, n) * n
-    nv = _norm(v_perp)
-    if nv < 1e-15:
-        # degenerate: any ring point is nearest; pick a deterministic axis
-        e = np.zeros_like(x)
-        e[int(np.argmin(np.abs(n)))] = 1.0
-        v_perp = e - np.dot(e, n) * n
+    tol1, tol2 = r1 + 1e-12, r2 + 1e-12
+    # ‖p1 − c2‖ equals ‖p1‖ bit for bit when c2 is zero (mixed_grad's c2)
+    c2_zero = not np.count_nonzero(c2)
+
+    def project(x: Point) -> Point:
+        p1 = project_ball(x, r1, c1)
+        if _norm(p1 if c2_zero else p1 - c2) <= tol2:
+            return p1
+        p2 = project_ball(x, r2, c2)
+        if _norm(p2 - c1) <= tol1:
+            return p2
+        # both boundaries active: project onto the (d-2)-sphere where they meet
+        n = (c2 - c1) / gap
+        # offset h of the ring plane from c1 along n
+        h = (gap * gap + r1 * r1 - r2 * r2) / (2.0 * gap)
+        q = c1 + h * n
+        rho2 = r1 * r1 - h * h
+        rho = math.sqrt(max(rho2, 0.0))
+        v = x - q
+        v_perp = v - np.dot(v, n) * n
         nv = _norm(v_perp)
-    return q + rho * (v_perp / nv)
+        if nv < 1e-15:
+            # degenerate: any ring point is nearest; pick a deterministic axis
+            e = np.zeros_like(x)
+            e[int(np.argmin(np.abs(n)))] = 1.0
+            v_perp = e - np.dot(e, n) * n
+            nv = _norm(v_perp)
+        return q + rho * (v_perp / nv)
+
+    return project
+
+
+def project_two_balls(x: Point, c1: Point, r1: float, c2: Point, r2: float) -> Point:
+    """Exact Euclidean projection onto ball(c1,r1) ∩ ball(c2,r2); see
+    two_ball_projector."""
+    return two_ball_projector(c1, r1, c2, r2)(x)
 
 
 def dykstra(x: Point, projections, rounds: int = 100, tol: float = 1e-10) -> Point:
-    """Dykstra alternating projections onto an intersection of convex sets."""
+    """Dykstra alternating projections onto an intersection of convex sets.
+
+    Warns (RuntimeWarning) when `rounds` end before a round moves the point
+    by at most `tol`, and returns the last iterate.
+    """
     y = x.copy()
     increments = [np.zeros_like(x) for _ in projections]
+    step = math.inf
     for _ in range(rounds):
         y_prev = y.copy()
         for i, proj in enumerate(projections):
             z = y + increments[i]
             y = proj(z)
             increments[i] = z - y
-        if np.linalg.norm(y - y_prev) <= tol:
-            break
+        step = np.linalg.norm(y - y_prev)
+        if step <= tol:
+            return y
+    warnings.warn(f"dykstra did not converge in {rounds} rounds: last step "
+                  f"{step:.3g} > tol {tol:.3g}", RuntimeWarning, stacklevel=2)
     return y
 
 

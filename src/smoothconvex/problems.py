@@ -179,13 +179,16 @@ class FiniteSumProblem:
     def anchored_component_diff(self, i: int, w: Point, center: Point) -> Point:
         """∇f_i(w) − ∇f_i(center), the variance-reduced stochastic part."""
         xi = self.X[i]
+        u = w - center
         if self.loss == "squared":
-            return (2.0 * float(xi @ (w - center))) * xi + self.lam_reg * (w - center)
-        mw = float(self.y[i] * (xi @ w))
-        mc = float(self.y[i] * (xi @ center))
-        coef = (-self.y[i] / (1.0 + math.exp(min(mw, 700.0)))
-                + self.y[i] / (1.0 + math.exp(min(mc, 700.0))))
-        return coef * xi + self.lam_reg * (w - center)
+            # `.dot` is `@` up to the sign of a zero; `+ 0.0` gives `@`'s +0.0
+            return (2.0 * (float(xi.dot(u)) + 0.0)) * xi + self.lam_reg * u
+        yi = float(self.y[i])
+        mw = yi * float(xi.dot(w))
+        mc = yi * float(xi.dot(center))
+        coef = (-yi / (1.0 + math.exp(min(mw, 700.0)))
+                + yi / (1.0 + math.exp(min(mc, 700.0))))
+        return coef * xi + self.lam_reg * u
 
     # -- stochastic access ----------------------------------------------------
 

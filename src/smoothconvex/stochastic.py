@@ -5,6 +5,10 @@ onto the domain exactly: the step loops (sgd, gd, agd, mirror_descent) one
 projection per step, the epoch-based methods (the clipped-gradient solver and
 both mixed-oracle solvers) one per stochastic step, added once per epoch, and
 the two single-projection solvers their one projection each.
+
+The epoch methods build one projector per epoch for the intersection of the
+domain with that epoch's ball (core.two_ball_projector when the domain is a
+ball), so each step pays only for projecting its point.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .core import (ConfigurationError, Domain, MirrorMap, NumericError,
                    Point, StepSchedule, clip_component, dykstra,
-                   make_rng, project_ball, project_two_balls, prox_step)
+                   make_rng, project_ball, prox_step, two_ball_projector)
 
 
 @dataclass
@@ -107,12 +111,19 @@ def _start(problem, domain: Domain, config: SolverConfig) -> Point:
     return np.zeros(d)
 
 
+def _epoch_count(config: SolverConfig, default: int) -> int:
+    """config.m, or `default` when it is unset; at least one epoch."""
+    m = default if config.m is None else config.m
+    if m < 1:
+        raise ConfigurationError(f"need at least one epoch or stage, got m={m}")
+    return m
+
+
 def _intersection_projector(domain: Domain, center: Point, radius: float):
     """Projection onto domain ∩ ball(center, radius), for one epoch's center
     and radius."""
     if domain.kind == "ball":
-        origin = np.zeros_like(center)
-        return lambda x: project_two_balls(x, origin, domain.r, center, radius)
+        return two_ball_projector(np.zeros_like(center), domain.r, center, radius)
     return lambda x: dykstra(x, [domain.project, lambda v: project_ball(v, radius, center)])
 
 
@@ -275,7 +286,7 @@ def clipped_sgd(problem, domain: Domain, config: SolverConfig) -> Trace:
     alpha = _strong_convexity(problem, config)
     xi = config.xi if config.xi is not None else 4.0 * beta / (alpha * config.tau)
     R = domain.r if domain.kind == "ball" else domain.outer_radius
-    m = config.m or 8
+    m = _epoch_count(config, 8)
     d = getattr(problem, "d", 1)
     stage_count = max(1, math.ceil(math.log2(max(xi * beta * R * R / config.target_risk, 2.0))))
     T1_presc = math.ceil(4 * max(
@@ -340,7 +351,7 @@ def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
         raise ConfigurationError("shrink factor must exceed 1")
     beta = _smoothness(problem, config)
     R = domain.r
-    m = config.m or 5
+    m = _epoch_count(config, 5)
     T1_presc = math.ceil(300.0 * math.log(m / config.delta))
     budget_T1 = max(1, math.floor(config.T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))
     T1 = config.T1 if config.T1 is not None else min(T1_presc, budget_T1)
@@ -361,13 +372,13 @@ def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
         g_full = problem.full_grad(center)
         trace.calls_full += 1
         g_anchor = lam * center + g_full
-        neg_center = -center
+        project = two_ball_projector(-center, R, origin, Delta)
         w = np.zeros_like(center)
         ssum = np.zeros_like(center)
         for i in _component_draws(problem, rng, Tk):
             ssum += w
             ghat = g_anchor + diff(i, w + center, center)
-            w = project_two_balls(w - eta * (ghat + lam * w), neg_center, R, origin, Delta)
+            w = project(w - eta * (ghat + lam * w))
         trace.calls_stochastic += Tk
         trace.projections += Tk
         ssum += w
@@ -392,7 +403,7 @@ def emgd(problem, domain: Domain, config: SolverConfig) -> Trace:
     lam = _strong_convexity(problem, config)
     if lam <= 0:
         raise ConfigurationError("strong convexity required; use mixed_grad instead")
-    m = config.m or 8
+    m = _epoch_count(config, 8)
     T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / config.delta))
     T = config.T1 if config.T1 is not None else min(T_presc, config.T)
     eta = config.eta or 1.0 / (L * math.sqrt(T))

@@ -109,6 +109,11 @@ class TestDispatch:
         ("oneproj_general", "--T_grid=0", "T_grid"),
         ("oneproj_strong", "--T_grid=1;10", "T_grid"),
         ("psi_transform_table", "--gamma_grid=1;z", "gamma_grid"),
+        ("emgd_variance", "--T=0", "T"),
+        ("mixedgrad_rate", "--T1=0", "T1"),
+        ("clippedsgd_target", "--T1=0", "T1"),
+        ("emgd_variance", "--epochs=0", "epochs"),
+        ("clippedsgd_target", "--stages=0", "stages"),
     ])
     def test_bad_experiment_parameter_exits_2(self, tmp_path, capsys, experiment,
                                               arg, key):

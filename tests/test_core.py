@@ -1,6 +1,7 @@
 """Foundations: projections, mirror maps, prox steps, clipping, oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from smoothconvex.core import (_norm, ConfigurationError, Domain, DomainError,
                                InputError, MirrorMap, StepSchedule,
                                bregman, clip_component, dykstra, make_rng,
                                project_ball, project_l1_ball, project_simplex,
-                               project_two_balls, prox_step, prox_step_hnorm)
+                               project_two_balls, prox_step, prox_step_hnorm,
+                               two_ball_projector)
 from smoothconvex.problems import from_arrays
+
+import frozen_kernels
 
 
 def all_domains(d=4):
@@ -148,6 +152,94 @@ class TestTwoBallProjection:
             np.testing.assert_allclose(got, want, atol=1e-7)
             assert np.linalg.norm(got) <= r1 + 1e-9
             assert np.linalg.norm(got - c2) <= r2 + 1e-9
+
+
+def _two_ball_instances():
+    """Random two-ball instances, (x, c1, r1, c2, r2), that reach every branch
+    of the projection: x inside ball 1, its ball-1 projection feasible, the
+    ball-2 projection, the ring, and the ring's degenerate axis (tangent balls
+    at large scale, x on the line of centers, where rounding leaves both
+    single-ball projections outside the other ball).  Some centers are zero
+    and some points hold signed zeros."""
+    rng = make_rng(21)
+    for k in range(600):
+        d = int(rng.integers(1, 6))
+        if k % 3 == 2 and d > 1:
+            s = 10.0 ** int(rng.integers(3, 7))
+            r1, r2 = s * rng.uniform(0.5, 1.5), s * rng.uniform(0.5, 1.5)
+            n = np.eye(d)[int(rng.integers(d))]
+            c1 = rng.uniform(-1, 1, size=d)
+            yield c1 + rng.uniform(-10, 10) * s * n, c1, r1, c1 + (r1 + r2) * n, r2
+        else:
+            c1, c2 = rng.uniform(-1, 1, size=d), rng.uniform(-1, 1, size=d)
+            # zero centers, of either sign, as the epoch solvers pass them
+            if k % 5 == 0:
+                c1 = np.zeros(d) * rng.choice([1.0, -1.0])
+            if k % 7 == 0:
+                c2 = np.zeros(d) * rng.choice([1.0, -1.0])
+            r1, r2 = rng.uniform(0.1, 1.5, size=2)
+            if np.linalg.norm(c1 - c2) > r1 + r2:
+                continue
+            x = rng.uniform(-3, 3, size=d) * rng.choice([0.2, 1.0])
+            if k % 4 == 1:  # signed zeros in the point
+                x[rng.uniform(size=d) < 0.5] = rng.choice([0.0, -0.0])
+            yield x, c1, r1, c2, r2
+
+
+class TestTwoBallProjector:
+    def test_bitwise_equal_to_per_call_projection(self):
+        branches = set()
+        for x, c1, r1, c2, r2 in _two_ball_instances():
+            want, branch = frozen_kernels.project_two_balls_branch(x, c1, r1, c2, r2)
+            if branch == "ball1" and np.linalg.norm(x - c1) <= r1:
+                branch = "inside"
+            branches.add(branch)
+            xin = x.copy()
+            got = two_ball_projector(c1, r1, c2, r2)(x)
+            assert got.tobytes() == want.tobytes() and np.all(np.isfinite(got))
+            once = project_two_balls(x, c1, r1, c2, r2)
+            assert once.tobytes() == want.tobytes()
+            assert once is not x and not np.shares_memory(once, x)
+            assert x.tobytes() == xin.tobytes()
+        assert branches == {"inside", "ball1", "p2", "ring", "axis"}
+
+    def test_one_projector_serves_many_points(self):
+        c1, c2 = np.zeros(3), np.array([0.9, 0.2, 0.0])
+        project = two_ball_projector(c1, 1.0, c2, 0.5)
+        for x in make_rng(5).uniform(-3, 3, size=(50, 3)):
+            want = frozen_kernels.project_two_balls(x, c1, 1.0, c2, 0.5)
+            assert project(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gap", [2.0 + 1e-9, 3.0])
+    def test_disjoint_balls_refused_at_build(self, gap):
+        c2 = np.array([gap, 0.0])
+        with pytest.raises(DomainError, match="empty"):
+            two_ball_projector(np.zeros(2), 1.0, c2, 1.0)
+        with pytest.raises(DomainError, match="empty"):
+            project_two_balls(np.zeros(2), np.zeros(2), 1.0, c2, 1.0)
+
+
+class TestDykstraConvergence:
+    def _two_balls(self):
+        c2 = np.array([1.2, 0.0, 0.0])
+        return [lambda v: project_ball(v, 1.0), lambda v: project_ball(v, 0.5, c2)]
+
+    def test_capped_rounds_warn_with_rounds_and_step(self):
+        with pytest.warns(RuntimeWarning, match=r"3 rounds.*last step \d"):
+            dykstra(np.array([0.3, 2.0, 0.0]), self._two_balls(), rounds=3, tol=1e-14)
+
+    def test_converged_run_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = dykstra(np.array([0.3, 2.0, 0.0]), self._two_balls(), rounds=5000,
+                        tol=1e-10)
+        assert np.linalg.norm(y) <= 1.0 + 1e-8
+
+    def test_feasible_start_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = dykstra(np.array([0.8, 0.0, 0.0]), self._two_balls(), rounds=1)
+        assert np.array_equal(y, [0.8, 0.0, 0.0])
 
 
 class TestBregman:

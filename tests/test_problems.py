@@ -14,6 +14,8 @@ from smoothconvex.problems import (LabeledDataset, ParseError, from_arrays,
                                    smoothed_hinge_grad, smoothed_hinge_value,
                                    synthetic_classification)
 
+import frozen_kernels
+
 
 def finite_difference_grad(f, w, h=None):
     h = h or 1e-5 * (1.0 + np.linalg.norm(w))
@@ -162,6 +164,22 @@ class TestLeastSquares:
                 want = prob.component_grad(i, w) - prob.component_grad(i, c)
                 got = prob.anchored_component_diff(i, w, c)
                 np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("lam_reg", [0.0, 0.1])
+    def test_anchored_diff_bitwise_equal_to_per_call_formula(self, loss, lam_reg):
+        rng = make_rng(8)
+        for d in (1, 2, 3, 10, 17, 50, 59):
+            X = rng.standard_normal((6, d))
+            y = rng.standard_normal(6)
+            prob = from_arrays(X, np.sign(y) if loss == "logistic" else y, lam_reg, loss)
+            # the last scale drives margins past the 700 clamp
+            for scale in (0.0, 1e-3, 1.0, 1e3):
+                for i in range(6):
+                    w, c = rng.standard_normal((2, d)) * scale
+                    got = prob.anchored_component_diff(i, w, c)
+                    want = frozen_kernels.anchored_component_diff(prob, i, w, c)
+                    assert got.tobytes() == want.tobytes()
 
     def test_convex_along_random_segments(self):
         rng = make_rng(7)

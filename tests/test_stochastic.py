@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smoothconvex.core import (ConfigurationError, Domain, MirrorMap,
-                               StepSchedule, make_rng, project_two_balls)
+                               StepSchedule, clip_component, make_rng)
 from smoothconvex.metrics import loglog_slope, reference_optimum
 from smoothconvex.problems import (NoisyQuadratic, from_arrays,
                                    onedim_target_risk_problem,
@@ -17,6 +17,8 @@ from smoothconvex.stochastic import (_DRAW_BLOCK, SolverConfig, Trace,
                                      emgd, gd, gradient_variance_probe,
                                      mirror_descent, mixed_grad, sgd, sgd_pd,
                                      sgd_st)
+
+import frozen_kernels
 
 
 def traces_equal(a: Trace, b: Trace) -> bool:
@@ -285,7 +287,8 @@ class TestEmgd:
 
 def per_call_mixed_grad(prob, R, seed, T1, m, lam, eta, Delta, gamma=2.0):
     """mixed_grad's epochs with one generator call, negation and zero vector
-    per step: the loop the solver must keep reproducing bit for bit."""
+    per step, on the frozen per-call kernels: the loop the solver must keep
+    reproducing bit for bit."""
     rng = make_rng(seed)
     center = np.zeros(prob.d)
     Tk = T1
@@ -296,9 +299,10 @@ def per_call_mixed_grad(prob, R, seed, T1, m, lam, eta, Delta, gamma=2.0):
         for _ in range(Tk):
             ssum += w
             i = prob.component(rng)
-            ghat = g_anchor + prob.anchored_component_diff(i, w + center, center)
-            w = project_two_balls(w - eta * (ghat + lam * w),
-                                  -center, R, np.zeros_like(w), Delta)
+            ghat = g_anchor + frozen_kernels.anchored_component_diff(
+                prob, i, w + center, center)
+            w = frozen_kernels.project_two_balls(w - eta * (ghat + lam * w),
+                                                 -center, R, np.zeros_like(w), Delta)
         ssum += w
         center = center + ssum / (Tk + 1)
         Delta, lam, eta = Delta / gamma, lam / gamma, eta / gamma
@@ -307,7 +311,8 @@ def per_call_mixed_grad(prob, R, seed, T1, m, lam, eta, Delta, gamma=2.0):
 
 
 def per_call_emgd(prob, R, seed, T, m, eta, Delta):
-    """emgd's epochs on a ball with one generator call per step."""
+    """emgd's epochs on a ball with one generator call per step, on the frozen
+    per-call kernels."""
     rng = make_rng(seed)
     center = np.zeros(prob.d)
     for _ in range(m):
@@ -317,8 +322,9 @@ def per_call_emgd(prob, R, seed, T, m, eta, Delta):
         for _ in range(T):
             ssum += w
             i = prob.component(rng)
-            gtilde = g_full + prob.anchored_component_diff(i, w, center)
-            w = project_two_balls(w - eta * gtilde, np.zeros_like(w), R, center, Delta)
+            gtilde = g_full + frozen_kernels.anchored_component_diff(prob, i, w, center)
+            w = frozen_kernels.project_two_balls(w - eta * gtilde, np.zeros_like(w), R,
+                                                 center, Delta)
         ssum += w
         center = ssum / (T + 1)
         Delta /= math.sqrt(2.0)
@@ -402,6 +408,56 @@ class TestEpochLoops:
                            L=prob.beta, lam=prob.alpha)
         tr = clipped_sgd(prob, Domain.ball(1.0), cfg)
         assert tr.projections == tr.calls_stochastic == 3 * 40
+
+    @pytest.mark.parametrize("R,Delta1", [(1.0, 1.0), (0.3, 0.2)])
+    def test_clipped_sgd_matches_per_call_loop(self, R, Delta1):
+        prob = onedim_target_risk_problem(0.05)
+        target, eps, tau, xi, T1, eta = 2.0 * prob.eps_opt, 0.5, 0.1, 2.0, 200, 0.05
+        tr = clipped_sgd(prob, Domain.ball(R), SolverConfig(
+            seed=8, m=4, T1=T1, eta=eta, xi=xi, target_risk=target, epsilon=eps,
+            tau=tau, L=prob.beta, lam=prob.alpha))
+        rng = make_rng(8)
+        center, Delta = np.zeros(1), R
+        for _ in range(4):
+            gamma_k = 2.0 * xi * prob.beta * Delta
+            w = center.copy()
+            ssum = np.zeros_like(w)
+            for _ in range(T1):
+                ssum += w
+                v = clip_component(gamma_k, prob.stochastic_grad(w, rng))
+                w = frozen_kernels.project_two_balls(w - eta * v, np.zeros(1), R,
+                                                     center, Delta)
+            center = ssum / T1
+            Delta = math.sqrt(eps * Delta**2 + tau * target)
+        assert np.array_equal(tr.final_point, center)
+
+
+def _epoch_solver_run(name, m):
+    if name == "clipped_sgd":
+        prob = onedim_target_risk_problem(0.05)
+        return clipped_sgd(prob, Domain.ball(1.0), SolverConfig(
+            seed=0, m=m, T1=5, target_risk=2.0 * prob.eps_opt, L=prob.beta,
+            lam=prob.alpha))
+    prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
+    solver = {"mixed_grad": mixed_grad, "emgd": emgd}[name]
+    return solver(prob, Domain.ball(2.0), SolverConfig(seed=0, T1=3, m=m))
+
+
+class TestEpochCount:
+    """An explicit epoch or stage count is used as given; only an unset one
+    takes the solver's default."""
+
+    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("name", ["mixed_grad", "emgd", "clipped_sgd"])
+    def test_nonpositive_count_refused(self, name, m):
+        with pytest.raises(ConfigurationError, match="epoch"):
+            _epoch_solver_run(name, m)
+
+    @pytest.mark.parametrize("name,default", [("mixed_grad", 5), ("emgd", 8),
+                                              ("clipped_sgd", 8)])
+    def test_unset_count_takes_the_default(self, name, default):
+        assert len(_epoch_solver_run(name, None).records) == default
+        assert len(_epoch_solver_run(name, 1).records) == 1
 
 
 class TestVarianceProbe:
