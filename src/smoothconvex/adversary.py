@@ -249,14 +249,3 @@ def measure_egv_inf(sequence: LossSequence) -> float:
         prev = f
     return total
 
-
-def measure_total_variation(sequence: LossSequence) -> float:
-    """Σ_t ‖f_t − mean‖² for linear losses."""
-    vecs = []
-    for l in sequence:
-        if l.linear is None:
-            raise InputError("total variation defined for linear losses")
-        vecs.append(l.linear)
-    F = np.stack(vecs)
-    mu = F.mean(axis=0)
-    return float(np.sum((F - mu) ** 2))

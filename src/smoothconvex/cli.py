@@ -108,6 +108,7 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     if not 1 <= m_min <= m_max:
         raise ConfigurationError(f"need 1 <= m_min <= m_max, got m_min={m_min}, m_max={m_max}")
     _at_least(p, "T1", 1)
+    _positive(p, "eta_factor")
     data = problems.synthetic_regression(int(p["n"]), int(p["d"]), seed=11, noise=0.3,
                                          row_norm=1.0)
     prob = problems.least_squares_problem(data, lam=0.0)

@@ -173,6 +173,8 @@ def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
             e[int(np.argmin(np.abs(n)))] = 1.0
             v_perp = e - np.dot(e, n) * n
             nv = _norm(v_perp)
+            if nv == 0.0:
+                return q  # 1-D: the balls touch only at q
         return q + rho * (v_perp / nv)
 
     return project

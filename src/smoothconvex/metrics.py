@@ -1,5 +1,5 @@
-"""Regret, violation, suboptimality, and slope computations over traces,
-plus certified reference optima.  All functions are pure."""
+"""Comparator minima and final regret over loss sequences, certified
+reference optima, and log-log slopes.  All functions are pure."""
 
 from __future__ import annotations
 
@@ -80,64 +80,12 @@ def _grid_scan_box(fun, domain, d, lo, width, n):
             yield x, fun(x)
 
 
-def regret(decisions, sequence, comparator_domain: Domain) -> np.ndarray:
-    """Cumulative regret per round against the best fixed prefix comparator.
-
-    Prefix minima are closed-form for linear and shifted-quadratic losses;
-    unstructured losses fall back to pricing every prefix at the full-horizon
-    comparator, which still makes the final entry exact.
-    """
-    losses = list(sequence)
-    per_round = np.array([float(l.value(x)) for l, x in zip(losses, decisions)])
-    cum = np.cumsum(per_round)
-    d = len(np.asarray(decisions[0]).reshape(-1)) if len(decisions) else None
-    return cum - _prefix_comparators(losses, comparator_domain, dim=d)
-
-
-def _prefix_comparators(losses, domain: Domain, dim: int | None = None) -> np.ndarray:
-    """min_x Σ_{s≤t} f_s(x) for each prefix; closed forms where available."""
-    T = len(losses)
-    out = np.empty(T)
-    if all(l.linear is not None for l in losses):
-        run = np.zeros_like(losses[0].linear)
-        for t, l in enumerate(losses):
-            run = run + l.linear
-            x = domain.linear_minimizer(run)
-            out[t] = float(run @ x)
-        return out
-    if all(l.quad_center is not None for l in losses):
-        csum = np.zeros_like(losses[0].quad_center)
-        sq = 0.0
-        for t, l in enumerate(losses):
-            c = l.quad_center
-            csum = csum + c
-            sq += float(c @ c)
-            x = domain.project(csum / (t + 1))
-            out[t] = 0.5 * ((t + 1) * float(x @ x) - 2 * float(x @ csum) + sq)
-        return out
-    # generic: only the final comparator, via grid (prefixes priced at final x)
-    x, _ = comparator_minimum(losses, domain, dim=dim)
-    run = 0.0
-    for t, l in enumerate(losses):
-        run += float(l.value(x))
-        out[t] = run
-    return out
-
-
 def final_regret(decisions, sequence, comparator_domain: Domain) -> float:
     losses = list(sequence)
     learner = sum(float(l.value(x)) for l, x in zip(losses, decisions))
     d = len(np.asarray(decisions[0]).reshape(-1)) if len(decisions) else None
     _, best = comparator_minimum(sequence, comparator_domain, dim=d)
     return learner - best
-
-
-def violation(decisions, constraints) -> np.ndarray:
-    """Cumulative Σ_{s≤t} g_i(x_s) per constraint: shape (T, m)."""
-    rows = []
-    for x in decisions:
-        rows.append([float(g(x)) for g, _ in constraints.funcs])
-    return np.cumsum(np.array(rows), axis=0)
 
 
 CERTIFICATE_TOL = 1e-12   # certificate at which reference_optimum stops early

@@ -28,9 +28,6 @@ class MaxStructure:
     phi_hat_value: object = None        # smooth dual part (callable)
     phi_hat_grad: object = None
 
-    def fv(self, x):
-        return 0.0 if self.f_hat_value is None else float(self.f_hat_value(x))
-
     def fg(self, x):
         return np.zeros(self.A.shape[1]) if self.f_hat_grad is None else self.f_hat_grad(x)
 
@@ -64,7 +61,8 @@ class RoundLoss:
     @classmethod
     def from_linear(cls, f: Point) -> "RoundLoss":
         f = _frozen(f)
-        return cls(value=lambda x, f=f: float(f.dot(x)),
+        # `.dot` is `@` up to the sign of a zero; `+ 0.0` gives `@`'s +0.0
+        return cls(value=lambda x, f=f: float(f.dot(x)) + 0.0,
                    grad=lambda x, f=f: f.copy(), linear=f)
 
     @classmethod
@@ -189,34 +187,6 @@ class OMP(BaseLearner):
         self.z = prox_step(self.map, self.domain, self.z, g, self.eta / self.L)
         self.prev_grad = g
         self.prev_x = x
-
-
-def potential_range(mirror_map: MirrorMap, domain: Domain, dim: int) -> float:
-    """max Φ − min Φ over the feasible set, the set-size measure that tunes
-    the general-norm extra-gradient step (R = sqrt(2·range)).
-
-    Entropy on the simplex: 0 − (−log d) at a vertex vs uniform.  Euclidean on
-    a ball: r²/2 at the boundary vs 0.  Euclidean on a box: corner-attained.
-    """
-    if mirror_map.kind == "entropy":
-        if domain.kind != "simplex":
-            raise UnsupportedDomainError("entropy potential range needs the simplex")
-        return math.log(dim)
-    if domain.kind == "ball":
-        return 0.5 * domain.r * domain.r
-    if domain.kind == "box":
-        corners = np.where(np.abs(domain.lo) >= np.abs(domain.hi), domain.lo, domain.hi)
-        interior_min = np.clip(np.zeros_like(corners), domain.lo, domain.hi)
-        return 0.5 * float(corners @ corners) - 0.5 * float(interior_min @ interior_min)
-    raise UnsupportedDomainError(f"no potential range for {domain.kind}")
-
-
-def general_tuned_eta(mirror_map: MirrorMap, domain: Domain, L: float,
-                      egv: float, dim: int) -> float:
-    """eta = ½·min(sqrt(alpha/2), L·R/sqrt(variation)) with R = sqrt(2·range)."""
-    R = math.sqrt(2.0 * potential_range(mirror_map, domain, dim))
-    return 0.5 * min(math.sqrt(mirror_map.alpha / 2.0),
-                     L * R / math.sqrt(max(egv, 1e-300)))
 
 
 class ExpertOMP(BaseLearner):
@@ -366,68 +336,6 @@ class DoublingWrapper(BaseLearner):
             self.fresh_epoch = False
         self.inner.observe(loss)
         self.prev_loss = loss
-
-
-# ---------------------------------------------------------------------------
-# Composite losses
-# ---------------------------------------------------------------------------
-
-
-def soft_threshold(v: Point, tau: float) -> Point:
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-class SimplifiedOMP(BaseLearner):
-    """One-prox variant: the search point moves in the closed-form mirror
-    image of the gradient change, followed by a Bregman projection."""
-
-    def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None,
-                 mirror_map: MirrorMap | None = None):
-        super().__init__()
-        self.domain, self.L, self.eta = domain, L, eta
-        self.map = mirror_map or MirrorMap.euclidean()
-        d = domain.dim if domain.dim is not None else dim
-        if self.map.kind == "entropy" and domain.kind == "simplex":
-            self.z = np.full(d, 1.0 / d)
-        else:
-            self.z = domain.project(np.zeros(d))
-        self.prev_grad = np.zeros(d)
-
-    def predict(self) -> Point:
-        return prox_step(self.map, self.domain, self.z, self.prev_grad, self.eta / self.L)
-
-    def _search_update(self, x: Point, g: Point) -> Point:
-        theta = self.map.grad(x) + (self.eta / self.L) * (self.prev_grad - g)
-        zp = self.map.grad_inv(theta)
-        if self.map.kind == "euclidean":
-            return self.domain.project(zp)
-        if self.domain.kind == "simplex":
-            return zp / zp.sum()
-        return prox_step(self.map, self.domain, zp, np.zeros_like(zp), 1.0)
-
-    def observe(self, loss: RoundLoss) -> None:
-        x = self.predict()
-        self._record(x, loss)
-        g = loss.grad(x)
-        self.z = self._search_update(x, g)
-        self.prev_grad = g
-
-
-class CompositeOMP(SimplifiedOMP):
-    """Simplified variant for losses f_t + λ‖·‖₁: the fixed non-smooth part is
-    handled by soft-thresholding inside the Euclidean prox."""
-
-    def __init__(self, domain: Domain, L: float, eta: float, l1_lambda: float,
-                 dim: int | None = None):
-        if l1_lambda < 0:
-            raise ConfigurationError("l1 weight must be nonnegative")
-        super().__init__(domain, L, eta, dim=dim, mirror_map=MirrorMap.euclidean())
-        self.l1 = l1_lambda
-
-    def predict(self) -> Point:
-        step = self.eta / self.L
-        return self.domain.project(soft_threshold(self.z - step * self.prev_grad,
-                                                  step * self.l1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Datasets, iterates and per-problem matrices are all dense, which is the right
 trade at desk scale.  `estimate_constants` computes exactly the constants the
-solvers read: the component and full-objective smoothness, the strong-convexity
-modulus, and the gradient noise at the origin.
+solvers read: the component and full-objective smoothness and the
+strong-convexity modulus.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class Constants:
     L_comp: float  # smoothness bound covering every component f_i
     L_full: float  # smoothness of the averaged objective F
     lam: float     # strong-convexity modulus of F
-    sigma: float   # stochastic-gradient standard deviation at the origin
 
 
 @dataclass
@@ -131,14 +130,6 @@ class FiniteSumProblem:
         return self.X.shape[1]
 
     # -- per-component access (regularizer included) -------------------------
-
-    def component_value(self, i: int, w: Point) -> float:
-        m = float(self.y[i] * (self.X[i] @ w))
-        if self.loss == "logistic":
-            base = float(np.logaddexp(0.0, -m))
-        else:
-            base = float((self.y[i] - self.X[i] @ w) ** 2)
-        return base + 0.5 * self.lam_reg * float(w @ w)
 
     def component_grad(self, i: int, w: Point) -> Point:
         if self.loss == "logistic":
@@ -205,13 +196,12 @@ class FiniteSumProblem:
 
 
 def estimate_constants(problem: FiniteSumProblem) -> Constants:
-    """Exact (L_comp, L_full, λ, σ) of a finite-sum problem.
+    """Exact (L_comp, L_full, λ) of a finite-sum problem.
 
     With c = 2 for squared loss and c = 1/4 for logistic (the loss's curvature
     bound in the margin): L_comp = c·max_i‖x_i‖² + λ_reg and
     L_full = c·λ_max(XᵀX/n) + λ_reg.  λ is 2·λ_min(XᵀX/n) + λ_reg for squared
-    loss and λ_reg for logistic.  σ is the standard deviation of ∇f_i(0) for
-    i drawn uniformly from the n components.
+    loss and λ_reg for logistic.
     """
     X, reg = problem.X, problem.lam_reg
     evals = np.linalg.eigvalsh(X.T @ X / problem.n)
@@ -222,10 +212,8 @@ def estimate_constants(problem: FiniteSumProblem) -> Constants:
     else:
         c = 0.25
         lam = reg
-    grads0 = problem.all_component_grads(np.zeros(problem.d))
-    sigma2 = float(np.mean(np.sum((grads0 - grads0.mean(axis=0)) ** 2, axis=1)))
     return Constants(L_comp=c * max_row + reg, L_full=c * float(evals[-1]) + reg,
-                     lam=lam, sigma=math.sqrt(sigma2))
+                     lam=lam)
 
 
 def logistic_problem(data: LabeledDataset, lam: float) -> FiniteSumProblem:
@@ -301,10 +289,6 @@ class OneDimTargetRisk:
 
     def sample_b(self, rng: np.random.Generator) -> float:
         return 1.0 if rng.uniform() < self.delta ** 2 else self.delta
-
-    def sample_loss(self, w: Point, rng: np.random.Generator) -> float:
-        b = self.sample_b(rng)
-        return float((w[0] - b) ** 2)
 
     def stochastic_grad(self, w: Point, rng: np.random.Generator) -> Point:
         b = self.sample_b(rng)

@@ -72,7 +72,6 @@ class SolverConfig:
     # constant overrides
     L: float | None = None
     lam: float | None = None
-    sigma: float | None = None
     probe_variance: bool = False
 
     def stride(self) -> int:
@@ -119,6 +118,16 @@ def _epoch_count(config: SolverConfig, default: int) -> int:
     return m
 
 
+def _given_step(config: SolverConfig, name: str) -> float | None:
+    """config.<name> (a step size `eta` or step parameter `gamma`) when it is
+    set, refused unless positive; None when unset, so `... or default` takes
+    the default only then."""
+    value = getattr(config, name)
+    if value is not None and not value > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    return value
+
+
 def _intersection_projector(domain: Domain, center: Point, radius: float):
     """Projection onto domain ∩ ball(center, radius), for one epoch's center
     and radius."""
@@ -149,7 +158,7 @@ def sgd(problem, domain: Domain, config: SolverConfig,
     """Projected stochastic (mirror) descent with uniform iterate averaging."""
     rng = make_rng(config.seed)
     mm = mirror_map or MirrorMap.euclidean()
-    sched = config.schedule or StepSchedule.inverse_sqrt(config.eta or 1.0)
+    sched = config.schedule or StepSchedule.inverse_sqrt(_given_step(config, "eta") or 1.0)
     trace = Trace(seed=config.seed, header={"solver": "sgd"})
     w = domain.project(_start(problem, domain, config))
     avg = np.zeros_like(w)
@@ -185,7 +194,7 @@ def _objective(problem, w: Point) -> float:
 def gd(problem, domain: Domain, config: SolverConfig) -> Trace:
     """Projected full-gradient descent, eta = 1/L by default."""
     L = _smoothness(problem, config, "full")
-    eta = config.eta or 1.0 / L
+    eta = _given_step(config, "eta") or 1.0 / L
     trace = Trace(seed=config.seed, header={"solver": "gd", "eta": eta})
     w = domain.project(_start(problem, domain, config))
     stride = config.stride()
@@ -229,12 +238,13 @@ def cgd(problem, domain: Domain, config: SolverConfig) -> Trace:
     """Projection-free conditional-gradient descent, eta_t = 2/(t+1)."""
     trace = Trace(seed=config.seed, header={"solver": "cgd"})
     w = domain.project(_start(problem, domain, config))
+    eta = _given_step(config, "eta")
     stride = config.stride()
     for t in range(1, config.T + 1):
         g = problem.full_grad(w)
         trace.calls_full += 1
         p = domain.linear_minimizer(g)  # raises for unsupported domains
-        eta_t = config.eta if config.eta is not None else 2.0 / (t + 1.0)
+        eta_t = eta or 2.0 / (t + 1.0)
         w = (1.0 - eta_t) * w + eta_t * p
         if t % stride == 0 or t == config.T:
             trace.add(iter=t, objective=_objective(problem, w))
@@ -246,7 +256,7 @@ def mirror_descent(problem, domain: Domain, config: SolverConfig,
                    mirror_map: MirrorMap | None = None) -> Trace:
     """Full-gradient mirror descent with uniform averaging."""
     mm = mirror_map or MirrorMap.euclidean()
-    sched = config.schedule or StepSchedule.constant(config.eta or 0.1)
+    sched = config.schedule or StepSchedule.constant(_given_step(config, "eta") or 0.1)
     trace = Trace(seed=config.seed, header={"solver": "mirror_descent"})
     if mm.kind == "entropy" and domain.kind == "simplex":
         w = np.full(domain.dim, 1.0 / domain.dim)
@@ -294,7 +304,7 @@ def clipped_sgd(problem, domain: Domain, config: SolverConfig) -> Trace:
         / (config.epsilon * alpha) * math.log(max(m * stage_count / config.delta, 2.0)),
         16.0 * xi**2 * beta**2 / (alpha**2 * config.epsilon**2)))
     T1 = config.T1 if config.T1 is not None else min(T1_presc, max(1, config.T // m))
-    eta = config.eta or 1.0 / (2.0 * xi * beta * math.sqrt(T1))
+    eta = _given_step(config, "eta") or 1.0 / (2.0 * xi * beta * math.sqrt(T1))
 
     trace = Trace(seed=config.seed, header={
         "solver": "clipped_sgd", "xi": xi, "T1": T1, "eta": eta,
@@ -302,7 +312,8 @@ def clipped_sgd(problem, domain: Domain, config: SolverConfig) -> Trace:
         "T1_prescribed": T1_presc, "T1_capped": T1 < T1_presc,
     })
     rng = make_rng(config.seed)
-    center = np.zeros(getattr(problem, "d", 1))
+    # a feasible start keeps every average, and so the answer, feasible
+    center = domain.project(np.zeros(getattr(problem, "d", 1)))
     Delta = R
     fixed_point = math.sqrt(config.tau * config.target_risk / (1.0 - config.epsilon))
     for k in range(1, m + 1):
@@ -357,7 +368,7 @@ def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
     T1 = config.T1 if config.T1 is not None else min(T1_presc, budget_T1)
     lam = config.lambda1 if config.lambda1 is not None else 16.0 * beta
     Delta = config.Delta1 if config.Delta1 is not None else R
-    eta = config.eta or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
+    eta = _given_step(config, "eta") or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
 
     trace = Trace(seed=config.seed, header={
         "solver": "mixed_grad", "T1": T1, "lambda1": lam, "eta1": eta,
@@ -406,7 +417,7 @@ def emgd(problem, domain: Domain, config: SolverConfig) -> Trace:
     m = _epoch_count(config, 8)
     T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / config.delta))
     T = config.T1 if config.T1 is not None else min(T_presc, config.T)
-    eta = config.eta or 1.0 / (L * math.sqrt(T))
+    eta = _given_step(config, "eta") or 1.0 / (L * math.sqrt(T))
     R = domain.r if domain.kind == "ball" else domain.outer_radius
     Delta = config.Delta1 if config.Delta1 is not None else 2.0 * R
 
@@ -416,7 +427,8 @@ def emgd(problem, domain: Domain, config: SolverConfig) -> Trace:
     })
     rng = make_rng(config.seed)
     diff = problem.anchored_component_diff
-    center = np.zeros(problem.d)
+    # a feasible start keeps every average, and so the answer, feasible
+    center = domain.project(np.zeros(problem.d))
     for k in range(1, m + 1):
         g_full = problem.full_grad(center)
         trace.calls_full += 1
@@ -479,11 +491,11 @@ def sgd_pd(objective, domain: Domain, config: SolverConfig) -> Trace:
         raise ConfigurationError("boundary gradient bound rho must be positive")
     T = config.T
     G1 = config.L if config.L is not None else objective.grad_bound(1.0)
-    sigma = config.sigma if config.sigma is not None else getattr(objective, "noise", 0.0)
+    sigma = getattr(objective, "noise", 0.0)
     G2, C2 = domain.G2, domain.C2
-    gamma = config.gamma or (G2 * G2 / math.sqrt(
+    gamma = _given_step(config, "gamma") or (G2 * G2 / math.sqrt(
         (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / config.delta)) * sigma * sigma) * T))
-    eta = config.eta or gamma / (2.0 * G2 * G2)
+    eta = _given_step(config, "eta") or gamma / (2.0 * G2 * G2)
 
     trace = Trace(seed=config.seed, header={"solver": "sgd_pd", "gamma": gamma, "eta": eta})
     rng = make_rng(config.seed)
@@ -516,7 +528,7 @@ def sgd_st(objective, domain: Domain, config: SolverConfig) -> Trace:
     """
     beta = _strong_convexity(objective, config) or getattr(objective, "beta")
     T = config.T
-    gamma = config.gamma or math.log(T) / T
+    gamma = _given_step(config, "gamma") or math.log(T) / T
     G1 = config.L if config.L is not None else objective.grad_bound(1.0)
     lam0 = config.lambda0 if config.lambda0 is not None else 1.05 * G1 / domain.rho
     if lam0 <= G1 / domain.rho:
@@ -528,6 +540,7 @@ def sgd_st(objective, domain: Domain, config: SolverConfig) -> Trace:
     rng = make_rng(config.seed)
     x = np.zeros(objective.d)
     xbar = np.zeros_like(x)
+    eta = _given_step(config, "eta")
     stride = config.stride()
     for t in range(1, T + 1):
         xbar += x
@@ -536,7 +549,7 @@ def sgd_st(objective, domain: Domain, config: SolverConfig) -> Trace:
         gx = domain.g(x)
         z = lam0 * gx / gamma
         weight = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
-        eta_t = config.eta if config.eta is not None else 1.0 / (2.0 * beta * t)
+        eta_t = eta or 1.0 / (2.0 * beta * t)
         xp = x - eta_t * (g + weight * lam0 * domain.g_grad(x))
         x = xp / max(np.linalg.norm(xp), 1.0)
         if t % stride == 0 or t == T:

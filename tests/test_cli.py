@@ -114,6 +114,7 @@ class TestDispatch:
         ("clippedsgd_target", "--T1=0", "T1"),
         ("emgd_variance", "--epochs=0", "epochs"),
         ("clippedsgd_target", "--stages=0", "stages"),
+        ("mixedgrad_rate", "--eta_factor=0", "eta_factor"),
     ])
     def test_bad_experiment_parameter_exits_2(self, tmp_path, capsys, experiment,
                                               arg, key):

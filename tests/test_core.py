@@ -210,6 +210,16 @@ class TestTwoBallProjector:
             want = frozen_kernels.project_two_balls(x, c1, 1.0, c2, 0.5)
             assert project(x).tobytes() == want.tobytes()
 
+    def test_touching_intervals_give_the_tangent_point(self):
+        # in 1-D rounding sends this point to the degenerate-axis branch, whose
+        # fallback axis is zero there
+        r1, r2 = 902869.7192371228, 1431752.598445187
+        x, c2 = np.array([4385333.948099622]), np.array([r1 + r2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = two_ball_projector(np.zeros(1), r1, c2, r2)(x)
+        np.testing.assert_allclose(got, [r1], rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("gap", [2.0 + 1e-9, 3.0])
     def test_disjoint_balls_refused_at_build(self, gap):
         c2 = np.array([gap, 0.0])

@@ -1,4 +1,4 @@
-"""Regret/violation/slope metrics and the reference-optimum solver."""
+"""Comparator minima, final regret, slopes and the reference-optimum solver."""
 
 import math
 
@@ -8,8 +8,8 @@ import pytest
 from smoothconvex.core import Domain, make_rng
 from smoothconvex.adversary import LossSequence
 from smoothconvex.metrics import (CERTIFICATE_TOL, comparator_minimum, final_regret,
-                                  loglog_slope, reference_optimum, regret, violation)
-from smoothconvex.online import ConstraintSet, RoundLoss
+                                  loglog_slope, reference_optimum)
+from smoothconvex.online import RoundLoss
 from smoothconvex.problems import (from_arrays, least_squares_problem,
                                    synthetic_regression)
 from smoothconvex.stochastic import SolverConfig, agd
@@ -20,11 +20,6 @@ def linear(v):
 
 
 class TestRegret:
-    def test_zero_losses(self):
-        seq = LossSequence(T=3, kind="z", _losses=[linear(np.zeros(2))] * 3)
-        out = regret([np.zeros(2)] * 3, seq, Domain.ball(1.0))
-        np.testing.assert_array_equal(out, np.zeros(3))
-
     def test_single_linear_loss_on_ball(self):
         seq = LossSequence(T=1, kind="l", _losses=[linear([0.6, 0.8])])
         _, best = comparator_minimum(seq, Domain.ball(1.0))
@@ -49,14 +44,6 @@ class TestRegret:
         assert v_cf <= best + 1e-9
         assert abs(v_cf - best) < 1e-4
 
-    def test_monotone_when_losses_dominate_prefix_minimum(self):
-        # nonnegative losses with comparator value 0: cumulative regret grows
-        seq = LossSequence(T=5, kind="q",
-                           _losses=[RoundLoss.from_quadratic(np.zeros(2))] * 5)
-        decisions = [np.array([0.5, 0.0])] * 5
-        out = regret(decisions, seq, Domain.ball(1.0))
-        assert np.all(np.diff(out) >= -1e-12)
-
     def test_final_matches_definition(self):
         rng = make_rng(1)
         vecs = [rng.uniform(-1, 1, size=2) for _ in range(9)]
@@ -67,29 +54,6 @@ class TestRegret:
         best = -np.linalg.norm(total)
         learner = sum(float(v @ x) for v, x in zip(vecs, decisions))
         assert final_regret(decisions, seq, dom) == pytest.approx(learner - best)
-        assert regret(decisions, seq, dom)[-1] == pytest.approx(learner - best)
-
-
-class TestViolation:
-    def cons(self):
-        return ConstraintSet(funcs=[(lambda x: float(x @ x) - 0.25,
-                                     lambda x: 2 * x)], D=1.0, G=1.0, F=1.0)
-
-    def test_feasible_decisions_nonpositive(self):
-        out = violation([np.zeros(2)] * 4, self.cons())
-        assert np.all(out <= 0)
-
-    def test_single_infeasible_round_adds_exactly(self):
-        decisions = [np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)]
-        out = violation(decisions, self.cons())
-        np.testing.assert_allclose(out[:, 0], [-0.25, 0.5, 0.25])
-
-    def test_matches_bruteforce_reevaluation(self):
-        rng = make_rng(2)
-        decisions = [rng.uniform(-1, 1, size=2) for _ in range(20)]
-        out = violation(decisions, self.cons())
-        brute = np.cumsum([float(x @ x) - 0.25 for x in decisions])
-        np.testing.assert_allclose(out[:, 0], brute, atol=1e-12)
 
 
 class TestReferenceOptimum:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smoothconvex.core import (ConfigurationError, Domain, MirrorMap,
-                               StepSchedule, clip_component, make_rng)
+from smoothconvex.core import (ConfigurationError, Domain, DomainError, MirrorMap,
+                               StepSchedule, UnsupportedDomainError,
+                               clip_component, make_rng)
 from smoothconvex.metrics import loglog_slope, reference_optimum
 from smoothconvex.problems import (NoisyQuadratic, from_arrays,
                                    onedim_target_risk_problem,
@@ -432,15 +434,24 @@ class TestEpochLoops:
         assert np.array_equal(tr.final_point, center)
 
 
-def _epoch_solver_run(name, m):
+def _epoch_solver_run(name, m, **config):
     if name == "clipped_sgd":
         prob = onedim_target_risk_problem(0.05)
         return clipped_sgd(prob, Domain.ball(1.0), SolverConfig(
             seed=0, m=m, T1=5, target_risk=2.0 * prob.eps_opt, L=prob.beta,
-            lam=prob.alpha))
+            lam=prob.alpha, **config))
     prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
     solver = {"mixed_grad": mixed_grad, "emgd": emgd}[name]
-    return solver(prob, Domain.ball(2.0), SolverConfig(seed=0, T1=3, m=m))
+    return solver(prob, Domain.ball(2.0), SolverConfig(seed=0, T1=3, m=m, **config))
+
+
+def _step_solver_run(name, **config):
+    if name in ("mixed_grad", "emgd", "clipped_sgd"):
+        return _epoch_solver_run(name, None, **config)
+    solver = {"sgd": sgd, "gd": gd, "cgd": cgd, "mirror_descent": mirror_descent,
+              "sgd_pd": sgd_pd, "sgd_st": sgd_st}[name]
+    obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
+    return solver(obj, Domain.ball(0.8), SolverConfig(seed=0, T=5, **config))
 
 
 class TestEpochCount:
@@ -458,6 +469,54 @@ class TestEpochCount:
     def test_unset_count_takes_the_default(self, name, default):
         assert len(_epoch_solver_run(name, None).records) == default
         assert len(_epoch_solver_run(name, 1).records) == 1
+
+
+class TestStepSize:
+    """An explicit step size `eta` or step parameter `gamma` is used as given
+    and refused unless positive; only an unset one takes the default."""
+
+    @pytest.mark.parametrize("name,field", [
+        ("sgd", "eta"), ("gd", "eta"), ("cgd", "eta"), ("mirror_descent", "eta"),
+        ("clipped_sgd", "eta"), ("mixed_grad", "eta"), ("emgd", "eta"),
+        ("sgd_pd", "eta"), ("sgd_pd", "gamma"), ("sgd_st", "eta"),
+        ("sgd_st", "gamma")])
+    def test_nonpositive_step_refused(self, name, field):
+        for value in (0.0, -0.5):
+            with pytest.raises(ConfigurationError, match=f"{field} must be positive"):
+                _step_solver_run(name, **{field: value})
+        _step_solver_run(name, **{field: 0.05})
+
+
+_ALL_SOLVERS = [sgd, gd, agd, cgd, mirror_descent, clipped_sgd, mixed_grad, emgd,
+                sgd_pd, sgd_st]
+
+
+@pytest.mark.parametrize("solver", _ALL_SOLVERS, ids=lambda s: s.__name__)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**16),
+       lo=st.floats(-0.5, 0.4), width=st.floats(0.05, 0.6),
+       radius=st.floats(0.1, 2.0), cut=st.floats(-0.6, 0.6))
+def test_final_point_feasible_or_domain_refused(solver, d, seed, lo, width, radius, cut):
+    """Every solver returns a point inside each domain kind it accepts, or
+    refuses the domain."""
+    rng = make_rng(seed)
+    domains = [Domain.ball(radius), Domain.box(np.full(d, lo), np.full(d, lo + width)),
+               Domain.simplex(d), Domain.l1_ball(radius, dim=d),
+               Domain.halfspace_cut(np.ones(d) / math.sqrt(d), cut)]
+    if solver in (mixed_grad, emgd):
+        prob = from_arrays(rng.standard_normal((8, d)), rng.standard_normal(8), 0.1,
+                           "squared")
+        config = SolverConfig(seed=seed, T1=4, m=3)
+    else:
+        prob = NoisyQuadratic(center=rng.uniform(-1.5, 1.5, size=d), noise=0.3)
+        config = SolverConfig(seed=seed, T=12, T1=4, m=3, target_risk=0.05, L=1.0,
+                              lam=1.0)
+    for domain in domains:
+        try:
+            tr = solver(prob, domain, config)
+        except (ConfigurationError, UnsupportedDomainError, DomainError):
+            continue
+        assert domain.contains(tr.final_point, tol=1e-9), (domain.kind, tr.final_point)
 
 
 class TestVarianceProbe:
