@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
-"""Run every registered experiment at one seed and collect the summary table.
+"""Run every registered experiment at one or more seeds and collect the
+summary table.
 
-Usage: python3 scripts/run_all_experiments.py [--seed S] [--out DIR]
+Usage: python3 scripts/run_all_experiments.py [--seed S[,S2,...]] [--out DIR]
+
+`--seed` takes one seed or a comma list, as the CLI does; each experiment
+runs once per seed.  The experiment CSVs are byte-identical for the same code
+and seeds, so two checkouts compare with one run each and
+`diff -r -x summary.csv DIR1 DIR2` (summary.csv carries wall times).
 """
 
 import argparse
@@ -11,14 +17,19 @@ import sys
 from smoothconvex.cli import EXPERIMENTS, RunConfig, run, write_summary
 
 
+def seed_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=1)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=seed_list, default=[1])
     ap.add_argument("--out", default=os.environ.get("SMOOTHCONVEX_OUT", "results"))
     args = ap.parse_args()
-    write_summary(args.out, [run(RunConfig(experiment=name, seed=args.seed,
+    write_summary(args.out, [run(RunConfig(experiment=name, seed=seed,
                                            output_dir=args.out))
-                             for name in sorted(EXPERIMENTS)])
+                             for name in sorted(EXPERIMENTS) for seed in args.seed])
     return 0
 
 

@@ -188,8 +188,7 @@ def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> LossSe
         def grad(w, gx=gx):
             return -gx if 1.0 - float(gx @ w) > 0 else np.zeros_like(gx)
 
-        parts = MaxStructure(A=A, phi_hat_value=lambda u: -float(u[0]),
-                             phi_hat_grad=lambda u: np.array([-1.0]))
+        parts = MaxStructure(A=A, phi_hat_grad=lambda u: np.array([-1.0]))
         losses.append(RoundLoss(value=value, grad=grad, max_parts=parts))
     return LossSequence(T=T, kind="classification_stream", _losses=losses,
                         meta={"drift": drift, "examples": examples})

@@ -4,10 +4,18 @@ Points are plain 1-D numpy arrays.  This module provides feasible sets with
 exact projections, mirror maps with Bregman divergences, the extra-gradient
 prox step used by every mirror-prox learner, gradient clipping, and seeded
 counter-based randomness.
+
+Projections and the prox step come in two forms.  The checked form
+(`Domain.project`, `project_ball`, `prox_step`) validates its input on every
+call and returns a fresh array.  The bound form (`Domain.projector`,
+`ball_projector`, `prox_map`) runs the checks and the kind dispatch once and
+returns the bare kernel for a loop to call each step; the checked form is
+those checks plus the same kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -126,13 +134,29 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _onto_ball(r: float, y: Point) -> Point:
+    """y itself when ‖y‖ ≤ r, else y scaled onto the sphere of radius r.  y
+    must be contiguous and 1-D, so that ddot sums in np.linalg.norm's order."""
+    n = math.sqrt(y.dot(y))
+    return y if n <= r else y * (r / n)
+
+
+def ball_projector(r: float):
+    """Projection onto the radius-r ball at the origin as a bare kernel: no
+    check, no ravel, no copy.  The caller passes a fresh, contiguous 1-D
+    float64 point that it owns; the kernel returns that very array when it is
+    inside the ball."""
+    return functools.partial(_onto_ball, r)
+
+
 def project_ball(x: Point, r: float, center: Point | None = None) -> Point:
-    y = x if center is None else x - center
-    n = _norm(y)
-    if n <= r:
+    """Projection onto ball(center, r); a fresh array, also for a point inside."""
+    # x − center is a new contiguous array; x itself may be a strided view
+    y = x.ravel() if center is None else x - center
+    p = _onto_ball(r, y)
+    if p is y:
         return x.copy()
-    y = y * (r / n)
-    return y if center is None else y + center
+    return p if center is None else p + center
 
 
 def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
@@ -357,18 +381,31 @@ class Domain:
         return self.g(x) <= tol
 
     def project(self, x: Point) -> Point:
-        x = np.asarray(x, dtype=np.float64)
+        """Euclidean projection onto the set; a fresh array, also for a point
+        inside.  The dimension check plus the kernel of `projector`."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
         self._check_dim(x)
+        p = self.projector()(x)
+        return p.copy() if p is x else p
+
+    def projector(self):
+        """The projection as a bare kernel, for a loop that projects every
+        step: the kind dispatch runs here, once, and the kernel checks
+        nothing.  It takes a contiguous 1-D float64 point of the set's
+        dimension that the caller owns; the ball kernel returns that very
+        array when it is inside (see ball_projector), the others a new one.
+        """
         if self.kind == "ball":
-            return project_ball(x, self.r)
+            return ball_projector(self.r)
         if self.kind == "box":
-            return np.clip(x, self.lo, self.hi)
+            lo, hi = self.lo, self.hi
+            return lambda x: np.clip(x, lo, hi)
         if self.kind == "simplex":
-            return project_simplex(x)
+            return project_simplex
         if self.kind == "l1_ball":
-            return project_l1_ball(x, self.r)
+            return functools.partial(project_l1_ball, r=self.r)
         if self.kind == "halfspace_cut":
-            return self._project_halfspace_cut(x)
+            return self._project_halfspace_cut
         raise UnsupportedDomainError(self.kind)
 
     def _project_halfspace_cut(self, x: Point) -> Point:
@@ -398,6 +435,8 @@ class Domain:
         return c0 + math.sqrt(rho2) * v / nv
 
     def _check_dim(self, x: Point) -> None:
+        if x.ndim != 1:
+            raise InputError(f"point must be a 1-D vector, got shape {x.shape}")
         if self.dim is not None and x.shape[0] != self.dim:
             raise InputError(f"dimension mismatch: domain is {self.dim}-d, point is {x.shape[0]}-d")
 
@@ -458,7 +497,8 @@ class Domain:
 
 @dataclass(frozen=True)
 class MirrorMap:
-    """Strongly convex potential with gradient and inverse-gradient access."""
+    """A strongly convex potential, named by kind: ½‖x‖² (euclidean) or the
+    negative entropy Σ xᵢ log xᵢ (entropy); bregman and the prox step read it."""
 
     kind: str  # euclidean | entropy
     alpha: float = 1.0  # strong-convexity modulus in the map's own norm
@@ -470,23 +510,6 @@ class MirrorMap:
     @classmethod
     def entropy(cls) -> "MirrorMap":
         return cls("entropy", 1.0)
-
-    def potential(self, x: Point) -> float:
-        if self.kind == "euclidean":
-            return 0.5 * float(x @ x)
-        xc = np.maximum(np.asarray(x, dtype=np.float64), EPS_LOG)
-        return float(np.sum(xc * np.log(xc)))
-
-    def grad(self, x: Point) -> Point:
-        if self.kind == "euclidean":
-            return np.asarray(x, dtype=np.float64).copy()
-        xc = np.maximum(np.asarray(x, dtype=np.float64), EPS_LOG)
-        return 1.0 + np.log(xc)
-
-    def grad_inv(self, theta: Point) -> Point:
-        if self.kind == "euclidean":
-            return np.asarray(theta, dtype=np.float64).copy()
-        return np.exp(np.asarray(theta, dtype=np.float64) - 1.0)
 
 
 def bregman(mirror_map: MirrorMap, x: Point, y: Point) -> float:
@@ -505,34 +528,50 @@ def bregman(mirror_map: MirrorMap, x: Point, y: Point) -> float:
 
 def prox_step(mirror_map: MirrorMap, domain: Domain, z: Point, g: Point,
               eta: float) -> Point:
-    """argmin over the domain of η⟨u, g⟩ + B(u, z).
-
-    Euclidean map: a projected gradient step.  Entropy map: multiplicative
-    update followed by the Bregman projection (closed form on the simplex and
-    on nonnegative boxes; bisection on a norm multiplier otherwise).
-    """
+    """argmin over the domain of η⟨u, g⟩ + B(u, z): the input checks plus the
+    step of prox_map."""
     if eta <= 0:
         raise ConfigurationError("prox step size must be positive")
     z = np.asarray(z, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if z.shape != g.shape:
         raise InputError("prox_step: dimension mismatch")
+    domain._check_dim(z)
+    return prox_map(mirror_map, domain)(z, g, eta)
+
+
+def prox_map(mirror_map: MirrorMap, domain: Domain):
+    """The prox step with its map and domain bound: step(z, g, eta) =
+    argmin over the domain of η⟨u, g⟩ + B(u, z).  The map and domain kinds
+    are dispatched here, once; step checks nothing, so z and g must be 1-D
+    float64 arrays of one shape and eta > 0, and it returns a new array.
+
+    Euclidean map: a projected gradient step.  Entropy map: multiplicative
+    update followed by the Bregman projection (closed form on the simplex and
+    on nonnegative boxes; bisection on a norm multiplier otherwise).
+    """
     if mirror_map.kind == "euclidean":
-        return domain.project(z - eta * g)
+        project = domain.projector()
+        return lambda z, g, eta: project(z - eta * g)
     # entropy: unconstrained solution z * exp(-eta g)
-    zc = np.maximum(z, EPS_LOG)
-    logu = np.log(zc) - eta * g
     if domain.kind == "simplex":
-        logu -= logu.max()
-        u = np.exp(logu)
-        return u / u.sum()
-    u = np.exp(np.minimum(logu, 700.0))
+        def step(z, g, eta):
+            logu = np.log(np.maximum(z, EPS_LOG)) - eta * g
+            logu -= logu.max()
+            u = np.exp(logu)
+            return u / u.sum()
+        return step
+
+    def unconstrained(z, g, eta):
+        return np.exp(np.minimum(np.log(np.maximum(z, EPS_LOG)) - eta * g, 700.0))
+
     if domain.kind == "box":
         if np.any(domain.lo < 0):
             raise DomainError("entropy map needs a nonnegative box")
-        return np.clip(u, np.maximum(domain.lo, EPS_LOG), domain.hi)
+        lo, hi = np.maximum(domain.lo, EPS_LOG), domain.hi
+        return lambda z, g, eta: np.clip(unconstrained(z, g, eta), lo, hi)
     if domain.kind in ("ball", "l1_ball"):
-        return _entropy_norm_projection(u, domain)
+        return lambda z, g, eta: _entropy_norm_projection(unconstrained(z, g, eta), domain)
     raise UnsupportedDomainError(f"entropy prox not available for {domain.kind}")
 
 

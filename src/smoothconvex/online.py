@@ -2,7 +2,11 @@
 
 Every learner exposes predict() -> decision and observe(loss) -> None, which
 supports full-information and bandit feedback with one harness.  Decisions are
-recorded on the learner for regret evaluation.
+recorded on the learner for regret evaluation: `decisions` holds the learner's
+own arrays, not copies, so callers treat them (and what predict returns) as
+read-only.  Each learner binds its domain's projection or prox step once, at
+construction (Domain.projector, ball_projector, prox_map), and calls the bare
+kernel every round on the fresh point it has just built.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigurationError, Domain, InputError, MirrorMap, Point,
-                   StepSchedule, UnsupportedDomainError, project_ball,
-                   prox_step, prox_step_hnorm)
+                   StepSchedule, UnsupportedDomainError, ball_projector,
+                   prox_map, prox_step_hnorm)
 
 
 @dataclass
@@ -23,16 +27,11 @@ class MaxStructure:
     max over a dual domain of ⟨A x, u⟩ − dual-smooth part."""
 
     A: np.ndarray                       # m × d coupling matrix
-    f_hat_value: object = None          # smooth primal part (callable)
-    f_hat_grad: object = None
-    phi_hat_value: object = None        # smooth dual part (callable)
-    phi_hat_grad: object = None
+    f_hat_grad: object = None           # gradient of the smooth primal part
+    phi_hat_grad: object = None         # gradient of the smooth dual part
 
     def fg(self, x):
         return np.zeros(self.A.shape[1]) if self.f_hat_grad is None else self.f_hat_grad(x)
-
-    def pv(self, u):
-        return 0.0 if self.phi_hat_value is None else float(self.phi_hat_value(u))
 
     def pg(self, u):
         return np.zeros(self.A.shape[0]) if self.phi_hat_grad is None else self.phi_hat_grad(u)
@@ -77,14 +76,19 @@ class RoundLoss:
 
 
 class BaseLearner:
-    """Common bookkeeping: decisions and per-round loss values."""
+    """Common bookkeeping: decisions and per-round loss values.
+
+    A decision is recorded as the learner's own array, without a copy: every
+    learner builds a new array for each round's point and never changes one
+    in place once it is recorded.
+    """
 
     def __init__(self):
         self.decisions: list[Point] = []
         self.loss_values: list[float] = []
 
     def _record(self, x: Point, loss: RoundLoss) -> None:
-        self.decisions.append(np.asarray(x, dtype=np.float64).copy())
+        self.decisions.append(x)
         self.loss_values.append(float(loss.value(x)))
 
     def play(self, loss: RoundLoss) -> Point:
@@ -109,6 +113,7 @@ class OGD(BaseLearner):
         d = domain.dim if domain.dim is not None else dim
         self.x = domain.project(np.zeros(d)) if x0 is None else domain.project(np.asarray(x0, float))
         self.t = 0
+        self._project = domain.projector()
 
     def predict(self) -> Point:
         return self.x
@@ -117,16 +122,11 @@ class OGD(BaseLearner):
         self.t += 1
         self._record(self.x, loss)
         g = loss.grad(self.x)
-        self.x = self.domain.project(self.x - self.schedule.at(self.t) * g)
+        self.x = self._project(self.x - self.schedule.at(self.t) * g)
 
 
-def _ftrl_solve(domain: Domain, grad_sum: Point, c: float) -> Point:
-    """argmin over the domain of ⟨x, G⟩ + (c/2)‖x‖²; closed form as the
-    projection of −G/c for sets where the quadratic completes the square."""
-    if domain.kind not in ("ball", "box", "simplex"):
-        raise UnsupportedDomainError(
-            f"no closed-form leader solve for {domain.kind}")
-    return domain.project(-grad_sum / c)
+# sets where argmin ⟨x, G⟩ + (c/2)‖x‖² is the projection of −G/c
+_LEADER_KINDS = ("ball", "box", "simplex")
 
 
 class IFTRL(BaseLearner):
@@ -142,15 +142,20 @@ class IFTRL(BaseLearner):
         self.z = domain.project(np.zeros(d))
         self.grad_sum = np.zeros(d)
         self.stale_grad = np.zeros(d)   # ∇f_{t-1}(z_{t-1}); zero for round 1
+        self._project = domain.projector()
 
     def predict(self) -> Point:
-        return self.domain.project(self.z - (self.eta / self.L) * self.stale_grad)
+        return self._project(self.z - (self.eta / self.L) * self.stale_grad)
 
     def observe(self, loss: RoundLoss) -> None:
+        if self.domain.kind not in _LEADER_KINDS:
+            raise UnsupportedDomainError(
+                f"no closed-form leader solve for {self.domain.kind}")
         x = self.predict()
         self._record(x, loss)
-        self.grad_sum = self.grad_sum + loss.grad(self.z)
-        self.z = _ftrl_solve(self.domain, self.grad_sum, self.L / self.eta)
+        self.grad_sum += loss.grad(self.z)
+        # the leader, with c = L/η; G/(−c) is −G/c bit for bit in one operation
+        self.z = self._project(self.grad_sum / -(self.L / self.eta))
         self.stale_grad = loss.grad(self.z)
 
 
@@ -172,19 +177,20 @@ class OMP(BaseLearner):
         self.x0 = self.z.copy()
         self.prev_grad = np.zeros(d)
         self.prev_x = self.z.copy()
+        self._prox = prox_map(self.map, domain)
 
     @staticmethod
     def tuned_eta(L: float, egv: float) -> float:
         return 0.5 * min(1.0 / math.sqrt(2.0), L / math.sqrt(max(egv, 1e-300)))
 
     def predict(self) -> Point:
-        return prox_step(self.map, self.domain, self.z, self.prev_grad, self.eta / self.L)
+        return self._prox(self.z, self.prev_grad, self.eta / self.L)
 
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
         self._record(x, loss)
         g = loss.grad(x)
-        self.z = prox_step(self.map, self.domain, self.z, g, self.eta / self.L)
+        self.z = self._prox(self.z, g, self.eta / self.L)
         self.prev_grad = g
         self.prev_x = x
 
@@ -263,13 +269,14 @@ class BanditOMP(BaseLearner):
         self.domain, self.G, self.delta, self.eta = domain, G, delta, eta
         self.alpha = delta / domain.r
         self.inner = Domain.ball(domain.r * (1.0 - self.alpha))
+        self._project = self.inner.projector()
         self.z = np.zeros(dim)
         self.prev_g = np.zeros(dim)
         self.value_queries = 0
         self.last_estimate: Point | None = None
 
     def predict(self) -> Point:
-        return self.inner.project(self.z - (self.eta / self.G) * self.prev_g)
+        return self._project(self.z - (self.eta / self.G) * self.prev_g)
 
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
@@ -284,7 +291,7 @@ class BanditOMP(BaseLearner):
             g[i] = (float(loss.value(x + e)) - f0) / self.delta
             self.value_queries += 1
         self.last_estimate = g
-        self.z = self.inner.project(self.z - (self.eta / self.G) * g)
+        self.z = self._project(self.z - (self.eta / self.G) * g)
         self.prev_g = g
 
 
@@ -360,14 +367,15 @@ class ExplicitMaxPD(BaseLearner):
         self.prev_fg = np.zeros(dim)
         self.prev_pg = np.zeros(dual_dim)
         self.duals: list[Point] = []
+        em = MirrorMap.euclidean()
+        self._prox_primal, self._prox_dual = prox_map(em, primal), prox_map(em, dual)
 
     def predict(self) -> Point:
-        em = MirrorMap.euclidean()
         # dual ascent on the stale coupling, then primal descent on the stale gradient
         dual_dir = self.prev.A @ self.x - self.prev_pg
-        u_t = prox_step(em, self.Q, self.v, -dual_dir, self.eta / self.L2)
-        x_t = prox_step(em, self.W, self.z,
-                        self.prev_fg + self.prev.A.T @ self.u, self.eta / self.L1)
+        u_t = self._prox_dual(self.v, -dual_dir, self.eta / self.L2)
+        x_t = self._prox_primal(self.z, self.prev_fg + self.prev.A.T @ self.u,
+                                self.eta / self.L1)
         self._u_pending = u_t
         return x_t
 
@@ -380,12 +388,9 @@ class ExplicitMaxPD(BaseLearner):
         if parts.A.shape[1] != x_t.shape[0]:
             raise InputError("coupling matrix dimension mismatch")
         self._record(x_t, loss)
-        self.duals.append(u_t.copy())
-        em = MirrorMap.euclidean()
-        self.v = prox_step(em, self.Q, self.v,
-                           -(parts.A @ x_t - parts.pg(u_t)), self.eta / self.L2)
-        self.z = prox_step(em, self.W, self.z,
-                           parts.fg(x_t) + parts.A.T @ u_t, self.eta / self.L1)
+        self.duals.append(u_t)
+        self.v = self._prox_dual(self.v, -(parts.A @ x_t - parts.pg(u_t)), self.eta / self.L2)
+        self.z = self._prox_primal(self.z, parts.fg(x_t) + parts.A.T @ u_t, self.eta / self.L1)
         self.x, self.u = x_t, u_t
         self.prev = parts
         self.prev_fg = parts.fg(x_t)
@@ -410,6 +415,7 @@ class HingeClassifierPD(BaseLearner):
         self.mistakes = 0
         self.rounds = 0
         self.mistake_examples: list[Point] = []
+        self._project = ball_projector(R)
 
     def round(self, x: Point, y: float) -> float:
         """Returns the prediction score; updates internally on a mistake."""
@@ -418,13 +424,13 @@ class HingeClassifierPD(BaseLearner):
         if score * y <= 0:
             self.mistakes += 1
             gx = y * np.asarray(x, dtype=np.float64)
-            self.mistake_examples.append(gx.copy())
+            self.mistake_examples.append(gx)
             margin = 1.0 - float(self.w @ gx)
             alpha_old = self.alpha
             self.beta = min(max(self.beta + self.eta * margin, 0.0), 1.0)
-            self.wp = project_ball(self.wp + self.eta * alpha_old * gx, self.R)
+            self.wp = self._project(self.wp + self.eta * alpha_old * gx)
             self.alpha = min(max(self.beta + self.eta * margin, 0.0), 1.0)
-            self.w = project_ball(self.wp + self.eta * alpha_old * gx, self.R)
+            self.w = self._project(self.wp + self.eta * alpha_old * gx)
         return score
 
 
@@ -483,11 +489,12 @@ class SoftConstraintOGD(BaseLearner):
         self.x = np.zeros(dim)
         self.lam = np.zeros(m)
         self.violations: list[np.ndarray] = []
+        self._project = ball_projector(R)
 
     def predict(self) -> Point:
         return self.x
 
-    def constraint_terms(self, x: Point):
+    def _constraint_terms(self, x: Point):
         vals = self.cons.values(x)
         grad = np.zeros(x.shape)
         for lam_i, (_, gg) in zip(self.lam, self.cons.funcs):
@@ -496,14 +503,14 @@ class SoftConstraintOGD(BaseLearner):
         return vals, grad
 
     def observe(self, loss: RoundLoss) -> None:
-        self._step(loss, *self.constraint_terms(self.x))
+        self._step(loss, *self._constraint_terms(self.x))
 
     def _step(self, loss: RoundLoss, vals: np.ndarray, cons_grad: Point) -> None:
         self._record(self.x, loss)
-        self.violations.append(vals.copy())
+        self.violations.append(vals)
         gx = loss.grad(self.x) + cons_grad
         glam = vals - self.eta * self.delta * self.lam
-        self.x = project_ball(self.x - self.eta * gx, self.R)
+        self.x = self._project(self.x - self.eta * gx)
         self.lam = np.maximum(self.lam + self.eta * glam, 0.0)
 
 
@@ -551,9 +558,6 @@ class ZeroViolationOGD(SoftConstraintOGD):
             grad = grad + self.lam[0] * self._raw[i][1](x)
         return np.array([g_max + self.gamma_tighten]), grad
 
-    def constraint_terms(self, x: Point):
-        return self._tightened_terms(x, *self._raw_max(x))
-
     def observe(self, loss: RoundLoss) -> None:
         # one evaluation of the raw constraints serves the violation record,
         # the tightened value and the subgradient
@@ -577,6 +581,7 @@ class PenaltyOGD(BaseLearner):
         self.x = np.zeros(dim) if x0 is None else np.asarray(x0, float).copy()
         self.t = 0
         self.violations: list[np.ndarray] = []
+        self._project = ball_projector(R)
 
     def predict(self) -> Point:
         return self.x
@@ -585,9 +590,9 @@ class PenaltyOGD(BaseLearner):
         self.t += 1
         self._record(self.x, loss)
         vals = self.cons.values(self.x)
-        self.violations.append(vals.copy())
+        self.violations.append(vals)
         g = loss.grad(self.x)
         for v, (_, gg) in zip(vals, self.cons.funcs):
             if v > 0:
                 g = g + self.delta * gg(self.x)
-        self.x = project_ball(self.x - self.schedule.at(self.t) * g, self.R)
+        self.x = self._project(self.x - self.schedule.at(self.t) * g)

@@ -110,6 +110,13 @@ def _start(problem, domain: Domain, config: SolverConfig) -> Point:
     return np.zeros(d)
 
 
+def _horizon(config: SolverConfig, least: int = 1) -> int:
+    """config.T, refused unless it is at least `least` steps."""
+    if config.T < least:
+        raise ConfigurationError(f"horizon T must be at least {least}, got T={config.T}")
+    return config.T
+
+
 def _epoch_count(config: SolverConfig, default: int) -> int:
     """config.m, or `default` when it is unset; at least one epoch."""
     m = default if config.m is None else config.m
@@ -489,7 +496,7 @@ def sgd_pd(objective, domain: Domain, config: SolverConfig) -> Trace:
     """
     if domain.rho <= 0:
         raise ConfigurationError("boundary gradient bound rho must be positive")
-    T = config.T
+    T = _horizon(config)
     G1 = config.L if config.L is not None else objective.grad_bound(1.0)
     sigma = getattr(objective, "noise", 0.0)
     G2, C2 = domain.G2, domain.C2
@@ -527,8 +534,10 @@ def sgd_st(objective, domain: Domain, config: SolverConfig) -> Trace:
     and only the averaged output is projected.
     """
     beta = _strong_convexity(objective, config) or getattr(objective, "beta")
-    T = config.T
-    gamma = _given_step(config, "gamma") or math.log(T) / T
+    gamma = _given_step(config, "gamma")
+    # the default gamma = log(T)/T is positive only from T = 2 on
+    T = _horizon(config, least=1 if gamma else 2)
+    gamma = gamma or math.log(T) / T
     G1 = config.L if config.L is not None else objective.grad_bound(1.0)
     lam0 = config.lambda0 if config.lambda0 is not None else 1.05 * G1 / domain.rho
     if lam0 <= G1 / domain.rho:

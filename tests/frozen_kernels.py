@@ -1,11 +1,12 @@
 """Frozen per-call copies of the epoch solvers' two kernels, as they stood
 before the two-ball projector was built once per epoch and before the
-anchored difference subtracted its anchor once.
+anchored difference subtracted its anchor once; and of the online learners'
+round updates, as they stood before each learner bound its projection once
+and recorded its decisions without a copy.
 
-The solvers' bitwise tests compare against these copies, not against the
-library, so that they keep pinning the original floats.  np.linalg.norm
-stands in for core._norm, which is bit-identical to it (see
-test_core.py::TestNorm).
+The bitwise tests compare against these copies, not against the library, so
+that they keep pinning the original floats.  np.linalg.norm stands in for
+core._norm, which is bit-identical to it (see test_core.py::TestNorm).
 """
 
 import math
@@ -66,3 +67,148 @@ def anchored_component_diff(prob, i, w, center):
     coef = (-prob.y[i] / (1.0 + math.exp(min(mw, 700.0)))
             + prob.y[i] / (1.0 + math.exp(min(mc, 700.0))))
     return coef * xi + prob.lam_reg * (w - center)
+
+
+# ---------------------------------------------------------------------------
+# Online learners: one function per learner runs its rounds over `losses`
+# and returns what the learner records.  Domains are balls or boxes.
+# ---------------------------------------------------------------------------
+
+
+def domain_project(domain, x):
+    if domain.kind == "ball":
+        return project_ball(x, domain.r)
+    if domain.kind == "box":
+        return np.clip(x, domain.lo, domain.hi)
+    raise ValueError(domain.kind)
+
+
+def ogd_rounds(domain, schedule, dim, losses):
+    x = domain_project(domain, np.zeros(dim))
+    decisions, values = [], []
+    for t, loss in enumerate(losses, 1):
+        decisions.append(x.copy())
+        values.append(float(loss.value(x)))
+        g = loss.grad(x)
+        x = domain_project(domain, x - schedule.at(t) * g)
+    return {"decisions": decisions, "loss_values": values}
+
+
+def iftrl_rounds(domain, L, eta, dim, losses):
+    z = domain_project(domain, np.zeros(dim))
+    grad_sum, stale_grad = np.zeros(dim), np.zeros(dim)
+    decisions, values = [], []
+    for loss in losses:
+        x = domain_project(domain, z - (eta / L) * stale_grad)
+        decisions.append(x.copy())
+        values.append(float(loss.value(x)))
+        grad_sum = grad_sum + loss.grad(z)
+        z = domain_project(domain, -grad_sum / (L / eta))
+        stale_grad = loss.grad(z)
+    return {"decisions": decisions, "loss_values": values}
+
+
+def omp_rounds(domain, L, eta, dim, losses):
+    """OMP on the Euclidean map: each prox step is a projected step."""
+    z = domain_project(domain, np.zeros(dim))
+    prev_grad = np.zeros(dim)
+    decisions, values = [], []
+    for loss in losses:
+        x = domain_project(domain, z - (eta / L) * prev_grad)
+        decisions.append(x.copy())
+        values.append(float(loss.value(x)))
+        g = loss.grad(x)
+        z = domain_project(domain, z - (eta / L) * g)
+        prev_grad = g
+    return {"decisions": decisions, "loss_values": values}
+
+
+def bandit_omp_rounds(r, G, delta, eta, dim, losses):
+    inner_r = r * (1.0 - delta / r)
+    z, prev_g = np.zeros(dim), np.zeros(dim)
+    decisions, values, estimates = [], [], []
+    for loss in losses:
+        x = project_ball(z - (eta / G) * prev_g, inner_r)
+        decisions.append(x.copy())
+        values.append(float(loss.value(x)))
+        f0 = float(loss.value(x))
+        g = np.zeros(dim)
+        for i in range(dim):
+            e = np.zeros(dim)
+            e[i] = delta
+            g[i] = (float(loss.value(x + e)) - f0) / delta
+        estimates.append(g)
+        z = project_ball(z - (eta / G) * g, inner_r)
+        prev_g = g
+    return {"decisions": decisions, "loss_values": values, "estimates": estimates}
+
+
+def _soft_loop(losses, terms, eta, delta, R, dim, m):
+    """SoftConstraintOGD's rounds; terms(x, lam) gives the constraint values
+    and the dual-weighted constraint subgradient at x."""
+    x, lam = np.zeros(dim), np.zeros(m)
+    out = {"decisions": [], "loss_values": [], "violations": []}
+    for loss in losses:
+        vals, cons_grad = terms(x, lam)
+        out["decisions"].append(x.copy())
+        out["loss_values"].append(float(loss.value(x)))
+        out["violations"].append(vals.copy())
+        gx = loss.grad(x) + cons_grad
+        glam = vals - eta * delta * lam
+        x = project_ball(x - eta * gx, R)
+        lam = np.maximum(lam + eta * glam, 0.0)
+    out["lam"] = lam
+    return out
+
+
+def soft_constraint_rounds(funcs, G, D, T, R, dim, losses):
+    """SoftConstraintOGD at its default eta and delta; funcs are (g, grad)."""
+    m = len(funcs)
+    a = R * math.sqrt((m + 1) * G * G + 2 * m * D * D)
+
+    def terms(x, lam):
+        vals = np.array([g(x) for g, _ in funcs])
+        grad = np.zeros(x.shape)
+        for lam_i, (_, gg) in zip(lam, funcs):
+            if lam_i != 0.0:
+                grad = grad + lam_i * gg(x)
+        return vals, grad
+
+    return _soft_loop(losses, terms, R * R / (a * math.sqrt(T)), 2.0 * (m + 1) * G * G,
+                      R, dim, m)
+
+
+def zero_violation_rounds(funcs, tuning, T, R, dim, losses):
+    """ZeroViolationOGD; `tuning` is zero_violation_tuning's dict."""
+    raw_violations = []
+
+    def terms(x, lam):
+        vals = [float(g(x)) for g, _ in funcs]
+        g_max = max(vals)
+        i = vals.index(g_max)
+        raw_violations.append(g_max)
+        grad = np.zeros(x.shape)
+        if lam[0] != 0.0:
+            grad = grad + lam[0] * funcs[i][1](x)
+        return np.array([g_max + tuning["gamma"]]), grad
+
+    out = _soft_loop(losses, terms, R * R / (tuning["a"] * math.sqrt(T)), tuning["delta"],
+                     R, dim, 1)
+    out["raw_violations"] = raw_violations
+    return out
+
+
+def penalty_rounds(funcs, schedule, delta, R, dim, losses):
+    x = np.zeros(dim)
+    decisions, values, violations = [], [], []
+    for t, loss in enumerate(losses, 1):
+        decisions.append(x.copy())
+        values.append(float(loss.value(x)))
+        vals = np.array([g(x) for g, _ in funcs])
+        violations.append(vals.copy())
+        g = loss.grad(x)
+        for v, (_, gg) in zip(vals, funcs):
+            if v > 0:
+                g = g + delta * gg(x)
+        x = project_ball(x - schedule.at(t) * g, R)
+    return {"decisions": decisions, "loss_values": values, "violations": violations}

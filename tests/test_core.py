@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smoothconvex.core import (_norm, ConfigurationError, Domain, DomainError,
                                InputError, MirrorMap, StepSchedule,
-                               bregman, clip_component, dykstra, make_rng,
-                               project_ball, project_l1_ball, project_simplex,
-                               project_two_balls, prox_step, prox_step_hnorm,
+                               UnsupportedDomainError, ball_projector, bregman,
+                               clip_component, dykstra, make_rng, project_ball,
+                               project_l1_ball, project_simplex, project_two_balls,
+                               prox_map, prox_step, prox_step_hnorm,
                                two_ball_projector)
 from smoothconvex.problems import from_arrays
 
@@ -229,6 +230,96 @@ class TestTwoBallProjector:
             project_two_balls(np.zeros(2), np.zeros(2), 1.0, c2, 1.0)
 
 
+class TestProjector:
+    """Domain.projector() is the kernel Domain.project runs, bound once; the
+    checked forms still return a fresh array and accept strided input."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(dom=st.sampled_from(all_domains()),
+           xs=st.lists(st.floats(-4, 4), min_size=4, max_size=4))
+    def test_projector_matches_project_bitwise(self, dom, xs):
+        x = np.array(xs)
+        want = dom.project(x)
+        assert dom.projector()(x.copy()).tobytes() == want.tobytes()
+
+    def test_ball_kernel_returns_its_own_inside_point(self):
+        x = np.array([0.3, -0.4])
+        assert ball_projector(1.0)(x) is x
+        out = ball_projector(0.25)(x)
+        assert out is not x and out.tobytes() == frozen_kernels.project_ball(x, 0.25).tobytes()
+
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
+    def test_project_returns_fresh_array_for_inside_point(self, dom):
+        inside = dom.project(make_rng(9).uniform(-0.2, 0.4, size=4))
+        assert dom.contains(inside)
+        kept = inside.copy()
+        p = dom.project(inside)
+        assert p is not inside and not np.shares_memory(p, inside)
+        np.testing.assert_allclose(p, inside, atol=1e-15)
+        p += 1.0
+        assert inside.tobytes() == kept.tobytes()
+
+    def test_project_ball_returns_fresh_array_for_inside_point(self):
+        x, c = np.array([0.3, -0.4]), np.array([0.1, 0.1])
+        for p in (project_ball(x, 1.0), project_ball(x, 1.0, c)):
+            assert p is not x and not np.shares_memory(p, x)
+            assert p.tobytes() == x.tobytes()
+
+    def test_strided_input_accepted(self):
+        base = make_rng(10).standard_normal(12) * 1.5
+        views = (base[::3], base[::-3], base.reshape(4, 3)[:, 1])
+        for v in views:
+            assert not v.flags.c_contiguous
+            for r in (0.5, 10.0):   # outside, inside
+                for c in (None, np.full(4, 0.2)):
+                    got = project_ball(v, r, c)
+                    want = frozen_kernels.project_ball(v, r, c)
+                    assert got.tobytes() == want.tobytes()
+                    assert not np.shares_memory(got, base)
+            for dom in all_domains():
+                got = dom.project(v)
+                want = dom.project(np.ascontiguousarray(v))
+                assert got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, base)
+
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
+    def test_euclidean_prox_map_matches_prox_step(self, dom):
+        rng = make_rng(11)
+        step = prox_map(MirrorMap.euclidean(), dom)
+        for _ in range(50):
+            z, g = rng.uniform(-2, 2, size=4), rng.standard_normal(4)
+            want = prox_step(MirrorMap.euclidean(), dom, z, g, 0.3)
+            assert step(z, g, 0.3).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dom", [Domain.simplex(4), Domain.box(np.zeros(4), np.ones(4)),
+                                     Domain.ball(1.0), Domain.l1_ball(1.0, dim=4)],
+                             ids=lambda d: d.kind)
+    def test_entropy_prox_map_matches_prox_step(self, dom):
+        rng = make_rng(12)
+        step = prox_map(MirrorMap.entropy(), dom)
+        for _ in range(10):
+            z, g = rng.uniform(0.05, 0.5, size=4), rng.standard_normal(4)
+            want = prox_step(MirrorMap.entropy(), dom, z, g, 0.7)
+            assert step(z, g, 0.7).tobytes() == want.tobytes()
+
+    def test_prox_map_refuses_at_bind(self):
+        with pytest.raises(UnsupportedDomainError):
+            prox_map(MirrorMap.entropy(), all_domains()[-1])
+        with pytest.raises(DomainError):
+            prox_map(MirrorMap.entropy(), Domain.box([-1.0], [1.0]))
+
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
+    def test_project_refuses_a_matrix(self, dom):
+        # the kernels take 1-D points: x.dot(x) of a matrix is a matrix product
+        with pytest.raises(InputError, match="1-D"):
+            dom.project(np.zeros((4, 4)))
+
+    def test_prox_step_checks_the_domain_dimension(self):
+        with pytest.raises(InputError):
+            prox_step(MirrorMap.euclidean(), Domain.box(-np.ones(2), np.ones(2)),
+                      np.zeros(3), np.zeros(3), 0.5)
+
+
 class TestDykstraConvergence:
     def _two_balls(self):
         c2 = np.array([1.2, 0.0, 0.0])
@@ -284,14 +375,6 @@ class TestBregman:
             d = x - y
             if mm.kind == "euclidean":
                 assert v >= mm.alpha / 2 * float(d @ d) - 1e-12
-
-    def test_inverse_gradient_roundtrip(self):
-        rng = make_rng(5)
-        for mm in (MirrorMap.euclidean(), MirrorMap.entropy()):
-            for _ in range(100):
-                x = rng.uniform(0.01, 2.0, size=5)
-                back = mm.grad_inv(mm.grad(x))
-                assert np.max(np.abs(back - x)) < 1e-10
 
 
 class TestProxStep:

@@ -16,7 +16,9 @@ from smoothconvex.online import (OGD, OMP, IFTRL, BanditOMP, ConstraintSet,
                                  DoublingWrapper, ExpertOMP, ExplicitMaxPD,
                                  HingeClassifierPD, MaxStructure, PenaltyOGD,
                                  RoundLoss, SoftConstraintOGD, StrictlyConvexOMP,
-                                 ZeroViolationOGD)
+                                 ZeroViolationOGD, zero_violation_tuning)
+
+import frozen_kernels
 
 UNIT = Domain.ball(1.0)
 
@@ -499,9 +501,7 @@ class TestExplicitMaxFunctional:
         def value(x):
             return fhat_value(x) + gpen(float(a @ x))
 
-        parts = MaxStructure(A=a[None, :], f_hat_value=fhat_value,
-                             f_hat_grad=fhat_grad,
-                             phi_hat_value=lambda u: 0.5 * float(u[0] ** 2),
+        parts = MaxStructure(A=a[None, :], f_hat_grad=fhat_grad,
                              phi_hat_grad=lambda u: u.copy())
         loss = RoundLoss(value=value, grad=lambda x: None, max_parts=parts)
         dom = Domain.ball(1.0)
@@ -573,9 +573,9 @@ class TestRoundLossReadOnly:
             np.testing.assert_array_equal(seq.loss(t).linear, fresh.loss(t).linear)
 
 
-def _soft_rounds(T):
+def _soft_rounds(T, radius=0.9):
     return LossSequence(T=T, kind="soft", _losses=[
-        RoundLoss.from_quadratic(0.9 * np.array([math.cos(0.01 * t), math.sin(0.01 * t)]))
+        RoundLoss.from_quadratic(radius * np.array([math.cos(0.01 * t), math.sin(0.01 * t)]))
         for t in range(T)])
 
 
@@ -665,3 +665,182 @@ class TestZeroViolationRound:
         # both constraints attain the max at some round
         assert {int(np.argmax([float(g(x)) for g, _ in cons.funcs]))
                 for x in zero.decisions} == {0, 1}
+
+
+def _bits(arrays) -> bytes:
+    return np.array(arrays, dtype=np.float64).tobytes()
+
+
+def _mixed_losses(T, d, seed):
+    """Biased linear costs that push decisions onto the boundary, and every
+    third round a quadratic with an inner center that pulls them back
+    inside, so the projection is active on some rounds and not on others."""
+    rng = make_rng(seed)
+    return [RoundLoss.from_quadratic(0.3 * rng.standard_normal(d)) if t % 3 == 2
+            else RoundLoss.from_linear(rng.standard_normal(d) - 0.5) for t in range(T)]
+
+
+def _assert_both_branches(decisions, r):
+    norms = np.linalg.norm(np.array(decisions), axis=1)
+    assert np.any(norms < r - 1e-9) and np.any(np.abs(norms - r) <= 1e-12)
+
+
+def _assert_records_match(lr, want, fields=("decisions", "loss_values")):
+    for field in fields:
+        assert _bits(getattr(lr, field)) == _bits(want[field]), field
+
+
+_ROUNDS_T = 300
+_ROUND_DOMAINS = {"ball": Domain.ball(1.0),
+                  "box": Domain.box(-0.5 * np.ones(3), np.ones(3))}
+
+
+class TestFrozenRounds:
+    """Every learner's records are bit-identical to its frozen per-round loop
+    in frozen_kernels (the round updates before learners bound their
+    projection once), over a few hundred rounds.  The constraint learners
+    face centers beyond radius 0.9, so their ball projection and both
+    constraints become active."""
+
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_ogd(self, kind):
+        dom, losses = _ROUND_DOMAINS[kind], _mixed_losses(_ROUNDS_T, 3, 1)
+        sched = StepSchedule.inverse_sqrt(0.5)
+        lr = OGD(dom, sched, dim=3)
+        for l in losses:
+            lr.observe(l)
+        want = frozen_kernels.ogd_rounds(dom, sched, 3, losses)
+        _assert_records_match(lr, want)
+        if kind == "ball":
+            _assert_both_branches(lr.decisions, 1.0)
+
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_iftrl(self, kind):
+        dom, losses = _ROUND_DOMAINS[kind], _mixed_losses(_ROUNDS_T, 3, 2)
+        lr = IFTRL(dom, L=1.0, eta=0.3, dim=3)
+        for l in losses:
+            lr.observe(l)
+        _assert_records_match(lr, frozen_kernels.iftrl_rounds(dom, 1.0, 0.3, 3, losses))
+        if kind == "ball":
+            _assert_both_branches(lr.decisions, 1.0)
+
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_omp_euclidean(self, kind):
+        dom, losses = _ROUND_DOMAINS[kind], _mixed_losses(_ROUNDS_T, 3, 3)
+        lr = OMP(dom, L=2.0, eta=0.7, dim=3)
+        for l in losses:
+            lr.observe(l)
+        _assert_records_match(lr, frozen_kernels.omp_rounds(dom, 2.0, 0.7, 3, losses))
+        if kind == "ball":
+            _assert_both_branches(lr.decisions, 1.0)
+
+    def test_bandit_omp(self):
+        rng = make_rng(4)
+        losses = [RoundLoss.from_quadratic(1.5 * rng.standard_normal(3))
+                  for _ in range(_ROUNDS_T)]
+        lr = BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=3)
+        for l in losses:
+            lr.observe(l)
+        want = frozen_kernels.bandit_omp_rounds(1.0, 2.0, 0.1, 0.5, 3, losses)
+        _assert_records_match(lr, want)
+        assert _bits(lr.last_estimate) == _bits(want["estimates"][-1])
+        assert lr.value_queries == 4 * _ROUNDS_T
+        _assert_both_branches(lr.decisions, 0.9)
+
+    def test_soft_constraint_ogd(self):
+        cons, losses = _soft_cons(), list(_soft_rounds(_ROUNDS_T, 1.5))
+        lr = SoftConstraintOGD(cons, _ROUNDS_T, R=0.8, dim=2)
+        for l in losses:
+            lr.observe(l)
+        want = frozen_kernels.soft_constraint_rounds(cons.funcs, cons.G, cons.D, _ROUNDS_T,
+                                                     0.8, 2, losses)
+        _assert_records_match(lr, want, ("decisions", "loss_values", "violations", "lam"))
+        assert np.all(lr.lam > 0)
+        _assert_both_branches(lr.decisions, 0.8)
+
+    def test_zero_violation_ogd(self):
+        cons, losses = _soft_cons(), list(_soft_rounds(_ROUNDS_T, 1.5))
+        lr = ZeroViolationOGD(cons, _ROUNDS_T, R=0.8, dim=2)
+        for l in losses:
+            lr.observe(l)
+        tun = zero_violation_tuning(cons.G, cons.D, cons.F, 0.8, _ROUNDS_T)
+        want = frozen_kernels.zero_violation_rounds(cons.funcs, tun, _ROUNDS_T, 0.8, 2,
+                                                    losses)
+        _assert_records_match(lr, want, ("decisions", "loss_values", "violations", "lam",
+                                         "raw_violations"))
+        assert np.all(lr.lam > 0)
+
+    def test_penalty_ogd(self):
+        cons, losses = _soft_cons(), list(_soft_rounds(_ROUNDS_T, 4.0))
+        sched = StepSchedule.constant(0.05)
+        lr = PenaltyOGD(cons, sched, delta=3.0, R=0.8, dim=2)
+        for l in losses:
+            lr.observe(l)
+        want = frozen_kernels.penalty_rounds(cons.funcs, sched, 3.0, 0.8, 2, losses)
+        _assert_records_match(lr, want, ("decisions", "loss_values", "violations"))
+        assert np.all(np.any(np.array(lr.violations) > 0, axis=0))
+        _assert_both_branches(lr.decisions, 0.8)
+
+
+def _hinge_losses(T, d):
+    return list(classification_stream(0.3, T, d, seed=6))
+
+
+def _recording_cases():
+    """name -> (learner factory, losses) for every decision-recording learner."""
+    d, T = 3, 60
+    mixed = _mixed_losses(T, d, 7)
+    rng = make_rng(8)
+    experts = [linear(rng.uniform(0.0, 1.0, size=4)) for _ in range(T)]
+    quad = [RoundLoss.from_quadratic(1.5 * rng.standard_normal(d)) for _ in range(T)]
+    return {
+        "OGD": (lambda: OGD(UNIT, StepSchedule.constant(0.3), dim=d), mixed),
+        "IFTRL": (lambda: IFTRL(UNIT, L=1.0, eta=0.3, dim=d), mixed),
+        "OMP": (lambda: OMP(UNIT, L=1.0, eta=0.5, dim=d), mixed),
+        "OMP-entropy": (lambda: OMP(Domain.simplex(4), L=1.0, eta=0.5, dim=4,
+                                    mirror_map=MirrorMap.entropy()), experts),
+        "ExpertOMP": (lambda: ExpertOMP(4, eta=0.5), experts),
+        "StrictlyConvexOMP": (lambda: StrictlyConvexOMP(UNIT, beta=0.5, G=2.0, dim=d),
+                              mixed),
+        "BanditOMP": (lambda: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=d), quad),
+        "DoublingWrapper": (lambda: DoublingWrapper(
+            lambda eta: OMP(UNIT, L=1.0, eta=eta, dim=d), L=1.0, eta0=2.0), mixed),
+        "ExplicitMaxPD": (lambda: ExplicitMaxPD(UNIT, Domain.box([0.0], [1.0]), L1=1.0,
+                                                L2=1.0, eta=0.3, dim=2, dual_dim=1),
+                          _hinge_losses(T, 2)),
+        "SoftConstraintOGD": (lambda: SoftConstraintOGD(_soft_cons(), T, R=0.8, dim=2),
+                              list(_soft_rounds(T))),
+        "ZeroViolationOGD": (lambda: ZeroViolationOGD(_soft_cons(), T, R=0.8, dim=2),
+                             list(_soft_rounds(T))),
+        "PenaltyOGD": (lambda: PenaltyOGD(_soft_cons(), StepSchedule.constant(0.05),
+                                          delta=3.0, R=0.8, dim=2),
+                       list(_soft_rounds(T))),
+    }
+
+
+class TestRecordedDecisions:
+    """Decisions are recorded without a copy, so each recorded array must be
+    one the learner never changes afterwards."""
+
+    @pytest.mark.parametrize("name", sorted(_recording_cases()))
+    def test_each_decision_keeps_the_point_played(self, name):
+        factory, losses = _recording_cases()[name]
+        lr = factory()
+        played = []
+        for l in losses:
+            played.append(lr.predict().copy())
+            lr.observe(l)
+        assert len(lr.decisions) == len(played)
+        for t, (x, want) in enumerate(zip(lr.decisions, played)):
+            assert x.tobytes() == want.tobytes(), t
+
+    def test_hinge_mistake_examples_keep_the_example_seen(self):
+        lr = HingeClassifierPD(2, R=1.0)
+        seen = []
+        for gx in classification_stream(0.3, 200, 2, seed=6).meta["examples"]:
+            before = lr.mistakes
+            lr.round(gx, 1.0)
+            if lr.mistakes > before:
+                seen.append(lr.mistake_examples[-1].copy())
+        assert len(seen) > 1
+        assert _bits(lr.mistake_examples) == _bits(seen)

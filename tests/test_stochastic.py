@@ -606,6 +606,17 @@ class TestOneProjection:
         slope = loglog_slope(Ts, subs)
         assert -0.65 <= slope <= -0.35
 
+    @pytest.mark.parametrize("solver,T", [(sgd_st, 1), (sgd_st, 0), (sgd_pd, 0)])
+    def test_too_short_horizon_refused(self, solver, T):
+        # sgd_st's default gamma = log(T)/T is zero at T = 1 and undefined at T = 0
+        with pytest.raises(ConfigurationError, match="horizon"):
+            solver(self.obj, self.dom, SolverConfig(seed=0, T=T, lam=1.0))
+
+    def test_one_step_horizon_runs(self):
+        for solver, extra in ((sgd_pd, {}), (sgd_st, {"gamma": 0.5})):
+            tr = solver(self.obj, self.dom, SolverConfig(seed=0, T=1, lam=1.0, **extra))
+            assert tr.calls_stochastic == 1 and tr.projections == 1
+
     def test_st_log_over_t_ratio_bounded(self):
         ref = reference_optimum(self.obj, self.dom)
         ratios = []
