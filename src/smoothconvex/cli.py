@@ -89,9 +89,8 @@ def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
     data = problems.synthetic_classification(int(p["n"]), int(p["d"]), seed=7,
                                              row_norm=p["row_norm"])
     prob = problems.logistic_problem(data, lam=p["lam"])
-    cfg = stochastic.SolverConfig(seed=seed, T=int(p["T"]), m=int(p["epochs"]),
-                                  probe_variance=True, Delta1=p["Delta1"])
-    tr = stochastic.emgd(prob, Domain.ball(p["radius"]), cfg)
+    tr = stochastic.emgd(prob, Domain.ball(p["radius"]), seed=seed, T=int(p["T"]),
+                         m=int(p["epochs"]), probe_variance=True, Delta1=p["Delta1"])
     cols = ["iter", "objective", "calls_full", "calls_stochastic",
             "variance_sgd", "variance_mixed"]
     rows = [{"iter": r["epoch"], "objective": r["objective"],
@@ -119,12 +118,11 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     # lambda1 scaled to the averaged objective's smoothness: with the
     # worst-case 16*beta setting the shrinking-domain schedule outruns the
     # regularization path at this dimension and the rate never shows
-    cfg = stochastic.SolverConfig(seed=seed, T1=int(p["T1"]), m=m_max,
-                                  lambda1=p["lambda1_factor"] * prob.constants.L_full,
-                                  eta=p["eta_factor"] / beta)
     # with T1 fixed, the run at m is the first m epochs of the run at m_max, and
     # epoch m's record holds that run's counters and full_value(final_point)
-    tr = stochastic.mixed_grad(prob, dom, cfg)
+    tr = stochastic.mixed_grad(prob, dom, seed=seed, T1=int(p["T1"]), m=m_max,
+                               lambda1=p["lambda1_factor"] * prob.constants.L_full,
+                               eta=p["eta_factor"] / beta)
     rows = [{"iter": r["epoch"], "calls_full": r["calls_full"],
              "calls_stochastic": r["calls_stochastic"],
              "suboptimality": r["objective"] - fstar}
@@ -141,10 +139,9 @@ def exp_clippedsgd_target(seed: int, p: dict) -> ExperimentResult:
     _at_least(p, "stages", 1)
     prob = problems.onedim_target_risk_problem(p["delta"])
     target = p["target_factor"] * prob.eps_opt
-    cfg = stochastic.SolverConfig(seed=seed, m=int(p["stages"]), T1=int(p["T1"]),
-                                  target_risk=target, epsilon=p["epsilon"],
-                                  tau=p["tau"], L=prob.beta, lam=prob.alpha)
-    tr = stochastic.clipped_sgd(prob, Domain.ball(1.0), cfg)
+    tr = stochastic.clipped_sgd(prob, Domain.ball(1.0), seed=seed, m=int(p["stages"]),
+                                T1=int(p["T1"]), target_risk=target, epsilon=p["epsilon"],
+                                tau=p["tau"], L=prob.beta, lam=prob.alpha)
     rows = [{"iter": r["stage"], "objective": r["objective"], "delta": r["delta"],
              "calls_stochastic": r["calls_stochastic"]} for r in tr.records]
     risk = prob.expected_loss(tr.final_point)
@@ -165,8 +162,7 @@ def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, subs, Ts = [], [], []
     for T in _grid(p, "T_grid", least=1):
-        cfg = stochastic.SolverConfig(seed=seed, T=T)
-        tr = stochastic.sgd_pd(obj, dom, cfg)
+        tr = stochastic.sgd_pd(obj, dom, seed=seed, T=T)
         sub = obj.value(tr.final_point) - fstar
         rows.append({"iter": T, "suboptimality": sub, "violation": dom.g(tr.final_point),
                      "calls_stochastic": tr.calls_stochastic, "projections": tr.projections})
@@ -181,8 +177,7 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, ratios = [], []
     for T in _grid(p, "T_grid", least=2):   # the ratio divides by log T
-        cfg = stochastic.SolverConfig(seed=seed, T=T, lam=1.0)
-        tr = stochastic.sgd_st(obj, dom, cfg)
+        tr = stochastic.sgd_st(obj, dom, seed=seed, T=T, lam=1.0)
         sub = obj.value(tr.final_point) - fstar
         ratio = sub * T / math.log(T)
         rows.append({"iter": T, "suboptimality": sub, "violation": dom.g(tr.final_point),

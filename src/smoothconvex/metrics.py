@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .core import Domain, UnsupportedDomainError
-from .stochastic import SolverConfig, _smoothness, agd
+from .stochastic import _smoothness, agd
 
 
 def comparator_minimum(sequence, domain: Domain, grid_resolution: float = 1e-3,
@@ -102,9 +102,8 @@ def reference_optimum(problem, domain: Domain, steps: int = 100_000) -> dict:
     """
     budgets = [steps] if steps <= _FIRST_BUDGET else [_FIRST_BUDGET, steps]
     for budget in budgets:
-        cfg = SolverConfig(seed=0, T=budget, snapshot_every=budget)
-        w = agd(problem, domain, cfg).final_point
-        L = _smoothness(problem, cfg, "full")
+        w = agd(problem, domain, T=budget, snapshot_every=budget).final_point
+        L = _smoothness(problem, None, "full")
         g = problem.full_grad(w)
         pg = (w - domain.project(w - g / L)) * L
         certificate = float(np.linalg.norm(pg))

@@ -91,11 +91,6 @@ class BaseLearner:
         self.decisions.append(x)
         self.loss_values.append(float(loss.value(x)))
 
-    def play(self, loss: RoundLoss) -> Point:
-        x = self.predict()
-        self.observe(loss)
-        return x
-
 
 # ---------------------------------------------------------------------------
 # Gradient-descent family
@@ -174,9 +169,7 @@ class OMP(BaseLearner):
             self.z = np.full(d, 1.0 / d)
         else:
             self.z = domain.project(np.zeros(d))
-        self.x0 = self.z.copy()
         self.prev_grad = np.zeros(d)
-        self.prev_x = self.z.copy()
         self._prox = prox_map(self.map, domain)
 
     @staticmethod
@@ -192,7 +185,6 @@ class OMP(BaseLearner):
         g = loss.grad(x)
         self.z = self._prox(self.z, g, self.eta / self.L)
         self.prev_grad = g
-        self.prev_x = x
 
 
 class ExpertOMP(BaseLearner):
@@ -413,13 +405,11 @@ class HingeClassifierPD(BaseLearner):
         self.alpha = 0.0
         self.beta = 0.0
         self.mistakes = 0
-        self.rounds = 0
         self.mistake_examples: list[Point] = []
         self._project = ball_projector(R)
 
     def round(self, x: Point, y: float) -> float:
         """Returns the prediction score; updates internally on a mistake."""
-        self.rounds += 1
         score = float(self.w @ x)
         if score * y <= 0:
             self.mistakes += 1

@@ -299,6 +299,9 @@ class OneDimTargetRisk:
         d2 = self.delta ** 2
         return d2 * (w0 - 1.0) ** 2 + (1.0 - d2) * (w0 - self.delta) ** 2
 
+    # the solvers read the objective under this name
+    full_value = expected_loss
+
     @property
     def wstar(self) -> float:
         d2 = self.delta ** 2
@@ -340,7 +343,7 @@ class NoisyQuadratic:
     def grad(self, x: Point) -> Point:
         return x - self.center
 
-    # the full-gradient solvers and reference_optimum read these names
+    # the solvers and reference_optimum read these names
     full_value = value
     full_grad = grad
 

@@ -1,5 +1,11 @@
 """Stochastic and deterministic solvers returning per-iteration Traces.
 
+Each solver is called as `solver(problem, domain, *, ...)` with keyword-only
+parameters, exactly the values it reads; any other name raises TypeError.  An
+unset parameter takes the solver's default.  `L` is always a smoothness
+constant and `lam` a strong-convexity modulus (refused unless positive when
+set); `snapshot_every` is the number of steps between records (0: about 200).
+
 Every solver counts full-gradient calls, stochastic calls and projections
 onto the domain exactly: the step loops (sgd, gd, agd, mirror_descent) one
 projection per step, the epoch-based methods (the clipped-gradient solver and
@@ -30,7 +36,6 @@ class Trace:
 
     header: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
-    seed: int = 0
     calls_full: int = 0
     calls_stochastic: int = 0
     projections: int = 0      # projections onto the true domain K
@@ -43,96 +48,69 @@ class Trace:
         self.records.append(kv)
 
 
-@dataclass
-class SolverConfig:
-    """Flat configuration shared by all solvers; unused fields are ignored."""
-
-    seed: int = 0
-    T: int = 1000
-    schedule: StepSchedule | None = None
-    eta: float | None = None
-    w0: Point | None = None
-    snapshot_every: int = 0          # 0 = auto stride
-    keep_iterates: bool = False
-    # epoch/stage methods
-    m: int | None = None
-    T1: int | None = None
-    Delta1: float | None = None
-    lambda1: float | None = None
-    gamma_shrink: float = 2.0
-    # clipped-gradient stages
-    epsilon: float = 0.5
-    tau: float = 0.1
-    xi: float | None = None
-    target_risk: float | None = None
-    # single-projection methods
-    gamma: float | None = None
-    lambda0: float | None = None
-    delta: float = 0.1               # failure-probability knob in prescriptions
-    # constant overrides
-    L: float | None = None
-    lam: float | None = None
-    probe_variance: bool = False
-
-    def stride(self) -> int:
-        if self.snapshot_every > 0:
-            return self.snapshot_every
-        return max(1, self.T // 200)
-
-
-def _smoothness(problem, config: SolverConfig, flavor: str = "component") -> float:
-    """Pick the smoothness constant a solver should run with.
+def _smoothness(problem, L: float | None, flavor: str = "component") -> float:
+    """Pick the smoothness constant a solver should run with: `L` when set.
 
     flavor="component": the stochastic-oracle functions' constant (epoch
     solvers); flavor="full": the averaged objective's constant (full-gradient
     step sizes).  An objective without constants supplies its `beta`.
     """
-    if config.L is not None:
-        return config.L
+    if L is not None:
+        return L
     c = getattr(problem, "constants", None)
     if c is None:
         return problem.beta
     return c.L_comp if flavor == "component" else c.L_full
 
 
-def _strong_convexity(problem, config: SolverConfig) -> float:
-    if config.lam is not None:
-        return config.lam
+def _strong_convexity(problem, lam: float | None) -> float:
+    """`lam` when it is set, refused unless positive; otherwise the problem's
+    own modulus (0 when it has none)."""
+    if lam is not None:
+        if not lam > 0:
+            raise ConfigurationError(f"strong convexity lam must be positive, got {lam!r}")
+        return lam
     if getattr(problem, "constants", None) is not None:
         return problem.constants.lam
     return getattr(problem, "alpha", 0.0)
 
 
-def _start(problem, domain: Domain, config: SolverConfig) -> Point:
-    if config.w0 is not None:
-        return np.asarray(config.w0, dtype=np.float64).copy()
+def _start(problem, domain: Domain, w0: Point | None) -> Point:
+    if w0 is not None:
+        return np.asarray(w0, dtype=np.float64).copy()
     d = getattr(problem, "d", None) or domain.dim
     return np.zeros(d)
 
 
-def _horizon(config: SolverConfig, least: int = 1) -> int:
-    """config.T, refused unless it is at least `least` steps."""
-    if config.T < least:
-        raise ConfigurationError(f"horizon T must be at least {least}, got T={config.T}")
-    return config.T
+def _horizon(T: int, least: int = 1) -> int:
+    """T, refused unless it is at least `least` steps."""
+    if T < least:
+        raise ConfigurationError(f"horizon T must be at least {least}, got T={T}")
+    return T
 
 
-def _epoch_count(config: SolverConfig, default: int) -> int:
-    """config.m, or `default` when it is unset; at least one epoch."""
-    m = default if config.m is None else config.m
+def _epoch_count(m: int | None, default: int) -> int:
+    """m, or `default` when it is unset; at least one epoch."""
+    m = default if m is None else m
     if m < 1:
         raise ConfigurationError(f"need at least one epoch or stage, got m={m}")
     return m
 
 
-def _given_step(config: SolverConfig, name: str) -> float | None:
-    """config.<name> (a step size `eta` or step parameter `gamma`) when it is
-    set, refused unless positive; None when unset, so `... or default` takes
-    the default only then."""
-    value = getattr(config, name)
+def _given_step(name: str, value: float | None) -> float | None:
+    """A step size `eta` or step parameter `gamma` when it is set, refused
+    unless positive; None when unset, so `... or default` takes the default
+    only then."""
     if value is not None and not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def _stride(T: int, snapshot_every: int) -> int:
+    """Steps between records: `snapshot_every`, or about 200 records when 0."""
+    if snapshot_every > 0:
+        return snapshot_every
+    return max(1, T // 200)
 
 
 def _intersection_projector(domain: Domain, center: Point, radius: float):
@@ -160,74 +138,68 @@ def _component_draws(problem, rng: np.random.Generator, count: int):
 # ---------------------------------------------------------------------------
 
 
-def sgd(problem, domain: Domain, config: SolverConfig,
+def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
+        schedule: StepSchedule | None = None, eta: float | None = None,
+        w0: Point | None = None, snapshot_every: int = 0, keep_iterates: bool = False,
         mirror_map: MirrorMap | None = None) -> Trace:
     """Projected stochastic (mirror) descent with uniform iterate averaging."""
-    rng = make_rng(config.seed)
+    rng = make_rng(seed)
     mm = mirror_map or MirrorMap.euclidean()
-    sched = config.schedule or StepSchedule.inverse_sqrt(_given_step(config, "eta") or 1.0)
-    trace = Trace(seed=config.seed, header={"solver": "sgd"})
-    w = domain.project(_start(problem, domain, config))
+    sched = schedule or StepSchedule.inverse_sqrt(_given_step("eta", eta) or 1.0)
+    trace = Trace(header={"solver": "sgd"})
+    w = domain.project(_start(problem, domain, w0))
     avg = np.zeros_like(w)
-    stride = config.stride()
-    for t in range(1, config.T + 1):
+    stride = _stride(T, snapshot_every)
+    for t in range(1, T + 1):
         avg += w
-        if config.keep_iterates or t % stride == 1 or stride == 1:
-            rec = {"iter": t, "objective": _objective(problem, w)}
-            if config.keep_iterates:
+        if keep_iterates or t % stride == 1 or stride == 1:
+            rec = {"iter": t, "objective": problem.full_value(w)}
+            if keep_iterates:
                 rec["w"] = w.copy()
             trace.add(**rec)
         g = problem.stochastic_grad(w, rng)
         trace.calls_stochastic += 1
         w = prox_step(mm, domain, w, g, sched.at(t))
         trace.projections += 1
-    avg /= config.T
+    avg /= T
     trace.final_point = avg
-    if config.keep_iterates:
-        trace.add(iter=config.T + 1, objective=_objective(problem, w), w=w.copy())
+    if keep_iterates:
+        trace.add(iter=T + 1, objective=problem.full_value(w), w=w.copy())
     return trace
 
 
-def _objective(problem, w: Point) -> float:
-    if hasattr(problem, "full_value"):
-        return problem.full_value(w)
-    if hasattr(problem, "expected_loss"):
-        return problem.expected_loss(w)
-    if hasattr(problem, "value"):
-        return problem.value(w)
-    return math.nan
-
-
-def gd(problem, domain: Domain, config: SolverConfig) -> Trace:
+def gd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
+       w0: Point | None = None, L: float | None = None, snapshot_every: int = 0) -> Trace:
     """Projected full-gradient descent, eta = 1/L by default."""
-    L = _smoothness(problem, config, "full")
-    eta = _given_step(config, "eta") or 1.0 / L
-    trace = Trace(seed=config.seed, header={"solver": "gd", "eta": eta})
-    w = domain.project(_start(problem, domain, config))
-    stride = config.stride()
-    for t in range(1, config.T + 1):
+    L = _smoothness(problem, L, "full")
+    eta = _given_step("eta", eta) or 1.0 / L
+    trace = Trace(header={"solver": "gd", "eta": eta})
+    w = domain.project(_start(problem, domain, w0))
+    stride = _stride(T, snapshot_every)
+    for t in range(1, T + 1):
         g = problem.full_grad(w)
         trace.calls_full += 1
         w = domain.project(w - eta * g)
         trace.projections += 1
-        if t % stride == 0 or t == config.T:
-            trace.add(iter=t, objective=_objective(problem, w))
+        if t % stride == 0 or t == T:
+            trace.add(iter=t, objective=problem.full_value(w))
     trace.final_point = w
     return trace
 
 
-def agd(problem, domain: Domain, config: SolverConfig) -> Trace:
+def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
+        L: float | None = None, snapshot_every: int = 0) -> Trace:
     """Accelerated projected gradient (two-sequence averaging scheme).
 
     theta_0 = 1, theta_s = 2/(s+2); the prox step uses 1/(theta_s L) so the
     scheme attains the 1/T^2 smooth rate on constrained problems.
     """
-    L = _smoothness(problem, config, "full")
-    trace = Trace(seed=config.seed, header={"solver": "agd"})
-    h = domain.project(_start(problem, domain, config))
+    L = _smoothness(problem, L, "full")
+    trace = Trace(header={"solver": "agd"})
+    h = domain.project(_start(problem, domain, w0))
     f = h.copy()
-    stride = config.stride()
-    for s in range(config.T):
+    stride = _stride(T, snapshot_every)
+    for s in range(T):
         theta = 1.0 if s == 0 else 2.0 / (s + 2.0)
         g_pt = (1.0 - theta) * h + theta * f
         grad = problem.full_grad(g_pt)
@@ -235,51 +207,54 @@ def agd(problem, domain: Domain, config: SolverConfig) -> Trace:
         f = domain.project(f - grad / (theta * L))
         trace.projections += 1
         h = (1.0 - theta) * h + theta * f
-        if (s + 1) % stride == 0 or s + 1 == config.T:
-            trace.add(iter=s + 1, objective=_objective(problem, h))
+        if (s + 1) % stride == 0 or s + 1 == T:
+            trace.add(iter=s + 1, objective=problem.full_value(h))
     trace.final_point = h
     return trace
 
 
-def cgd(problem, domain: Domain, config: SolverConfig) -> Trace:
+def cgd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
+        w0: Point | None = None, snapshot_every: int = 0) -> Trace:
     """Projection-free conditional-gradient descent, eta_t = 2/(t+1)."""
-    trace = Trace(seed=config.seed, header={"solver": "cgd"})
-    w = domain.project(_start(problem, domain, config))
-    eta = _given_step(config, "eta")
-    stride = config.stride()
-    for t in range(1, config.T + 1):
+    trace = Trace(header={"solver": "cgd"})
+    w = domain.project(_start(problem, domain, w0))
+    eta = _given_step("eta", eta)
+    stride = _stride(T, snapshot_every)
+    for t in range(1, T + 1):
         g = problem.full_grad(w)
         trace.calls_full += 1
         p = domain.linear_minimizer(g)  # raises for unsupported domains
         eta_t = eta or 2.0 / (t + 1.0)
         w = (1.0 - eta_t) * w + eta_t * p
-        if t % stride == 0 or t == config.T:
-            trace.add(iter=t, objective=_objective(problem, w))
+        if t % stride == 0 or t == T:
+            trace.add(iter=t, objective=problem.full_value(w))
     trace.final_point = w
     return trace
 
 
-def mirror_descent(problem, domain: Domain, config: SolverConfig,
+def mirror_descent(problem, domain: Domain, *, T: int = 1000,
+                   schedule: StepSchedule | None = None, eta: float | None = None,
+                   w0: Point | None = None, snapshot_every: int = 0,
                    mirror_map: MirrorMap | None = None) -> Trace:
     """Full-gradient mirror descent with uniform averaging."""
     mm = mirror_map or MirrorMap.euclidean()
-    sched = config.schedule or StepSchedule.constant(_given_step(config, "eta") or 0.1)
-    trace = Trace(seed=config.seed, header={"solver": "mirror_descent"})
+    sched = schedule or StepSchedule.constant(_given_step("eta", eta) or 0.1)
+    trace = Trace(header={"solver": "mirror_descent"})
     if mm.kind == "entropy" and domain.kind == "simplex":
         w = np.full(domain.dim, 1.0 / domain.dim)
     else:
-        w = domain.project(_start(problem, domain, config))
+        w = domain.project(_start(problem, domain, w0))
     avg = np.zeros_like(w)
-    stride = config.stride()
-    for t in range(1, config.T + 1):
+    stride = _stride(T, snapshot_every)
+    for t in range(1, T + 1):
         avg += w
         g = problem.full_grad(w)
         trace.calls_full += 1
         w = prox_step(mm, domain, w, g, sched.at(t))
         trace.projections += 1
-        if t % stride == 0 or t == config.T:
-            trace.add(iter=t, objective=_objective(problem, w))
-    trace.final_point = avg / config.T
+        if t % stride == 0 or t == T:
+            trace.add(iter=t, objective=problem.full_value(w))
+    trace.final_point = avg / T
     return trace
 
 
@@ -288,41 +263,49 @@ def mirror_descent(problem, domain: Domain, config: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
-def clipped_sgd(problem, domain: Domain, config: SolverConfig) -> Trace:
+def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
+                m: int | None = None, T1: int | None = None, eta: float | None = None,
+                L: float | None = None, lam: float | None = None, xi: float | None = None,
+                epsilon: float = 0.5, tau: float = 0.1, target_risk: float | None = None,
+                delta: float = 0.1) -> Trace:
     """Fixed-size stages with componentwise gradient clipping and domain shrinking.
 
     Per stage k: clip level gamma_k = 2·xi·beta·Delta_k, projection onto
     domain ∩ ball(center_k, Delta_k), stage-end averaging, and
     Delta_{k+1} = sqrt(eps·Delta_k² + tau·target_risk).
+
+    `xi` is the clip-level factor above, by default 4·beta/(lam·tau).
     """
-    if config.target_risk is None or config.target_risk <= 0:
+    if target_risk is None or target_risk <= 0:
         raise ConfigurationError("clipped_sgd needs a positive target risk")
-    if not (0 < config.epsilon < 1 and 0 < config.tau < 1):
+    if not (0 < epsilon < 1 and 0 < tau < 1):
         raise ConfigurationError("epsilon and tau must lie in (0, 1)")
-    beta = _smoothness(problem, config)
-    alpha = _strong_convexity(problem, config)
-    xi = config.xi if config.xi is not None else 4.0 * beta / (alpha * config.tau)
+    beta = _smoothness(problem, L)
+    alpha = _strong_convexity(problem, lam)
+    if alpha <= 0:
+        raise ConfigurationError("clipped_sgd needs a strongly convex problem")
+    xi = xi if xi is not None else 4.0 * beta / (alpha * tau)
     R = domain.r if domain.kind == "ball" else domain.outer_radius
-    m = _epoch_count(config, 8)
+    m = _epoch_count(m, 8)
     d = getattr(problem, "d", 1)
-    stage_count = max(1, math.ceil(math.log2(max(xi * beta * R * R / config.target_risk, 2.0))))
+    stage_count = max(1, math.ceil(math.log2(max(xi * beta * R * R / target_risk, 2.0))))
     T1_presc = math.ceil(4 * max(
         (xi**3 * beta * d + 2.0 * xi * beta * math.sqrt(d))
-        / (config.epsilon * alpha) * math.log(max(m * stage_count / config.delta, 2.0)),
-        16.0 * xi**2 * beta**2 / (alpha**2 * config.epsilon**2)))
-    T1 = config.T1 if config.T1 is not None else min(T1_presc, max(1, config.T // m))
-    eta = _given_step(config, "eta") or 1.0 / (2.0 * xi * beta * math.sqrt(T1))
+        / (epsilon * alpha) * math.log(max(m * stage_count / delta, 2.0)),
+        16.0 * xi**2 * beta**2 / (alpha**2 * epsilon**2)))
+    T1 = T1 if T1 is not None else min(T1_presc, max(1, T // m))
+    eta = _given_step("eta", eta) or 1.0 / (2.0 * xi * beta * math.sqrt(T1))
 
-    trace = Trace(seed=config.seed, header={
+    trace = Trace(header={
         "solver": "clipped_sgd", "xi": xi, "T1": T1, "eta": eta,
         "stage_count_prescribed": stage_count,
         "T1_prescribed": T1_presc, "T1_capped": T1 < T1_presc,
     })
-    rng = make_rng(config.seed)
+    rng = make_rng(seed)
     # a feasible start keeps every average, and so the answer, feasible
     center = domain.project(np.zeros(getattr(problem, "d", 1)))
     Delta = R
-    fixed_point = math.sqrt(config.tau * config.target_risk / (1.0 - config.epsilon))
+    fixed_point = math.sqrt(tau * target_risk / (1.0 - epsilon))
     for k in range(1, m + 1):
         gamma_k = 2.0 * xi * beta * Delta
         project = _intersection_projector(domain, center, Delta)
@@ -336,12 +319,12 @@ def clipped_sgd(problem, domain: Domain, config: SolverConfig) -> Trace:
         trace.calls_stochastic += T1
         trace.projections += T1
         center = ssum / T1
-        new_Delta = math.sqrt(config.epsilon * Delta**2 + config.tau * config.target_risk)
+        new_Delta = math.sqrt(epsilon * Delta**2 + tau * target_risk)
         if abs(new_Delta - fixed_point) > abs(Delta - fixed_point) + 1e-12:
             raise NumericError("stage-radius recursion moved away from its fixed point")
         Delta = new_Delta
         rec = {"stage": k, "delta": Delta, "gamma_k": gamma_k,
-               "objective": _objective(problem, center),
+               "objective": problem.full_value(center),
                "calls_stochastic": trace.calls_stochastic}
         trace.add(**rec)
     trace.final_point = center
@@ -353,7 +336,11 @@ def clipped_sgd(problem, domain: Domain, config: SolverConfig) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
+def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
+               m: int | None = None, T1: int | None = None, eta: float | None = None,
+               L: float | None = None, Delta1: float | None = None,
+               lambda1: float | None = None, gamma_shrink: float = 2.0,
+               delta: float = 0.1) -> Trace:
     """Epoch solver mixing one full gradient per epoch with anchored
     stochastic gradients; regularization, step size, and domain all shrink by
     gamma while epoch length grows by gamma².
@@ -361,27 +348,29 @@ def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
     Works in shifted coordinates: epoch k optimizes over
     {w : w + center ∈ domain, ‖w‖ ≤ Delta_k}, which is the intersection of
     two balls only when the domain is a ball; other domains are refused.
+
+    `Delta1`, `lambda1`: first epoch's radius and regularization (R, 16·L).
     """
     if domain.kind != "ball":
         raise ConfigurationError(f"mixed_grad needs a ball domain, got {domain.kind!r}")
-    gamma = config.gamma_shrink
+    gamma = gamma_shrink
     if gamma <= 1.0:
         raise ConfigurationError("shrink factor must exceed 1")
-    beta = _smoothness(problem, config)
+    beta = _smoothness(problem, L)
     R = domain.r
-    m = _epoch_count(config, 5)
-    T1_presc = math.ceil(300.0 * math.log(m / config.delta))
-    budget_T1 = max(1, math.floor(config.T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))
-    T1 = config.T1 if config.T1 is not None else min(T1_presc, budget_T1)
-    lam = config.lambda1 if config.lambda1 is not None else 16.0 * beta
-    Delta = config.Delta1 if config.Delta1 is not None else R
-    eta = _given_step(config, "eta") or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
+    m = _epoch_count(m, 5)
+    T1_presc = math.ceil(300.0 * math.log(m / delta))
+    budget_T1 = max(1, math.floor(T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))
+    T1 = T1 if T1 is not None else min(T1_presc, budget_T1)
+    lam = lambda1 if lambda1 is not None else 16.0 * beta
+    Delta = Delta1 if Delta1 is not None else R
+    eta = _given_step("eta", eta) or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
 
-    trace = Trace(seed=config.seed, header={
+    trace = Trace(header={
         "solver": "mixed_grad", "T1": T1, "lambda1": lam, "eta1": eta,
         "T1_prescribed": T1_presc, "T1_capped": T1 < T1_presc,
     })
-    rng = make_rng(config.seed)
+    rng = make_rng(seed)
     diff = problem.anchored_component_diff
     center = np.zeros(problem.d)
     origin = np.zeros(problem.d)
@@ -402,7 +391,7 @@ def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
         ssum += w
         wtilde = ssum / (Tk + 1)
         center = center + wtilde
-        trace.add(epoch=k, objective=_objective(problem, center),
+        trace.add(epoch=k, objective=problem.full_value(center),
                   delta=Delta, calls_full=trace.calls_full,
                   calls_stochastic=trace.calls_stochastic)
         Delta /= gamma
@@ -413,26 +402,32 @@ def mixed_grad(problem, domain: Domain, config: SolverConfig) -> Trace:
     return trace
 
 
-def emgd(problem, domain: Domain, config: SolverConfig) -> Trace:
+def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None = None,
+         T1: int | None = None, eta: float | None = None, L: float | None = None,
+         lam: float | None = None, Delta1: float | None = None, delta: float = 0.1,
+         probe_variance: bool = False) -> Trace:
     """Fixed-length epochs: one full gradient each, anchored stochastic
     gradients within, iterate averaging, and a domain radius halving in square
-    every epoch (Delta ← Delta/√2)."""
-    L = _smoothness(problem, config)
-    lam = _strong_convexity(problem, config)
+    every epoch (Delta ← Delta/√2).
+
+    `Delta1` is the first epoch's radius, by default twice the domain's.
+    """
+    L = _smoothness(problem, L)
+    lam = _strong_convexity(problem, lam)
     if lam <= 0:
         raise ConfigurationError("strong convexity required; use mixed_grad instead")
-    m = _epoch_count(config, 8)
-    T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / config.delta))
-    T = config.T1 if config.T1 is not None else min(T_presc, config.T)
-    eta = _given_step(config, "eta") or 1.0 / (L * math.sqrt(T))
+    m = _epoch_count(m, 8)
+    T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / delta))
+    T = T1 if T1 is not None else min(T_presc, T)
+    eta = _given_step("eta", eta) or 1.0 / (L * math.sqrt(T))
     R = domain.r if domain.kind == "ball" else domain.outer_radius
-    Delta = config.Delta1 if config.Delta1 is not None else 2.0 * R
+    Delta = Delta1 if Delta1 is not None else 2.0 * R
 
-    trace = Trace(seed=config.seed, header={
+    trace = Trace(header={
         "solver": "emgd", "T_per_epoch": T, "eta": eta,
         "T_prescribed": T_presc, "T_capped": T < T_presc,
     })
-    rng = make_rng(config.seed)
+    rng = make_rng(seed)
     diff = problem.anchored_component_diff
     # a feasible start keeps every average, and so the answer, feasible
     center = domain.project(np.zeros(problem.d))
@@ -450,10 +445,10 @@ def emgd(problem, domain: Domain, config: SolverConfig) -> Trace:
         trace.projections += T
         ssum += w
         new_center = ssum / (T + 1)
-        rec = {"epoch": k, "objective": _objective(problem, new_center),
+        rec = {"epoch": k, "objective": problem.full_value(new_center),
                "delta": Delta, "calls_full": trace.calls_full,
                "calls_stochastic": trace.calls_stochastic}
-        if config.probe_variance and hasattr(problem, "all_component_grads"):
+        if probe_variance and hasattr(problem, "all_component_grads"):
             probe = gradient_variance_probe(problem, new_center, center)
             rec["variance_mixed"] = probe["mixed_var"]
             rec["variance_sgd"] = probe["sgd_var"]
@@ -487,29 +482,33 @@ def gradient_variance_probe(problem, point: Point, center: Point) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def sgd_pd(objective, domain: Domain, config: SolverConfig) -> Trace:
+def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
+           eta: float | None = None, gamma: float | None = None, G1: float | None = None,
+           delta: float = 0.1, snapshot_every: int = 0) -> Trace:
     """Primal-dual stochastic descent touching the true domain exactly once.
 
     Iterates stay in the unit-ball surrogate via renormalization; the dual
     ascent on the regularized Lagrangian replaces per-step projections, and
     the averaged iterate is projected onto the domain at output time only.
+
+    `G1` bounds the gradient on the unit ball, by default objective.grad_bound(1.0).
     """
     if domain.rho <= 0:
         raise ConfigurationError("boundary gradient bound rho must be positive")
-    T = _horizon(config)
-    G1 = config.L if config.L is not None else objective.grad_bound(1.0)
+    T = _horizon(T)
+    G1 = G1 if G1 is not None else objective.grad_bound(1.0)
     sigma = getattr(objective, "noise", 0.0)
     G2, C2 = domain.G2, domain.C2
-    gamma = _given_step(config, "gamma") or (G2 * G2 / math.sqrt(
-        (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / config.delta)) * sigma * sigma) * T))
-    eta = _given_step(config, "eta") or gamma / (2.0 * G2 * G2)
+    gamma = _given_step("gamma", gamma) or (G2 * G2 / math.sqrt(
+        (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / delta)) * sigma * sigma) * T))
+    eta = _given_step("eta", eta) or gamma / (2.0 * G2 * G2)
 
-    trace = Trace(seed=config.seed, header={"solver": "sgd_pd", "gamma": gamma, "eta": eta})
-    rng = make_rng(config.seed)
+    trace = Trace(header={"solver": "sgd_pd", "gamma": gamma, "eta": eta})
+    rng = make_rng(seed)
     x = np.zeros(objective.d)
     lam = 0.0
     xbar = np.zeros_like(x)
-    stride = config.stride()
+    stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
         xbar += x
         g = objective.stochastic_grad(x, rng)
@@ -526,31 +525,35 @@ def sgd_pd(objective, domain: Domain, config: SolverConfig) -> Trace:
     return trace
 
 
-def sgd_st(objective, domain: Domain, config: SolverConfig) -> Trace:
+def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
+           eta: float | None = None, gamma: float | None = None, G1: float | None = None,
+           lam: float | None = None, lambda0: float | None = None,
+           snapshot_every: int = 0) -> Trace:
     """Single-projection stochastic descent for strongly convex objectives.
 
     The domain constraint enters through a softmax smoothing of the penalty;
     each step follows the smoothed gradient with a logistic constraint weight,
     and only the averaged output is projected.
+
+    `lambda0` weighs the penalty, by default 1.05·G1/rho (`G1` as in sgd_pd).
     """
-    beta = _strong_convexity(objective, config) or getattr(objective, "beta")
-    gamma = _given_step(config, "gamma")
+    beta = _strong_convexity(objective, lam) or objective.beta
+    gamma = _given_step("gamma", gamma)
     # the default gamma = log(T)/T is positive only from T = 2 on
-    T = _horizon(config, least=1 if gamma else 2)
+    T = _horizon(T, least=1 if gamma else 2)
     gamma = gamma or math.log(T) / T
-    G1 = config.L if config.L is not None else objective.grad_bound(1.0)
-    lam0 = config.lambda0 if config.lambda0 is not None else 1.05 * G1 / domain.rho
+    G1 = G1 if G1 is not None else objective.grad_bound(1.0)
+    lam0 = lambda0 if lambda0 is not None else 1.05 * G1 / domain.rho
     if lam0 <= G1 / domain.rho:
         warnings.warn("lambda0 <= G1/rho: the convergence guarantee is void",
                       RuntimeWarning)
 
-    trace = Trace(seed=config.seed,
-                  header={"solver": "sgd_st", "gamma": gamma, "lambda0": lam0})
-    rng = make_rng(config.seed)
+    trace = Trace(header={"solver": "sgd_st", "gamma": gamma, "lambda0": lam0})
+    rng = make_rng(seed)
     x = np.zeros(objective.d)
     xbar = np.zeros_like(x)
-    eta = _given_step(config, "eta")
-    stride = config.stride()
+    eta = _given_step("eta", eta)
+    stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
         xbar += x
         g = objective.stochastic_grad(x, rng)

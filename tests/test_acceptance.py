@@ -28,9 +28,8 @@ def test_criterion_01_variance_collapse():
     t0 = time.perf_counter()
     data = problems.synthetic_classification(500, 20, seed=7, row_norm=1.0)
     prob = problems.logistic_problem(data, lam=1e-2)
-    cfg = stochastic.SolverConfig(seed=1, T=10_000, m=10, probe_variance=True,
-                                  Delta1=2.0)
-    tr = stochastic.emgd(prob, Domain.ball(2.0), cfg)
+    tr = stochastic.emgd(prob, Domain.ball(2.0), seed=1, T=10_000, m=10,
+                         probe_variance=True, Delta1=2.0)
     elapsed = time.perf_counter() - t0
     vm = tr.column("variance_mixed")
     vs = tr.column("variance_sgd")
@@ -61,9 +60,7 @@ def test_criterion_02_emgd_linear_rate():
     delta1 = max(math.sqrt(2 * (f0 - fstar) / lam), float(np.linalg.norm(wstar))) * 1.05
     good = 0
     for seed in range(10):
-        cfg = stochastic.SolverConfig(seed=seed, T=10_000, T1=5000, m=6,
-                                      Delta1=delta1)
-        tr = stochastic.emgd(prob, dom, cfg)
+        tr = stochastic.emgd(prob, dom, seed=seed, T=10_000, T1=5000, m=6, Delta1=delta1)
         if all(rec["objective"] - fstar <= lam * delta1**2 / 2 ** (k + 1)
                for k, rec in enumerate(tr.records, start=1)):
             good += 1
@@ -86,10 +83,8 @@ def test_criterion_03_mixedgrad_rate():
     subs, calls = [], []
     full_ok = True
     for m in range(4, 9):
-        cfg = stochastic.SolverConfig(seed=5, T1=30, m=m,
-                                      lambda1=prob.constants.L_full,
-                                      eta=0.25 / beta)
-        tr = stochastic.mixed_grad(prob, dom, cfg)
+        tr = stochastic.mixed_grad(prob, dom, seed=5, T1=30, m=m,
+                                   lambda1=prob.constants.L_full, eta=0.25 / beta)
         subs.append(prob.full_value(tr.final_point) - fstar)
         calls.append(tr.calls_stochastic)
         full_ok &= tr.calls_full == m
@@ -114,10 +109,10 @@ def test_criterion_04_one_projection():
     subs_pd, ratios_st = [], []
     contract_ok = True
     for T in Ts:
-        tr = stochastic.sgd_pd(obj, dom, stochastic.SolverConfig(seed=3, T=T))
+        tr = stochastic.sgd_pd(obj, dom, seed=3, T=T)
         contract_ok &= tr.projections == 1 and dom.g(tr.final_point) <= 1e-10
         subs_pd.append(obj.value(tr.final_point) - fstar)
-        tr2 = stochastic.sgd_st(obj, dom, stochastic.SolverConfig(seed=3, T=T, lam=1.0))
+        tr2 = stochastic.sgd_st(obj, dom, seed=3, T=T, lam=1.0)
         contract_ok &= tr2.projections == 1 and dom.g(tr2.final_point) <= 1e-10
         ratios_st.append((obj.value(tr2.final_point) - fstar) * T / math.log(T))
     slope = metrics.loglog_slope(Ts, subs_pd)
@@ -431,11 +426,9 @@ def test_criterion_11_foundations():
 
     # seed determinism of a full solver run
     dom = Domain.ball(1.0)
-    cfg = stochastic.SolverConfig(seed=17, T=300,
-                                  schedule=StepSchedule.inverse_sqrt(0.1),
-                                  keep_iterates=True)
-    a = stochastic.sgd(prob, dom, cfg)
-    b = stochastic.sgd(prob, dom, cfg)
+    cfg = dict(seed=17, T=300, schedule=StepSchedule.inverse_sqrt(0.1), keep_iterates=True)
+    a = stochastic.sgd(prob, dom, **cfg)
+    b = stochastic.sgd(prob, dom, **cfg)
     ok &= np.array_equal(a.final_point, b.final_point)
     ok &= all(np.array_equal(ra["w"], rb["w"])
               for ra, rb in zip(a.records, b.records) if "w" in ra)

@@ -161,9 +161,9 @@ class TestRunOutputs:
         fstar = metrics.reference_optimum(prob, dom)["F"]
         want = []
         for m in (2, 3, 4):
-            tr = stochastic.mixed_grad(prob, dom, stochastic.SolverConfig(
-                seed=3, T1=5, m=m, lambda1=prob.constants.L_full,
-                eta=0.25 / prob.constants.L_comp))
+            tr = stochastic.mixed_grad(prob, dom, seed=3, T1=5, m=m,
+                                       lambda1=prob.constants.L_full,
+                                       eta=0.25 / prob.constants.L_comp)
             want.append({"iter": m, "calls_full": tr.calls_full,
                          "calls_stochastic": tr.calls_stochastic,
                          "suboptimality": prob.full_value(tr.final_point) - fstar})

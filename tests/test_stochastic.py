@@ -1,5 +1,6 @@
 """Solver behavior: hand recursions, oracle accounting, rates, determinism."""
 
+import inspect
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from smoothconvex.problems import (NoisyQuadratic, from_arrays,
                                    onedim_target_risk_problem,
                                    synthetic_classification, synthetic_regression,
                                    least_squares_problem, logistic_problem)
-from smoothconvex.stochastic import (_DRAW_BLOCK, SolverConfig, Trace,
+from smoothconvex.stochastic import (_DRAW_BLOCK, Trace,
                                      _component_draws, agd, cgd, clipped_sgd,
                                      emgd, gd, gradient_variance_probe,
                                      mirror_descent, mixed_grad, sgd, sgd_pd,
@@ -47,9 +48,8 @@ def traces_equal(a: Trace, b: Trace) -> bool:
 class TestSgd:
     def test_hand_recursion_zero_variance(self):
         prob = from_arrays([[1.0]], [0.0], 0.0, "squared")  # F(w) = w^2
-        cfg = SolverConfig(seed=1, T=2, schedule=StepSchedule.constant(0.25),
-                           w0=np.array([1.0]), keep_iterates=True)
-        tr = sgd(prob, Domain.ball(10.0), cfg)
+        tr = sgd(prob, Domain.ball(10.0), seed=1, T=2, schedule=StepSchedule.constant(0.25),
+                 w0=np.array([1.0]), keep_iterates=True)
         ws = [r["w"][0] for r in tr.records if "w" in r]
         assert ws == [1.0, 0.5, 0.25]
 
@@ -57,8 +57,7 @@ class TestSgd:
         data = synthetic_regression(30, 3, seed=0)
         prob = least_squares_problem(data, lam=0.0)
         dom = Domain.ball(0.5)
-        tr = sgd(prob, dom, SolverConfig(seed=2, T=500,
-                                         schedule=StepSchedule.inverse_sqrt(0.2)))
+        tr = sgd(prob, dom, seed=2, T=500, schedule=StepSchedule.inverse_sqrt(0.2))
         assert dom.contains(tr.final_point, tol=1e-10)
         assert tr.calls_stochastic == 500
 
@@ -69,8 +68,7 @@ class TestSgd:
         ref = reference_optimum(prob, dom, steps=20_000)
         subs = []
         for T in (100, 10_000):
-            cfg = SolverConfig(seed=4, T=T, schedule=StepSchedule.inverse_t(1.0 / 0.1))
-            tr = sgd(prob, dom, cfg)
+            tr = sgd(prob, dom, seed=4, T=T, schedule=StepSchedule.inverse_t(1.0 / 0.1))
             subs.append(prob.full_value(tr.final_point) - ref["F"])
         assert subs[1] < subs[0]
 
@@ -87,8 +85,7 @@ class TestSgd:
         Ts = [100, 1000, 10_000, 100_000]
         subs = []
         for T in Ts:
-            cfg = SolverConfig(seed=6, T=T, schedule=StepSchedule.inverse_sqrt(0.2))
-            tr = sgd(prob, dom, cfg)
+            tr = sgd(prob, dom, seed=6, T=T, schedule=StepSchedule.inverse_sqrt(0.2))
             subs.append(prob.full_value(tr.final_point) - ref["F"])
         slope = loglog_slope(Ts, subs)
         assert -0.65 <= slope <= -0.35
@@ -97,17 +94,15 @@ class TestSgd:
         data = synthetic_regression(20, 3, seed=7)
         prob = least_squares_problem(data, lam=0.01)
         dom = Domain.ball(1.0)
-        cfg = SolverConfig(seed=11, T=300, schedule=StepSchedule.inverse_sqrt(0.1),
-                           keep_iterates=True)
-        assert traces_equal(sgd(prob, dom, cfg), sgd(prob, dom, cfg))
+        cfg = dict(seed=11, T=300, schedule=StepSchedule.inverse_sqrt(0.1), keep_iterates=True)
+        assert traces_equal(sgd(prob, dom, **cfg), sgd(prob, dom, **cfg))
 
 
 class TestFullGradientBaselines:
     def test_agd_contracts_on_identity_quadratic(self):
         d = 5
         prob = from_arrays(np.eye(d), np.zeros(d), 0.0, "squared")
-        cfg = SolverConfig(seed=0, T=200, w0=np.ones(d) / math.sqrt(d), L=2.0)
-        tr = agd(prob, Domain.ball(10.0), cfg)
+        tr = agd(prob, Domain.ball(10.0), T=200, w0=np.ones(d) / math.sqrt(d), L=2.0)
         assert np.linalg.norm(tr.final_point) <= 1e-8
 
     def test_agd_beats_gd_on_ill_conditioned(self):
@@ -121,8 +116,8 @@ class TestFullGradientBaselines:
         w0 /= np.linalg.norm(w0)
         dom = Domain.ball(10.0)
         L_full = 2.0 * np.max(evals) / d
-        sub_gd = gd(prob, dom, SolverConfig(seed=0, T=300, w0=w0, L=L_full)).final_point
-        sub_ag = agd(prob, dom, SolverConfig(seed=0, T=300, w0=w0, L=L_full)).final_point
+        sub_gd = gd(prob, dom, T=300, w0=w0, L=L_full).final_point
+        sub_ag = agd(prob, dom, T=300, w0=w0, L=L_full).final_point
         f_gd, f_ag = prob.full_value(sub_gd), prob.full_value(sub_ag)
         assert f_gd >= 10.0 * f_ag
 
@@ -133,7 +128,7 @@ class TestFullGradientBaselines:
         ref = reference_optimum(prob, dom)
         w0 = np.zeros(4)
         for T in (50, 200):
-            tr = gd(prob, dom, SolverConfig(seed=0, T=T, w0=w0))
+            tr = gd(prob, dom, T=T, w0=w0)
             bound = 2.0 * prob.constants.L_full * np.linalg.norm(w0 - ref["w"]) ** 2 / T
             assert prob.full_value(tr.final_point) - ref["F"] <= bound + 1e-12
 
@@ -146,7 +141,7 @@ class TestFullGradientBaselines:
         prob = least_squares_problem(data, lam=0.0)
         dom = Domain.ball(1.0)
         ref = reference_optimum(prob, dom)
-        tr = cgd(prob, dom, SolverConfig(seed=0, T=200))
+        tr = cgd(prob, dom, T=200)
         R = 2.0  # diameter
         bound = 2.0 * prob.constants.L_full * R * R / (200 + 1)
         assert prob.full_value(tr.final_point) - ref["F"] <= bound + 1e-10
@@ -155,20 +150,20 @@ class TestFullGradientBaselines:
         prob = from_arrays(np.eye(2), np.zeros(2), 0.0, "squared")
         dom = Domain.halfspace_cut(np.array([1.0, 0.0]), 0.2)
         with pytest.raises(Exception, match="linear-minimization"):
-            cgd(prob, dom, SolverConfig(seed=0, T=5))
+            cgd(prob, dom, T=5)
 
     @pytest.mark.parametrize("solver", [gd, agd, mirror_descent])
     def test_one_projection_counted_per_step(self, solver):
         prob = from_arrays(np.eye(3), np.ones(3), 0.0, "squared")
-        tr = solver(prob, Domain.ball(0.5), SolverConfig(seed=0, T=37, eta=0.1))
+        step = {} if solver is agd else {"eta": 0.1}   # agd takes no step size
+        tr = solver(prob, Domain.ball(0.5), T=37, **step)
         assert tr.projections == 37
 
     def test_mirror_descent_converges(self):
         data = synthetic_regression(30, 3, seed=11)
         prob = least_squares_problem(data, lam=0.1)
         dom = Domain.ball(2.0)
-        tr = mirror_descent(prob, dom, SolverConfig(seed=0, T=2000,
-                                                    schedule=StepSchedule.inverse_sqrt(0.5)))
+        tr = mirror_descent(prob, dom, T=2000, schedule=StepSchedule.inverse_sqrt(0.5))
         ref = reference_optimum(prob, dom)
         assert prob.full_value(tr.final_point) - ref["F"] < 0.05
 
@@ -176,24 +171,22 @@ class TestFullGradientBaselines:
 class TestClippedSgd:
     def test_radius_recursion_value(self):
         prob = onedim_target_risk_problem(0.05)
-        cfg = SolverConfig(seed=3, m=1, T1=20, target_risk=0.01, epsilon=0.5,
-                           tau=0.1, xi=2.0, L=2.0, lam=2.0)
-        tr = clipped_sgd(prob, Domain.ball(1.0), cfg)
+        tr = clipped_sgd(prob, Domain.ball(1.0), seed=3, m=1, T1=20, target_risk=0.01,
+                         epsilon=0.5, tau=0.1, xi=2.0, L=2.0, lam=2.0)
         assert abs(tr.records[0]["delta"] - math.sqrt(0.501)) < 1e-12
         assert tr.calls_stochastic == 1 * 20  # stages x fixed stage length
 
     def test_clip_level_formula(self):
         prob = onedim_target_risk_problem(0.05)
-        cfg = SolverConfig(seed=3, m=1, T1=5, target_risk=0.01, epsilon=0.5,
-                           tau=0.1, xi=2.0, L=1.0, lam=1.0, Delta1=0.5)
         # first stage: Delta_1 = R of the ball
-        tr = clipped_sgd(prob, Domain.ball(0.5), cfg)
+        tr = clipped_sgd(prob, Domain.ball(0.5), seed=3, m=1, T1=5, target_risk=0.01,
+                         epsilon=0.5, tau=0.1, xi=2.0, L=1.0, lam=1.0)
         assert abs(tr.records[0]["gamma_k"] - 2.0 * 2.0 * 1.0 * 0.5) < 1e-12
 
     def test_requires_positive_target(self):
         prob = onedim_target_risk_problem(0.05)
         with pytest.raises(ConfigurationError):
-            clipped_sgd(prob, Domain.ball(1.0), SolverConfig(seed=0, m=2, T1=5))
+            clipped_sgd(prob, Domain.ball(1.0), seed=0, m=2, T1=5)
 
     def test_reaches_target_risk_neighborhood(self):
         prob = onedim_target_risk_problem(0.05)
@@ -201,9 +194,9 @@ class TestClippedSgd:
         target = 2.0 * prob.eps_opt
         good = 0
         for seed in range(10):
-            cfg = SolverConfig(seed=seed, m=10, T1=4000, target_risk=target,
-                               epsilon=eps, tau=tau, L=prob.beta, lam=prob.alpha)
-            tr = clipped_sgd(prob, Domain.ball(1.0), cfg)
+            tr = clipped_sgd(prob, Domain.ball(1.0), seed=seed, m=10, T1=4000,
+                             target_risk=target, epsilon=eps, tau=tau, L=prob.beta,
+                             lam=prob.alpha)
             risk = prob.expected_loss(tr.final_point)
             if risk <= (1.0 + tau / (1.0 - eps)) * target * 1.10:
                 good += 1
@@ -214,7 +207,7 @@ class TestMixedGrad:
     def test_oracle_accounting_geometric(self):
         prob = from_arrays(make_rng(0).standard_normal((20, 4)), np.zeros(20),
                            0.0, "squared")
-        tr = mixed_grad(prob, Domain.ball(1.0), SolverConfig(seed=0, T1=3, m=4))
+        tr = mixed_grad(prob, Domain.ball(1.0), seed=0, T1=3, m=4)
         assert tr.calls_stochastic == 3 * (4 ** 4 - 1) // 3 == 255
         assert tr.calls_full == 4
 
@@ -229,25 +222,22 @@ class TestMixedGrad:
     def test_rejects_nonshrinking_factor(self):
         prob = from_arrays(np.eye(2), np.zeros(2), 0.0, "squared")
         with pytest.raises(ConfigurationError):
-            mixed_grad(prob, Domain.ball(1.0),
-                       SolverConfig(seed=0, T1=2, m=2, gamma_shrink=1.0))
+            mixed_grad(prob, Domain.ball(1.0), seed=0, T1=2, m=2, gamma_shrink=1.0)
 
     def test_rejects_non_ball_domain(self):
         # projecting onto the box's outer ball instead returned max|w| = 0.0656
         X = make_rng(3).standard_normal((20, 5))
         prob = from_arrays(X, X @ np.ones(5), 0.0, "squared")
         box = Domain.box(-0.05 * np.ones(5), 0.05 * np.ones(5))
-        cfg = SolverConfig(seed=0, T1=20, m=3, lambda1=prob.constants.L_full,
-                           eta=0.25 / prob.constants.L_comp)
         with pytest.raises(ConfigurationError, match="ball"):
-            mixed_grad(prob, box, cfg)
+            mixed_grad(prob, box, seed=0, T1=20, m=3, lambda1=prob.constants.L_full,
+                       eta=0.25 / prob.constants.L_comp)
 
     def test_determinism(self):
         data = synthetic_regression(25, 3, seed=12)
         prob = least_squares_problem(data, lam=0.0)
-        cfg = SolverConfig(seed=5, T1=5, m=3)
-        a = mixed_grad(prob, Domain.ball(2.0), cfg)
-        b = mixed_grad(prob, Domain.ball(2.0), cfg)
+        a = mixed_grad(prob, Domain.ball(2.0), seed=5, T1=5, m=3)
+        b = mixed_grad(prob, Domain.ball(2.0), seed=5, T1=5, m=3)
         assert traces_equal(a, b)
 
 
@@ -255,8 +245,7 @@ class TestEmgd:
     def test_radius_halving_in_square(self):
         data = synthetic_regression(20, 3, seed=13)
         prob = least_squares_problem(data, lam=0.5)
-        cfg = SolverConfig(seed=0, T1=10, m=6, Delta1=1.0)
-        tr = emgd(prob, Domain.ball(2.0), cfg)
+        tr = emgd(prob, Domain.ball(2.0), seed=0, T1=10, m=6, Delta1=1.0)
         deltas = tr.column("delta")
         np.testing.assert_allclose(deltas, [2.0 ** (-k / 2) for k in range(6)],
                                    atol=1e-12)
@@ -266,20 +255,20 @@ class TestEmgd:
         prob = from_arrays(np.eye(3), np.zeros(3), 0.0, "squared")
         prob.constants.lam = 0.0
         with pytest.raises(ConfigurationError):
-            emgd(prob, Domain.ball(1.0), SolverConfig(seed=0, T1=5, m=2, lam=0.0))
+            emgd(prob, Domain.ball(1.0), seed=0, T1=5, m=2, lam=0.0)
 
     def test_budget_accounting(self):
         data = synthetic_regression(20, 3, seed=14)
         prob = least_squares_problem(data, lam=0.2)
-        tr = emgd(prob, Domain.ball(2.0), SolverConfig(seed=0, T1=50, m=4))
+        tr = emgd(prob, Domain.ball(2.0), seed=0, T1=50, m=4)
         assert tr.calls_full == 4
         assert tr.calls_stochastic == 4 * 50
 
     def test_mixed_variance_collapse_invariant(self):
         data = synthetic_classification(200, 8, seed=15, row_norm=1.0)
         prob = logistic_problem(data, lam=1e-2)
-        cfg = SolverConfig(seed=1, T1=4000, m=10, probe_variance=True, Delta1=2.0)
-        tr = emgd(prob, Domain.ball(2.0), cfg)
+        tr = emgd(prob, Domain.ball(2.0), seed=1, T1=4000, m=10, probe_variance=True,
+                  Delta1=2.0)
         vm = tr.column("variance_mixed")
         vs = tr.column("variance_sgd")
         assert np.all(np.diff(vm) <= 1e-15)
@@ -355,8 +344,8 @@ class TestEpochLoops:
         prob = least_squares_problem(data, lam=0.0)
         lam, eta = prob.constants.L_full, 0.25 / prob.constants.L_comp
         # epochs of 300, 1200, 4800 steps cross the draw-block boundary
-        tr = mixed_grad(prob, Domain.ball(R), SolverConfig(
-            seed=4, T1=300, m=3, lambda1=lam, eta=eta, Delta1=Delta1))
+        tr = mixed_grad(prob, Domain.ball(R), seed=4, T1=300, m=3, lambda1=lam, eta=eta,
+                        Delta1=Delta1)
         want = per_call_mixed_grad(prob, R, seed=4, T1=300, m=3, lam=lam, eta=eta,
                                    Delta=Delta1)
         assert np.array_equal(tr.final_point, want)
@@ -367,7 +356,7 @@ class TestEpochLoops:
         prob = logistic_problem(data, lam=1e-2)
         L = prob.constants.L_comp
         T = 1500
-        tr = emgd(prob, Domain.ball(R), SolverConfig(seed=6, T1=T, m=3, Delta1=Delta1))
+        tr = emgd(prob, Domain.ball(R), seed=6, T1=T, m=3, Delta1=Delta1)
         want = per_call_emgd(prob, R, seed=6, T=T, m=3, eta=1.0 / (L * math.sqrt(T)),
                              Delta=Delta1)
         assert np.array_equal(tr.final_point, want)
@@ -382,9 +371,8 @@ class TestEpochLoops:
         prob.full_grad = lambda w: centers.append(w.copy()) or full_grad(w)
 
         def run(m):
-            return mixed_grad(prob, dom, SolverConfig(
-                seed=7, T1=5, m=m, lambda1=prob.constants.L_full,
-                eta=0.25 / prob.constants.L_comp))
+            return mixed_grad(prob, dom, seed=7, T1=5, m=m, lambda1=prob.constants.L_full,
+                              eta=0.25 / prob.constants.L_comp)
 
         longest = run(5)
         ends = centers[1:] + [longest.final_point]  # center after each epoch
@@ -401,23 +389,22 @@ class TestEpochLoops:
     def test_one_projection_counted_per_stochastic_step(self, solver):
         data = synthetic_regression(20, 3, seed=19)
         prob = least_squares_problem(data, lam=0.2)
-        tr = solver(prob, Domain.ball(2.0), SolverConfig(seed=0, T1=7, m=3))
+        tr = solver(prob, Domain.ball(2.0), seed=0, T1=7, m=3)
         assert tr.projections == tr.calls_stochastic > 0
 
     def test_clipped_sgd_counts_projections(self):
         prob = onedim_target_risk_problem(0.05)
-        cfg = SolverConfig(seed=0, m=3, T1=40, target_risk=2.0 * prob.eps_opt,
-                           L=prob.beta, lam=prob.alpha)
-        tr = clipped_sgd(prob, Domain.ball(1.0), cfg)
+        tr = clipped_sgd(prob, Domain.ball(1.0), seed=0, m=3, T1=40,
+                         target_risk=2.0 * prob.eps_opt, L=prob.beta, lam=prob.alpha)
         assert tr.projections == tr.calls_stochastic == 3 * 40
 
     @pytest.mark.parametrize("R,Delta1", [(1.0, 1.0), (0.3, 0.2)])
     def test_clipped_sgd_matches_per_call_loop(self, R, Delta1):
         prob = onedim_target_risk_problem(0.05)
         target, eps, tau, xi, T1, eta = 2.0 * prob.eps_opt, 0.5, 0.1, 2.0, 200, 0.05
-        tr = clipped_sgd(prob, Domain.ball(R), SolverConfig(
-            seed=8, m=4, T1=T1, eta=eta, xi=xi, target_risk=target, epsilon=eps,
-            tau=tau, L=prob.beta, lam=prob.alpha))
+        tr = clipped_sgd(prob, Domain.ball(R), seed=8, m=4, T1=T1, eta=eta, xi=xi,
+                         target_risk=target, epsilon=eps, tau=tau, L=prob.beta,
+                         lam=prob.alpha)
         rng = make_rng(8)
         center, Delta = np.zeros(1), R
         for _ in range(4):
@@ -434,24 +421,24 @@ class TestEpochLoops:
         assert np.array_equal(tr.final_point, center)
 
 
-def _epoch_solver_run(name, m, **config):
+def _epoch_solver_run(name, m, **params):
     if name == "clipped_sgd":
         prob = onedim_target_risk_problem(0.05)
-        return clipped_sgd(prob, Domain.ball(1.0), SolverConfig(
-            seed=0, m=m, T1=5, target_risk=2.0 * prob.eps_opt, L=prob.beta,
-            lam=prob.alpha, **config))
+        return clipped_sgd(prob, Domain.ball(1.0), seed=0, m=m, T1=5,
+                           target_risk=2.0 * prob.eps_opt, L=prob.beta, lam=prob.alpha,
+                           **params)
     prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
     solver = {"mixed_grad": mixed_grad, "emgd": emgd}[name]
-    return solver(prob, Domain.ball(2.0), SolverConfig(seed=0, T1=3, m=m, **config))
+    return solver(prob, Domain.ball(2.0), seed=0, T1=3, m=m, **params)
 
 
-def _step_solver_run(name, **config):
+def _step_solver_run(name, **params):
     if name in ("mixed_grad", "emgd", "clipped_sgd"):
-        return _epoch_solver_run(name, None, **config)
+        return _epoch_solver_run(name, None, **params)
     solver = {"sgd": sgd, "gd": gd, "cgd": cgd, "mirror_descent": mirror_descent,
               "sgd_pd": sgd_pd, "sgd_st": sgd_st}[name]
     obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
-    return solver(obj, Domain.ball(0.8), SolverConfig(seed=0, T=5, **config))
+    return solver(obj, Domain.ball(0.8), T=5, **params)
 
 
 class TestEpochCount:
@@ -487,8 +474,57 @@ class TestStepSize:
         _step_solver_run(name, **{field: 0.05})
 
 
+class TestStrongConvexity:
+    """An explicit strong-convexity modulus `lam` is used as given and refused
+    unless positive; only an unset one takes the problem's."""
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    @pytest.mark.parametrize("solver", [clipped_sgd, sgd_st], ids=lambda s: s.__name__)
+    def test_nonpositive_modulus_refused(self, solver, lam):
+        obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
+        extra = {"target_risk": 0.05, "T1": 4, "m": 2} if solver is clipped_sgd else {}
+        with pytest.raises(ConfigurationError, match="lam must be positive"):
+            solver(obj, Domain.ball(0.8), T=20, lam=lam, **extra)
+
+    def test_clipped_sgd_refuses_problem_without_modulus(self):
+        # NoisyQuadratic declares no strong convexity, so the unset lam is 0
+        obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
+        with pytest.raises(ConfigurationError, match="strongly convex"):
+            clipped_sgd(obj, Domain.ball(0.8), T1=4, m=2, target_risk=0.05)
+
+
 _ALL_SOLVERS = [sgd, gd, agd, cgd, mirror_descent, clipped_sgd, mixed_grad, emgd,
                 sgd_pd, sgd_st]
+
+# each solver's keyword-only parameters: exactly the values it reads
+_PARAMETERS = {
+    sgd: {"seed", "T", "schedule", "eta", "w0", "snapshot_every", "keep_iterates",
+          "mirror_map"},
+    gd: {"T", "eta", "w0", "L", "snapshot_every"},
+    agd: {"T", "w0", "L", "snapshot_every"},
+    cgd: {"T", "eta", "w0", "snapshot_every"},
+    mirror_descent: {"T", "schedule", "eta", "w0", "snapshot_every", "mirror_map"},
+    clipped_sgd: {"seed", "T", "m", "T1", "eta", "L", "lam", "xi", "epsilon", "tau",
+                  "target_risk", "delta"},
+    mixed_grad: {"seed", "T", "m", "T1", "eta", "L", "Delta1", "lambda1", "gamma_shrink",
+                 "delta"},
+    emgd: {"seed", "T", "m", "T1", "eta", "L", "lam", "Delta1", "delta", "probe_variance"},
+    sgd_pd: {"seed", "T", "eta", "gamma", "G1", "delta", "snapshot_every"},
+    sgd_st: {"seed", "T", "eta", "gamma", "G1", "lam", "lambda0", "snapshot_every"},
+}
+
+
+
+@pytest.mark.parametrize("solver", _ALL_SOLVERS, ids=lambda s: s.__name__)
+def test_solver_takes_only_the_parameters_it_reads(solver):
+    params = inspect.signature(solver).parameters
+    assert list(params)[:2] in (["problem", "domain"], ["objective", "domain"])
+    assert {n for n, p in params.items() if p.kind is p.KEYWORD_ONLY} == _PARAMETERS[solver]
+    assert len(params) == 2 + len(_PARAMETERS[solver])
+    # every name another solver takes is refused, not silently ignored
+    for name in sorted(set().union(*_PARAMETERS.values()) - _PARAMETERS[solver]):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            solver(None, None, **{name: 1})
 
 
 @pytest.mark.parametrize("solver", _ALL_SOLVERS, ids=lambda s: s.__name__)
@@ -506,14 +542,18 @@ def test_final_point_feasible_or_domain_refused(solver, d, seed, lo, width, radi
     if solver in (mixed_grad, emgd):
         prob = from_arrays(rng.standard_normal((8, d)), rng.standard_normal(8), 0.1,
                            "squared")
-        config = SolverConfig(seed=seed, T1=4, m=3)
+        params = dict(seed=seed, T1=4, m=3)
     else:
         prob = NoisyQuadratic(center=rng.uniform(-1.5, 1.5, size=d), noise=0.3)
-        config = SolverConfig(seed=seed, T=12, T1=4, m=3, target_risk=0.05, L=1.0,
-                              lam=1.0)
+        params = {sgd: dict(seed=seed, T=12), gd: dict(T=12, L=1.0), agd: dict(T=12, L=1.0),
+                  cgd: dict(T=12), mirror_descent: dict(T=12),
+                  clipped_sgd: dict(seed=seed, T=12, T1=4, m=3, target_risk=0.05, L=1.0,
+                                    lam=1.0),
+                  sgd_pd: dict(seed=seed, T=12, G1=1.0),
+                  sgd_st: dict(seed=seed, T=12, G1=1.0, lam=1.0)}[solver]
     for domain in domains:
         try:
-            tr = solver(prob, domain, config)
+            tr = solver(prob, domain, **params)
         except (ConfigurationError, UnsupportedDomainError, DomainError):
             continue
         assert domain.contains(tr.final_point, tol=1e-9), (domain.kind, tr.final_point)
@@ -557,22 +597,21 @@ class TestOneProjection:
         self.dom = Domain.ball(0.8)
 
     def test_exactly_one_projection_and_feasible(self):
-        for solver in (sgd_pd, sgd_st):
-            cfg = SolverConfig(seed=0, T=2000, lam=1.0)
-            tr = solver(self.obj, self.dom, cfg)
+        for solver, extra in ((sgd_pd, {}), (sgd_st, {"lam": 1.0})):
+            tr = solver(self.obj, self.dom, seed=0, T=2000, **extra)
             assert tr.projections == 1
             assert self.dom.g(tr.final_point) <= 1e-10
 
     def test_dual_stays_zero_when_deep_feasible(self):
         obj = NoisyQuadratic(center=np.zeros(2), noise=0.1)
         dom = Domain.ball(0.95)
-        tr = sgd_pd(obj, dom, SolverConfig(seed=1, T=500, snapshot_every=1))
+        tr = sgd_pd(obj, dom, seed=1, T=500, snapshot_every=1)
         assert np.all(tr.column("dual") == 0.0)
 
     def test_pd_reduces_to_plain_sgd_when_dual_zero(self):
         obj = NoisyQuadratic(center=np.zeros(2), noise=0.1)
         dom = Domain.ball(0.95)
-        tr = sgd_pd(obj, dom, SolverConfig(seed=2, T=200, snapshot_every=1))
+        tr = sgd_pd(obj, dom, seed=2, T=200, snapshot_every=1)
         # replay the plain recursion x <- renormalize(x - eta g) with the same rng
         rng = make_rng(2)
         eta = tr.header["eta"]
@@ -589,8 +628,8 @@ class TestOneProjection:
         # (lambda0*g/gamma = -40): weight < 1e-17 so the step follows f alone
         obj = NoisyQuadratic(center=np.array([2.0, 0.0]), noise=0.0)
         dom = Domain.ball(1.0)
-        tr = sgd_st(obj, dom, SolverConfig(seed=0, T=3, lam=1.0, snapshot_every=1,
-                                           gamma=1.0, lambda0=2.0))
+        tr = sgd_st(obj, dom, seed=0, T=3, lam=1.0, snapshot_every=1, gamma=1.0,
+                    lambda0=2.0)
         # first iterate x1 = 0 has g(x1) = -1, weight = sigmoid(-2)
         assert abs(tr.records[0]["weight"] - 1.0 / (1.0 + math.exp(2.0))) < 1e-15
         assert math.exp(-40.0) / (1.0 + math.exp(-40.0)) < 1e-17
@@ -601,7 +640,7 @@ class TestOneProjection:
         ref = reference_optimum(self.obj, self.dom)
         subs, Ts = [], [1000, 10_000, 100_000]
         for T in Ts:
-            tr = sgd_pd(self.obj, self.dom, SolverConfig(seed=3, T=T))
+            tr = sgd_pd(self.obj, self.dom, seed=3, T=T)
             subs.append(self.obj.value(tr.final_point) - ref["F"])
         slope = loglog_slope(Ts, subs)
         assert -0.65 <= slope <= -0.35
@@ -609,19 +648,20 @@ class TestOneProjection:
     @pytest.mark.parametrize("solver,T", [(sgd_st, 1), (sgd_st, 0), (sgd_pd, 0)])
     def test_too_short_horizon_refused(self, solver, T):
         # sgd_st's default gamma = log(T)/T is zero at T = 1 and undefined at T = 0
+        extra = {"lam": 1.0} if solver is sgd_st else {}
         with pytest.raises(ConfigurationError, match="horizon"):
-            solver(self.obj, self.dom, SolverConfig(seed=0, T=T, lam=1.0))
+            solver(self.obj, self.dom, seed=0, T=T, **extra)
 
     def test_one_step_horizon_runs(self):
-        for solver, extra in ((sgd_pd, {}), (sgd_st, {"gamma": 0.5})):
-            tr = solver(self.obj, self.dom, SolverConfig(seed=0, T=1, lam=1.0, **extra))
+        for solver, extra in ((sgd_pd, {}), (sgd_st, {"lam": 1.0, "gamma": 0.5})):
+            tr = solver(self.obj, self.dom, seed=0, T=1, **extra)
             assert tr.calls_stochastic == 1 and tr.projections == 1
 
     def test_st_log_over_t_ratio_bounded(self):
         ref = reference_optimum(self.obj, self.dom)
         ratios = []
         for T in (1000, 10_000, 100_000):
-            tr = sgd_st(self.obj, self.dom, SolverConfig(seed=3, T=T, lam=1.0))
+            tr = sgd_st(self.obj, self.dom, seed=3, T=T, lam=1.0)
             sub = self.obj.value(tr.final_point) - ref["F"]
             ratios.append(sub * T / math.log(T))
         assert max(ratios) / min(ratios) <= 3.0
@@ -636,7 +676,7 @@ class TestRateBounds:
         w0 = np.zeros(4)
         L = prob.constants.L_full
         for T in (20, 60, 180):
-            tr = agd(prob, dom, SolverConfig(seed=0, T=T, w0=w0))
+            tr = agd(prob, dom, T=T, w0=w0)
             bound = 2.0 * L * np.linalg.norm(w0 - ref["w"]) ** 2 / T ** 2
             assert prob.full_value(tr.final_point) - ref["F"] <= bound + 1e-12
 
@@ -653,8 +693,8 @@ class TestRateBounds:
     def test_one_projection_budget_counters(self):
         obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.3)
         dom = Domain.ball(0.8)
-        for solver in (sgd_pd, sgd_st):
-            tr = solver(obj, dom, SolverConfig(seed=0, T=750, lam=1.0))
+        for solver, extra in ((sgd_pd, {}), (sgd_st, {"lam": 1.0})):
+            tr = solver(obj, dom, seed=0, T=750, **extra)
             assert tr.calls_stochastic == 750
 
     def test_mirror_descent_entropy_on_simplex(self):
@@ -662,8 +702,7 @@ class TestRateBounds:
         # and the average concentrates on the cheapest coordinate
         prob = from_arrays(np.eye(3), np.array([0.0, 0.0, 1.0]), 0.0, "squared")
         dom = Domain.simplex(3)
-        tr = mirror_descent(prob, dom, SolverConfig(seed=0, T=3000,
-                                                    schedule=StepSchedule.inverse_sqrt(2.0)),
+        tr = mirror_descent(prob, dom, T=3000, schedule=StepSchedule.inverse_sqrt(2.0),
                             mirror_map=MirrorMap.entropy())
         w = tr.final_point
         assert abs(w.sum() - 1.0) < 1e-10 and np.all(w > 0)
