@@ -322,6 +322,24 @@ def per_call_emgd(prob, R, seed, T, m, eta, Delta):
     return center
 
 
+def per_call_clipped_sgd(prob, R, seed, m, T1, eta, xi, beta, target, eps, tau):
+    """clipped_sgd's stages on a ball, on the frozen per-call projection."""
+    rng = make_rng(seed)
+    center, Delta = np.zeros(prob.d), R
+    for _ in range(m):
+        gamma_k = 2.0 * xi * beta * Delta
+        w = center.copy()
+        ssum = np.zeros_like(w)
+        for _ in range(T1):
+            ssum += w
+            v = clip_component(gamma_k, prob.stochastic_grad(w, rng))
+            w = frozen_kernels.project_two_balls(w - eta * v, np.zeros_like(w), R,
+                                                 center, Delta)
+        center = ssum / T1
+        Delta = math.sqrt(eps * Delta**2 + tau * target)
+    return center
+
+
 class TestEpochLoops:
     """Invariants the epoch solvers' batched sampling and per-epoch counting keep."""
 
@@ -419,6 +437,19 @@ class TestEpochLoops:
             center = ssum / T1
             Delta = math.sqrt(eps * Delta**2 + tau * target)
         assert np.array_equal(tr.final_point, center)
+
+    @pytest.mark.parametrize("R", [2.0, 0.3])
+    def test_clipped_sgd_matches_per_call_loop_on_finite_sum(self, R):
+        # several coordinates, so both balls and the ring between them bind
+        data = synthetic_classification(60, 4, seed=23, row_norm=1.0)
+        prob = logistic_problem(data, lam=5e-2)
+        beta, alpha = prob.constants.L_comp, prob.constants.lam
+        params = dict(seed=9, m=4, T1=600, eta=0.2, xi=3.0, target=0.05, eps=0.5,
+                      tau=0.1)
+        tr = clipped_sgd(prob, Domain.ball(R), seed=9, m=4, T1=600, eta=0.2, xi=3.0,
+                         target_risk=0.05, epsilon=0.5, tau=0.1, L=beta, lam=alpha)
+        want = per_call_clipped_sgd(prob, R, beta=beta, **params)
+        assert np.array_equal(tr.final_point, want)
 
 
 def _epoch_solver_run(name, m, **params):
