@@ -160,9 +160,15 @@ def project_ball(x: Point, r: float, center: Point | None = None) -> Point:
 
 
 def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
-    """Exact Euclidean projection onto ball(c1,r1) ∩ ball(c2,r2), as a
-    function of the point; the gap ‖c1−c2‖ and the emptiness check are
-    computed once, so a loop with fixed balls builds one projector.
+    """Exact Euclidean projection onto ball(c1,r1) ∩ ball(c2,r2) as a bare
+    kernel of the point; the gap ‖c1−c2‖, the emptiness check and which
+    centers are zero are settled once, so a loop with fixed balls builds one
+    projector.
+
+    As with ball_projector, the caller passes a fresh, contiguous 1-D float64
+    point that it owns: the kernel returns that very array when it lies in
+    both balls, and never writes into it.  The path most steps take, the
+    point or its ball-1 projection lying in ball 2, makes no nested call.
 
     Intersection must be nonempty (‖c1−c2‖ ≤ r1+r2).  Falls back to the
     sphere-sphere ring when both constraints are active.
@@ -171,12 +177,19 @@ def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
     if gap > r1 + r2 + 1e-12:
         raise DomainError("empty ball intersection")
     tol1, tol2 = r1 + 1e-12, r2 + 1e-12
+    # x − c1 is x bit for bit when c1 is all +0.0 (the epoch solvers' domain
+    # ball); a −0.0 would turn x's −0.0 into +0.0, so only +0.0 is skipped
+    c1_zero = not (c1.any() or np.signbit(c1).any())
     # ‖p1 − c2‖ equals ‖p1‖ bit for bit when c2 is zero (mixed_grad's c2)
     c2_zero = not np.count_nonzero(c2)
 
     def project(x: Point) -> Point:
-        p1 = project_ball(x, r1, c1)
-        if _norm(p1 if c2_zero else p1 - c2) <= tol2:
+        y = x if c1_zero else x - c1
+        n = math.sqrt(y.dot(y))
+        # the outside branch keeps `+ c1`, which maps −0.0 to +0.0
+        p1 = x if n <= r1 else y * (r1 / n) + c1
+        u = p1 if c2_zero else p1 - c2
+        if math.sqrt(u.dot(u)) <= tol2:
             return p1
         p2 = project_ball(x, r2, c2)
         if _norm(p2 - c1) <= tol1:
@@ -205,9 +218,11 @@ def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
 
 
 def project_two_balls(x: Point, c1: Point, r1: float, c2: Point, r2: float) -> Point:
-    """Exact Euclidean projection onto ball(c1,r1) ∩ ball(c2,r2); see
-    two_ball_projector."""
-    return two_ball_projector(c1, r1, c2, r2)(x)
+    """Exact Euclidean projection onto ball(c1,r1) ∩ ball(c2,r2); a fresh
+    array, also for a point inside.  See two_ball_projector."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    p = two_ball_projector(c1, r1, c2, r2)(x)
+    return p.copy() if p is x else p
 
 
 def dykstra(x: Point, projections, rounds: int = 100, tol: float = 1e-10) -> Point:

@@ -10,11 +10,24 @@ Every solver counts full-gradient calls, stochastic calls and projections
 onto the domain exactly: the step loops (sgd, gd, agd, mirror_descent) one
 projection per step, the epoch-based methods (the clipped-gradient solver and
 both mixed-oracle solvers) one per stochastic step, added once per epoch, and
-the two single-projection solvers their one projection each.
+the two single-projection solvers their one projection each.  The step
+loops bind the domain's projection (Domain.projector) or prox step
+(core.prox_map) once per run; only the start point goes through the checked
+Domain.project.
 
-The epoch methods build one projector per epoch for the intersection of the
-domain with that epoch's ball (core.two_ball_projector when the domain is a
-ball), so each step pays only for projecting its point.
+The three epoch methods share one inner loop (`_epoch`): each epoch binds a
+step closure over its anchor, its projector and its step size, and the loop
+sums the iterates the steps start from.  The projector is built once per
+epoch for the intersection of the domain with that epoch's ball
+(core.two_ball_projector when the domain is a ball), so each step pays only
+for projecting its point.  Every step hands the projector a fresh point that
+the solver owns, which the kernel may return as is.  An epoch length below
+one step is refused, as is a horizon below one step in every solver that
+averages its iterates over the horizon.
+
+With `probe_variance`, emgd computes the n × d component-gradient matrix once
+per epoch anchor: the matrix at an epoch's output is the next epoch's anchor
+matrix, so m epochs take m + 1 matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ import numpy as np
 
 from .core import (ConfigurationError, Domain, MirrorMap, NumericError,
                    Point, StepSchedule, clip_component, dykstra,
-                   make_rng, project_ball, prox_step, two_ball_projector)
+                   make_rng, project_ball, prox_map, two_ball_projector)
 
 
 @dataclass
@@ -89,6 +102,13 @@ def _horizon(T: int, least: int = 1) -> int:
     return T
 
 
+def _epoch_length(T1: int) -> int:
+    """A resolved epoch or stage length, refused unless at least one step."""
+    if T1 < 1:
+        raise ConfigurationError(f"epoch length must be at least 1 step, got {T1}")
+    return T1
+
+
 def _epoch_count(m: int | None, default: int) -> int:
     """m, or `default` when it is unset; at least one epoch."""
     m = default if m is None else m
@@ -133,6 +153,18 @@ def _component_draws(problem, rng: np.random.Generator, count: int):
         yield from problem.components(rng, min(_DRAW_BLOCK, count - start))
 
 
+def _epoch(w: Point, draws, step) -> tuple[Point, Point]:
+    """The epoch solvers' inner loop: from w, move to step(w, draw) for each
+    draw.  Returns the last point and the sum of the points the steps started
+    from (the last point is not in it).  w is only read; step must return a
+    new array."""
+    ssum = np.zeros_like(w)
+    for draw in draws:
+        ssum += w
+        w = step(w, draw)
+    return w, ssum
+
+
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
@@ -143,10 +175,12 @@ def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         w0: Point | None = None, snapshot_every: int = 0, keep_iterates: bool = False,
         mirror_map: MirrorMap | None = None) -> Trace:
     """Projected stochastic (mirror) descent with uniform iterate averaging."""
+    T = _horizon(T)
     rng = make_rng(seed)
     mm = mirror_map or MirrorMap.euclidean()
     sched = schedule or StepSchedule.inverse_sqrt(_given_step("eta", eta) or 1.0)
     trace = Trace(header={"solver": "sgd"})
+    step = prox_map(mm, domain)
     w = domain.project(_start(problem, domain, w0))
     avg = np.zeros_like(w)
     stride = _stride(T, snapshot_every)
@@ -159,7 +193,7 @@ def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
             trace.add(**rec)
         g = problem.stochastic_grad(w, rng)
         trace.calls_stochastic += 1
-        w = prox_step(mm, domain, w, g, sched.at(t))
+        w = step(w, g, sched.at(t))
         trace.projections += 1
     avg /= T
     trace.final_point = avg
@@ -174,12 +208,13 @@ def gd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
     L = _smoothness(problem, L, "full")
     eta = _given_step("eta", eta) or 1.0 / L
     trace = Trace(header={"solver": "gd", "eta": eta})
+    project = domain.projector()
     w = domain.project(_start(problem, domain, w0))
     stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
         g = problem.full_grad(w)
         trace.calls_full += 1
-        w = domain.project(w - eta * g)
+        w = project(w - eta * g)
         trace.projections += 1
         if t % stride == 0 or t == T:
             trace.add(iter=t, objective=problem.full_value(w))
@@ -196,6 +231,7 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
     """
     L = _smoothness(problem, L, "full")
     trace = Trace(header={"solver": "agd"})
+    project = domain.projector()
     h = domain.project(_start(problem, domain, w0))
     f = h.copy()
     stride = _stride(T, snapshot_every)
@@ -204,7 +240,7 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
         g_pt = (1.0 - theta) * h + theta * f
         grad = problem.full_grad(g_pt)
         trace.calls_full += 1
-        f = domain.project(f - grad / (theta * L))
+        f = project(f - grad / (theta * L))
         trace.projections += 1
         h = (1.0 - theta) * h + theta * f
         if (s + 1) % stride == 0 or s + 1 == T:
@@ -237,9 +273,11 @@ def mirror_descent(problem, domain: Domain, *, T: int = 1000,
                    w0: Point | None = None, snapshot_every: int = 0,
                    mirror_map: MirrorMap | None = None) -> Trace:
     """Full-gradient mirror descent with uniform averaging."""
+    T = _horizon(T)
     mm = mirror_map or MirrorMap.euclidean()
     sched = schedule or StepSchedule.constant(_given_step("eta", eta) or 0.1)
     trace = Trace(header={"solver": "mirror_descent"})
+    step = prox_map(mm, domain)
     if mm.kind == "entropy" and domain.kind == "simplex":
         w = np.full(domain.dim, 1.0 / domain.dim)
     else:
@@ -250,7 +288,7 @@ def mirror_descent(problem, domain: Domain, *, T: int = 1000,
         avg += w
         g = problem.full_grad(w)
         trace.calls_full += 1
-        w = prox_step(mm, domain, w, g, sched.at(t))
+        w = step(w, g, sched.at(t))
         trace.projections += 1
         if t % stride == 0 or t == T:
             trace.add(iter=t, objective=problem.full_value(w))
@@ -293,7 +331,7 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         (xi**3 * beta * d + 2.0 * xi * beta * math.sqrt(d))
         / (epsilon * alpha) * math.log(max(m * stage_count / delta, 2.0)),
         16.0 * xi**2 * beta**2 / (alpha**2 * epsilon**2)))
-    T1 = T1 if T1 is not None else min(T1_presc, max(1, T // m))
+    T1 = _epoch_length(T1 if T1 is not None else min(T1_presc, max(1, T // m)))
     eta = _given_step("eta", eta) or 1.0 / (2.0 * xi * beta * math.sqrt(T1))
 
     trace = Trace(header={
@@ -309,13 +347,12 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     for k in range(1, m + 1):
         gamma_k = 2.0 * xi * beta * Delta
         project = _intersection_projector(domain, center, Delta)
-        w = center.copy()
-        ssum = np.zeros_like(w)
-        for _ in range(T1):
-            ssum += w
-            g = problem.stochastic_grad(w, rng)
-            v = clip_component(gamma_k, g)
-            w = project(w - eta * v)
+
+        def step(w, _):
+            v = clip_component(gamma_k, problem.stochastic_grad(w, rng))
+            return project(w - eta * v)
+
+        _, ssum = _epoch(center, range(T1), step)
         trace.calls_stochastic += T1
         trace.projections += T1
         center = ssum / T1
@@ -361,7 +398,7 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     m = _epoch_count(m, 5)
     T1_presc = math.ceil(300.0 * math.log(m / delta))
     budget_T1 = max(1, math.floor(T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))
-    T1 = T1 if T1 is not None else min(T1_presc, budget_T1)
+    T1 = _epoch_length(T1 if T1 is not None else min(T1_presc, budget_T1))
     lam = lambda1 if lambda1 is not None else 16.0 * beta
     Delta = Delta1 if Delta1 is not None else R
     eta = _given_step("eta", eta) or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
@@ -380,12 +417,12 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         trace.calls_full += 1
         g_anchor = lam * center + g_full
         project = two_ball_projector(-center, R, origin, Delta)
-        w = np.zeros_like(center)
-        ssum = np.zeros_like(center)
-        for i in _component_draws(problem, rng, Tk):
-            ssum += w
+
+        def step(w, i):
             ghat = g_anchor + diff(i, w + center, center)
-            w = project(w - eta * (ghat + lam * w))
+            return project(w - eta * (ghat + lam * w))
+
+        w, ssum = _epoch(origin, _component_draws(problem, rng, Tk), step)
         trace.calls_stochastic += Tk
         trace.projections += Tk
         ssum += w
@@ -418,7 +455,7 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
         raise ConfigurationError("strong convexity required; use mixed_grad instead")
     m = _epoch_count(m, 8)
     T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / delta))
-    T = T1 if T1 is not None else min(T_presc, T)
+    T = _epoch_length(T1 if T1 is not None else min(T_presc, T))
     eta = _given_step("eta", eta) or 1.0 / (L * math.sqrt(T))
     R = domain.r if domain.kind == "ball" else domain.outer_radius
     Delta = Delta1 if Delta1 is not None else 2.0 * R
@@ -431,16 +468,18 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     diff = problem.anchored_component_diff
     # a feasible start keeps every average, and so the answer, feasible
     center = domain.project(np.zeros(problem.d))
+    probing = probe_variance and hasattr(problem, "all_component_grads")
+    # the gradient matrix at an epoch's output is the next epoch's anchor matrix
+    grads_center = problem.all_component_grads(center) if probing else None
     for k in range(1, m + 1):
         g_full = problem.full_grad(center)
         trace.calls_full += 1
         project = _intersection_projector(domain, center, Delta)
-        w = center.copy()
-        ssum = np.zeros_like(w)
-        for i in _component_draws(problem, rng, T):
-            ssum += w
-            gtilde = g_full + diff(i, w, center)
-            w = project(w - eta * gtilde)
+
+        def step(w, i):
+            return project(w - eta * (g_full + diff(i, w, center)))
+
+        w, ssum = _epoch(center, _component_draws(problem, rng, T), step)
         trace.calls_stochastic += T
         trace.projections += T
         ssum += w
@@ -448,10 +487,12 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
         rec = {"epoch": k, "objective": problem.full_value(new_center),
                "delta": Delta, "calls_full": trace.calls_full,
                "calls_stochastic": trace.calls_stochastic}
-        if probe_variance and hasattr(problem, "all_component_grads"):
-            probe = gradient_variance_probe(problem, new_center, center)
+        if probing:
+            grads_new = problem.all_component_grads(new_center)
+            probe = _variances(grads_new, grads_center)
             rec["variance_mixed"] = probe["mixed_var"]
             rec["variance_sgd"] = probe["sgd_var"]
+            grads_center = grads_new
         trace.add(**rec)
         center = new_center
         Delta /= math.sqrt(2.0)
@@ -466,8 +507,13 @@ def gradient_variance_probe(problem, point: Point, center: Point) -> dict:
     is E‖∇f_i(w)‖² − ‖∇F(w)‖², the anchored one uses the differenced
     components against `center`.
     """
-    grads_w = problem.all_component_grads(point)
-    grads_c = problem.all_component_grads(center)
+    return _variances(problem.all_component_grads(point),
+                      problem.all_component_grads(center))
+
+
+def _variances(grads_w: np.ndarray, grads_c: np.ndarray) -> dict:
+    """gradient_variance_probe from the component-gradient matrices at the
+    point (grads_w) and at the anchor (grads_c)."""
     mean_w = grads_w.mean(axis=0)
     mean_c = grads_c.mean(axis=0)
     sgd_var = float(np.mean(np.sum(grads_w**2, axis=1)) - mean_w @ mean_w)

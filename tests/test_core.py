@@ -248,6 +248,28 @@ class TestProjector:
         out = ball_projector(0.25)(x)
         assert out is not x and out.tobytes() == frozen_kernels.project_ball(x, 0.25).tobytes()
 
+    def test_two_ball_kernel_returns_its_own_inside_point(self):
+        x, c2 = np.array([0.3, -0.4]), np.array([0.2, -0.1])
+        for c1 in (np.zeros(2), -np.zeros(2), np.array([0.1, 0.0])):
+            assert two_ball_projector(c1, 1.0, c2, 1.0)(x) is x
+        once = project_two_balls(x, np.zeros(2), 1.0, c2, 1.0)
+        assert once is not x and once.tobytes() == x.tobytes()
+        # the checked form takes a strided point
+        base = make_rng(11).uniform(-3, 3, size=8)
+        want = frozen_kernels.project_two_balls(base[::2].copy(), np.zeros(4), 1.0,
+                                                np.full(4, 0.3), 1.0)
+        got = project_two_balls(base[::2], np.zeros(4), 1.0, np.full(4, 0.3), 1.0)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_two_ball_kernel_keeps_the_signed_zeros_of_the_per_call_form(self, sign):
+        # a zero c1 of either sign: the point outside ball 1 has its −0.0
+        # turned into +0.0, the point inside keeps it
+        c1, c2 = sign * np.zeros(3), np.zeros(3)
+        for x in (np.array([-0.0, 3.0, 0.0]), np.array([-0.0, 0.5, 0.0])):
+            want = frozen_kernels.project_two_balls(x, c1, 1.0, c2, 5.0)
+            assert two_ball_projector(c1, 1.0, c2, 5.0)(x.copy()).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
     def test_project_returns_fresh_array_for_inside_point(self, dom):
         inside = dom.project(make_rng(9).uniform(-0.2, 0.4, size=4))

@@ -489,6 +489,33 @@ class TestEpochCount:
         assert len(_epoch_solver_run(name, 1).records) == 1
 
 
+class TestHorizon:
+    """A horizon or an epoch length below one step is refused, not divided by."""
+
+    @pytest.mark.parametrize("solver", [sgd, mirror_descent], ids=lambda s: s.__name__)
+    def test_zero_horizon_refused(self, solver):
+        # the iterate average divided by T = 0 and returned [nan nan]
+        obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            solver(obj, Domain.ball(0.8), T=0)
+
+    @pytest.mark.parametrize("solver,params", [
+        (mixed_grad, {"T1": 0}), (emgd, {"T1": 0}), (emgd, {"T": 0}),
+        (clipped_sgd, {"T1": 0}), (clipped_sgd, {"T1": 0, "eta": 0.1})],
+        ids=["mixed_grad-T1", "emgd-T1", "emgd-T", "clipped_sgd-T1", "clipped_sgd-T1-eta"])
+    def test_zero_epoch_length_refused(self, solver, params):
+        # the default step divided by sqrt(0), and clipped_sgd with a given
+        # step averaged no iterate and returned [nan]
+        if solver is clipped_sgd:
+            prob = onedim_target_risk_problem(0.05)
+            params = dict(target_risk=2.0 * prob.eps_opt, L=prob.beta, lam=prob.alpha,
+                          **params)
+        else:
+            prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
+        with pytest.raises(ConfigurationError, match="epoch length"):
+            solver(prob, Domain.ball(1.0), seed=0, m=2, **params)
+
+
 class TestStepSize:
     """An explicit step size `eta` or step parameter `gamma` is used as given
     and refused unless positive; only an unset one takes the default."""
@@ -620,6 +647,24 @@ class TestVarianceProbe:
             sq = np.sum((sample - sample.mean(axis=0)) ** 2, axis=1)
             se = sq.std(ddof=1) / math.sqrt(n)
             assert abs(got - sq.mean()) <= 3 * se + 1e-12
+
+
+    def test_emgd_probe_takes_one_gradient_matrix_per_anchor(self):
+        data = synthetic_classification(50, 4, seed=24, row_norm=1.0)
+        prob = logistic_problem(data, lam=1e-2)
+        centers, calls = [], []
+        full_grad, grads = prob.full_grad, prob.all_component_grads
+        prob.full_grad = lambda w: centers.append(w.copy()) or full_grad(w)
+        prob.all_component_grads = lambda w: calls.append(1) or grads(w)
+        m = 5
+        tr = emgd(prob, Domain.ball(2.0), seed=2, T1=200, m=m, probe_variance=True)
+        assert len(calls) == m + 1
+        # epoch k runs from centers[k] to ends[k]
+        ends = centers[1:] + [tr.final_point]
+        for rec, center, end in zip(tr.records, centers, ends, strict=True):
+            probe = gradient_variance_probe(prob, end, center)
+            assert rec["variance_mixed"].hex() == probe["mixed_var"].hex()
+            assert rec["variance_sgd"].hex() == probe["sgd_var"].hex()
 
 
 class TestOneProjection:
