@@ -322,12 +322,12 @@ def per_call_emgd(prob, R, seed, T, m, eta, Delta):
     return center
 
 
-def per_call_clipped_sgd(prob, R, seed, m, T1, eta, xi, beta, target, eps, tau):
+def per_call_clipped_sgd(prob, R, seed, m, T1, eta, xi, L, target_risk, epsilon, tau):
     """clipped_sgd's stages on a ball, on the frozen per-call projection."""
     rng = make_rng(seed)
     center, Delta = np.zeros(prob.d), R
     for _ in range(m):
-        gamma_k = 2.0 * xi * beta * Delta
+        gamma_k = 2.0 * xi * L * Delta
         w = center.copy()
         ssum = np.zeros_like(w)
         for _ in range(T1):
@@ -336,7 +336,7 @@ def per_call_clipped_sgd(prob, R, seed, m, T1, eta, xi, beta, target, eps, tau):
             w = frozen_kernels.project_two_balls(w - eta * v, np.zeros_like(w), R,
                                                  center, Delta)
         center = ssum / T1
-        Delta = math.sqrt(eps * Delta**2 + tau * target)
+        Delta = math.sqrt(epsilon * Delta**2 + tau * target_risk)
     return center
 
 
@@ -443,13 +443,10 @@ class TestEpochLoops:
         # several coordinates, so both balls and the ring between them bind
         data = synthetic_classification(60, 4, seed=23, row_norm=1.0)
         prob = logistic_problem(data, lam=5e-2)
-        beta, alpha = prob.constants.L_comp, prob.constants.lam
-        params = dict(seed=9, m=4, T1=600, eta=0.2, xi=3.0, target=0.05, eps=0.5,
-                      tau=0.1)
-        tr = clipped_sgd(prob, Domain.ball(R), seed=9, m=4, T1=600, eta=0.2, xi=3.0,
-                         target_risk=0.05, epsilon=0.5, tau=0.1, L=beta, lam=alpha)
-        want = per_call_clipped_sgd(prob, R, beta=beta, **params)
-        assert np.array_equal(tr.final_point, want)
+        params = dict(seed=9, m=4, T1=600, eta=0.2, xi=3.0, L=prob.constants.L_comp,
+                      target_risk=0.05, epsilon=0.5, tau=0.1)
+        tr = clipped_sgd(prob, Domain.ball(R), lam=prob.constants.lam, **params)
+        assert np.array_equal(tr.final_point, per_call_clipped_sgd(prob, R, **params))
 
 
 def _epoch_solver_run(name, m, **params):
@@ -647,7 +644,6 @@ class TestVarianceProbe:
             sq = np.sum((sample - sample.mean(axis=0)) ** 2, axis=1)
             se = sq.std(ddof=1) / math.sqrt(n)
             assert abs(got - sq.mean()) <= 3 * se + 1e-12
-
 
     def test_emgd_probe_takes_one_gradient_matrix_per_anchor(self):
         data = synthetic_classification(50, 4, seed=24, row_norm=1.0)
