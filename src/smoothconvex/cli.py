@@ -141,10 +141,10 @@ def exp_clippedsgd_target(seed: int, p: dict) -> ExperimentResult:
     target = p["target_factor"] * prob.eps_opt
     tr = stochastic.clipped_sgd(prob, Domain.ball(1.0), seed=seed, m=int(p["stages"]),
                                 T1=int(p["T1"]), target_risk=target, epsilon=p["epsilon"],
-                                tau=p["tau"], L=prob.beta, lam=prob.alpha)
+                                tau=p["tau"])
     rows = [{"iter": r["stage"], "objective": r["objective"], "delta": r["delta"],
              "calls_stochastic": r["calls_stochastic"]} for r in tr.records]
-    risk = prob.expected_loss(tr.final_point)
+    risk = prob.full_value(tr.final_point)
     bound = (1.0 + p["tau"] / (1.0 - p["epsilon"])) * target
     return ExperimentResult(["iter", "objective", "delta", "calls_stochastic"],
                             rows, final_metric=risk / bound)
@@ -163,7 +163,7 @@ def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
     rows, subs, Ts = [], [], []
     for T in _grid(p, "T_grid", least=1):
         tr = stochastic.sgd_pd(obj, dom, seed=seed, T=T)
-        sub = obj.value(tr.final_point) - fstar
+        sub = obj.full_value(tr.final_point) - fstar
         rows.append({"iter": T, "suboptimality": sub, "violation": dom.g(tr.final_point),
                      "calls_stochastic": tr.calls_stochastic, "projections": tr.projections})
         subs.append(sub)
@@ -178,7 +178,7 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
     rows, ratios = [], []
     for T in _grid(p, "T_grid", least=2):   # the ratio divides by log T
         tr = stochastic.sgd_st(obj, dom, seed=seed, T=T, lam=1.0)
-        sub = obj.value(tr.final_point) - fstar
+        sub = obj.full_value(tr.final_point) - fstar
         ratio = sub * T / math.log(T)
         rows.append({"iter": T, "suboptimality": sub, "violation": dom.g(tr.final_point),
                      "projections": tr.projections})

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .core import Domain, UnsupportedDomainError
-from .stochastic import _smoothness, agd
+from .stochastic import agd
 
 
 def comparator_minimum(sequence, domain: Domain, grid_resolution: float = 1e-3,
@@ -101,9 +101,9 @@ def reference_optimum(problem, domain: Domain, steps: int = 100_000) -> dict:
     full `steps` (the first run is a prefix of that one).
     """
     budgets = [steps] if steps <= _FIRST_BUDGET else [_FIRST_BUDGET, steps]
+    L = problem.constants.L_full
     for budget in budgets:
         w = agd(problem, domain, T=budget, snapshot_every=budget).final_point
-        L = _smoothness(problem, None, "full")
         g = problem.full_grad(w)
         pg = (w - domain.project(w - g / L)) * L
         certificate = float(np.linalg.norm(pg))

@@ -1,9 +1,10 @@
 """Loss functions, data ingestion, exact problem constants, and synthetic problems.
 
 Datasets, iterates and per-problem matrices are all dense, which is the right
-trade at desk scale.  `estimate_constants` computes exactly the constants the
-solvers read: the component and full-objective smoothness and the
-strong-convexity modulus.
+trade at desk scale.  Every objective has `d`, `full_value`, `stochastic_grad`
+and `constants`, the `Constants` record the solvers read, set at construction:
+computed exactly by `estimate_constants` for a finite-sum problem, declared by
+the others.
 """
 
 from __future__ import annotations
@@ -113,13 +114,17 @@ class FiniteSumProblem:
     y: np.ndarray
     lam_reg: float
     loss: str
-    constants: Constants | None = None
+    constants: Constants = field(init=False)
 
     def __post_init__(self):
+        if self.X.ndim != 2 or 0 in self.X.shape:
+            raise InputError("need at least one example and one feature, "
+                             f"got X of shape {self.X.shape}")
         if self.loss not in ("logistic", "squared"):
             raise ConfigurationError(f"unknown loss {self.loss!r}")
         if self.lam_reg < 0:
             raise ConfigurationError("regularizer must be nonnegative")
+        self.constants = estimate_constants(self)
 
     @property
     def n(self) -> int:
@@ -230,12 +235,8 @@ def least_squares_problem(data: LabeledDataset, lam: float) -> FiniteSumProblem:
 
 def from_arrays(X: np.ndarray, y: np.ndarray, lam: float, loss: str) -> FiniteSumProblem:
     """Build a finite-sum problem directly from dense arrays."""
-    X = np.asarray(X, float)
-    if X.ndim != 2 or 0 in X.shape:
-        raise InputError(f"need at least one example and one feature, got X of shape {X.shape}")
-    prob = FiniteSumProblem(X=X, y=np.asarray(y, float), lam_reg=float(lam), loss=loss)
-    prob.constants = estimate_constants(prob)
-    return prob
+    return FiniteSumProblem(X=np.asarray(X, float), y=np.asarray(y, float),
+                            lam_reg=float(lam), loss=loss)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +281,12 @@ class OneDimTargetRisk:
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must lie in (0, 1)")
 
+    # ℓ is 2-smooth and E[ℓ] 2-strongly convex
+    constants: Constants = field(init=False, default_factory=lambda: Constants(2.0, 2.0, 2.0))
+
     @property
     def d(self) -> int:
         return 1
-
-    beta: float = field(default=2.0, init=False)   # smoothness of ℓ
-    alpha: float = field(default=2.0, init=False)  # strong convexity of E[ℓ]
 
     def sample_b(self, rng: np.random.Generator) -> float:
         return 1.0 if rng.uniform() < self.delta ** 2 else self.delta
@@ -294,13 +295,11 @@ class OneDimTargetRisk:
         b = self.sample_b(rng)
         return np.array([2.0 * (w[0] - b)])
 
-    def expected_loss(self, w) -> float:
+    def full_value(self, w) -> float:
+        """The expected loss E[ℓ(w; b)]."""
         w0 = float(np.asarray(w).reshape(-1)[0])
         d2 = self.delta ** 2
         return d2 * (w0 - 1.0) ** 2 + (1.0 - d2) * (w0 - self.delta) ** 2
-
-    # the solvers read the objective under this name
-    full_value = expected_loss
 
     @property
     def wstar(self) -> float:
@@ -309,7 +308,7 @@ class OneDimTargetRisk:
 
     @property
     def eps_opt(self) -> float:
-        return self.expected_loss(np.array([self.wstar]))
+        return self.full_value(np.array([self.wstar]))
 
 
 def onedim_target_risk_problem(delta: float) -> OneDimTargetRisk:
@@ -320,35 +319,28 @@ def onedim_target_risk_problem(delta: float) -> OneDimTargetRisk:
 class NoisyQuadratic:
     """f(x) = ½‖x − center‖² with bounded spherical gradient noise.
 
-    The noise is uniform on the σ-sphere so the stochastic gradient has a hard
-    norm bound (needed by the strongly-convex single-projection analysis) and
-    zero mean.
+    f is 1-smooth and 1-strongly convex.  The noise is uniform on the σ-sphere
+    so the stochastic gradient has a hard norm bound (needed by the
+    strongly-convex single-projection analysis) and zero mean.
     """
 
     center: np.ndarray
     noise: float = 0.0
+    constants: Constants = field(init=False, default_factory=lambda: Constants(1.0, 1.0, 1.0))
 
     @property
     def d(self) -> int:
         return self.center.shape[0]
 
-    @property
-    def beta(self) -> float:
-        return 1.0  # both smoothness and strong convexity
-
-    def value(self, x: Point) -> float:
+    def full_value(self, x: Point) -> float:
         d = x - self.center
         return 0.5 * float(d @ d)
 
-    def grad(self, x: Point) -> Point:
+    def full_grad(self, x: Point) -> Point:
         return x - self.center
 
-    # the solvers and reference_optimum read these names
-    full_value = value
-    full_grad = grad
-
     def stochastic_grad(self, x: Point, rng: np.random.Generator) -> Point:
-        g = self.grad(x)
+        g = self.full_grad(x)
         if self.noise > 0:
             u = rng.standard_normal(self.d)
             g = g + self.noise * u / max(np.linalg.norm(u), 1e-15)

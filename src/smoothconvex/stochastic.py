@@ -66,33 +66,28 @@ def _smoothness(problem, L: float | None, flavor: str = "component") -> float:
 
     flavor="component": the stochastic-oracle functions' constant (epoch
     solvers); flavor="full": the averaged objective's constant (full-gradient
-    step sizes).  An objective without constants supplies its `beta`.
+    step sizes).  Both come from the objective's `constants`.
     """
     if L is not None:
         return L
-    c = getattr(problem, "constants", None)
-    if c is None:
-        return problem.beta
+    c = problem.constants
     return c.L_comp if flavor == "component" else c.L_full
 
 
 def _strong_convexity(problem, lam: float | None) -> float:
-    """`lam` when it is set, refused unless positive; otherwise the problem's
-    own modulus (0 when it has none)."""
+    """`lam` when it is set, refused unless positive; otherwise the
+    objective's `constants.lam` (0 when it is not strongly convex)."""
     if lam is not None:
         if not lam > 0:
             raise ConfigurationError(f"strong convexity lam must be positive, got {lam!r}")
         return lam
-    if getattr(problem, "constants", None) is not None:
-        return problem.constants.lam
-    return getattr(problem, "alpha", 0.0)
+    return problem.constants.lam
 
 
-def _start(problem, domain: Domain, w0: Point | None) -> Point:
+def _start(problem, w0: Point | None) -> Point:
     if w0 is not None:
         return np.asarray(w0, dtype=np.float64).copy()
-    d = getattr(problem, "d", None) or domain.dim
-    return np.zeros(d)
+    return np.zeros(problem.d)
 
 
 def _horizon(T: int, least: int = 1) -> int:
@@ -181,7 +176,7 @@ def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     sched = schedule or StepSchedule.inverse_sqrt(_given_step("eta", eta) or 1.0)
     trace = Trace(header={"solver": "sgd"})
     step = prox_map(mm, domain)
-    w = domain.project(_start(problem, domain, w0))
+    w = domain.project(_start(problem, w0))
     avg = np.zeros_like(w)
     stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
@@ -209,7 +204,7 @@ def gd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
     eta = _given_step("eta", eta) or 1.0 / L
     trace = Trace(header={"solver": "gd", "eta": eta})
     project = domain.projector()
-    w = domain.project(_start(problem, domain, w0))
+    w = domain.project(_start(problem, w0))
     stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
         g = problem.full_grad(w)
@@ -232,7 +227,7 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
     L = _smoothness(problem, L, "full")
     trace = Trace(header={"solver": "agd"})
     project = domain.projector()
-    h = domain.project(_start(problem, domain, w0))
+    h = domain.project(_start(problem, w0))
     f = h.copy()
     stride = _stride(T, snapshot_every)
     for s in range(T):
@@ -253,7 +248,7 @@ def cgd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
         w0: Point | None = None, snapshot_every: int = 0) -> Trace:
     """Projection-free conditional-gradient descent, eta_t = 2/(t+1)."""
     trace = Trace(header={"solver": "cgd"})
-    w = domain.project(_start(problem, domain, w0))
+    w = domain.project(_start(problem, w0))
     eta = _given_step("eta", eta)
     stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
@@ -281,7 +276,7 @@ def mirror_descent(problem, domain: Domain, *, T: int = 1000,
     if mm.kind == "entropy" and domain.kind == "simplex":
         w = np.full(domain.dim, 1.0 / domain.dim)
     else:
-        w = domain.project(_start(problem, domain, w0))
+        w = domain.project(_start(problem, w0))
     avg = np.zeros_like(w)
     stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
@@ -325,7 +320,7 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     xi = xi if xi is not None else 4.0 * beta / (alpha * tau)
     R = domain.r if domain.kind == "ball" else domain.outer_radius
     m = _epoch_count(m, 8)
-    d = getattr(problem, "d", 1)
+    d = problem.d
     stage_count = max(1, math.ceil(math.log2(max(xi * beta * R * R / target_risk, 2.0))))
     T1_presc = math.ceil(4 * max(
         (xi**3 * beta * d + 2.0 * xi * beta * math.sqrt(d))
@@ -341,7 +336,7 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     })
     rng = make_rng(seed)
     # a feasible start keeps every average, and so the answer, feasible
-    center = domain.project(np.zeros(getattr(problem, "d", 1)))
+    center = domain.project(np.zeros(d))
     Delta = R
     fixed_point = math.sqrt(tau * target_risk / (1.0 - epsilon))
     for k in range(1, m + 1):
@@ -468,9 +463,8 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     diff = problem.anchored_component_diff
     # a feasible start keeps every average, and so the answer, feasible
     center = domain.project(np.zeros(problem.d))
-    probing = probe_variance and hasattr(problem, "all_component_grads")
     # the gradient matrix at an epoch's output is the next epoch's anchor matrix
-    grads_center = problem.all_component_grads(center) if probing else None
+    grads_center = problem.all_component_grads(center) if probe_variance else None
     for k in range(1, m + 1):
         g_full = problem.full_grad(center)
         trace.calls_full += 1
@@ -487,7 +481,7 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
         rec = {"epoch": k, "objective": problem.full_value(new_center),
                "delta": Delta, "calls_full": trace.calls_full,
                "calls_stochastic": trace.calls_stochastic}
-        if probing:
+        if probe_variance:
             grads_new = problem.all_component_grads(new_center)
             probe = _variances(grads_new, grads_center)
             rec["variance_mixed"] = probe["mixed_var"]
@@ -543,7 +537,7 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
         raise ConfigurationError("boundary gradient bound rho must be positive")
     T = _horizon(T)
     G1 = G1 if G1 is not None else objective.grad_bound(1.0)
-    sigma = getattr(objective, "noise", 0.0)
+    sigma = objective.noise
     G2, C2 = domain.G2, domain.C2
     gamma = _given_step("gamma", gamma) or (G2 * G2 / math.sqrt(
         (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / delta)) * sigma * sigma) * T))
@@ -564,7 +558,7 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
         x = xp / max(np.linalg.norm(xp), 1.0)
         lam = max((1.0 - gamma * eta) * lam + eta * gx, 0.0)
         if t % stride == 0 or t == T:
-            trace.add(iter=t, objective=objective.value(x), constraint=gx, dual=lam)
+            trace.add(iter=t, objective=objective.full_value(x), constraint=gx, dual=lam)
     xbar /= T
     trace.final_point = domain.project(xbar)
     trace.projections += 1
@@ -583,7 +577,7 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
 
     `lambda0` weighs the penalty, by default 1.05·G1/rho (`G1` as in sgd_pd).
     """
-    beta = _strong_convexity(objective, lam) or objective.beta
+    alpha = _strong_convexity(objective, lam)
     gamma = _given_step("gamma", gamma)
     # the default gamma = log(T)/T is positive only from T = 2 on
     T = _horizon(T, least=1 if gamma else 2)
@@ -607,11 +601,11 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
         gx = domain.g(x)
         z = lam0 * gx / gamma
         weight = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
-        eta_t = eta or 1.0 / (2.0 * beta * t)
+        eta_t = eta or 1.0 / (2.0 * alpha * t)
         xp = x - eta_t * (g + weight * lam0 * domain.g_grad(x))
         x = xp / max(np.linalg.norm(xp), 1.0)
         if t % stride == 0 or t == T:
-            trace.add(iter=t, objective=objective.value(x), constraint=gx, weight=weight)
+            trace.add(iter=t, objective=objective.full_value(x), constraint=gx, weight=weight)
     xbar /= T
     trace.final_point = domain.project(xbar)
     trace.projections += 1

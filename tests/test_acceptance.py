@@ -111,10 +111,10 @@ def test_criterion_04_one_projection():
     for T in Ts:
         tr = stochastic.sgd_pd(obj, dom, seed=3, T=T)
         contract_ok &= tr.projections == 1 and dom.g(tr.final_point) <= 1e-10
-        subs_pd.append(obj.value(tr.final_point) - fstar)
+        subs_pd.append(obj.full_value(tr.final_point) - fstar)
         tr2 = stochastic.sgd_st(obj, dom, seed=3, T=T, lam=1.0)
         contract_ok &= tr2.projections == 1 and dom.g(tr2.final_point) <= 1e-10
-        ratios_st.append((obj.value(tr2.final_point) - fstar) * T / math.log(T))
+        ratios_st.append((obj.full_value(tr2.final_point) - fstar) * T / math.log(T))
     slope = metrics.loglog_slope(Ts, subs_pd)
     spread = max(ratios_st) / min(ratios_st)
     ok = contract_ok and -0.65 <= slope <= -0.35 and spread <= 3.0

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
-from smoothconvex.core import ConfigurationError, DomainError, InputError, make_rng
-from smoothconvex.problems import (LabeledDataset, ParseError, from_arrays,
+from smoothconvex.core import ConfigurationError, Domain, DomainError, InputError, make_rng
+from smoothconvex.problems import (Constants, FiniteSumProblem, LabeledDataset,
+                                   NoisyQuadratic, ParseError, from_arrays,
                                    least_squares_problem, load_libsvm, logistic_problem,
                                    onedim_target_risk_problem, psi_transform,
                                    smoothed_hinge_grad, smoothed_hinge_value,
                                    synthetic_classification)
+from smoothconvex.stochastic import emgd
 
 import frozen_kernels
 
@@ -217,12 +219,43 @@ class TestConstants:
         assert abs(prob.constants.L_full - 2.0 * lam_max) <= 1e-12 * 2.0 * lam_max
 
 
+    def test_direct_construction_matches_from_arrays(self):
+        # the constructor computes the constants, so the solvers that read
+        # them run on a problem built without from_arrays
+        data = synthetic_classification(40, 3, seed=25, row_norm=1.0)
+        direct = FiniteSumProblem(X=data.X, y=data.labels, lam_reg=0.1, loss="logistic")
+        built = from_arrays(data.X, data.labels, 0.1, "logistic")
+        assert direct.constants == built.constants
+        a, b = (emgd(p, Domain.ball(1.0), seed=3, T1=5, m=2).final_point
+                for p in (direct, built))
+        assert np.array_equal(a, b)
+        with pytest.raises(InputError, match="feature"):
+            FiniteSumProblem(X=np.zeros((2, 0)), y=np.ones(2), lam_reg=0.1, loss="squared")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: from_arrays(np.eye(3), [1.0, -1.0, 1.0], 0.1, "logistic"),
+    lambda: NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4),
+    lambda: onedim_target_risk_problem(0.05)],
+    ids=["FiniteSumProblem", "NoisyQuadratic", "OneDimTargetRisk"])
+def test_every_objective_has_the_one_protocol(make):
+    obj = make()
+    w = np.zeros(obj.d)
+    assert isinstance(obj.full_value(w), float)
+    assert obj.stochastic_grad(w, make_rng(0)).shape == (obj.d,)
+    c = obj.constants
+    assert isinstance(c, Constants)
+    assert c.L_comp > 0 and c.L_full > 0 and c.lam >= 0
+    for alias in ("value", "grad", "expected_loss", "beta", "alpha"):
+        assert not hasattr(obj, alias), alias
+
+
 class TestOneDimTargetRisk:
     def test_expected_loss_at_zero(self):
         d = 0.05
         prob = onedim_target_risk_problem(d)
         want = d**2 * 1.0 + (1 - d**2) * d**2
-        assert abs(prob.expected_loss(np.zeros(1)) - want) < 1e-15
+        assert abs(prob.full_value(np.zeros(1)) - want) < 1e-15
         assert want <= 2 * d**2
 
     def test_minimizer_is_weighted_mean(self):
@@ -231,8 +264,8 @@ class TestOneDimTargetRisk:
         want = d**2 * 1.0 + (1 - d**2) * d
         assert abs(prob.wstar - want) < 1e-15
         h = 1e-6
-        lo = prob.expected_loss(np.array([prob.wstar - h]))
-        hi = prob.expected_loss(np.array([prob.wstar + h]))
+        lo = prob.full_value(np.array([prob.wstar - h]))
+        hi = prob.full_value(np.array([prob.wstar + h]))
         assert prob.eps_opt <= min(lo, hi)
 
     def test_monte_carlo_matches_analytic(self):
@@ -243,7 +276,7 @@ class TestOneDimTargetRisk:
         samples = np.where(rng.uniform(size=n) < d**2, 1.0, d)
         losses = (0.0 - samples) ** 2
         se = losses.std(ddof=1) / math.sqrt(n)
-        assert abs(losses.mean() - prob.expected_loss(np.zeros(1))) <= 5 * se
+        assert abs(losses.mean() - prob.full_value(np.zeros(1))) <= 5 * se
 
     def test_rejects_bad_delta(self):
         for bad in (0.0, 1.0, -0.5, 2.0):

@@ -195,9 +195,9 @@ class TestClippedSgd:
         good = 0
         for seed in range(10):
             tr = clipped_sgd(prob, Domain.ball(1.0), seed=seed, m=10, T1=4000,
-                             target_risk=target, epsilon=eps, tau=tau, L=prob.beta,
-                             lam=prob.alpha)
-            risk = prob.expected_loss(tr.final_point)
+                             target_risk=target, epsilon=eps, tau=tau,
+                             L=prob.constants.L_comp, lam=prob.constants.lam)
+            risk = prob.full_value(tr.final_point)
             if risk <= (1.0 + tau / (1.0 - eps)) * target * 1.10:
                 good += 1
         assert good >= 9
@@ -413,20 +413,21 @@ class TestEpochLoops:
     def test_clipped_sgd_counts_projections(self):
         prob = onedim_target_risk_problem(0.05)
         tr = clipped_sgd(prob, Domain.ball(1.0), seed=0, m=3, T1=40,
-                         target_risk=2.0 * prob.eps_opt, L=prob.beta, lam=prob.alpha)
+                         target_risk=2.0 * prob.eps_opt, L=prob.constants.L_comp,
+                         lam=prob.constants.lam)
         assert tr.projections == tr.calls_stochastic == 3 * 40
 
-    @pytest.mark.parametrize("R,Delta1", [(1.0, 1.0), (0.3, 0.2)])
-    def test_clipped_sgd_matches_per_call_loop(self, R, Delta1):
+    @pytest.mark.parametrize("R", [1.0, 0.3])
+    def test_clipped_sgd_matches_per_call_loop(self, R):
         prob = onedim_target_risk_problem(0.05)
         target, eps, tau, xi, T1, eta = 2.0 * prob.eps_opt, 0.5, 0.1, 2.0, 200, 0.05
         tr = clipped_sgd(prob, Domain.ball(R), seed=8, m=4, T1=T1, eta=eta, xi=xi,
-                         target_risk=target, epsilon=eps, tau=tau, L=prob.beta,
-                         lam=prob.alpha)
+                         target_risk=target, epsilon=eps, tau=tau,
+                         L=prob.constants.L_comp, lam=prob.constants.lam)
         rng = make_rng(8)
         center, Delta = np.zeros(1), R
         for _ in range(4):
-            gamma_k = 2.0 * xi * prob.beta * Delta
+            gamma_k = 2.0 * xi * prob.constants.L_comp * Delta
             w = center.copy()
             ssum = np.zeros_like(w)
             for _ in range(T1):
@@ -453,8 +454,8 @@ def _epoch_solver_run(name, m, **params):
     if name == "clipped_sgd":
         prob = onedim_target_risk_problem(0.05)
         return clipped_sgd(prob, Domain.ball(1.0), seed=0, m=m, T1=5,
-                           target_risk=2.0 * prob.eps_opt, L=prob.beta, lam=prob.alpha,
-                           **params)
+                           target_risk=2.0 * prob.eps_opt, L=prob.constants.L_comp,
+                           lam=prob.constants.lam, **params)
     prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
     solver = {"mixed_grad": mixed_grad, "emgd": emgd}[name]
     return solver(prob, Domain.ball(2.0), seed=0, T1=3, m=m, **params)
@@ -505,8 +506,8 @@ class TestHorizon:
         # step averaged no iterate and returned [nan]
         if solver is clipped_sgd:
             prob = onedim_target_risk_problem(0.05)
-            params = dict(target_risk=2.0 * prob.eps_opt, L=prob.beta, lam=prob.alpha,
-                          **params)
+            params = dict(target_risk=2.0 * prob.eps_opt, L=prob.constants.L_comp,
+                          lam=prob.constants.lam, **params)
         else:
             prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
         with pytest.raises(ConfigurationError, match="epoch length"):
@@ -542,10 +543,12 @@ class TestStrongConvexity:
             solver(obj, Domain.ball(0.8), T=20, lam=lam, **extra)
 
     def test_clipped_sgd_refuses_problem_without_modulus(self):
-        # NoisyQuadratic declares no strong convexity, so the unset lam is 0
-        obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
+        # unregularized logistic loss is not strongly convex: its modulus is
+        # lam = lam_reg = 0, so the unset lam is 0
+        prob = from_arrays(np.eye(3), [1.0, -1.0, 1.0], 0.0, "logistic")
+        assert prob.constants.lam == 0.0
         with pytest.raises(ConfigurationError, match="strongly convex"):
-            clipped_sgd(obj, Domain.ball(0.8), T1=4, m=2, target_risk=0.05)
+            clipped_sgd(prob, Domain.ball(0.8), T1=4, m=2, target_risk=0.05)
 
 
 _ALL_SOLVERS = [sgd, gd, agd, cgd, mirror_descent, clipped_sgd, mixed_grad, emgd,
@@ -693,7 +696,7 @@ class TestOneProjection:
             g = obj.stochastic_grad(x, rng)
             xp = x - eta * g
             x = xp / max(np.linalg.norm(xp), 1.0)
-            assert abs(obj.value(x) - objs[t - 1]) < 1e-15
+            assert abs(obj.full_value(x) - objs[t - 1]) < 1e-15
 
     def test_smoothing_weight_formula(self):
         # boundary point (g = 0): weight exactly 1/2; deeply feasible point
@@ -713,7 +716,7 @@ class TestOneProjection:
         subs, Ts = [], [1000, 10_000, 100_000]
         for T in Ts:
             tr = sgd_pd(self.obj, self.dom, seed=3, T=T)
-            subs.append(self.obj.value(tr.final_point) - ref["F"])
+            subs.append(self.obj.full_value(tr.final_point) - ref["F"])
         slope = loglog_slope(Ts, subs)
         assert -0.65 <= slope <= -0.35
 
@@ -734,7 +737,7 @@ class TestOneProjection:
         ratios = []
         for T in (1000, 10_000, 100_000):
             tr = sgd_st(self.obj, self.dom, seed=3, T=T, lam=1.0)
-            sub = self.obj.value(tr.final_point) - ref["F"]
+            sub = self.obj.full_value(tr.final_point) - ref["F"]
             ratios.append(sub * T / math.log(T))
         assert max(ratios) / min(ratios) <= 3.0
 
