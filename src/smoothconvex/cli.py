@@ -1,6 +1,10 @@
 """Batch experiment runner: dispatch named experiments, write CSV traces and a
 summary table.
 
+Each experiment's parameters, with their types and lower bounds, are
+declared once in `EXPERIMENTS`; `resolve_params` checks them all, floats
+finite, before any output directory is created or any worker starts.
+
 CSV conventions: '.' decimal, '\n' line endings, no quoting (fields never
 contain commas); identical config+seed produces byte-identical files.
 """
@@ -13,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,26 +54,14 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _grid(p: dict, key: str, cast=int, least=None) -> list:
-    """A ';'-separated grid parameter, each entry at least `least`."""
-    try:
-        values = [cast(v) for v in str(p[key]).split(";")]
-    except ValueError:
-        raise ConfigurationError(
-            f"{key} expects ';'-separated numbers, got {p[key]!r}") from None
-    if least is not None and min(values) < least:
-        raise ConfigurationError(f"{key} entries must be at least {least}, got {p[key]!r}")
-    return values
-
-
-def _at_least(p: dict, key: str, least) -> None:
-    if p[key] < least:
-        raise ConfigurationError(f"{key} must be at least {least}, got {p[key]!r}")
-
-
-def _positive(p: dict, key: str) -> None:
-    if not p[key] > 0:
-        raise ConfigurationError(f"{key} must be positive, got {p[key]!r}")
+class Param(NamedTuple):
+    """One experiment parameter: its type, default and lower bound. A grid is
+    a ';'-separated list whose entries each have type `kind` and the bound."""
+    kind: type              # int or float
+    default: object
+    least: float = -math.inf
+    positive: bool = False  # the bound is "greater than 0", not `least`
+    grid: bool = False
 
 
 def write_csv(path: str, columns, rows) -> None:
@@ -84,13 +77,11 @@ def write_csv(path: str, columns, rows) -> None:
 
 
 def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
-    _at_least(p, "T", 1)
-    _at_least(p, "epochs", 1)
-    data = problems.synthetic_classification(int(p["n"]), int(p["d"]), seed=7,
+    data = problems.synthetic_classification(p["n"], p["d"], seed=7,
                                              row_norm=p["row_norm"])
     prob = problems.logistic_problem(data, lam=p["lam"])
-    tr = stochastic.emgd(prob, Domain.ball(p["radius"]), seed=seed, T=int(p["T"]),
-                         m=int(p["epochs"]), probe_variance=True, Delta1=p["Delta1"])
+    tr = stochastic.emgd(prob, Domain.ball(p["radius"]), seed=seed, T=p["T"],
+                         m=p["epochs"], probe_variance=True, Delta1=p["Delta1"])
     cols = ["iter", "objective", "calls_full", "calls_stochastic",
             "variance_sgd", "variance_mixed"]
     rows = [{"iter": r["epoch"], "objective": r["objective"],
@@ -103,12 +94,10 @@ def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
-    m_min, m_max = int(p["m_min"]), int(p["m_max"])
-    if not 1 <= m_min <= m_max:
-        raise ConfigurationError(f"need 1 <= m_min <= m_max, got m_min={m_min}, m_max={m_max}")
-    _at_least(p, "T1", 1)
-    _positive(p, "eta_factor")
-    data = problems.synthetic_regression(int(p["n"]), int(p["d"]), seed=11, noise=0.3,
+    m_min, m_max = p["m_min"], p["m_max"]
+    if m_min > m_max:
+        raise ConfigurationError(f"need m_min <= m_max, got m_min={m_min}, m_max={m_max}")
+    data = problems.synthetic_regression(p["n"], p["d"], seed=11, noise=0.3,
                                          row_norm=1.0)
     prob = problems.least_squares_problem(data, lam=0.0)
     beta = prob.constants.L_comp
@@ -120,7 +109,7 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     # regularization path at this dimension and the rate never shows
     # with T1 fixed, the run at m is the first m epochs of the run at m_max, and
     # epoch m's record holds that run's counters and full_value(final_point)
-    tr = stochastic.mixed_grad(prob, dom, seed=seed, T1=int(p["T1"]), m=m_max,
+    tr = stochastic.mixed_grad(prob, dom, seed=seed, T1=p["T1"], m=m_max,
                                lambda1=p["lambda1_factor"] * prob.constants.L_full,
                                eta=p["eta_factor"] / beta)
     rows = [{"iter": r["epoch"], "calls_full": r["calls_full"],
@@ -135,12 +124,10 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_clippedsgd_target(seed: int, p: dict) -> ExperimentResult:
-    _at_least(p, "T1", 1)
-    _at_least(p, "stages", 1)
     prob = problems.onedim_target_risk_problem(p["delta"])
     target = p["target_factor"] * prob.eps_opt
-    tr = stochastic.clipped_sgd(prob, Domain.ball(1.0), seed=seed, m=int(p["stages"]),
-                                T1=int(p["T1"]), target_risk=target, epsilon=p["epsilon"],
+    tr = stochastic.clipped_sgd(prob, Domain.ball(1.0), seed=seed, m=p["stages"],
+                                T1=p["T1"], target_risk=target, epsilon=p["epsilon"],
                                 tau=p["tau"])
     rows = [{"iter": r["stage"], "objective": r["objective"], "delta": r["delta"],
              "calls_stochastic": r["calls_stochastic"]} for r in tr.records]
@@ -161,7 +148,7 @@ def _oneproj_setup(p):
 def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, subs, Ts = [], [], []
-    for T in _grid(p, "T_grid", least=1):
+    for T in p["T_grid"]:
         tr = stochastic.sgd_pd(obj, dom, seed=seed, T=T)
         sub = obj.full_value(tr.final_point) - fstar
         rows.append({"iter": T, "suboptimality": sub, "violation": dom.g(tr.final_point),
@@ -176,7 +163,7 @@ def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
 def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, ratios = [], []
-    for T in _grid(p, "T_grid", least=2):   # the ratio divides by log T
+    for T in p["T_grid"]:
         tr = stochastic.sgd_st(obj, dom, seed=seed, T=T, lam=1.0)
         sub = obj.full_value(tr.final_point) - fstar
         ratio = sub * T / math.log(T)
@@ -188,11 +175,8 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
-    _at_least(p, "T", 1)
-    _at_least(p, "d", 1)
-    T, d = int(p["T"]), int(p["d"])
+    T, d, egvs = p["T"], p["d"], p["egv_grid"]
     dom = Domain.ball(1.0)
-    egvs = _grid(p, "egv_grid", float)
     rows, regs = [], []
     for egv in egvs:
         seq = adversary.alternating_linear(egv, T, d)
@@ -214,8 +198,7 @@ def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
-    _at_least(p, "T", 1)
-    T, eta = int(p["T"]), p["eta_ogd"]
+    T, eta = p["T"], p["eta_ogd"]
     seq = adversary.ftrl_adversary(eta, T, gv_target=p["gv_target"])
     dom = Domain.ball(1.0)
     ogd = online.OGD(dom, StepSchedule.constant(eta), dim=1)
@@ -235,11 +218,10 @@ def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
-    _at_least(p, "T", 1)
-    T = int(p["T"])
+    T = p["T"]
     rng = make_rng(seed)
     rows, worst = [], 0.0
-    for m in _grid(p, "m_grid", least=2):   # the bound's log m must be positive
+    for m in p["m_grid"]:
         c1 = rng.uniform(0.0, 1.0, size=m)
         c2 = rng.uniform(0.0, 1.0, size=m)
         losses = [online.RoundLoss.from_linear(c1)] * (T // 2)
@@ -262,11 +244,9 @@ def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
-    _at_least(p, "T", 1)
-    _positive(p, "delta")
     rows, worst = [], 0.0
-    T = int(p["T"])
-    for d in _grid(p, "d_grid", least=1):
+    T = p["T"]
+    for d in p["d_grid"]:
         rng = make_rng(seed + d)
         dom = Domain.ball(1.0)
         delta = p["delta"]
@@ -289,9 +269,7 @@ def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
 
 
 def _soft_instance(seed: int, p: dict):
-    _at_least(p, "T", 1)
-    _positive(p, "radius_R")
-    T, R = int(p["T"]), p["radius_R"]
+    T, R = p["T"], p["radius_R"]
     rng = make_rng(seed)
     r_c = p["constraint_radius"]
     g = (lambda x: float(x @ x) - r_c * r_c, lambda x: 2.0 * x)
@@ -337,8 +315,7 @@ def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
-    _at_least(p, "T", 1)
-    T = int(p["T"])
+    T = p["T"]
     v = np.array([1.0, 0.0])
     losses = [online.RoundLoss.from_linear(v)] * T
     seq = adversary.LossSequence(T=T, kind="penalty_instance", _losses=losses)
@@ -356,7 +333,7 @@ def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
 
 def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
     rows = []
-    for gamma in _grid(p, "gamma_grid", float):
+    for gamma in p["gamma_grid"]:
         for eta in [round(0.1 * k, 1) for k in range(1, 10)]:
             rows.append({"eta": eta, "gamma": gamma,
                          "psi": problems.psi_transform(eta, gamma)})
@@ -365,17 +342,15 @@ def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
-    _at_least(p, "T", 1)
-    T, d, drift = int(p["T"]), int(p["d"]), p["drift"]
-    if d != 2:
-        raise ConfigurationError(f"hinge_mistakes compares on a 2-D grid: d must be 2, got {d}")
-    seq = adversary.classification_stream(drift, T, d, seed=seed)
-    learner = online.HingeClassifierPD(d, R=p["radius_R"])
+    T = p["T"]
+    # d = 2: the comparator search below covers a 2-D grid
+    seq = adversary.classification_stream(p["drift"], T, 2, seed=seed)
+    learner = online.HingeClassifierPD(2, R=p["radius_R"])
     for gx in seq.meta["examples"]:
         learner.round(gx, 1.0)  # stream stores y·x, so the label is +1
     mistakes = learner.mistakes
     # best fixed comparator over a 2-D grid (coarse + refinement)
-    best = _best_hinge_grid(seq.meta["examples"], p["radius_R"])
+    best = _best_hinge(seq.meta["examples"], p["radius_R"])
     egv = 0.0
     prev = None
     for gx in learner.mistake_examples:
@@ -389,7 +364,7 @@ def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
                             rows, final_metric=mistakes / bound)
 
 
-def _best_hinge_grid(examples, R: float) -> float:
+def _best_hinge(examples, R: float) -> float:
     pts = np.stack(examples)
 
     def total(w):
@@ -416,36 +391,55 @@ def _best_hinge_grid(examples, R: float) -> float:
     return best_v
 
 
+# what _oneproj_setup reads
+_ONEPROJ = {"center_x": Param(float, 1.2), "noise": Param(float, 0.5, least=0),
+            "radius": Param(float, 0.8, positive=True)}
+
 EXPERIMENTS = {
     "emgd_variance": (exp_emgd_variance, {
-        "n": 500, "d": 20, "lam": 1e-2, "T": 10_000, "epochs": 10,
-        "row_norm": 1.0, "Delta1": 2.0, "radius": 2.0}),
+        "n": Param(int, 500, least=1), "d": Param(int, 20, least=1),
+        "lam": Param(float, 1e-2, positive=True), "T": Param(int, 10_000, least=1),
+        "epochs": Param(int, 10, least=1), "row_norm": Param(float, 1.0, positive=True),
+        "Delta1": Param(float, 2.0, positive=True),
+        "radius": Param(float, 2.0, positive=True)}),
     "mixedgrad_rate": (exp_mixedgrad_rate, {
-        "n": 200, "d": 10, "m_min": 4, "m_max": 8, "T1": 30,
-        "lambda1_factor": 1.0, "eta_factor": 0.25}),
+        "n": Param(int, 200, least=1), "d": Param(int, 10, least=1),
+        "m_min": Param(int, 4, least=1), "m_max": Param(int, 8, least=1),
+        "T1": Param(int, 30, least=1), "lambda1_factor": Param(float, 1.0, positive=True),
+        "eta_factor": Param(float, 0.25, positive=True)}),
     "clippedsgd_target": (exp_clippedsgd_target, {
-        "delta": 0.05, "target_factor": 2.0, "stages": 10, "T1": 4000,
-        "epsilon": 0.5, "tau": 0.1}),
+        "delta": Param(float, 0.05, positive=True),
+        "target_factor": Param(float, 2.0, positive=True),
+        "stages": Param(int, 10, least=1), "T1": Param(int, 4000, least=1),
+        "epsilon": Param(float, 0.5, positive=True), "tau": Param(float, 0.1, positive=True)}),
     "oneproj_general": (exp_oneproj_general, {
-        "T_grid": "1000;10000;100000", "center_x": 1.2, "noise": 0.5,
-        "radius": 0.8}),
+        "T_grid": Param(int, "1000;10000;100000", least=1, grid=True), **_ONEPROJ}),
     "oneproj_strong": (exp_oneproj_strong, {
-        "T_grid": "1000;10000;100000", "center_x": 1.2, "noise": 0.5,
-        "radius": 0.8}),
+        # the ratio divides by log T
+        "T_grid": Param(int, "1000;10000;100000", least=2, grid=True), **_ONEPROJ}),
     "gv_regret_sweep": (exp_gv_regret_sweep, {
-        "T": 10_000, "d": 5, "egv_grid": "1;4;16;64"}),
+        "T": Param(int, 10_000, least=1), "d": Param(int, 5, least=1),
+        "egv_grid": Param(float, "1;4;16;64", positive=True, grid=True)}),
     "ogd_vs_omp_adversary": (exp_ogd_vs_omp_adversary, {
-        "T": 10_000, "eta_ogd": 0.2, "gv_target": 8000.0}),
-    "expert_switch": (exp_expert_switch, {"T": 2000, "m_grid": "4;16"}),
+        "T": Param(int, 10_000, least=1), "eta_ogd": Param(float, 0.2, positive=True),
+        "gv_target": Param(float, 8000.0, least=0)}),
+    "expert_switch": (exp_expert_switch, {
+        # the bound's log m must be positive
+        "T": Param(int, 2000, least=1), "m_grid": Param(int, "4;16", least=2, grid=True)}),
     "bandit_estimate": (exp_bandit_estimate, {
-        "T": 100, "d_grid": "2;5;10", "delta": 0.05}),
+        "T": Param(int, 100, least=1), "d_grid": Param(int, "2;5;10", least=1, grid=True),
+        "delta": Param(float, 0.05, positive=True)}),
     "soft_constraints": (exp_soft_constraints, {
-        "T": 10_000, "radius_R": 1.0, "constraint_radius": 0.7}),
+        "T": Param(int, 10_000, least=1), "radius_R": Param(float, 1.0, positive=True),
+        "constraint_radius": Param(float, 0.7, positive=True)}),
     "penalty_impossibility": (exp_penalty_impossibility, {
-        "T": 1000, "eta": 0.05, "delta_penalty": 0.5}),
-    "psi_transform_table": (exp_psi_transform_table, {"gamma_grid": "1;10;100"}),
+        "T": Param(int, 1000, least=1), "eta": Param(float, 0.05, positive=True),
+        "delta_penalty": Param(float, 0.5, least=0)}),
+    "psi_transform_table": (exp_psi_transform_table, {
+        "gamma_grid": Param(float, "1;10;100", positive=True, grid=True)}),
     "hinge_mistakes": (exp_hinge_mistakes, {
-        "T": 2000, "d": 2, "drift": 0.1, "radius_R": 1.0}),
+        "T": Param(int, 2000, least=1), "drift": Param(float, 0.1, least=0),
+        "radius_R": Param(float, 1.0, positive=True)}),
 }
 
 
@@ -469,45 +463,51 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(value: str, default):
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+def _resolve(key: str, spec: Param, raw):
+    """`raw`, a string or not, as `spec`'s type (a list for a grid), refused
+    unless finite and within its bound."""
+    try:
+        value = ([spec.kind(v) for v in str(raw).split(";")] if spec.grid
+                 else spec.kind(str(raw)))
+    except ValueError:
+        raise ConfigurationError(f"{key} expects ';'-separated numbers, got {raw!r}"
+                                 if spec.grid else f"bad value for {key}: {raw!r}") from None
+    subject = f"{key} entries" if spec.grid else key
+    for v in value if spec.grid else [value]:
+        if not math.isfinite(v):
+            raise ConfigurationError(f"{subject} must be finite, got {raw!r}")
+        if spec.positive and not v > 0:
+            raise ConfigurationError(f"{subject} must be positive, got {raw!r}")
+        if v < spec.least:
+            raise ConfigurationError(f"{subject} must be at least {spec.least}, got {raw!r}")
     return value
 
 
 def resolve_params(experiment: str, overrides: dict) -> dict:
-    _, defaults = EXPERIMENTS[experiment]
-    params = dict(defaults)
-    valid = set(defaults) | {"seed"}
-    for k, v in overrides.items():
-        if k not in defaults:
+    """The experiment's parameters: each override or default, checked
+    against its declaration in `EXPERIMENTS`."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigurationError(f"unknown experiment {experiment!r}; registry: "
+                                 + ", ".join(sorted(EXPERIMENTS)))
+    _, specs = EXPERIMENTS[experiment]
+    for k in overrides:
+        if k not in specs:
             raise ConfigurationError(
-                f"unknown key {k!r}; valid keys: {', '.join(sorted(valid))}")
-        try:
-            params[k] = _coerce(v, defaults[k]) if isinstance(v, str) else v
-        except ValueError:
-            raise ConfigurationError(f"bad value for {k}: {v!r}") from None
-    return params
+                f"unknown key {k!r}; valid keys: {', '.join(sorted(specs))}")
+    return {k: _resolve(k, spec, overrides.get(k, spec.default))
+            for k, spec in specs.items()}
 
 
 def run(config: RunConfig) -> dict:
     """Execute one experiment run; returns the summary row."""
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment {config.experiment!r}; registry: "
-            + ", ".join(sorted(EXPERIMENTS)))
-    fn, _ = EXPERIMENTS[config.experiment]
     params = resolve_params(config.experiment, config.overrides)
-    os.makedirs(config.output_dir, exist_ok=True)
+    fn, _ = EXPERIMENTS[config.experiment]
     t0 = time.perf_counter()
     result = fn(config.seed, params)
     runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))
     if not math.isfinite(result.final_metric):
         raise NumericError(f"{config.experiment}: non-finite final metric")
+    os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, f"{config.experiment}_{config.seed}.csv")
     write_csv(path, result.columns, result.rows)
     return {"experiment": config.experiment, "seed": config.seed,
@@ -587,14 +587,10 @@ def _main_inner(argv) -> int:
             i += 1
         else:
             raise ConfigurationError(f"unrecognized argument {arg!r}")
-    if experiment not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment {experiment!r}; registry: "
-            + ", ".join(sorted(EXPERIMENTS)))
     seed_override = overrides.pop("seed", None)
     if seed_override is not None:
         seeds = [_int("--seed", seed_override)]
-    resolve_params(experiment, overrides)  # fail fast on unknown keys
+    resolve_params(experiment, overrides)  # every parameter error before any output
     tasks = [{"experiment": experiment, "seed": s, "overrides": overrides,
               "output_dir": outdir} for s in seeds]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

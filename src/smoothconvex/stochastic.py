@@ -113,9 +113,9 @@ def _epoch_count(m: int | None, default: int) -> int:
 
 
 def _given_step(name: str, value: float | None) -> float | None:
-    """A step size `eta` or step parameter `gamma` when it is set, refused
-    unless positive; None when unset, so `... or default` takes the default
-    only then."""
+    """A step size `eta`, step parameter `gamma` or first-epoch radius
+    `Delta1` when it is set, refused unless positive; None when unset, so
+    `... or default` takes the default only then."""
     if value is not None and not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
     return value
@@ -395,7 +395,7 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     budget_T1 = max(1, math.floor(T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))
     T1 = _epoch_length(T1 if T1 is not None else min(T1_presc, budget_T1))
     lam = lambda1 if lambda1 is not None else 16.0 * beta
-    Delta = Delta1 if Delta1 is not None else R
+    Delta = _given_step("Delta1", Delta1) or R
     eta = _given_step("eta", eta) or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
 
     trace = Trace(header={
@@ -453,7 +453,7 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     T = _epoch_length(T1 if T1 is not None else min(T_presc, T))
     eta = _given_step("eta", eta) or 1.0 / (L * math.sqrt(T))
     R = domain.r if domain.kind == "ball" else domain.outer_radius
-    Delta = Delta1 if Delta1 is not None else 2.0 * R
+    Delta = _given_step("Delta1", Delta1) or 2.0 * R
 
     trace = Trace(header={
         "solver": "emgd", "T_per_epoch": T, "eta": eta,

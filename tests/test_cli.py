@@ -86,10 +86,11 @@ class TestDispatch:
 
     @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"]])
     def test_mixedgrad_rate_epoch_range_exits_2(self, tmp_path, capsys, args):
-        rc = main(["run", "mixedgrad_rate", "--out", str(tmp_path), *args])
+        out = tmp_path / "out"
+        rc = main(["run", "mixedgrad_rate", "--out", str(out), *args])
         assert rc == EXIT_CONFIG
         assert "m_min" in capsys.readouterr().err
-        assert not (tmp_path / "mixedgrad_rate_0.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment,arg,key", [
         ("gv_regret_sweep", "--egv_grid=1;x", "egv_grid"),
@@ -115,14 +116,26 @@ class TestDispatch:
         ("emgd_variance", "--epochs=0", "epochs"),
         ("clippedsgd_target", "--stages=0", "stages"),
         ("mixedgrad_rate", "--eta_factor=0", "eta_factor"),
+        ("emgd_variance", "--n=-1", "n"),
+        ("emgd_variance", "--d=-1", "d"),
+        ("emgd_variance", "--lam=nan", "lam"),
+        ("emgd_variance", "--Delta1=-1", "Delta1"),
+        ("mixedgrad_rate", "--n=-3", "n"),
+        ("hinge_mistakes", "--radius_R=-1", "radius_R"),
+        ("hinge_mistakes", "--radius_R=nan", "radius_R"),
+        ("hinge_mistakes", "--radius_R=inf", "radius_R"),
+        ("ogd_vs_omp_adversary", "--gv_target=nan", "gv_target"),
+        ("oneproj_general", "--center_x=nan", "center_x"),
     ])
     def test_bad_experiment_parameter_exits_2(self, tmp_path, capsys, experiment,
                                               arg, key):
-        rc = main(["run", experiment, "--out", str(tmp_path), arg])
+        out = tmp_path / "out"
+        rc = main(["run", experiment, "--out", str(out), arg])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
-        assert not (tmp_path / f"{experiment}_0.csv").exists()
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_every_registry_entry_has_defaults(self):
         for name, (fn, defaults) in EXPERIMENTS.items():

@@ -2,7 +2,10 @@
 
 import math
 import re
+import shlex
 from pathlib import Path
+
+from smoothconvex.cli import resolve_params
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +33,16 @@ def test_library_use_examples_run(tmp_path, monkeypatch, capsys):
     assert -1e-9 <= float(suboptimality) < 1e-2  # the reference is certified to ~1e-12
     assert (int(calls_full), int(calls_stochastic)) == (8, 8 * 2000)
     assert math.isfinite(float(regret))
+
+
+def test_cli_examples_resolve():
+    """Every `smoothconvex run <experiment> --key=value` line of the CLI
+    section names keys and values that the registry accepts."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    lines = re.findall(r"^smoothconvex run (\w+)(.*)$", section, flags=re.M)
+    assert len(lines) == 2
+    for experiment, rest in lines:
+        overrides = dict(arg[2:].split("=", 1) for arg in shlex.split(rest)
+                         if arg.startswith("--") and "=" in arg)
+        resolve_params(experiment, overrides)

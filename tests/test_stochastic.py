@@ -515,14 +515,15 @@ class TestHorizon:
 
 
 class TestStepSize:
-    """An explicit step size `eta` or step parameter `gamma` is used as given
-    and refused unless positive; only an unset one takes the default."""
+    """An explicit step size `eta`, step parameter `gamma` or first-epoch
+    radius `Delta1` is used as given and refused unless positive; only an unset
+    one takes the default."""
 
     @pytest.mark.parametrize("name,field", [
         ("sgd", "eta"), ("gd", "eta"), ("cgd", "eta"), ("mirror_descent", "eta"),
         ("clipped_sgd", "eta"), ("mixed_grad", "eta"), ("emgd", "eta"),
         ("sgd_pd", "eta"), ("sgd_pd", "gamma"), ("sgd_st", "eta"),
-        ("sgd_st", "gamma")])
+        ("sgd_st", "gamma"), ("mixed_grad", "Delta1"), ("emgd", "Delta1")])
     def test_nonpositive_step_refused(self, name, field):
         for value in (0.0, -0.5):
             with pytest.raises(ConfigurationError, match=f"{field} must be positive"):
