@@ -215,9 +215,10 @@ def measure_egv(sequence: LossSequence, probe_points) -> float:
     return total
 
 
-def measure_egv_exact(sequence: LossSequence, at=None) -> float:
+def measure_egv_exact(sequence: LossSequence) -> float:
     """Sup-form gradual variation for families whose gradient differences do
-    not depend on the probe point (linear and shifted-quadratic losses)."""
+    not depend on the probe point (linear and shifted-quadratic losses), so
+    the origin serves as every round's probe."""
     first = sequence.loss(1)
     if all(l.linear is not None for l in sequence):
         # ∇f_t(y) = linear for every y: measure_egv's terms without the probes
@@ -229,7 +230,7 @@ def measure_egv_exact(sequence: LossSequence, at=None) -> float:
             prev = f
         return total
     d = first.linear.shape[0] if first.linear is not None else first.quad_center.shape[0]
-    origin = np.zeros(d) if at is None else np.asarray(at, float)
+    origin = np.zeros(d)
     if all(l.linear is not None or l.quad_center is not None for l in sequence):
         return measure_egv(sequence, [origin] * sequence.T)
     raise InputError("closed-form variation is only available for linear/quadratic losses")

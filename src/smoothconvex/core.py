@@ -590,7 +590,7 @@ def prox_map(mirror_map: MirrorMap, domain: Domain):
     raise UnsupportedDomainError(f"entropy prox not available for {domain.kind}")
 
 
-def _entropy_norm_projection(u: Point, domain: Domain, max_steps: int = 200) -> Point:
+def _entropy_norm_projection(u: Point, domain: Domain) -> Point:
     """KL projection of u > 0 onto a ball/l1 ball via bisection on the multiplier."""
     norm = (lambda v: float(np.linalg.norm(v))) if domain.kind == "ball" else (
         lambda v: float(np.abs(v).sum()))
@@ -617,7 +617,7 @@ def _entropy_norm_projection(u: Point, domain: Domain, max_steps: int = 200) -> 
         hi_nu *= 2.0
     else:
         raise NumericError("entropy projection: no bracketing multiplier found")
-    for _ in range(max_steps):
+    for _ in range(200):
         mid = 0.5 * (lo_nu + hi_nu)
         if norm(candidate(mid)) > domain.r:
             lo_nu = mid
@@ -631,14 +631,15 @@ def _entropy_norm_projection(u: Point, domain: Domain, max_steps: int = 200) -> 
     return v
 
 
-def prox_step_hnorm(z: Point, g: Point, H: np.ndarray, radius: float,
-                    tol: float = 1e-10, max_steps: int = 200) -> Point:
+def prox_step_hnorm(z: Point, g: Point, H: np.ndarray, radius: float) -> Point:
     """argmin over ‖x‖ ≤ radius of ⟨g, x⟩ + ½ (x−z)ᵀ H (x−z).
 
     H must be positive definite.  The constrained case solves the
-    (H + νI)-regularized system with bisection on ν until the norm
-    constraint is met to `tol`.
+    (H + νI)-regularized system with at most 200 bisection steps on ν and
+    raises NumericError unless the norm constraint is met to 1e-10
+    (relative to the radius when it exceeds 1).
     """
+    tol = 1e-10
     rhs = H @ z - g
     x0 = np.linalg.solve(H, rhs)
     if np.linalg.norm(x0) <= radius + tol:
@@ -655,7 +656,7 @@ def prox_step_hnorm(z: Point, g: Point, H: np.ndarray, radius: float,
         hi *= 2.0
     else:
         raise NumericError("hnorm prox: no bracketing multiplier found")
-    for _ in range(max_steps):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.linalg.norm(x_of(mid)) > radius:
             lo = mid

@@ -11,8 +11,7 @@ from .core import Domain, UnsupportedDomainError
 from .stochastic import agd
 
 
-def comparator_minimum(sequence, domain: Domain, grid_resolution: float = 1e-3,
-                       dim: int | None = None):
+def comparator_minimum(sequence, domain: Domain, dim: int | None = None):
     """min over the domain of Σ_t f_t(x): closed form for linear losses over
     sets with a linear-minimization routine and for shifted quadratics over
     balls/boxes; dense grid with a refinement pass for d ≤ 3 otherwise."""
@@ -32,8 +31,7 @@ def comparator_minimum(sequence, domain: Domain, grid_resolution: float = 1e-3,
     d = dim if dim is not None else (domain.dim or _sequence_dim(losses))
     if d > 3:
         raise UnsupportedDomainError("grid comparator only supported for d <= 3")
-    return _grid_minimize(lambda x: sum(l.value(x) for l in losses), domain, d,
-                          grid_resolution)
+    return _grid_minimize(lambda x: sum(l.value(x) for l in losses), domain, d)
 
 
 def _sequence_dim(losses) -> int:
@@ -45,7 +43,7 @@ def _sequence_dim(losses) -> int:
     raise UnsupportedDomainError("cannot infer dimension for unstructured losses")
 
 
-def _grid_minimize(fun, domain: Domain, d: int, res: float):
+def _grid_minimize(fun, domain: Domain, d: int):
     """Staged grid refinement down to ~1e-5 accuracy.
 
     Enumerating a flat 1e-3 lattice is intractable beyond d=1, so each stage
@@ -57,7 +55,7 @@ def _grid_minimize(fun, domain: Domain, d: int, res: float):
     center = np.zeros(d)
     span = R
     best_x, best_v = None, math.inf
-    target = min(res, 1e-5 * max(1.0, R))
+    target = min(1e-3, 1e-5 * max(1.0, R))
     while True:
         lo = center - span
         step = 2 * span / (n - 1)

@@ -6,7 +6,8 @@ recorded on the learner for regret evaluation: `decisions` holds the learner's
 own arrays, not copies, so callers treat them (and what predict returns) as
 read-only.  Each learner binds its domain's projection or prox step once, at
 construction (Domain.projector, ball_projector, prox_map), and calls the bare
-kernel every round on the fresh point it has just built.
+kernel every round on the fresh point it has just built.  OMP is the one
+extra-gradient loop: ExpertOMP and BanditOMP are OMP subclasses.
 """
 
 from __future__ import annotations
@@ -182,41 +183,32 @@ class OMP(BaseLearner):
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
         self._record(x, loss)
-        g = loss.grad(x)
+        g = self._gradient(x, loss)
         self.z = self._prox(self.z, g, self.eta / self.L)
         self.prev_grad = g
 
+    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
+        """The round's gradient at the decision x."""
+        return loss.grad(x)
 
-class ExpertOMP(BaseLearner):
-    """Extra-gradient weights over m experts (entropy map on the simplex)."""
+
+class ExpertOMP(OMP):
+    """OMP with the entropy map on the m-expert simplex (multiplicative
+    weights); observe also takes a plain cost vector."""
 
     def __init__(self, m: int, eta: float, L: float = 1.0):
-        super().__init__()
-        self.m, self.eta, self.L = m, eta, L
-        self.z = np.full(m, 1.0 / m)
-        self.prev_f = np.zeros(m)
+        super().__init__(Domain.simplex(m), L, eta, mirror_map=MirrorMap.entropy())
 
     @staticmethod
     def tuned_eta(m: int, egv_inf: float) -> float:
         return math.sqrt(math.log(m) / max(egv_inf, 1e-300))
 
-    def _mult_update(self, w: Point, f: Point) -> Point:
-        logw = np.log(np.maximum(w, 1e-300)) - (self.eta / self.L) * f
-        logw -= logw.max()
-        out = np.exp(logw)
-        return out / out.sum()
-
-    def predict(self) -> Point:
-        return self._mult_update(self.z, self.prev_f)
-
     def observe(self, loss) -> None:
-        f = loss.linear if isinstance(loss, RoundLoss) else np.asarray(loss, float)
-        if np.any(f < 0):
+        if not isinstance(loss, RoundLoss):
+            loss = RoundLoss.from_linear(loss)
+        if np.any(loss.linear < 0):
             raise InputError("expert losses must be nonnegative")
-        x = self.predict()
-        self._record(x, loss if isinstance(loss, RoundLoss) else RoundLoss.from_linear(f))
-        self.z = self._mult_update(self.z, f)
-        self.prev_f = f
+        super().observe(loss)
 
 
 class StrictlyConvexOMP(BaseLearner):
@@ -246,33 +238,23 @@ class StrictlyConvexOMP(BaseLearner):
         self.prev_grad = g
 
 
-class BanditOMP(BaseLearner):
-    """Deterministic multi-point bandit learner: estimates each gradient from
-    d+1 value queries on a coordinate stencil and runs the two-prox update in
-    the shrunk set (1−alpha)·W."""
+class BanditOMP(OMP):
+    """Deterministic multi-point bandit learner: OMP on the shrunk ball
+    (1−alpha)·W with L = G, whose gradient is estimated from d+1 value
+    queries on a coordinate stencil."""
 
     def __init__(self, domain: Domain, G: float, delta: float, eta: float,
                  dim: int):
-        super().__init__()
         if domain.kind != "ball":
             raise UnsupportedDomainError("bandit learner requires a ball domain")
         if delta >= domain.r:
             raise ConfigurationError("query offset must stay below the ball radius")
-        self.domain, self.G, self.delta, self.eta = domain, G, delta, eta
-        self.alpha = delta / domain.r
-        self.inner = Domain.ball(domain.r * (1.0 - self.alpha))
-        self._project = self.inner.projector()
-        self.z = np.zeros(dim)
-        self.prev_g = np.zeros(dim)
+        super().__init__(Domain.ball(domain.r * (1.0 - delta / domain.r)), G, eta, dim=dim)
+        self.delta = delta
         self.value_queries = 0
         self.last_estimate: Point | None = None
 
-    def predict(self) -> Point:
-        return self._project(self.z - (self.eta / self.G) * self.prev_g)
-
-    def observe(self, loss: RoundLoss) -> None:
-        x = self.predict()
-        self._record(x, loss)
+    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
         d = x.shape[0]
         f0 = float(loss.value(x))
         self.value_queries += 1
@@ -283,8 +265,7 @@ class BanditOMP(BaseLearner):
             g[i] = (float(loss.value(x + e)) - f0) / self.delta
             self.value_queries += 1
         self.last_estimate = g
-        self.z = self._project(self.z - (self.eta / self.G) * g)
-        self.prev_g = g
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +428,11 @@ class ConstraintSet:
 
     @classmethod
     def from_samples(cls, funcs, dim: int, ball_radius: float, loss_bound: float,
-                     grad_bound: float, rng, samples: int = 1000) -> "ConstraintSet":
-        """D estimated by sampling ball points; G and F supplied by the caller."""
+                     grad_bound: float, rng) -> "ConstraintSet":
+        """D estimated from 1000 sampled ball points; G and F supplied by the
+        caller."""
         D = 0.0
-        for _ in range(samples):
+        for _ in range(1000):
             v = rng.standard_normal(dim)
             v *= ball_radius * rng.uniform() ** (1.0 / dim) / max(np.linalg.norm(v), 1e-15)
             for g, _ in funcs:

@@ -7,13 +7,12 @@ constant and `lam` a strong-convexity modulus (refused unless positive when
 set); `snapshot_every` is the number of steps between records (0: about 200).
 
 Every solver counts full-gradient calls, stochastic calls and projections
-onto the domain exactly: the step loops (sgd, gd, agd, mirror_descent) one
-projection per step, the epoch-based methods (the clipped-gradient solver and
-both mixed-oracle solvers) one per stochastic step, added once per epoch, and
-the two single-projection solvers their one projection each.  The step
-loops bind the domain's projection (Domain.projector) or prox step
-(core.prox_map) once per run; only the start point goes through the checked
-Domain.project.
+onto the domain exactly: the step loops (sgd, gd, agd) one projection per
+step, the epoch-based methods (the clipped-gradient solver and both
+mixed-oracle solvers) one per stochastic step, added once per epoch, and the
+two single-projection solvers their one projection each.  The step loops bind
+the domain's projection (Domain.projector) once per run; only the start point
+goes through the checked Domain.project.
 
 The three epoch methods share one inner loop (`_epoch`): each epoch binds a
 step closure over its anchor, its projector and its step size, and the loop
@@ -38,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConfigurationError, Domain, MirrorMap, NumericError,
-                   Point, StepSchedule, clip_component, dykstra,
-                   make_rng, project_ball, prox_map, two_ball_projector)
+from .core import (ConfigurationError, Domain, NumericError, Point,
+                   StepSchedule, clip_component, dykstra, make_rng,
+                   project_ball, two_ball_projector)
 
 
 @dataclass
@@ -167,15 +166,14 @@ def _epoch(w: Point, draws, step) -> tuple[Point, Point]:
 
 def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         schedule: StepSchedule | None = None, eta: float | None = None,
-        w0: Point | None = None, snapshot_every: int = 0, keep_iterates: bool = False,
-        mirror_map: MirrorMap | None = None) -> Trace:
-    """Projected stochastic (mirror) descent with uniform iterate averaging."""
+        w0: Point | None = None, snapshot_every: int = 0,
+        keep_iterates: bool = False) -> Trace:
+    """Projected stochastic gradient descent with uniform iterate averaging."""
     T = _horizon(T)
     rng = make_rng(seed)
-    mm = mirror_map or MirrorMap.euclidean()
     sched = schedule or StepSchedule.inverse_sqrt(_given_step("eta", eta) or 1.0)
     trace = Trace(header={"solver": "sgd"})
-    step = prox_map(mm, domain)
+    project = domain.projector()
     w = domain.project(_start(problem, w0))
     avg = np.zeros_like(w)
     stride = _stride(T, snapshot_every)
@@ -188,7 +186,7 @@ def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
             trace.add(**rec)
         g = problem.stochastic_grad(w, rng)
         trace.calls_stochastic += 1
-        w = step(w, g, sched.at(t))
+        w = project(w - sched.at(t) * g)
         trace.projections += 1
     avg /= T
     trace.final_point = avg
@@ -241,53 +239,6 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
         if (s + 1) % stride == 0 or s + 1 == T:
             trace.add(iter=s + 1, objective=problem.full_value(h))
     trace.final_point = h
-    return trace
-
-
-def cgd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
-        w0: Point | None = None, snapshot_every: int = 0) -> Trace:
-    """Projection-free conditional-gradient descent, eta_t = 2/(t+1)."""
-    trace = Trace(header={"solver": "cgd"})
-    w = domain.project(_start(problem, w0))
-    eta = _given_step("eta", eta)
-    stride = _stride(T, snapshot_every)
-    for t in range(1, T + 1):
-        g = problem.full_grad(w)
-        trace.calls_full += 1
-        p = domain.linear_minimizer(g)  # raises for unsupported domains
-        eta_t = eta or 2.0 / (t + 1.0)
-        w = (1.0 - eta_t) * w + eta_t * p
-        if t % stride == 0 or t == T:
-            trace.add(iter=t, objective=problem.full_value(w))
-    trace.final_point = w
-    return trace
-
-
-def mirror_descent(problem, domain: Domain, *, T: int = 1000,
-                   schedule: StepSchedule | None = None, eta: float | None = None,
-                   w0: Point | None = None, snapshot_every: int = 0,
-                   mirror_map: MirrorMap | None = None) -> Trace:
-    """Full-gradient mirror descent with uniform averaging."""
-    T = _horizon(T)
-    mm = mirror_map or MirrorMap.euclidean()
-    sched = schedule or StepSchedule.constant(_given_step("eta", eta) or 0.1)
-    trace = Trace(header={"solver": "mirror_descent"})
-    step = prox_map(mm, domain)
-    if mm.kind == "entropy" and domain.kind == "simplex":
-        w = np.full(domain.dim, 1.0 / domain.dim)
-    else:
-        w = domain.project(_start(problem, w0))
-    avg = np.zeros_like(w)
-    stride = _stride(T, snapshot_every)
-    for t in range(1, T + 1):
-        avg += w
-        g = problem.full_grad(w)
-        trace.calls_full += 1
-        w = step(w, g, sched.at(t))
-        trace.projections += 1
-        if t % stride == 0 or t == T:
-            trace.add(iter=t, objective=problem.full_value(w))
-    trace.final_point = avg / T
     return trace
 
 
@@ -537,10 +488,13 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
         raise ConfigurationError("boundary gradient bound rho must be positive")
     T = _horizon(T)
     G1 = G1 if G1 is not None else objective.grad_bound(1.0)
-    sigma = objective.noise
     G2, C2 = domain.G2, domain.C2
-    gamma = _given_step("gamma", gamma) or (G2 * G2 / math.sqrt(
-        (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / delta)) * sigma * sigma) * T))
+    gamma = _given_step("gamma", gamma)
+    if gamma is None:
+        # only the default reads the noise level, which not every objective has
+        sigma = objective.noise
+        gamma = G2 * G2 / math.sqrt(
+            (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / delta)) * sigma * sigma) * T)
     eta = _given_step("eta", eta) or gamma / (2.0 * G2 * G2)
 
     trace = Trace(header={"solver": "sgd_pd", "gamma": gamma, "eta": eta})

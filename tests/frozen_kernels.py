@@ -2,7 +2,8 @@
 before the two-ball projector was built once per epoch and before the
 anchored difference subtracted its anchor once; and of the online learners'
 round updates, as they stood before each learner bound its projection once
-and recorded its decisions without a copy.
+and recorded its decisions without a copy, and before ExpertOMP and
+BanditOMP ran through OMP's round.
 
 The bitwise tests compare against these copies, not against the library, so
 that they keep pinning the original floats.  np.linalg.norm stands in for
@@ -120,6 +121,26 @@ def omp_rounds(domain, L, eta, dim, losses):
         g = loss.grad(x)
         z = domain_project(domain, z - (eta / L) * g)
         prev_grad = g
+    return {"decisions": decisions, "loss_values": values}
+
+
+def expert_omp_rounds(m, eta, L, losses):
+    """ExpertOMP with its own multiplicative update; losses are linear."""
+    def mult_update(w, f):
+        logw = np.log(np.maximum(w, 1e-300)) - (eta / L) * f
+        logw -= logw.max()
+        out = np.exp(logw)
+        return out / out.sum()
+
+    z, prev_f = np.full(m, 1.0 / m), np.zeros(m)
+    decisions, values = [], []
+    for loss in losses:
+        f = loss.linear
+        x = mult_update(z, prev_f)
+        decisions.append(x.copy())
+        values.append(float(loss.value(x)))
+        z = mult_update(z, f)
+        prev_f = f
     return {"decisions": decisions, "loss_values": values}
 
 

@@ -1,11 +1,13 @@
 """Runner surface: dispatch, exit codes, CSV format, determinism, config files."""
 
+import inspect
 import os
+import time
 
 import numpy as np
 import pytest
 
-from smoothconvex import cli, metrics, problems, stochastic
+from smoothconvex import cli, metrics, online, problems, stochastic
 from smoothconvex.core import Domain
 from smoothconvex.cli import (EXIT_CONFIG, EXIT_OK, EXPERIMENTS, RunConfig,
                               main, parse_config_file, resolve_params, run)
@@ -207,6 +209,14 @@ class TestRunOutputs:
         assert main(["run", "psi_transform_table"]) == EXIT_OK
         assert os.path.exists(tmp_path / "envout" / "psi_transform_table_0.csv")
 
+    def test_hinge_comparator_cost_independent_of_radius(self, tmp_path):
+        # the comparator grid scales with R; a fixed 0.05 step took 38 s on a 2-CPU VM
+        start = time.perf_counter()
+        rc = main(["run", "hinge_mistakes", "--T=200", "--radius_R=40", "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_OK
+        assert time.perf_counter() - start < 10.0
+
     def test_jobs_parallel_seeds(self, tmp_path):
         rc = main(["run", "penalty_impossibility", "--seed", "1,2,3", "--jobs", "3",
                    "--out", str(tmp_path)])
@@ -241,3 +251,28 @@ class TestConfigFile:
         from smoothconvex.core import ConfigurationError
         with pytest.raises(ConfigurationError):
             run(RunConfig(experiment="missing", output_dir=str(tmp_path)))
+
+
+class TestBenchmarkCoupling:
+    """perfbench reads learners and experiments by name from outside the
+    package; a rename here would silently zero its per-layer metrics."""
+
+    @pytest.fixture
+    def layers(self, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import layers
+        return layers
+
+    def test_each_traced_learner_is_an_online_class_with_observe(self, layers):
+        for name in layers.LEARNERS:
+            cls = getattr(online, name, None)
+            assert inspect.isclass(cls), name
+            assert callable(getattr(cls, "observe", None)), name
+
+    def test_experiments_unpack_as_function_and_params(self):
+        # perfbench/spans.py unpacks each entry as `fn, defaults`
+        for name, entry in EXPERIMENTS.items():
+            assert isinstance(entry, tuple) and len(entry) == 2, name
+            fn, params = entry
+            assert inspect.isfunction(fn) and isinstance(params, dict), name

@@ -734,6 +734,16 @@ class TestFrozenRounds:
         if kind == "ball":
             _assert_both_branches(lr.decisions, 1.0)
 
+    def test_expert_omp(self):
+        # costs up to 40 make the log-weights spread far before the max shift
+        rng = make_rng(5)
+        losses = [RoundLoss.from_linear(rng.uniform(0.0, 40.0 if t % 7 == 0 else 1.0, size=5))
+                  for t in range(_ROUNDS_T)]
+        lr = ExpertOMP(5, eta=0.6, L=1.5)
+        for t, l in enumerate(losses):
+            lr.observe(l if t % 2 else l.linear)   # plain cost vectors on even rounds
+        _assert_records_match(lr, frozen_kernels.expert_omp_rounds(5, 0.6, 1.5, losses))
+
     def test_bandit_omp(self):
         rng = make_rng(4)
         losses = [RoundLoss.from_quadratic(1.5 * rng.standard_normal(3))

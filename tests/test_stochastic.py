@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothconvex.core import (ConfigurationError, Domain, DomainError, MirrorMap,
-                               StepSchedule, UnsupportedDomainError,
-                               clip_component, make_rng)
+from smoothconvex.core import (ConfigurationError, Domain, DomainError, StepSchedule,
+                               UnsupportedDomainError, clip_component, make_rng)
 from smoothconvex.metrics import loglog_slope, reference_optimum
 from smoothconvex.problems import (NoisyQuadratic, from_arrays,
                                    onedim_target_risk_problem,
                                    synthetic_classification, synthetic_regression,
                                    least_squares_problem, logistic_problem)
 from smoothconvex.stochastic import (_DRAW_BLOCK, Trace,
-                                     _component_draws, agd, cgd, clipped_sgd,
-                                     emgd, gd, gradient_variance_probe,
-                                     mirror_descent, mixed_grad, sgd, sgd_pd,
-                                     sgd_st)
+                                     _component_draws, agd, clipped_sgd, emgd, gd,
+                                     gradient_variance_probe, mixed_grad, sgd,
+                                     sgd_pd, sgd_st)
 
 import frozen_kernels
 
@@ -136,36 +134,12 @@ class TestFullGradientBaselines:
         assert np.array_equal(Domain.simplex(3).linear_minimizer(np.array([3.0, 1.0, 2.0])),
                               [0.0, 1.0, 0.0])
 
-    def test_cgd_rate_bound_on_ball(self):
-        data = synthetic_regression(30, 4, seed=10)
-        prob = least_squares_problem(data, lam=0.0)
-        dom = Domain.ball(1.0)
-        ref = reference_optimum(prob, dom)
-        tr = cgd(prob, dom, T=200)
-        R = 2.0  # diameter
-        bound = 2.0 * prob.constants.L_full * R * R / (200 + 1)
-        assert prob.full_value(tr.final_point) - ref["F"] <= bound + 1e-10
-
-    def test_cgd_unsupported_domain(self):
-        prob = from_arrays(np.eye(2), np.zeros(2), 0.0, "squared")
-        dom = Domain.halfspace_cut(np.array([1.0, 0.0]), 0.2)
-        with pytest.raises(Exception, match="linear-minimization"):
-            cgd(prob, dom, T=5)
-
-    @pytest.mark.parametrize("solver", [gd, agd, mirror_descent])
+    @pytest.mark.parametrize("solver", [gd, agd])
     def test_one_projection_counted_per_step(self, solver):
         prob = from_arrays(np.eye(3), np.ones(3), 0.0, "squared")
         step = {} if solver is agd else {"eta": 0.1}   # agd takes no step size
         tr = solver(prob, Domain.ball(0.5), T=37, **step)
         assert tr.projections == 37
-
-    def test_mirror_descent_converges(self):
-        data = synthetic_regression(30, 3, seed=11)
-        prob = least_squares_problem(data, lam=0.1)
-        dom = Domain.ball(2.0)
-        tr = mirror_descent(prob, dom, T=2000, schedule=StepSchedule.inverse_sqrt(0.5))
-        ref = reference_optimum(prob, dom)
-        assert prob.full_value(tr.final_point) - ref["F"] < 0.05
 
 
 class TestClippedSgd:
@@ -464,8 +438,7 @@ def _epoch_solver_run(name, m, **params):
 def _step_solver_run(name, **params):
     if name in ("mixed_grad", "emgd", "clipped_sgd"):
         return _epoch_solver_run(name, None, **params)
-    solver = {"sgd": sgd, "gd": gd, "cgd": cgd, "mirror_descent": mirror_descent,
-              "sgd_pd": sgd_pd, "sgd_st": sgd_st}[name]
+    solver = {"sgd": sgd, "gd": gd, "sgd_pd": sgd_pd, "sgd_st": sgd_st}[name]
     obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
     return solver(obj, Domain.ball(0.8), T=5, **params)
 
@@ -490,7 +463,7 @@ class TestEpochCount:
 class TestHorizon:
     """A horizon or an epoch length below one step is refused, not divided by."""
 
-    @pytest.mark.parametrize("solver", [sgd, mirror_descent], ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("solver", [sgd], ids=lambda s: s.__name__)
     def test_zero_horizon_refused(self, solver):
         # the iterate average divided by T = 0 and returned [nan nan]
         obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
@@ -520,8 +493,7 @@ class TestStepSize:
     one takes the default."""
 
     @pytest.mark.parametrize("name,field", [
-        ("sgd", "eta"), ("gd", "eta"), ("cgd", "eta"), ("mirror_descent", "eta"),
-        ("clipped_sgd", "eta"), ("mixed_grad", "eta"), ("emgd", "eta"),
+        ("sgd", "eta"), ("gd", "eta"), ("clipped_sgd", "eta"), ("mixed_grad", "eta"), ("emgd", "eta"),
         ("sgd_pd", "eta"), ("sgd_pd", "gamma"), ("sgd_st", "eta"),
         ("sgd_st", "gamma"), ("mixed_grad", "Delta1"), ("emgd", "Delta1")])
     def test_nonpositive_step_refused(self, name, field):
@@ -552,17 +524,13 @@ class TestStrongConvexity:
             clipped_sgd(prob, Domain.ball(0.8), T1=4, m=2, target_risk=0.05)
 
 
-_ALL_SOLVERS = [sgd, gd, agd, cgd, mirror_descent, clipped_sgd, mixed_grad, emgd,
-                sgd_pd, sgd_st]
+_ALL_SOLVERS = [sgd, gd, agd, clipped_sgd, mixed_grad, emgd, sgd_pd, sgd_st]
 
 # each solver's keyword-only parameters: exactly the values it reads
 _PARAMETERS = {
-    sgd: {"seed", "T", "schedule", "eta", "w0", "snapshot_every", "keep_iterates",
-          "mirror_map"},
+    sgd: {"seed", "T", "schedule", "eta", "w0", "snapshot_every", "keep_iterates"},
     gd: {"T", "eta", "w0", "L", "snapshot_every"},
     agd: {"T", "w0", "L", "snapshot_every"},
-    cgd: {"T", "eta", "w0", "snapshot_every"},
-    mirror_descent: {"T", "schedule", "eta", "w0", "snapshot_every", "mirror_map"},
     clipped_sgd: {"seed", "T", "m", "T1", "eta", "L", "lam", "xi", "epsilon", "tau",
                   "target_risk", "delta"},
     mixed_grad: {"seed", "T", "m", "T1", "eta", "L", "Delta1", "lambda1", "gamma_shrink",
@@ -605,7 +573,6 @@ def test_final_point_feasible_or_domain_refused(solver, d, seed, lo, width, radi
     else:
         prob = NoisyQuadratic(center=rng.uniform(-1.5, 1.5, size=d), noise=0.3)
         params = {sgd: dict(seed=seed, T=12), gd: dict(T=12, L=1.0), agd: dict(T=12, L=1.0),
-                  cgd: dict(T=12), mirror_descent: dict(T=12),
                   clipped_sgd: dict(seed=seed, T=12, T1=4, m=3, target_risk=0.05, L=1.0,
                                     lam=1.0),
                   sgd_pd: dict(seed=seed, T=12, G1=1.0),
@@ -733,6 +700,15 @@ class TestOneProjection:
             tr = solver(self.obj, self.dom, seed=0, T=1, **extra)
             assert tr.calls_stochastic == 1 and tr.projections == 1
 
+    @pytest.mark.parametrize("make", [
+        lambda: from_arrays(np.eye(3), [1.0, -1.0, 1.0], 0.1, "logistic"),
+        lambda: onedim_target_risk_problem(0.05)], ids=["logistic", "onedim"])
+    def test_pd_runs_without_noise_level_when_gamma_given(self, make):
+        # only the default gamma reads objective.noise, which these lack
+        obj, dom = make(), Domain.ball(0.8)
+        tr = sgd_pd(obj, dom, seed=0, T=50, G1=1.0, gamma=0.5)
+        assert dom.contains(tr.final_point)
+
     def test_st_log_over_t_ratio_bounded(self):
         ref = reference_optimum(self.obj, self.dom)
         ratios = []
@@ -773,13 +749,3 @@ class TestRateBounds:
             tr = solver(obj, dom, seed=0, T=750, **extra)
             assert tr.calls_stochastic == 750
 
-    def test_mirror_descent_entropy_on_simplex(self):
-        # with entropy geometry the iterates stay strictly inside the simplex
-        # and the average concentrates on the cheapest coordinate
-        prob = from_arrays(np.eye(3), np.array([0.0, 0.0, 1.0]), 0.0, "squared")
-        dom = Domain.simplex(3)
-        tr = mirror_descent(prob, dom, T=3000, schedule=StepSchedule.inverse_sqrt(2.0),
-                            mirror_map=MirrorMap.entropy())
-        w = tr.final_point
-        assert abs(w.sum() - 1.0) < 1e-10 and np.all(w > 0)
-        assert w[2] > 0.9
