@@ -38,8 +38,7 @@ class RunConfig:
 
 @dataclass
 class ExperimentResult:
-    columns: list
-    rows: list
+    rows: list              # dicts whose keys, in order, are the CSV columns
     final_metric: float
     slope: float = math.nan
 
@@ -64,7 +63,9 @@ class Param(NamedTuple):
     grid: bool = False
 
 
-def write_csv(path: str, columns, rows) -> None:
+def write_csv(path: str, rows) -> None:
+    """One line per row dict; the header is the first row's keys."""
+    columns = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -82,14 +83,12 @@ def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
     prob = problems.logistic_problem(data, lam=p["lam"])
     tr = stochastic.emgd(prob, Domain.ball(p["radius"]), seed=seed, T=p["T"],
                          m=p["epochs"], probe_variance=True, Delta1=p["Delta1"])
-    cols = ["iter", "objective", "calls_full", "calls_stochastic",
-            "variance_sgd", "variance_mixed"]
     rows = [{"iter": r["epoch"], "objective": r["objective"],
              "calls_full": r["calls_full"], "calls_stochastic": r["calls_stochastic"],
              "variance_sgd": r["variance_sgd"], "variance_mixed": r["variance_mixed"]}
             for r in tr.records]
     vm = tr.column("variance_mixed")
-    return ExperimentResult(cols, rows, final_metric=float(vm[-1] / vm[0]),
+    return ExperimentResult(rows, final_metric=float(vm[-1] / vm[0]),
                             slope=metrics.loglog_slope(np.arange(1, len(vm) + 1), vm))
 
 
@@ -119,8 +118,7 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     subs = [r["suboptimality"] for r in rows]
     calls = [r["calls_stochastic"] for r in rows]
     slope = metrics.loglog_slope(calls, subs)
-    return ExperimentResult(["iter", "calls_full", "calls_stochastic", "suboptimality"],
-                            rows, final_metric=subs[-1], slope=slope)
+    return ExperimentResult(rows, final_metric=subs[-1], slope=slope)
 
 
 def exp_clippedsgd_target(seed: int, p: dict) -> ExperimentResult:
@@ -133,8 +131,7 @@ def exp_clippedsgd_target(seed: int, p: dict) -> ExperimentResult:
              "calls_stochastic": r["calls_stochastic"]} for r in tr.records]
     risk = prob.full_value(tr.final_point)
     bound = (1.0 + p["tau"] / (1.0 - p["epsilon"])) * target
-    return ExperimentResult(["iter", "objective", "delta", "calls_stochastic"],
-                            rows, final_metric=risk / bound)
+    return ExperimentResult(rows, final_metric=risk / bound)
 
 
 def _oneproj_setup(p):
@@ -155,8 +152,7 @@ def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
                      "calls_stochastic": tr.calls_stochastic, "projections": tr.projections})
         subs.append(sub)
         Ts.append(T)
-    return ExperimentResult(["iter", "suboptimality", "violation", "calls_stochastic",
-                             "projections"], rows, final_metric=subs[-1],
+    return ExperimentResult(rows, final_metric=subs[-1],
                             slope=metrics.loglog_slope(Ts, subs))
 
 
@@ -170,8 +166,7 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
         rows.append({"iter": T, "suboptimality": sub, "violation": dom.g(tr.final_point),
                      "projections": tr.projections})
         ratios.append(ratio)
-    return ExperimentResult(["iter", "suboptimality", "violation", "projections"],
-                            rows, final_metric=max(ratios) / min(ratios))
+    return ExperimentResult(rows, final_metric=max(ratios) / min(ratios))
 
 
 def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
@@ -192,8 +187,7 @@ def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
         r_ift = sum(ift.loss_values) - best
         rows.append({"egv": measured, "regret": r_omp, "regret_iftrl": r_ift})
         regs.append(max(r_omp, 1e-12))
-    return ExperimentResult(["egv", "regret", "regret_iftrl"], rows,
-                            final_metric=regs[-1] / regs[0],
+    return ExperimentResult(rows, final_metric=regs[-1] / regs[0],
                             slope=metrics.loglog_slope(egvs, regs))
 
 
@@ -213,8 +207,7 @@ def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
     r_omp = sum(omp.loss_values) - best
     margin = r_ogd - 5.0 * r_omp  # nonnegative iff the 5x separation holds
     rows = [{"egv": egv, "regret": r_ogd, "regret_omp": r_omp, "margin": margin}]
-    return ExperimentResult(["egv", "regret", "regret_omp", "margin"], rows,
-                            final_metric=margin)
+    return ExperimentResult(rows, final_metric=margin)
 
 
 def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
@@ -240,7 +233,7 @@ def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
         bound = math.sqrt(2.0 * egv_inf * math.log(m))
         rows.append({"iter": m, "egv": egv_inf, "regret": regret, "bound": bound})
         worst = max(worst, regret / bound)
-    return ExperimentResult(["iter", "egv", "regret", "bound"], rows, final_metric=worst)
+    return ExperimentResult(rows, final_metric=worst)
 
 
 def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
@@ -264,8 +257,7 @@ def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
         rows.append({"iter": d, "max_error": max_err, "bound": bound,
                      "queries": learner.value_queries, "expected_queries": (d + 1) * T})
         worst = max(worst, max_err / bound)
-    return ExperimentResult(["iter", "max_error", "bound", "queries", "expected_queries"],
-                            rows, final_metric=worst)
+    return ExperimentResult(rows, final_metric=worst)
 
 
 def _soft_instance(seed: int, p: dict):
@@ -308,10 +300,8 @@ def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
         {"variant": "zero_violation", "regret": reg_zero, "regret_bound": reg_bound,
          "violation": viol_zero, "violation_bound": 0.0},
     ]
-    return ExperimentResult(["variant", "regret", "regret_bound", "violation",
-                             "violation_bound"], rows,
-                            final_metric=max(reg_soft / reg_bound,
-                                             viol_soft / viol_bound))
+    return ExperimentResult(rows, final_metric=max(reg_soft / reg_bound,
+                                                   viol_soft / viol_bound))
 
 
 def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
@@ -327,8 +317,7 @@ def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
         learner.observe(l)
     viol = float(np.sum(np.maximum([x[0] for x in learner.violations], 0.0)))
     rows = [{"iter": T, "violation": viol, "threshold": 0.5 * T}]
-    return ExperimentResult(["iter", "violation", "threshold"], rows,
-                            final_metric=viol / T)
+    return ExperimentResult(rows, final_metric=viol / T)
 
 
 def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
@@ -337,8 +326,7 @@ def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
         for eta in [round(0.1 * k, 1) for k in range(1, 10)]:
             rows.append({"eta": eta, "gamma": gamma,
                          "psi": problems.psi_transform(eta, gamma)})
-    return ExperimentResult(["eta", "gamma", "psi"], rows,
-                            final_metric=rows[-1]["psi"])
+    return ExperimentResult(rows, final_metric=rows[-1]["psi"])
 
 
 def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
@@ -360,8 +348,7 @@ def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     bound = best + math.sqrt(2.0) * (p["radius_R"] ** 2 + 1.0) * max(2.0, math.sqrt(egv))
     rows = [{"iter": T, "mistakes": mistakes, "hinge_best": best, "egv": egv,
              "bound": bound}]
-    return ExperimentResult(["iter", "mistakes", "hinge_best", "egv", "bound"],
-                            rows, final_metric=mistakes / bound)
+    return ExperimentResult(rows, final_metric=mistakes / bound)
 
 
 def _best_hinge(examples, R: float) -> float:
@@ -512,7 +499,7 @@ def run(config: RunConfig) -> dict:
         raise NumericError(f"{config.experiment}: non-finite final metric")
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, f"{config.experiment}_{config.seed}.csv")
-    write_csv(path, result.columns, result.rows)
+    write_csv(path, result.rows)
     return {"experiment": config.experiment, "seed": config.seed,
             "final_metric": result.final_metric, "slope": result.slope,
             "runtime_ms": runtime_ms}
@@ -524,9 +511,7 @@ def _run_one(args) -> dict:
 
 def write_summary(outdir: str, summaries) -> None:
     """Write one row per run to `outdir/summary.csv` and echo it to stdout."""
-    write_csv(os.path.join(outdir, "summary.csv"),
-              ["experiment", "seed", "final_metric", "slope", "runtime_ms"],
-              summaries)
+    write_csv(os.path.join(outdir, "summary.csv"), summaries)
     for row in summaries:
         print(f"{row['experiment']} seed={row['seed']} "
               f"final_metric={row['final_metric']:.6g} slope={row['slope']:.4g} "

@@ -6,7 +6,9 @@ recorded on the learner for regret evaluation: `decisions` holds the learner's
 own arrays, not copies, so callers treat them (and what predict returns) as
 read-only.  Each learner binds its domain's projection or prox step once, at
 construction (Domain.projector, ball_projector, prox_map), and calls the bare
-kernel every round on the fresh point it has just built.  OMP is the one
+kernel every round on the fresh point it has just built.  OGD is the one
+projected-step loop: SoftConstraintOGD, ZeroViolationOGD and PenaltyOGD are OGD
+subclasses that choose only the round's direction.  OMP is the one
 extra-gradient loop: ExpertOMP and BanditOMP are OMP subclasses.
 """
 
@@ -49,7 +51,9 @@ class RoundLoss:
     """One round's cost: value/gradient access plus optional structure.
 
     The constructors store a read-only copy of the cost vector or center, so
-    one RoundLoss can serve many rounds; grad returns a fresh writable array.
+    one RoundLoss can serve many rounds.  A linear loss's grad returns that
+    read-only cost vector itself, so a write into it raises ValueError; a
+    quadratic loss's grad returns a fresh array.
     """
 
     value: object                        # Point -> float
@@ -63,7 +67,7 @@ class RoundLoss:
         f = _frozen(f)
         # `.dot` is `@` up to the sign of a zero; `+ 0.0` gives `@`'s +0.0
         return cls(value=lambda x, f=f: float(f.dot(x)) + 0.0,
-                   grad=lambda x, f=f: f.copy(), linear=f)
+                   grad=lambda x, f=f: f, linear=f)
 
     @classmethod
     def from_quadratic(cls, c: Point) -> "RoundLoss":
@@ -99,15 +103,15 @@ class BaseLearner:
 
 
 class OGD(BaseLearner):
-    """Projected online gradient descent."""
+    """Projected online gradient descent, the one projected-step loop: a
+    subclass only chooses the round's direction through _gradient."""
 
-    def __init__(self, domain: Domain, schedule: StepSchedule, x0: Point | None = None,
-                 dim: int | None = None):
+    def __init__(self, domain: Domain, schedule: StepSchedule, dim: int | None = None):
         super().__init__()
         self.domain = domain
         self.schedule = schedule
         d = domain.dim if domain.dim is not None else dim
-        self.x = domain.project(np.zeros(d)) if x0 is None else domain.project(np.asarray(x0, float))
+        self.x = domain.project(np.zeros(d))
         self.t = 0
         self._project = domain.projector()
 
@@ -117,8 +121,12 @@ class OGD(BaseLearner):
     def observe(self, loss: RoundLoss) -> None:
         self.t += 1
         self._record(self.x, loss)
-        g = loss.grad(self.x)
+        g = self._gradient(self.x, loss)
         self.x = self._project(self.x - self.schedule.at(self.t) * g)
+
+    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
+        """The round's descent direction at the decision x."""
+        return loss.grad(x)
 
 
 # sets where argmin ⟨x, G⟩ + (c/2)‖x‖² is the projection of −G/c
@@ -133,6 +141,8 @@ class IFTRL(BaseLearner):
         super().__init__()
         if not 0.0 < eta <= 1.0:
             raise ConfigurationError("eta must lie in (0, 1]")
+        if domain.kind not in _LEADER_KINDS:
+            raise UnsupportedDomainError(f"no closed-form leader solve for {domain.kind}")
         self.domain, self.L, self.eta = domain, L, eta
         d = domain.dim if domain.dim is not None else dim
         self.z = domain.project(np.zeros(d))
@@ -144,9 +154,6 @@ class IFTRL(BaseLearner):
         return self._project(self.z - (self.eta / self.L) * self.stale_grad)
 
     def observe(self, loss: RoundLoss) -> None:
-        if self.domain.kind not in _LEADER_KINDS:
-            raise UnsupportedDomainError(
-                f"no closed-form leader solve for {self.domain.kind}")
         x = self.predict()
         self._record(x, loss)
         self.grad_sum += loss.grad(self.z)
@@ -377,7 +384,6 @@ class HingeClassifierPD(BaseLearner):
 
     def __init__(self, dim: int, R: float = 1.0, eta: float | None = None):
         super().__init__()
-        self.R = R
         self.eta = eta if eta is not None else 1.0 / (2.0 * math.sqrt(2.0))
         if self.eta > 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12:
             raise ConfigurationError("step size must not exceed 1/(2*sqrt(2))")
@@ -440,33 +446,30 @@ class ConstraintSet:
         return cls(funcs=funcs, D=D, G=grad_bound, F=loss_bound)
 
 
-class SoftConstraintOGD(BaseLearner):
+class SoftConstraintOGD(OGD):
     """Primal-dual descent-ascent meeting the constraints only in the long run.
 
-    The primal iterate is projected onto the radius-R ball only; the duals are
-    kept nonnegative and damped by a quadratic regularizer so the constraint
-    weights adapt to the accumulated violation.
+    OGD on the radius-R ball with a constant step eta, whose direction is the
+    loss gradient plus the dual-weighted constraint subgradients; the duals
+    are kept nonnegative and damped by a quadratic regularizer so the
+    constraint weights adapt to the accumulated violation.
     """
 
     def __init__(self, constraints: ConstraintSet, T: int, R: float = 1.0,
                  eta: float | None = None, delta: float | None = None,
                  dim: int | None = None):
-        super().__init__()
+        ball = Domain.ball(R)   # refuses R <= 0 before R divides below
         self.cons = constraints
         m, G, D = constraints.m, constraints.G, constraints.D
         self.a = R * math.sqrt((m + 1) * G * G + 2 * m * D * D)
         self.eta = eta if eta is not None else R * R / (self.a * math.sqrt(T))
         self.delta = delta if delta is not None else 2.0 * (m + 1) * G * G
-        self.R = R
-        self.x = np.zeros(dim)
+        super().__init__(ball, StepSchedule.constant(self.eta), dim=dim)
         self.lam = np.zeros(m)
         self.violations: list[np.ndarray] = []
-        self._project = ball_projector(R)
 
-    def predict(self) -> Point:
-        return self.x
-
-    def _constraint_terms(self, x: Point):
+    def _terms(self, x: Point):
+        """The constraint values and Σ lam_i ∇g_i(x) at x."""
         vals = self.cons.values(x)
         grad = np.zeros(x.shape)
         for lam_i, (_, gg) in zip(self.lam, self.cons.funcs):
@@ -474,22 +477,20 @@ class SoftConstraintOGD(BaseLearner):
                 grad = grad + lam_i * gg(x)
         return vals, grad
 
-    def observe(self, loss: RoundLoss) -> None:
-        self._step(loss, *self._constraint_terms(self.x))
-
-    def _step(self, loss: RoundLoss, vals: np.ndarray, cons_grad: Point) -> None:
-        self._record(self.x, loss)
+    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
+        vals, cons_grad = self._terms(x)
         self.violations.append(vals)
-        gx = loss.grad(self.x) + cons_grad
         glam = vals - self.eta * self.delta * self.lam
-        self.x = self._project(self.x - self.eta * gx)
         self.lam = np.maximum(self.lam + self.eta * glam, 0.0)
+        return loss.grad(x) + cons_grad
 
 
 def zero_violation_tuning(G: float, D: float, F: float, R: float, T: int,
                           iters: int = 50) -> dict:
     """Fixed point of the coupled (a, b) tuning for the tightened-constraint
     variant: delta = 4G², gamma = b·T^(−1/4)."""
+    if R <= 0:
+        raise ConfigurationError("ball radius must be positive")
     delta = 4.0 * G * G
     b = 0.0
     a = R * math.sqrt(2 * G * G + 3 * D * D)
@@ -502,69 +503,47 @@ def zero_violation_tuning(G: float, D: float, F: float, R: float, T: int,
 class ZeroViolationOGD(SoftConstraintOGD):
     """Soft-constraint learner on the single tightened constraint
     g(x) + gamma ≤ 0 with g = max_i g_i, which clears the long-run constraint
-    exactly at the price of a larger regret."""
+    exactly at the price of a larger regret.  `cons` holds the raw
+    constraints; one dual weights the subgradient of the first maximal g_i."""
 
     def __init__(self, constraints: ConstraintSet, T: int, R: float = 1.0,
                  dim: int | None = None):
-        raw = constraints.funcs
         tun = zero_violation_tuning(constraints.G, constraints.D, constraints.F, R, T)
-        self.gamma_tighten = tun["gamma"]
-        tightened = ConstraintSet(
-            funcs=[(lambda x: self._raw_max(x)[0] + tun["gamma"],
-                    lambda x: raw[self._raw_max(x)[1]][1](x))],
-            D=constraints.D + tun["gamma"], G=constraints.G, F=constraints.F)
-        super().__init__(tightened, T, R=R, dim=dim,
+        super().__init__(constraints, T, R=R, dim=dim,
                          eta=R * R / (tun["a"] * math.sqrt(T)), delta=tun["delta"])
-        self._raw = raw
+        self.lam = np.zeros(1)
+        self.a = tun["a"]
+        self.gamma_tighten = tun["gamma"]
         self.raw_violations: list[float] = []
 
-    def _raw_max(self, x: Point) -> tuple[float, int]:
-        """max_i g_i(x) and the first index attaining it."""
-        vals = [float(g(x)) for g, _ in self._raw]
-        g_max = max(vals)
-        return g_max, vals.index(g_max)
-
-    def _tightened_terms(self, x: Point, g_max: float, i: int):
-        grad = np.zeros(x.shape)
-        if self.lam[0] != 0.0:
-            grad = grad + self.lam[0] * self._raw[i][1](x)
-        return np.array([g_max + self.gamma_tighten]), grad
-
-    def observe(self, loss: RoundLoss) -> None:
+    def _terms(self, x: Point):
         # one evaluation of the raw constraints serves the violation record,
         # the tightened value and the subgradient
-        g_max, i = self._raw_max(self.x)
+        vals = [float(g(x)) for g, _ in self.cons.funcs]
+        g_max = max(vals)
         self.raw_violations.append(g_max)
-        self._step(loss, *self._tightened_terms(self.x, g_max, i))
+        grad = np.zeros(x.shape)
+        if self.lam[0] != 0.0:
+            grad = grad + self.lam[0] * self.cons.funcs[vals.index(g_max)][1](x)
+        return np.array([g_max + self.gamma_tighten]), grad
 
 
-class PenaltyOGD(BaseLearner):
-    """Descent on the penalized loss f_t + delta·Σ[g_i]₊ with a fixed weight;
-    the baseline whose violation cannot vanish."""
+class PenaltyOGD(OGD):
+    """OGD on the radius-R ball down the penalized loss f_t + delta·Σ[g_i]₊
+    with a fixed weight; the baseline whose violation cannot vanish."""
 
     def __init__(self, constraints: ConstraintSet, schedule: StepSchedule,
-                 delta: float, R: float = 1.0, dim: int | None = None,
-                 x0: Point | None = None):
-        super().__init__()
+                 delta: float, R: float = 1.0, dim: int | None = None):
+        super().__init__(Domain.ball(R), schedule, dim=dim)
         self.cons = constraints
-        self.schedule = schedule
         self.delta = delta
-        self.R = R
-        self.x = np.zeros(dim) if x0 is None else np.asarray(x0, float).copy()
-        self.t = 0
         self.violations: list[np.ndarray] = []
-        self._project = ball_projector(R)
 
-    def predict(self) -> Point:
-        return self.x
-
-    def observe(self, loss: RoundLoss) -> None:
-        self.t += 1
-        self._record(self.x, loss)
-        vals = self.cons.values(self.x)
+    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
+        vals = self.cons.values(x)
         self.violations.append(vals)
-        g = loss.grad(self.x)
+        g = loss.grad(x)
         for v, (_, gg) in zip(vals, self.cons.funcs):
             if v > 0:
-                g = g + self.delta * gg(self.x)
-        self.x = self._project(self.x - self.schedule.at(self.t) * g)
+                g = g + self.delta * gg(x)
+        return g

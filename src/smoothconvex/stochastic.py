@@ -461,10 +461,11 @@ def _variances(grads_w: np.ndarray, grads_c: np.ndarray) -> dict:
     point (grads_w) and at the anchor (grads_c)."""
     mean_w = grads_w.mean(axis=0)
     mean_c = grads_c.mean(axis=0)
-    sgd_var = float(np.mean(np.sum(grads_w**2, axis=1)) - mean_w @ mean_w)
-    diff = grads_w - grads_c
+    buf = np.square(grads_w)
+    sgd_var = float(np.mean(np.sum(buf, axis=1)) - mean_w @ mean_w)
+    np.square(np.subtract(grads_w, grads_c, out=buf), out=buf)
     mean_diff = mean_w - mean_c
-    mixed_var = float(np.mean(np.sum(diff**2, axis=1)) - mean_diff @ mean_diff)
+    mixed_var = float(np.mean(np.sum(buf, axis=1)) - mean_diff @ mean_diff)
     return {"sgd_var": max(sgd_var, 0.0), "mixed_var": max(mixed_var, 0.0)}
 
 
@@ -532,6 +533,9 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     `lambda0` weighs the penalty, by default 1.05·G1/rho (`G1` as in sgd_pd).
     """
     alpha = _strong_convexity(objective, lam)
+    eta = _given_step("eta", eta)
+    if eta is None and alpha <= 0:
+        raise ConfigurationError("sgd_st's default step needs a strongly convex objective")
     gamma = _given_step("gamma", gamma)
     # the default gamma = log(T)/T is positive only from T = 2 on
     T = _horizon(T, least=1 if gamma else 2)
@@ -546,7 +550,6 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     rng = make_rng(seed)
     x = np.zeros(objective.d)
     xbar = np.zeros_like(x)
-    eta = _given_step("eta", eta)
     stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
         xbar += x

@@ -71,9 +71,8 @@ class TestIFTRL:
             IFTRL(UNIT, L=1.0, eta=1.5, dim=2)
 
     def test_unsupported_leader_domain(self):
-        lr = IFTRL(Domain.l1_ball(1.0, dim=2), L=1.0, eta=0.5, dim=2)
         with pytest.raises(UnsupportedDomainError):
-            lr.observe(linear([1.0, 0.0]))
+            IFTRL(Domain.l1_ball(1.0, dim=2), L=1.0, eta=0.5, dim=2)
 
     def test_constant_losses_regret_T_independent(self):
         f = np.array([1.0, 0.0])  # exactly representable geometry
@@ -413,6 +412,16 @@ class TestSoftConstraints:
             lr.observe(RoundLoss.from_quadratic(c))
         assert float(np.sum(lr.raw_violations)) <= 0.0
 
+    @pytest.mark.parametrize("make", [
+        lambda c: SoftConstraintOGD(c, T=100, R=1.0, dim=2, eta=0.0),
+        lambda c: SoftConstraintOGD(c, T=100, R=0.0, dim=2),
+        lambda c: ZeroViolationOGD(c, T=100, R=0.0, dim=2),
+        lambda c: PenaltyOGD(c, StepSchedule.constant(0.1), delta=1.0, R=-1.0, dim=2),
+    ], ids=["soft-eta0", "soft-R0", "zero-R0", "penalty-Rneg"])
+    def test_nonpositive_step_or_radius_refused(self, make):
+        with pytest.raises(ConfigurationError):
+            make(self.make_cons())
+
     def test_penalty_baseline_linear_violation(self):
         v = np.array([1.0, 0.0])
         cons = ConstraintSet(funcs=[(lambda x: 1.0 - float(v @ x), lambda x: -v)],
@@ -535,11 +544,13 @@ class TestRoundLossReadOnly:
         with pytest.raises(ValueError):
             quad.quad_center[0] = 1.0
 
-    def test_grad_is_a_fresh_writable_array(self):
-        seq = alternating_linear(4.0, 10, 3)
-        g = seq.loss(1).grad(np.zeros(3))
-        g[0] = 5.0
-        assert seq.loss(1).linear[0] != 5.0 and seq.loss(3).linear[0] != 5.0
+    def test_linear_grad_cannot_be_written_through(self):
+        loss = RoundLoss.from_linear([0.3, -0.4])
+        g = loss.grad(np.zeros(2))
+        with pytest.raises(ValueError):
+            g[0] = 5.0
+        assert loss.linear.tolist() == [0.3, -0.4]
+        assert loss.grad(np.ones(2)).tolist() == [0.3, -0.4]
 
     def test_shared_round_cannot_be_written_through(self):
         seq = alternating_linear(4.0, 10, 3)
@@ -650,7 +661,17 @@ class TestZeroViolationRound:
         T = 400
         cons = _soft_cons()
         zero = ZeroViolationOGD(cons, T=T, R=1.0, dim=2)
-        ref = SoftConstraintOGD(zero.cons, T, R=1.0, eta=zero.eta, delta=zero.delta,
+        assert zero.cons is cons
+
+        def raw_max(x):
+            vals = [float(g(x)) for g, _ in cons.funcs]
+            return max(vals), vals.index(max(vals))
+
+        tightened = ConstraintSet(
+            funcs=[(lambda x: raw_max(x)[0] + zero.gamma_tighten,
+                    lambda x: cons.funcs[raw_max(x)[1]][1](x))],
+            D=cons.D + zero.gamma_tighten, G=cons.G, F=cons.F)
+        ref = SoftConstraintOGD(tightened, T, R=1.0, eta=zero.eta, delta=zero.delta,
                                 dim=2)
         for l in _soft_rounds(T):
             zero.observe(l)

@@ -517,11 +517,16 @@ class TestStrongConvexity:
 
     def test_clipped_sgd_refuses_problem_without_modulus(self):
         # unregularized logistic loss is not strongly convex: its modulus is
-        # lam = lam_reg = 0, so the unset lam is 0
+        # lam = lam_reg = 0, so the unset lam is 0; sgd_st's default step
+        # 1/(2·lam·t) needs it too, a given eta does not
         prob = from_arrays(np.eye(3), [1.0, -1.0, 1.0], 0.0, "logistic")
         assert prob.constants.lam == 0.0
+        ball = Domain.ball(0.8)
         with pytest.raises(ConfigurationError, match="strongly convex"):
-            clipped_sgd(prob, Domain.ball(0.8), T1=4, m=2, target_risk=0.05)
+            clipped_sgd(prob, ball, T1=4, m=2, target_risk=0.05)
+        with pytest.raises(ConfigurationError, match="strongly convex"):
+            sgd_st(prob, ball, T=10, G1=1.0)
+        assert ball.contains(sgd_st(prob, ball, T=10, G1=1.0, eta=0.1).final_point)
 
 
 _ALL_SOLVERS = [sgd, gd, agd, clipped_sgd, mixed_grad, emgd, sgd_pd, sgd_st]
