@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import InputError, make_rng
-from .online import MaxStructure, RoundLoss
+from .online import RoundLoss
 
 
 @dataclass
@@ -161,7 +161,7 @@ def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> Lo
 
 def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> LossSequence:
     """Unit vectors y_t·x_t random-walking on the sphere with step `drift`;
-    each round is a hinge loss max(0, 1 − ⟨w, y_t x_t⟩) in max structure."""
+    each round is the hinge loss max(0, 1 − ⟨w, y_t x_t⟩)."""
     if drift < 0:
         raise InputError("drift must be nonnegative")
     rng = make_rng(seed)
@@ -180,16 +180,13 @@ def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> LossSe
                 v /= np.linalg.norm(v)
     losses = []
     for gx in examples:
-        A = -gx[None, :]  # hinge: max over alpha in [0,1] of alpha(1 - <w, yx>)
-
         def value(w, gx=gx):
             return max(0.0, 1.0 - float(gx @ w))
 
         def grad(w, gx=gx):
             return -gx if 1.0 - float(gx @ w) > 0 else np.zeros_like(gx)
 
-        parts = MaxStructure(A=A, phi_hat_grad=lambda u: np.array([-1.0]))
-        losses.append(RoundLoss(value=value, grad=grad, max_parts=parts))
+        losses.append(RoundLoss(value=value, grad=grad))
     return LossSequence(T=T, kind="classification_stream", _losses=losses,
                         meta={"drift": drift, "examples": examples})
 

@@ -58,7 +58,7 @@ class Param(NamedTuple):
     a ';'-separated list whose entries each have type `kind` and the bound."""
     kind: type              # int or float
     default: object
-    least: float = -math.inf
+    least: float | str = -math.inf  # a number, or a parameter declared earlier
     positive: bool = False  # the bound is "greater than 0", not `least`
     grid: bool = False
 
@@ -94,8 +94,6 @@ def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
 
 def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     m_min, m_max = p["m_min"], p["m_max"]
-    if m_min > m_max:
-        raise ConfigurationError(f"need m_min <= m_max, got m_min={m_min}, m_max={m_max}")
     data = problems.synthetic_regression(p["n"], p["d"], seed=11, noise=0.3,
                                          row_norm=1.0)
     prob = problems.least_squares_problem(data, lam=0.0)
@@ -394,7 +392,7 @@ EXPERIMENTS = {
         "radius": Param(float, 2.0, positive=True)}),
     "mixedgrad_rate": (exp_mixedgrad_rate, {
         "n": Param(int, 200, least=1), "d": Param(int, 10, least=1),
-        "m_min": Param(int, 4, least=1), "m_max": Param(int, 8, least=1),
+        "m_min": Param(int, 4, least=1), "m_max": Param(int, 8, least="m_min"),
         "T1": Param(int, 30, least=1), "lambda1_factor": Param(float, 1.0, positive=True),
         "eta_factor": Param(float, 0.25, positive=True)}),
     "clippedsgd_target": (exp_clippedsgd_target, {
@@ -453,9 +451,10 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _resolve(key: str, spec: Param, raw):
+def _resolve(key: str, spec: Param, raw, resolved: dict):
     """`raw`, a string or not, as `spec`'s type (a list for a grid), refused
-    unless finite and within its bound."""
+    unless finite and within its bound; `resolved` holds the values of the
+    parameters declared before it."""
     try:
         value = ([spec.kind(v) for v in str(raw).split(";")] if spec.grid
                  else spec.kind(str(raw)))
@@ -463,13 +462,16 @@ def _resolve(key: str, spec: Param, raw):
         raise ConfigurationError(f"{key} expects ';'-separated numbers, got {raw!r}"
                                  if spec.grid else f"bad value for {key}: {raw!r}") from None
     subject = f"{key} entries" if spec.grid else key
+    least, name = spec.least, ""
+    if isinstance(least, str):
+        least, name = resolved[least], f"{least}="
     for v in value if spec.grid else [value]:
         if not math.isfinite(v):
             raise ConfigurationError(f"{subject} must be finite, got {raw!r}")
         if spec.positive and not v > 0:
             raise ConfigurationError(f"{subject} must be positive, got {raw!r}")
-        if v < spec.least:
-            raise ConfigurationError(f"{subject} must be at least {spec.least}, got {raw!r}")
+        if v < least:
+            raise ConfigurationError(f"{subject} must be at least {name}{least}, got {raw!r}")
     return value
 
 
@@ -484,8 +486,10 @@ def resolve_params(experiment: str, overrides: dict) -> dict:
         if k not in specs:
             raise ConfigurationError(
                 f"unknown key {k!r}; valid keys: {', '.join(sorted(specs))}")
-    return {k: _resolve(k, spec, overrides.get(k, spec.default))
-            for k, spec in specs.items()}
+    resolved: dict = {}
+    for k, spec in specs.items():
+        resolved[k] = _resolve(k, spec, overrides.get(k, spec.default), resolved)
+    return resolved
 
 
 def run(config: RunConfig) -> dict:

@@ -631,45 +631,6 @@ def _entropy_norm_projection(u: Point, domain: Domain) -> Point:
     return v
 
 
-def prox_step_hnorm(z: Point, g: Point, H: np.ndarray, radius: float) -> Point:
-    """argmin over ‖x‖ ≤ radius of ⟨g, x⟩ + ½ (x−z)ᵀ H (x−z).
-
-    H must be positive definite.  The constrained case solves the
-    (H + νI)-regularized system with at most 200 bisection steps on ν and
-    raises NumericError unless the norm constraint is met to 1e-10
-    (relative to the radius when it exceeds 1).
-    """
-    tol = 1e-10
-    rhs = H @ z - g
-    x0 = np.linalg.solve(H, rhs)
-    if np.linalg.norm(x0) <= radius + tol:
-        return x0
-
-    def x_of(nu: float) -> Point:
-        d = H.shape[0]
-        return np.linalg.solve(H + nu * np.eye(d), rhs)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if np.linalg.norm(x_of(hi)) <= radius:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError("hnorm prox: no bracketing multiplier found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.linalg.norm(x_of(mid)) > radius:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    x = x_of(hi)
-    if abs(np.linalg.norm(x) - radius) > tol * max(1.0, radius):
-        raise NumericError("hnorm prox bisection did not reach tolerance")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Gradient clipping
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Online learners with a pull-based round protocol.
 
-Every learner exposes predict() -> decision and observe(loss) -> None, which
-supports full-information and bandit feedback with one harness.  Decisions are
+Every learner but HingeClassifierPD exposes predict() -> decision and
+observe(loss) -> None, which supports full-information and bandit feedback
+with one harness; HingeClassifierPD takes one labelled example per
+round(x, y).  Each learner refuses a non-positive step size, smoothness
+constant, radius or query offset at construction.  Decisions are
 recorded on the learner for regret evaluation: `decisions` holds the learner's
 own arrays, not copies, so callers treat them (and what predict returns) as
 read-only.  Each learner binds its domain's projection or prox step once, at
@@ -9,7 +12,8 @@ construction (Domain.projector, ball_projector, prox_map), and calls the bare
 kernel every round on the fresh point it has just built.  OGD is the one
 projected-step loop: SoftConstraintOGD, ZeroViolationOGD and PenaltyOGD are OGD
 subclasses that choose only the round's direction.  OMP is the one
-extra-gradient loop: ExpertOMP and BanditOMP are OMP subclasses.
+extra-gradient loop: ExpertOMP and BanditOMP are OMP subclasses.  Every
+learner here is run by an experiment in `cli`.
 """
 
 from __future__ import annotations
@@ -21,23 +25,7 @@ import numpy as np
 
 from .core import (ConfigurationError, Domain, InputError, MirrorMap, Point,
                    StepSchedule, UnsupportedDomainError, ball_projector,
-                   prox_map, prox_step_hnorm)
-
-
-@dataclass
-class MaxStructure:
-    """Saddle decomposition of a non-smooth loss: smooth part plus
-    max over a dual domain of ⟨A x, u⟩ − dual-smooth part."""
-
-    A: np.ndarray                       # m × d coupling matrix
-    f_hat_grad: object = None           # gradient of the smooth primal part
-    phi_hat_grad: object = None         # gradient of the smooth dual part
-
-    def fg(self, x):
-        return np.zeros(self.A.shape[1]) if self.f_hat_grad is None else self.f_hat_grad(x)
-
-    def pg(self, u):
-        return np.zeros(self.A.shape[0]) if self.phi_hat_grad is None else self.phi_hat_grad(u)
+                   prox_map)
 
 
 def _frozen(v) -> np.ndarray:
@@ -48,7 +36,8 @@ def _frozen(v) -> np.ndarray:
 
 @dataclass
 class RoundLoss:
-    """One round's cost: value/gradient access plus optional structure.
+    """One round's cost: value/gradient access, plus the cost vector or the
+    center when the loss is linear or quadratic.
 
     The constructors store a read-only copy of the cost vector or center, so
     one RoundLoss can serve many rounds.  A linear loss's grad returns that
@@ -60,7 +49,6 @@ class RoundLoss:
     grad: object                         # Point -> Point
     linear: Point | None = None          # cost vector when the loss is linear
     quad_center: Point | None = None     # center when the loss is ½‖x−c‖²
-    max_parts: MaxStructure | None = None
 
     @classmethod
     def from_linear(cls, f: Point) -> "RoundLoss":
@@ -141,6 +129,8 @@ class IFTRL(BaseLearner):
         super().__init__()
         if not 0.0 < eta <= 1.0:
             raise ConfigurationError("eta must lie in (0, 1]")
+        if L <= 0:
+            raise ConfigurationError("smoothness L must be positive")
         if domain.kind not in _LEADER_KINDS:
             raise UnsupportedDomainError(f"no closed-form leader solve for {domain.kind}")
         self.domain, self.L, self.eta = domain, L, eta
@@ -170,6 +160,8 @@ class OMP(BaseLearner):
         super().__init__()
         if eta <= 0:
             raise ConfigurationError("eta must be positive")
+        if L <= 0:
+            raise ConfigurationError("smoothness L must be positive")
         self.domain, self.L, self.eta = domain, L, eta
         self.map = mirror_map or MirrorMap.euclidean()
         d = domain.dim if domain.dim is not None else dim
@@ -218,33 +210,6 @@ class ExpertOMP(OMP):
         super().observe(loss)
 
 
-class StrictlyConvexOMP(BaseLearner):
-    """Extra-gradient learner in an adaptive quadratic metric built from the
-    outer products of observed gradients (dense solves; small d only)."""
-
-    def __init__(self, domain: Domain, beta: float, G: float, dim: int):
-        super().__init__()
-        if dim > 50:
-            raise ConfigurationError("adaptive-metric learner limited to d <= 50")
-        if domain.kind != "ball":
-            raise UnsupportedDomainError("adaptive-metric prox implemented for balls")
-        self.domain, self.beta, self.G = domain, beta, G
-        self.H = (1.0 + beta * G * G) * np.eye(dim)
-        self.z = np.zeros(dim)
-        self.prev_grad = np.zeros(dim)
-
-    def predict(self) -> Point:
-        return prox_step_hnorm(self.z, self.prev_grad, self.H, self.domain.r)
-
-    def observe(self, loss: RoundLoss) -> None:
-        x = self.predict()
-        self._record(x, loss)
-        g = loss.grad(x)
-        self.z = prox_step_hnorm(self.z, g, self.H, self.domain.r)
-        self.H = self.H + self.beta * np.outer(g, g)
-        self.prev_grad = g
-
-
 class BanditOMP(OMP):
     """Deterministic multi-point bandit learner: OMP on the shrunk ball
     (1−alpha)·W with L = G, whose gradient is estimated from d+1 value
@@ -254,8 +219,8 @@ class BanditOMP(OMP):
                  dim: int):
         if domain.kind != "ball":
             raise UnsupportedDomainError("bandit learner requires a ball domain")
-        if delta >= domain.r:
-            raise ConfigurationError("query offset must stay below the ball radius")
+        if not 0.0 < delta < domain.r:
+            raise ConfigurationError("query offset must lie in (0, ball radius)")
         super().__init__(Domain.ball(domain.r * (1.0 - delta / domain.r)), G, eta, dim=dim)
         self.delta = delta
         self.value_queries = 0
@@ -276,117 +241,23 @@ class BanditOMP(OMP):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive step sizes without prior variation knowledge
+# Hinge-loss classification (primal-dual)
 # ---------------------------------------------------------------------------
-
-
-class DoublingWrapper(BaseLearner):
-    """Runs a factory-built learner in epochs with eta_k = eta0/2^k, starting a
-    fresh epoch (and burning its first round) whenever the running
-    gradient-deviation sum exceeds L²/eta_k²."""
-
-    def __init__(self, learner_factory, L: float, eta0: float = 2.0):
-        super().__init__()
-        self.factory = learner_factory
-        self.L, self.eta0 = L, eta0
-        self.k = 1
-        self.inner = learner_factory(eta0 / 2.0)
-        self.epoch_sum = 0.0
-        self.prev_loss: RoundLoss | None = None
-        self.boundaries: list[int] = [1]
-        self.t = 0
-        self.fresh_epoch = True
-
-    @property
-    def eta_k(self) -> float:
-        return self.eta0 / (2.0 ** self.k)
-
-    def predict(self) -> Point:
-        return self.inner.predict()
-
-    def observe(self, loss: RoundLoss) -> None:
-        self.t += 1
-        x = self.inner.predict()
-        self._record(x, loss)
-        if not self.fresh_epoch and self.prev_loss is not None:
-            zp = self.inner.z
-            dev = loss.grad(zp) - self.prev_loss.grad(zp)
-            self.epoch_sum += float(dev @ dev)
-        if self.epoch_sum > (self.L / self.eta_k) ** 2:
-            # invariant broke at this round: boundary recorded, round burned
-            self.k += 1
-            self.boundaries.append(self.t)
-            self.inner = self.factory(self.eta_k)
-            self.epoch_sum = 0.0
-            self.fresh_epoch = True
-        else:
-            self.fresh_epoch = False
-        self.inner.observe(loss)
-        self.prev_loss = loss
-
-
-# ---------------------------------------------------------------------------
-# Explicit max structure (primal-dual)
-# ---------------------------------------------------------------------------
-
-
-class ExplicitMaxPD(BaseLearner):
-    """Four-update primal-dual extra-gradient learner for losses
-    f̂_t(x) + max_u ⟨A_t x, u⟩ − φ̂_t(u)."""
-
-    def __init__(self, primal: Domain, dual: Domain, L1: float, L2: float,
-                 eta: float, dim: int, dual_dim: int):
-        super().__init__()
-        self.W, self.Q = primal, dual
-        self.L1, self.L2, self.eta = L1, L2, eta
-        self.z = primal.project(np.zeros(dim))
-        self.x = self.z.copy()
-        self.v = dual.project(np.zeros(dual_dim))
-        self.u = self.v.copy()
-        self.prev = MaxStructure(A=np.zeros((dual_dim, dim)))
-        self.prev_fg = np.zeros(dim)
-        self.prev_pg = np.zeros(dual_dim)
-        self.duals: list[Point] = []
-        em = MirrorMap.euclidean()
-        self._prox_primal, self._prox_dual = prox_map(em, primal), prox_map(em, dual)
-
-    def predict(self) -> Point:
-        # dual ascent on the stale coupling, then primal descent on the stale gradient
-        dual_dir = self.prev.A @ self.x - self.prev_pg
-        u_t = self._prox_dual(self.v, -dual_dir, self.eta / self.L2)
-        x_t = self._prox_primal(self.z, self.prev_fg + self.prev.A.T @ self.u,
-                                self.eta / self.L1)
-        self._u_pending = u_t
-        return x_t
-
-    def observe(self, loss: RoundLoss) -> None:
-        if loss.max_parts is None:
-            raise InputError("explicit-max learner needs a max-structured loss")
-        parts = loss.max_parts
-        x_t = self.predict()
-        u_t = self._u_pending
-        if parts.A.shape[1] != x_t.shape[0]:
-            raise InputError("coupling matrix dimension mismatch")
-        self._record(x_t, loss)
-        self.duals.append(u_t)
-        self.v = self._prox_dual(self.v, -(parts.A @ x_t - parts.pg(u_t)), self.eta / self.L2)
-        self.z = self._prox_primal(self.z, parts.fg(x_t) + parts.A.T @ u_t, self.eta / self.L1)
-        self.x, self.u = x_t, u_t
-        self.prev = parts
-        self.prev_fg = parts.fg(x_t)
-        self.prev_pg = parts.pg(u_t)
 
 
 class HingeClassifierPD(BaseLearner):
-    """Mistake-driven online classifier from the explicit-max updates
-    specialized to the hinge loss; predicts before updating and updates only
-    on mistakes."""
+    """Mistake-driven online classifier: primal-dual extra-gradient updates on
+    the hinge loss max over alpha in [0, 1] of alpha·(1 − ⟨w, y x⟩), with w
+    on the radius-R ball; predicts before updating and updates only on
+    mistakes."""
 
     def __init__(self, dim: int, R: float = 1.0, eta: float | None = None):
         super().__init__()
         self.eta = eta if eta is not None else 1.0 / (2.0 * math.sqrt(2.0))
-        if self.eta > 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12:
-            raise ConfigurationError("step size must not exceed 1/(2*sqrt(2))")
+        if not 0.0 < self.eta <= 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12:
+            raise ConfigurationError("step size must lie in (0, 1/(2*sqrt(2))]")
+        if R <= 0:
+            raise ConfigurationError("ball radius must be positive")
         self.w = np.zeros(dim)
         self.wp = np.zeros(dim)
         self.alpha = 0.0

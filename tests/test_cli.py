@@ -21,6 +21,29 @@ def read_csv(path):
     return header, rows
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces cli's process pool with an in-process one and returns the
+    list of the worker counts it was built with."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return seen
+
+
 class TestDispatch:
     def test_unknown_experiment_exits_2_with_registry(self, tmp_path, capsys):
         rc = main(["run", "nope", "--out", str(tmp_path)])
@@ -63,36 +86,26 @@ class TestDispatch:
         assert "absent.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs,cpus,want", [(64, 8, 3), (64, 2, 2), (2, 8, 2)])
-    def test_jobs_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, want):
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_jobs_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
+                                          jobs, cpus, want):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         rc = main(["run", "penalty_impossibility", "--T=10", "--seed", "1,2,3",
                    "--jobs", str(jobs), "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        assert seen == [want]
+        assert pool_sizes == [want]
 
-    @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"]])
-    def test_mixedgrad_rate_epoch_range_exits_2(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"],
+                                      ["--m_min=5", "--m_max=4", "--jobs", "2",
+                                       "--seed", "0,1"]])
+    def test_mixedgrad_rate_epoch_range_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                pool_sizes, args):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         out = tmp_path / "out"
         rc = main(["run", "mixedgrad_rate", "--out", str(out), *args])
         assert rc == EXIT_CONFIG
         assert "m_min" in capsys.readouterr().err
         assert not out.exists()
+        assert pool_sizes == []  # refused before any worker starts
 
     @pytest.mark.parametrize("experiment,arg,key", [
         ("gv_regret_sweep", "--egv_grid=1;x", "egv_grid"),
@@ -251,6 +264,16 @@ class TestConfigFile:
         from smoothconvex.core import ConfigurationError
         with pytest.raises(ConfigurationError):
             run(RunConfig(experiment="missing", output_dir=str(tmp_path)))
+
+
+class TestLearnerCoverage:
+    def test_every_learner_is_run_by_an_experiment(self):
+        # a learner that no experiment constructs answers to no checked claim
+        source = inspect.getsource(cli)
+        for name, cls in vars(online).items():
+            if (inspect.isclass(cls) and issubclass(cls, online.BaseLearner)
+                    and cls is not online.BaseLearner):
+                assert f"online.{name}(" in source, name
 
 
 class TestBenchmarkCoupling:

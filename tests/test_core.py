@@ -12,7 +12,7 @@ from smoothconvex.core import (_norm, ConfigurationError, Domain, DomainError,
                                UnsupportedDomainError, ball_projector, bregman,
                                clip_component, dykstra, make_rng, project_ball,
                                project_l1_ball, project_simplex, project_two_balls,
-                               prox_map, prox_step, prox_step_hnorm,
+                               prox_map, prox_step,
                                two_ball_projector)
 from smoothconvex.problems import from_arrays
 
@@ -467,25 +467,6 @@ class TestProxStep:
         with pytest.raises(ConfigurationError):
             prox_step(MirrorMap.euclidean(), Domain.ball(1.0), np.zeros(2),
                       np.zeros(2), 0.0)
-
-    def test_hnorm_ball_constrained(self):
-        rng = make_rng(19)
-        for _ in range(50):
-            d = 3
-            A = rng.standard_normal((d, d))
-            H = A @ A.T + np.eye(d)
-            z = rng.standard_normal(d) * 0.3
-            g = rng.standard_normal(d)
-            out = prox_step_hnorm(z, g, H, radius=0.5)
-            assert np.linalg.norm(out) <= 0.5 + 1e-9
-            # optimality vs random feasible directions
-            base = g @ out + 0.5 * (out - z) @ H @ (out - z)
-            for _ in range(20):
-                y = rng.standard_normal(d)
-                y *= 0.5 * rng.uniform() ** (1 / 3) / np.linalg.norm(y)
-                val = g @ y + 0.5 * (y - z) @ H @ (y - z)
-                assert base <= val + 1e-8
-
 
 class TestClip:
     def test_componentwise_formula(self):

@@ -13,10 +13,9 @@ from smoothconvex.adversary import (LossSequence, alternating_linear,
                                     classification_stream, ftrl_adversary)
 from smoothconvex.metrics import comparator_minimum, final_regret
 from smoothconvex.online import (OGD, OMP, IFTRL, BanditOMP, ConstraintSet,
-                                 DoublingWrapper, ExpertOMP, ExplicitMaxPD,
-                                 HingeClassifierPD, MaxStructure, PenaltyOGD,
-                                 RoundLoss, SoftConstraintOGD, StrictlyConvexOMP,
-                                 ZeroViolationOGD, zero_violation_tuning)
+                                 ExpertOMP, HingeClassifierPD, PenaltyOGD,
+                                 RoundLoss, SoftConstraintOGD, ZeroViolationOGD,
+                                 zero_violation_tuning)
 
 import frozen_kernels
 
@@ -197,39 +196,6 @@ class TestExpertOMP:
             assert loss_sum - best_expert <= math.sqrt(2 * egv_inf * math.log(m)) * 1.10
 
 
-class TestStrictlyConvexOMP:
-    def test_initial_metric_scaled_identity(self):
-        sc = StrictlyConvexOMP(UNIT, beta=0.5, G=2.0, dim=3)
-        np.testing.assert_allclose(sc.H, (1 + 0.5 * 4.0) * np.eye(3), atol=1e-15)
-
-    def test_rank_one_metric_update(self):
-        sc = StrictlyConvexOMP(UNIT, beta=0.5, G=1.0, dim=2)
-        H1 = sc.H.copy()
-        loss = linear([0.3, -0.4])
-        sc.observe(loss)
-        g = loss.linear
-        np.testing.assert_allclose(sc.H, H1 + 0.5 * np.outer(g, g), atol=1e-14)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ConfigurationError):
-            StrictlyConvexOMP(UNIT, beta=0.1, G=1.0, dim=51)
-
-    def test_slow_drift_log_regret_ratio(self):
-        cs = []
-        for T in (500, 1000, 2000):
-            sc = StrictlyConvexOMP(UNIT, beta=0.25, G=2.0, dim=2)
-            centers = [0.5 * np.array([math.cos(0.01 * t / T), math.sin(0.01 * t / T)])
-                       for t in range(T)]
-            seq = LossSequence(T=T, kind="q",
-                               _losses=[RoundLoss.from_quadratic(c) for c in centers])
-            for l in seq:
-                sc.observe(l)
-            r = final_regret(sc.decisions, seq, UNIT)
-            cs.append(r / math.log(T))
-        assert all(c > 0 for c in cs)
-        assert max(cs) / min(cs) <= 2.0
-
-
 class TestBanditOMP:
     def test_linear_estimate_exact(self):
         b = BanditOMP(UNIT, G=1.0, delta=0.05, eta=0.01, dim=3)
@@ -275,52 +241,7 @@ class TestBanditOMP:
             BanditOMP(Domain.ball(0.1), G=1.0, delta=0.2, eta=0.01, dim=2)
 
 
-class TestDoubling:
-    def factory(self, eta):
-        return IFTRL(UNIT, L=1.0, eta=min(eta, 1.0), dim=2)
-
-    def test_zero_variation_single_epoch(self):
-        dw = DoublingWrapper(self.factory, L=1.0)
-        for l in const_seq(np.array([0.5, 0.0]), 200):
-            dw.observe(l)
-        assert dw.boundaries == [1]
-
-    def test_engineered_boundary_and_burn(self):
-        # gradient jumps of squared size 0.36 from round 2 on; the epoch-1
-        # budget L^2/eta_1^2 = 1 is first exceeded at round 4
-        vecs = [np.array([0.3, 0.0])]
-        for k in range(9):
-            vecs.append(vecs[-1] + (0.6 if k % 2 == 0 else -0.6) * np.array([1.0, 0.0]))
-        dw = DoublingWrapper(self.factory, L=1.0)
-        for v in vecs:
-            dw.observe(linear(v))
-        assert dw.boundaries == [1, 4]
-
-    def test_within_constant_factor_of_tuned(self):
-        T = 3000
-        for seed in range(10):
-            egv = float(make_rng(seed).uniform(4.0, 64.0))
-            seq = alternating_linear(egv, T, 2)
-            tuned = IFTRL(UNIT, L=1.0, eta=min(1.0, 1.0 / math.sqrt(egv)), dim=2)
-            dw = DoublingWrapper(self.factory, L=1.0)
-            for l in seq:
-                tuned.observe(l)
-                dw.observe(l)
-            r_tuned = final_regret(tuned.decisions, seq, UNIT)
-            r_dw = final_regret(dw.decisions, seq, UNIT)
-            assert r_dw <= 8.0 * max(r_tuned, 1.0 / math.sqrt(T))
-            assert len(dw.boundaries) <= math.floor(math.log2(max(egv, 2.0))) + 2
-
-
-class TestExplicitMaxPD:
-    def test_dimension_mismatch_rejected(self):
-        lr = ExplicitMaxPD(UNIT, Domain.box([0.0], [1.0]), L1=1.0, L2=1.0,
-                           eta=0.1, dim=2, dual_dim=1)
-        bad = RoundLoss(value=lambda x: 0.0, grad=lambda x: np.zeros(2),
-                        max_parts=MaxStructure(A=np.zeros((1, 3))))
-        with pytest.raises(InputError):
-            lr.observe(bad)
-
+class TestHingeClassifierPD:
     def test_hinge_no_update_when_correct(self):
         h = HingeClassifierPD(2, R=1.0, eta=0.1)
         h.w = np.array([0.5, 0.0])
@@ -364,6 +285,31 @@ class TestExplicitMaxPD:
         bound = best + math.sqrt(2.0) * (1.0 + 1.0) * max(2.0, math.sqrt(egv))
         assert h.mistakes <= bound * 1.10
         assert h.mistakes > 0
+
+
+class TestConstructionChecks:
+    """A non-positive step size, smoothness, radius or query offset would
+    divide by zero, climb the cost or leave the domain in some later round;
+    each learner refuses it when it is built."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: BanditOMP(UNIT, G=1.0, delta=-0.5, eta=0.1, dim=2),
+        lambda: BanditOMP(UNIT, G=1.0, delta=0.0, eta=0.1, dim=2),
+        lambda: BanditOMP(UNIT, G=0.0, delta=0.1, eta=0.1, dim=2),
+        lambda: OMP(UNIT, L=0.0, eta=0.5, dim=2),
+        lambda: OMP(UNIT, L=-1.0, eta=0.5, dim=2),
+        lambda: IFTRL(UNIT, L=0.0, eta=0.5, dim=2),
+        lambda: IFTRL(UNIT, L=-1.0, eta=0.5, dim=2),
+        lambda: HingeClassifierPD(2, eta=-0.1),
+        lambda: HingeClassifierPD(2, eta=0.0),
+        lambda: HingeClassifierPD(2, R=-1.0),
+        lambda: HingeClassifierPD(2, R=0.0),
+    ], ids=["bandit-delta-neg", "bandit-delta-0", "bandit-G-0", "omp-L-0", "omp-L-neg",
+            "iftrl-L-0", "iftrl-L-neg", "hinge-eta-neg", "hinge-eta-0", "hinge-R-neg",
+            "hinge-R-0"])
+    def test_nonpositive_parameter_refused(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
 
 
 def ball_constraint(r):
@@ -449,7 +395,6 @@ class TestFeasibilityAcrossLearners:
             lambda: OGD(UNIT, StepSchedule.inverse_sqrt(0.4), dim=3),
             lambda: OMP(UNIT, L=1.0, eta=0.3, dim=3),
             lambda: IFTRL(UNIT, L=1.0, eta=0.5, dim=3),
-            lambda: StrictlyConvexOMP(UNIT, beta=0.2, G=2.0, dim=3),
         ):
             lr = make()
             for _ in range(T):
@@ -488,49 +433,6 @@ class TestGeneralNormTuning:
             lr.observe(linear(rng.uniform(0, 1, size=4)))
         for x in lr.decisions:
             assert abs(x.sum() - 1.0) < 1e-12 and np.all(x >= 0)
-
-
-class TestExplicitMaxFunctional:
-    def test_constant_saddle_losses_reach_constrained_optimum(self):
-        # f(x) = ½‖x − c‖²·(smooth part) + max_{u∈[0,1]} ⟨a·x, u⟩ − ½u²;
-        # the max term is an increasing huber-style penalty on a·x
-        a = np.array([1.0, 0.5])
-        c = np.array([0.8, 0.0])
-
-        def fhat_value(x):
-            return 0.5 * float((x - c) @ (x - c))
-
-        def fhat_grad(x):
-            return x - c
-
-        def gpen(s):
-            u = min(max(s, 0.0), 1.0)
-            return s * u - 0.5 * u * u
-
-        def value(x):
-            return fhat_value(x) + gpen(float(a @ x))
-
-        parts = MaxStructure(A=a[None, :], f_hat_grad=fhat_grad,
-                             phi_hat_grad=lambda u: u.copy())
-        loss = RoundLoss(value=value, grad=lambda x: None, max_parts=parts)
-        dom = Domain.ball(1.0)
-        dual = Domain.box([0.0], [1.0])
-        lr = ExplicitMaxPD(dom, dual, L1=1.0, L2=1.0, eta=0.2, dim=2, dual_dim=1)
-        T = 3000
-        for _ in range(T):
-            lr.observe(loss)
-        xbar = np.mean(lr.decisions[T // 2:], axis=0)
-        # reference optimum by dense polar grid over the disc
-        best = math.inf
-        for r in np.linspace(0, 1, 201):
-            for th in np.linspace(0, 2 * math.pi, 721):
-                x = r * np.array([math.cos(th), math.sin(th)])
-                best = min(best, value(x))
-        assert value(xbar) - best <= 5e-3
-        # feasibility of both sequences throughout
-        for x, u in zip(lr.decisions, lr.duals):
-            assert dom.g(x) <= 1e-10
-            assert 0.0 - 1e-12 <= u[0] <= 1.0 + 1e-12
 
 
 class TestRoundLossReadOnly:
@@ -813,10 +715,6 @@ class TestFrozenRounds:
         _assert_both_branches(lr.decisions, 0.8)
 
 
-def _hinge_losses(T, d):
-    return list(classification_stream(0.3, T, d, seed=6))
-
-
 def _recording_cases():
     """name -> (learner factory, losses) for every decision-recording learner."""
     d, T = 3, 60
@@ -831,14 +729,7 @@ def _recording_cases():
         "OMP-entropy": (lambda: OMP(Domain.simplex(4), L=1.0, eta=0.5, dim=4,
                                     mirror_map=MirrorMap.entropy()), experts),
         "ExpertOMP": (lambda: ExpertOMP(4, eta=0.5), experts),
-        "StrictlyConvexOMP": (lambda: StrictlyConvexOMP(UNIT, beta=0.5, G=2.0, dim=d),
-                              mixed),
         "BanditOMP": (lambda: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=d), quad),
-        "DoublingWrapper": (lambda: DoublingWrapper(
-            lambda eta: OMP(UNIT, L=1.0, eta=eta, dim=d), L=1.0, eta0=2.0), mixed),
-        "ExplicitMaxPD": (lambda: ExplicitMaxPD(UNIT, Domain.box([0.0], [1.0]), L1=1.0,
-                                                L2=1.0, eta=0.3, dim=2, dual_dim=1),
-                          _hinge_losses(T, 2)),
         "SoftConstraintOGD": (lambda: SoftConstraintOGD(_soft_cons(), T, R=0.8, dim=2),
                               list(_soft_rounds(T))),
         "ZeroViolationOGD": (lambda: ZeroViolationOGD(_soft_cons(), T, R=0.8, dim=2),
