@@ -169,6 +169,10 @@ def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
     point that it owns: the kernel returns that very array when it lies in
     both balls, and never writes into it.  The path most steps take, the
     point or its ball-1 projection lying in ball 2, makes no nested call.
+    When c2 is zero and c1 is not (mixed_grad's shifted frame), the kernel
+    takes ‖x‖ first: a point with ‖x‖ + ‖c1‖ safely below r1 skips the
+    ball-1 test, which it cannot fail, and ‖x‖ serves the ball-2 test.  The
+    result is bit for bit what the full tests give.
 
     Intersection must be nonempty (‖c1−c2‖ ≤ r1+r2).  Falls back to the
     sphere-sphere ring when both constraints are active.
@@ -182,14 +186,35 @@ def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
     c1_zero = not (c1.any() or np.signbit(c1).any())
     # ‖p1 − c2‖ equals ‖p1‖ bit for bit when c2 is zero (mixed_grad's c2)
     c2_zero = not np.count_nonzero(c2)
+    pretest = c2_zero and not c1_zero
+    # The pre-test ‖x‖ ≤ inner implies that the ball-1 test n ≤ r1 below
+    # passes.  With u = 2⁻⁵³ and γ = d·u/(1 − d·u), a computed dot of d
+    # squares is within a factor 1 ± γ of the exact one (any summation
+    # order), and each subtraction, product and sqrt adds a factor 1 ± u.  So
+    # the computed ‖x‖ and ‖c1‖ are at least (1 − u)·√(1 − γ) times the
+    # exact norms, and the exact ‖x‖ + ‖c1‖ is at most (1 + u)³·r1·m over
+    # that factor, m = 1 − 8(d + 4)·u.  By the triangle inequality
+    # ‖x − c1‖ ≤ ‖x‖ + ‖c1‖, and the computed n of y = fl(x − c1) is at most
+    # (1 + u)²·√(1 + γ) times it.  Together n ≤ r1·m·(1 + 2(d + 4)·u) < r1
+    # while d·u ≤ 0.01.  Underflow adds at most √d·2⁻⁵³⁷ to each computed
+    # norm; subtracting 2⁻⁵⁰⁰ covers that, and disables the pre-test only for
+    # radii near 2⁻⁵⁰⁰ or below.  With c2 zero, gap is ‖c1‖.
+    inner = (r1 * (1.0 - 4 * (c1.size + 4) * 2.0**-52) - gap - 2.0**-500
+             if pretest else -math.inf)
 
     def project(x: Point) -> Point:
-        y = x if c1_zero else x - c1
-        n = math.sqrt(y.dot(y))
-        # the outside branch keeps `+ c1`, which maps −0.0 to +0.0
-        p1 = x if n <= r1 else y * (r1 / n) + c1
-        u = p1 if c2_zero else p1 - c2
-        if math.sqrt(u.dot(u)) <= tol2:
+        n2 = math.sqrt(x.dot(x)) if pretest else math.inf
+        if n2 <= inner:
+            p1 = x
+        else:
+            y = x if c1_zero else x - c1
+            n = math.sqrt(y.dot(y))
+            # the outside branch keeps `+ c1`, which maps −0.0 to +0.0
+            p1 = x if n <= r1 else y * (r1 / n) + c1
+            if p1 is not x or not pretest:
+                u = p1 if c2_zero else p1 - c2
+                n2 = math.sqrt(u.dot(u))
+        if n2 <= tol2:
             return p1
         p2 = project_ball(x, r2, c2)
         if _norm(p2 - c1) <= tol1:

@@ -317,18 +317,26 @@ class ConstraintSet:
         return cls(funcs=funcs, D=D, G=grad_bound, F=loss_bound)
 
 
+def _check_horizon(T: int) -> None:
+    """Refuse a horizon below one round; the tunings divide by a power of T."""
+    if T < 1:
+        raise ConfigurationError(f"horizon T must be at least 1, got T={T}")
+
+
 class SoftConstraintOGD(OGD):
     """Primal-dual descent-ascent meeting the constraints only in the long run.
 
     OGD on the radius-R ball with a constant step eta, whose direction is the
     loss gradient plus the dual-weighted constraint subgradients; the duals
     are kept nonnegative and damped by a quadratic regularizer so the
-    constraint weights adapt to the accumulated violation.
+    constraint weights adapt to the accumulated violation.  A horizon T
+    below one round is refused.
     """
 
     def __init__(self, constraints: ConstraintSet, T: int, R: float = 1.0,
                  eta: float | None = None, delta: float | None = None,
                  dim: int | None = None):
+        _check_horizon(T)
         ball = Domain.ball(R)   # refuses R <= 0 before R divides below
         self.cons = constraints
         m, G, D = constraints.m, constraints.G, constraints.D
@@ -362,6 +370,7 @@ def zero_violation_tuning(G: float, D: float, F: float, R: float, T: int,
     variant: delta = 4G², gamma = b·T^(−1/4)."""
     if R <= 0:
         raise ConfigurationError("ball radius must be positive")
+    _check_horizon(T)
     delta = 4.0 * G * G
     b = 0.0
     a = R * math.sqrt(2 * G * G + 3 * D * D)

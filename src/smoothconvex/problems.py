@@ -9,6 +9,7 @@ the others.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -134,6 +135,12 @@ class FiniteSumProblem:
     def d(self) -> int:
         return self.X.shape[1]
 
+    @functools.cached_property
+    def _min_abs_x(self) -> float:
+        """min|x_ij|, which anchored_diff's regularizer skip reads; computed
+        on first use, like `constants` it assumes X is not changed after."""
+        return float(np.min(np.abs(self.X)))
+
     # -- per-component access (regularizer included) -------------------------
 
     def component_grad(self, i: int, w: Point) -> Point:
@@ -170,21 +177,48 @@ class FiniteSumProblem:
             coefs = -self.y / (1.0 + np.exp(np.minimum(self.y * z, 700.0)))
         else:
             coefs = -2.0 * (self.y - z)
-        return coefs[:, None] * self.X + self.lam_reg * w[None, :]
+        grads = coefs[:, None] * self.X
+        grads += self.lam_reg * w
+        return grads
 
     def anchored_component_diff(self, i: int, w: Point, center: Point) -> Point:
         """∇f_i(w) − ∇f_i(center), the variance-reduced stochastic part."""
-        xi = self.X[i]
-        u = w - center
+        return self.anchored_diff(center)(i, w)
+
+    def anchored_diff(self, center: Point):
+        """anchored_component_diff bound to one anchor, as a bare kernel
+        diff(i, w): the loss branch and the regularizer's skip are settled
+        once, so an epoch solver binds one per epoch.  center is only read,
+        and each call returns a new array."""
+        X, y = self.X, self.y
+        lam_reg = np.array(self.lam_reg)  # 0-d: see stochastic.mixed_grad
         if self.loss == "squared":
-            # `.dot` is `@` up to the sign of a zero; `+ 0.0` gives `@`'s +0.0
-            return (2.0 * (float(xi.dot(u)) + 0.0)) * xi + self.lam_reg * u
-        yi = float(self.y[i])
-        mw = yi * float(xi.dot(w))
-        mc = yi * float(xi.dot(center))
-        coef = (-yi / (1.0 + math.exp(min(mw, 700.0)))
-                + yi / (1.0 + math.exp(min(mc, 700.0))))
-        return coef * xi + self.lam_reg * u
+            # With lam_reg zero and u finite, lam_reg·u is a signed zero, which
+            # changes c·x_ij only where that product is a zero.  Rounding is
+            # monotone, so |c·x_ij| ≥ fl(|c|·min|X|) > 0; and a finite c means
+            # a finite u (a non-finite u_j times a nonzero x_ij makes the dot
+            # non-finite).  So the term is skipped exactly in that case.
+            xmin = self._min_abs_x if self.lam_reg == 0 else 0.0
+
+            def diff(i: int, w: Point) -> Point:
+                xi = X[i]
+                u = w - center
+                # `.dot` is `@` up to the sign of a zero; `+ 0.0` gives `@`'s +0.0
+                c = 2.0 * (float(xi.dot(u)) + 0.0)
+                if 0.0 < abs(c) * xmin < math.inf:
+                    return c * xi
+                return c * xi + lam_reg * u
+            return diff
+
+        def diff(i: int, w: Point) -> Point:
+            xi = X[i]
+            yi = float(y[i])
+            mw = yi * float(xi.dot(w))
+            mc = yi * float(xi.dot(center))
+            coef = (-yi / (1.0 + math.exp(min(mw, 700.0)))
+                    + yi / (1.0 + math.exp(min(mc, 700.0))))
+            return coef * xi + lam_reg * (w - center)
+        return diff
 
     # -- stochastic access ----------------------------------------------------
 

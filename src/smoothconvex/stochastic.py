@@ -20,7 +20,11 @@ sums the iterates the steps start from.  The projector is built once per
 epoch for the intersection of the domain with that epoch's ball
 (core.two_ball_projector when the domain is a ball), so each step pays only
 for projecting its point.  Every step hands the projector a fresh point that
-the solver owns, which the kernel may return as is.  An epoch length below
+the solver owns, which the kernel may return as is.  The mixed-oracle
+solvers likewise bind the anchored difference once per epoch
+(FiniteSumProblem.anchored_diff), and hold their per-epoch scalar factors as
+0-d arrays, which numpy multiplies into a vector faster than a Python float
+with the same products.  An epoch length below
 one step is refused, as is a horizon below one step in every solver that
 averages its iterates over the horizon.
 
@@ -118,6 +122,15 @@ def _given_step(name: str, value: float | None) -> float | None:
     if value is not None and not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def _declared(objective, attr: str, param: str):
+    """objective.<attr>, which the default of `param` reads; an objective
+    that does not declare it is refused, naming the parameter to set."""
+    if not hasattr(objective, attr):
+        raise ConfigurationError(f"{type(objective).__name__} has no {attr}; "
+                                 f"set {param}")
+    return getattr(objective, attr)
 
 
 def _stride(T: int, snapshot_every: int) -> int:
@@ -354,7 +367,6 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         "T1_prescribed": T1_presc, "T1_capped": T1 < T1_presc,
     })
     rng = make_rng(seed)
-    diff = problem.anchored_component_diff
     center = np.zeros(problem.d)
     origin = np.zeros(problem.d)
     Tk = T1
@@ -363,10 +375,15 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         trace.calls_full += 1
         g_anchor = lam * center + g_full
         project = two_ball_projector(-center, R, origin, Delta)
+        diff = problem.anchored_diff(center)
+        # a 0-d float64 array times a short vector gives the same IEEE
+        # products as a Python float, but skips numpy's per-call conversion
+        # of the float, which costs more than the product at this size
+        eta_k, lam_k = np.array(eta), np.array(lam)
 
         def step(w, i):
-            ghat = g_anchor + diff(i, w + center, center)
-            return project(w - eta * (ghat + lam * w))
+            ghat = g_anchor + diff(i, w + center)
+            return project(w - eta_k * (ghat + lam_k * w))
 
         w, ssum = _epoch(origin, _component_draws(problem, rng, Tk), step)
         trace.calls_stochastic += Tk
@@ -411,7 +428,7 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
         "T_prescribed": T_presc, "T_capped": T < T_presc,
     })
     rng = make_rng(seed)
-    diff = problem.anchored_component_diff
+    eta_0d = np.array(eta)  # 0-d: see mixed_grad
     # a feasible start keeps every average, and so the answer, feasible
     center = domain.project(np.zeros(problem.d))
     # the gradient matrix at an epoch's output is the next epoch's anchor matrix
@@ -420,9 +437,10 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
         g_full = problem.full_grad(center)
         trace.calls_full += 1
         project = _intersection_projector(domain, center, Delta)
+        diff = problem.anchored_diff(center)
 
         def step(w, i):
-            return project(w - eta * (g_full + diff(i, w, center)))
+            return project(w - eta_0d * (g_full + diff(i, w)))
 
         w, ssum = _epoch(center, _component_draws(problem, rng, T), step)
         trace.calls_stochastic += T
@@ -488,12 +506,11 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     if domain.rho <= 0:
         raise ConfigurationError("boundary gradient bound rho must be positive")
     T = _horizon(T)
-    G1 = G1 if G1 is not None else objective.grad_bound(1.0)
+    G1 = G1 if G1 is not None else _declared(objective, "grad_bound", "G1")(1.0)
     G2, C2 = domain.G2, domain.C2
     gamma = _given_step("gamma", gamma)
     if gamma is None:
-        # only the default reads the noise level, which not every objective has
-        sigma = objective.noise
+        sigma = _declared(objective, "noise", "gamma")
         gamma = G2 * G2 / math.sqrt(
             (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / delta)) * sigma * sigma) * T)
     eta = _given_step("eta", eta) or gamma / (2.0 * G2 * G2)
@@ -540,7 +557,7 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     # the default gamma = log(T)/T is positive only from T = 2 on
     T = _horizon(T, least=1 if gamma else 2)
     gamma = gamma or math.log(T) / T
-    G1 = G1 if G1 is not None else objective.grad_bound(1.0)
+    G1 = G1 if G1 is not None else _declared(objective, "grad_bound", "G1")(1.0)
     lam0 = lambda0 if lambda0 is not None else 1.05 * G1 / domain.rho
     if lam0 <= G1 / domain.rho:
         warnings.warn("lambda0 <= G1/rho: the convergence guarantee is void",

@@ -1,5 +1,6 @@
 """Foundations: projections, mirror maps, prox steps, clipping, oracles."""
 
+import itertools
 import math
 import warnings
 
@@ -203,6 +204,37 @@ class TestTwoBallProjector:
             assert once is not x and not np.shares_memory(once, x)
             assert x.tobytes() == xin.tobytes()
         assert branches == {"inside", "ball1", "p2", "ring", "axis"}
+
+    def test_pretest_boundary_bitwise_equal_to_per_call_projection(self):
+        # c2 = ±0 and c1 nonzero, as in mixed_grad's shifted frame, with
+        # ‖x‖ + ‖c1‖ a few ulps either side of r1 (x antiparallel to c1, so
+        # that ‖x − c1‖ is that sum) or of the pre-test's threshold
+        # r1·(1 − 4(d + 4)·2⁻⁵²); r2 lets ball 2 bind or not.  At the scale
+        # 1e-160 the squares in the norms underflow.
+        rng = make_rng(34)
+        eps = 2.0**-52
+        branches = set()
+        for d, scale in itertools.product(range(1, 51), (1.0, 1e-160)):
+            for k in range(-12, 13):
+                e = rng.standard_normal(d)
+                e /= np.linalg.norm(e)
+                r1 = float(rng.uniform(0.5, 2.0)) * scale
+                c1 = float(rng.uniform(0.05, 0.95)) * r1 * e
+                for level in (1.0, 1.0 - 4 * (d + 4) * eps):
+                    total = r1 * level * (1.0 + k * eps)
+                    t = total - np.linalg.norm(c1)
+                    away = rng.standard_normal(d)
+                    for x in (-t * e, t * away / np.linalg.norm(away)):
+                        r2 = t * float(rng.choice([0.5, 1.0 - 1e-15, 1.0, 3.0]))
+                        c2 = np.zeros(d) * rng.choice([1.0, -1.0])
+                        want, branch = frozen_kernels.project_two_balls_branch(
+                            x, c1, r1, c2, r2)
+                        if branch == "ball1" and np.linalg.norm(x - c1) <= r1:
+                            branch = "inside"
+                        branches.add(branch)
+                        got = two_ball_projector(c1, r1, c2, r2)(x)
+                        assert got.tobytes() == want.tobytes(), (d, k, level)
+        assert branches == {"inside", "ball1", "p2"}
 
     def test_one_projector_serves_many_points(self):
         c1, c2 = np.zeros(3), np.array([0.9, 0.2, 0.0])

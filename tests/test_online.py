@@ -368,6 +368,16 @@ class TestSoftConstraints:
         with pytest.raises(ConfigurationError):
             make(self.make_cons())
 
+    @pytest.mark.parametrize("T", [0, -5, 0.5])
+    @pytest.mark.parametrize("make", [
+        lambda c, T: SoftConstraintOGD(c, T=T, R=1.0, dim=2),
+        lambda c, T: SoftConstraintOGD(c, T=T, R=1.0, dim=2, eta=0.1),
+        lambda c, T: ZeroViolationOGD(c, T=T, R=1.0, dim=2),
+    ], ids=["soft", "soft-given-eta", "zero"])
+    def test_horizon_below_one_refused(self, make, T):
+        with pytest.raises(ConfigurationError, match="horizon T"):
+            make(self.make_cons(), T)
+
     def test_penalty_baseline_linear_violation(self):
         v = np.array([1.0, 0.0])
         cons = ConstraintSet(funcs=[(lambda x: 1.0 - float(v @ x), lambda x: -v)],

@@ -159,6 +159,22 @@ class TestLeastSquares:
             assert np.linalg.norm(prob.component_grad(i, w) - fd) <= 1e-6 * max(
                 1.0, np.linalg.norm(fd))
 
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("lam_reg", [0.0, 0.1])
+    def test_component_grad_matrix_bitwise_equal_to_two_array_formula(self, loss, lam_reg):
+        rng = make_rng(10)
+        X = rng.standard_normal((7, 4))
+        y = rng.standard_normal(7)
+        prob = from_arrays(X, np.sign(y) if loss == "logistic" else y, lam_reg, loss)
+        for w in rng.standard_normal((5, 4)) * [[1.0], [0.0], [-0.0], [1e3], [1e-3]]:
+            z = X @ w
+            if loss == "logistic":
+                coefs = -prob.y / (1.0 + np.exp(np.minimum(prob.y * z, 700.0)))
+            else:
+                coefs = -2.0 * (prob.y - z)
+            want = coefs[:, None] * X + lam_reg * w[None, :]
+            assert prob.all_component_grads(w).tobytes() == want.tobytes()
+
     def test_anchored_diff_identity(self):
         rng = make_rng(6)
         X = rng.standard_normal((5, 3))
@@ -186,6 +202,36 @@ class TestLeastSquares:
                     got = prob.anchored_component_diff(i, w, c)
                     want = frozen_kernels.anchored_component_diff(prob, i, w, c)
                     assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("lam_reg", [0.0, -0.0, 0.1])
+    def test_bound_anchored_diff_bitwise_equal_to_per_call_formula(self, loss, lam_reg):
+        # X scales and zero entries, anchors and points chosen to reach every
+        # case of the squared loss's skipped regularizer: c·x_ij nonzero, a
+        # zero entry of X, c == 0 (w on the anchor, or w − center orthogonal
+        # to x_i), c·x_ij underflowing to zero, and a non-finite c
+        rng = make_rng(9)
+        for d in (1, 3, 10):
+            for x_scale, zeros in ((1.0, False), (1.0, True), (1e-170, False),
+                                   (1e150, False)):
+                X = rng.standard_normal((5, d)) * x_scale
+                if zeros:
+                    X[rng.uniform(size=X.shape) < 0.3] = 0.0
+                y = rng.standard_normal(5)
+                prob = from_arrays(X, np.sign(y) if loss == "logistic" else y, lam_reg,
+                                   loss)
+                for w_scale in (1.0, 1e-150, 1e200):
+                    c = rng.standard_normal(d) * w_scale
+                    diff = prob.anchored_diff(c)
+                    for i in range(5):
+                        u = rng.standard_normal(d) * w_scale
+                        with np.errstate(all="ignore"):
+                            ws = [c + u, c.copy(),
+                                  c + u - (X[i] @ u) / (X[i] @ X[i]) * X[i], -np.abs(u),
+                                  np.where(rng.uniform(size=d) < 0.5, np.inf, u)]
+                            for w in ws:
+                                want = frozen_kernels.anchored_component_diff(prob, i, w, c)
+                                assert diff(i, w).tobytes() == want.tobytes()
 
     def test_convex_along_random_segments(self):
         rng = make_rng(7)

@@ -650,6 +650,19 @@ class TestOneProjection:
             assert tr.projections == 1
             assert self.dom.g(tr.final_point) <= 1e-10
 
+    def test_default_without_its_source_refused(self):
+        # OneDimTargetRisk declares neither grad_bound (G1's default) nor
+        # noise (sgd_pd's default gamma)
+        obj, ball = onedim_target_risk_problem(0.3), Domain.ball(0.8)
+        for solver in (sgd_pd, sgd_st):
+            with pytest.raises(ConfigurationError, match="grad_bound; set G1"):
+                solver(obj, ball, T=5)
+        with pytest.raises(ConfigurationError, match="noise; set gamma"):
+            sgd_pd(obj, ball, T=5, G1=1.0)
+        for tr in (sgd_pd(obj, ball, T=5, G1=1.0, gamma=0.1),
+                   sgd_st(obj, ball, T=5, G1=1.0)):
+            assert ball.contains(tr.final_point)
+
     def test_dual_stays_zero_when_deep_feasible(self):
         obj = NoisyQuadratic(center=np.zeros(2), noise=0.1)
         dom = Domain.ball(0.95)
