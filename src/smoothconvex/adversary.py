@@ -37,18 +37,6 @@ class LossSequence:
         return iter(self._losses)
 
 
-def switching_linear(f, g, T: int) -> LossSequence:
-    """⟨f,·⟩ for the first half, ⟨g,·⟩ for the rest (odd T: the second half
-    gets the extra round)."""
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    half = T // 2
-    losses = [RoundLoss.from_linear(f)] * half + [RoundLoss.from_linear(g)] * (T - half)
-    egv = float(f @ f) + float((g - f) @ (g - f))
-    return LossSequence(T=T, kind="switching_linear", _losses=losses,
-                        egv_target=egv, meta={"f": f, "g": g})
-
-
 def alternating_linear(egv: float, T: int, d: int) -> LossSequence:
     """±f alternating every round, with ‖f‖ sized so the gradual variation
     hits `egv`; the flip-dominated family where tracking gains vanish and
@@ -62,45 +50,6 @@ def alternating_linear(egv: float, T: int, d: int) -> LossSequence:
     losses = [pair[t % 2] for t in range(T)]
     return LossSequence(T=T, kind="alternating_linear", _losses=losses,
                         egv_target=float(egv), meta={"scale": scale})
-
-
-def blocked_linear(egv: float, T: int, d: int, switches: int = 16,
-                   seed: int = 0) -> LossSequence:
-    """Piecewise-constant unit cost vectors with `switches` direction changes
-    sized so the gradual variation hits `egv` (which must be ≥ 1, the
-    first-round term)."""
-    if egv < 1.0:
-        raise InputError("target variation must be at least the first-round term 1")
-    chord = math.sqrt((egv - 1.0) / switches) if switches > 0 else 0.0
-    if chord > 2.0:
-        raise InputError("per-switch change cannot exceed the unit-vector diameter 2")
-    rng = make_rng(seed)
-    vecs = []
-    v = np.zeros(d)
-    v[0] = 1.0
-    vecs.append(v)
-    for _ in range(switches):
-        # rotate by the angle whose chord is `chord`, in a random 2-plane
-        u = rng.standard_normal(d)
-        u -= (u @ v) * v
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
-            u = np.zeros(d)
-            u[(int(np.argmax(np.abs(v))) + 1) % d] = 1.0
-            u -= (u @ v) * v
-            nu = np.linalg.norm(u)
-        u /= nu
-        angle = 2.0 * math.asin(min(chord / 2.0, 1.0))
-        v = math.cos(angle) * v + math.sin(angle) * u
-        v /= np.linalg.norm(v)
-        vecs.append(v)
-    block = T // (switches + 1)
-    losses = []
-    for j, vec in enumerate(vecs):
-        span = block if j < switches else T - block * switches
-        losses += [RoundLoss.from_linear(vec)] * span
-    return LossSequence(T=T, kind="blocked_linear", _losses=losses,
-                        egv_target=float(egv), meta={"switches": switches})
 
 
 def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,

@@ -536,7 +536,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericError as exc:
+    except (NumericError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -16,10 +16,11 @@ goes through the checked Domain.project.
 
 The three epoch methods share one inner loop (`_epoch`): each epoch binds a
 step closure over its anchor, its projector and its step size, and the loop
-sums the iterates the steps start from.  The projector is built once per
-epoch for the intersection of the domain with that epoch's ball
-(core.two_ball_projector when the domain is a ball), so each step pays only
-for projecting its point.  Every step hands the projector a fresh point that
+sums the iterates the steps start from.  Their domain must be a ball, and
+any other domain is refused with ConfigurationError before any work: each
+epoch projects onto the domain ∩ that epoch's ball, and the projector, a
+core.two_ball_projector, is built once per epoch, so each step pays only for
+projecting its point.  Every step hands the projector a fresh point that
 the solver owns, which the kernel may return as is.  The mixed-oracle
 solvers likewise bind the anchored difference once per epoch
 (FiniteSumProblem.anchored_diff), and hold their per-epoch scalar factors as
@@ -42,8 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ConfigurationError, Domain, NumericError, Point,
-                   StepSchedule, clip_component, dykstra, make_rng,
-                   project_ball, two_ball_projector)
+                   StepSchedule, clip_component, make_rng, two_ball_projector)
 
 
 @dataclass
@@ -140,12 +140,13 @@ def _stride(T: int, snapshot_every: int) -> int:
     return max(1, T // 200)
 
 
-def _intersection_projector(domain: Domain, center: Point, radius: float):
-    """Projection onto domain ∩ ball(center, radius), for one epoch's center
-    and radius."""
-    if domain.kind == "ball":
-        return two_ball_projector(np.zeros_like(center), domain.r, center, radius)
-    return lambda x: dykstra(x, [domain.project, lambda v: project_ball(v, radius, center)])
+def _ball_radius(domain: Domain, solver: str) -> float:
+    """The radius of the epoch solvers' domain, which must be a ball centered
+    at the origin: each epoch projects onto the domain ∩ the epoch's ball,
+    which only for a ball domain is the exact two-ball kernel."""
+    if domain.kind != "ball":
+        raise ConfigurationError(f"{solver} needs a ball domain, got {domain.kind!r}")
+    return domain.r
 
 
 _DRAW_BLOCK = 1024  # indices drawn per generator call; bounds the buffer
@@ -273,6 +274,7 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
 
     `xi` is the clip-level factor above, by default 4·beta/(lam·tau).
     """
+    R = _ball_radius(domain, "clipped_sgd")
     if target_risk is None or target_risk <= 0:
         raise ConfigurationError("clipped_sgd needs a positive target risk")
     if not (0 < epsilon < 1 and 0 < tau < 1):
@@ -282,7 +284,6 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     if alpha <= 0:
         raise ConfigurationError("clipped_sgd needs a strongly convex problem")
     xi = xi if xi is not None else 4.0 * beta / (alpha * tau)
-    R = domain.r if domain.kind == "ball" else domain.outer_radius
     m = _epoch_count(m, 8)
     d = problem.d
     stage_count = max(1, math.ceil(math.log2(max(xi * beta * R * R / target_risk, 2.0))))
@@ -299,13 +300,13 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         "T1_prescribed": T1_presc, "T1_capped": T1 < T1_presc,
     })
     rng = make_rng(seed)
-    # a feasible start keeps every average, and so the answer, feasible
-    center = domain.project(np.zeros(d))
+    center = np.zeros(d)
+    origin = np.zeros(d)
     Delta = R
     fixed_point = math.sqrt(tau * target_risk / (1.0 - epsilon))
     for k in range(1, m + 1):
         gamma_k = 2.0 * xi * beta * Delta
-        project = _intersection_projector(domain, center, Delta)
+        project = two_ball_projector(origin, R, center, Delta)
 
         def step(w, _):
             v = clip_component(gamma_k, problem.stochastic_grad(w, rng))
@@ -347,13 +348,11 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
 
     `Delta1`, `lambda1`: first epoch's radius and regularization (R, 16·L).
     """
-    if domain.kind != "ball":
-        raise ConfigurationError(f"mixed_grad needs a ball domain, got {domain.kind!r}")
+    R = _ball_radius(domain, "mixed_grad")
     gamma = gamma_shrink
     if gamma <= 1.0:
         raise ConfigurationError("shrink factor must exceed 1")
     beta = _smoothness(problem, L)
-    R = domain.r
     m = _epoch_count(m, 5)
     T1_presc = math.ceil(300.0 * math.log(m / delta))
     budget_T1 = max(1, math.floor(T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))
@@ -412,6 +411,7 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
 
     `Delta1` is the first epoch's radius, by default twice the domain's.
     """
+    R = _ball_radius(domain, "emgd")
     L = _smoothness(problem, L)
     lam = _strong_convexity(problem, lam)
     if lam <= 0:
@@ -420,7 +420,6 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / delta))
     T = _epoch_length(T1 if T1 is not None else min(T_presc, T))
     eta = _given_step("eta", eta) or 1.0 / (L * math.sqrt(T))
-    R = domain.r if domain.kind == "ball" else domain.outer_radius
     Delta = _given_step("Delta1", Delta1) or 2.0 * R
 
     trace = Trace(header={
@@ -429,14 +428,14 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     })
     rng = make_rng(seed)
     eta_0d = np.array(eta)  # 0-d: see mixed_grad
-    # a feasible start keeps every average, and so the answer, feasible
-    center = domain.project(np.zeros(problem.d))
+    center = np.zeros(problem.d)
+    origin = np.zeros(problem.d)
     # the gradient matrix at an epoch's output is the next epoch's anchor matrix
     grads_center = problem.all_component_grads(center) if probe_variance else None
     for k in range(1, m + 1):
         g_full = problem.full_grad(center)
         trace.calls_full += 1
-        project = _intersection_projector(domain, center, Delta)
+        project = two_ball_projector(origin, R, center, Delta)
         diff = problem.anchored_diff(center)
 
         def step(w, i):

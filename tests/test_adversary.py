@@ -7,34 +7,10 @@ import pytest
 
 from smoothconvex.core import Domain, InputError, StepSchedule, make_rng
 from smoothconvex.adversary import (LossSequence, alternating_linear,
-                                    blocked_linear, classification_stream,
-                                    drifting_quadratics, ftrl_adversary,
-                                    measure_egv, measure_egv_exact,
-                                    measure_egv_inf, switching_linear)
+                                    classification_stream, drifting_quadratics,
+                                    ftrl_adversary, measure_egv, measure_egv_exact,
+                                    measure_egv_inf)
 from smoothconvex.online import OGD, RoundLoss
-
-
-class TestSwitchingLinear:
-    def test_equal_halves_zero_total_variation(self):
-        seq = switching_linear([0.5, 0.0], [0.5, 0.0], 10)
-        assert seq.egv_target == 0.25
-
-    def test_opposite_unit_vectors(self):
-        seq = switching_linear([1.0, 0.0], [-1.0, 0.0], 4)
-        assert seq.egv_target == 5.0  # 1 + ||g-f||^2 = 1 + 4
-        assert measure_egv_exact(seq) == 5.0
-
-    def test_total_variation_by_direct_summation(self):
-        seq = switching_linear([1.0], [-1.0], 100)
-        vecs = [l.linear for l in seq]
-        mu = np.mean(vecs, axis=0)
-        brute = float(sum((v - mu) @ (v - mu) for v in vecs))
-        assert brute == pytest.approx(100.0)
-
-    def test_odd_horizon_gives_second_half_extra_round(self):
-        seq = switching_linear([1.0], [0.5], 5)
-        firsts = sum(1 for l in seq if l.linear[0] == 1.0)
-        assert firsts == 2 and seq.T == 5
 
 
 class TestFtrlAdversary:
@@ -119,14 +95,6 @@ class TestAlternatingLinear:
             alternating_linear(0.0, 10, 2)
 
 
-class TestBlockedLinear:
-    def test_unit_vectors_and_target(self):
-        seq = blocked_linear(16.0, 340, 4, switches=15, seed=3)
-        for l in seq:
-            assert abs(np.linalg.norm(l.linear) - 1.0) < 1e-12
-        assert measure_egv_exact(seq) == pytest.approx(16.0, rel=1e-9)
-
-
 class TestClassificationStream:
     def test_zero_drift_identical(self):
         seq = classification_stream(0.0, 10, 3, seed=1)
@@ -188,34 +156,11 @@ class TestVariationMeasures:
 def _one_object_per_round(name, *args, **kw):
     """Per-round cost vectors of the generators as built with one RoundLoss
     per round (the reference the shared-object generators must reproduce)."""
-    if name == "switching":
-        f, g, T = args
-        return [np.asarray(f, float)] * (T // 2) + [np.asarray(g, float)] * (T - T // 2)
     if name == "alternating":
         egv, T, d = args
         f = np.zeros(d)
         f[0] = math.sqrt(egv / (4.0 * T - 3.0))
         return [f if t % 2 == 0 else -f for t in range(T)]
-    if name == "blocked":
-        egv, T, d = args
-        switches, rng = kw["switches"], make_rng(kw["seed"])
-        chord = math.sqrt((egv - 1.0) / switches)
-        v = np.zeros(d)
-        v[0] = 1.0
-        vecs = [v]
-        for _ in range(switches):
-            u = rng.standard_normal(d)
-            u -= (u @ v) * v
-            u /= np.linalg.norm(u)
-            angle = 2.0 * math.asin(min(chord / 2.0, 1.0))
-            v = math.cos(angle) * v + math.sin(angle) * u
-            v /= np.linalg.norm(v)
-            vecs.append(v)
-        block = T // (switches + 1)
-        out = []
-        for j, vec in enumerate(vecs):
-            out += [vec] * (block if j < switches else T - block * switches)
-        return out
     eta, T = args   # ftrl
     gv, f = kw.get("gv_target"), np.array([1.0])
     s = math.floor(1.0 / eta)
@@ -233,21 +178,15 @@ def _one_object_per_round(name, *args, **kw):
     return out + [np.zeros(1)] * (T - len(out))
 
 
-# long vectors, so a change of summation order inside a dot product shows
-_F37, _G37 = make_rng(37).standard_normal((2, 37))
-
 SHARED_GENERATORS = [
-    ("switching", lambda: switching_linear([0.3, -0.2], [-0.5, 0.1], 101),
-     ([0.3, -0.2], [-0.5, 0.1], 101), {}),
-    ("switching", lambda: switching_linear(_F37, _G37, 50), (_F37, _G37, 50), {}),
-    ("alternating", lambda: alternating_linear(16.0, 301, 4), (16.0, 301, 4), {}),
-    ("blocked", lambda: blocked_linear(9.0, 340, 37, switches=15, seed=3),
-     (9.0, 340, 37), {"switches": 15, "seed": 3}),
-    ("ftrl", lambda: ftrl_adversary(0.05, 100), (0.05, 100), {}),               # case I
-    ("ftrl", lambda: ftrl_adversary(0.2, 300, gv_target=200.0), (0.2, 300),     # case II
-     {"gv_target": 200.0}),
-    ("ftrl", lambda: ftrl_adversary(2.0, 301, gv_target=400.0), (2.0, 301),     # case III
-     {"gv_target": 400.0}),
+    pytest.param("alternating", lambda: alternating_linear(16.0, 301, 4), (16.0, 301, 4),
+                 {}, id="alternating"),
+    pytest.param("ftrl", lambda: ftrl_adversary(0.05, 100), (0.05, 100), {},
+                 id="ftrl-case-I"),
+    pytest.param("ftrl", lambda: ftrl_adversary(0.2, 300, gv_target=200.0), (0.2, 300),
+                 {"gv_target": 200.0}, id="ftrl-case-II"),
+    pytest.param("ftrl", lambda: ftrl_adversary(2.0, 301, gv_target=400.0), (2.0, 301),
+                 {"gv_target": 400.0}, id="ftrl-case-III"),
 ]
 
 

@@ -139,6 +139,7 @@ class TestNorm:
 
 
 class TestTwoBallProjection:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_dykstra(self):
         rng = make_rng(3)
         for _ in range(300):
@@ -150,7 +151,7 @@ class TestTwoBallProjection:
             got = project_two_balls(x, np.zeros(3), r1, c2, r2)
             want = dykstra(x, [lambda v: project_ball(v, r1),
                                lambda v, c2=c2, r2=r2: project_ball(v, r2, c2)],
-                           rounds=2000, tol=1e-14)
+                           rounds=20_000, tol=1e-14)
             np.testing.assert_allclose(got, want, atol=1e-7)
             assert np.linalg.norm(got) <= r1 + 1e-9
             assert np.linalg.norm(got - c2) <= r2 + 1e-9

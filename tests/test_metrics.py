@@ -117,19 +117,15 @@ class TestSlope:
 
 
 class TestComparatorLimits:
-    def test_high_dimensional_unstructured_rejected(self):
+    @pytest.mark.parametrize("loss", [
+        RoundLoss(value=lambda x: float(np.sum(np.cos(x))),
+                  grad=lambda x: -np.sin(x)),
+        # 1-D smooth, neither linear nor quadratic
+        RoundLoss(value=lambda x: float(np.cosh(x[0] - 0.3)),
+                  grad=lambda x: np.sinh(x - 0.3)),
+    ], ids=["cos", "cosh-1d"])
+    def test_unstructured_rejected(self, loss):
         from smoothconvex.core import UnsupportedDomainError
-        losses = [RoundLoss(value=lambda x: float(np.sum(np.cos(x))),
-                            grad=lambda x: -np.sin(x)) for _ in range(3)]
-        seq = LossSequence(T=3, kind="odd", _losses=losses)
+        seq = LossSequence(T=3, kind="odd", _losses=[loss] * 3)
         with pytest.raises(UnsupportedDomainError):
-            comparator_minimum(seq, Domain.ball(1.0), dim=4)
-
-    def test_low_dimensional_unstructured_uses_grid(self):
-        # 1-D smooth non-quadratic loss: grid comparator vs calculus minimum
-        losses = [RoundLoss(value=lambda x: float(np.cosh(x[0] - 0.3)),
-                            grad=lambda x: np.sinh(x - 0.3))]
-        seq = LossSequence(T=1, kind="odd", _losses=losses)
-        x, v = comparator_minimum(seq, Domain.ball(1.0), dim=1)
-        assert abs(x[0] - 0.3) < 1e-3
-        assert abs(v - 1.0) < 1e-6
+            comparator_minimum(seq, Domain.ball(1.0))

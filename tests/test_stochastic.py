@@ -198,14 +198,15 @@ class TestMixedGrad:
         with pytest.raises(ConfigurationError):
             mixed_grad(prob, Domain.ball(1.0), seed=0, T1=2, m=2, gamma_shrink=1.0)
 
-    def test_rejects_non_ball_domain(self):
-        # projecting onto the box's outer ball instead returned max|w| = 0.0656
-        X = make_rng(3).standard_normal((20, 5))
-        prob = from_arrays(X, X @ np.ones(5), 0.0, "squared")
+    @pytest.mark.parametrize("solver", [mixed_grad, emgd, clipped_sgd],
+                             ids=lambda s: s.__name__)
+    def test_rejects_non_ball_domain(self, solver):
+        # mixed_grad projecting onto the box's outer ball instead returned
+        # max|w| = 0.0656; each epoch solver refuses the box before it reads
+        # the problem, so a problem of None is never touched
         box = Domain.box(-0.05 * np.ones(5), 0.05 * np.ones(5))
-        with pytest.raises(ConfigurationError, match="ball"):
-            mixed_grad(prob, box, seed=0, T1=20, m=3, lambda1=prob.constants.L_full,
-                       eta=0.25 / prob.constants.L_comp)
+        with pytest.raises(ConfigurationError, match=f"{solver.__name__} needs a ball"):
+            solver(None, box, seed=0, T1=20, m=3)
 
     def test_determinism(self):
         data = synthetic_regression(25, 3, seed=12)
