@@ -166,6 +166,29 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
+                                     FloatingPointError("underflow in exp"),
+                                     np.linalg.LinAlgError("SVD did not converge")],
+                             ids=lambda e: type(e).__name__)
+    def test_numeric_exception_kinds_exit_3(self, tmp_path, capsys, monkeypatch, exc):
+        # every ArithmeticError and LinAlgError an experiment raises is mapped
+        def fail(seed, params):
+            raise exc
+        monkeypatch.setitem(EXPERIMENTS, "psi_transform_table",
+                            (fail, EXPERIMENTS["psi_transform_table"][1]))
+        rc = main(["run", "psi_transform_table", "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric failure: {exc}\n"
+
+    def test_other_exceptions_are_not_numeric_failures(self, tmp_path, monkeypatch):
+        # the mapping is narrow: a program fault still surfaces as itself
+        def fail(seed, params):
+            raise KeyError("rows")
+        monkeypatch.setitem(EXPERIMENTS, "psi_transform_table",
+                            (fail, EXPERIMENTS["psi_transform_table"][1]))
+        with pytest.raises(KeyError, match="rows"):
+            main(["run", "psi_transform_table", "--out", str(tmp_path)])
+
     def test_every_registry_entry_has_defaults(self):
         for name, (fn, defaults) in EXPERIMENTS.items():
             assert callable(fn)

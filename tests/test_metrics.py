@@ -129,3 +129,21 @@ class TestComparatorLimits:
         seq = LossSequence(T=3, kind="odd", _losses=[loss] * 3)
         with pytest.raises(UnsupportedDomainError):
             comparator_minimum(seq, Domain.ball(1.0))
+
+    def test_mixed_linear_and_quadratic_rejected(self):
+        # neither closed form applies to a sequence that mixes the two kinds
+        from smoothconvex.core import UnsupportedDomainError
+        seq = LossSequence(T=2, kind="odd", _losses=[
+            RoundLoss.from_linear(np.array([1.0, 0.0])),
+            RoundLoss.from_quadratic(np.array([0.0, 0.5]))])
+        with pytest.raises(UnsupportedDomainError, match="all-linear or all-quadratic"):
+            comparator_minimum(seq, Domain.ball(1.0))
+
+    def test_linear_without_linear_minimizer_rejected(self):
+        # linear losses need the domain's linear-minimization routine
+        from smoothconvex.core import UnsupportedDomainError
+        seq = LossSequence(T=2, kind="odd",
+                           _losses=[RoundLoss.from_linear(np.array([1.0, -1.0]))] * 2)
+        cut = Domain.halfspace_cut(np.array([1.0, 1.0]), 0.5)
+        with pytest.raises(UnsupportedDomainError, match="halfspace_cut"):
+            comparator_minimum(seq, cut)
