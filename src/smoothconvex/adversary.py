@@ -14,19 +14,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InputError, make_rng
+from .core import InputError, _norm, make_rng
 from .online import RoundLoss
 
 
 @dataclass
 class LossSequence:
-    """T rounds of losses; loss(t) is 1-indexed and pure."""
+    """T rounds of losses; loss(t) is 1-indexed and pure.  A loss list whose
+    length is not T is refused, so iterating the sequence gives its T rounds."""
 
     T: int
     kind: str
     _losses: list = field(repr=False, default_factory=list)
     egv_target: float | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if len(self._losses) != self.T:
+            raise InputError(f"a sequence of T={self.T} rounds got "
+                             f"{len(self._losses)} losses")
 
     def loss(self, t: int) -> RoundLoss:
         if not 1 <= t <= self.T:
@@ -115,18 +121,18 @@ def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> LossSe
         raise InputError("drift must be nonnegative")
     rng = make_rng(seed)
     v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)   # np.linalg.norm bit for bit, without its wrapper
     examples = []
     for _ in range(T):
         examples.append(v.copy())
         if drift > 0:
             u = rng.standard_normal(d)
             u -= (u @ v) * v
-            nu = np.linalg.norm(u)
+            nu = _norm(u)
             if nu > 1e-12:
                 step = (drift / nu) * u
                 v = v + step
-                v /= np.linalg.norm(v)
+                v /= _norm(v)
     losses = []
     for gx in examples:
         def value(w, gx=gx):
@@ -169,8 +175,8 @@ def measure_egv_exact(sequence: LossSequence) -> float:
     if all(l.linear is not None for l in sequence):
         # ∇f_t(y) = linear for every y: measure_egv's terms without the probes
         total, prev = 0.0, np.zeros_like(first.linear)
-        for t in range(1, sequence.T + 1):
-            f = sequence.loss(t).linear
+        for l in sequence:
+            f = l.linear
             d = f - prev
             total += float(d.dot(d))
             prev = f
@@ -186,12 +192,15 @@ def measure_egv_inf(sequence: LossSequence) -> float:
     """Infinity-norm gradual variation for linear losses over experts."""
     total = 0.0
     prev = None
-    for i, l in enumerate(sequence):
+    for l in sequence:
         if l.linear is None:
             raise InputError("infinity-norm variation needs linear losses")
         f = l.linear
         p = np.zeros_like(f) if prev is None else prev
-        total += float(np.max(np.abs(f - p)) ** 2)
+        # ‖·‖∞ by the array methods, which skip np.max's dispatch; the square
+        # is taken on the numpy scalar, since Python's pow and numpy's square
+        # need not round alike
+        total += float(abs(f - p).max() ** 2)
         prev = f
     return total
 

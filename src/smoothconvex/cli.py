@@ -262,10 +262,13 @@ def _soft_instance(seed: int, p: dict):
     T, R = p["T"], p["radius_R"]
     rng = make_rng(seed)
     r_c = p["constraint_radius"]
-    g = (lambda x: float(x @ x) - r_c * r_c, lambda x: 2.0 * x)
-    centers = [np.array([0.9 * math.cos(0.001 * t), 0.9 * math.sin(0.001 * t)])
-               for t in range(T)]
-    losses = [online.RoundLoss.from_quadratic(c) for c in centers]
+    rc2 = r_c * r_c
+    # x.dot(x) is x @ x bit for bit: a sum of squares has no signed zero
+    g = (lambda x: float(x.dot(x)) - rc2, lambda x: 2.0 * x)
+    # from_quadratic stores its own float64 copy of each center
+    losses = [online.RoundLoss.from_quadratic((0.9 * math.cos(0.001 * t),
+                                               0.9 * math.sin(0.001 * t)))
+              for t in range(T)]
     seq = adversary.LossSequence(T=T, kind="soft_quadratic", _losses=losses)
     G = max(2.0 * R, R + 0.9)  # gradient bounds for losses and constraint over RB
     F = 0.5 * (R + 0.9) ** 2

@@ -4,16 +4,26 @@ Every learner but HingeClassifierPD exposes predict() -> decision and
 observe(loss) -> None, which supports full-information and bandit feedback
 with one harness; HingeClassifierPD takes one labelled example per
 round(x, y).  Each learner refuses a non-positive step size, smoothness
-constant, radius or query offset at construction.  Decisions are
-recorded on the learner for regret evaluation: `decisions` holds the learner's
-own arrays, not copies, so callers treat them (and what predict returns) as
-read-only.  Each learner binds its domain's projection or prox step once, at
+constant, radius or query offset at construction, and ExpertOMP refuses a
+cost that is not linear, has the wrong length, or has a negative or NaN
+entry.  Each observe records the round's decision and the loss it paid
+(`decisions`, `loss_values`) as it plays the round; `decisions` holds the
+learner's own arrays, not copies, so callers treat them (and what predict
+returns) as read-only.
+
+Each learner binds its domain's projection or prox step once, at
 construction (Domain.projector, ball_projector, prox_map), and calls the bare
-kernel every round on the fresh point it has just built.  OGD is the one
-projected-step loop: SoftConstraintOGD, ZeroViolationOGD and PenaltyOGD are OGD
-subclasses that choose only the round's direction.  OMP is the one
-extra-gradient loop: ExpertOMP and BanditOMP are OMP subclasses.  Every
-learner here is run by an experiment in `cli`.
+kernel every round on the fresh point it has just built.  The step constants
+a round applies to a vector (OMP's and IFTRL's η/L, IFTRL's −L/η,
+PenaltyOGD's weight) are bound once as 0-d float64 arrays: the same IEEE
+operations as with the Python floats, without numpy converting a float on
+every call.  The soft-constraint duals are updated one at a time in Python
+floats, by the operations of the array form in its order.
+
+OGD is the one projected-step loop: SoftConstraintOGD, ZeroViolationOGD and
+PenaltyOGD are OGD subclasses that choose only the round's direction.  OMP is
+the one extra-gradient loop: ExpertOMP and BanditOMP are OMP subclasses.
+Every learner here is run by an experiment in `cli`.
 """
 
 from __future__ import annotations
@@ -69,7 +79,8 @@ class RoundLoss:
 
 
 class BaseLearner:
-    """Common bookkeeping: decisions and per-round loss values.
+    """Common bookkeeping: decisions and per-round loss values, which each
+    learner's observe appends as it plays the round.
 
     A decision is recorded as the learner's own array, without a copy: every
     learner builds a new array for each round's point and never changes one
@@ -79,10 +90,6 @@ class BaseLearner:
     def __init__(self):
         self.decisions: list[Point] = []
         self.loss_values: list[float] = []
-
-    def _record(self, x: Point, loss: RoundLoss) -> None:
-        self.decisions.append(x)
-        self.loss_values.append(float(loss.value(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +109,18 @@ class OGD(BaseLearner):
         self.x = domain.project(np.zeros(d))
         self.t = 0
         self._project = domain.projector()
+        self._step_at = schedule.at
 
     def predict(self) -> Point:
         return self.x
 
     def observe(self, loss: RoundLoss) -> None:
         self.t += 1
-        self._record(self.x, loss)
-        g = self._gradient(self.x, loss)
-        self.x = self._project(self.x - self.schedule.at(self.t) * g)
+        x = self.x
+        self.decisions.append(x)
+        self.loss_values.append(float(loss.value(x)))
+        g = self._gradient(x, loss)
+        self.x = self._project(x - self._step_at(self.t) * g)
 
     def _gradient(self, x: Point, loss: RoundLoss) -> Point:
         """The round's descent direction at the decision x."""
@@ -139,16 +149,19 @@ class IFTRL(BaseLearner):
         self.grad_sum = np.zeros(d)
         self.stale_grad = np.zeros(d)   # ∇f_{t-1}(z_{t-1}); zero for round 1
         self._project = domain.projector()
+        # the leader's c = L/η enters as G/(−c), which is −G/c bit for bit in
+        # one operation
+        self._step, self._neg_c = np.array(eta / L), np.array(-(L / eta))
 
     def predict(self) -> Point:
-        return self._project(self.z - (self.eta / self.L) * self.stale_grad)
+        return self._project(self.z - self._step * self.stale_grad)
 
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
-        self._record(x, loss)
+        self.decisions.append(x)
+        self.loss_values.append(float(loss.value(x)))
         self.grad_sum += loss.grad(self.z)
-        # the leader, with c = L/η; G/(−c) is −G/c bit for bit in one operation
-        self.z = self._project(self.grad_sum / -(self.L / self.eta))
+        self.z = self._project(self.grad_sum / self._neg_c)
         self.stale_grad = loss.grad(self.z)
 
 
@@ -171,19 +184,21 @@ class OMP(BaseLearner):
             self.z = domain.project(np.zeros(d))
         self.prev_grad = np.zeros(d)
         self._prox = prox_map(self.map, domain)
+        self._step = np.array(eta / L)
 
     @staticmethod
     def tuned_eta(L: float, egv: float) -> float:
         return 0.5 * min(1.0 / math.sqrt(2.0), L / math.sqrt(max(egv, 1e-300)))
 
     def predict(self) -> Point:
-        return self._prox(self.z, self.prev_grad, self.eta / self.L)
+        return self._prox(self.z, self.prev_grad, self._step)
 
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
-        self._record(x, loss)
+        self.decisions.append(x)
+        self.loss_values.append(float(loss.value(x)))
         g = self._gradient(x, loss)
-        self.z = self._prox(self.z, g, self.eta / self.L)
+        self.z = self._prox(self.z, g, self._step)
         self.prev_grad = g
 
     def _gradient(self, x: Point, loss: RoundLoss) -> Point:
@@ -193,7 +208,9 @@ class OMP(BaseLearner):
 
 class ExpertOMP(OMP):
     """OMP with the entropy map on the m-expert simplex (multiplicative
-    weights); observe also takes a plain cost vector."""
+    weights); observe also takes a plain cost vector.  A round's cost must be
+    linear, one entry per expert, and nonnegative; anything else, NaN
+    included, is refused with InputError before the weights move."""
 
     def __init__(self, m: int, eta: float, L: float = 1.0):
         super().__init__(Domain.simplex(m), L, eta, mirror_map=MirrorMap.entropy())
@@ -205,8 +222,13 @@ class ExpertOMP(OMP):
     def observe(self, loss) -> None:
         if not isinstance(loss, RoundLoss):
             loss = RoundLoss.from_linear(loss)
-        if np.any(loss.linear < 0):
-            raise InputError("expert losses must be nonnegative")
+        f = loss.linear
+        if f is None:
+            raise InputError("expert losses must be linear: one cost per expert")
+        if f.shape != self.z.shape:
+            raise InputError(f"expert losses need shape {self.z.shape}, got {f.shape}")
+        if not f.min() >= 0:    # also false for a NaN cost
+            raise InputError("expert losses must be nonnegative numbers")
         super().observe(loss)
 
 
@@ -344,14 +366,18 @@ class SoftConstraintOGD(OGD):
         self.eta = eta if eta is not None else R * R / (self.a * math.sqrt(T))
         self.delta = delta if delta is not None else 2.0 * (m + 1) * G * G
         super().__init__(ball, StepSchedule.constant(self.eta), dim=dim)
+        self._eta_delta = self.eta * self.delta
+        self._zero = _frozen(np.zeros(self.x.shape))
         self.lam = np.zeros(m)
         self.violations: list[np.ndarray] = []
 
     def _terms(self, x: Point):
-        """The constraint values and Σ lam_i ∇g_i(x) at x."""
+        """The constraint values (the round's violations record) and
+        Σ lam_i ∇g_i(x) at x; with every dual zero, a shared read-only zero
+        vector."""
         vals = self.cons.values(x)
-        grad = np.zeros(x.shape)
-        for lam_i, (_, gg) in zip(self.lam, self.cons.funcs):
+        grad = self._zero
+        for lam_i, (_, gg) in zip(self.lam.tolist(), self.cons.funcs):
             if lam_i != 0.0:
                 grad = grad + lam_i * gg(x)
         return vals, grad
@@ -359,8 +385,15 @@ class SoftConstraintOGD(OGD):
     def _gradient(self, x: Point, loss: RoundLoss) -> Point:
         vals, cons_grad = self._terms(x)
         self.violations.append(vals)
-        glam = vals - self.eta * self.delta * self.lam
-        self.lam = np.maximum(self.lam + self.eta * glam, 0.0)
+        # lam ← max(lam + η(g − ηδ·lam), 0) one dual at a time in Python
+        # floats: the IEEE operations of the array form, in its order; the
+        # clamp is np.maximum(u, 0.0) bit for bit (+0.0 for −0.0, NaN kept)
+        eta, eta_delta = self.eta, self._eta_delta
+        lam = []
+        for l, v in zip(self.lam.tolist(), vals.tolist()):
+            u = l + eta * (v - eta_delta * l)
+            lam.append(u if u > 0.0 or u != u else 0.0)
+        self.lam = np.array(lam)
         return loss.grad(x) + cons_grad
 
 
@@ -402,9 +435,10 @@ class ZeroViolationOGD(SoftConstraintOGD):
         vals = [float(g(x)) for g, _ in self.cons.funcs]
         g_max = max(vals)
         self.raw_violations.append(g_max)
-        grad = np.zeros(x.shape)
-        if self.lam[0] != 0.0:
-            grad = grad + self.lam[0] * self.cons.funcs[vals.index(g_max)][1](x)
+        grad = self._zero
+        lam = self.lam.item()
+        if lam != 0.0:
+            grad = grad + lam * self.cons.funcs[vals.index(g_max)][1](x)
         return np.array([g_max + self.gamma_tighten]), grad
 
 
@@ -417,13 +451,14 @@ class PenaltyOGD(OGD):
         super().__init__(Domain.ball(R), schedule, dim=dim)
         self.cons = constraints
         self.delta = delta
+        self._delta = np.array(delta)
         self.violations: list[np.ndarray] = []
 
     def _gradient(self, x: Point, loss: RoundLoss) -> Point:
         vals = self.cons.values(x)
         self.violations.append(vals)
         g = loss.grad(x)
-        for v, (_, gg) in zip(vals, self.cons.funcs):
+        for v, (_, gg) in zip(vals.tolist(), self.cons.funcs):
             if v > 0:
-                g = g + self.delta * gg(x)
+                g = g + self._delta * gg(x)
         return g

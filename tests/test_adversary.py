@@ -153,6 +153,15 @@ class TestVariationMeasures:
         assert measure_egv_inf(seq) == pytest.approx(want)
 
 
+class TestLossSequenceLength:
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_loss_count_other_than_T_refused(self, n):
+        # three losses for five rounds once iterated three rounds, and
+        # measure_egv_exact raised a bare IndexError on them
+        with pytest.raises(InputError, match="T=5"):
+            LossSequence(T=5, kind="c", _losses=[RoundLoss.from_linear(np.ones(2))] * n)
+
+
 def _one_object_per_round(name, *args, **kw):
     """Per-round cost vectors of the generators as built with one RoundLoss
     per round (the reference the shared-object generators must reproduce)."""

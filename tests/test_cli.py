@@ -326,3 +326,27 @@ class TestBenchmarkCoupling:
             assert isinstance(entry, tuple) and len(entry) == 2, name
             fn, params = entry
             assert inspect.isfunction(fn) and isinstance(params, dict), name
+
+
+class TestOnlineReferenceBytes:
+    """The online-sweep workload's small profile at seed 0, run through
+    cli.main, writes CSVs byte-identical to perfbench's recorded references,
+    so a change in any online float fails here and not only in the
+    benchmark's check, which allows a relative difference of 1e-6."""
+
+    def test_small_online_sweep_matches_the_references(self, tmp_path, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import workloads
+        ref = os.path.join(root, "perfbench", "reference", "small", "online-sweep")
+        argvs = workloads.invocations("online-sweep", "small", 0)
+        assert len(argvs) == len(workloads.ONLINE_EXPERIMENTS) == 7
+        differ = []
+        for argv in argvs:
+            assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK, argv
+            name = f"{argv[1]}_0.csv"
+            with open(tmp_path / name, "rb") as got, \
+                    open(os.path.join(ref, name), "rb") as want:
+                if got.read() != want.read():
+                    differ.append(name)
+        assert not differ, "differs from its reference: " + ", ".join(differ)

@@ -176,6 +176,22 @@ class TestExpertOMP:
         with pytest.raises(InputError):
             ExpertOMP(2, eta=0.1).observe(np.array([-0.1, 0.2]))
 
+    @pytest.mark.parametrize("cost", [
+        np.array([0.2, np.nan, 0.1]),
+        RoundLoss.from_linear(np.array([0.2, np.nan, 0.1])),
+        RoundLoss.from_quadratic(np.zeros(3)),
+        np.array([0.2, 0.1]),
+        np.array([0.2, 0.1, 0.3, 0.4]),
+    ], ids=["nan", "nan-roundloss", "quadratic", "short", "long"])
+    def test_bad_cost_refused_before_the_weights_move(self, cost):
+        e = ExpertOMP(3, eta=0.5)
+        e.observe(np.array([0.3, 0.1, 0.2]))
+        z, prev = e.z.tobytes(), e.prev_grad.tobytes()
+        with pytest.raises(InputError):
+            e.observe(cost)
+        assert (e.z.tobytes(), e.prev_grad.tobytes()) == (z, prev)
+        assert len(e.decisions) == len(e.loss_values) == 1
+
     def test_one_switch_regret_bound(self):
         rng = make_rng(1)
         T = 2000
@@ -377,6 +393,45 @@ class TestSoftConstraints:
     def test_horizon_below_one_refused(self, make, T):
         with pytest.raises(ConfigurationError, match="horizon T"):
             make(self.make_cons(), T)
+
+    # (lam before the round, constraint value, the pre-clamp dual u)
+    _CLAMP_CASES = {
+        # η·(−5e-324) underflows to −0.0 for η < 1/2, and −0.0 + −0.0 = −0.0
+        "minus-zero": (-0.0, -5e-324, -0.0),
+        "plus-zero": (0.0, 0.0, 0.0),
+        "tiny-negative": (0.0, -1e-300, None),
+        "nan": (0.0, math.nan, math.nan),
+        "plus-inf": (0.0, math.inf, math.inf),
+        "minus-inf": (0.0, -math.inf, -math.inf),
+    }
+
+    @pytest.mark.parametrize("kind", ["soft", "zero"])
+    @pytest.mark.parametrize("case", sorted(_CLAMP_CASES))
+    def test_dual_clamp_is_the_frozen_np_maximum(self, kind, case):
+        lam0, v, u_want = self._CLAMP_CASES[case]
+        cons = ConstraintSet(funcs=[(lambda x: v, lambda x: np.zeros(2))],
+                             D=1.0, G=1.0, F=1.0)
+        if kind == "soft":
+            lr = SoftConstraintOGD(cons, T=100, R=1.0, dim=2, eta=0.1, delta=1.0)
+        else:
+            lr = ZeroViolationOGD(cons, T=100, R=1.0, dim=2)
+            lr.gamma_tighten = 0.0   # the tightened value is v itself
+        eta, delta = lr.eta, lr.delta
+        u = np.array([lam0]) + eta * (np.array([v]) - eta * delta * np.array([lam0]))
+        if u_want is None:
+            assert -1e-250 < u[0] < 0.0
+        else:
+            assert u.tobytes() == np.array([u_want]).tobytes()
+
+        def terms(x, lam):
+            lam[:] = lam0   # the frozen loop starts from zero duals
+            return np.array([v]), np.zeros(x.shape)
+
+        want = frozen_kernels._soft_loop([linear(np.zeros(2))], terms, eta, delta,
+                                         1.0, 2, 1)["lam"]
+        lr.lam = np.array([lam0])
+        lr.observe(linear(np.zeros(2)))
+        assert lr.lam.tobytes() == want.tobytes()
 
     def test_penalty_baseline_linear_violation(self):
         v = np.array([1.0, 0.0])
