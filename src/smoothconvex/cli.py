@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,6 +25,7 @@ from .core import (ConfigurationError, Domain, InputError, NumericError,
 from . import adversary, metrics, online, problems, stochastic
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
+SEED_MAX = 2 ** 64 - 1  # make_rng keeps a seed's low 64 bits
 
 
 @dataclass
@@ -499,11 +499,17 @@ def run(config: RunConfig) -> dict:
     """Execute one experiment run; returns the summary row."""
     params = resolve_params(config.experiment, config.overrides)
     fn, _ = EXPERIMENTS[config.experiment]
+    where = f"{config.experiment} seed={config.seed}"
     t0 = time.perf_counter()
-    result = fn(config.seed, params)
+    try:
+        result = fn(config.seed, params)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # a float `**` that overflows raises OverflowError(errno, text)
+        overflow = isinstance(exc, OverflowError) and len(exc.args) == 2
+        raise NumericError(f"{where}: {exc.args[1] if overflow else exc}") from exc
     runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))
     if not math.isfinite(result.final_metric):
-        raise NumericError(f"{config.experiment}: non-finite final metric")
+        raise NumericError(f"{where}: non-finite final metric")
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, f"{config.experiment}_{config.seed}.csv")
     write_csv(path, result.rows)
@@ -514,6 +520,13 @@ def run(config: RunConfig) -> dict:
 
 def _run_one(args) -> dict:
     return run(RunConfig(**args))
+
+
+def ProcessPoolExecutor(max_workers):
+    """A pool of `max_workers` processes. Only `--jobs` with two or more seeds
+    starts one, so the pool modules are imported here and not with the CLI."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+    return Pool(max_workers=max_workers)
 
 
 def write_summary(outdir: str, summaries) -> None:
@@ -530,6 +543,13 @@ def _int(flag: str, text: str) -> int:
         return int(text)
     except ValueError:
         raise ConfigurationError(f"{flag} expects an integer, got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    seed = _int("--seed", text)
+    if not 0 <= seed <= SEED_MAX:
+        raise ConfigurationError(f"--seed must lie in 0..{SEED_MAX}, got {text!r}")
+    return seed
 
 
 def main(argv=None) -> int:
@@ -567,7 +587,7 @@ def _main_inner(argv) -> int:
             value = argv[i + 1]
             i += 2
             if arg == "--seed":
-                seeds = [_int(arg, s) for s in value.split(",")]
+                seeds = [_seed(s) for s in value.split(",")]
             elif arg == "--config":
                 overrides.update(parse_config_file(value))
             elif arg == "--out":
@@ -584,7 +604,7 @@ def _main_inner(argv) -> int:
             raise ConfigurationError(f"unrecognized argument {arg!r}")
     seed_override = overrides.pop("seed", None)
     if seed_override is not None:
-        seeds = [_int("--seed", seed_override)]
+        seeds = [_seed(seed_override)]
     resolve_params(experiment, overrides)  # every parameter error before any output
     tasks = [{"experiment": experiment, "seed": s, "overrides": overrides,
               "output_dir": outdir} for s in seeds]

@@ -2,7 +2,10 @@
 
 import inspect
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +77,8 @@ class TestDispatch:
         ["--jobs", "two"],
         ["--jobs", "0"],
         ["--config"],
+        ["--seed", "-1"],
+        ["--seed", "18446744073709551616"],
     ])
     def test_malformed_flag_exits_2_with_message(self, tmp_path, capsys, args):
         rc = main(["run", "penalty_impossibility", "--out", str(tmp_path), *args])
@@ -165,6 +170,8 @@ class TestDispatch:
         assert rc == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and "Traceback" not in err
+        assert err.startswith(f"numeric failure: {args[0]} seed=0: ")
+        assert "(34, " not in err  # OverflowError's text, not its errno tuple
 
     @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
                                      FloatingPointError("underflow in exp"),
@@ -178,7 +185,24 @@ class TestDispatch:
                             (fail, EXPERIMENTS["psi_transform_table"][1]))
         rc = main(["run", "psi_transform_table", "--out", str(tmp_path)])
         assert rc == EXIT_NUMERIC
-        assert capsys.readouterr().err == f"numeric failure: {exc}\n"
+        assert (capsys.readouterr().err
+                == f"numeric failure: psi_transform_table seed=0: {exc}\n")
+
+    @pytest.mark.parametrize("args", [["--seed=-1"], ["--seed=18446744073709551616"],
+                                      ["--seed", "0,18446744073709551616"]])
+    def test_seed_outside_64_bits_refused_before_output(self, tmp_path, capsys, args):
+        # make_rng keeps a seed's low 64 bits, so -1 would rerun 2**64 - 1
+        out = tmp_path / "out"
+        rc = main(["run", "penalty_impossibility", "--out", str(out), *args])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: --seed ")
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        rc = main(["run", "penalty_impossibility", "--T=10", "--seed",
+                   "18446744073709551615", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert (tmp_path / "penalty_impossibility_18446744073709551615.csv").exists()
 
     def test_other_exceptions_are_not_numeric_failures(self, tmp_path, monkeypatch):
         # the mapping is narrow: a program fault still surfaces as itself
@@ -273,6 +297,16 @@ class TestRunOutputs:
         assert rc == EXIT_OK
         _, rows = read_csv(tmp_path / "summary.csv")
         assert len(rows) == 3
+
+    def test_import_loads_no_process_pool(self):
+        # the pool modules cost every CLI process start-up; only --jobs uses them
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import sys, smoothconvex.cli; print(sorted(m for m in sys.modules"
+                 " if m in ('multiprocessing', 'concurrent.futures')))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                              timeout=60, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestConfigFile:
