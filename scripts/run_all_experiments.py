@@ -14,11 +14,16 @@ import argparse
 import os
 import sys
 
-from smoothconvex.cli import EXPERIMENTS, RunConfig, run, write_summary
+from smoothconvex.cli import EXPERIMENTS, RunConfig, _seed, run, write_summary
+from smoothconvex.core import ConfigurationError
 
 
 def seed_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",")]
+    """The comma list as seeds, each checked against the CLI's range."""
+    try:
+        return [_seed(s) for s in text.split(",")]
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main() -> int:

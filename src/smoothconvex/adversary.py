@@ -3,8 +3,11 @@ gradual variation, plus the variation measures themselves.
 
 Sequences are pure: querying round t twice yields bitwise-identical losses
 because every generator precomputes its round data up front.  Rounds with the
-same loss may share one RoundLoss object; its cost vector or center is
-read-only, so no learner can change one round through another.
+same loss may share one RoundLoss object, and drifting_quadratics' rounds
+share one read-only (T, d) array of centers, each round a row view of it;
+every cost vector and center is read-only, so no learner can change one round
+through another.  The linear and quadratic losses hold no closures; only
+classification_stream's hinge rounds wrap two callables each.
 """
 
 from __future__ import annotations
@@ -93,25 +96,23 @@ def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
 
 def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> LossSequence:
     """f_t(x) = ½‖x − c_t‖² with the center moving on a circle by `speed`
-    radians per round (smooth with unit curvature)."""
+    radians per round (smooth with unit curvature); the T rounds share one
+    read-only (T, d) array of centers."""
     if speed < 0:
         raise InputError("drift speed must be nonnegative")
-    centers = []
+    centers = np.zeros((T, d))
     for t in range(T):
         ang = speed * t
-        c = np.zeros(d)
-        c[0] = radius * math.cos(ang)
+        centers[t, 0] = radius * math.cos(ang)
         if d > 1:
-            c[1] = radius * math.sin(ang)
-        centers.append(c)
-    losses = [RoundLoss.from_quadratic(c) for c in centers]
+            centers[t, 1] = radius * math.sin(ang)
+    losses = RoundLoss.quadratic_rounds(centers)
     egv = radius * radius  # first-round term at the origin
     if T > 1:
         step = 2.0 * radius * math.sin(speed / 2.0)
         egv += (T - 1) * step * step
     return LossSequence(T=T, kind="drifting_quadratics", _losses=losses,
-                        egv_target=float(egv), meta={"speed": speed, "radius": radius,
-                                                     "centers": centers})
+                        egv_target=float(egv), meta={"speed": speed, "radius": radius})
 
 
 def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> LossSequence:

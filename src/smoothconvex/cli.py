@@ -265,10 +265,10 @@ def _soft_instance(seed: int, p: dict):
     rc2 = r_c * r_c
     # x.dot(x) is x @ x bit for bit: a sum of squares has no signed zero
     g = (lambda x: float(x.dot(x)) - rc2, lambda x: 2.0 * x)
-    # from_quadratic stores its own float64 copy of each center
-    losses = [online.RoundLoss.from_quadratic((0.9 * math.cos(0.001 * t),
-                                               0.9 * math.sin(0.001 * t)))
-              for t in range(T)]
+    # the rounds share one read-only (T, 2) copy of the centers; math.cos and
+    # math.sin, since np.cos and np.sin need not round alike
+    losses = online.RoundLoss.quadratic_rounds(
+        [(0.9 * math.cos(0.001 * t), 0.9 * math.sin(0.001 * t)) for t in range(T)])
     seq = adversary.LossSequence(T=T, kind="soft_quadratic", _losses=losses)
     G = max(2.0 * R, R + 0.9)  # gradient bounds for losses and constraint over RB
     F = 0.5 * (R + 0.9) ** 2
@@ -288,7 +288,7 @@ def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
     _, best = metrics.comparator_minimum(seq, dom_true)
     reg_soft = sum(soft.loss_values) - best
     reg_zero = sum(zero.loss_values) - best
-    viol_soft = float(np.sum([v[0] for v in soft.violations]))
+    viol_soft = float(np.sum(soft.violations[:, 0]))
     viol_zero = float(np.sum(zero.raw_violations))
     a, delta = soft.a, soft.delta
     m = cons.m
@@ -316,7 +316,7 @@ def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
                                 delta=p["delta_penalty"], R=2.0, dim=2)
     for l in seq:
         learner.observe(l)
-    viol = float(np.sum(np.maximum([x[0] for x in learner.violations], 0.0)))
+    viol = float(np.sum(np.maximum(learner.violations[:, 0], 0.0)))
     rows = [{"iter": T, "violation": viol, "threshold": 0.5 * T}]
     return ExperimentResult(rows, final_metric=viol / T)
 
@@ -496,13 +496,15 @@ def resolve_params(experiment: str, overrides: dict) -> dict:
 
 
 def run(config: RunConfig) -> dict:
-    """Execute one experiment run; returns the summary row."""
+    """Execute one experiment run; returns the summary row.  A seed outside
+    0..SEED_MAX is refused, as on the command line."""
+    seed = _seed(config.seed, "seed")
     params = resolve_params(config.experiment, config.overrides)
     fn, _ = EXPERIMENTS[config.experiment]
-    where = f"{config.experiment} seed={config.seed}"
+    where = f"{config.experiment} seed={seed}"
     t0 = time.perf_counter()
     try:
-        result = fn(config.seed, params)
+        result = fn(seed, params)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         # a float `**` that overflows raises OverflowError(errno, text)
         overflow = isinstance(exc, OverflowError) and len(exc.args) == 2
@@ -511,9 +513,9 @@ def run(config: RunConfig) -> dict:
     if not math.isfinite(result.final_metric):
         raise NumericError(f"{where}: non-finite final metric")
     os.makedirs(config.output_dir, exist_ok=True)
-    path = os.path.join(config.output_dir, f"{config.experiment}_{config.seed}.csv")
+    path = os.path.join(config.output_dir, f"{config.experiment}_{seed}.csv")
     write_csv(path, result.rows)
-    return {"experiment": config.experiment, "seed": config.seed,
+    return {"experiment": config.experiment, "seed": seed,
             "final_metric": result.final_metric, "slope": result.slope,
             "runtime_ms": runtime_ms}
 
@@ -538,17 +540,20 @@ def write_summary(outdir: str, summaries) -> None:
               f"runtime_ms={row['runtime_ms']}")
 
 
-def _int(flag: str, text: str) -> int:
+def _int(flag: str, text) -> int:
     try:
         return int(text)
     except ValueError:
         raise ConfigurationError(f"{flag} expects an integer, got {text!r}") from None
 
 
-def _seed(text: str) -> int:
-    seed = _int("--seed", text)
+def _seed(text, name: str = "--seed") -> int:
+    """`text`, a string or an int, as a seed in 0..SEED_MAX; `name` is how
+    the caller gave it.  make_rng keeps a seed's low 64 bits, so a seed
+    outside that range would alias onto one inside it."""
+    seed = _int(name, text)
     if not 0 <= seed <= SEED_MAX:
-        raise ConfigurationError(f"--seed must lie in 0..{SEED_MAX}, got {text!r}")
+        raise ConfigurationError(f"{name} must lie in 0..{SEED_MAX}, got {text!r}")
     return seed
 
 

@@ -29,6 +29,8 @@ def comparator_minimum(sequence, domain: Domain):
 
 
 def final_regret(decisions, sequence, comparator_domain: Domain) -> float:
+    """Σ_t f_t(x_t) minus the comparator minimum, for the decisions x_t as a
+    learner's (rounds, d) `decisions` array or any sequence of points."""
     losses = list(sequence)
     learner = sum(float(l.value(x)) for l, x in zip(losses, decisions))
     _, best = comparator_minimum(losses, comparator_domain)

@@ -4,12 +4,24 @@ Every learner but HingeClassifierPD exposes predict() -> decision and
 observe(loss) -> None, which supports full-information and bandit feedback
 with one harness; HingeClassifierPD takes one labelled example per
 round(x, y).  Each learner refuses a non-positive step size, smoothness
-constant, radius or query offset at construction, and ExpertOMP refuses a
-cost that is not linear, has the wrong length, or has a negative or NaN
-entry.  Each observe records the round's decision and the loss it paid
-(`decisions`, `loss_values`) as it plays the round; `decisions` holds the
-learner's own arrays, not copies, so callers treat them (and what predict
-returns) as read-only.
+constant, radius or query offset at construction, and a missing or
+non-positive dimension (`dim`, when the domain has none), and ExpertOMP
+refuses a cost that is not linear, has the wrong length, or has a negative
+or NaN entry.  Each observe records the round's decision and the loss it
+paid (`decisions`, `loss_values`) as it plays the round, in flat float64
+records, so a long run keeps no Python object per round: the loss values
+are an array('d'), and each decision is copied into one growable buffer of d
+floats a round, which `decisions` reads back as a fresh read-only (rounds, d)
+array.  The constraint learners record their m violation values a round the
+same way (`violations`, (rounds, m)); ZeroViolationOGD's `raw_violations` is
+an array('d').
+
+A RoundLoss is one of three slot-based kinds: linear (a cost vector),
+quadratic ½‖x − c‖² (a center) or two callables.  The linear and quadratic
+kinds compute value and grad in methods over their read-only vector, so a
+round holds no closure; `RoundLoss.quadratic_rounds` builds T quadratic
+rounds over one read-only (T, d) copy of their centers, each round a row
+view of it.
 
 Each learner binds its domain's projection or prox step once, at
 construction (Domain.projector, ball_projector, prox_map), and calls the bare
@@ -44,52 +56,116 @@ def _frozen(v) -> np.ndarray:
     return v
 
 
-@dataclass
 class RoundLoss:
-    """One round's cost: value/gradient access, plus the cost vector or the
+    """One round's cost: value(x) and grad(x), plus the cost vector or the
     center when the loss is linear or quadratic.
 
-    The constructors store a read-only copy of the cost vector or center, so
-    one RoundLoss can serve many rounds.  A linear loss's grad returns that
-    read-only cost vector itself, so a write into it raises ValueError; a
-    quadratic loss's grad returns a fresh array.
+    RoundLoss(value, grad) wraps two callables.  from_linear, from_quadratic
+    and quadratic_rounds build the linear and quadratic kinds, subclasses
+    whose value and grad are methods over a read-only float64 cost vector or
+    center, so one RoundLoss can serve many rounds.  A linear loss's grad
+    returns that read-only cost vector itself, so a write into it raises
+    ValueError; a quadratic loss's grad returns a fresh array.
     """
 
-    value: object                        # Point -> float
-    grad: object                         # Point -> Point
+    __slots__ = ("value", "grad")
     linear: Point | None = None          # cost vector when the loss is linear
     quad_center: Point | None = None     # center when the loss is ½‖x−c‖²
 
+    def __init__(self, value, grad):
+        self.value = value               # Point -> float
+        self.grad = grad                 # Point -> Point
+
     @classmethod
     def from_linear(cls, f: Point) -> "RoundLoss":
-        f = _frozen(f)
-        # `.dot` is `@` up to the sign of a zero; `+ 0.0` gives `@`'s +0.0
-        return cls(value=lambda x, f=f: float(f.dot(x)) + 0.0,
-                   grad=lambda x, f=f: f, linear=f)
+        return _LinearLoss(_frozen(f))
 
     @classmethod
     def from_quadratic(cls, c: Point) -> "RoundLoss":
-        c = _frozen(c)
+        return _QuadraticLoss(_frozen(c))
 
-        def value(x, c=c):
-            r = x - c
-            return 0.5 * float(r.dot(r))
+    @classmethod
+    def quadratic_rounds(cls, centers) -> list:
+        """One quadratic round per row of the (T, d) `centers`: the rounds
+        share one read-only float64 copy, each holding a row view of it."""
+        centers = _frozen(centers)
+        if centers.ndim != 2:
+            raise InputError(f"centers must be a (T, d) array, got shape {centers.shape}")
+        return [_QuadraticLoss(c) for c in centers]
 
-        return cls(value=value, grad=lambda x, c=c: x - c, quad_center=c)
+
+class _LinearLoss(RoundLoss):
+    """⟨f, x⟩ for the read-only cost vector f."""
+
+    __slots__ = ("linear",)
+
+    def __init__(self, f: Point):
+        self.linear = f
+
+    def value(self, x: Point) -> float:
+        # `.dot` is `@` up to the sign of a zero; `+ 0.0` gives `@`'s +0.0
+        return float(self.linear.dot(x)) + 0.0
+
+    def grad(self, x: Point) -> Point:
+        return self.linear
+
+
+class _QuadraticLoss(RoundLoss):
+    """½‖x − c‖² for the read-only center c."""
+
+    __slots__ = ("quad_center",)
+
+    def __init__(self, c: Point):
+        self.quad_center = c
+
+    def value(self, x: Point) -> float:
+        r = x - self.quad_center
+        return 0.5 * float(r.dot(r))
+
+    def grad(self, x: Point) -> Point:
+        return x - self.quad_center
+
+
+def _record():
+    """An empty flat float64 record, an array('d').  The array module is
+    imported here, not with the package, so a process that builds no learner
+    (a stochastic experiment) does not load it."""
+    from array import array
+    return array("d")
+
+
+def _rows(record, width: int) -> np.ndarray:
+    """A flat float64 record, `width` values a round, as a fresh read-only
+    (rounds, width) array."""
+    rows = np.array(record, dtype=np.float64).reshape(-1, width)
+    rows.flags.writeable = False
+    return rows
 
 
 class BaseLearner:
-    """Common bookkeeping: decisions and per-round loss values, which each
-    learner's observe appends as it plays the round.
+    """Common bookkeeping: the decision played and the loss paid each round,
+    which each learner's observe appends as it plays the round.
 
-    A decision is recorded as the learner's own array, without a copy: every
-    learner builds a new array for each round's point and never changes one
-    in place once it is recorded.
+    Both records are flat float64: `loss_values` is an array('d') of one
+    float a round, and each decision, a float64 d-vector, is copied into one
+    growable buffer of d floats a round, which `decisions` reads back.  The
+    dimension d is the domain's when it has one, else `dim`; a missing d or
+    one below 1 is refused.
     """
 
-    def __init__(self):
-        self.decisions: list[Point] = []
-        self.loss_values: list[float] = []
+    def __init__(self, dim: int | None, domain: Domain | None = None):
+        d = domain.dim if domain is not None and domain.dim is not None else dim
+        if d is None or not d >= 1:
+            raise ConfigurationError(f"a learner needs dim >= 1, got dim={d!r}")
+        self.dim = d
+        self._decisions = _record()
+        self.loss_values = _record()
+
+    @property
+    def decisions(self) -> np.ndarray:
+        """The decisions played, one row a round: a fresh read-only
+        (rounds, d) array."""
+        return _rows(self._decisions, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +178,10 @@ class OGD(BaseLearner):
     subclass only chooses the round's direction through _gradient."""
 
     def __init__(self, domain: Domain, schedule: StepSchedule, dim: int | None = None):
-        super().__init__()
+        super().__init__(dim, domain)
         self.domain = domain
         self.schedule = schedule
-        d = domain.dim if domain.dim is not None else dim
-        self.x = domain.project(np.zeros(d))
+        self.x = domain.project(np.zeros(self.dim))
         self.t = 0
         self._project = domain.projector()
         self._step_at = schedule.at
@@ -117,7 +192,7 @@ class OGD(BaseLearner):
     def observe(self, loss: RoundLoss) -> None:
         self.t += 1
         x = self.x
-        self.decisions.append(x)
+        self._decisions.frombytes(x.tobytes())
         self.loss_values.append(float(loss.value(x)))
         g = self._gradient(x, loss)
         self.x = self._project(x - self._step_at(self.t) * g)
@@ -136,7 +211,7 @@ class IFTRL(BaseLearner):
     with the previous round's gradient (two gradient evaluations per round)."""
 
     def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None):
-        super().__init__()
+        super().__init__(dim, domain)
         if not 0.0 < eta <= 1.0:
             raise ConfigurationError("eta must lie in (0, 1]")
         if L <= 0:
@@ -144,7 +219,7 @@ class IFTRL(BaseLearner):
         if domain.kind not in _LEADER_KINDS:
             raise UnsupportedDomainError(f"no closed-form leader solve for {domain.kind}")
         self.domain, self.L, self.eta = domain, L, eta
-        d = domain.dim if domain.dim is not None else dim
+        d = self.dim
         self.z = domain.project(np.zeros(d))
         self.grad_sum = np.zeros(d)
         self.stale_grad = np.zeros(d)   # ∇f_{t-1}(z_{t-1}); zero for round 1
@@ -158,7 +233,7 @@ class IFTRL(BaseLearner):
 
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
-        self.decisions.append(x)
+        self._decisions.frombytes(x.tobytes())
         self.loss_values.append(float(loss.value(x)))
         self.grad_sum += loss.grad(self.z)
         self.z = self._project(self.grad_sum / self._neg_c)
@@ -170,14 +245,14 @@ class OMP(BaseLearner):
 
     def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None,
                  mirror_map: MirrorMap | None = None):
-        super().__init__()
+        super().__init__(dim, domain)
         if eta <= 0:
             raise ConfigurationError("eta must be positive")
         if L <= 0:
             raise ConfigurationError("smoothness L must be positive")
         self.domain, self.L, self.eta = domain, L, eta
         self.map = mirror_map or MirrorMap.euclidean()
-        d = domain.dim if domain.dim is not None else dim
+        d = self.dim
         if self.map.kind == "entropy" and domain.kind == "simplex":
             self.z = np.full(d, 1.0 / d)
         else:
@@ -195,7 +270,7 @@ class OMP(BaseLearner):
 
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
-        self.decisions.append(x)
+        self._decisions.frombytes(x.tobytes())
         self.loss_values.append(float(loss.value(x)))
         g = self._gradient(x, loss)
         self.z = self._prox(self.z, g, self._step)
@@ -274,7 +349,7 @@ class HingeClassifierPD(BaseLearner):
     mistakes."""
 
     def __init__(self, dim: int, R: float = 1.0, eta: float | None = None):
-        super().__init__()
+        super().__init__(dim)
         self.eta = eta if eta is not None else 1.0 / (2.0 * math.sqrt(2.0))
         if not 0.0 < self.eta <= 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12:
             raise ConfigurationError("step size must lie in (0, 1/(2*sqrt(2))]")
@@ -322,8 +397,9 @@ class ConstraintSet:
     def m(self) -> int:
         return len(self.funcs)
 
-    def values(self, x: Point) -> np.ndarray:
-        return np.array([g(x) for g, _ in self.funcs])
+    def values(self, x: Point) -> list[float]:
+        """The m constraint values at x, as Python floats."""
+        return [float(g(x)) for g, _ in self.funcs]
 
     @classmethod
     def from_samples(cls, funcs, dim: int, ball_radius: float, loss_bound: float,
@@ -369,12 +445,18 @@ class SoftConstraintOGD(OGD):
         self._eta_delta = self.eta * self.delta
         self._zero = _frozen(np.zeros(self.x.shape))
         self.lam = np.zeros(m)
-        self.violations: list[np.ndarray] = []
+        self._violations = _record()
+
+    @property
+    def violations(self) -> np.ndarray:
+        """One row a round of the constrained values, one per dual: a fresh
+        read-only (rounds, m) array."""
+        return _rows(self._violations, self.lam.shape[0])
 
     def _terms(self, x: Point):
-        """The constraint values (the round's violations record) and
-        Σ lam_i ∇g_i(x) at x; with every dual zero, a shared read-only zero
-        vector."""
+        """The constrained values as floats (the round's violations record)
+        and Σ lam_i ∇g_i(x) at x; with every dual zero, a shared read-only
+        zero vector."""
         vals = self.cons.values(x)
         grad = self._zero
         for lam_i, (_, gg) in zip(self.lam.tolist(), self.cons.funcs):
@@ -384,13 +466,13 @@ class SoftConstraintOGD(OGD):
 
     def _gradient(self, x: Point, loss: RoundLoss) -> Point:
         vals, cons_grad = self._terms(x)
-        self.violations.append(vals)
+        self._violations.extend(vals)
         # lam ← max(lam + η(g − ηδ·lam), 0) one dual at a time in Python
         # floats: the IEEE operations of the array form, in its order; the
         # clamp is np.maximum(u, 0.0) bit for bit (+0.0 for −0.0, NaN kept)
         eta, eta_delta = self.eta, self._eta_delta
         lam = []
-        for l, v in zip(self.lam.tolist(), vals.tolist()):
+        for l, v in zip(self.lam.tolist(), vals):
             u = l + eta * (v - eta_delta * l)
             lam.append(u if u > 0.0 or u != u else 0.0)
         self.lam = np.array(lam)
@@ -427,19 +509,19 @@ class ZeroViolationOGD(SoftConstraintOGD):
         self.lam = np.zeros(1)
         self.a = tun["a"]
         self.gamma_tighten = tun["gamma"]
-        self.raw_violations: list[float] = []
+        self.raw_violations = _record()
 
     def _terms(self, x: Point):
         # one evaluation of the raw constraints serves the violation record,
         # the tightened value and the subgradient
-        vals = [float(g(x)) for g, _ in self.cons.funcs]
+        vals = self.cons.values(x)
         g_max = max(vals)
         self.raw_violations.append(g_max)
         grad = self._zero
         lam = self.lam.item()
         if lam != 0.0:
             grad = grad + lam * self.cons.funcs[vals.index(g_max)][1](x)
-        return np.array([g_max + self.gamma_tighten]), grad
+        return [g_max + self.gamma_tighten], grad
 
 
 class PenaltyOGD(OGD):
@@ -452,13 +534,19 @@ class PenaltyOGD(OGD):
         self.cons = constraints
         self.delta = delta
         self._delta = np.array(delta)
-        self.violations: list[np.ndarray] = []
+        self._violations = _record()
+
+    @property
+    def violations(self) -> np.ndarray:
+        """One row a round of the m constraint values: a fresh read-only
+        (rounds, m) array."""
+        return _rows(self._violations, self.cons.m)
 
     def _gradient(self, x: Point, loss: RoundLoss) -> Point:
         vals = self.cons.values(x)
-        self.violations.append(vals)
+        self._violations.extend(vals)
         g = loss.grad(x)
-        for v, (_, gg) in zip(vals.tolist(), self.cons.funcs):
+        for v, (_, gg) in zip(vals, self.cons.funcs):
             if v > 0:
                 g = g + self._delta * gg(x)
         return g

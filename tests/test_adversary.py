@@ -70,6 +70,17 @@ class TestDriftingQuadratics:
         g1 = seq.loss(1).grad(pts[0])
         assert measure_egv(seq, pts) == pytest.approx(float(g1 @ g1))
 
+    def test_rounds_share_one_read_only_center_array(self):
+        T, d, speed, radius = 40, 3, 0.07, 0.4
+        seq = drifting_quadratics(speed, T, d, radius=radius)
+        shared = seq.loss(1).quad_center.base
+        assert shared.shape == (T, d) and not shared.flags.writeable
+        assert all(l.quad_center.base is shared for l in seq)
+        assert "centers" not in seq.meta
+        want = [[radius * math.cos(speed * t), radius * math.sin(speed * t), 0.0]
+                for t in range(T)]
+        assert shared.tolist() == want
+
     def test_closed_form_center_drift(self):
         seq = drifting_quadratics(0.07, 50, 2, radius=0.4)
         brute = 0.0

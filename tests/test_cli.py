@@ -198,6 +198,28 @@ class TestDispatch:
         assert capsys.readouterr().err.startswith("error: --seed ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_run_api_refuses_seed_outside_64_bits(self, tmp_path, seed):
+        # the library path aliased -1 onto 2**64 - 1 and wrote *_-1.csv
+        from smoothconvex.core import ConfigurationError
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match=r"^seed must lie in 0\.\."):
+            run(RunConfig("penalty_impossibility", seed=seed, overrides={"T": "10"},
+                          output_dir=str(out)))
+        assert not out.exists()
+
+    def test_run_all_script_refuses_seed_outside_64_bits(self, tmp_path):
+        root = Path(cli.__file__).resolve().parents[2]
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_all_experiments.py"),
+             "--seed", "0,-1", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        assert done.returncode == 2
+        assert "--seed must lie in 0.." in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
+
     def test_largest_seed_runs(self, tmp_path):
         rc = main(["run", "penalty_impossibility", "--T=10", "--seed",
                    "18446744073709551615", "--out", str(tmp_path)])

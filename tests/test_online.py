@@ -2,10 +2,12 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from smoothconvex import cli
 from smoothconvex.core import (ConfigurationError, Domain, InputError,
                                MirrorMap, StepSchedule, UnsupportedDomainError,
                                make_rng)
@@ -648,8 +650,8 @@ class TestZeroViolationRound:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(np.array(zero.violations), np.array(ref.violations))
         np.testing.assert_array_equal(zero.lam, ref.lam)
-        assert zero.raw_violations == [max(float(g(x)) for g, _ in cons.funcs)
-                                       for x in zero.decisions]
+        assert zero.raw_violations.tolist() == [max(float(g(x)) for g, _ in cons.funcs)
+                                                for x in zero.decisions]
         # both constraints attain the max at some round
         assert {int(np.argmax([float(g(x)) for g, _ in cons.funcs]))
                 for x in zero.decisions} == {0, 1}
@@ -806,8 +808,8 @@ def _recording_cases():
 
 
 class TestRecordedDecisions:
-    """Decisions are recorded without a copy, so each recorded array must be
-    one the learner never changes afterwards."""
+    """Each recorded decision is, bit for bit, the point the learner played
+    that round."""
 
     @pytest.mark.parametrize("name", sorted(_recording_cases()))
     def test_each_decision_keeps_the_point_played(self, name):
@@ -831,3 +833,99 @@ class TestRecordedDecisions:
                 seen.append(lr.mistake_examples[-1].copy())
         assert len(seen) > 1
         assert _bits(lr.mistake_examples) == _bits(seen)
+
+
+
+class TestLearnerDimension:
+    """A learner takes d from its domain, else from `dim`; a ball has no
+    dimension, so without `dim`, or with one below 1, every family refuses
+    with ConfigurationError before building a point."""
+
+    @pytest.mark.parametrize("make", [
+        lambda dim: OGD(UNIT, StepSchedule.constant(0.1), dim=dim),
+        lambda dim: IFTRL(UNIT, L=1.0, eta=0.5, dim=dim),
+        lambda dim: OMP(UNIT, L=1.0, eta=0.1, dim=dim),
+        lambda dim: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=dim),
+        lambda dim: SoftConstraintOGD(_soft_cons(), T=10, dim=dim),
+        lambda dim: ZeroViolationOGD(_soft_cons(), T=10, dim=dim),
+        lambda dim: PenaltyOGD(_soft_cons(), StepSchedule.constant(0.05), delta=1.0,
+                               dim=dim),
+        lambda dim: HingeClassifierPD(dim),
+    ], ids=["OGD", "IFTRL", "OMP", "BanditOMP", "SoftConstraintOGD", "ZeroViolationOGD",
+            "PenaltyOGD", "HingeClassifierPD"])
+    @pytest.mark.parametrize("dim", [None, 0, -2])
+    def test_missing_or_nonpositive_dim_refused(self, make, dim):
+        with pytest.raises(ConfigurationError, match=f"dim={dim}"):
+            make(dim)
+
+    @pytest.mark.parametrize("make", [
+        lambda: OGD(Domain.ball(1.0), StepSchedule.constant(0.1)),
+        lambda: OMP(Domain.ball(1.0), L=1.0, eta=0.1),
+        lambda: IFTRL(Domain.ball(1.0), L=1.0, eta=0.5),
+    ], ids=["OGD", "OMP", "IFTRL"])
+    def test_default_dim_on_a_ball_refused(self, make):
+        with pytest.raises(ConfigurationError, match="dim=None"):
+            make()
+
+    def test_domain_dimension_wins_over_dim(self):
+        box = Domain.box(-np.ones(3), np.ones(3))
+        lr = OMP(box, L=1.0, eta=0.1, dim=5)
+        lr.observe(linear(np.ones(3)))
+        assert lr.dim == 3 and lr.decisions.shape == (1, 3)
+
+
+class TestFlatRecords:
+    def test_records_are_fresh_read_only_rows(self):
+        lr = PenaltyOGD(_soft_cons(), StepSchedule.constant(0.05), delta=3.0, R=0.8,
+                        dim=2)
+        rounds = list(_soft_rounds(6, 4.0))
+        for l in rounds[:5]:
+            lr.observe(l)
+        xs, vs = lr.decisions, lr.violations
+        assert xs.shape == (5, 2) and vs.shape == (5, 2)
+        assert not xs.flags.writeable and not vs.flags.writeable
+        lr.observe(rounds[5])   # a record held by the caller does not block a round
+        assert lr.decisions.shape == (6, 2) and xs.shape == (5, 2)
+        assert lr.decisions[:5].tobytes() == xs.tobytes()
+        assert len(lr.loss_values) == 6
+
+    def test_quadratic_rounds_share_one_read_only_copy(self):
+        centers = np.array([[0.3, -0.4], [1.0, 2.0], [-0.0, 0.5]])
+        rounds = RoundLoss.quadratic_rounds(centers)
+        centers[0, 0] = 9.0     # the caller's array stays writable and detached
+        shared = rounds[0].quad_center.base
+        assert all(isinstance(l, RoundLoss) and l.quad_center.base is shared
+                   for l in rounds)
+        assert shared.tolist() == [[0.3, -0.4], [1.0, 2.0], [-0.0, 0.5]]
+        with pytest.raises(ValueError):
+            rounds[1].quad_center[0] = 1.0
+        x = np.array([0.2, -0.7])
+        for l, c in zip(rounds, shared):
+            one = RoundLoss.from_quadratic(c)
+            assert struct.pack("d", l.value(x)) == struct.pack("d", one.value(x))
+            assert l.grad(x).tobytes() == one.grad(x).tobytes()
+
+    def test_quadratic_rounds_need_a_matrix(self):
+        with pytest.raises(InputError):
+            RoundLoss.quadratic_rounds([0.3, 0.4])
+
+    def test_soft_constraint_run_holds_under_4_mb(self):
+        """The soft_constraints experiment's rounds and both learners over
+        them, at the default T = 10,000: about 12.7 MB traced when each round
+        held a per-round loss object with closures and an array per record."""
+        params = cli.resolve_params("soft_constraints", {})
+        assert params["T"] == 10_000
+        cli._soft_instance(0, params)   # the first call imports numpy.random
+        tracemalloc.start()
+        try:
+            seq, cons, T, R = cli._soft_instance(0, params)
+            learners = [SoftConstraintOGD(cons, T, R=R, dim=2),
+                        ZeroViolationOGD(cons, T, R=R, dim=2)]
+            for l in seq:
+                for lr in learners:
+                    lr.observe(l)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(learners[0].decisions) == len(learners[1].decisions) == T
+        assert held < 4_000_000, f"{held / 1e6:.2f} MB held"
