@@ -1,14 +1,15 @@
 """Shared numerical foundations.
 
 Points are plain 1-D numpy arrays.  This module provides feasible sets with
-exact projections, mirror maps with Bregman divergences, the extra-gradient
-prox step used by every mirror-prox learner, gradient clipping, and seeded
+exact projections (one Domain subclass per kind, built as Domain.ball(...)
+and the like), mirror maps with Bregman divergences, the extra-gradient prox
+step used by every mirror-prox learner, gradient clipping, and seeded
 counter-based randomness.
 
 Projections and the prox step come in two forms.  The checked form
 (`Domain.project`, `project_ball`, `prox_step`) validates its input on every
 call and returns a fresh array.  The bound form (`Domain.projector`,
-`ball_projector`, `prox_map`) runs the checks and the kind dispatch once and
+`ball_projector`, `prox_map`) settles the checks and any dispatch once and
 returns the bare kernel for a loop to call each step; the checked form is
 those checks plus the same kernel.
 """
@@ -278,177 +279,258 @@ def dykstra(x: Point, projections, rounds: int = 100, tol: float = 1e-10) -> Poi
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Domain:
     """Feasible set with membership, exact projection, and a scalar constraint.
 
-    The scalar constraint g with its subgradient and the boundary constants
-    (rho lower-bounding ‖∇g‖ on the boundary, G2 upper-bounding ‖∇g‖ and C2
-    upper-bounding |g| over the outer ball of radius `outer_radius`) feed the
-    single-projection and long-term-constraint solvers.
+    One subclass per kind, holding only its own fields and refusing bad ones
+    when built: Domain.ball, .box, .simplex, .l1_ball and .halfspace_cut are
+    Ball, Box, Simplex, L1Ball and HalfspaceCut, and `kind` names each.
+
+    The scalar constraint g (membership ⇔ g(x) ≤ 0) with its subgradient
+    g_grad and the boundary constants (rho lower-bounding ‖∇g‖ on the
+    boundary, G2 upper-bounding ‖∇g‖ and C2 upper-bounding |g| over the outer
+    ball of radius `outer_radius`) feed the single-projection and
+    long-term-constraint solvers.
     """
 
-    kind: str  # ball | box | simplex | l1_ball | halfspace_cut
-    r: float = 1.0
-    lo: Point | None = None
-    hi: Point | None = None
-    a: Point | None = None
-    b: float = 0.0
-    dim: int | None = None
-    outer_radius: float = 1.0
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def ball(cls, r: float, outer_radius: float | None = None) -> "Domain":
-        if r <= 0:
-            raise ConfigurationError("ball radius must be positive")
-        return cls("ball", r=float(r), outer_radius=float(outer_radius or max(1.0, r)))
-
-    @classmethod
-    def box(cls, lo, hi) -> "Domain":
-        lo, hi = as_point(lo), as_point(hi)
-        if lo.shape != hi.shape:
-            raise InputError("box bounds must have equal dimension")
-        if np.any(lo > hi):
-            raise ConfigurationError("empty box: lo > hi")
-        return cls("box", lo=lo, hi=hi, dim=lo.shape[0],
-                   outer_radius=float(max(np.linalg.norm(lo), np.linalg.norm(hi))))
-
-    @classmethod
-    def simplex(cls, dim: int) -> "Domain":
-        if dim < 1:
-            raise ConfigurationError("simplex needs dim >= 1")
-        return cls("simplex", dim=dim, outer_radius=1.0)
-
-    @classmethod
-    def l1_ball(cls, r: float, dim: int | None = None) -> "Domain":
-        if r <= 0:
-            raise ConfigurationError("l1 radius must be positive")
-        return cls("l1_ball", r=float(r), dim=dim, outer_radius=float(max(1.0, r)))
-
-    @classmethod
-    def halfspace_cut(cls, a, b: float, outer_radius: float = 1.0) -> "Domain":
-        a = as_point(a)
-        if np.linalg.norm(a) == 0:
-            raise ConfigurationError("halfspace normal must be nonzero")
-        return cls("halfspace_cut", a=a, b=float(b), dim=a.shape[0],
-                   outer_radius=float(outer_radius))
-
-    # -- scalar constraint ---------------------------------------------------
-
-    def g(self, x: Point) -> float:
-        """Constraint value; membership ⇔ g(x) ≤ 0 (within the outer ball)."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "ball":
-            return float(x @ x - self.r * self.r)
-        if self.kind == "halfspace_cut":
-            return float(self.a @ x - self.b)
-        if self.kind == "box":
-            return float(np.max(np.maximum(self.lo - x, x - self.hi)))
-        if self.kind == "simplex":
-            return float(max(np.max(-x), abs(x.sum() - 1.0)))
-        if self.kind == "l1_ball":
-            return float(np.abs(x).sum() - self.r)
-        raise UnsupportedDomainError(self.kind)
-
-    def g_grad(self, x: Point) -> Point:
-        """A subgradient of g at x."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "ball":
-            return 2.0 * x
-        if self.kind == "halfspace_cut":
-            return self.a.copy()
-        if self.kind == "box":
-            viol_lo = self.lo - x
-            viol_hi = x - self.hi
-            out = np.zeros_like(x)
-            if np.max(viol_lo) >= np.max(viol_hi):
-                out[int(np.argmax(viol_lo))] = -1.0
-            else:
-                out[int(np.argmax(viol_hi))] = 1.0
-            return out
-        if self.kind == "simplex":
-            s = x.sum() - 1.0
-            if abs(s) >= np.max(-x):
-                return np.full_like(x, math.copysign(1.0, s))
-            out = np.zeros_like(x)
-            out[int(np.argmax(-x))] = -1.0
-            return out
-        if self.kind == "l1_ball":
-            return np.sign(x)
-        raise UnsupportedDomainError(self.kind)
-
-    # -- boundary constants ---------------------------------------------------
-
-    @property
-    def rho(self) -> float:
-        if self.kind == "ball":
-            return 2.0 * self.r
-        if self.kind == "halfspace_cut":
-            return float(np.linalg.norm(self.a))
-        return 1.0  # piecewise-linear g: unit-norm subgradients on facets
-
-    @property
-    def G2(self) -> float:
-        if self.kind == "ball":
-            return 2.0 * self.outer_radius
-        if self.kind == "halfspace_cut":
-            return float(np.linalg.norm(self.a))
-        if self.kind in ("l1_ball", "simplex"):
-            d = self.dim if self.dim else 1
-            return math.sqrt(d)
-        return 1.0
+    dim: int | None = None  # None: points of any dimension
+    rho = G2 = 1.0  # piecewise-linear g: unit-norm subgradients on facets
 
     @property
     def C2(self) -> float:
-        R = self.outer_radius
-        if self.kind == "ball":
-            return max(self.r * self.r, R * R - self.r * self.r)
-        if self.kind == "halfspace_cut":
-            return float(np.linalg.norm(self.a)) * R + abs(self.b)
-        if self.kind == "l1_ball":
-            d = self.dim if self.dim else 1
-            return math.sqrt(d) * R + self.r
-        return 2.0 * R + 1.0
-
-    # -- membership / projection ----------------------------------------------
+        return 2.0 * self.outer_radius + 1.0
 
     def contains(self, x: Point, tol: float = 1e-10) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "halfspace_cut":
-            return (self.g(x) <= tol) and (np.linalg.norm(x) <= self.outer_radius + tol)
         return self.g(x) <= tol
 
     def project(self, x: Point) -> Point:
         """Euclidean projection onto the set; a fresh array, also for a point
-        inside.  The dimension check plus the kernel of `projector`."""
+        inside.  The dimension check plus the kernel of `projector`, which
+        takes a contiguous 1-D float64 point of the set's dimension that the
+        caller owns and checks nothing: the ball kernel returns that very
+        array when it is inside (see ball_projector), the others a new one."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         self._check_dim(x)
         p = self.projector()(x)
         return p.copy() if p is x else p
 
-    def projector(self):
-        """The projection as a bare kernel, for a loop that projects every
-        step: the kind dispatch runs here, once, and the kernel checks
-        nothing.  It takes a contiguous 1-D float64 point of the set's
-        dimension that the caller owns; the ball kernel returns that very
-        array when it is inside (see ball_projector), the others a new one.
-        """
-        if self.kind == "ball":
-            return ball_projector(self.r)
-        if self.kind == "box":
-            lo, hi = self.lo, self.hi
-            return lambda x: np.clip(x, lo, hi)
-        if self.kind == "simplex":
-            return project_simplex
-        if self.kind == "l1_ball":
-            return functools.partial(project_l1_ball, r=self.r)
-        if self.kind == "halfspace_cut":
-            return self._project_halfspace_cut
-        raise UnsupportedDomainError(self.kind)
+    def _check_dim(self, x: Point) -> Point:
+        if x.ndim != 1:
+            raise InputError(f"point must be a 1-D vector, got shape {x.shape}")
+        if self.dim is not None and x.shape[0] != self.dim:
+            raise InputError(f"dimension mismatch: domain is {self.dim}-d, point is {x.shape[0]}-d")
+        return x
 
-    def _project_halfspace_cut(self, x: Point) -> Point:
+    def linear_minimizer(self, c: Point) -> Point:
+        """argmin over the set of ⟨c, x⟩ (the step direction oracle), if the kind has one."""
+        raise UnsupportedDomainError(f"no linear-minimization routine for {self.kind}")
+
+
+class Ball(Domain):
+    """{‖x‖ ≤ r}, g(x) = ‖x‖² − r²; the outer radius is max(1, r) by default."""
+
+    kind = "ball"
+
+    def __init__(self, r: float, outer_radius: float | None = None):
+        if r <= 0:
+            raise ConfigurationError("ball radius must be positive")
+        self.r, self.outer_radius = float(r), float(outer_radius or max(1.0, r))
+
+    def g(self, x: Point) -> float:
+        x = np.asarray(x, dtype=np.float64)
+        return float(x @ x - self.r * self.r)
+
+    def g_grad(self, x: Point) -> Point:
+        return 2.0 * np.asarray(x, dtype=np.float64)
+
+    @property
+    def rho(self) -> float:
+        return 2.0 * self.r
+
+    @property
+    def G2(self) -> float:
+        return 2.0 * self.outer_radius
+
+    @property
+    def C2(self) -> float:
+        R = self.outer_radius
+        return max(self.r * self.r, R * R - self.r * self.r)
+
+    def projector(self):
+        return ball_projector(self.r)
+
+    def linear_minimizer(self, c: Point) -> Point:
+        c = self._check_dim(np.asarray(c, dtype=np.float64))
+        n = _norm(c)
+        return np.zeros_like(c) if n == 0 else -(self.r / n) * c
+
+    def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
+        if dim is None:
+            raise InputError("dimension required to sample this domain")
+        v = rng.standard_normal(dim)
+        v /= max(np.linalg.norm(v), 1e-15)
+        return v * self.r * rng.uniform() ** (1.0 / dim)
+
+
+class Box(Domain):
+    """{lo ≤ x ≤ hi}, g the largest bound violation."""
+
+    kind = "box"
+
+    def __init__(self, lo, hi):
+        lo, hi = as_point(lo), as_point(hi)
+        if lo.shape != hi.shape:
+            raise InputError("box bounds must have equal dimension")
+        if np.any(lo > hi):
+            raise ConfigurationError("empty box: lo > hi")
+        self.lo, self.hi, self.dim = lo, hi, lo.shape[0]
+        self.outer_radius = float(max(np.linalg.norm(lo), np.linalg.norm(hi)))
+
+    def g(self, x: Point) -> float:
+        x = np.asarray(x, dtype=np.float64)
+        return float(np.max(np.maximum(self.lo - x, x - self.hi)))
+
+    def g_grad(self, x: Point) -> Point:
+        x = np.asarray(x, dtype=np.float64)
+        viol_lo, viol_hi = self.lo - x, x - self.hi
+        out = np.zeros_like(x)
+        if np.max(viol_lo) >= np.max(viol_hi):
+            out[int(np.argmax(viol_lo))] = -1.0
+        else:
+            out[int(np.argmax(viol_hi))] = 1.0
+        return out
+
+    def projector(self):
+        lo, hi = self.lo, self.hi
+        return lambda x: np.clip(x, lo, hi)
+
+    def linear_minimizer(self, c: Point) -> Point:
+        c = self._check_dim(np.asarray(c, dtype=np.float64))
+        return np.where(c > 0, self.lo, np.where(c < 0, self.hi, self.lo))
+
+    def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
+        return rng.uniform(self.lo, self.hi)
+
+
+class Simplex(Domain):
+    """The probability simplex in `dim` dimensions."""
+
+    kind = "simplex"
+
+    def __init__(self, dim: int):
+        if dim < 1:
+            raise ConfigurationError("simplex needs dim >= 1")
+        self.dim, self.outer_radius = dim, 1.0
+
+    def g(self, x: Point) -> float:
+        x = np.asarray(x, dtype=np.float64)
+        return float(max(np.max(-x), abs(x.sum() - 1.0)))
+
+    def g_grad(self, x: Point) -> Point:
+        x = np.asarray(x, dtype=np.float64)
+        s = x.sum() - 1.0
+        if abs(s) >= np.max(-x):
+            return np.full_like(x, math.copysign(1.0, s))
+        out = np.zeros_like(x)
+        out[int(np.argmax(-x))] = -1.0
+        return out
+
+    @property
+    def G2(self) -> float:
+        return math.sqrt(self.dim)
+
+    def projector(self):
+        return project_simplex
+
+    def linear_minimizer(self, c: Point) -> Point:
+        c = self._check_dim(np.asarray(c, dtype=np.float64))
+        out = np.zeros_like(c)
+        out[int(np.argmin(c))] = 1.0
+        return out
+
+    def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
+        return rng.dirichlet(np.ones(self.dim))
+
+
+class L1Ball(Domain):
+    """{‖x‖₁ ≤ r}, g(x) = ‖x‖₁ − r, of any dimension unless `dim` is given."""
+
+    kind = "l1_ball"
+
+    def __init__(self, r: float, dim: int | None = None):
+        if r <= 0:
+            raise ConfigurationError("l1 radius must be positive")
+        self.r, self.dim, self.outer_radius = float(r), dim, float(max(1.0, r))
+
+    def g(self, x: Point) -> float:
+        return float(np.abs(np.asarray(x, dtype=np.float64)).sum() - self.r)
+
+    def g_grad(self, x: Point) -> Point:
+        return np.sign(np.asarray(x, dtype=np.float64))
+
+    @property
+    def G2(self) -> float:
+        return math.sqrt(self.dim or 1)
+
+    @property
+    def C2(self) -> float:
+        return self.G2 * self.outer_radius + self.r
+
+    def projector(self):
+        return functools.partial(project_l1_ball, r=self.r)
+
+    def linear_minimizer(self, c: Point) -> Point:
+        c = self._check_dim(np.asarray(c, dtype=np.float64))
+        out = np.zeros_like(c)
+        i = int(np.argmax(np.abs(c)))
+        if c[i] != 0:
+            out[i] = -math.copysign(self.r, c[i])
+        return out
+
+    def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
+        d = self.dim if self.dim is not None else dim
+        if d is None:
+            raise InputError("dimension required to sample this domain")
+        p = rng.dirichlet(np.ones(d)) * self.r * rng.uniform() ** (1.0 / d)
+        return p * rng.choice([-1.0, 1.0], size=d)
+
+
+class HalfspaceCut(Domain):
+    """{⟨a, x⟩ ≤ b} within the ball of radius `outer_radius`, g(x) = ⟨a, x⟩ − b;
+    a must be nonzero.  No linear-minimization routine."""
+
+    kind = "halfspace_cut"
+
+    def __init__(self, a, b: float, outer_radius: float = 1.0):
+        a = as_point(a)
+        if np.linalg.norm(a) == 0:
+            raise ConfigurationError("halfspace normal must be nonzero")
+        self.a, self.b, self.dim = a, float(b), a.shape[0]
+        self.outer_radius = float(outer_radius)
+
+    def g(self, x: Point) -> float:
+        return float(self.a @ np.asarray(x, dtype=np.float64) - self.b)
+
+    def g_grad(self, x: Point) -> Point:
+        return self.a.copy()
+
+    @property
+    def rho(self) -> float:
+        return float(np.linalg.norm(self.a))
+
+    G2 = rho
+
+    @property
+    def C2(self) -> float:
+        return self.rho * self.outer_radius + abs(self.b)
+
+    def contains(self, x: Point, tol: float = 1e-10) -> bool:
+        return super().contains(x, tol) and np.linalg.norm(x) <= self.outer_radius + tol
+
+    def projector(self):
+        return self._project
+
+    def _project(self, x: Point) -> Point:
         a, b, r = self.a, self.b, self.outer_radius
         if self.contains(x):
             return x.copy()
@@ -474,60 +556,18 @@ class Domain:
             nv = np.linalg.norm(v)
         return c0 + math.sqrt(rho2) * v / nv
 
-    def _check_dim(self, x: Point) -> None:
-        if x.ndim != 1:
-            raise InputError(f"point must be a 1-D vector, got shape {x.shape}")
-        if self.dim is not None and x.shape[0] != self.dim:
-            raise InputError(f"dimension mismatch: domain is {self.dim}-d, point is {x.shape[0]}-d")
-
-    # -- extras used by solvers -------------------------------------------------
-
-    def linear_minimizer(self, c: Point) -> Point:
-        """argmin over the set of ⟨c, x⟩ (the step direction oracle)."""
-        c = np.asarray(c, dtype=np.float64)
-        self._check_dim(c)
-        if self.kind == "ball":
-            n = _norm(c)
-            return np.zeros_like(c) if n == 0 else -(self.r / n) * c
-        if self.kind == "box":
-            return np.where(c > 0, self.lo, np.where(c < 0, self.hi, self.lo))
-        if self.kind == "simplex":
-            out = np.zeros_like(c)
-            out[int(np.argmin(c))] = 1.0
-            return out
-        if self.kind == "l1_ball":
-            out = np.zeros_like(c)
-            i = int(np.argmax(np.abs(c)))
-            if c[i] != 0:
-                out[i] = -math.copysign(self.r, c[i])
-            return out
-        raise UnsupportedDomainError(f"no linear-minimization routine for {self.kind}")
-
     def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
-        """A random feasible point."""
-        d = self.dim if self.dim is not None else dim
-        if d is None:
-            raise InputError("dimension required to sample this domain")
-        if self.kind == "ball":
-            v = rng.standard_normal(d)
+        for _ in range(10_000):
+            v = rng.standard_normal(self.dim)
             v /= max(np.linalg.norm(v), 1e-15)
-            return v * self.r * rng.uniform() ** (1.0 / d)
-        if self.kind == "box":
-            return rng.uniform(self.lo, self.hi)
-        if self.kind == "simplex":
-            return rng.dirichlet(np.ones(d))
-        if self.kind == "l1_ball":
-            p = rng.dirichlet(np.ones(d)) * self.r * rng.uniform() ** (1.0 / d)
-            return p * rng.choice([-1.0, 1.0], size=d)
-        if self.kind == "halfspace_cut":
-            for _ in range(10_000):
-                v = rng.standard_normal(d)
-                v /= max(np.linalg.norm(v), 1e-15)
-                v = v * self.outer_radius * rng.uniform() ** (1.0 / d)
-                if self.contains(v):
-                    return v
-            raise NumericError("rejection sampling failed; halfspace cut too thin")
-        raise UnsupportedDomainError(self.kind)
+            v = v * self.outer_radius * rng.uniform() ** (1.0 / self.dim)
+            if self.contains(v):
+                return v
+        raise NumericError("rejection sampling failed; halfspace cut too thin")
+
+
+Domain.ball, Domain.box, Domain.simplex = Ball, Box, Simplex
+Domain.l1_ball, Domain.halfspace_cut = L1Ball, HalfspaceCut
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,35 @@ class TestProjection:
         with pytest.raises(ConfigurationError):
             Domain.box([1.0], [0.0])
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(d.r))
+    @pytest.mark.parametrize("build, error", [
+        (lambda: Domain.ball(0.0), ConfigurationError),
+        (lambda: Domain.ball(-1.0), ConfigurationError),
+        (lambda: Domain.box([0.0, 0.0], [1.0]), InputError),
+        (lambda: Domain.box([0.0, 2.0], [1.0, 1.0]), ConfigurationError),
+        (lambda: Domain.simplex(0), ConfigurationError),
+        (lambda: Domain.l1_ball(0.0, dim=2), ConfigurationError),
+        (lambda: Domain.l1_ball(-1.5), ConfigurationError),
+        (lambda: Domain.halfspace_cut([0.0, 0.0], 0.5), ConfigurationError),
+        # the kind-string constructor is gone, so it cannot skip the checks
+        (lambda: Domain("ball", r=-1.0), TypeError),
+    ], ids=["ball_r0", "ball_r_negative", "box_unequal_shapes", "box_lo_above_hi",
+            "simplex_dim0", "l1_ball_r0", "l1_ball_r_negative",
+            "halfspace_zero_normal", "kind_string"])
+    def test_bad_domain_refused_when_built(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_each_kind_is_its_own_class_with_only_its_fields(self):
+        built = {Domain.ball(2.0): {"r", "outer_radius"},
+                 Domain.box([0.0], [1.0]): {"lo", "hi", "dim", "outer_radius"},
+                 Domain.simplex(3): {"dim", "outer_radius"},
+                 Domain.l1_ball(1.0): {"r", "dim", "outer_radius"},
+                 Domain.halfspace_cut([1.0], 0.5): {"a", "b", "dim", "outer_radius"}}
+        for dom, fields in built.items():
+            assert type(dom) is getattr(Domain, dom.kind) and isinstance(dom, Domain)
+            assert "kind" not in vars(dom) and set(vars(dom)) == fields, dom.kind
+
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
     def test_idempotence(self, dom):
         rng = make_rng(7)
         for _ in range(1000):
@@ -88,7 +116,7 @@ class TestProjection:
             p2 = dom.project(p)
             assert np.max(np.abs(p2 - p)) <= 1e-12
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(d.r))
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
     def test_optimality_vs_random_feasible(self, dom):
         rng = make_rng(8)
         for _ in range(100):
@@ -97,7 +125,7 @@ class TestProjection:
             y = dom.sample(rng, dim=4)
             assert np.linalg.norm(x - p) <= np.linalg.norm(x - y) + 1e-12
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(d.r))
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
     def test_nonexpansive(self, dom):
         rng = make_rng(9)
         for _ in range(500):
@@ -106,7 +134,7 @@ class TestProjection:
             px, py = dom.project(x), dom.project(y)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(d.r))
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
     def test_membership_iff_constraint(self, dom):
         rng = make_rng(10)
         for _ in range(300):
@@ -115,7 +143,7 @@ class TestProjection:
                 continue
             assert dom.contains(x) == (dom.g(x) <= 1e-10)
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(d.r))
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
     def test_boundary_gradient_bounds(self, dom):
         rng = make_rng(11)
         for _ in range(200):

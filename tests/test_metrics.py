@@ -1,6 +1,6 @@
 """Comparator minima, final regret, slopes and the reference-optimum solver."""
 
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -32,17 +32,29 @@ class TestRegret:
                            _losses=[RoundLoss.from_quadratic(c) for c in centers])
         dom = Domain.ball(0.6)
         x_cf, v_cf = comparator_minimum(seq, dom)
-        # grid cross-check
+        # grid cross-check: the points of a 601×601 grid that pass contains's
+        # rule ‖x‖² − r² ≤ 1e-10, each valued by Σ ½‖x − c‖²
         xs = np.linspace(-0.6, 0.6, 601)
-        best = math.inf
-        for a in xs:
-            for b in xs:
-                x = np.array([a, b])
-                if dom.contains(x):
-                    val = sum(l.value(x) for l in seq)
-                    best = min(best, val)
+        grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        grid = grid[np.sum(grid * grid, axis=1) - dom.r * dom.r <= 1e-10]
+        best = float(sum(0.5 * np.sum((grid - c) ** 2, axis=1) for c in centers).min())
         assert v_cf <= best + 1e-9
         assert abs(v_cf - best) < 1e-4
+
+    def test_linear_comparator_attains_the_best_vertex(self):
+        # a linear loss attains its minimum over a polytope at a vertex
+        rng = make_rng(2)
+        vecs = [rng.uniform(-1, 1, size=3) for _ in range(5)]
+        seq = LossSequence(T=5, kind="lin", _losses=[linear(v) for v in vecs])
+        total = np.sum(vecs, axis=0)
+        lo, hi = np.array([-1.0, 0.0, 0.5]), np.array([2.0, 0.5, 1.5])
+        for dom, vertices in [
+                (Domain.box(lo, hi), np.array(list(itertools.product(*zip(lo, hi))))),
+                (Domain.simplex(3), np.eye(3)),
+                (Domain.l1_ball(1.5, dim=3), 1.5 * np.vstack([np.eye(3), -np.eye(3)]))]:
+            x, best = comparator_minimum(seq, dom)
+            assert dom.contains(x), dom.kind
+            assert best == pytest.approx(np.min(vertices @ total)), dom.kind
 
     def test_final_matches_definition(self):
         rng = make_rng(1)

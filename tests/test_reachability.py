@@ -46,13 +46,22 @@ SMALL = {
 ALLOWED = {
     # criterion 11: projection, sampling and sgd on all five domain kinds
     "core.as_point": "criterion 11: the box and halfspace constructors",
-    "core.Domain.box": "criterion 11",
-    "core.Domain.l1_ball": "criterion 11",
-    "core.Domain.halfspace_cut": "criterion 11",
-    "core.Domain.projector.<locals>.<lambda>": "criterion 11: the box kernel",
-    "core.Domain._project_halfspace_cut": "criterion 11",
+    "core.Box.__init__": "criterion 11",
+    "core.L1Ball.__init__": "criterion 11",
+    "core.HalfspaceCut.__init__": "criterion 11",
+    "core.Box.projector": "criterion 11",
+    "core.Box.projector.<locals>.<lambda>": "criterion 11: the box kernel",
+    "core.Simplex.projector": "criterion 11",
+    "core.L1Ball.projector": "criterion 11",
+    "core.HalfspaceCut.projector": "criterion 11",
+    "core.HalfspaceCut._project": "criterion 11",
+    "core.HalfspaceCut.contains": "criterion 11: the halfspace projection",
     "core.Domain.contains": "criterion 11: the halfspace projection",
-    "core.Domain.sample": "criterion 11",
+    "core.Ball.sample": "criterion 11",
+    "core.Box.sample": "criterion 11",
+    "core.Simplex.sample": "criterion 11",
+    "core.L1Ball.sample": "criterion 11",
+    "core.HalfspaceCut.sample": "criterion 11",
     "core.project_l1_ball": "criterion 11",
     "core.project_simplex": "criterion 11; perfbench kernel table (ROADMAP item 1)",
     "stochastic.sgd": "criterion 11",
@@ -60,6 +69,27 @@ ALLOWED = {
     "problems.FiniteSumProblem.stochastic_grad": "criterion 11; objective protocol",
     "problems.FiniteSumProblem.component": "criterion 11; objective protocol",
     "problems.FiniteSumProblem.component_grad": "criterion 11; objective protocol",
+    # the constraint and boundary constants of the kinds no experiment uses:
+    # test_stochastic's test_final_point_feasible_or_domain_refused
+    "core.Domain.C2": "test_final_point_feasible_or_domain_refused: box, simplex",
+    "core.Box.g": "test_final_point_feasible_or_domain_refused",
+    "core.Box.g_grad": "test_final_point_feasible_or_domain_refused",
+    "core.Simplex.g": "test_final_point_feasible_or_domain_refused",
+    "core.Simplex.g_grad": "test_final_point_feasible_or_domain_refused",
+    "core.Simplex.G2": "test_final_point_feasible_or_domain_refused",
+    "core.L1Ball.g": "test_final_point_feasible_or_domain_refused",
+    "core.L1Ball.g_grad": "test_final_point_feasible_or_domain_refused",
+    "core.L1Ball.G2": "test_final_point_feasible_or_domain_refused",
+    "core.L1Ball.C2": "test_final_point_feasible_or_domain_refused",
+    "core.HalfspaceCut.g": "test_final_point_feasible_or_domain_refused; criterion 11",
+    "core.HalfspaceCut.g_grad": "test_final_point_feasible_or_domain_refused",
+    "core.HalfspaceCut.rho": "test_final_point_feasible_or_domain_refused",
+    "core.HalfspaceCut.C2": "test_final_point_feasible_or_domain_refused",
+    # the comparator's linear minimum on each kind (test_metrics)
+    "core.Box.linear_minimizer": "test_metrics: the comparator on each kind",
+    "core.Simplex.linear_minimizer": "test_metrics: the comparator on each kind",
+    "core.L1Ball.linear_minimizer": "test_metrics: the comparator on each kind",
+    "core.Domain.linear_minimizer": "test_metrics: the comparator refuses a halfspace cut",
     # perfbench's kernel table times these (ROADMAP item 1)
     "core.project_ball": "perfbench kernel table (ROADMAP item 1)",
     "core.project_two_balls": "perfbench kernel table (ROADMAP item 1)",
@@ -82,9 +112,9 @@ ALLOWED = {
     "problems.smoothed_hinge_grad": "test_problems checks the γ/4 smoothness",
     "problems._sigmoid": "smoothed_hinge_grad's kernel",
     "adversary.classification_stream.<locals>.value":
-        "criterion 12 reads classification_stream's LossSequence (ROADMAP item 3)",
+        "TestClassificationStream::test_hinge_loss_values calls the losses (ROADMAP item 3)",
     "adversary.classification_stream.<locals>.grad":
-        "criterion 12 reads classification_stream's LossSequence (ROADMAP item 3)",
+        "TestClassificationStream::test_hinge_loss_values calls the losses (ROADMAP item 3)",
     "stochastic.gd": "the GD baseline of the mixed chapter's claim (ROADMAP item 6)",
     "stochastic.gradient_variance_probe":
         "the README defines emgd's variance columns by it",
