@@ -20,6 +20,11 @@ from smoothconvex.problems import from_arrays
 import frozen_kernels
 
 
+def domain_id(dom):
+    """The kind and radius, 1.0 for a kind without one, as in `ball2.5`."""
+    return dom.kind + str(getattr(dom, "r", 1.0))
+
+
 def all_domains(d=4):
     return [
         Domain.ball(1.0),
@@ -107,7 +112,7 @@ class TestProjection:
             assert type(dom) is getattr(Domain, dom.kind) and isinstance(dom, Domain)
             assert "kind" not in vars(dom) and set(vars(dom)) == fields, dom.kind
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
+    @pytest.mark.parametrize("dom", all_domains(), ids=domain_id)
     def test_idempotence(self, dom):
         rng = make_rng(7)
         for _ in range(1000):
@@ -116,7 +121,7 @@ class TestProjection:
             p2 = dom.project(p)
             assert np.max(np.abs(p2 - p)) <= 1e-12
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
+    @pytest.mark.parametrize("dom", all_domains(), ids=domain_id)
     def test_optimality_vs_random_feasible(self, dom):
         rng = make_rng(8)
         for _ in range(100):
@@ -125,7 +130,7 @@ class TestProjection:
             y = dom.sample(rng, dim=4)
             assert np.linalg.norm(x - p) <= np.linalg.norm(x - y) + 1e-12
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
+    @pytest.mark.parametrize("dom", all_domains(), ids=domain_id)
     def test_nonexpansive(self, dom):
         rng = make_rng(9)
         for _ in range(500):
@@ -134,7 +139,7 @@ class TestProjection:
             px, py = dom.project(x), dom.project(y)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
+    @pytest.mark.parametrize("dom", all_domains(), ids=domain_id)
     def test_membership_iff_constraint(self, dom):
         rng = make_rng(10)
         for _ in range(300):
@@ -143,7 +148,7 @@ class TestProjection:
                 continue
             assert dom.contains(x) == (dom.g(x) <= 1e-10)
 
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind + str(getattr(d, "r", 1.0)))
+    @pytest.mark.parametrize("dom", all_domains(), ids=domain_id)
     def test_boundary_gradient_bounds(self, dom):
         rng = make_rng(11)
         for _ in range(200):
