@@ -6,8 +6,9 @@ because every generator precomputes its round data up front.  Rounds with the
 same loss may share one RoundLoss object, and drifting_quadratics' rounds
 share one read-only (T, d) array of centers, each round a row view of it;
 every cost vector and center is read-only, so no learner can change one round
-through another.  The linear and quadratic losses hold no closures; only
-classification_stream's hinge rounds wrap two callables each.
+through another.  classification_stream returns no losses: its examples are
+the rows of one read-only (T, d) array.  Every generator refuses T < 1 and
+d < 1 with InputError.
 """
 
 from __future__ import annotations
@@ -23,19 +24,15 @@ from .online import RoundLoss
 
 @dataclass
 class LossSequence:
-    """T rounds of losses; loss(t) is 1-indexed and pure.  A loss list whose
-    length is not T is refused, so iterating the sequence gives its T rounds."""
+    """One loss a round, T of them; loss(t) is 1-indexed and pure."""
 
-    T: int
-    kind: str
-    _losses: list = field(repr=False, default_factory=list)
+    _losses: list = field(repr=False)
     egv_target: float | None = None
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if len(self._losses) != self.T:
-            raise InputError(f"a sequence of T={self.T} rounds got "
-                             f"{len(self._losses)} losses")
+    @property
+    def T(self) -> int:
+        return len(self._losses)
 
     def loss(self, t: int) -> RoundLoss:
         if not 1 <= t <= self.T:
@@ -46,19 +43,24 @@ class LossSequence:
         return iter(self._losses)
 
 
+def _check_sizes(T: int, d: int) -> None:
+    if T < 1 or d < 1:
+        raise InputError(f"a sequence needs T >= 1 rounds in d >= 1 dimensions, "
+                         f"got T={T}, d={d}")
+
+
 def alternating_linear(egv: float, T: int, d: int) -> LossSequence:
     """±f alternating every round, with ‖f‖ sized so the gradual variation
     hits `egv`; the flip-dominated family where tracking gains vanish and
     regret actually scales with the variation."""
+    _check_sizes(T, d)
     if egv <= 0:
         raise InputError("target variation must be positive")
-    scale = math.sqrt(egv / (4.0 * T - 3.0))
     f = np.zeros(d)
-    f[0] = scale
+    f[0] = math.sqrt(egv / (4.0 * T - 3.0))
     pair = (RoundLoss.from_linear(f), RoundLoss.from_linear(-f))
     losses = [pair[t % 2] for t in range(T)]
-    return LossSequence(T=T, kind="alternating_linear", _losses=losses,
-                        egv_target=float(egv), meta={"scale": scale})
+    return LossSequence(losses, egv_target=float(egv))
 
 
 def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
@@ -70,6 +72,7 @@ def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
     variation budget (gv_target, default 4·⌊T/(2s)⌋) allows, zeros after.
     s = 0: start with −f then alternate ±f every round.
     """
+    _check_sizes(T, d)
     if eta <= 0:
         raise InputError("adversary needs the learner step size eta > 0")
     f = np.zeros(d)
@@ -89,15 +92,14 @@ def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
         budget = T - 1 if gv_target is None else min(T - 1, int(gv_target // 4))
         losses = [minus] + [(plus, minus)[k % 2] for k in range(budget)]
     losses += [RoundLoss.from_linear(np.zeros(d))] * (T - len(losses))
-    return LossSequence(T=T, kind=f"ftrl_adversary_case_{case}",
-                        _losses=losses[:T], egv_target=gv_target,
-                        meta={"s": s, "case": case})
+    return LossSequence(losses[:T], egv_target=gv_target, meta={"case": case})
 
 
 def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> LossSequence:
     """f_t(x) = ½‖x − c_t‖² with the center moving on a circle by `speed`
     radians per round (smooth with unit curvature); the T rounds share one
     read-only (T, d) array of centers."""
+    _check_sizes(T, d)
     if speed < 0:
         raise InputError("drift speed must be nonnegative")
     centers = np.zeros((T, d))
@@ -111,21 +113,22 @@ def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> Lo
     if T > 1:
         step = 2.0 * radius * math.sin(speed / 2.0)
         egv += (T - 1) * step * step
-    return LossSequence(T=T, kind="drifting_quadratics", _losses=losses,
-                        egv_target=float(egv), meta={"speed": speed, "radius": radius})
+    return LossSequence(losses, egv_target=float(egv))
 
 
-def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> LossSequence:
-    """Unit vectors y_t·x_t random-walking on the sphere with step `drift`;
-    each round is the hinge loss max(0, 1 − ⟨w, y_t x_t⟩)."""
+def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> np.ndarray:
+    """Unit vectors y_t·x_t random-walking on the sphere with step `drift`,
+    one a row of a read-only (T, d) float64 array; round t's hinge loss is
+    max(0, 1 − ⟨w, y_t x_t⟩)."""
+    _check_sizes(T, d)
     if drift < 0:
         raise InputError("drift must be nonnegative")
     rng = make_rng(seed)
     v = rng.standard_normal(d)
     v /= _norm(v)   # np.linalg.norm bit for bit, without its wrapper
-    examples = []
-    for _ in range(T):
-        examples.append(v.copy())
+    examples = np.empty((T, d))
+    for t in range(T):
+        examples[t] = v
         if drift > 0:
             u = rng.standard_normal(d)
             u -= (u @ v) * v
@@ -134,17 +137,8 @@ def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> LossSe
                 step = (drift / nu) * u
                 v = v + step
                 v /= _norm(v)
-    losses = []
-    for gx in examples:
-        def value(w, gx=gx):
-            return max(0.0, 1.0 - float(gx @ w))
-
-        def grad(w, gx=gx):
-            return -gx if 1.0 - float(gx @ w) > 0 else np.zeros_like(gx)
-
-        losses.append(RoundLoss(value=value, grad=grad))
-    return LossSequence(T=T, kind="classification_stream", _losses=losses,
-                        meta={"drift": drift, "examples": examples})
+    examples.flags.writeable = False
+    return examples
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +164,22 @@ def measure_egv(sequence: LossSequence, probe_points) -> float:
 
 def measure_egv_exact(sequence: LossSequence) -> float:
     """Sup-form gradual variation for families whose gradient differences do
-    not depend on the probe point (linear and shifted-quadratic losses), so
-    the origin serves as every round's probe."""
-    first = sequence.loss(1)
+    not depend on the probe point (all-linear or all-quadratic losses), so the
+    origin serves as every round's probe.  A sequence that mixes the two kinds
+    is refused with InputError: its differences do depend on the probe."""
     if all(l.linear is not None for l in sequence):
         # ∇f_t(y) = linear for every y: measure_egv's terms without the probes
-        total, prev = 0.0, np.zeros_like(first.linear)
+        total, prev = 0.0, np.zeros_like(sequence.loss(1).linear)
         for l in sequence:
             f = l.linear
             d = f - prev
             total += float(d.dot(d))
             prev = f
         return total
-    d = first.linear.shape[0] if first.linear is not None else first.quad_center.shape[0]
-    origin = np.zeros(d)
-    if all(l.linear is not None or l.quad_center is not None for l in sequence):
+    if all(l.quad_center is not None for l in sequence):
+        origin = np.zeros_like(sequence.loss(1).quad_center)
         return measure_egv(sequence, [origin] * sequence.T)
-    raise InputError("closed-form variation is only available for linear/quadratic losses")
+    raise InputError("closed-form variation needs all-linear or all-quadratic losses")
 
 
 def measure_egv_inf(sequence: LossSequence) -> float:

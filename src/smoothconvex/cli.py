@@ -217,14 +217,13 @@ def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
         c2 = rng.uniform(0.0, 1.0, size=m)
         losses = [online.RoundLoss.from_linear(c1)] * (T // 2)
         losses += [online.RoundLoss.from_linear(c2)] * (T - T // 2)
-        seq = adversary.LossSequence(T=T, kind="expert_switch", _losses=losses)
-        egv_inf = adversary.measure_egv_inf(seq)
+        egv_inf = adversary.measure_egv_inf(losses)
         learner = online.ExpertOMP(m, eta=online.ExpertOMP.tuned_eta(m, egv_inf))
-        for l in seq:
+        for l in losses:
             learner.observe(l)
         total = np.zeros(m)
         learner_loss = 0.0
-        for l, v in zip(seq, learner.loss_values):
+        for l, v in zip(losses, learner.loss_values):
             total += l.linear
             learner_loss += v
         regret = learner_loss - float(total.min())
@@ -269,23 +268,22 @@ def _soft_instance(seed: int, p: dict):
     # math.sin, since np.cos and np.sin need not round alike
     losses = online.RoundLoss.quadratic_rounds(
         [(0.9 * math.cos(0.001 * t), 0.9 * math.sin(0.001 * t)) for t in range(T)])
-    seq = adversary.LossSequence(T=T, kind="soft_quadratic", _losses=losses)
     G = max(2.0 * R, R + 0.9)  # gradient bounds for losses and constraint over RB
     F = 0.5 * (R + 0.9) ** 2
     cons = online.ConstraintSet.from_samples([g], dim=2, ball_radius=R, loss_bound=F,
                                              grad_bound=G, rng=rng)
-    return seq, cons, T, R
+    return losses, cons, T, R
 
 
 def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
-    seq, cons, T, R = _soft_instance(seed, p)
+    losses, cons, T, R = _soft_instance(seed, p)
     dom_true = Domain.ball(p["constraint_radius"])
     soft = online.SoftConstraintOGD(cons, T, R=R, dim=2)
     zero = online.ZeroViolationOGD(cons, T, R=R, dim=2)
-    for l in seq:
+    for l in losses:
         soft.observe(l)
         zero.observe(l)
-    _, best = metrics.comparator_minimum(seq, dom_true)
+    _, best = metrics.comparator_minimum(losses, dom_true)
     reg_soft = sum(soft.loss_values) - best
     reg_zero = sum(zero.loss_values) - best
     viol_soft = float(np.sum(soft.violations[:, 0]))
@@ -308,14 +306,13 @@ def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
 def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
     T = p["T"]
     v = np.array([1.0, 0.0])
-    losses = [online.RoundLoss.from_linear(v)] * T
-    seq = adversary.LossSequence(T=T, kind="penalty_instance", _losses=losses)
+    loss = online.RoundLoss.from_linear(v)
     cons = online.ConstraintSet(
         funcs=[(lambda x: 1.0 - float(v @ x), lambda x: -v)], D=3.0, G=1.0, F=2.0)
     learner = online.PenaltyOGD(cons, StepSchedule.constant(p["eta"]),
                                 delta=p["delta_penalty"], R=2.0, dim=2)
-    for l in seq:
-        learner.observe(l)
+    for _ in range(T):
+        learner.observe(loss)
     viol = float(np.sum(np.maximum(learner.violations[:, 0], 0.0)))
     rows = [{"iter": T, "violation": viol, "threshold": 0.5 * T}]
     return ExperimentResult(rows, final_metric=viol / T)
@@ -333,13 +330,13 @@ def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
 def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     T = p["T"]
     # d = 2: the comparator search below covers a 2-D grid
-    seq = adversary.classification_stream(p["drift"], T, 2, seed=seed)
+    examples = adversary.classification_stream(p["drift"], T, 2, seed=seed)
     learner = online.HingeClassifierPD(2, R=p["radius_R"])
-    for gx in seq.meta["examples"]:
+    for gx in examples:
         learner.round(gx, 1.0)  # stream stores y·x, so the label is +1
     mistakes = learner.mistakes
     # best fixed comparator over a 2-D grid (coarse + refinement)
-    best = _best_hinge(seq.meta["examples"], p["radius_R"])
+    best = _best_hinge(examples, p["radius_R"])
     egv = 0.0
     prev = None
     for gx in learner.mistake_examples:
@@ -352,14 +349,13 @@ def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     return ExperimentResult(rows, final_metric=mistakes / bound)
 
 
-def _best_hinge(examples, R: float) -> float:
-    """Least total hinge loss over the radius-R disc: a grid of step 0.05·R,
-    then a grid of step 0.002·R within ±0.06·R of its best point, so the
-    number of points tried does not grow with R."""
-    pts = np.stack(examples)
+def _best_hinge(examples: np.ndarray, R: float) -> float:
+    """Least total hinge loss of the (T, 2) examples over the radius-R disc:
+    a grid of step 0.05·R, then a grid of step 0.002·R within ±0.06·R of its
+    best point, so the number of points tried does not grow with R."""
 
     def total(w):
-        return float(np.sum(np.maximum(0.0, 1.0 - pts @ w)))
+        return float(np.sum(np.maximum(0.0, 1.0 - examples @ w)))
 
     best_w, best_v = np.zeros(2), total(np.zeros(2))
     res = 0.05 * R

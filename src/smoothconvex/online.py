@@ -16,12 +16,11 @@ array.  The constraint learners record their m violation values a round the
 same way (`violations`, (rounds, m)); ZeroViolationOGD's `raw_violations` is
 an array('d').
 
-A RoundLoss is one of three slot-based kinds: linear (a cost vector),
-quadratic ½‖x − c‖² (a center) or two callables.  The linear and quadratic
-kinds compute value and grad in methods over their read-only vector, so a
-round holds no closure; `RoundLoss.quadratic_rounds` builds T quadratic
-rounds over one read-only (T, d) copy of their centers, each round a row
-view of it.
+A RoundLoss is one of two slot-based kinds: linear (a cost vector) or
+quadratic ½‖x − c‖² (a center).  Each computes value and grad in methods
+over its read-only vector, so a round holds no closure;
+`RoundLoss.quadratic_rounds` builds T quadratic rounds over one read-only
+(T, d) copy of their centers, each round a row view of it.
 
 Each learner binds its domain's projection or prox step once, at
 construction (Domain.projector, ball_projector, prox_map), and calls the bare
@@ -60,21 +59,17 @@ class RoundLoss:
     """One round's cost: value(x) and grad(x), plus the cost vector or the
     center when the loss is linear or quadratic.
 
-    RoundLoss(value, grad) wraps two callables.  from_linear, from_quadratic
-    and quadratic_rounds build the linear and quadratic kinds, subclasses
-    whose value and grad are methods over a read-only float64 cost vector or
-    center, so one RoundLoss can serve many rounds.  A linear loss's grad
-    returns that read-only cost vector itself, so a write into it raises
-    ValueError; a quadratic loss's grad returns a fresh array.
+    A RoundLoss is of one of two kinds, built by from_linear, from_quadratic
+    and quadratic_rounds: subclasses whose value and grad are methods over a
+    read-only float64 cost vector or center, so one RoundLoss can serve many
+    rounds.  A linear loss's grad returns that read-only cost vector itself,
+    so a write into it raises ValueError; a quadratic loss's grad returns a
+    fresh array.
     """
 
-    __slots__ = ("value", "grad")
+    __slots__ = ()
     linear: Point | None = None          # cost vector when the loss is linear
     quad_center: Point | None = None     # center when the loss is ½‖x−c‖²
-
-    def __init__(self, value, grad):
-        self.value = value               # Point -> float
-        self.grad = grad                 # Point -> Point
 
     @classmethod
     def from_linear(cls, f: Point) -> "RoundLoss":

@@ -397,24 +397,6 @@ def smoothed_hinge_value(z, gamma: float):
     return np.logaddexp(0.0, u) / gamma
 
 
-def smoothed_hinge_grad(z, gamma: float):
-    """dφ/dz = −exp(γ(1−z)) / (1 + exp(γ(1−z))) ∈ [−1, 0]."""
-    if gamma <= 0:
-        raise ConfigurationError("smoothing parameter must be positive")
-    u = gamma * (1.0 - np.asarray(z, dtype=np.float64))
-    return -_sigmoid(u)
-
-
-def _sigmoid(u):
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
-
-
 def psi_transform(eta: float, gamma: float) -> float:
     """Surrogate-to-binary excess-risk transform of the smoothed hinge loss.
 

@@ -136,8 +136,7 @@ def test_criterion_05_gradual_variation_regret():
     egv = float(f @ f)
     regs = {}
     for T in (100, 10_000):
-        seq = adversary.LossSequence(T=T, kind="const",
-                                     _losses=[online.RoundLoss.from_linear(f)] * T)
+        seq = [online.RoundLoss.from_linear(f)] * T
         omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, egv), dim=2)
         for l in seq:
             omp.observe(l)
@@ -262,8 +261,7 @@ def test_criterion_09_soft_constraints():
     g = (lambda x: float(x @ x) - r_c * r_c, lambda x: 2.0 * x)
     centers = [np.array([0.9 * math.cos(0.001 * t), 0.9 * math.sin(0.001 * t)])
                for t in range(T)]
-    losses = [online.RoundLoss.from_quadratic(c) for c in centers]
-    seq = adversary.LossSequence(T=T, kind="soft", _losses=losses)
+    seq = [online.RoundLoss.from_quadratic(c) for c in centers]
     G = max(2.0 * R, R + 0.9)
     F = 0.5 * (R + 0.9) ** 2
     cons = online.ConstraintSet.from_samples([g], dim=2, ball_radius=R,
@@ -444,11 +442,10 @@ def test_criterion_11_foundations():
 
 def test_criterion_12_mistake_bound():
     T, d = 2000, 2
-    seq = adversary.classification_stream(0.1, T, d, seed=7)
+    pts = adversary.classification_stream(0.1, T, d, seed=7)
     learner = online.HingeClassifierPD(d, R=1.0)
-    for gx in seq.meta["examples"]:
+    for gx in pts:
         learner.round(gx, 1.0)
-    pts = np.stack(seq.meta["examples"])
 
     def hinge_total(w):
         return float(np.sum(np.maximum(0.0, 1.0 - pts @ w)))

@@ -107,70 +107,77 @@ class TestAlternatingLinear:
 
 
 class TestClassificationStream:
+    def test_examples_are_one_read_only_array_of_unit_rows(self):
+        ex = classification_stream(0.2, 50, 3, seed=4)
+        assert ex.shape == (50, 3) and ex.dtype == np.float64
+        assert ex.flags.c_contiguous and not ex.flags.writeable
+        np.testing.assert_allclose(np.linalg.norm(ex, axis=1), 1.0, rtol=1e-12)
+        with pytest.raises(ValueError):
+            ex[0, 0] = 1.0
+
     def test_zero_drift_identical(self):
-        seq = classification_stream(0.0, 10, 3, seed=1)
-        ex = seq.meta["examples"]
+        ex = classification_stream(0.0, 10, 3, seed=1)
         for e in ex:
             np.testing.assert_array_equal(e, ex[0])
 
     def test_step_norm_matches_drift(self):
         drift = 0.015
-        seq = classification_stream(drift, 200, 4, seed=2)
-        ex = seq.meta["examples"]
+        ex = classification_stream(drift, 200, 4, seed=2)
         # consecutive points on the sphere: chord close to the raw step
         for a, b in zip(ex[:-1], ex[1:]):
             assert abs(np.linalg.norm(b - a) - drift) <= 0.2 * drift
 
     def test_empirical_variation_close_to_T_drift_squared(self):
         drift, T = 0.01, 2000
-        seq = classification_stream(drift, T, 3, seed=3)
-        ex = seq.meta["examples"]
+        ex = classification_stream(drift, T, 3, seed=3)
         total = sum(float((b - a) @ (b - a)) for a, b in zip(ex[:-1], ex[1:]))
         assert abs(total - T * drift * drift) <= 0.2 * T * drift * drift
-
-    def test_hinge_loss_values(self):
-        seq = classification_stream(0.0, 3, 2, seed=4)
-        gx = seq.meta["examples"][0]
-        l = seq.loss(1)
-        w = 0.5 * gx
-        assert l.value(w) == pytest.approx(1.0 - 0.5 * float(gx @ gx))
-        np.testing.assert_allclose(l.grad(w), -gx)
-        far = 2.0 * gx
-        assert l.value(far) == 0.0
-        np.testing.assert_array_equal(l.grad(far), np.zeros(2))
 
 
 class TestVariationMeasures:
     def test_constant_sequence_first_term_only(self):
         f = np.array([0.3, 0.4])
-        seq = LossSequence(T=5, kind="c", _losses=[RoundLoss.from_linear(f)] * 5)
+        seq = LossSequence([RoundLoss.from_linear(f)] * 5)
         pts = [np.ones(2) * k for k in range(5)]
         assert measure_egv(seq, pts) == pytest.approx(float(f @ f))
 
     def test_linear_sequence_probe_independent(self):
         rng = make_rng(5)
         vecs = rng.uniform(-1, 1, size=(6, 2))
-        seq = LossSequence(T=6, kind="lin",
-                           _losses=[RoundLoss.from_linear(v) for v in vecs])
+        seq = LossSequence([RoundLoss.from_linear(v) for v in vecs])
         a = measure_egv(seq, [rng.standard_normal(2) for _ in range(6)])
         b = measure_egv(seq, [np.zeros(2)] * 6)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_infinity_norm_variant(self):
-        seq = LossSequence(T=2, kind="lin", _losses=[
+        seq = LossSequence([
             RoundLoss.from_linear(np.array([0.5, 0.2])),
             RoundLoss.from_linear(np.array([0.1, 0.9]))])
         want = 0.5 ** 2 + 0.7 ** 2
         assert measure_egv_inf(seq) == pytest.approx(want)
 
+    @pytest.mark.parametrize("linear_first", [True, False], ids=["linear-first",
+                                                                 "quadratic-first"])
+    def test_exact_variation_refuses_mixed_kinds(self, linear_first):
+        # the point form on this pair is 1.25 at (0.5, 0.5) and 3.25 at
+        # (1, -1): no one probe-free value exists, so none is returned
+        rounds = [RoundLoss.from_linear(np.array([1.0, 0.0])),
+                  RoundLoss.from_quadratic(np.array([0.0, 0.5]))]
+        seq = LossSequence(rounds if linear_first else rounds[::-1])
+        with pytest.raises(InputError, match="all-linear or all-quadratic"):
+            measure_egv_exact(seq)
 
-class TestLossSequenceLength:
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_loss_count_other_than_T_refused(self, n):
-        # three losses for five rounds once iterated three rounds, and
-        # measure_egv_exact raised a bare IndexError on them
-        with pytest.raises(InputError, match="T=5"):
-            LossSequence(T=5, kind="c", _losses=[RoundLoss.from_linear(np.ones(2))] * n)
+
+@pytest.mark.parametrize("build", [
+    lambda T, d: alternating_linear(1.0, T, d),
+    lambda T, d: ftrl_adversary(0.5, T, d=d),
+    lambda T, d: drifting_quadratics(0.1, T, d),
+    lambda T, d: classification_stream(0.1, T, d),
+], ids=["alternating", "ftrl", "drifting", "classification"])
+@pytest.mark.parametrize("T,d", [(0, 2), (-1, 2), (3, 0), (3, -2)])
+def test_generator_refuses_empty_sizes(build, T, d):
+    with pytest.raises(InputError, match=f"got T={T}, d={d}"):
+        build(T, d)
 
 
 def _one_object_per_round(name, *args, **kw):

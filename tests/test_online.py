@@ -29,7 +29,7 @@ def linear(v):
 
 
 def const_seq(v, T):
-    return LossSequence(T=T, kind="const", _losses=[linear(v)] * T)
+    return LossSequence([linear(v)] * T)
 
 
 class TestOGD:
@@ -96,7 +96,7 @@ class TestIFTRL:
         egv = float(f @ f) + float((g - f) @ (g - f))
         lr = IFTRL(UNIT, L=1.0, eta=min(1.0, 1.0 / math.sqrt(egv)), dim=2)
         losses = [linear(f)] * (T // 2) + [linear(g)] * (T // 2)
-        seq = LossSequence(T=T, kind="two_phase", _losses=losses)
+        seq = LossSequence(losses)
         for l in seq:
             lr.observe(l)
         measured = final_regret(lr.decisions, seq, UNIT)
@@ -133,18 +133,15 @@ class TestOMP:
         assert abs(regs[0] - regs[1]) < 1e-9
         assert regs[1] <= 2.0 * max(math.sqrt(2.0), math.sqrt(egv)) + 1e-9
 
-    def test_one_gradient_evaluation_per_round(self):
-        calls = [0]
-
-        def grad(x):
-            calls[0] += 1
-            return np.array([1.0, 0.0])
-
-        loss = RoundLoss(value=lambda x: float(x[0]), grad=grad)
+    def test_one_gradient_evaluation_per_round(self, monkeypatch):
+        loss, calls = linear([1.0, 0.0]), []
+        grad = type(loss).grad
+        monkeypatch.setattr(type(loss), "grad",
+                            lambda self, x: calls.append(x) or grad(self, x))
         omp = OMP(UNIT, L=1.0, eta=0.5, dim=2)
         for _ in range(10):
             omp.observe(loss)
-        assert calls[0] == 10
+        assert len(calls) == 10
 
     def test_entropy_single_round_multiplicative(self):
         omp = OMP(Domain.simplex(3), L=1.0, eta=1.0,
@@ -224,7 +221,7 @@ class TestBanditOMP:
     def test_quadratic_estimate_hits_bound_exactly(self):
         d, delta = 3, 0.1
         b = BanditOMP(UNIT, G=1.0, delta=delta, eta=0.01, dim=d)
-        loss = RoundLoss(value=lambda x: 0.5 * float(x @ x), grad=lambda x: x.copy())
+        loss = RoundLoss.from_quadratic(np.zeros(d))   # ½‖x‖²
         x = b.predict()
         b.observe(loss)
         err = np.linalg.norm(b.last_estimate - x)
@@ -282,12 +279,11 @@ class TestHingeClassifierPD:
 
     def test_mistake_bound_on_drifting_stream(self):
         T, d = 2000, 2
-        seq = classification_stream(0.02, T, d, seed=7)
+        pts = classification_stream(0.02, T, d, seed=7)
         h = HingeClassifierPD(d, R=1.0)
-        for gx in seq.meta["examples"]:
+        for gx in pts:
             h.round(gx, 1.0)
         # best fixed comparator by grid over the 2-D disc
-        pts = np.stack(seq.meta["examples"])
 
         def hinge_total(w):
             return float(np.sum(np.maximum(0.0, 1.0 - pts @ w)))
@@ -554,7 +550,7 @@ class TestRoundLossReadOnly:
 
 
 def _soft_rounds(T, radius=0.9):
-    return LossSequence(T=T, kind="soft", _losses=[
+    return LossSequence([
         RoundLoss.from_quadratic(radius * np.array([math.cos(0.01 * t), math.sin(0.01 * t)]))
         for t in range(T)])
 
@@ -580,8 +576,7 @@ def _priced_run(kind):
     elif kind == "ExpertOMP":
         rng = make_rng(4)
         c1, c2 = rng.uniform(0, 1, size=5), rng.uniform(0, 1, size=5)
-        seq = LossSequence(T=300, kind="experts",
-                           _losses=[linear(c1)] * 150 + [linear(c2)] * 150)
+        seq = LossSequence([linear(c1)] * 150 + [linear(c2)] * 150)
         lr, dom = ExpertOMP(5, eta=0.4), Domain.simplex(5)
     else:
         seq = _soft_rounds(300)
@@ -826,7 +821,7 @@ class TestRecordedDecisions:
     def test_hinge_mistake_examples_keep_the_example_seen(self):
         lr = HingeClassifierPD(2, R=1.0)
         seen = []
-        for gx in classification_stream(0.3, 200, 2, seed=6).meta["examples"]:
+        for gx in classification_stream(0.3, 200, 2, seed=6):
             before = lr.mistakes
             lr.round(gx, 1.0)
             if lr.mistakes > before:
@@ -918,10 +913,10 @@ class TestFlatRecords:
         cli._soft_instance(0, params)   # the first call imports numpy.random
         tracemalloc.start()
         try:
-            seq, cons, T, R = cli._soft_instance(0, params)
+            losses, cons, T, R = cli._soft_instance(0, params)
             learners = [SoftConstraintOGD(cons, T, R=R, dim=2),
                         ZeroViolationOGD(cons, T, R=R, dim=2)]
-            for l in seq:
+            for l in losses:
                 for lr in learners:
                     lr.observe(l)
             held, _ = tracemalloc.get_traced_memory()

@@ -12,7 +12,7 @@ from smoothconvex.problems import (Constants, FiniteSumProblem, LabeledDataset,
                                    NoisyQuadratic, ParseError, from_arrays,
                                    least_squares_problem, load_libsvm, logistic_problem,
                                    onedim_target_risk_problem, psi_transform,
-                                   smoothed_hinge_grad, smoothed_hinge_value,
+                                   smoothed_hinge_value,
                                    synthetic_classification)
 from smoothconvex.stochastic import emgd
 
@@ -339,13 +339,14 @@ class TestSmoothedHinge:
         assert abs(smoothed_hinge_value(-1.0, 100.0) - 2.0) < 1e-8
 
     def test_derivative_and_curvature_bounds(self):
-        zs = np.linspace(-20, 20, 2001)
+        # a first difference is a mean of φ' and a second difference a
+        # weighted mean of φ'', so |φ'| <= 1 and φ'' <= γ/4 bound them; the
+        # first difference's rounding is about |φ|·2⁻⁵²/h, at most 5e-12 here
+        zs, h = np.linspace(-20, 20, 2001), 1e-3
         for gamma in (1.0, 10.0, 100.0):
-            g = smoothed_hinge_grad(zs, gamma)
-            assert np.all(np.abs(g) <= 1.0 + 1e-12)
-            h = 1e-5
-            curv = (smoothed_hinge_grad(zs + h, gamma)
-                    - smoothed_hinge_grad(zs - h, gamma)) / (2 * h)
+            v, up, down = (smoothed_hinge_value(z, gamma) for z in (zs, zs + h, zs - h))
+            assert np.all(np.abs(up - v) / h <= 1.0 + 1e-9)
+            curv = (up - 2.0 * v + down) / (h * h)
             assert np.all(curv <= gamma / 4.0 + 1e-6 * gamma)
 
     def test_dominated_by_hinge_plus_offset(self):

@@ -108,13 +108,8 @@ ALLOWED = {
     "core._entropy_norm_projection.<locals>.candidate[2]": "entropy prox, ROADMAP item 1",
     "core.bregman": "the entropy map's divergence, ROADMAP item 1",
     # tests that check a thesis claim read these
-    "problems.smoothed_hinge_value": "test_problems checks the γ/4 smoothness",
-    "problems.smoothed_hinge_grad": "test_problems checks the γ/4 smoothness",
-    "problems._sigmoid": "smoothed_hinge_grad's kernel",
-    "adversary.classification_stream.<locals>.value":
-        "TestClassificationStream::test_hinge_loss_values calls the losses (ROADMAP item 3)",
-    "adversary.classification_stream.<locals>.grad":
-        "TestClassificationStream::test_hinge_loss_values calls the losses (ROADMAP item 3)",
+    "problems.smoothed_hinge_value":
+        "criterion 10's and test_problems' ψ oracles compare against it",
     "stochastic.gd": "the GD baseline of the mixed chapter's claim (ROADMAP item 6)",
     "stochastic.gradient_variance_probe":
         "the README defines emgd's variance columns by it",
