@@ -27,8 +27,6 @@ class LossSequence:
     """One loss a round, T of them; loss(t) is 1-indexed and pure."""
 
     _losses: list = field(repr=False)
-    egv_target: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def T(self) -> int:
@@ -60,7 +58,7 @@ def alternating_linear(egv: float, T: int, d: int) -> LossSequence:
     f[0] = math.sqrt(egv / (4.0 * T - 3.0))
     pair = (RoundLoss.from_linear(f), RoundLoss.from_linear(-f))
     losses = [pair[t % 2] for t in range(T)]
-    return LossSequence(losses, egv_target=float(egv))
+    return LossSequence(losses)
 
 
 def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
@@ -80,19 +78,16 @@ def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
     plus, minus = RoundLoss.from_linear(f), RoundLoss.from_linear(-f)
     s = math.floor(1.0 / eta)
     if s >= math.sqrt(T):
-        case = "I"
         losses = [plus] * min(s // 2, T)
     elif s > 0:
-        case = "II"
         max_periods = T // (2 * s)
         tau = max_periods if gv_target is None else min(max_periods, int(gv_target // 4))
         losses = ([plus] * s + [minus] * s) * tau
     else:
-        case = "III"
         budget = T - 1 if gv_target is None else min(T - 1, int(gv_target // 4))
         losses = [minus] + [(plus, minus)[k % 2] for k in range(budget)]
     losses += [RoundLoss.from_linear(np.zeros(d))] * (T - len(losses))
-    return LossSequence(losses[:T], egv_target=gv_target, meta={"case": case})
+    return LossSequence(losses[:T])
 
 
 def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> LossSequence:
@@ -108,12 +103,7 @@ def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> Lo
         centers[t, 0] = radius * math.cos(ang)
         if d > 1:
             centers[t, 1] = radius * math.sin(ang)
-    losses = RoundLoss.quadratic_rounds(centers)
-    egv = radius * radius  # first-round term at the origin
-    if T > 1:
-        step = 2.0 * radius * math.sin(speed / 2.0)
-        egv += (T - 1) * step * step
-    return LossSequence(losses, egv_target=float(egv))
+    return LossSequence(RoundLoss.quadratic_rounds(centers))
 
 
 def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> np.ndarray:

@@ -88,6 +88,8 @@ def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
              "variance_sgd": r["variance_sgd"], "variance_mixed": r["variance_mixed"]}
             for r in tr.records]
     vm = tr.column("variance_mixed")
+    if not vm[0] > 0:
+        raise NumericError(f"epoch 1's variance_mixed is {float(vm[0])!r}; the ratio needs > 0")
     return ExperimentResult(rows, final_metric=float(vm[-1] / vm[0]),
                             slope=metrics.loglog_slope(np.arange(1, len(vm) + 1), vm))
 
@@ -501,7 +503,7 @@ def run(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     try:
         result = fn(seed, params)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, NumericError, np.linalg.LinAlgError) as exc:
         # a float `**` that overflows raises OverflowError(errno, text)
         overflow = isinstance(exc, OverflowError) and len(exc.args) == 2
         raise NumericError(f"{where}: {exc.args[1] if overflow else exc}") from exc

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Domain, UnsupportedDomainError
+from .core import Domain, NumericError, UnsupportedDomainError
 from .stochastic import agd
 
 
@@ -62,9 +62,12 @@ def reference_optimum(problem, domain: Domain, steps: int = 100_000) -> dict:
 
 
 def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log y against log x."""
-    lx = np.log(np.asarray(xs, dtype=np.float64))
-    ly = np.log(np.asarray(ys, dtype=np.float64))
+    """Least-squares slope of log y against log x; a value that is not
+    positive has no logarithm and is refused with NumericError."""
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    if not (np.all(xs > 0) and np.all(ys > 0)):
+        raise NumericError("log-log slope needs positive values")
+    lx, ly = np.log(xs), np.log(ys)
     A = np.stack([lx, np.ones_like(lx)], axis=1)
     sol, *_ = np.linalg.lstsq(A, ly, rcond=None)
     return float(sol[0])

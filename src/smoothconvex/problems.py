@@ -86,7 +86,7 @@ def load_libsvm(path, normalize: bool = False) -> LabeledDataset:
         for idx, val in row:
             X[i, idx - 1] = val
     if normalize:
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        norms = np.sqrt(row_sq_sums(X))[:, None]
         np.divide(X, norms, out=X, where=norms > 0)
     return LabeledDataset(X=X, labels=np.asarray(labels, dtype=np.float64))
 
@@ -163,23 +163,14 @@ class FiniteSumProblem:
         return base + 0.5 * self.lam_reg * float(w @ w)
 
     def full_grad(self, w: Point) -> Point:
-        z = self.X @ w
-        if self.loss == "logistic":
-            coefs = -self.y / (1.0 + np.exp(np.minimum(self.y * z, 700.0)))
-        else:
-            coefs = -2.0 * (self.y - z)
-        return (self.X.T @ coefs) / self.n + self.lam_reg * w
+        return (self.X.T @ self.loss_coefs(w)) / self.n + self.lam_reg * w
 
-    def all_component_grads(self, w: Point) -> np.ndarray:
-        """n × d matrix of component gradients (regularizer included)."""
+    def loss_coefs(self, w: Point) -> np.ndarray:
+        """The n coefficients c_i with ∇f_i(w) = c_i·x_i + λ_reg·w, from one X @ w."""
         z = self.X @ w
         if self.loss == "logistic":
-            coefs = -self.y / (1.0 + np.exp(np.minimum(self.y * z, 700.0)))
-        else:
-            coefs = -2.0 * (self.y - z)
-        grads = coefs[:, None] * self.X
-        grads += self.lam_reg * w
-        return grads
+            return -self.y / (1.0 + np.exp(np.minimum(self.y * z, 700.0)))
+        return -2.0 * (self.y - z)
 
     def anchored_component_diff(self, i: int, w: Point, center: Point) -> Point:
         """∇f_i(w) − ∇f_i(center), the variance-reduced stochastic part."""
@@ -244,7 +235,7 @@ def estimate_constants(problem: FiniteSumProblem) -> Constants:
     """
     X, reg = problem.X, problem.lam_reg
     evals = np.linalg.eigvalsh(X.T @ X / problem.n)
-    max_row = float(np.max(np.sum(X**2, axis=1)))
+    max_row = float(np.max(row_sq_sums(X)))
     if problem.loss == "squared":
         c = 2.0
         lam = 2.0 * max(float(evals[0]), 0.0) + reg
@@ -273,16 +264,39 @@ def from_arrays(X: np.ndarray, y: np.ndarray, lam: float, loss: str) -> FiniteSu
                             lam_reg=float(lam), loss=loss)
 
 
+ROW_BLOCK_BYTES = 1 << 16  # bytes of X one row block spans
+
+
+def row_blocks(n: int, d: int) -> list:
+    """Slices of an n × d float64 array's rows, each at most ROW_BLOCK_BYTES.
+    At d = 1 one block takes the whole column: numpy sums a (k, 1) column
+    pairwise, which a blocked sum would not repeat bit for bit."""
+    rows = max(1, n if d <= 1 else ROW_BLOCK_BYTES // (8 * d))
+    return [slice(s, min(s + rows, n)) for s in range(0, n, rows)]
+
+
+def row_sq_sums(X: np.ndarray) -> np.ndarray:
+    """Σ_j x_ij² of each row of a C-ordered X, bit for bit np.sum(X**2, axis=1),
+    squaring one row block at a time into one reused buffer."""
+    blocks = row_blocks(*X.shape)
+    buf = np.empty((blocks[0].stop if blocks else 0, X.shape[1]))
+    out = np.empty(X.shape[0])
+    for b in blocks:
+        np.sum(np.square(X[b], out=buf[:b.stop - b.start]), axis=1, out=out[b])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generators
 # ---------------------------------------------------------------------------
 
 
 def synthetic_classification(n: int, d: int, seed: int, row_norm: float = 1.0) -> LabeledDataset:
-    """Gaussian features scaled to a fixed row norm, labels from a planted vector."""
+    """Gaussian features scaled to a fixed row norm, labels from a planted
+    vector.  Besides X it holds only n-vectors and one row block at a time."""
     rng = make_rng(seed)
     X = rng.standard_normal((n, d))
-    X *= row_norm / np.linalg.norm(X, axis=1, keepdims=True)
+    X *= row_norm / np.sqrt(row_sq_sums(X))[:, None]
     wstar = rng.standard_normal(d)
     margins = X @ wstar + 0.3 * rng.standard_normal(n)
     y = np.where(margins >= 0, 1.0, -1.0)
@@ -291,10 +305,11 @@ def synthetic_classification(n: int, d: int, seed: int, row_norm: float = 1.0) -
 
 def synthetic_regression(n: int, d: int, seed: int, noise: float = 0.1,
                          row_norm: float | None = None) -> LabeledDataset:
+    """Gaussian features and noisy linear targets; memory as in synthetic_classification."""
     rng = make_rng(seed)
     X = rng.standard_normal((n, d))
     if row_norm is not None:
-        X *= row_norm / np.linalg.norm(X, axis=1, keepdims=True)
+        X *= row_norm / np.sqrt(row_sq_sums(X))[:, None]
     wstar = rng.standard_normal(d)
     y = X @ wstar + noise * rng.standard_normal(n)
     return LabeledDataset(X=X, labels=y)

@@ -29,9 +29,9 @@ with the same products.  An epoch length below
 one step is refused, as is a horizon below one step in every solver that
 averages its iterates over the horizon.
 
-With `probe_variance`, emgd computes the n × d component-gradient matrix once
-per epoch anchor: the matrix at an epoch's output is the next epoch's anchor
-matrix, so m epochs take m + 1 matrices.
+With `probe_variance`, emgd takes gradient_variance_probe at each epoch's end
+and anchor.  The probe walks the data in row blocks (problems.row_blocks), so
+its working memory grows with the block size, not with n.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from .core import (ConfigurationError, Domain, NumericError, Point,
                    StepSchedule, clip_component, make_rng, two_ball_projector)
+from .problems import row_blocks
 
 
 @dataclass
@@ -430,8 +431,6 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     eta_0d = np.array(eta)  # 0-d: see mixed_grad
     center = np.zeros(problem.d)
     origin = np.zeros(problem.d)
-    # the gradient matrix at an epoch's output is the next epoch's anchor matrix
-    grads_center = problem.all_component_grads(center) if probe_variance else None
     for k in range(1, m + 1):
         g_full = problem.full_grad(center)
         trace.calls_full += 1
@@ -450,11 +449,9 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
                "delta": Delta, "calls_full": trace.calls_full,
                "calls_stochastic": trace.calls_stochastic}
         if probe_variance:
-            grads_new = problem.all_component_grads(new_center)
-            probe = _variances(grads_new, grads_center)
+            probe = gradient_variance_probe(problem, new_center, center)
             rec["variance_mixed"] = probe["mixed_var"]
             rec["variance_sgd"] = probe["sgd_var"]
-            grads_center = grads_new
         trace.add(**rec)
         center = new_center
         Delta /= math.sqrt(2.0)
@@ -467,22 +464,30 @@ def gradient_variance_probe(problem, point: Point, center: Point) -> dict:
 
     Both are full sums over the n components (no sampling): the plain variance
     is E‖∇f_i(w)‖² − ‖∇F(w)‖², the anchored one uses the differenced
-    components against `center`.
+    components against `center`.  Rows c_i·x_i + λ_reg·w (c = problem.loss_coefs)
+    are built a row block at a time; row 0 of the buffer carries the column
+    sums so far, so every sum is the n × d matrix form's, bit for bit.
     """
-    return _variances(problem.all_component_grads(point),
-                      problem.all_component_grads(center))
-
-
-def _variances(grads_w: np.ndarray, grads_c: np.ndarray) -> dict:
-    """gradient_variance_probe from the component-gradient matrices at the
-    point (grads_w) and at the anchor (grads_c)."""
-    mean_w = grads_w.mean(axis=0)
-    mean_c = grads_c.mean(axis=0)
-    buf = np.square(grads_w)
-    sgd_var = float(np.mean(np.sum(buf, axis=1)) - mean_w @ mean_w)
-    np.square(np.subtract(grads_w, grads_c, out=buf), out=buf)
-    mean_diff = mean_w - mean_c
-    mixed_var = float(np.mean(np.sum(buf, axis=1)) - mean_diff @ mean_diff)
+    X, n = problem.X, problem.n
+    blocks = row_blocks(n, problem.d)
+    coefs = problem.loss_coefs(point), problem.loss_coefs(center)
+    regs = problem.lam_reg * point, problem.lam_reg * center
+    # one buffer: the block's gradient rows at point and at center, and squares
+    gw, gc, sq = buf = np.empty((3, blocks[0].stop + 1, problem.d))
+    row_w, row_d = np.empty(n), np.empty(n)
+    for b in blocks:
+        k = b.stop - b.start + 1
+        for g, c, r in zip(buf, coefs, regs):
+            np.multiply(c[b, None], X[b], out=g[1:k])
+            g[1:k] += r
+        np.sum(np.square(gw[1:k], out=sq[1:k]), axis=1, out=row_w[b])
+        np.square(np.subtract(gw[1:k], gc[1:k], out=sq[1:k]), out=sq[1:k])
+        np.sum(sq[1:k], axis=1, out=row_d[b])
+        first = 1 if b.start == 0 else 0   # row 0 holds no sum yet
+        gw[0], gc[0] = np.add.reduce(gw[first:k]), np.add.reduce(gc[first:k])
+    mean_w, mean_diff = gw[0] / n, gw[0] / n - gc[0] / n
+    sgd_var = float(np.mean(row_w) - mean_w @ mean_w)
+    mixed_var = float(np.mean(row_d) - mean_diff @ mean_diff)
     return {"sgd_var": max(sgd_var, 0.0), "mixed_var": max(mixed_var, 0.0)}
 
 

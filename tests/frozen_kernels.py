@@ -5,6 +5,10 @@ round updates, as they stood before each learner bound its projection once
 and recorded its decisions without a copy, and before ExpertOMP and
 BanditOMP ran through OMP's round.
 
+Also the matrix forms of the exact variance probe, as they stood before it
+walked the data in row blocks: the n × d component-gradient matrix and the
+variances taken from two of them.
+
 The bitwise tests compare against these copies, not against the library, so
 that they keep pinning the original floats.  np.linalg.norm stands in for
 core._norm, which is bit-identical to it (see test_core.py::TestNorm).
@@ -68,6 +72,36 @@ def anchored_component_diff(prob, i, w, center):
     coef = (-prob.y[i] / (1.0 + math.exp(min(mw, 700.0)))
             + prob.y[i] / (1.0 + math.exp(min(mc, 700.0))))
     return coef * xi + prob.lam_reg * (w - center)
+
+
+def all_component_grads(prob, w):
+    """n × d matrix of a FiniteSumProblem's component gradients (regularizer
+    included)."""
+    z = prob.X @ w
+    if prob.loss == "logistic":
+        coefs = -prob.y / (1.0 + np.exp(np.minimum(prob.y * z, 700.0)))
+    else:
+        coefs = -2.0 * (prob.y - z)
+    grads = coefs[:, None] * prob.X
+    grads += prob.lam_reg * w
+    return grads
+
+
+def variances(grads_w, grads_c):
+    """gradient_variance_probe from the component-gradient matrices at the
+    point (grads_w) and at the anchor (grads_c)."""
+    mean_w = grads_w.mean(axis=0)
+    mean_c = grads_c.mean(axis=0)
+    buf = np.square(grads_w)
+    sgd_var = float(np.mean(np.sum(buf, axis=1)) - mean_w @ mean_w)
+    np.square(np.subtract(grads_w, grads_c, out=buf), out=buf)
+    mean_diff = mean_w - mean_c
+    mixed_var = float(np.mean(np.sum(buf, axis=1)) - mean_diff @ mean_diff)
+    return {"sgd_var": max(sgd_var, 0.0), "mixed_var": max(mixed_var, 0.0)}
+
+
+def gradient_variance_probe(prob, point, center):
+    return variances(all_component_grads(prob, point), all_component_grads(prob, center))
 
 
 # ---------------------------------------------------------------------------

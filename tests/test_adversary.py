@@ -15,9 +15,14 @@ from smoothconvex.online import OGD, RoundLoss
 
 class TestFtrlAdversary:
     def test_case_split(self):
-        assert ftrl_adversary(1.0, 6).meta["case"] == "II"  # s = 1 < sqrt(6)
-        assert ftrl_adversary(2.0, 6).meta["case"] == "III"  # s = 0
-        assert ftrl_adversary(0.05, 100).meta["case"] == "I"  # s = 20 >= 10
+        def signs(seq):
+            return [l.linear[0] for l in seq]
+        # case II, s = 1 < sqrt(6): flip every s rounds
+        assert signs(ftrl_adversary(1.0, 6)) == [1.0, -1.0] * 3
+        # case III, s = 0: start negative, then alternate every round
+        assert signs(ftrl_adversary(2.0, 6)) == [-1.0, 1.0] * 3
+        # case I, s = 20 >= 10: s/2 rounds of the unit vector, zeros after
+        assert signs(ftrl_adversary(0.05, 100)) == [1.0] * 10 + [0.0] * 90
 
     def test_case2_period_pattern(self):
         seq = ftrl_adversary(1.0, 6)
@@ -76,13 +81,13 @@ class TestDriftingQuadratics:
         shared = seq.loss(1).quad_center.base
         assert shared.shape == (T, d) and not shared.flags.writeable
         assert all(l.quad_center.base is shared for l in seq)
-        assert "centers" not in seq.meta
         want = [[radius * math.cos(speed * t), radius * math.sin(speed * t), 0.0]
                 for t in range(T)]
         assert shared.tolist() == want
 
     def test_closed_form_center_drift(self):
-        seq = drifting_quadratics(0.07, 50, 2, radius=0.4)
+        T, speed, r = 50, 0.07, 0.4
+        seq = drifting_quadratics(speed, T, 2, radius=r)
         brute = 0.0
         prev = None
         y = np.zeros(2)
@@ -92,7 +97,8 @@ class TestDriftingQuadratics:
             brute += float((g - p) @ (g - p))
             prev = g
         assert abs(measure_egv_exact(seq) - brute) < 1e-10
-        assert abs(seq.egv_target - brute) < 1e-10
+        # r² from round 1 at the origin, then a chord 2r·sin(s/2) each round
+        assert abs(r * r + (T - 1) * (2 * r * math.sin(speed / 2)) ** 2 - brute) < 1e-10
 
 
 class TestAlternatingLinear:

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smoothconvex import cli, metrics, online, problems, stochastic
-from smoothconvex.core import Domain
+from smoothconvex.core import Domain, NumericError
 from smoothconvex.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXPERIMENTS,
                               RunConfig, main, parse_config_file, resolve_params,
                               run)
@@ -175,10 +176,12 @@ class TestDispatch:
 
     @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
                                      FloatingPointError("underflow in exp"),
-                                     np.linalg.LinAlgError("SVD did not converge")],
+                                     np.linalg.LinAlgError("SVD did not converge"),
+                                     NumericError("stage-radius recursion moved away")],
                              ids=lambda e: type(e).__name__)
     def test_numeric_exception_kinds_exit_3(self, tmp_path, capsys, monkeypatch, exc):
-        # every ArithmeticError and LinAlgError an experiment raises is mapped
+        # every ArithmeticError, LinAlgError and NumericError an experiment
+        # raises is mapped
         def fail(seed, params):
             raise exc
         monkeypatch.setitem(EXPERIMENTS, "psi_transform_table",
@@ -187,6 +190,17 @@ class TestDispatch:
         assert rc == EXIT_NUMERIC
         assert (capsys.readouterr().err
                 == f"numeric failure: psi_transform_table seed=0: {exc}\n")
+
+    def test_zero_first_variance_named_without_warnings(self, tmp_path, capsys):
+        # one component: every anchored variance is 0, so the ratio is 0/0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "emgd_variance", "--n=1", "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == ("numeric failure: emgd_variance seed=0: "
+                                           "epoch 1's variance_mixed is 0.0; the ratio needs > 0\n")
+        assert not caught, [str(w.message) for w in caught]
+        assert not (tmp_path / "emgd_variance_0.csv").exists()
 
     @pytest.mark.parametrize("args", [["--seed=-1"], ["--seed=18446744073709551616"],
                                       ["--seed", "0,18446744073709551616"]])

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from smoothconvex.core import Domain, make_rng
+from smoothconvex.core import Domain, NumericError, make_rng
 from smoothconvex.adversary import LossSequence
 from smoothconvex.metrics import (CERTIFICATE_TOL, comparator_minimum, final_regret,
                                   loglog_slope, reference_optimum)
@@ -125,6 +125,13 @@ class TestSlope:
         xs = np.logspace(2, 5, 12)
         ys = 3.0 * xs ** (-0.7) * np.exp(rng.normal(0, 0.05, size=12))
         assert abs(loglog_slope(xs, ys) + 0.7) <= 0.05
+
+    @pytest.mark.parametrize("xs, ys", [([1.0, 2.0], [1.0, 0.0]), ([0.0, 2.0], [1.0, 2.0]),
+                                        ([1.0, 2.0], [-1.0, 2.0]), ([1.0, 2.0], [np.nan, 1.0])])
+    def test_nonpositive_values_refused(self, xs, ys):
+        # log 0 and log of a negative are no slope: refused, with no numpy warning
+        with pytest.raises(NumericError, match="positive"):
+            loglog_slope(xs, ys)
 
 
 class TestComparatorLimits:

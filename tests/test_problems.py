@@ -1,6 +1,7 @@
 """Losses, parsing, constants, the smoothed hinge, and its risk transform."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from smoothconvex.problems import (Constants, FiniteSumProblem, LabeledDataset,
                                    NoisyQuadratic, ParseError, from_arrays,
                                    least_squares_problem, load_libsvm, logistic_problem,
                                    onedim_target_risk_problem, psi_transform,
-                                   smoothed_hinge_value,
+                                   row_blocks, row_sq_sums, smoothed_hinge_value,
                                    synthetic_classification)
 from smoothconvex.stochastic import emgd
 
@@ -173,7 +174,8 @@ class TestLeastSquares:
             else:
                 coefs = -2.0 * (prob.y - z)
             want = coefs[:, None] * X + lam_reg * w[None, :]
-            assert prob.all_component_grads(w).tobytes() == want.tobytes()
+            assert prob.loss_coefs(w).tobytes() == coefs.tobytes()
+            assert frozen_kernels.all_component_grads(prob, w).tobytes() == want.tobytes()
 
     def test_anchored_diff_identity(self):
         rng = make_rng(6)
@@ -264,6 +266,31 @@ class TestConstants:
         lam_max = eigh(X.T @ X / 20, eigvals_only=True)[-1]
         assert abs(prob.constants.L_full - 2.0 * lam_max) <= 1e-12 * 2.0 * lam_max
 
+
+    @pytest.mark.parametrize("n_case", ["1", "rows-1", "rows", "rows+1", "5000"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 50])
+    def test_blocked_row_sums_equal_numpy_bit_for_bit(self, d, n_case):
+        rows = row_blocks(5000, d)[0].stop   # one row block
+        n = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+             "5000": 5000}[n_case]
+        X = make_rng(1000 * d + n).standard_normal((n, d))
+        sums = row_sq_sums(X)
+        assert sums.tobytes() == np.sum(X**2, axis=1).tobytes()
+        assert np.sqrt(sums).tobytes() == np.linalg.norm(X, axis=1).tobytes()
+
+    def test_build_holds_under_half_a_mb_above_the_problem(self):
+        """synthetic_classification + logistic_problem at 5000 × 50: about
+        2 MB above the problem they return when the row norms and
+        estimate_constants each squared all of X at once."""
+        logistic_problem(synthetic_classification(50, 5, seed=7), lam=1e-3)  # warm-up
+        tracemalloc.start()
+        try:
+            prob = logistic_problem(synthetic_classification(5000, 50, seed=7), lam=1e-3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prob.X.nbytes == 2_000_000 and held >= prob.X.nbytes
+        assert peak - held < 500_000, f"{(peak - held) / 1e6:.2f} MB above the problem"
 
     def test_direct_construction_matches_from_arrays(self):
         # the constructor computes the constants, so the solvers that read

@@ -111,8 +111,6 @@ ALLOWED = {
     "problems.smoothed_hinge_value":
         "criterion 10's and test_problems' ψ oracles compare against it",
     "stochastic.gd": "the GD baseline of the mixed chapter's claim (ROADMAP item 6)",
-    "stochastic.gradient_variance_probe":
-        "the README defines emgd's variance columns by it",
     "core.StepSchedule.inverse_t": "sgd's 1/t schedule for strongly convex losses",
     # public protocol and plumbing
     "online.OGD.predict": "learner protocol: predict/observe",

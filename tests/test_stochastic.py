@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from smoothconvex.core import (ConfigurationError, Domain, DomainError, StepSche
                                UnsupportedDomainError, clip_component, make_rng)
 from smoothconvex.metrics import loglog_slope, reference_optimum
 from smoothconvex.problems import (NoisyQuadratic, from_arrays,
-                                   onedim_target_risk_problem,
+                                   onedim_target_risk_problem, row_blocks,
                                    synthetic_classification, synthetic_regression,
                                    least_squares_problem, logistic_problem)
 from smoothconvex.stochastic import (_DRAW_BLOCK, Trace,
@@ -613,8 +614,8 @@ class TestVarianceProbe:
         probe = gradient_variance_probe(prob, w, c)
         n = 1_000_000
         idx = rng.integers(prob.n, size=n)
-        gw = prob.all_component_grads(w)
-        gc = prob.all_component_grads(c)
+        gw = frozen_kernels.all_component_grads(prob, w)
+        gc = frozen_kernels.all_component_grads(prob, c)
         plain = gw[idx]
         anchored = (gw - gc)[idx]
         for got, sample in ((probe["sgd_var"], plain), (probe["mixed_var"], anchored)):
@@ -622,22 +623,54 @@ class TestVarianceProbe:
             se = sq.std(ddof=1) / math.sqrt(n)
             assert abs(got - sq.mean()) <= 3 * se + 1e-12
 
-    def test_emgd_probe_takes_one_gradient_matrix_per_anchor(self):
+    @pytest.mark.parametrize("lam_reg", [0.0, 0.05])
+    @pytest.mark.parametrize("loss", ["logistic", "squared"])
+    @pytest.mark.parametrize("n_case", ["1", "rows-1", "rows", "rows+1", "5000"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 50])
+    def test_equals_the_matrix_form_bit_for_bit(self, d, n_case, loss, lam_reg):
+        # rows: one row block; at d = 1 the block is the whole column
+        rows = row_blocks(5000, d)[0].stop
+        n = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+             "5000": 5000}[n_case]
+        rng = make_rng(1000 * d + n)
+        X = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        prob = from_arrays(X, np.sign(y) if loss == "logistic" else y, lam_reg, loss)
+        w, c = rng.standard_normal((2, d))
+        for point, center in ((w, c), (w, w)):
+            got = gradient_variance_probe(prob, point, center)
+            want = frozen_kernels.gradient_variance_probe(prob, point, center)
+            assert {k: v.hex() for k, v in got.items()} == \
+                {k: v.hex() for k, v in want.items()}
+        assert gradient_variance_probe(prob, w, w)["mixed_var"] == 0.0
+
+    def test_emgd_probe_columns_equal_the_probe_at_end_and_anchor(self):
         data = synthetic_classification(50, 4, seed=24, row_norm=1.0)
         prob = logistic_problem(data, lam=1e-2)
-        centers, calls = [], []
-        full_grad, grads = prob.full_grad, prob.all_component_grads
+        centers = []
+        full_grad = prob.full_grad
         prob.full_grad = lambda w: centers.append(w.copy()) or full_grad(w)
-        prob.all_component_grads = lambda w: calls.append(1) or grads(w)
-        m = 5
-        tr = emgd(prob, Domain.ball(2.0), seed=2, T1=200, m=m, probe_variance=True)
-        assert len(calls) == m + 1
+        tr = emgd(prob, Domain.ball(2.0), seed=2, T1=200, m=5, probe_variance=True)
         # epoch k runs from centers[k] to ends[k]
         ends = centers[1:] + [tr.final_point]
         for rec, center, end in zip(tr.records, centers, ends, strict=True):
             probe = gradient_variance_probe(prob, end, center)
             assert rec["variance_mixed"].hex() == probe["mixed_var"].hex()
             assert rec["variance_sgd"].hex() == probe["sgd_var"].hex()
+
+    def test_emgd_probe_run_holds_under_1_mb_above_the_problem(self):
+        """emgd with probe_variance at 5000 × 50: about 5.8 MB above the live
+        problem when the probe built n × d gradient matrices."""
+        prob = logistic_problem(synthetic_classification(5000, 50, seed=7), lam=1e-3)
+        emgd(prob, Domain.ball(10.0), T1=5, m=1, probe_variance=True)  # warm-up
+        tracemalloc.start()
+        try:
+            tr = emgd(prob, Domain.ball(10.0), seed=0, T1=50, m=3, probe_variance=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tr.records) == 3
+        assert peak < 1_000_000, f"{peak / 1e6:.2f} MB above the problem"
 
 
 class TestOneProjection:
