@@ -14,7 +14,6 @@ d < 1 with InputError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,11 +21,11 @@ from .core import InputError, _norm, make_rng
 from .online import RoundLoss
 
 
-@dataclass
 class LossSequence:
     """One loss a round, T of them; loss(t) is 1-indexed and pure."""
 
-    _losses: list = field(repr=False)
+    def __init__(self, _losses: list):
+        self._losses = _losses
 
     @property
     def T(self) -> int:

@@ -7,6 +7,9 @@ finite, before any output directory is created or any worker starts.
 
 CSV conventions: '.' decimal, '\n' line endings, no quoting (fields never
 contain commas); identical config+seed produces byte-identical files.
+
+The online chapter (`online`, `adversary`) is imported by the experiments
+that run it, on their first call, so a solver run never loads it.
 """
 
 from __future__ import annotations
@@ -15,29 +18,27 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (ConfigurationError, Domain, InputError, NumericError,
                    StepSchedule, make_rng)
-from . import adversary, metrics, online, problems, stochastic
+from . import metrics, problems, stochastic
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 SEED_MAX = 2 ** 64 - 1  # make_rng keeps a seed's low 64 bits
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     experiment: str
     seed: int = 0
-    overrides: dict = field(default_factory=dict)
+    overrides: dict = MappingProxyType({})  # read-only: resolve_params only reads it
     output_dir: str = "results"
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     rows: list              # dicts whose keys, in order, are the CSV columns
     final_metric: float
     slope: float = math.nan
@@ -170,6 +171,7 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
+    from . import adversary, online
     T, d, egvs = p["T"], p["d"], p["egv_grid"]
     dom = Domain.ball(1.0)
     rows, regs = [], []
@@ -192,6 +194,7 @@ def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
+    from . import adversary, online
     T, eta = p["T"], p["eta_ogd"]
     seq = adversary.ftrl_adversary(eta, T, gv_target=p["gv_target"])
     dom = Domain.ball(1.0)
@@ -211,6 +214,7 @@ def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
+    from . import adversary, online
     T = p["T"]
     rng = make_rng(seed)
     rows, worst = [], 0.0
@@ -236,6 +240,7 @@ def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
+    from . import online
     rows, worst = [], 0.0
     T = p["T"]
     for d in p["d_grid"]:
@@ -260,6 +265,7 @@ def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
 
 
 def _soft_instance(seed: int, p: dict):
+    from . import online
     T, R = p["T"], p["radius_R"]
     rng = make_rng(seed)
     r_c = p["constraint_radius"]
@@ -278,6 +284,7 @@ def _soft_instance(seed: int, p: dict):
 
 
 def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
+    from . import online
     losses, cons, T, R = _soft_instance(seed, p)
     dom_true = Domain.ball(p["constraint_radius"])
     soft = online.SoftConstraintOGD(cons, T, R=R, dim=2)
@@ -306,6 +313,7 @@ def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
+    from . import online
     T = p["T"]
     v = np.array([1.0, 0.0])
     loss = online.RoundLoss.from_linear(v)
@@ -330,6 +338,7 @@ def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
 
 
 def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
+    from . import adversary, online
     T = p["T"]
     # d = 2: the comparator search below covers a 2-D grid
     examples = adversary.classification_stream(p["drift"], T, 2, seed=seed)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,18 +67,16 @@ def as_point(x) -> Point:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StepSchedule:
     """eta_t for t = 1, 2, ...; always positive."""
 
-    kind: str  # constant | inverse_sqrt | inverse_t
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
+    def __init__(self, kind: str, c: float):
+        if c <= 0:
             raise ConfigurationError("schedule constant must be positive")
-        if self.kind not in ("constant", "inverse_sqrt", "inverse_t"):
-            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
+        if kind not in ("constant", "inverse_sqrt", "inverse_t"):
+            raise ConfigurationError(f"unknown schedule kind {kind!r}")
+        self.kind = kind  # constant | inverse_sqrt | inverse_t
+        self.c = c
 
     def at(self, t: int) -> float:
         if t < 1:
@@ -575,8 +573,7 @@ Domain.l1_ball, Domain.halfspace_cut = L1Ball, HalfspaceCut
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MirrorMap:
+class MirrorMap(NamedTuple):
     """A strongly convex potential, named by kind: ½‖x‖² (euclidean) or the
     negative entropy Σ xᵢ log xᵢ (entropy); bregman and the prox step read it."""
 

@@ -20,7 +20,8 @@ def comparator_minimum(sequence, domain: Domain):
         x = domain.linear_minimizer(total)
         return x, float(total @ x)
     if all(l.quad_center is not None for l in losses):
-        centers = np.stack([l.quad_center for l in losses])
+        # np.array, not np.stack: no view object per round, same C-ordered array
+        centers = np.array([l.quad_center for l in losses])
         x = domain.project(centers.mean(axis=0))
         val = 0.5 * float(np.sum((x[None, :] - centers) ** 2))
         return x, val

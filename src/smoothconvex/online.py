@@ -40,7 +40,7 @@ Every learner here is run by an experiment in `cli`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -379,8 +379,7 @@ class HingeClassifierPD(BaseLearner):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConstraintSet:
+class ConstraintSet(NamedTuple):
     """m scalar constraints g_i ≤ 0 with subgradients."""
 
     funcs: list          # list of (g, grad) callables

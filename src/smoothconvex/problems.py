@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigurationError, DomainError, InputError, Point, make_rng
+from .core import ConfigurationError, DomainError, InputError, Point, _norm, make_rng
 
 
 class ParseError(InputError):
@@ -27,8 +27,7 @@ class ParseError(InputError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LabeledDataset:
+class LabeledDataset(NamedTuple):
     X: np.ndarray       # n × d dense features
     labels: np.ndarray  # n labels
 
@@ -96,35 +95,32 @@ def load_libsvm(path, normalize: bool = False) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Constants:
+class Constants(NamedTuple):
     L_comp: float  # smoothness bound covering every component f_i
     L_full: float  # smoothness of the averaged objective F
     lam: float     # strong-convexity modulus of F
 
 
-@dataclass
 class FiniteSumProblem:
     """F(w) = (1/n) Σ f_i(w) + (λ/2)‖w‖², components carrying the regularizer.
 
     loss: "logistic" with f_i(w) = log(1+exp(−y_i⟨w,x_i⟩)), or
           "squared"  with f_i(w) = (y_i − ⟨w,x_i⟩)².
+
+    X is held C-ordered float64 (the very array when it already is), so that
+    the row-blocked sums run in one order whatever layout X came in.
     """
 
-    X: np.ndarray
-    y: np.ndarray
-    lam_reg: float
-    loss: str
-    constants: Constants = field(init=False)
-
-    def __post_init__(self):
-        if self.X.ndim != 2 or 0 in self.X.shape:
+    def __init__(self, X: np.ndarray, y: np.ndarray, lam_reg: float, loss: str):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or 0 in X.shape:
             raise InputError("need at least one example and one feature, "
-                             f"got X of shape {self.X.shape}")
-        if self.loss not in ("logistic", "squared"):
-            raise ConfigurationError(f"unknown loss {self.loss!r}")
-        if self.lam_reg < 0:
+                             f"got X of shape {X.shape}")
+        if loss not in ("logistic", "squared"):
+            raise ConfigurationError(f"unknown loss {loss!r}")
+        if lam_reg < 0:
             raise ConfigurationError("regularizer must be nonnegative")
+        self.X, self.y, self.lam_reg, self.loss = X, y, lam_reg, loss
         self.constants = estimate_constants(self)
 
     @property
@@ -315,7 +311,6 @@ def synthetic_regression(n: int, d: int, seed: int, noise: float = 0.1,
     return LabeledDataset(X=X, labels=y)
 
 
-@dataclass
 class OneDimTargetRisk:
     """Scalar stochastic regression ℓ(w; b) = (w − b)² with a rare high target.
 
@@ -324,14 +319,13 @@ class OneDimTargetRisk:
     makes this the reference instance for target-risk-driven solvers.
     """
 
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
-
     # ℓ is 2-smooth and E[ℓ] 2-strongly convex
-    constants: Constants = field(init=False, default_factory=lambda: Constants(2.0, 2.0, 2.0))
+    constants = Constants(2.0, 2.0, 2.0)
+
+    def __init__(self, delta: float):
+        if not 0.0 < delta < 1.0:
+            raise ConfigurationError("delta must lie in (0, 1)")
+        self.delta = delta
 
     @property
     def d(self) -> int:
@@ -364,7 +358,6 @@ def onedim_target_risk_problem(delta: float) -> OneDimTargetRisk:
     return OneDimTargetRisk(delta=delta)
 
 
-@dataclass
 class NoisyQuadratic:
     """f(x) = ½‖x − center‖² with bounded spherical gradient noise.
 
@@ -373,9 +366,11 @@ class NoisyQuadratic:
     strongly-convex single-projection analysis) and zero mean.
     """
 
-    center: np.ndarray
-    noise: float = 0.0
-    constants: Constants = field(init=False, default_factory=lambda: Constants(1.0, 1.0, 1.0))
+    constants = Constants(1.0, 1.0, 1.0)
+
+    def __init__(self, center: np.ndarray, noise: float = 0.0):
+        self.center = center
+        self.noise = noise
 
     @property
     def d(self) -> int:
@@ -392,11 +387,11 @@ class NoisyQuadratic:
         g = self.full_grad(x)
         if self.noise > 0:
             u = rng.standard_normal(self.d)
-            g = g + self.noise * u / max(np.linalg.norm(u), 1e-15)
+            g = g + self.noise * u / max(_norm(u), 1e-15)
         return g
 
     def grad_bound(self, radius: float = 1.0) -> float:
-        return radius + float(np.linalg.norm(self.center)) + self.noise
+        return radius + _norm(self.center) + self.noise
 
 
 # ---------------------------------------------------------------------------

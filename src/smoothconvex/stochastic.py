@@ -38,25 +38,26 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConfigurationError, Domain, NumericError, Point,
-                   StepSchedule, clip_component, make_rng, two_ball_projector)
+from .core import (ConfigurationError, Domain, NumericError, Point, StepSchedule,
+                   _norm, clip_component, make_rng, two_ball_projector)
 from .problems import row_blocks
 
 
-@dataclass
 class Trace:
     """Per-iteration log of a solver run."""
 
-    header: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
-    calls_full: int = 0
-    calls_stochastic: int = 0
-    projections: int = 0      # projections onto the true domain K
-    final_point: Point | None = None
+    def __init__(self, header: dict | None = None, records: list | None = None,
+                 calls_full: int = 0, calls_stochastic: int = 0, projections: int = 0,
+                 final_point: Point | None = None):
+        self.header = {} if header is None else header
+        self.records = [] if records is None else records
+        self.calls_full = calls_full
+        self.calls_stochastic = calls_stochastic
+        self.projections = projections  # projections onto the true domain K
+        self.final_point = final_point
 
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.records if name in r])
@@ -531,7 +532,7 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
         trace.calls_stochastic += 1
         gx = domain.g(x)
         xp = x - eta * (g + lam * domain.g_grad(x))
-        x = xp / max(np.linalg.norm(xp), 1.0)
+        x = xp / max(_norm(xp), 1.0)
         lam = max((1.0 - gamma * eta) * lam + eta * gx, 0.0)
         if t % stride == 0 or t == T:
             trace.add(iter=t, objective=objective.full_value(x), constraint=gx, dual=lam)
@@ -581,7 +582,7 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
         weight = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
         eta_t = eta or 1.0 / (2.0 * alpha * t)
         xp = x - eta_t * (g + weight * lam0 * domain.g_grad(x))
-        x = xp / max(np.linalg.norm(xp), 1.0)
+        x = xp / max(_norm(xp), 1.0)
         if t % stride == 0 or t == T:
             trace.add(iter=t, objective=objective.full_value(x), constraint=gx, weight=weight)
     xbar /= T

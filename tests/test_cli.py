@@ -344,6 +344,25 @@ class TestRunOutputs:
                               timeout=60, check=True)
         assert done.stdout == "[]\n"
 
+    def test_solver_run_loads_neither_dataclasses_nor_the_online_chapter(self, tmp_path):
+        # both cost every CLI process start-up; the online experiments import
+        # the chapter when they run
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import sys, smoothconvex.cli as cli\n"
+                 "watch = ('dataclasses', 'smoothconvex.online', 'smoothconvex.adversary')\n"
+                 "seen = [sorted(m for m in watch if m in sys.modules)]\n"
+                 "for argv in (['mixedgrad_rate', '--m_max=4', '--n=20', '--d=3', '--T1=4'],\n"
+                 "             ['hinge_mistakes', '--T=20']):\n"
+                 "    assert cli.main(['run', *argv, '--out', sys.argv[1]]) == 0\n"
+                 "    seen.append(sorted(m for m in watch if m in sys.modules))\n"
+                 "print(seen)\n")
+        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+                              check=True)
+        assert done.stdout.splitlines()[-1] == (
+            "[[], [], ['smoothconvex.adversary', 'smoothconvex.online']]")
+
 
 class TestConfigFile:
     def test_flat_key_value_with_comments(self, tmp_path):

@@ -1,6 +1,7 @@
 """Comparator minima, final regret, slopes and the reference-optimum solver."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ class TestSlope:
 
 
 class TestComparatorLimits:
+    def test_quadratic_rounds_peak_under_1_mb(self):
+        """10,000 quadratic rounds, as soft_constraints builds: the centers
+        are one (10,000, 2) array, with no view object per round as np.stack
+        made (a 1.9 MB transient); (x, val) is np.stack's form bit for bit."""
+        losses = RoundLoss.quadratic_rounds(make_rng(12).uniform(-1, 1, size=(10_000, 2)))
+        dom = Domain.ball(0.7)
+        comparator_minimum(losses[:10], dom)  # warm-up
+        tracemalloc.start()
+        try:
+            x, val = comparator_minimum(losses, dom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
+        centers = np.stack([l.quad_center for l in losses])
+        want = dom.project(centers.mean(axis=0))
+        assert x.tobytes() == want.tobytes()
+        assert val.hex() == (0.5 * float(np.sum((want[None, :] - centers) ** 2))).hex()
+
     def test_mixed_linear_and_quadratic_rejected(self):
         # neither closed form applies to a sequence that mixes the two kinds
         from smoothconvex.core import UnsupportedDomainError

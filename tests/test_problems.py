@@ -15,7 +15,7 @@ from smoothconvex.problems import (Constants, FiniteSumProblem, LabeledDataset,
                                    onedim_target_risk_problem, psi_transform,
                                    row_blocks, row_sq_sums, smoothed_hinge_value,
                                    synthetic_classification)
-from smoothconvex.stochastic import emgd
+from smoothconvex.stochastic import emgd, gradient_variance_probe
 
 import frozen_kernels
 
@@ -291,6 +291,27 @@ class TestConstants:
             tracemalloc.stop()
         assert prob.X.nbytes == 2_000_000 and held >= prob.X.nbytes
         assert peak - held < 500_000, f"{(peak - held) / 1e6:.2f} MB above the problem"
+
+    def test_fortran_ordered_design_gives_the_c_ordered_results(self):
+        # the row-blocked sums run in an order set by the layout of X, so the
+        # problem holds X C-ordered; a C-ordered float64 X is kept as is
+        rng = make_rng(34)
+        X = rng.standard_normal((3000, 40))
+        y = np.where(rng.standard_normal(3000) >= 0, 1.0, -1.0)
+        probs = [from_arrays(A, y, 1e-2, "logistic") for A in (X, np.asfortranarray(X))]
+        assert probs[0].X is X and probs[1].X.flags.c_contiguous
+
+        def hexes(values):
+            return [float(v).hex() for v in values]
+
+        c, f = ([*row_sq_sums(p.X), p.constants.L_comp, p.constants.L_full, p.constants.lam]
+                for p in probs)
+        assert hexes(c) == hexes(f)
+        for w, center in rng.standard_normal((4, 2, 40)):
+            c, f = (gradient_variance_probe(p, w, center).values() for p in probs)
+            assert hexes(c) == hexes(f)
+        c, f = (emgd(p, Domain.ball(1.0), seed=3, T1=20, m=2).final_point for p in probs)
+        assert hexes(c) == hexes(f)
 
     def test_direct_construction_matches_from_arrays(self):
         # the constructor computes the constants, so the solvers that read

@@ -125,7 +125,7 @@ ALLOWED = {
 def _functions() -> dict:
     """{(file, first line): name} of every function, method and lambda
     defined in the package's modules.  Class bodies and comprehensions are
-    not functions; dataclass-generated methods have no source file there."""
+    not functions; NamedTuple-generated methods have no source file there."""
     out = {}
     for path in sorted(SRC.glob("*.py")):
         found = []

@@ -229,7 +229,7 @@ class TestEmgd:
 
     def test_rejects_zero_strong_convexity(self):
         prob = from_arrays(np.eye(3), np.zeros(3), 0.0, "squared")
-        prob.constants.lam = 0.0
+        prob.constants = prob.constants._replace(lam=0.0)  # Constants is immutable
         with pytest.raises(ConfigurationError):
             emgd(prob, Domain.ball(1.0), seed=0, T1=5, m=2, lam=0.0)
 
