@@ -1,9 +1,9 @@
 """Deterministic, seedable loss-sequence generators with controllable
 gradual variation, plus the variation measures themselves.
 
-Sequences are pure: querying round t twice yields bitwise-identical losses
-because every generator precomputes its round data up front.  Rounds with the
-same loss may share one RoundLoss object, and drifting_quadratics' rounds
+A sequence is a plain list of T RoundLoss objects, round t at index t − 1,
+and every generator builds its round data up front.  Rounds with the same
+loss may share one RoundLoss object, and drifting_quadratics' rounds
 share one read-only (T, d) array of centers, each round a row view of it;
 every cost vector and center is read-only, so no learner can change one round
 through another.  classification_stream returns no losses: its examples are
@@ -21,32 +21,13 @@ from .core import InputError, _norm, make_rng
 from .online import RoundLoss
 
 
-class LossSequence:
-    """One loss a round, T of them; loss(t) is 1-indexed and pure."""
-
-    def __init__(self, _losses: list):
-        self._losses = _losses
-
-    @property
-    def T(self) -> int:
-        return len(self._losses)
-
-    def loss(self, t: int) -> RoundLoss:
-        if not 1 <= t <= self.T:
-            raise InputError(f"round index {t} outside 1..{self.T}")
-        return self._losses[t - 1]
-
-    def __iter__(self):
-        return iter(self._losses)
-
-
 def _check_sizes(T: int, d: int) -> None:
     if T < 1 or d < 1:
         raise InputError(f"a sequence needs T >= 1 rounds in d >= 1 dimensions, "
                          f"got T={T}, d={d}")
 
 
-def alternating_linear(egv: float, T: int, d: int) -> LossSequence:
+def alternating_linear(egv: float, T: int, d: int) -> list:
     """±f alternating every round, with ‖f‖ sized so the gradual variation
     hits `egv`; the flip-dominated family where tracking gains vanish and
     regret actually scales with the variation."""
@@ -56,12 +37,11 @@ def alternating_linear(egv: float, T: int, d: int) -> LossSequence:
     f = np.zeros(d)
     f[0] = math.sqrt(egv / (4.0 * T - 3.0))
     pair = (RoundLoss.from_linear(f), RoundLoss.from_linear(-f))
-    losses = [pair[t % 2] for t in range(T)]
-    return LossSequence(losses)
+    return [pair[t % 2] for t in range(T)]
 
 
 def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
-                   d: int = 1) -> LossSequence:
+                   d: int = 1) -> list:
     """Leader-punishing linear sequence keyed on s = ⌊1/eta⌋.
 
     s ≥ √T: play a fixed unit vector for ⌊s/2⌋ rounds, zeros after.
@@ -86,10 +66,10 @@ def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
         budget = T - 1 if gv_target is None else min(T - 1, int(gv_target // 4))
         losses = [minus] + [(plus, minus)[k % 2] for k in range(budget)]
     losses += [RoundLoss.from_linear(np.zeros(d))] * (T - len(losses))
-    return LossSequence(losses[:T])
+    return losses[:T]
 
 
-def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> LossSequence:
+def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> list:
     """f_t(x) = ½‖x − c_t‖² with the center moving on a circle by `speed`
     radians per round (smooth with unit curvature); the T rounds share one
     read-only (T, d) array of centers."""
@@ -102,7 +82,7 @@ def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> Lo
         centers[t, 0] = radius * math.cos(ang)
         if d > 1:
             centers[t, 1] = radius * math.sin(ang)
-    return LossSequence(RoundLoss.quadratic_rounds(centers))
+    return RoundLoss.quadratic_rounds(centers)
 
 
 def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> np.ndarray:
@@ -135,30 +115,31 @@ def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def measure_egv(sequence: LossSequence, probe_points) -> float:
+def measure_egv(sequence: list, probe_points) -> float:
     """Point-form gradual variation Σ_{t=0}^{T−1} ‖∇f_{t+1}(y_t) − ∇f_t(y_t)‖²
-    with f₀ ≡ 0; probe_points supplies y_0..y_{T−1}."""
+    with f₀ ≡ 0 over the T rounds of `sequence`; probe_points supplies
+    y_0..y_{T−1}."""
     pts = [np.asarray(p, dtype=np.float64) for p in probe_points]
-    if len(pts) < sequence.T:
+    if len(pts) < len(sequence):
         raise InputError("need one probe point per round (y_0 .. y_{T-1})")
     total = 0.0
-    for t in range(sequence.T):
+    for t in range(len(sequence)):
         y = pts[t]
-        g_next = sequence.loss(t + 1).grad(y)
-        g_prev = np.zeros_like(g_next) if t == 0 else sequence.loss(t).grad(y)
+        g_next = sequence[t].grad(y)
+        g_prev = np.zeros_like(g_next) if t == 0 else sequence[t - 1].grad(y)
         d = g_next - g_prev
         total += float(d @ d)
     return total
 
 
-def measure_egv_exact(sequence: LossSequence) -> float:
+def measure_egv_exact(sequence: list) -> float:
     """Sup-form gradual variation for families whose gradient differences do
     not depend on the probe point (all-linear or all-quadratic losses), so the
     origin serves as every round's probe.  A sequence that mixes the two kinds
     is refused with InputError: its differences do depend on the probe."""
     if all(l.linear is not None for l in sequence):
         # ∇f_t(y) = linear for every y: measure_egv's terms without the probes
-        total, prev = 0.0, np.zeros_like(sequence.loss(1).linear)
+        total, prev = 0.0, np.zeros_like(sequence[0].linear)
         for l in sequence:
             f = l.linear
             d = f - prev
@@ -166,12 +147,12 @@ def measure_egv_exact(sequence: LossSequence) -> float:
             prev = f
         return total
     if all(l.quad_center is not None for l in sequence):
-        origin = np.zeros_like(sequence.loss(1).quad_center)
-        return measure_egv(sequence, [origin] * sequence.T)
+        origin = np.zeros_like(sequence[0].quad_center)
+        return measure_egv(sequence, [origin] * len(sequence))
     raise InputError("closed-form variation needs all-linear or all-quadratic losses")
 
 
-def measure_egv_inf(sequence: LossSequence) -> float:
+def measure_egv_inf(sequence: list) -> float:
     """Infinity-norm gradual variation for linear losses over experts."""
     total = 0.0
     prev = None

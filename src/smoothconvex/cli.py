@@ -586,37 +586,41 @@ def _main_inner(argv) -> int:
         raise ConfigurationError(
             "missing experiment; registry: " + ", ".join(sorted(EXPERIMENTS)))
     experiment = argv[1]
-    seeds = [0]
+    seed_text = None
     outdir = os.environ.get("SMOOTHCONVEX_OUT", "results")
     jobs = 1
-    overrides: dict = {}
+    from_files: dict = {}
+    explicit: dict = {}
     i = 2
     while i < len(argv):
         arg = argv[i]
-        if arg in ("--seed", "--config", "--out", "--jobs"):
-            if i + 1 == len(argv):
-                raise ConfigurationError(f"{arg} needs a value")
-            value = argv[i + 1]
-            i += 2
-            if arg == "--seed":
-                seeds = [_seed(s) for s in value.split(",")]
-            elif arg == "--config":
-                overrides.update(parse_config_file(value))
-            elif arg == "--out":
+        flag, eq, value = arg.partition("=")
+        if flag in ("--seed", "--config", "--out", "--jobs"):
+            # `--flag value` or `--flag=value`, the same either way
+            if not eq:
+                if i + 1 == len(argv):
+                    raise ConfigurationError(f"{arg} needs a value")
+                i += 1
+                value = argv[i]
+            if flag == "--seed":
+                seed_text = value
+            elif flag == "--config":
+                from_files.update(parse_config_file(value))
+            elif flag == "--out":
                 outdir = value
             else:
-                jobs = _int(arg, value)
+                jobs = _int(flag, value)
                 if jobs < 1:
                     raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
-        elif arg.startswith("--") and "=" in arg:
-            k, v = arg[2:].split("=", 1)
-            overrides[k] = v
-            i += 1
+        elif arg.startswith("--") and eq:
+            explicit[flag[2:]] = value
         else:
             raise ConfigurationError(f"unrecognized argument {arg!r}")
-    seed_override = overrides.pop("seed", None)
-    if seed_override is not None:
-        seeds = [_seed(seed_override)]
+        i += 1
+    # config-file values first, explicit flags on top, whatever their order
+    overrides = {**from_files, **explicit}
+    file_seed = overrides.pop("seed", "0")
+    seeds = [_seed(s) for s in (file_seed if seed_text is None else seed_text).split(",")]
     resolve_params(experiment, overrides)  # every parameter error before any output
     tasks = [{"experiment": experiment, "seed": s, "overrides": overrides,
               "output_dir": outdir} for s in seeds]

@@ -2,16 +2,15 @@
 
 Points are plain 1-D numpy arrays.  This module provides feasible sets with
 exact projections (one Domain subclass per kind, built as Domain.ball(...)
-and the like), mirror maps with Bregman divergences, the extra-gradient prox
-step used by every mirror-prox learner, gradient clipping, and seeded
-counter-based randomness.
+and the like), gradient clipping, seeded counter-based randomness, and the
+entropy prox step on a ball (MirrorMap.entropy() with prox_step), which
+only the benchmark's kernel table calls: each online learner owns its step.
 
-Projections and the prox step come in two forms.  The checked form
-(`Domain.project`, `project_ball`, `prox_step`) validates its input on every
-call and returns a fresh array.  The bound form (`Domain.projector`,
-`ball_projector`, `prox_map`) settles the checks and any dispatch once and
-returns the bare kernel for a loop to call each step; the checked form is
-those checks plus the same kernel.
+Projections come in two forms.  The checked form (`Domain.project`,
+`project_ball`) validates its input on every call and returns a fresh array.
+The bound form (`Domain.projector`, `ball_projector`) settles the checks and
+any dispatch once and returns the bare kernel for a loop to call each step;
+the checked form is those checks plus the same kernel.
 """
 
 from __future__ import annotations
@@ -569,44 +568,27 @@ Domain.l1_ball, Domain.halfspace_cut = L1Ball, HalfspaceCut
 
 
 # ---------------------------------------------------------------------------
-# Mirror maps and Bregman divergences
+# The entropy prox step on a ball
 # ---------------------------------------------------------------------------
 
 
 class MirrorMap(NamedTuple):
-    """A strongly convex potential, named by kind: ½‖x‖² (euclidean) or the
-    negative entropy Σ xᵢ log xᵢ (entropy); bregman and the prox step read it."""
+    """A strongly convex potential, named by kind; entropy() is the negative
+    entropy Σ xᵢ log xᵢ, the one map prox_step takes."""
 
-    kind: str  # euclidean | entropy
-    alpha: float = 1.0  # strong-convexity modulus in the map's own norm
-
-    @classmethod
-    def euclidean(cls) -> "MirrorMap":
-        return cls("euclidean", 1.0)
+    kind: str
 
     @classmethod
     def entropy(cls) -> "MirrorMap":
-        return cls("entropy", 1.0)
-
-
-def bregman(mirror_map: MirrorMap, x: Point, y: Point) -> float:
-    """B(x, y) = Φ(x) − Φ(y) − ⟨∇Φ(y), x−y⟩; nonnegative, zero iff x = y."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise InputError("bregman: dimension mismatch")
-    if mirror_map.kind == "euclidean":
-        d = x - y
-        return 0.5 * float(d @ d)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise DomainError("entropy map requires strictly positive coordinates")
-    return float(np.sum(x * np.log(x / y)) - x.sum() + y.sum())
+        return cls("entropy")
 
 
 def prox_step(mirror_map: MirrorMap, domain: Domain, z: Point, g: Point,
               eta: float) -> Point:
-    """argmin over the domain of η⟨u, g⟩ + B(u, z): the input checks plus the
-    step of prox_map."""
+    """argmin over the ball of η⟨u, g⟩ + KL(u, z) for the entropy map: the
+    multiplicative update z·exp(−ηg), then its KL projection onto the ball by
+    bisection on a norm multiplier; a new array.  After the input checks,
+    any other map or domain is refused with UnsupportedDomainError."""
     if eta <= 0:
         raise ConfigurationError("prox step size must be positive")
     z = np.asarray(z, dtype=np.float64)
@@ -614,81 +596,41 @@ def prox_step(mirror_map: MirrorMap, domain: Domain, z: Point, g: Point,
     if z.shape != g.shape:
         raise InputError("prox_step: dimension mismatch")
     domain._check_dim(z)
-    return prox_map(mirror_map, domain)(z, g, eta)
-
-
-def prox_map(mirror_map: MirrorMap, domain: Domain):
-    """The prox step with its map and domain bound: step(z, g, eta) =
-    argmin over the domain of η⟨u, g⟩ + B(u, z).  The map and domain kinds
-    are dispatched here, once; step checks nothing, so z and g must be 1-D
-    float64 arrays of one shape and eta > 0, and it returns a new array.
-
-    Euclidean map: a projected gradient step.  Entropy map: multiplicative
-    update followed by the Bregman projection (closed form on the simplex and
-    on nonnegative boxes; bisection on a norm multiplier otherwise).
-    """
-    if mirror_map.kind == "euclidean":
-        project = domain.projector()
-        return lambda z, g, eta: project(z - eta * g)
-    # entropy: unconstrained solution z * exp(-eta g)
-    if domain.kind == "simplex":
-        def step(z, g, eta):
-            logu = np.log(np.maximum(z, EPS_LOG)) - eta * g
-            logu -= logu.max()
-            u = np.exp(logu)
-            return u / u.sum()
-        return step
-
-    def unconstrained(z, g, eta):
-        return np.exp(np.minimum(np.log(np.maximum(z, EPS_LOG)) - eta * g, 700.0))
-
-    if domain.kind == "box":
-        if np.any(domain.lo < 0):
-            raise DomainError("entropy map needs a nonnegative box")
-        lo, hi = np.maximum(domain.lo, EPS_LOG), domain.hi
-        return lambda z, g, eta: np.clip(unconstrained(z, g, eta), lo, hi)
-    if domain.kind in ("ball", "l1_ball"):
-        return lambda z, g, eta: _entropy_norm_projection(unconstrained(z, g, eta), domain)
-    raise UnsupportedDomainError(f"entropy prox not available for {domain.kind}")
-
-
-def _entropy_norm_projection(u: Point, domain: Domain) -> Point:
-    """KL projection of u > 0 onto a ball/l1 ball via bisection on the multiplier."""
-    norm = (lambda v: float(np.linalg.norm(v))) if domain.kind == "ball" else (
-        lambda v: float(np.abs(v).sum()))
-    if norm(u) <= domain.r:
+    if mirror_map.kind != "entropy" or domain.kind != "ball":
+        raise UnsupportedDomainError(
+            f"prox step not available for the {mirror_map.kind} map on {domain.kind}")
+    r = domain.r
+    u = np.exp(np.minimum(np.log(np.maximum(z, EPS_LOG)) - eta * g, 700.0))
+    if np.linalg.norm(u) <= r:
         return u
-    # candidate(nu): per-coordinate minimizer of KL + nu * constraint surrogate
-    if domain.kind == "l1_ball":
-        def candidate(nu):
-            return u * math.exp(-nu)
-    else:
-        def candidate(nu):
-            # solve log(v/u) + 2 nu v = 0 per coordinate by Newton in log v
-            w = np.log(u)
-            for _ in range(100):
-                v = np.exp(w)
-                f = w - np.log(u) + 2.0 * nu * v
-                fp = 1.0 + 2.0 * nu * v
-                w -= f / fp
-            return np.exp(w)
+
+    def candidate(nu):
+        # solve log(v/u) + 2 nu v = 0 per coordinate by Newton in log v
+        w = np.log(u)
+        for _ in range(100):
+            v = np.exp(w)
+            f = w - np.log(u) + 2.0 * nu * v
+            fp = 1.0 + 2.0 * nu * v
+            w -= f / fp
+        return np.exp(w)
+
     lo_nu, hi_nu = 0.0, 1.0
     for _ in range(200):
-        if norm(candidate(hi_nu)) <= domain.r:
+        if np.linalg.norm(candidate(hi_nu)) <= r:
             break
         hi_nu *= 2.0
     else:
         raise NumericError("entropy projection: no bracketing multiplier found")
     for _ in range(200):
         mid = 0.5 * (lo_nu + hi_nu)
-        if norm(candidate(mid)) > domain.r:
+        if np.linalg.norm(candidate(mid)) > r:
             lo_nu = mid
         else:
             hi_nu = mid
         if hi_nu - lo_nu <= 1e-14 * max(1.0, hi_nu):
             break
     v = candidate(hi_nu)
-    if abs(norm(v) - domain.r) > 1e-6 * max(1.0, domain.r):
+    if abs(np.linalg.norm(v) - r) > 1e-6 * max(1.0, r):
         raise NumericError("entropy projection bisection did not converge")
     return v
 

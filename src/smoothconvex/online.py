@@ -22,18 +22,20 @@ over its read-only vector, so a round holds no closure;
 `RoundLoss.quadratic_rounds` builds T quadratic rounds over one read-only
 (T, d) copy of their centers, each round a row view of it.
 
-Each learner binds its domain's projection or prox step once, at
-construction (Domain.projector, ball_projector, prox_map), and calls the bare
-kernel every round on the fresh point it has just built.  The step constants
-a round applies to a vector (OMP's and IFTRL's η/L, IFTRL's −L/η,
-PenaltyOGD's weight) are bound once as 0-d float64 arrays: the same IEEE
-operations as with the Python floats, without numpy converting a float on
-every call.  The soft-constraint duals are updated one at a time in Python
-floats, by the operations of the array form in its order.
+Each learner binds its domain's projection once, at construction
+(Domain.projector, ball_projector), and calls the bare kernel every round on
+the fresh point it has just built.  The step constants a round applies to a
+vector (OMP's and IFTRL's η/L, IFTRL's −L/η, PenaltyOGD's weight) are bound
+once as 0-d float64 arrays: the same IEEE operations as with the Python
+floats, without numpy converting a float on every call.  The soft-constraint
+duals are a list of Python floats, updated one at a time by the operations
+of the array form in its order; `lam` reads them as a fresh array.
 
 OGD is the one projected-step loop: SoftConstraintOGD, ZeroViolationOGD and
 PenaltyOGD are OGD subclasses that choose only the round's direction.  OMP is
-the one extra-gradient loop: ExpertOMP and BanditOMP are OMP subclasses.
+the one extra-gradient loop, whose step is a projected gradient step:
+BanditOMP is an OMP subclass with that step, and ExpertOMP one whose step is
+the multiplicative update on the simplex.
 Every learner here is run by an experiment in `cli`.
 """
 
@@ -44,9 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ConfigurationError, Domain, InputError, MirrorMap, Point,
-                   StepSchedule, UnsupportedDomainError, ball_projector,
-                   prox_map)
+from .core import (EPS_LOG, ConfigurationError, Domain, InputError, Point,
+                   StepSchedule, UnsupportedDomainError, ball_projector)
 
 
 def _frozen(v) -> np.ndarray:
@@ -236,24 +237,19 @@ class IFTRL(BaseLearner):
 
 
 class OMP(BaseLearner):
-    """Two-prox extra-gradient learner; one new gradient evaluation per round."""
+    """Two-prox extra-gradient learner; one new gradient evaluation per round.
+    Both prox steps are _prox, a projected gradient step with step η/L."""
 
-    def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None,
-                 mirror_map: MirrorMap | None = None):
+    def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None):
         super().__init__(dim, domain)
         if eta <= 0:
             raise ConfigurationError("eta must be positive")
         if L <= 0:
             raise ConfigurationError("smoothness L must be positive")
         self.domain, self.L, self.eta = domain, L, eta
-        self.map = mirror_map or MirrorMap.euclidean()
-        d = self.dim
-        if self.map.kind == "entropy" and domain.kind == "simplex":
-            self.z = np.full(d, 1.0 / d)
-        else:
-            self.z = domain.project(np.zeros(d))
-        self.prev_grad = np.zeros(d)
-        self._prox = prox_map(self.map, domain)
+        self.z = domain.project(np.zeros(self.dim))
+        self.prev_grad = np.zeros(self.dim)
+        self._project = domain.projector()
         self._step = np.array(eta / L)
 
     @staticmethod
@@ -261,15 +257,19 @@ class OMP(BaseLearner):
         return 0.5 * min(1.0 / math.sqrt(2.0), L / math.sqrt(max(egv, 1e-300)))
 
     def predict(self) -> Point:
-        return self._prox(self.z, self.prev_grad, self._step)
+        return self._prox(self.z, self.prev_grad)
 
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
         self._decisions.frombytes(x.tobytes())
         self.loss_values.append(float(loss.value(x)))
         g = self._gradient(x, loss)
-        self.z = self._prox(self.z, g, self._step)
+        self.z = self._prox(self.z, g)
         self.prev_grad = g
+
+    def _prox(self, z: Point, g: Point) -> Point:
+        """The step from z along −g: a new array."""
+        return self._project(z - self._step * g)
 
     def _gradient(self, x: Point, loss: RoundLoss) -> Point:
         """The round's gradient at the decision x."""
@@ -277,13 +277,21 @@ class OMP(BaseLearner):
 
 
 class ExpertOMP(OMP):
-    """OMP with the entropy map on the m-expert simplex (multiplicative
-    weights); observe also takes a plain cost vector.  A round's cost must be
-    linear, one entry per expert, and nonnegative; anything else, NaN
+    """OMP on the m-expert simplex whose step is the multiplicative update
+    (the entropy map's prox step), from uniform weights, the projection of
+    the origin; observe also takes a plain cost vector.  A round's cost must
+    be linear, one entry per expert, and nonnegative; anything else, NaN
     included, is refused with InputError before the weights move."""
 
     def __init__(self, m: int, eta: float, L: float = 1.0):
-        super().__init__(Domain.simplex(m), L, eta, mirror_map=MirrorMap.entropy())
+        super().__init__(Domain.simplex(m), L, eta)
+
+    def _prox(self, z: Point, g: Point) -> Point:
+        """z·exp(−(η/L)·g), normalised, in the log domain: a new array."""
+        logu = np.log(np.maximum(z, EPS_LOG)) - self._step * g
+        logu -= logu.max()
+        u = np.exp(logu)
+        return u / u.sum()
 
     @staticmethod
     def tuned_eta(m: int, egv_inf: float) -> float:
@@ -438,14 +446,19 @@ class SoftConstraintOGD(OGD):
         super().__init__(ball, StepSchedule.constant(self.eta), dim=dim)
         self._eta_delta = self.eta * self.delta
         self._zero = _frozen(np.zeros(self.x.shape))
-        self.lam = np.zeros(m)
+        self._lam = [0.0] * m
         self._violations = _record()
+
+    @property
+    def lam(self) -> np.ndarray:
+        """The duals, held as Python floats: a fresh float64 array."""
+        return np.array(self._lam)
 
     @property
     def violations(self) -> np.ndarray:
         """One row a round of the constrained values, one per dual: a fresh
         read-only (rounds, m) array."""
-        return _rows(self._violations, self.lam.shape[0])
+        return _rows(self._violations, len(self._lam))
 
     def _terms(self, x: Point):
         """The constrained values as floats (the round's violations record)
@@ -453,7 +466,7 @@ class SoftConstraintOGD(OGD):
         zero vector."""
         vals = self.cons.values(x)
         grad = self._zero
-        for lam_i, (_, gg) in zip(self.lam.tolist(), self.cons.funcs):
+        for lam_i, (_, gg) in zip(self._lam, self.cons.funcs):
             if lam_i != 0.0:
                 grad = grad + lam_i * gg(x)
         return vals, grad
@@ -466,10 +479,10 @@ class SoftConstraintOGD(OGD):
         # clamp is np.maximum(u, 0.0) bit for bit (+0.0 for −0.0, NaN kept)
         eta, eta_delta = self.eta, self._eta_delta
         lam = []
-        for l, v in zip(self.lam.tolist(), vals):
+        for l, v in zip(self._lam, vals):
             u = l + eta * (v - eta_delta * l)
             lam.append(u if u > 0.0 or u != u else 0.0)
-        self.lam = np.array(lam)
+        self._lam = lam
         return loss.grad(x) + cons_grad
 
 
@@ -500,7 +513,7 @@ class ZeroViolationOGD(SoftConstraintOGD):
         tun = zero_violation_tuning(constraints.G, constraints.D, constraints.F, R, T)
         super().__init__(constraints, T, R=R, dim=dim,
                          eta=R * R / (tun["a"] * math.sqrt(T)), delta=tun["delta"])
-        self.lam = np.zeros(1)
+        self._lam = [0.0]
         self.a = tun["a"]
         self.gamma_tighten = tun["gamma"]
         self.raw_violations = _record()
@@ -512,7 +525,7 @@ class ZeroViolationOGD(SoftConstraintOGD):
         g_max = max(vals)
         self.raw_violations.append(g_max)
         grad = self._zero
-        lam = self.lam.item()
+        lam = self._lam[0]
         if lam != 0.0:
             grad = grad + lam * self.cons.funcs[vals.index(g_max)][1](x)
         return [g_max + self.gamma_tighten], grad

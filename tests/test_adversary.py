@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from smoothconvex.core import Domain, InputError, StepSchedule, make_rng
-from smoothconvex.adversary import (LossSequence, alternating_linear,
-                                    classification_stream, drifting_quadratics,
-                                    ftrl_adversary, measure_egv, measure_egv_exact,
-                                    measure_egv_inf)
+from smoothconvex.adversary import (alternating_linear, classification_stream,
+                                    drifting_quadratics, ftrl_adversary, measure_egv,
+                                    measure_egv_exact, measure_egv_inf)
 from smoothconvex.online import OGD, RoundLoss
 
 
@@ -54,15 +53,15 @@ class TestFtrlAdversary:
 
     def test_generator_pure(self):
         seq = ftrl_adversary(0.2, 50, gv_target=40.0)
-        a = seq.loss(7).linear
-        b = seq.loss(7).linear
+        a = seq[6].linear
+        b = seq[6].linear
         np.testing.assert_array_equal(a, b)
 
 
 class TestDriftingQuadratics:
     def test_zero_speed_constant(self):
         seq = drifting_quadratics(0.0, 20, 3)
-        c0 = seq.loss(1).quad_center
+        c0 = seq[0].quad_center
         for l in seq:
             np.testing.assert_array_equal(l.quad_center, c0)
         # extended variation over rounds 2..T vanishes; round 1 term remains
@@ -72,13 +71,13 @@ class TestDriftingQuadratics:
     def test_single_round_first_term_only(self):
         seq = drifting_quadratics(0.3, 1, 2)
         pts = [np.zeros(2)]
-        g1 = seq.loss(1).grad(pts[0])
+        g1 = seq[0].grad(pts[0])
         assert measure_egv(seq, pts) == pytest.approx(float(g1 @ g1))
 
     def test_rounds_share_one_read_only_center_array(self):
         T, d, speed, radius = 40, 3, 0.07, 0.4
         seq = drifting_quadratics(speed, T, d, radius=radius)
-        shared = seq.loss(1).quad_center.base
+        shared = seq[0].quad_center.base
         assert shared.shape == (T, d) and not shared.flags.writeable
         assert all(l.quad_center.base is shared for l in seq)
         want = [[radius * math.cos(speed * t), radius * math.sin(speed * t), 0.0]
@@ -143,22 +142,21 @@ class TestClassificationStream:
 class TestVariationMeasures:
     def test_constant_sequence_first_term_only(self):
         f = np.array([0.3, 0.4])
-        seq = LossSequence([RoundLoss.from_linear(f)] * 5)
+        seq = [RoundLoss.from_linear(f)] * 5
         pts = [np.ones(2) * k for k in range(5)]
         assert measure_egv(seq, pts) == pytest.approx(float(f @ f))
 
     def test_linear_sequence_probe_independent(self):
         rng = make_rng(5)
         vecs = rng.uniform(-1, 1, size=(6, 2))
-        seq = LossSequence([RoundLoss.from_linear(v) for v in vecs])
+        seq = [RoundLoss.from_linear(v) for v in vecs]
         a = measure_egv(seq, [rng.standard_normal(2) for _ in range(6)])
         b = measure_egv(seq, [np.zeros(2)] * 6)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_infinity_norm_variant(self):
-        seq = LossSequence([
-            RoundLoss.from_linear(np.array([0.5, 0.2])),
-            RoundLoss.from_linear(np.array([0.1, 0.9]))])
+        seq = [RoundLoss.from_linear(np.array([0.5, 0.2])),
+               RoundLoss.from_linear(np.array([0.1, 0.9]))]
         want = 0.5 ** 2 + 0.7 ** 2
         assert measure_egv_inf(seq) == pytest.approx(want)
 
@@ -169,7 +167,7 @@ class TestVariationMeasures:
         # (1, -1): no one probe-free value exists, so none is returned
         rounds = [RoundLoss.from_linear(np.array([1.0, 0.0])),
                   RoundLoss.from_quadratic(np.array([0.0, 0.5]))]
-        seq = LossSequence(rounds if linear_first else rounds[::-1])
+        seq = rounds if linear_first else rounds[::-1]
         with pytest.raises(InputError, match="all-linear or all-quadratic"):
             measure_egv_exact(seq)
 
@@ -228,15 +226,15 @@ class TestSharedRoundObjects:
     def test_rounds_equal_one_object_per_round(self, name, build, args, kw):
         seq = build()
         want = _one_object_per_round(name, *args, **kw)
-        assert len(want) == seq.T == len(list(seq))
-        for t, f in enumerate(want, start=1):
-            np.testing.assert_array_equal(seq.loss(t).linear, f, strict=True)
-            assert np.signbit(seq.loss(t).linear).tolist() == np.signbit(f).tolist()
+        assert len(want) == len(seq)
+        for t, f in enumerate(want):
+            np.testing.assert_array_equal(seq[t].linear, f, strict=True)
+            assert np.signbit(seq[t].linear).tolist() == np.signbit(f).tolist()
         # each distinct cost vector is one object
         assert len({id(l) for l in seq}) == len({tuple(f) for f in want})
 
     @pytest.mark.parametrize("name,build,args,kw", SHARED_GENERATORS)
     def test_exact_variation_equals_point_form_at_origin(self, name, build, args, kw):
         seq = build()
-        d = seq.loss(1).linear.shape[0]
-        assert measure_egv_exact(seq) == measure_egv(seq, [np.zeros(d)] * seq.T)
+        d = seq[0].linear.shape[0]
+        assert measure_egv_exact(seq) == measure_egv(seq, [np.zeros(d)] * len(seq))

@@ -86,20 +86,27 @@ class TestDispatch:
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_missing_config_file_exits_2(self, tmp_path, capsys):
-        rc = main(["run", "penalty_impossibility", "--config",
-                   str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
+    @pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
+    def test_missing_config_file_exits_2(self, tmp_path, capsys, equals):
+        config = [f"--config={tmp_path / 'absent.cfg'}"] if equals else [
+            "--config", str(tmp_path / "absent.cfg")]
+        rc = main(["run", "penalty_impossibility", *config, "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "absent.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
     @pytest.mark.parametrize("jobs,cpus,want", [(64, 8, 3), (64, 2, 2), (2, 8, 2)])
     def test_jobs_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
-                                          jobs, cpus, want):
+                                          jobs, cpus, want, equals):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        rc = main(["run", "penalty_impossibility", "--T=10", "--seed", "1,2,3",
-                   "--jobs", str(jobs), "--out", str(tmp_path)])
+        flags = {"--seed": "1,2,3", "--jobs": str(jobs), "--out": str(tmp_path)}
+        args = ([f"{k}={v}" for k, v in flags.items()] if equals
+                else [a for kv in flags.items() for a in kv])
+        rc = main(["run", "penalty_impossibility", "--T=10", *args])
         assert rc == EXIT_OK
         assert pool_sizes == [want]
+        assert sorted(p.name for p in tmp_path.glob("*_?.csv")) == [
+            f"penalty_impossibility_{s}.csv" for s in (1, 2, 3)]
 
     @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"],
                                       ["--m_min=5", "--m_max=4", "--jobs", "2",
@@ -371,13 +378,21 @@ class TestConfigFile:
         parsed = parse_config_file(cfg)
         assert parsed == {"T": "500", "delta_penalty": "0.25"}
 
-    def test_cli_flag_overrides_file(self, tmp_path):
+    @pytest.mark.parametrize("flag_first", [False, True], ids=["file-first", "flag-first"])
+    @pytest.mark.parametrize("file_text,flags,seed", [
+        ("T = 500\n", ["--T=250"], 0),
+        ("T = 250\nseed = 3\n", ["--seed", "7"], 7),
+    ], ids=["T", "seed"])
+    def test_cli_flag_overrides_file(self, tmp_path, flag_first, file_text, flags, seed):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("T = 500\n")
-        rc = main(["run", "penalty_impossibility", "--config", str(cfg),
-                   "--T=250", "--out", str(tmp_path)])
+        cfg.write_text(file_text)
+        config = ["--config", str(cfg)]
+        args = flags + config if flag_first else config + flags
+        rc = main(["run", "penalty_impossibility", *args, "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        _, rows = read_csv(tmp_path / "penalty_impossibility_0.csv")
+        assert [p.name for p in tmp_path.glob("*_?.csv")] == [
+            f"penalty_impossibility_{seed}.csv"]
+        _, rows = read_csv(tmp_path / f"penalty_impossibility_{seed}.csv")
         assert rows[0][0] == "250"
 
     def test_bad_config_line(self, tmp_path):
@@ -408,6 +423,23 @@ class TestBenchmarkCoupling:
             cls = getattr(online, name, None)
             assert inspect.isclass(cls), name
             assert callable(getattr(cls, "observe", None)), name
+
+    def test_kernel_table_calls_each_kernel(self, monkeypatch):
+        # each kernel once on its first input, so a change that would crash
+        # `perfbench/run.py --trace 1` fails here
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import kernels
+        called = []
+
+        def once(fn, inputs):
+            called.append(fn(*inputs[0]))
+            return 0.0
+
+        monkeypatch.setattr(kernels, "_time_per_call_us", once)
+        table = kernels.kernel_table(0)
+        assert len(called) == len(table) == 7
+        assert set(table.values()) == {(0.0, "us")}
 
     def test_experiments_unpack_as_function_and_params(self):
         # perfbench/spans.py unpacks each entry as `fn, defaults`

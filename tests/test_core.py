@@ -1,4 +1,4 @@
-"""Foundations: projections, mirror maps, prox steps, clipping, oracles."""
+"""Foundations: projections, the entropy prox step, clipping, oracles."""
 
 import itertools
 import math
@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from smoothconvex.core import (_norm, ConfigurationError, Domain, DomainError,
                                InputError, MirrorMap, StepSchedule,
-                               UnsupportedDomainError, ball_projector, bregman,
+                               UnsupportedDomainError, ball_projector,
                                clip_component, dykstra, make_rng, project_ball,
                                project_l1_ball, project_simplex, project_two_balls,
-                               prox_map, prox_step,
-                               two_ball_projector)
+                               prox_step, two_ball_projector)
 from smoothconvex.problems import from_arrays
 
 import frozen_kernels
@@ -371,32 +370,6 @@ class TestProjector:
                 assert not np.shares_memory(got, base)
 
     @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
-    def test_euclidean_prox_map_matches_prox_step(self, dom):
-        rng = make_rng(11)
-        step = prox_map(MirrorMap.euclidean(), dom)
-        for _ in range(50):
-            z, g = rng.uniform(-2, 2, size=4), rng.standard_normal(4)
-            want = prox_step(MirrorMap.euclidean(), dom, z, g, 0.3)
-            assert step(z, g, 0.3).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dom", [Domain.simplex(4), Domain.box(np.zeros(4), np.ones(4)),
-                                     Domain.ball(1.0), Domain.l1_ball(1.0, dim=4)],
-                             ids=lambda d: d.kind)
-    def test_entropy_prox_map_matches_prox_step(self, dom):
-        rng = make_rng(12)
-        step = prox_map(MirrorMap.entropy(), dom)
-        for _ in range(10):
-            z, g = rng.uniform(0.05, 0.5, size=4), rng.standard_normal(4)
-            want = prox_step(MirrorMap.entropy(), dom, z, g, 0.7)
-            assert step(z, g, 0.7).tobytes() == want.tobytes()
-
-    def test_prox_map_refuses_at_bind(self):
-        with pytest.raises(UnsupportedDomainError):
-            prox_map(MirrorMap.entropy(), all_domains()[-1])
-        with pytest.raises(DomainError):
-            prox_map(MirrorMap.entropy(), Domain.box([-1.0], [1.0]))
-
-    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
     def test_project_refuses_a_matrix(self, dom):
         # the kernels take 1-D points: x.dot(x) of a matrix is a matrix product
         with pytest.raises(InputError, match="1-D"):
@@ -404,7 +377,7 @@ class TestProjector:
 
     def test_prox_step_checks_the_domain_dimension(self):
         with pytest.raises(InputError):
-            prox_step(MirrorMap.euclidean(), Domain.box(-np.ones(2), np.ones(2)),
+            prox_step(MirrorMap.entropy(), Domain.box(-np.ones(2), np.ones(2)),
                       np.zeros(3), np.zeros(3), 0.5)
 
 
@@ -431,62 +404,19 @@ class TestDykstraConvergence:
         assert np.array_equal(y, [0.8, 0.0, 0.0])
 
 
-class TestBregman:
-    def test_euclidean_half_squared_distance(self):
-        v = bregman(MirrorMap.euclidean(), np.array([1.0, 0.0]), np.zeros(2))
-        assert v == 0.5
-
-    def test_zero_at_equal_points(self):
-        for mm in (MirrorMap.euclidean(), MirrorMap.entropy()):
-            x = np.array([0.25, 0.75])
-            assert bregman(mm, x, x) == 0.0
-
-    def test_entropy_matches_kl(self):
-        # frozen from the independent KL evaluation sum p_i ln(p_i/q_i)
-        v = bregman(MirrorMap.entropy(), np.array([0.5, 0.5]), np.array([0.25, 0.75]))
-        want = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
-        assert abs(v - want) < 1e-12
-        assert abs(v - 0.14384103622589045) < 1e-12
-
-    def test_entropy_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            bregman(MirrorMap.entropy(), np.array([0.5, 0.5]), np.array([0.0, 1.0]))
-
-    @given(st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6),
-           st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6))
-    def test_nonnegative(self, xs, ys):
-        n = min(len(xs), len(ys))
-        x, y = np.array(xs[:n]), np.array(ys[:n])
-        for mm in (MirrorMap.euclidean(), MirrorMap.entropy()):
-            v = bregman(mm, x, y)
-            assert v >= -1e-12
-            d = x - y
-            if mm.kind == "euclidean":
-                assert v >= mm.alpha / 2 * float(d @ d) - 1e-12
-
-
 class TestProxStep:
-    def test_euclidean_is_projected_step(self):
-        dom = Domain.box([-10.0, -10.0], [10.0, 10.0])
-        out = prox_step(MirrorMap.euclidean(), dom, np.array([1.0, 1.0]),
-                        np.array([1.0, 0.0]), 0.5)
-        np.testing.assert_allclose(out, [0.5, 1.0], atol=1e-15)
-
-    def test_entropy_zero_gradient_fixed_point(self):
-        out = prox_step(MirrorMap.entropy(), Domain.simplex(2),
-                        np.array([0.5, 0.5]), np.zeros(2), 3.7)
-        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
+    """The Euclidean prox point is OMP's step, the projection of z − η·g;
+    the checked prox_step takes the entropy map on a ball only."""
 
     def test_ball_boundary_case_matches_grid(self):
         # frozen from a dense grid search over the unit disc at 1e-3
-        out = prox_step(MirrorMap.euclidean(), Domain.ball(1.0),
-                        np.array([0.9, 0.0]), np.array([-1.0, 0.0]), 0.5)
+        z, g, eta = np.array([0.9, 0.0]), np.array([-1.0, 0.0]), 0.5
+        out = Domain.ball(1.0).project(z - eta * g)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_grid_search_oracle_random_ball_instances(self):
         rng = make_rng(17)
         dom = Domain.ball(1.0)
-        mm = MirrorMap.euclidean()
         xs = np.linspace(-1, 1, 2001)
         X, Y = np.meshgrid(xs, xs)
         mask = X**2 + Y**2 <= 1.0
@@ -498,7 +428,7 @@ class TestProxStep:
             obj = np.where(mask, obj, np.inf)
             i, j = np.unravel_index(np.argmin(obj), obj.shape)
             grid_best = np.array([X[i, j], Y[i, j]])
-            out = prox_step(mm, dom, z, g, eta)
+            out = dom.project(z - eta * g)
             assert dom.contains(out, tol=1e-12)
             def value(v):
                 return eta * float(g @ v) + 0.5 * float((v - z) @ (v - z))
@@ -507,32 +437,21 @@ class TestProxStep:
             assert value(out) <= value(grid_best) + 1e-12
             assert np.linalg.norm(out - grid_best) <= 2e-2
 
-    def test_matches_projection_identity_on_random_instances(self):
-        rng = make_rng(18)
-        mm = MirrorMap.euclidean()
-        doms = all_domains()
-        for _ in range(500):
-            dom = doms[int(rng.integers(len(doms)))]
-            z = dom.sample(rng, dim=4)
-            g = rng.standard_normal(4)
-            eta = float(rng.uniform(0.01, 2.0))
-            a = prox_step(mm, dom, z, g, eta)
-            b = dom.project(z - eta * g)
-            assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_entropy_simplex_is_multiplicative_update(self):
-        z = np.array([0.2, 0.3, 0.5])
-        g = np.array([1.0, -0.5, 0.0])
-        eta = 0.7
-        out = prox_step(MirrorMap.entropy(), Domain.simplex(3), z, g, eta)
-        want = z * np.exp(-eta * g)
-        want /= want.sum()
-        np.testing.assert_allclose(out, want, atol=1e-14)
-
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ConfigurationError):
-            prox_step(MirrorMap.euclidean(), Domain.ball(1.0), np.zeros(2),
+            prox_step(MirrorMap.entropy(), Domain.ball(1.0), np.zeros(2),
                       np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("mm,dom", [
+        (MirrorMap("euclidean"), Domain.ball(1.0)),
+        (MirrorMap.entropy(), Domain.simplex(2)),
+        (MirrorMap.entropy(), Domain.box(np.zeros(2), np.ones(2))),
+        (MirrorMap.entropy(), Domain.l1_ball(1.0)),
+    ], ids=["euclidean-ball", "entropy-simplex", "entropy-box", "entropy-l1_ball"])
+    def test_other_maps_and_domains_refused(self, mm, dom):
+        with pytest.raises(UnsupportedDomainError, match=f"{mm.kind} map on {dom.kind}"):
+            prox_step(mm, dom, np.full(2, 0.5), np.ones(2), 0.5)
+
 
 class TestClip:
     def test_componentwise_formula(self):
@@ -587,32 +506,20 @@ class TestSchedulesAndOracles:
 
 class TestEntropyProxBisection:
     def test_norm_ball_projections_feasible_and_optimal(self):
-        from smoothconvex.core import bregman as breg
+        def kl(x, y):   # the entropy map's Bregman divergence
+            return float(np.sum(x * np.log(x / y)) - x.sum() + y.sum())
+
         rng = make_rng(23)
-        mm = MirrorMap.entropy()
         z = np.array([0.5, 0.8, 0.9])
         g = np.array([-2.0, -1.0, 0.5])
-        for dom in (Domain.ball(1.0), Domain.l1_ball(1.0, dim=3)):
-            out = prox_step(mm, dom, z, g, 0.8)
-            assert dom.contains(out, tol=1e-5)
-            val = 0.8 * float(g @ out) + breg(mm, out, z)
-            for _ in range(1000):
-                y = np.abs(rng.standard_normal(3)) + 1e-6
-                y = (y / np.linalg.norm(y) if dom.kind == "ball"
-                     else y / np.abs(y).sum()) * 0.999
-                assert 0.8 * float(g @ y) + breg(mm, y, z) >= val - 1e-6
-
-    def test_nonnegative_box_clamp(self):
-        out = prox_step(MirrorMap.entropy(), Domain.box([0.1, 0.1], [0.6, 0.6]),
-                        np.array([0.5, 0.5]), np.array([-3.0, 0.2]), 1.0)
-        assert out[0] == 0.6
-        assert 0.1 <= out[1] <= 0.6
-
-    def test_negative_box_rejected(self):
-        from smoothconvex.core import DomainError
-        with pytest.raises(DomainError):
-            prox_step(MirrorMap.entropy(), Domain.box([-1.0], [1.0]),
-                      np.array([0.5]), np.array([0.1]), 1.0)
+        dom = Domain.ball(1.0)
+        out = prox_step(MirrorMap.entropy(), dom, z, g, 0.8)
+        assert dom.contains(out, tol=1e-5)
+        val = 0.8 * float(g @ out) + kl(out, z)
+        for _ in range(1000):
+            y = np.abs(rng.standard_normal(3)) + 1e-6
+            y = y / np.linalg.norm(y) * 0.999
+            assert 0.8 * float(g @ y) + kl(y, z) >= val - 1e-6
 
 
 class TestProjectionProperties:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from smoothconvex.core import Domain, NumericError, make_rng
-from smoothconvex.adversary import LossSequence
 from smoothconvex.metrics import (CERTIFICATE_TOL, comparator_minimum, final_regret,
                                   loglog_slope, reference_optimum)
 from smoothconvex.online import RoundLoss
@@ -22,14 +21,14 @@ def linear(v):
 
 class TestRegret:
     def test_single_linear_loss_on_ball(self):
-        seq = LossSequence([linear([0.6, 0.8])])
+        seq = [linear([0.6, 0.8])]
         _, best = comparator_minimum(seq, Domain.ball(1.0))
         assert best == pytest.approx(-1.0)
 
     def test_quadratic_comparator_closed_form_vs_grid(self):
         rng = make_rng(0)
         centers = [rng.uniform(-1, 1, size=2) for _ in range(7)]
-        seq = LossSequence([RoundLoss.from_quadratic(c) for c in centers])
+        seq = [RoundLoss.from_quadratic(c) for c in centers]
         dom = Domain.ball(0.6)
         x_cf, v_cf = comparator_minimum(seq, dom)
         # grid cross-check: the points of a 601×601 grid that pass contains's
@@ -45,7 +44,7 @@ class TestRegret:
         # a linear loss attains its minimum over a polytope at a vertex
         rng = make_rng(2)
         vecs = [rng.uniform(-1, 1, size=3) for _ in range(5)]
-        seq = LossSequence([linear(v) for v in vecs])
+        seq = [linear(v) for v in vecs]
         total = np.sum(vecs, axis=0)
         lo, hi = np.array([-1.0, 0.0, 0.5]), np.array([2.0, 0.5, 1.5])
         for dom, vertices in [
@@ -59,7 +58,7 @@ class TestRegret:
     def test_final_matches_definition(self):
         rng = make_rng(1)
         vecs = [rng.uniform(-1, 1, size=2) for _ in range(9)]
-        seq = LossSequence([linear(v) for v in vecs])
+        seq = [linear(v) for v in vecs]
         decisions = [rng.uniform(-0.5, 0.5, size=2) for _ in range(9)]
         dom = Domain.ball(1.0)
         total = np.sum(vecs, axis=0)
@@ -158,16 +157,15 @@ class TestComparatorLimits:
     def test_mixed_linear_and_quadratic_rejected(self):
         # neither closed form applies to a sequence that mixes the two kinds
         from smoothconvex.core import UnsupportedDomainError
-        seq = LossSequence([
-            RoundLoss.from_linear(np.array([1.0, 0.0])),
-            RoundLoss.from_quadratic(np.array([0.0, 0.5]))])
+        seq = [RoundLoss.from_linear(np.array([1.0, 0.0])),
+               RoundLoss.from_quadratic(np.array([0.0, 0.5]))]
         with pytest.raises(UnsupportedDomainError, match="all-linear or all-quadratic"):
             comparator_minimum(seq, Domain.ball(1.0))
 
     def test_linear_without_linear_minimizer_rejected(self):
         # linear losses need the domain's linear-minimization routine
         from smoothconvex.core import UnsupportedDomainError
-        seq = LossSequence([RoundLoss.from_linear(np.array([1.0, -1.0]))] * 2)
+        seq = [RoundLoss.from_linear(np.array([1.0, -1.0]))] * 2
         cut = Domain.halfspace_cut(np.array([1.0, 1.0]), 0.5)
         with pytest.raises(UnsupportedDomainError, match="halfspace_cut"):
             comparator_minimum(seq, cut)

@@ -9,10 +9,9 @@ import pytest
 
 from smoothconvex import cli
 from smoothconvex.core import (ConfigurationError, Domain, InputError,
-                               MirrorMap, StepSchedule, UnsupportedDomainError,
-                               make_rng)
-from smoothconvex.adversary import (LossSequence, alternating_linear,
-                                    classification_stream, ftrl_adversary)
+                               StepSchedule, UnsupportedDomainError, make_rng)
+from smoothconvex.adversary import (alternating_linear, classification_stream,
+                                    ftrl_adversary)
 from smoothconvex.metrics import comparator_minimum, final_regret
 from smoothconvex.online import (OGD, OMP, IFTRL, BanditOMP, ConstraintSet,
                                  ExpertOMP, HingeClassifierPD, PenaltyOGD,
@@ -29,7 +28,7 @@ def linear(v):
 
 
 def const_seq(v, T):
-    return LossSequence([linear(v)] * T)
+    return [linear(v)] * T
 
 
 class TestOGD:
@@ -95,8 +94,7 @@ class TestIFTRL:
         T = 200
         egv = float(f @ f) + float((g - f) @ (g - f))
         lr = IFTRL(UNIT, L=1.0, eta=min(1.0, 1.0 / math.sqrt(egv)), dim=2)
-        losses = [linear(f)] * (T // 2) + [linear(g)] * (T // 2)
-        seq = LossSequence(losses)
+        seq = [linear(f)] * (T // 2) + [linear(g)] * (T // 2)
         for l in seq:
             lr.observe(l)
         measured = final_regret(lr.decisions, seq, UNIT)
@@ -144,8 +142,7 @@ class TestOMP:
         assert len(calls) == 10
 
     def test_entropy_single_round_multiplicative(self):
-        omp = OMP(Domain.simplex(3), L=1.0, eta=1.0,
-                  mirror_map=MirrorMap.entropy(), dim=3)
+        omp = ExpertOMP(3, eta=1.0)
         omp.observe(linear([1.0, 0.0, 0.0]))
         want = np.array([math.exp(-1.0), 1.0, 1.0])
         want /= want.sum()
@@ -163,6 +160,20 @@ class TestExpertOMP:
         e = ExpertOMP(2, eta=math.log(2.0))
         e.observe(np.array([1.0, 0.0]))
         np.testing.assert_allclose(e.z, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+
+    def test_zero_cost_is_a_fixed_point(self):
+        e = ExpertOMP(2, eta=3.7)
+        e.observe(np.zeros(2))
+        np.testing.assert_allclose(e.z, [0.5, 0.5], atol=1e-15)
+
+    def test_step_is_the_multiplicative_update(self):
+        z, f = np.array([0.2, 0.3, 0.5]), np.array([1.5, 0.0, 0.5])
+        e = ExpertOMP(3, eta=0.7)
+        e.z = z
+        e.observe(f)
+        want = z * np.exp(-0.7 * f)
+        want /= want.sum()
+        np.testing.assert_allclose(e.z, want, atol=1e-14)
 
     def test_normalization_exact(self):
         rng = make_rng(0)
@@ -345,7 +356,7 @@ class TestSoftConstraints:
         cons = ConstraintSet(funcs=[(lambda x: -1.0, lambda x: np.zeros(2))],
                              D=1.0, G=1.0, F=1.0)
         lr = SoftConstraintOGD(cons, T=100, R=1.0, dim=2, eta=0.1, delta=1.0)
-        lr.lam = np.array([0.2])
+        lr._lam = [0.2]
         lr.observe(linear(np.zeros(2)))
         # lam' = [0.2*(1 - 0.1*0.1*1... ) ...] with eta=0.1, delta=1, g=-1:
         # lam + eta*(g - eta*delta*lam) = 0.2 + 0.1*(-1 - 0.1*0.2) = 0.098
@@ -427,7 +438,7 @@ class TestSoftConstraints:
 
         want = frozen_kernels._soft_loop([linear(np.zeros(2))], terms, eta, delta,
                                          1.0, 2, 1)["lam"]
-        lr.lam = np.array([lam0])
+        lr._lam = [lam0]
         lr.observe(linear(np.zeros(2)))
         assert lr.lam.tobytes() == want.tobytes()
 
@@ -488,9 +499,7 @@ class TestEgvScalingInvariant:
 
 class TestGeneralNormTuning:
     def test_entropy_learner_with_tuned_eta_runs(self):
-        dom = Domain.simplex(4)
-        lr = OMP(dom, L=1.0, eta=0.3535533905932738, mirror_map=MirrorMap.entropy(),
-                 dim=4)
+        lr = ExpertOMP(4, eta=0.3535533905932738)
         rng = make_rng(12)
         for _ in range(50):
             lr.observe(linear(rng.uniform(0, 1, size=4)))
@@ -519,9 +528,9 @@ class TestRoundLossReadOnly:
 
     def test_shared_round_cannot_be_written_through(self):
         seq = alternating_linear(4.0, 10, 3)
-        assert seq.loss(1) is seq.loss(3)
+        assert seq[0] is seq[2]
         with pytest.raises(ValueError):
-            seq.loss(1).linear[0] = 1.0
+            seq[0].linear[0] = 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 37, 64])
     def test_values_equal_the_matmul_forms(self, n):
@@ -545,14 +554,13 @@ class TestRoundLossReadOnly:
         for l in seq:
             omp.observe(l)
         fresh = alternating_linear(4.0, 200, 3)
-        for t in range(1, 201):
-            np.testing.assert_array_equal(seq.loss(t).linear, fresh.loss(t).linear)
+        for t in range(200):
+            np.testing.assert_array_equal(seq[t].linear, fresh[t].linear)
 
 
 def _soft_rounds(T, radius=0.9):
-    return LossSequence([
-        RoundLoss.from_quadratic(radius * np.array([math.cos(0.01 * t), math.sin(0.01 * t)]))
-        for t in range(T)])
+    return [RoundLoss.from_quadratic(radius * np.array([math.cos(0.01 * t), math.sin(0.01 * t)]))
+            for t in range(T)]
 
 
 def _soft_cons():
@@ -576,7 +584,7 @@ def _priced_run(kind):
     elif kind == "ExpertOMP":
         rng = make_rng(4)
         c1, c2 = rng.uniform(0, 1, size=5), rng.uniform(0, 1, size=5)
-        seq = LossSequence([linear(c1)] * 150 + [linear(c2)] * 150)
+        seq = [linear(c1)] * 150 + [linear(c2)] * 150
         lr, dom = ExpertOMP(5, eta=0.4), Domain.simplex(5)
     else:
         seq = _soft_rounds(300)
@@ -788,8 +796,6 @@ def _recording_cases():
         "OGD": (lambda: OGD(UNIT, StepSchedule.constant(0.3), dim=d), mixed),
         "IFTRL": (lambda: IFTRL(UNIT, L=1.0, eta=0.3, dim=d), mixed),
         "OMP": (lambda: OMP(UNIT, L=1.0, eta=0.5, dim=d), mixed),
-        "OMP-entropy": (lambda: OMP(Domain.simplex(4), L=1.0, eta=0.5, dim=4,
-                                    mirror_map=MirrorMap.entropy()), experts),
         "ExpertOMP": (lambda: ExpertOMP(4, eta=0.5), experts),
         "BanditOMP": (lambda: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=d), quad),
         "SoftConstraintOGD": (lambda: SoftConstraintOGD(_soft_cons(), T, R=0.8, dim=2),

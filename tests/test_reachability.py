@@ -51,7 +51,6 @@ ALLOWED = {
     "core.HalfspaceCut.__init__": "criterion 11",
     "core.Box.projector": "criterion 11",
     "core.Box.projector.<locals>.<lambda>": "criterion 11: the box kernel",
-    "core.Simplex.projector": "criterion 11",
     "core.L1Ball.projector": "criterion 11",
     "core.HalfspaceCut.projector": "criterion 11",
     "core.HalfspaceCut._project": "criterion 11",
@@ -63,7 +62,6 @@ ALLOWED = {
     "core.L1Ball.sample": "criterion 11",
     "core.HalfspaceCut.sample": "criterion 11",
     "core.project_l1_ball": "criterion 11",
-    "core.project_simplex": "criterion 11; perfbench kernel table (ROADMAP item 1)",
     "stochastic.sgd": "criterion 11",
     "core.StepSchedule.inverse_sqrt": "criterion 11: sgd's schedule",
     "problems.FiniteSumProblem.stochastic_grad": "criterion 11; objective protocol",
@@ -94,19 +92,11 @@ ALLOWED = {
     "core.project_ball": "perfbench kernel table (ROADMAP item 1)",
     "core.project_two_balls": "perfbench kernel table (ROADMAP item 1)",
     "core.dykstra": "perfbench kernel table (ROADMAP item 1)",
+    "core.MirrorMap.entropy": "perfbench kernel table (ROADMAP item 1)",
     "core.prox_step": "perfbench kernel table (ROADMAP item 1)",
+    "core.prox_step.<locals>.candidate": "perfbench kernel table (ROADMAP item 1)",
     "problems.FiniteSumProblem.anchored_component_diff":
         "perfbench kernel table (ROADMAP item 1)",
-    # the entropy prox off the simplex goes with its kernel metric (ROADMAP item 1)
-    "core.prox_map.<locals>.unconstrained": "entropy prox, ROADMAP item 1",
-    "core.prox_map.<locals>.<lambda>[2]": "entropy prox on a box, ROADMAP item 1",
-    "core.prox_map.<locals>.<lambda>[3]": "entropy prox on a ball, ROADMAP item 1",
-    "core._entropy_norm_projection": "entropy prox, ROADMAP item 1",
-    "core._entropy_norm_projection.<locals>.<lambda>[1]": "entropy prox, ROADMAP item 1",
-    "core._entropy_norm_projection.<locals>.<lambda>[2]": "entropy prox, ROADMAP item 1",
-    "core._entropy_norm_projection.<locals>.candidate[1]": "entropy prox, ROADMAP item 1",
-    "core._entropy_norm_projection.<locals>.candidate[2]": "entropy prox, ROADMAP item 1",
-    "core.bregman": "the entropy map's divergence, ROADMAP item 1",
     # tests that check a thesis claim read these
     "problems.smoothed_hinge_value":
         "criterion 10's and test_problems' ψ oracles compare against it",
@@ -114,6 +104,7 @@ ALLOWED = {
     "core.StepSchedule.inverse_t": "sgd's 1/t schedule for strongly convex losses",
     # public protocol and plumbing
     "online.OGD.predict": "learner protocol: predict/observe",
+    "online.SoftConstraintOGD.lam": "the duals as an array (test_online's dual checks)",
     "problems.LabeledDataset.n": "a loaded dataset's shape (README: Data format)",
     "problems.LabeledDataset.d": "a loaded dataset's shape (README: Data format)",
     "cli.parse_config_file": "CLI plumbing: --config (test_cli)",
