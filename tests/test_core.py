@@ -14,6 +14,7 @@ from smoothconvex.core import (_norm, ConfigurationError, Domain, DomainError,
                                clip_component, dykstra, make_rng, project_ball,
                                project_l1_ball, project_simplex, project_two_balls,
                                prox_step, two_ball_projector)
+from smoothconvex.online import OMP
 from smoothconvex.problems import from_arrays
 
 import frozen_kernels
@@ -370,6 +371,16 @@ class TestProjector:
                 assert not np.shares_memory(got, base)
 
     @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
+    def test_omp_step_matches_checked_projection(self, dom):
+        # OMP's bound step is the checked projection of z − (η/L)·g, bit for bit
+        rng = make_rng(11)
+        omp = OMP(dom, L=2.0, eta=0.6, dim=4)
+        for _ in range(50):
+            z, g = rng.uniform(-2, 2, size=4), rng.standard_normal(4)
+            want = dom.project(z - 0.3 * g)
+            assert omp._prox(z, g).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
     def test_project_refuses_a_matrix(self, dom):
         # the kernels take 1-D points: x.dot(x) of a matrix is a matrix product
         with pytest.raises(InputError, match="1-D"):
@@ -408,6 +419,25 @@ class TestProxStep:
     """The Euclidean prox point is OMP's step, the projection of z − η·g;
     the checked prox_step takes the entropy map on a ball only."""
 
+    def test_euclidean_is_projected_step(self):
+        dom = Domain.box([-10.0, -10.0], [10.0, 10.0])
+        omp = OMP(dom, L=1.0, eta=0.5, dim=2)
+        out = omp._prox(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        np.testing.assert_allclose(out, [0.5, 1.0], atol=1e-15)
+
+    def test_entropy_zero_gradient_fixed_point(self):
+        z = np.array([0.5, 0.5])
+        out = prox_step(MirrorMap.entropy(), Domain.ball(1.0), z, np.zeros(2), 3.7)
+        np.testing.assert_allclose(out, z, atol=1e-15)
+
+    def test_entropy_inside_the_ball_is_multiplicative_update(self):
+        # z·exp(−ηg) lies inside the ball, so the KL projection leaves it
+        z, g, eta = np.array([0.2, 0.3, 0.5]), np.array([1.0, -0.5, 0.0]), 0.7
+        want = z * np.exp(-eta * g)
+        assert np.linalg.norm(want) < 1.0
+        out = prox_step(MirrorMap.entropy(), Domain.ball(1.0), z, g, eta)
+        np.testing.assert_allclose(out, want, atol=1e-14)
+
     def test_ball_boundary_case_matches_grid(self):
         # frozen from a dense grid search over the unit disc at 1e-3
         z, g, eta = np.array([0.9, 0.0]), np.array([-1.0, 0.0]), 0.5
@@ -436,6 +466,18 @@ class TestProxStep:
             # the prox objective then pins the argmin to within grid accuracy
             assert value(out) <= value(grid_best) + 1e-12
             assert np.linalg.norm(out - grid_best) <= 2e-2
+
+    def test_matches_projection_identity_on_random_instances(self):
+        rng = make_rng(18)
+        doms = all_domains()
+        for _ in range(500):
+            dom = doms[int(rng.integers(len(doms)))]
+            z = dom.sample(rng, dim=4)
+            g = rng.standard_normal(4)
+            eta = float(rng.uniform(0.01, 2.0))
+            a = OMP(dom, L=1.0, eta=eta, dim=4)._prox(z, g)
+            b = dom.project(z - eta * g)
+            assert np.max(np.abs(a - b)) < 1e-10
 
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ConfigurationError):

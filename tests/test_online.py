@@ -796,6 +796,7 @@ def _recording_cases():
         "OGD": (lambda: OGD(UNIT, StepSchedule.constant(0.3), dim=d), mixed),
         "IFTRL": (lambda: IFTRL(UNIT, L=1.0, eta=0.3, dim=d), mixed),
         "OMP": (lambda: OMP(UNIT, L=1.0, eta=0.5, dim=d), mixed),
+        "OMP-simplex": (lambda: OMP(Domain.simplex(4), L=1.0, eta=0.5, dim=4), experts),
         "ExpertOMP": (lambda: ExpertOMP(4, eta=0.5), experts),
         "BanditOMP": (lambda: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=d), quad),
         "SoftConstraintOGD": (lambda: SoftConstraintOGD(_soft_cons(), T, R=0.8, dim=2),
