@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import sys
 import time
 from types import MappingProxyType
@@ -527,15 +528,56 @@ def run(config: RunConfig) -> dict:
             "runtime_ms": runtime_ms}
 
 
-def _run_one(args) -> dict:
-    return run(RunConfig(**args))
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def ProcessPoolExecutor(max_workers):
-    """A pool of `max_workers` processes. Only `--jobs` with two or more seeds
-    starts one, so the pool modules are imported here and not with the CLI."""
-    from concurrent.futures import ProcessPoolExecutor as Pool
-    return Pool(max_workers=max_workers)
+def _run_seeds(tasks, workers: int) -> list:
+    """The summary rows of `tasks`, in order. This process runs tasks[0::workers];
+    each of workers − 1 forked children runs tasks[k::workers] and pipes back,
+    pickled, its rows up to its first failure and that exception. The first
+    failure in task order is raised, as a serial run raises it."""
+    def share(k, catch=Exception):
+        rows = []
+        for t in tasks[k::workers]:
+            try:
+                rows.append(run(t))
+            except catch as exc:
+                return rows + [exc]
+        return rows
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, shares = [], []
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:  # the child reports and exits, never returns
+                try:
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(share(k, BaseException)))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        shares.append(share(0))
+        for k, (_, pipe) in enumerate(children, 1):
+            data = pipe.read()
+            shares.append(pickle.loads(data) if data else [ChildProcessError(
+                f"the worker from seed {tasks[k].seed} on ended without a result")])
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if len(shares) < workers:  # stopped early: stop the children too
+                os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    rows = [shares[i % workers][i // workers] for i in range(len(tasks))
+            if i // workers < len(shares[i % workers])]
+    for row in rows:
+        if isinstance(row, BaseException):
+            raise row
+    return rows
 
 
 def write_summary(outdir: str, summaries) -> None:
@@ -588,7 +630,7 @@ def _main_inner(argv) -> int:
     experiment = argv[1]
     seed_text = None
     outdir = os.environ.get("SMOOTHCONVEX_OUT", "results")
-    jobs = 1
+    jobs = math.inf  # no cap: at most one worker per seed and per CPU
     from_files: dict = {}
     explicit: dict = {}
     i = 2
@@ -622,21 +664,16 @@ def _main_inner(argv) -> int:
     file_seed = overrides.pop("seed", "0")
     seeds = [_seed(s) for s in (file_seed if seed_text is None else seed_text).split(",")]
     resolve_params(experiment, overrides)  # every parameter error before any output
-    tasks = [{"experiment": experiment, "seed": s, "overrides": overrides,
-              "output_dir": outdir} for s in seeds]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            summaries = list(ex.map(_run_one, tasks))
-    else:
-        summaries = [_run_one(t) for t in tasks]
-    write_summary(outdir, summaries)
+    tasks = [RunConfig(experiment, s, overrides, outdir) for s in seeds]
+    write_summary(outdir, _run_seeds(tasks, min(jobs, len(tasks), usable_cpus())))
     return EXIT_OK
 
 
 def _usage() -> str:
     return ("usage: smoothconvex run <experiment> [--seed S[,S2,...]] "
             "[--config FILE] [--out DIR] [--jobs N] [--key=value ...]\n"
+            "seeds run in parallel, one process per seed and usable CPU at most; --jobs N caps\n"
+            "them and --jobs 1 runs serially. Only the calling process writes summary.csv.\n"
             "experiments: " + ", ".join(sorted(EXPERIMENTS)))
 
 

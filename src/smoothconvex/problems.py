@@ -159,7 +159,11 @@ class FiniteSumProblem:
         return base + 0.5 * self.lam_reg * float(w @ w)
 
     def full_grad(self, w: Point) -> Point:
-        return (self.X.T @ self.loss_coefs(w)) / self.n + self.lam_reg * w
+        return self.grad_from_coefs(w, self.loss_coefs(w))
+
+    def grad_from_coefs(self, w: Point, coefs: np.ndarray) -> Point:
+        """∇F(w) from coefs = loss_coefs(w), for a caller that already holds them."""
+        return (self.X.T @ coefs) / self.n + self.lam_reg * w
 
     def loss_coefs(self, w: Point) -> np.ndarray:
         """The n coefficients c_i with ∇f_i(w) = c_i·x_i + λ_reg·w, from one X @ w."""

@@ -432,8 +432,11 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     eta_0d = np.array(eta)  # 0-d: see mixed_grad
     center = np.zeros(problem.d)
     origin = np.zeros(problem.d)
+    # the probe's coefficients at each new anchor serve the next epoch: m + 1 in all
+    coefs = problem.loss_coefs(center) if probe_variance else None
     for k in range(1, m + 1):
-        g_full = problem.full_grad(center)
+        g_full = (problem.full_grad(center) if coefs is None
+                  else problem.grad_from_coefs(center, coefs))
         trace.calls_full += 1
         project = two_ball_projector(origin, R, center, Delta)
         diff = problem.anchored_diff(center)
@@ -450,9 +453,12 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
                "delta": Delta, "calls_full": trace.calls_full,
                "calls_stochastic": trace.calls_stochastic}
         if probe_variance:
-            probe = gradient_variance_probe(problem, new_center, center)
+            new_coefs = problem.loss_coefs(new_center)
+            probe = gradient_variance_probe(problem, new_center, center,
+                                            _coefs=(new_coefs, coefs))
             rec["variance_mixed"] = probe["mixed_var"]
             rec["variance_sgd"] = probe["sgd_var"]
+            coefs = new_coefs
         trace.add(**rec)
         center = new_center
         Delta /= math.sqrt(2.0)
@@ -460,7 +466,7 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     return trace
 
 
-def gradient_variance_probe(problem, point: Point, center: Point) -> dict:
+def gradient_variance_probe(problem, point: Point, center: Point, *, _coefs=None) -> dict:
     """Exact one-sample variances of the plain and anchored stochastic gradients.
 
     Both are full sums over the n components (no sampling): the plain variance
@@ -471,7 +477,7 @@ def gradient_variance_probe(problem, point: Point, center: Point) -> dict:
     """
     X, n = problem.X, problem.n
     blocks = row_blocks(n, problem.d)
-    coefs = problem.loss_coefs(point), problem.loss_coefs(center)
+    coefs = _coefs or (problem.loss_coefs(point), problem.loss_coefs(center))
     regs = problem.lam_reg * point, problem.lam_reg * center
     # one buffer: the block's gradient rows at point and at center, and squares
     gw, gc, sq = buf = np.empty((3, blocks[0].stop + 1, problem.d))

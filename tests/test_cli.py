@@ -28,24 +28,16 @@ def read_csv(path):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replaces cli's process pool with an in-process one and returns the
-    list of the worker counts it was built with."""
+    """Runs cli's seeds in this process and returns the list of the worker
+    counts `_run_seeds` was given."""
     seen = []
+    serial = cli._run_seeds
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    def recording(tasks, workers):
+        seen.append(workers)
+        return serial(tasks, 1)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_run_seeds", recording)
     return seen
 
 
@@ -95,11 +87,14 @@ class TestDispatch:
         assert "absent.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
-    @pytest.mark.parametrize("jobs,cpus,want", [(64, 8, 3), (64, 2, 2), (2, 8, 2)])
+    @pytest.mark.parametrize("jobs,cpus,want", [(64, 8, 3), (64, 2, 2), (2, 8, 2),
+                                                (None, 8, 3), (None, 2, 2), (1, 8, 1)])
     def test_jobs_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
                                           jobs, cpus, want, equals):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        flags = {"--seed": "1,2,3", "--jobs": str(jobs), "--out": str(tmp_path)}
+        # no --jobs: no cap beyond one worker per seed and per usable CPU
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        flags = {"--seed": "1,2,3", "--out": str(tmp_path),
+                 **({"--jobs": str(jobs)} if jobs else {})}
         args = ([f"{k}={v}" for k, v in flags.items()] if equals
                 else [a for kv in flags.items() for a in kv])
         rc = main(["run", "penalty_impossibility", "--T=10", *args])
@@ -113,7 +108,7 @@ class TestDispatch:
                                        "--seed", "0,1"]])
     def test_mixedgrad_rate_epoch_range_exits_2(self, tmp_path, capsys, monkeypatch,
                                                 pool_sizes, args):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         out = tmp_path / "out"
         rc = main(["run", "mixedgrad_rate", "--out", str(out), *args])
         assert rc == EXIT_CONFIG
@@ -341,15 +336,100 @@ class TestRunOutputs:
         _, rows = read_csv(tmp_path / "summary.csv")
         assert len(rows) == 3
 
-    def test_import_loads_no_process_pool(self):
-        # the pool modules cost every CLI process start-up; only --jobs uses them
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        # a taskset or cpuset run of an 8-CPU machine, pinned to CPUs 2 and 5
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert cli.usable_cpus() == 2
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli.usable_cpus() == 8
+
+    def test_forked_seeds_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)  # two forked children
+        small = ["--n=40", "--d=4", "--T=40", "--epochs=3", "--seed", "0,1,2"]
+        for out, jobs in (("forked", []), ("serial", ["--jobs", "1"])):
+            assert main(["run", "emgd_variance", *small, *jobs,
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        for seed in (0, 1, 2):
+            name = f"emgd_variance_{seed}.csv"
+            assert (tmp_path / "forked" / name).read_bytes() == (
+                tmp_path / "serial" / name).read_bytes()
+        forked, serial = (read_csv(tmp_path / out / "summary.csv")
+                          for out in ("forked", "serial"))
+        assert forked[0] == serial[0] and forked[0][-1] == "runtime_ms"
+        assert [r[:-1] for r in forked[1]] == [r[:-1] for r in serial[1]]
+        assert [r[1] for r in forked[1]] == ["0", "1", "2"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _fail_at(monkeypatch, failing, how):
+        """psi_transform_table, with each seed in `failing` ending by `how`."""
+        fn, params = EXPERIMENTS["psi_transform_table"]
+
+        def patched(seed, p):
+            if seed in failing:
+                how(seed)
+            return fn(seed, p)
+
+        monkeypatch.setitem(EXPERIMENTS, "psi_transform_table", (patched, params))
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("failing,named", [({1, 2}, 1), ({0, 1}, 0)])
+    def test_first_failing_seed_in_list_order_exits_3(self, tmp_path, monkeypatch,
+                                                      capsys, failing, named):
+        # seeds 0 and 2 run in this process, seed 1 in a forked child
+        def overflow(seed):
+            raise OverflowError(f"seed {seed} overflowed")
+
+        self._fail_at(monkeypatch, failing, overflow)
+        rc = main(["run", "psi_transform_table", "--seed", "0,1,2", "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            f"numeric failure: psi_transform_table seed={named}: seed {named} overflowed\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_ending_without_a_result_exits_2(self, tmp_path, monkeypatch, capsys):
+        self._fail_at(monkeypatch, {1}, lambda seed: os._exit(1))
+        rc = main(["run", "psi_transform_table", "--seed", "0,1", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "seed 1 " in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_stops_and_reaps_the_children(self, tmp_path, monkeypatch):
+        def interrupt_or_hang(seed):
+            if seed == 0:
+                time.sleep(0.2)  # let the child start its seed
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        self._fail_at(monkeypatch, {0, 1}, interrupt_or_hang)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "psi_transform_table", "--seed", "0,1", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_import_loads_no_process_pool(self, tmp_path):
+        # the pool modules cost every CLI process start-up; a multi-seed run
+        # forks its workers without them
         src = Path(cli.__file__).resolve().parents[1]
-        probe = ("import sys, smoothconvex.cli; print(sorted(m for m in sys.modules"
-                 " if m in ('multiprocessing', 'concurrent.futures')))")
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        probe = ("import sys, smoothconvex.cli as cli\n"
+                 "watch = ('multiprocessing', 'concurrent.futures')\n"
+                 "seen = [sorted(m for m in watch if m in sys.modules)]\n"
+                 "cli.usable_cpus = lambda: 2\n"
+                 "argv = ['run', 'penalty_impossibility', '--T=10', '--seed', '0,1']\n"
+                 "assert cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
+                 "seen.append(sorted(m for m in watch if m in sys.modules))\n"
+                 "print(seen)\n")
+        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
                               timeout=60, check=True)
-        assert done.stdout == "[]\n"
+        assert done.stdout.splitlines()[-1] == "[[], []]"
 
     def test_solver_run_loads_neither_dataclasses_nor_the_online_chapter(self, tmp_path):
         # both cost every CLI process start-up; the online experiments import

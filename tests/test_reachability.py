@@ -109,7 +109,6 @@ ALLOWED = {
     "problems.LabeledDataset.d": "a loaded dataset's shape (README: Data format)",
     "cli.parse_config_file": "CLI plumbing: --config (test_cli)",
     "cli._usage": "CLI plumbing: --help (test_cli)",
-    "cli.ProcessPoolExecutor": "CLI plumbing: --jobs with two or more seeds (test_cli)",
 }
 
 

@@ -647,13 +647,13 @@ class TestVarianceProbe:
     def test_emgd_probe_columns_equal_the_probe_at_end_and_anchor(self):
         data = synthetic_classification(50, 4, seed=24, row_norm=1.0)
         prob = logistic_problem(data, lam=1e-2)
-        centers = []
-        full_grad = prob.full_grad
-        prob.full_grad = lambda w: centers.append(w.copy()) or full_grad(w)
+        points = []
+        loss_coefs = prob.loss_coefs
+        prob.loss_coefs = lambda w: points.append(w.copy()) or loss_coefs(w)
         tr = emgd(prob, Domain.ball(2.0), seed=2, T1=200, m=5, probe_variance=True)
-        # epoch k runs from centers[k] to ends[k]
-        ends = centers[1:] + [tr.final_point]
-        for rec, center, end in zip(tr.records, centers, ends, strict=True):
+        # one X @ w per anchor, m + 1 in all: epoch k runs from points[k] to points[k + 1]
+        assert len(points) == 6 and points[-1].tobytes() == tr.final_point.tobytes()
+        for rec, center, end in zip(tr.records, points[:-1], points[1:], strict=True):
             probe = gradient_variance_probe(prob, end, center)
             assert rec["variance_mixed"].hex() == probe["mixed_var"].hex()
             assert rec["variance_sgd"].hex() == probe["sgd_var"].hex()
