@@ -362,9 +362,11 @@ def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
 
 
 def _best_hinge(examples: np.ndarray, R: float) -> float:
-    """Least total hinge loss of the (T, 2) examples over the radius-R disc:
-    a grid of step 0.05·R, then a grid of step 0.002·R within ±0.06·R of its
-    best point, so the number of points tried does not grow with R."""
+    """A grid estimate, from above, of the least total hinge loss of the
+    (T, 2) examples over the radius-R disc: the best point of a grid of step
+    0.05·R, then of a grid of step 0.002·R within ±0.06·R of it, so the number
+    of points tried does not grow with R.  It can miss the minimum: at the
+    defaults, seed 7, it gives 672.9035 where the least is 668.6204."""
 
     def total(w):
         return float(np.sum(np.maximum(0.0, 1.0 - examples @ w)))

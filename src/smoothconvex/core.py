@@ -72,9 +72,9 @@ class StepSchedule:
     def __init__(self, kind: str, c: float):
         if c <= 0:
             raise ConfigurationError("schedule constant must be positive")
-        if kind not in ("constant", "inverse_sqrt", "inverse_t"):
+        if kind not in ("constant", "inverse_sqrt"):
             raise ConfigurationError(f"unknown schedule kind {kind!r}")
-        self.kind = kind  # constant | inverse_sqrt | inverse_t
+        self.kind = kind
         self.c = c
 
     def at(self, t: int) -> float:
@@ -82,9 +82,7 @@ class StepSchedule:
             raise InputError("schedule index starts at t=1")
         if self.kind == "constant":
             return self.c
-        if self.kind == "inverse_sqrt":
-            return self.c / math.sqrt(t)
-        return self.c / t
+        return self.c / math.sqrt(t)
 
     @classmethod
     def constant(cls, eta: float) -> "StepSchedule":
@@ -93,10 +91,6 @@ class StepSchedule:
     @classmethod
     def inverse_sqrt(cls, c: float) -> "StepSchedule":
         return cls("inverse_sqrt", c)
-
-    @classmethod
-    def inverse_t(cls, c: float) -> "StepSchedule":
-        return cls("inverse_t", c)
 
 
 # ---------------------------------------------------------------------------

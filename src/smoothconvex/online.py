@@ -175,8 +175,6 @@ class OGD(BaseLearner):
 
     def __init__(self, domain: Domain, schedule: StepSchedule, dim: int | None = None):
         super().__init__(dim, domain)
-        self.domain = domain
-        self.schedule = schedule
         self.x = domain.project(np.zeros(self.dim))
         self.t = 0
         self._project = domain.projector()
@@ -214,7 +212,6 @@ class IFTRL(BaseLearner):
             raise ConfigurationError("smoothness L must be positive")
         if domain.kind not in _LEADER_KINDS:
             raise UnsupportedDomainError(f"no closed-form leader solve for {domain.kind}")
-        self.domain, self.L, self.eta = domain, L, eta
         d = self.dim
         self.z = domain.project(np.zeros(d))
         self.grad_sum = np.zeros(d)
@@ -246,7 +243,6 @@ class OMP(BaseLearner):
             raise ConfigurationError("eta must be positive")
         if L <= 0:
             raise ConfigurationError("smoothness L must be positive")
-        self.domain, self.L, self.eta = domain, L, eta
         self.z = domain.project(np.zeros(self.dim))
         self.prev_grad = np.zeros(self.dim)
         self._project = domain.projector()

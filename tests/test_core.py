@@ -522,7 +522,6 @@ class TestSchedulesAndOracles:
     def test_schedule_values(self):
         assert StepSchedule.constant(0.3).at(7) == 0.3
         assert StepSchedule.inverse_sqrt(2.0).at(4) == 1.0
-        assert StepSchedule.inverse_t(3.0).at(3) == 1.0
         with pytest.raises(ConfigurationError):
             StepSchedule.constant(0.0)
 

@@ -101,7 +101,6 @@ ALLOWED = {
     "problems.smoothed_hinge_value":
         "criterion 10's and test_problems' ψ oracles compare against it",
     "stochastic.gd": "the GD baseline of the mixed chapter's claim (ROADMAP item 6)",
-    "core.StepSchedule.inverse_t": "sgd's 1/t schedule for strongly convex losses",
     # public protocol and plumbing
     "online.OGD.predict": "learner protocol: predict/observe",
     "online.SoftConstraintOGD.lam": "the duals as an array (test_online's dual checks)",
