@@ -10,6 +10,12 @@ contain commas); identical config+seed produces byte-identical files.
 
 The online chapter (`online`, `adversary`) is imported by the experiments
 that run it, on their first call, so a solver run never loads it.
+
+`--jobs N` caps every process a run uses: with C = min(N, usable CPUs), W =
+min(C, seeds) processes run the seeds, and each seed's experiment may split its
+independent parts over C // W (`gv_regret_sweep`, `soft_constraints`,
+`ogd_vs_omp_adversary` and `expert_switch` split), all through `_fork_map`. An
+experiment called directly gets `workers=1` and runs serially.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ class RunConfig(NamedTuple):
     seed: int = 0
     overrides: dict = MappingProxyType({})  # read-only: resolve_params only reads it
     output_dir: str = "results"
+
+    def __str__(self) -> str:  # how a failure message names the run
+        return f"{self.experiment} seed {self.seed}"
 
 
 class ExperimentResult(NamedTuple):
@@ -79,7 +88,7 @@ def write_csv(path: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
+def exp_emgd_variance(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     data = problems.synthetic_classification(p["n"], p["d"], seed=7,
                                              row_norm=p["row_norm"])
     prob = problems.logistic_problem(data, lam=p["lam"])
@@ -96,7 +105,7 @@ def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
                             slope=metrics.loglog_slope(np.arange(1, len(vm) + 1), vm))
 
 
-def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
+def exp_mixedgrad_rate(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     m_min, m_max = p["m_min"], p["m_max"]
     data = problems.synthetic_regression(p["n"], p["d"], seed=11, noise=0.3,
                                          row_norm=1.0)
@@ -123,7 +132,7 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     return ExperimentResult(rows, final_metric=subs[-1], slope=slope)
 
 
-def exp_clippedsgd_target(seed: int, p: dict) -> ExperimentResult:
+def exp_clippedsgd_target(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     prob = problems.onedim_target_risk_problem(p["delta"])
     target = p["target_factor"] * prob.eps_opt
     tr = stochastic.clipped_sgd(prob, Domain.ball(1.0), seed=seed, m=p["stages"],
@@ -144,7 +153,7 @@ def _oneproj_setup(p):
     return obj, dom, ref["F"]
 
 
-def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
+def exp_oneproj_general(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, subs, Ts = [], [], []
     for T in p["T_grid"]:
@@ -158,7 +167,7 @@ def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
                             slope=metrics.loglog_slope(Ts, subs))
 
 
-def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
+def exp_oneproj_strong(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, ratios = [], []
     for T in p["T_grid"]:
@@ -171,57 +180,60 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
     return ExperimentResult(rows, final_metric=max(ratios) / min(ratios))
 
 
-def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
+def _regret(learner, losses, best: float) -> float:
+    """`learner`'s regret after a round on each of `losses`, against the best
+    fixed point's total loss `best`; the learner prices its own decisions."""
+    for l in losses:
+        learner.observe(l)
+    return sum(learner.loss_values) - best
+
+
+def exp_gv_regret_sweep(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     from . import adversary, online
     T, d, egvs = p["T"], p["d"], p["egv_grid"]
     dom = Domain.ball(1.0)
-    rows, regs = [], []
-    for egv in egvs:
+
+    def level(egv):  # one grid level, independent of the others
         seq = adversary.alternating_linear(egv, T, d)
         measured = adversary.measure_egv_exact(seq)
         omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, measured), dim=d)
         ift = online.IFTRL(dom, L=1.0, eta=min(1.0, 1.0 / math.sqrt(measured)), dim=d)
-        for l in seq:
-            omp.observe(l)
-            ift.observe(l)
-        # each learner already priced its decisions: regret = Σ loss_values − best
         _, best = metrics.comparator_minimum(seq, dom)
-        r_omp = sum(omp.loss_values) - best
-        r_ift = sum(ift.loss_values) - best
-        rows.append({"egv": measured, "regret": r_omp, "regret_iftrl": r_ift})
-        regs.append(max(r_omp, 1e-12))
+        return {"egv": measured, "regret": _regret(omp, seq, best),
+                "regret_iftrl": _regret(ift, seq, best)}
+
+    rows = _fork_map(level, egvs, workers)
+    regs = [max(r["regret"], 1e-12) for r in rows]
     return ExperimentResult(rows, final_metric=regs[-1] / regs[0],
                             slope=metrics.loglog_slope(egvs, regs))
 
 
-def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
+def exp_ogd_vs_omp_adversary(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     from . import adversary, online
     T, eta = p["T"], p["eta_ogd"]
     seq = adversary.ftrl_adversary(eta, T, gv_target=p["gv_target"])
     dom = Domain.ball(1.0)
-    ogd = online.OGD(dom, StepSchedule.constant(eta), dim=1)
-    for l in seq:
-        ogd.observe(l)
     egv = adversary.measure_egv_exact(seq)
+    ogd = online.OGD(dom, StepSchedule.constant(eta), dim=1)
     omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, egv), dim=1)
-    for l in seq:
-        omp.observe(l)
     _, best = metrics.comparator_minimum(seq, dom)
-    r_ogd = sum(ogd.loss_values) - best
-    r_omp = sum(omp.loss_values) - best
+    r_ogd, r_omp = _fork_map(lambda lr: _regret(lr, seq, best), [ogd, omp], workers)
     margin = r_ogd - 5.0 * r_omp  # nonnegative iff the 5x separation holds
     rows = [{"egv": egv, "regret": r_ogd, "regret_omp": r_omp, "margin": margin}]
     return ExperimentResult(rows, final_metric=margin)
 
 
-def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
+def exp_expert_switch(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     from . import adversary, online
     T = p["T"]
     rng = make_rng(seed)
-    rows, worst = [], 0.0
-    for m in p["m_grid"]:
-        c1 = rng.uniform(0.0, 1.0, size=m)
-        c2 = rng.uniform(0.0, 1.0, size=m)
+    # every m's costs drawn first, in grid order, so the grid points can split
+    costs = [(rng.uniform(0.0, 1.0, size=m), rng.uniform(0.0, 1.0, size=m))
+             for m in p["m_grid"]]
+
+    def point(i):
+        c1, c2 = costs[i]
+        m = len(c1)
         losses = [online.RoundLoss.from_linear(c1)] * (T // 2)
         losses += [online.RoundLoss.from_linear(c2)] * (T - T // 2)
         egv_inf = adversary.measure_egv_inf(losses)
@@ -233,14 +245,16 @@ def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
         for l, v in zip(losses, learner.loss_values):
             total += l.linear
             learner_loss += v
-        regret = learner_loss - float(total.min())
         bound = math.sqrt(2.0 * egv_inf * math.log(m))
-        rows.append({"iter": m, "egv": egv_inf, "regret": regret, "bound": bound})
-        worst = max(worst, regret / bound)
+        return {"iter": m, "egv": egv_inf, "regret": learner_loss - float(total.min()),
+                "bound": bound}
+
+    rows = _fork_map(point, range(len(costs)), workers)
+    worst = max([0.0] + [r["regret"] / r["bound"] for r in rows])
     return ExperimentResult(rows, final_metric=worst)
 
 
-def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
+def exp_bandit_estimate(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     from . import online
     rows, worst = [], 0.0
     T = p["T"]
@@ -284,20 +298,19 @@ def _soft_instance(seed: int, p: dict):
     return losses, cons, T, R
 
 
-def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
+def exp_soft_constraints(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     from . import online
     losses, cons, T, R = _soft_instance(seed, p)
     dom_true = Domain.ball(p["constraint_radius"])
     soft = online.SoftConstraintOGD(cons, T, R=R, dim=2)
     zero = online.ZeroViolationOGD(cons, T, R=R, dim=2)
-    for l in losses:
-        soft.observe(l)
-        zero.observe(l)
     _, best = metrics.comparator_minimum(losses, dom_true)
-    reg_soft = sum(soft.loss_values) - best
-    reg_zero = sum(zero.loss_values) - best
-    viol_soft = float(np.sum(soft.violations[:, 0]))
-    viol_zero = float(np.sum(zero.raw_violations))
+
+    def play(lr):  # one learner's regret and summed violations
+        regret = _regret(lr, losses, best)
+        return regret, float(np.sum(lr.violations[:, 0] if lr is soft else lr.raw_violations))
+
+    (reg_soft, viol_soft), (reg_zero, viol_zero) = _fork_map(play, [soft, zero], workers)
     a, delta = soft.a, soft.delta
     m = cons.m
     reg_bound = a * math.sqrt(T)
@@ -313,7 +326,7 @@ def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
                                                    viol_soft / viol_bound))
 
 
-def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
+def exp_penalty_impossibility(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     from . import online
     T = p["T"]
     v = np.array([1.0, 0.0])
@@ -329,7 +342,7 @@ def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
     return ExperimentResult(rows, final_metric=viol / T)
 
 
-def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
+def exp_psi_transform_table(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     rows = []
     for gamma in p["gamma_grid"]:
         for eta in [round(0.1 * k, 1) for k in range(1, 10)]:
@@ -338,7 +351,7 @@ def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
     return ExperimentResult(rows, final_metric=rows[-1]["psi"])
 
 
-def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
+def exp_hinge_mistakes(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
     from . import adversary, online
     T = p["T"]
     # d = 2: the comparator search below covers a 2-D grid
@@ -505,20 +518,23 @@ def resolve_params(experiment: str, overrides: dict) -> dict:
     return resolved
 
 
-def run(config: RunConfig) -> dict:
+def run(config: RunConfig, workers: int = 1) -> dict:
     """Execute one experiment run; returns the summary row.  A seed outside
-    0..SEED_MAX is refused, as on the command line."""
+    0..SEED_MAX is refused, as on the command line.  An experiment with
+    independent parts maps them on up to `workers` processes."""
     seed = _seed(config.seed, "seed")
     params = resolve_params(config.experiment, config.overrides)
     fn, _ = EXPERIMENTS[config.experiment]
     where = f"{config.experiment} seed={seed}"
     t0 = time.perf_counter()
     try:
-        result = fn(seed, params)
+        result = fn(seed, params, workers=workers)
     except (ArithmeticError, NumericError, np.linalg.LinAlgError) as exc:
         # a float `**` that overflows raises OverflowError(errno, text)
         overflow = isinstance(exc, OverflowError) and len(exc.args) == 2
         raise NumericError(f"{where}: {exc.args[1] if overflow else exc}") from exc
+    except ChildProcessError as exc:  # a worker on its parts died
+        raise ChildProcessError(f"{where}: {exc}") from exc
     runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))
     if not math.isfinite(result.final_metric):
         raise NumericError(f"{where}: non-finite final metric")
@@ -535,25 +551,47 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_seeds(tasks, workers: int) -> list:
-    """The summary rows of `tasks`, in order. This process runs tasks[0::workers];
-    each of workers − 1 forked children runs tasks[k::workers] and pipes back,
-    pickled, its rows up to its first failure and that exception. The first
-    failure in task order is raised, as a serial run raises it."""
-    def share(k, catch=Exception):
-        rows = []
-        for t in tasks[k::workers]:
-            try:
-                rows.append(run(t))
-            except catch as exc:
-                return rows + [exc]
-        return rows
+def _blas_threads(n: int) -> int | None:
+    """Set numpy's bundled OpenBLAS to `n` threads and return the count it had;
+    None, changing nothing, where numpy has no bundled OpenBLAS."""
+    import ctypes
+    import glob
+    found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                   "libscipy_openblas64_*.so"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(found[0])  # the copy numpy loaded: dlopen shares it
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    threads = get()
+    put(n)
+    return threads
 
+
+def _fork_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], on W = min(workers, len(items)) processes. This
+    process maps items[0::W]; each of W − 1 forked children maps items[k::W]
+    and pipes back, pickled, its results up to its first failure and that
+    exception. The first failure in item order is raised, as a serial map
+    raises it. While the children run, numpy's OpenBLAS runs one thread in
+    each process."""
+    W = min(workers, len(items))
+
+    def share(k, catch=Exception):
+        out = []
+        for x in items[k::W]:
+            try:
+                out.append(fn(x))
+            except catch as exc:
+                return out + [exc]
+        return out
+
+    threads = _blas_threads(1) if W > 1 else None
     sys.stdout.flush()
     sys.stderr.flush()
     children, shares = [], []
     try:
-        for k in range(1, workers):
+        for k in range(1, W):
             read_fd, write_fd = os.pipe()
             if (pid := os.fork()) == 0:  # the child reports and exits, never returns
                 try:
@@ -567,19 +605,21 @@ def _run_seeds(tasks, workers: int) -> list:
         for k, (_, pipe) in enumerate(children, 1):
             data = pipe.read()
             shares.append(pickle.loads(data) if data else [ChildProcessError(
-                f"the worker from seed {tasks[k].seed} on ended without a result")])
+                f"the worker from {items[k]} on ended without a result")])
     finally:
         for pid, pipe in children:
             pipe.close()
-            if len(shares) < workers:  # stopped early: stop the children too
+            if len(shares) < W:  # stopped early: stop the children too
                 os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    rows = [shares[i % workers][i // workers] for i in range(len(tasks))
-            if i // workers < len(shares[i % workers])]
-    for row in rows:
-        if isinstance(row, BaseException):
-            raise row
-    return rows
+        if threads is not None:
+            _blas_threads(threads)
+    results = [shares[i % W][i // W] for i in range(len(items))
+               if i // W < len(shares[i % W])]
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results
 
 
 def write_summary(outdir: str, summaries) -> None:
@@ -667,15 +707,20 @@ def _main_inner(argv) -> int:
     seeds = [_seed(s) for s in (file_seed if seed_text is None else seed_text).split(",")]
     resolve_params(experiment, overrides)  # every parameter error before any output
     tasks = [RunConfig(experiment, s, overrides, outdir) for s in seeds]
-    write_summary(outdir, _run_seeds(tasks, min(jobs, len(tasks), usable_cpus())))
+    # --jobs caps every process: W run the seeds, each with cpus // W for its parts
+    cpus = min(jobs, usable_cpus())
+    W = min(cpus, len(tasks))
+    write_summary(outdir, _fork_map(lambda task: run(task, cpus // W), tasks, W))
     return EXIT_OK
 
 
 def _usage() -> str:
     return ("usage: smoothconvex run <experiment> [--seed S[,S2,...]] "
             "[--config FILE] [--out DIR] [--jobs N] [--key=value ...]\n"
-            "seeds run in parallel, one process per seed and usable CPU at most; --jobs N caps\n"
-            "them and --jobs 1 runs serially. Only the calling process writes summary.csv.\n"
+            "seeds run in parallel, one process per seed and usable CPU at most, and the\n"
+            "CPUs they leave split the parts of gv_regret_sweep, soft_constraints,\n"
+            "ogd_vs_omp_adversary and expert_switch; --jobs N caps all these processes and\n"
+            "--jobs 1 runs serially. Only the calling process writes summary.csv.\n"
             "experiments: " + ", ".join(sorted(EXPERIMENTS)))
 
 

@@ -18,6 +18,9 @@ from smoothconvex.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXPERIMENTS,
                               run)
 from smoothconvex.problems import psi_transform
 
+from test_reachability import SMALL
+from test_references import REFERENCE
+
 
 def read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -28,16 +31,17 @@ def read_csv(path):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Runs cli's seeds in this process and returns the list of the worker
-    counts `_run_seeds` was given."""
+    """Runs every fork map of cli in this process and returns the list of the
+    worker counts they were given: the seeds' map first, then each seed's
+    map of its experiment's parts."""
     seen = []
-    serial = cli._run_seeds
+    serial = cli._fork_map
 
-    def recording(tasks, workers):
+    def recording(fn, items, workers):
         seen.append(workers)
-        return serial(tasks, 1)
+        return serial(fn, items, 1)
 
-    monkeypatch.setattr(cli, "_run_seeds", recording)
+    monkeypatch.setattr(cli, "_fork_map", recording)
     return seen
 
 
@@ -87,21 +91,29 @@ class TestDispatch:
         assert "absent.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
-    @pytest.mark.parametrize("jobs,cpus,want", [(64, 8, 3), (64, 2, 2), (2, 8, 2),
-                                                (None, 8, 3), (None, 2, 2), (1, 8, 1)])
+    @pytest.mark.parametrize("jobs,cpus,seeds,want,parts", [
+        *(pytest.param(jobs, cpus, "1,2,3", want, parts, id=f"{jobs}-{cpus}-{want}")
+          for jobs, cpus, want, parts in [(64, 8, 3, 2), (64, 2, 2, 1), (2, 8, 2, 1),
+                                          (None, 8, 3, 2), (None, 2, 2, 1), (1, 8, 1, 1)]),
+        pytest.param(None, 2, "0", 1, 2, id="one-seed"),
+        pytest.param(None, 2, "0,1", 2, 1, id="two-seeds"),
+        pytest.param(1, 2, "0", 1, 1, id="one-seed-jobs-1")])
     def test_jobs_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
-                                          jobs, cpus, want, equals):
-        # no --jobs: no cap beyond one worker per seed and per usable CPU
+                                          jobs, cpus, seeds, want, parts, equals):
+        # no --jobs: no cap beyond one worker per seed and per usable CPU; each
+        # seed's parts may use the CPUs the seeds leave
         monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-        flags = {"--seed": "1,2,3", "--out": str(tmp_path),
+        flags = {"--seed": seeds, "--out": str(tmp_path),
                  **({"--jobs": str(jobs)} if jobs else {})}
         args = ([f"{k}={v}" for k, v in flags.items()] if equals
                 else [a for kv in flags.items() for a in kv])
-        rc = main(["run", "penalty_impossibility", "--T=10", *args])
+        rc = main(["run", "soft_constraints", "--T=10", *args])
         assert rc == EXIT_OK
-        assert pool_sizes == [want]
+        n = len(seeds.split(","))
+        assert pool_sizes == [want] + [parts] * n
+        assert want * parts <= min(cpus, jobs or cpus)
         assert sorted(p.name for p in tmp_path.glob("*_?.csv")) == [
-            f"penalty_impossibility_{s}.csv" for s in (1, 2, 3)]
+            f"soft_constraints_{s}.csv" for s in seeds.split(",")]
 
     @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"],
                                       ["--m_min=5", "--m_max=4", "--jobs", "2",
@@ -184,7 +196,7 @@ class TestDispatch:
     def test_numeric_exception_kinds_exit_3(self, tmp_path, capsys, monkeypatch, exc):
         # every ArithmeticError, LinAlgError and NumericError an experiment
         # raises is mapped
-        def fail(seed, params):
+        def fail(seed, params, workers=1):
             raise exc
         monkeypatch.setitem(EXPERIMENTS, "psi_transform_table",
                             (fail, EXPERIMENTS["psi_transform_table"][1]))
@@ -244,7 +256,7 @@ class TestDispatch:
 
     def test_other_exceptions_are_not_numeric_failures(self, tmp_path, monkeypatch):
         # the mapping is narrow: a program fault still surfaces as itself
-        def fail(seed, params):
+        def fail(seed, params, workers=1):
             raise KeyError("rows")
         monkeypatch.setitem(EXPERIMENTS, "psi_transform_table",
                             (fail, EXPERIMENTS["psi_transform_table"][1]))
@@ -362,15 +374,114 @@ class TestRunOutputs:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("experiment,args,parts", [
+        ("gv_regret_sweep", SMALL["gv_regret_sweep"], 2),
+        ("gv_regret_sweep", ["--T=20", "--d=2", "--egv_grid=1;4;16"], 3),
+        ("soft_constraints", SMALL["soft_constraints"], 2),
+        ("ogd_vs_omp_adversary", SMALL["ogd_vs_omp_adversary"], 2),
+        ("expert_switch", ["--T=20", "--m_grid=4;16;8"], 3)])
+    def test_forked_parts_write_the_serial_bytes(self, tmp_path, monkeypatch, experiment,
+                                                 args, parts, cpus):
+        # one seed: its experiment's parts fork, up to one process per CPU and part
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(cli.os, "fork", counted)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        name = f"{experiment}_0.csv"
+        for out, jobs, want in (("forked", [], min(cpus, parts) - 1),
+                                ("serial", ["--jobs", "1"], 0)):
+            forks.clear()
+            assert main(["run", experiment, *args, *jobs, "--seed", "0",
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+            assert len(forks) == want, out
+        forked = (tmp_path / "forked" / name).read_bytes()
+        assert forked == (tmp_path / "serial" / name).read_bytes()
+        if args == SMALL[experiment]:
+            assert forked == (REFERENCE / name).read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _gv_failing_at(monkeypatch, failing, how):
+        """gv_regret_sweep on 2 CPUs, with each grid level in `failing`
+        ending by `how`."""
+        from smoothconvex import adversary
+        level = adversary.alternating_linear
+
+        def patched(egv, T, d):
+            if egv in failing:
+                how(egv)
+            return level(egv, T, d)
+
+        monkeypatch.setattr(adversary, "alternating_linear", patched)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("failing,named", [({4.0, 16.0}, 4.0), ({1.0, 4.0}, 1.0)])
+    def test_first_failing_part_in_item_order_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                      failing, named):
+        # levels 1 and 16 run in this process, level 4 in a forked child
+        def fail(egv):
+            raise NumericError(f"level {egv} failed")
+
+        self._gv_failing_at(monkeypatch, failing, fail)
+        rc = main(["run", "gv_regret_sweep", "--T=20", "--d=2", "--egv_grid=1;4;16",
+                   "--seed", "5", "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            f"numeric failure: gv_regret_sweep seed=5: level {named} failed\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_part_worker_ending_without_a_result_exits_2(self, tmp_path, monkeypatch,
+                                                         capsys):
+        self._gv_failing_at(monkeypatch, {4.0}, lambda egv: os._exit(1))
+        rc = main(["run", "gv_regret_sweep", "--T=20", "--d=2", "--egv_grid=1;4;16",
+                   "--seed", "5", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: gv_regret_sweep seed=5: the worker from "
+                                           "4.0 on ended without a result\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forked_shares_run_one_blas_thread(self):
+        before = cli._blas_threads(2)
+        if before is None:
+            pytest.skip("numpy has no bundled OpenBLAS here")
+        a = np.ones((256, 256))
+
+        def threads(_):
+            # where /proc lists them, the process's threads after a product
+            # large enough for OpenBLAS to use all it may; then its count
+            a @ a
+            task = "/proc/self/task"
+            tasks = len(os.listdir(task)) if os.path.isdir(task) else 1
+            return cli._blas_threads(1), tasks
+
+        try:
+            got = cli._fork_map(threads, [0, 1, 2], 3)
+            assert [count for count, _ in got] == [1, 1, 1]
+            assert [tasks for _, tasks in got[1:]] == [1, 1]  # the forked children
+            assert cli._blas_threads(2) == 2  # the calling process's count is back
+            assert cli._fork_map(lambda _: cli._blas_threads(2), [0], 3) == [2]  # no fork
+        finally:
+            cli._blas_threads(before)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @staticmethod
     def _fail_at(monkeypatch, failing, how):
         """psi_transform_table, with each seed in `failing` ending by `how`."""
         fn, params = EXPERIMENTS["psi_transform_table"]
 
-        def patched(seed, p):
+        def patched(seed, p, workers=1):
             if seed in failing:
                 how(seed)
-            return fn(seed, p)
+            return fn(seed, p, workers)
 
         monkeypatch.setitem(EXPERIMENTS, "psi_transform_table", (patched, params))
         monkeypatch.setattr(cli, "usable_cpus", lambda: 2)

@@ -108,6 +108,8 @@ ALLOWED = {
     "problems.LabeledDataset.d": "a loaded dataset's shape (README: Data format)",
     "cli.parse_config_file": "CLI plumbing: --config (test_cli)",
     "cli._usage": "CLI plumbing: --help (test_cli)",
+    "cli._blas_threads": "the fork map's one BLAS thread per process (test_cli)",
+    "cli.RunConfig.__str__": "names the run of a worker that died (test_cli)",
 }
 
 
@@ -155,7 +157,9 @@ def reached(tmp_path_factory) -> set:
     sys.setprofile(hook)
     try:
         for name, args in SMALL.items():
-            rc = cli.main(["run", name, "--seed", "0", "--out", str(out), *args])
+            # --jobs 1: the hook sees this process only, not a forked worker
+            rc = cli.main(["run", name, "--seed", "0", "--jobs", "1", "--out", str(out),
+                           *args])
             assert rc == cli.EXIT_OK, name
         os.chdir(out)
         namespace: dict = {}
