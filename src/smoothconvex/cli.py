@@ -11,7 +11,7 @@ contain commas); identical config+seed produces byte-identical files.
 The online chapter (`online`, `adversary`) is imported by the experiments
 that run it, on their first call, so a solver run never loads it.
 
-`--jobs N` caps every process a run uses: with C = min(N, usable CPUs), W =
+A run's process budget is C = `usable_cpus()`, its affinity mask: W =
 min(C, seeds) processes run the seeds, and each seed's experiment may split its
 independent parts over C // W (`gv_regret_sweep`, `soft_constraints`,
 `ogd_vs_omp_adversary` and `expert_switch` split), all through `_fork_map`. An
@@ -20,6 +20,7 @@ experiment called directly gets `workers=1` and runs serially.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -238,15 +239,9 @@ def exp_expert_switch(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
         losses += [online.RoundLoss.from_linear(c2)] * (T - T // 2)
         egv_inf = adversary.measure_egv_inf(losses)
         learner = online.ExpertOMP(m, eta=online.ExpertOMP.tuned_eta(m, egv_inf))
-        for l in losses:
-            learner.observe(l)
-        total = np.zeros(m)
-        learner_loss = 0.0
-        for l, v in zip(losses, learner.loss_values):
-            total += l.linear
-            learner_loss += v
+        _, best = metrics.comparator_minimum(losses, Domain.simplex(m))
         bound = math.sqrt(2.0 * egv_inf * math.log(m))
-        return {"iter": m, "egv": egv_inf, "regret": learner_loss - float(total.min()),
+        return {"iter": m, "egv": egv_inf, "regret": _regret(learner, losses, best),
                 "bound": bound}
 
     rows = _fork_map(point, range(len(costs)), workers)
@@ -547,25 +542,27 @@ def run(config: RunConfig, workers: int = 1) -> dict:
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one; 1 where it cannot fork, so every map runs serially."""
+    if not hasattr(os, "fork"):
+        return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _blas_threads(n: int) -> int | None:
-    """Set numpy's bundled OpenBLAS to `n` threads and return the count it had;
-    None, changing nothing, where numpy has no bundled OpenBLAS."""
+@functools.cache
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, once a process: set again
+    after a fork, it starts a server thread that spins for OpenBLAS's timeout.
+    A forked child inherits both the count and this cache. Nothing where numpy
+    has no bundled OpenBLAS."""
     import ctypes
     import glob
     found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                    "libscipy_openblas64_*.so"))
-    if not found:
-        return None
-    lib = ctypes.CDLL(found[0])  # the copy numpy loaded: dlopen shares it
-    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-    threads = get()
-    put(n)
-    return threads
+    if found:  # the copy numpy loaded: dlopen shares it
+        put = ctypes.CDLL(found[0]).scipy_openblas_set_num_threads64_
+        put.argtypes, put.restype = [ctypes.c_int], None
+        put(1)
 
 
 def _fork_map(fn, items, workers: int) -> list:
@@ -573,8 +570,8 @@ def _fork_map(fn, items, workers: int) -> list:
     process maps items[0::W]; each of W − 1 forked children maps items[k::W]
     and pipes back, pickled, its results up to its first failure and that
     exception. The first failure in item order is raised, as a serial map
-    raises it. While the children run, numpy's OpenBLAS runs one thread in
-    each process."""
+    raises it. Before it forks, this process sets numpy's OpenBLAS to one
+    thread for good, so each process runs one."""
     W = min(workers, len(items))
 
     def share(k, catch=Exception):
@@ -586,7 +583,8 @@ def _fork_map(fn, items, workers: int) -> list:
                 return out + [exc]
         return out
 
-    threads = _blas_threads(1) if W > 1 else None
+    if W > 1:
+        _one_blas_thread()  # here, not in a child: there it would start a thread pool
     sys.stdout.flush()
     sys.stderr.flush()
     children, shares = [], []
@@ -612,8 +610,6 @@ def _fork_map(fn, items, workers: int) -> list:
             if len(shares) < W:  # stopped early: stop the children too
                 os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-        if threads is not None:
-            _blas_threads(threads)
     results = [shares[i % W][i // W] for i in range(len(items))
                if i // W < len(shares[i % W])]
     for r in results:
@@ -672,14 +668,13 @@ def _main_inner(argv) -> int:
     experiment = argv[1]
     seed_text = None
     outdir = os.environ.get("SMOOTHCONVEX_OUT", "results")
-    jobs = math.inf  # no cap: at most one worker per seed and per CPU
     from_files: dict = {}
     explicit: dict = {}
     i = 2
     while i < len(argv):
         arg = argv[i]
         flag, eq, value = arg.partition("=")
-        if flag in ("--seed", "--config", "--out", "--jobs"):
+        if flag in ("--seed", "--config", "--out"):
             # `--flag value` or `--flag=value`, the same either way
             if not eq:
                 if i + 1 == len(argv):
@@ -690,12 +685,8 @@ def _main_inner(argv) -> int:
                 seed_text = value
             elif flag == "--config":
                 from_files.update(parse_config_file(value))
-            elif flag == "--out":
-                outdir = value
             else:
-                jobs = _int(flag, value)
-                if jobs < 1:
-                    raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
+                outdir = value
         elif arg.startswith("--") and eq:
             explicit[flag[2:]] = value
         else:
@@ -707,8 +698,8 @@ def _main_inner(argv) -> int:
     seeds = [_seed(s) for s in (file_seed if seed_text is None else seed_text).split(",")]
     resolve_params(experiment, overrides)  # every parameter error before any output
     tasks = [RunConfig(experiment, s, overrides, outdir) for s in seeds]
-    # --jobs caps every process: W run the seeds, each with cpus // W for its parts
-    cpus = min(jobs, usable_cpus())
+    # W processes run the seeds, each with cpus // W for its parts
+    cpus = usable_cpus()
     W = min(cpus, len(tasks))
     write_summary(outdir, _fork_map(lambda task: run(task, cpus // W), tasks, W))
     return EXIT_OK
@@ -716,11 +707,12 @@ def _main_inner(argv) -> int:
 
 def _usage() -> str:
     return ("usage: smoothconvex run <experiment> [--seed S[,S2,...]] "
-            "[--config FILE] [--out DIR] [--jobs N] [--key=value ...]\n"
+            "[--config FILE] [--out DIR] [--key=value ...]\n"
             "seeds run in parallel, one process per seed and usable CPU at most, and the\n"
             "CPUs they leave split the parts of gv_regret_sweep, soft_constraints,\n"
-            "ogd_vs_omp_adversary and expert_switch; --jobs N caps all these processes and\n"
-            "--jobs 1 runs serially. Only the calling process writes summary.csv.\n"
+            "ogd_vs_omp_adversary and expert_switch; the affinity mask caps all these\n"
+            "processes, and `taskset -c 0 smoothconvex run ...` runs serially. Only the\n"
+            "calling process writes summary.csv.\n"
             "experiments: " + ", ".join(sorted(EXPERIMENTS)))
 
 

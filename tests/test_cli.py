@@ -1,5 +1,6 @@
 """Runner surface: dispatch, exit codes, CSV format, determinism, config files."""
 
+import glob
 import inspect
 import os
 import subprocess
@@ -27,6 +28,14 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return header, rows
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test, no forked worker is left running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -70,9 +79,6 @@ class TestDispatch:
         ["--seed", "1,x"],
         ["--seed=x"],
         ["--seed"],
-        ["--jobs"],
-        ["--jobs", "two"],
-        ["--jobs", "0"],
         ["--config"],
         ["--seed", "-1"],
         ["--seed", "18446744073709551616"],
@@ -81,6 +87,17 @@ class TestDispatch:
         rc = main(["run", "penalty_impossibility", "--out", str(tmp_path), *args])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args,message", [
+        (["--jobs", "2"], "unrecognized argument '--jobs'"),
+        (["--jobs=2"], "unknown key 'jobs'; valid keys: T, d, egv_grid")],
+        ids=["space", "equals"])
+    def test_jobs_flag_is_refused(self, tmp_path, capsys, args, message):
+        # the affinity mask caps a run's processes; no flag does
+        rc = main(["run", "gv_regret_sweep", *args, "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
     def test_missing_config_file_exits_2(self, tmp_path, capsys, equals):
@@ -91,33 +108,31 @@ class TestDispatch:
         assert "absent.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("equals", [False, True], ids=["space", "equals"])
-    @pytest.mark.parametrize("jobs,cpus,seeds,want,parts", [
-        *(pytest.param(jobs, cpus, "1,2,3", want, parts, id=f"{jobs}-{cpus}-{want}")
-          for jobs, cpus, want, parts in [(64, 8, 3, 2), (64, 2, 2, 1), (2, 8, 2, 1),
-                                          (None, 8, 3, 2), (None, 2, 2, 1), (1, 8, 1, 1)]),
-        pytest.param(None, 2, "0", 1, 2, id="one-seed"),
-        pytest.param(None, 2, "0,1", 2, 1, id="two-seeds"),
-        pytest.param(1, 2, "0", 1, 1, id="one-seed-jobs-1")])
-    def test_jobs_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
-                                          jobs, cpus, seeds, want, parts, equals):
-        # no --jobs: no cap beyond one worker per seed and per usable CPU; each
-        # seed's parts may use the CPUs the seeds leave
+    @pytest.mark.parametrize("cpus,seeds,want,parts", [
+        *(pytest.param(cpus, "1,2,3", want, parts, id=f"{cpus}-{want}")
+          for cpus, want, parts in [(8, 3, 2), (4, 3, 1), (3, 3, 1), (2, 2, 1), (1, 1, 1)]),
+        pytest.param(2, "0", 1, 2, id="one-seed"),
+        pytest.param(3, "0", 1, 3, id="one-seed-three-cpus"),
+        pytest.param(2, "0,1", 2, 1, id="two-seeds"),
+        pytest.param(1, "0", 1, 1, id="one-seed-one-cpu")])
+    def test_workers_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
+                                              cpus, seeds, want, parts, equals):
+        # one worker per seed and per usable CPU at most; each seed's parts
+        # may use the CPUs the seeds leave
         monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-        flags = {"--seed": seeds, "--out": str(tmp_path),
-                 **({"--jobs": str(jobs)} if jobs else {})}
+        flags = {"--seed": seeds, "--out": str(tmp_path)}
         args = ([f"{k}={v}" for k, v in flags.items()] if equals
                 else [a for kv in flags.items() for a in kv])
         rc = main(["run", "soft_constraints", "--T=10", *args])
         assert rc == EXIT_OK
         n = len(seeds.split(","))
         assert pool_sizes == [want] + [parts] * n
-        assert want * parts <= min(cpus, jobs or cpus)
+        assert want * parts <= cpus
         assert sorted(p.name for p in tmp_path.glob("*_?.csv")) == [
             f"soft_constraints_{s}.csv" for s in seeds.split(",")]
 
     @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"],
-                                      ["--m_min=5", "--m_max=4", "--jobs", "2",
-                                       "--seed", "0,1"]])
+                                      ["--m_min=5", "--m_max=4", "--seed", "0,1"]])
     def test_mixedgrad_rate_epoch_range_exits_2(self, tmp_path, capsys, monkeypatch,
                                                 pool_sizes, args):
         monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
@@ -341,13 +356,6 @@ class TestRunOutputs:
         assert rc == EXIT_OK
         assert time.perf_counter() - start < 10.0
 
-    def test_jobs_parallel_seeds(self, tmp_path):
-        rc = main(["run", "penalty_impossibility", "--seed", "1,2,3", "--jobs", "3",
-                   "--out", str(tmp_path)])
-        assert rc == EXIT_OK
-        _, rows = read_csv(tmp_path / "summary.csv")
-        assert len(rows) == 3
-
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         # a taskset or cpuset run of an 8-CPU machine, pinned to CPUs 2 and 5
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
@@ -356,11 +364,34 @@ class TestRunOutputs:
         monkeypatch.delattr(cli.os, "sched_getaffinity")
         assert cli.usable_cpus() == 8
 
+    @pytest.mark.parametrize("how", ["mask-of-one", "no-fork"])
+    def test_one_usable_cpu_runs_serially(self, tmp_path, monkeypatch, how):
+        # `taskset -c 3 smoothconvex run ...`, or an OS without os.fork: no map
+        # forks, and each CSV is the bytes of a serial run
+        forks, fork = [], getattr(os, "fork", None)
+        if how == "no-fork":
+            monkeypatch.delattr(cli.os, "fork", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+            monkeypatch.setattr(cli.os, "fork", lambda: forks.append(1) or fork())
+        assert cli.usable_cpus() == 1
+        for experiment, seeds in (("emgd_variance", "0,1"), ("gv_regret_sweep", "0")):
+            args = SMALL[experiment]
+            assert main(["run", experiment, *args, "--seed", seeds,
+                         "--out", str(tmp_path / "cli")]) == EXIT_OK
+            overrides = dict(a[2:].split("=", 1) for a in args)
+            for seed in map(int, seeds.split(",")):
+                run(RunConfig(experiment, seed, overrides, str(tmp_path / "serial")))
+                name = f"{experiment}_{seed}.csv"
+                assert (tmp_path / "cli" / name).read_bytes() == (
+                    tmp_path / "serial" / name).read_bytes()
+        assert forks == []
+
     def test_forked_seeds_write_the_serial_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)  # two forked children
         small = ["--n=40", "--d=4", "--T=40", "--epochs=3", "--seed", "0,1,2"]
-        for out, jobs in (("forked", []), ("serial", ["--jobs", "1"])):
-            assert main(["run", "emgd_variance", *small, *jobs,
+        for out, cpus in (("forked", 3), ("serial", 1)):  # 3: two forked children
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            assert main(["run", "emgd_variance", *small,
                          "--out", str(tmp_path / out)]) == EXIT_OK
         for seed in (0, 1, 2):
             name = f"emgd_variance_{seed}.csv"
@@ -371,8 +402,6 @@ class TestRunOutputs:
         assert forked[0] == serial[0] and forked[0][-1] == "runtime_ms"
         assert [r[:-1] for r in forked[1]] == [r[:-1] for r in serial[1]]
         assert [r[1] for r in forked[1]] == ["0", "1", "2"]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("experiment,args,parts", [
@@ -391,20 +420,17 @@ class TestRunOutputs:
             return fork()
 
         monkeypatch.setattr(cli.os, "fork", counted)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         name = f"{experiment}_0.csv"
-        for out, jobs, want in (("forked", [], min(cpus, parts) - 1),
-                                ("serial", ["--jobs", "1"], 0)):
+        for out, usable, want in (("forked", cpus, min(cpus, parts) - 1), ("serial", 1, 0)):
             forks.clear()
-            assert main(["run", experiment, *args, *jobs, "--seed", "0",
+            monkeypatch.setattr(cli, "usable_cpus", lambda: usable)
+            assert main(["run", experiment, *args, "--seed", "0",
                          "--out", str(tmp_path / out)]) == EXIT_OK
             assert len(forks) == want, out
         forked = (tmp_path / "forked" / name).read_bytes()
         assert forked == (tmp_path / "serial" / name).read_bytes()
         if args == SMALL[experiment]:
             assert forked == (REFERENCE / name).read_bytes()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def _gv_failing_at(monkeypatch, failing, how):
@@ -434,8 +460,6 @@ class TestRunOutputs:
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == (
             f"numeric failure: gv_regret_sweep seed=5: level {named} failed\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_part_worker_ending_without_a_result_exits_2(self, tmp_path, monkeypatch,
                                                          capsys):
@@ -445,33 +469,32 @@ class TestRunOutputs:
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == ("error: gv_regret_sweep seed=5: the worker from "
                                            "4.0 on ended without a result\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(
+        not glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                   "libscipy_openblas64_*.so"))
+        or not os.path.isdir("/proc/self/task") or cli.usable_cpus() < 2,
+        reason="needs numpy's bundled OpenBLAS, /proc's thread list and 2 CPUs")
     def test_forked_shares_run_one_blas_thread(self):
-        before = cli._blas_threads(2)
-        if before is None:
-            pytest.skip("numpy has no bundled OpenBLAS here")
-        a = np.ones((256, 256))
-
-        def threads(_):
-            # where /proc lists them, the process's threads after a product
-            # large enough for OpenBLAS to use all it may; then its count
-            a @ a
-            task = "/proc/self/task"
-            tasks = len(os.listdir(task)) if os.path.isdir(task) else 1
-            return cli._blas_threads(1), tasks
-
-        try:
-            got = cli._fork_map(threads, [0, 1, 2], 3)
-            assert [count for count, _ in got] == [1, 1, 1]
-            assert [tasks for _, tasks in got[1:]] == [1, 1]  # the forked children
-            assert cli._blas_threads(2) == 2  # the calling process's count is back
-            assert cli._fork_map(lambda _: cli._blas_threads(2), [0], 3) == [2]  # no fork
-        finally:
-            cli._blas_threads(before)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        # a fresh process whose OpenBLAS runs 2 threads maps on 3 processes;
+        # each counts its threads after a product large enough for OpenBLAS
+        # to use all it may, and the caller counts its own after the map too
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import os, numpy as np, smoothconvex.cli as cli\n"
+                 "a = np.ones((256, 256))\n"
+                 "def threads(_=None):\n"
+                 "    a @ a\n"
+                 "    return len(os.listdir('/proc/self/task'))\n"
+                 "before = threads()\n"
+                 "shares = cli._fork_map(threads, [0, 1, 2], 3)\n"
+                 "print(before, shares[1:], threads())\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src),
+                                       OPENBLAS_NUM_THREADS="2"),
+                              timeout=60, check=True)
+        # before: this thread and OpenBLAS's; each forked share and, after the
+        # map, the caller run this thread alone
+        assert done.stdout == "2 [1, 1] 1\n"
 
     @staticmethod
     def _fail_at(monkeypatch, failing, how):
@@ -498,16 +521,12 @@ class TestRunOutputs:
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == (
             f"numeric failure: psi_transform_table seed={named}: seed {named} overflowed\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_worker_ending_without_a_result_exits_2(self, tmp_path, monkeypatch, capsys):
         self._fail_at(monkeypatch, {1}, lambda seed: os._exit(1))
         rc = main(["run", "psi_transform_table", "--seed", "0,1", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "seed 1 " in capsys.readouterr().err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_interrupt_stops_and_reaps_the_children(self, tmp_path, monkeypatch):
         def interrupt_or_hang(seed):
@@ -521,8 +540,6 @@ class TestRunOutputs:
         with pytest.raises(KeyboardInterrupt):
             main(["run", "psi_transform_table", "--seed", "0,1", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_import_loads_no_process_pool(self, tmp_path):
         # the pool modules cost every CLI process start-up; a multi-seed run

@@ -85,7 +85,6 @@ ALLOWED = {
     "core.HalfspaceCut.C2": "test_final_point_feasible_or_domain_refused",
     # the comparator's linear minimum on each kind (test_metrics)
     "core.Box.linear_minimizer": "test_metrics: the comparator on each kind",
-    "core.Simplex.linear_minimizer": "test_metrics: the comparator on each kind",
     "core.L1Ball.linear_minimizer": "test_metrics: the comparator on each kind",
     "core.Domain.linear_minimizer": "test_metrics: the comparator refuses a halfspace cut",
     # perfbench's kernel table times these (ROADMAP item 1)
@@ -108,7 +107,7 @@ ALLOWED = {
     "problems.LabeledDataset.d": "a loaded dataset's shape (README: Data format)",
     "cli.parse_config_file": "CLI plumbing: --config (test_cli)",
     "cli._usage": "CLI plumbing: --help (test_cli)",
-    "cli._blas_threads": "the fork map's one BLAS thread per process (test_cli)",
+    "cli._one_blas_thread": "the fork map pins OpenBLAS before it forks (test_cli)",
     "cli.RunConfig.__str__": "names the run of a worker that died (test_cli)",
 }
 
@@ -154,20 +153,22 @@ def reached(tmp_path_factory) -> set:
                                       encoding="utf-8")
     blocks = test_readme.library_use_blocks()
     cwd = os.getcwd()
-    sys.setprofile(hook)
-    try:
-        for name, args in SMALL.items():
-            # --jobs 1: the hook sees this process only, not a forked worker
-            rc = cli.main(["run", name, "--seed", "0", "--jobs", "1", "--out", str(out),
-                           *args])
-            assert rc == cli.EXIT_OK, name
-        os.chdir(out)
-        namespace: dict = {}
-        for block in blocks:
-            exec(compile(block, "README.md", "exec"), namespace)
-    finally:
-        sys.setprofile(None)
-        os.chdir(cwd)
+    # one usable CPU, as under `taskset -c 0`: the hook sees this process
+    # only, not a forked worker, so every map runs here
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        sys.setprofile(hook)
+        try:
+            for name, args in SMALL.items():
+                rc = cli.main(["run", name, "--seed", "0", "--out", str(out), *args])
+                assert rc == cli.EXIT_OK, name
+            os.chdir(out)
+            namespace: dict = {}
+            for block in blocks:
+                exec(compile(block, "README.md", "exec"), namespace)
+        finally:
+            sys.setprofile(None)
+            os.chdir(cwd)
     functions = _functions()
     keys = {(str(Path(f).resolve()), line) for f, line in calls}
     return {functions[key] for key in keys if key in functions}
