@@ -9,6 +9,11 @@ every cost vector and center is read-only, so no learner can change one round
 through another.  classification_stream returns no losses: its examples are
 the rows of one read-only (T, d) array.  Every generator refuses T < 1 and
 d < 1 with InputError.
+
+The closed-form variation measures (measure_egv_exact's linear branch,
+measure_egv_inf) price each distinct pair of consecutive RoundLoss objects
+once and add the terms in round order, so a sequence built from a few shared
+rounds costs a dict lookup a round, with the float sum unchanged.
 """
 
 from __future__ import annotations
@@ -132,6 +137,43 @@ def measure_egv(sequence: list, probe_points) -> float:
     return total
 
 
+def _pair_sum(sequence: list, term) -> float:
+    """Σ_t term(prev, cur) over the rounds in order, prev None for round 1
+    and the round before otherwise.  Each distinct (prev, cur) pair of
+    RoundLoss objects, which hash by identity, is priced once; the cached
+    terms add in round order, so the total is the float that pricing every
+    round gives."""
+    terms: dict = {}
+    total, prev = 0.0, None
+    for cur in sequence:
+        key = (prev, cur)
+        v = terms.get(key)
+        if v is None:
+            v = terms[key] = term(prev, cur)
+        total += v
+        prev = cur
+    return total
+
+
+def _linear_sq(prev, cur) -> float:
+    """‖f_t − f_{t−1}‖² of two linear rounds, f_0 ≡ 0."""
+    f = cur.linear
+    d = f - (np.zeros_like(f) if prev is None else prev.linear)
+    return float(d.dot(d))
+
+
+def _inf_sq(prev, cur) -> float:
+    """‖f_t − f_{t−1}‖∞² of two linear rounds, f_0 ≡ 0."""
+    f = cur.linear
+    if f is None:
+        raise InputError("infinity-norm variation needs linear losses")
+    p = np.zeros_like(f) if prev is None else prev.linear
+    # ‖·‖∞ by the array methods, which skip np.max's dispatch; the square is
+    # taken on the numpy scalar, since Python's pow and numpy's square need
+    # not round alike
+    return float(abs(f - p).max() ** 2)
+
+
 def measure_egv_exact(sequence: list) -> float:
     """Sup-form gradual variation for families whose gradient differences do
     not depend on the probe point (all-linear or all-quadratic losses), so the
@@ -139,13 +181,7 @@ def measure_egv_exact(sequence: list) -> float:
     is refused with InputError: its differences do depend on the probe."""
     if all(l.linear is not None for l in sequence):
         # ∇f_t(y) = linear for every y: measure_egv's terms without the probes
-        total, prev = 0.0, np.zeros_like(sequence[0].linear)
-        for l in sequence:
-            f = l.linear
-            d = f - prev
-            total += float(d.dot(d))
-            prev = f
-        return total
+        return _pair_sum(sequence, _linear_sq)
     if all(l.quad_center is not None for l in sequence):
         origin = np.zeros_like(sequence[0].quad_center)
         return measure_egv(sequence, [origin] * len(sequence))
@@ -154,17 +190,4 @@ def measure_egv_exact(sequence: list) -> float:
 
 def measure_egv_inf(sequence: list) -> float:
     """Infinity-norm gradual variation for linear losses over experts."""
-    total = 0.0
-    prev = None
-    for l in sequence:
-        if l.linear is None:
-            raise InputError("infinity-norm variation needs linear losses")
-        f = l.linear
-        p = np.zeros_like(f) if prev is None else prev
-        # ‖·‖∞ by the array methods, which skip np.max's dispatch; the square
-        # is taken on the numpy scalar, since Python's pow and numpy's square
-        # need not round alike
-        total += float(abs(f - p).max() ** 2)
-        prev = f
-    return total
-
+    return _pair_sum(sequence, _inf_sq)

@@ -14,8 +14,9 @@ that run it, on their first call, so a solver run never loads it.
 A run's process budget is C = `usable_cpus()`, its affinity mask: W =
 min(C, seeds) processes run the seeds, and each seed's experiment may split its
 independent parts over C // W (`gv_regret_sweep`, `soft_constraints`,
-`ogd_vs_omp_adversary` and `expert_switch` split), all through `_fork_map`. An
-experiment called directly gets `workers=1` and runs serially.
+`ogd_vs_omp_adversary`, `expert_switch` and `hinge_mistakes`, whose comparator
+grids split by rows), all through `_fork_map`. An experiment called directly
+gets `workers=1` and runs serially.
 """
 
 from __future__ import annotations
@@ -280,8 +281,10 @@ def _soft_instance(seed: int, p: dict):
     rng = make_rng(seed)
     r_c = p["constraint_radius"]
     rc2 = r_c * r_c
-    # x.dot(x) is x @ x bit for bit: a sum of squares has no signed zero
-    g = (lambda x: float(x.dot(x)) - rc2, lambda x: 2.0 * x)
+    # x.dot(x) is x @ x bit for bit: a sum of squares has no signed zero; the
+    # gradient's 2 is a 0-d array, as `online` binds its step constants
+    two = np.array(2.0)
+    g = (lambda x: float(x.dot(x)) - rc2, lambda x: two * x)
     # the rounds share one read-only (T, 2) copy of the centers; math.cos and
     # math.sin, since np.cos and np.sin need not round alike
     losses = online.RoundLoss.quadratic_rounds(
@@ -356,12 +359,12 @@ def exp_hinge_mistakes(seed: int, p: dict, workers: int = 1) -> ExperimentResult
         learner.round(gx, 1.0)  # stream stores y·x, so the label is +1
     mistakes = learner.mistakes
     # best fixed comparator over a 2-D grid (coarse + refinement)
-    best = _best_hinge(examples, p["radius_R"])
+    best = _best_hinge(examples, p["radius_R"], workers)
     egv = 0.0
     prev = None
     for gx in learner.mistake_examples:
-        pv = np.zeros_like(gx) if prev is None else prev
-        egv += float((gx - pv) @ (gx - pv))
+        dv = gx - (np.zeros_like(gx) if prev is None else prev)
+        egv += float(dv @ dv)
         prev = gx
     bound = best + math.sqrt(2.0) * (p["radius_R"] ** 2 + 1.0) * max(2.0, math.sqrt(egv))
     rows = [{"iter": T, "mistakes": mistakes, "hinge_best": best, "egv": egv,
@@ -369,35 +372,52 @@ def exp_hinge_mistakes(seed: int, p: dict, workers: int = 1) -> ExperimentResult
     return ExperimentResult(rows, final_metric=mistakes / bound)
 
 
-def _best_hinge(examples: np.ndarray, R: float) -> float:
+def _best_hinge(examples: np.ndarray, R: float, workers: int = 1) -> float:
     """A grid estimate, from above, of the least total hinge loss of the
     (T, 2) examples over the radius-R disc: the best point of a grid of step
     0.05·R, then of a grid of step 0.002·R within ±0.06·R of it, so the number
     of points tried does not grow with R.  It can miss the minimum: at the
-    defaults, seed 7, it gives 672.9035 where the least is 668.6204."""
+    defaults, seed 7, it gives 672.9035 where the least is 668.6204.
 
-    def total(w):
-        return float(np.sum(np.maximum(0.0, 1.0 - examples @ w)))
+    Each grid's rows map over `workers` processes.  A coarse row gives its
+    first least (value, point), and the rows merge in order by a strict <
+    from the origin's value: the serial scan's first least point, ties
+    included.  A fine row gives its least value."""
+    buf = np.empty(len(examples))
 
-    best_w, best_v = np.zeros(2), total(np.zeros(2))
-    res = 0.05 * R
-    grid = np.arange(-R, R + res / 2, res)
-    for a in grid:
-        for b in grid:
+    def total(w):  # np.sum(np.maximum(0.0, 1.0 - examples @ w)) bit for bit
+        np.matmul(examples, w, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        np.maximum(0.0, buf, out=buf)
+        return float(np.add.reduce(buf))
+
+    def coarse_row(a):
+        best = (math.inf, None)
+        for b in coarse:
             w = np.array([a, b])
             if w @ w <= R * R:
                 v = total(w)
-                if v < best_v:
-                    best_w, best_v = w, v
-    res = 0.002 * R
-    grid = np.arange(-0.06 * R, 0.06 * R + res / 2, res)
-    for a in grid:
-        for b in grid:
+                if v < best[0]:
+                    best = (v, w)
+        return best
+
+    def fine_row(a):
+        least = math.inf
+        for b in fine:
             w = best_w + np.array([a, b])
             if w @ w <= R * R:
-                v = total(w)
-                best_v = min(best_v, v)
-    return best_v
+                least = min(least, total(w))
+        return least
+
+    best_w, best_v = np.zeros(2), total(np.zeros(2))
+    res = 0.05 * R
+    coarse = np.arange(-R, R + res / 2, res)
+    for v, w in _fork_map(coarse_row, coarse, workers):
+        if v < best_v:
+            best_w, best_v = w, v
+    res = 0.002 * R
+    fine = np.arange(-0.06 * R, 0.06 * R + res / 2, res)
+    return min([best_v] + _fork_map(fine_row, fine, workers))
 
 
 # what _oneproj_setup reads
@@ -710,9 +730,10 @@ def _usage() -> str:
             "[--config FILE] [--out DIR] [--key=value ...]\n"
             "seeds run in parallel, one process per seed and usable CPU at most, and the\n"
             "CPUs they leave split the parts of gv_regret_sweep, soft_constraints,\n"
-            "ogd_vs_omp_adversary and expert_switch; the affinity mask caps all these\n"
-            "processes, and `taskset -c 0 smoothconvex run ...` runs serially. Only the\n"
-            "calling process writes summary.csv.\n"
+            "ogd_vs_omp_adversary, expert_switch and hinge_mistakes (its comparator\n"
+            "grids' rows); the affinity mask caps all these processes, and\n"
+            "`taskset -c 0 smoothconvex run ...` runs serially. Only the calling\n"
+            "process writes summary.csv.\n"
             "experiments: " + ", ".join(sorted(EXPERIMENTS)))
 
 

@@ -25,11 +25,12 @@ over its read-only vector, so a round holds no closure;
 Each learner binds its domain's projection once, at construction
 (Domain.projector, ball_projector), and calls the bare kernel every round on
 the fresh point it has just built.  The step constants a round applies to a
-vector (OMP's and IFTRL's η/L, IFTRL's −L/η, PenaltyOGD's weight) are bound
-once as 0-d float64 arrays: the same IEEE operations as with the Python
-floats, without numpy converting a float on every call.  The soft-constraint
-duals are a list of Python floats, updated one at a time by the operations
-of the array form in its order; `lam` reads them as a fresh array.
+vector (OGD's constant step, OMP's and IFTRL's η/L, IFTRL's −L/η,
+PenaltyOGD's weight) are bound once as 0-d float64 arrays: the same IEEE
+operations as with the Python floats, without numpy converting a float on
+every call.  The soft-constraint duals are a list of Python floats, updated
+one at a time by the operations of the array form in its order; `lam` reads
+them as a fresh array.
 
 OGD is the one projected-step loop: SoftConstraintOGD, ZeroViolationOGD and
 PenaltyOGD are OGD subclasses that choose only the round's direction.  OMP is
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (EPS_LOG, ConfigurationError, Domain, InputError, Point,
-                   StepSchedule, UnsupportedDomainError, ball_projector)
+                   StepSchedule, UnsupportedDomainError, _norm, ball_projector)
 
 
 def _frozen(v) -> np.ndarray:
@@ -179,6 +180,9 @@ class OGD(BaseLearner):
         self.t = 0
         self._project = domain.projector()
         self._step_at = schedule.at
+        if schedule.kind == "constant":  # every round's step, bound once as a 0-d array
+            step = np.array(schedule.at(1))
+            self._step_at = lambda t: step
 
     def predict(self) -> Point:
         return self.x
@@ -407,7 +411,7 @@ class ConstraintSet(NamedTuple):
         D = 0.0
         for _ in range(1000):
             v = rng.standard_normal(dim)
-            v *= ball_radius * rng.uniform() ** (1.0 / dim) / max(np.linalg.norm(v), 1e-15)
+            v *= ball_radius * rng.uniform() ** (1.0 / dim) / max(_norm(v), 1e-15)
             for g, _ in funcs:
                 D = max(D, abs(float(g(v))))
         return cls(funcs=funcs, D=D, G=grad_bound, F=loss_bound)

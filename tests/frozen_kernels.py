@@ -9,6 +9,10 @@ Also the matrix forms of the exact variance probe, as they stood before it
 walked the data in row blocks: the n × d component-gradient matrix and the
 variances taken from two of them.
 
+Also the two closed-form variation loops, as they stood before they priced
+each distinct pair of consecutive rounds once, and the hinge comparator's
+grid search, as it stood before its rows were split over processes.
+
 The bitwise tests compare against these copies, not against the library, so
 that they keep pinning the original floats.  np.linalg.norm stands in for
 core._norm, which is bit-identical to it (see test_core.py::TestNorm).
@@ -267,3 +271,53 @@ def penalty_rounds(funcs, schedule, delta, R, dim, losses):
                 g = g + delta * gg(x)
         x = project_ball(x - schedule.at(t) * g, R)
     return {"decisions": decisions, "loss_values": values, "violations": violations}
+
+
+def measure_egv_exact_linear(sequence):
+    """adversary.measure_egv_exact on an all-linear sequence."""
+    total, prev = 0.0, np.zeros_like(sequence[0].linear)
+    for l in sequence:
+        f = l.linear
+        d = f - prev
+        total += float(d.dot(d))
+        prev = f
+    return total
+
+
+def measure_egv_inf(sequence):
+    total = 0.0
+    prev = None
+    for l in sequence:
+        f = l.linear
+        p = np.zeros_like(f) if prev is None else prev
+        total += float(abs(f - p).max() ** 2)
+        prev = f
+    return total
+
+
+def best_hinge(examples, R):
+    """cli._best_hinge, serial: the coarse grid's first least point, then the
+    least value of the fine grid around it."""
+
+    def total(w):
+        return float(np.sum(np.maximum(0.0, 1.0 - examples @ w)))
+
+    best_w, best_v = np.zeros(2), total(np.zeros(2))
+    res = 0.05 * R
+    grid = np.arange(-R, R + res / 2, res)
+    for a in grid:
+        for b in grid:
+            w = np.array([a, b])
+            if w @ w <= R * R:
+                v = total(w)
+                if v < best_v:
+                    best_w, best_v = w, v
+    res = 0.002 * R
+    grid = np.arange(-0.06 * R, 0.06 * R + res / 2, res)
+    for a in grid:
+        for b in grid:
+            w = best_w + np.array([a, b])
+            if w @ w <= R * R:
+                v = total(w)
+                best_v = min(best_v, v)
+    return best_v

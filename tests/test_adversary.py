@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from smoothconvex import adversary
 from smoothconvex.core import Domain, InputError, StepSchedule, make_rng
 from smoothconvex.adversary import (alternating_linear, classification_stream,
                                     drifting_quadratics, ftrl_adversary, measure_egv,
                                     measure_egv_exact, measure_egv_inf)
 from smoothconvex.online import OGD, RoundLoss
+
+import frozen_kernels
 
 
 class TestFtrlAdversary:
@@ -238,3 +241,61 @@ class TestSharedRoundObjects:
         seq = build()
         d = seq[0].linear.shape[0]
         assert measure_egv_exact(seq) == measure_egv(seq, [np.zeros(d)] * len(seq))
+
+
+def _two_blocks(m, T, seed):
+    """expert_switch's sequence: one shared cost vector for the first T // 2
+    rounds, another for the rest."""
+    rng = make_rng(seed)
+    c1, c2 = rng.uniform(0.0, 1.0, size=m), rng.uniform(0.0, 1.0, size=m)
+    return [RoundLoss.from_linear(c1)] * (T // 2) + [RoundLoss.from_linear(c2)] * (T - T // 2)
+
+
+def _one_object_each(seq):
+    """The same cost vectors, each round its own RoundLoss."""
+    return [RoundLoss.from_linear(l.linear.copy()) for l in seq]
+
+
+VARIATION_SEQUENCES = [
+    pytest.param(lambda: alternating_linear(16.0, 301, 4), id="alternating"),
+    pytest.param(lambda: ftrl_adversary(0.05, 100), id="ftrl-case-I"),
+    pytest.param(lambda: ftrl_adversary(0.2, 300, gv_target=200.0), id="ftrl-case-II"),
+    pytest.param(lambda: ftrl_adversary(2.0, 301, gv_target=400.0), id="ftrl-case-III"),
+    pytest.param(lambda: _two_blocks(16, 777, 3), id="two-blocks"),
+    pytest.param(lambda: _one_object_each(alternating_linear(4.0, 300, 3)),
+                 id="alternating-one-object-each"),
+    pytest.param(lambda: _one_object_each(_two_blocks(4, 101, 0)),
+                 id="two-blocks-one-object-each"),
+    pytest.param(lambda: [RoundLoss.from_linear(v) for v in
+                          make_rng(9).standard_normal((200, 3))], id="distinct-values"),
+]
+
+
+class TestVariationPairs:
+    """measure_egv_exact's linear branch and measure_egv_inf price each
+    distinct (previous, current) pair of round objects once."""
+
+    @pytest.mark.parametrize("build", VARIATION_SEQUENCES)
+    def test_bits_equal_the_per_round_loops(self, build):
+        seq = build()
+        assert measure_egv_exact(seq).hex() == frozen_kernels.measure_egv_exact_linear(seq).hex()
+        assert measure_egv_inf(seq).hex() == frozen_kernels.measure_egv_inf(seq).hex()
+
+    @pytest.mark.parametrize("build", VARIATION_SEQUENCES)
+    def test_each_distinct_pair_priced_once(self, build, monkeypatch):
+        seq = build()
+        pairs = {(id(p), id(c)) for p, c in zip([None] + seq, seq)}
+        for name in ("_linear_sq", "_inf_sq"):
+            priced, term = [], getattr(adversary, name)
+            monkeypatch.setattr(adversary, name,
+                                lambda p, c, term=term, priced=priced:
+                                priced.append((id(p), id(c))) or term(p, c))
+            measure_egv_exact(seq) if name == "_linear_sq" else measure_egv_inf(seq)
+            assert sorted(priced) == sorted(pairs), name
+
+    def test_infinity_norm_refuses_a_quadratic_round(self):
+        f = RoundLoss.from_linear(np.array([0.5, 0.2]))
+        for seq in ([f, f, RoundLoss.from_quadratic(np.zeros(2))],
+                    [RoundLoss.from_quadratic(np.zeros(2)), f]):
+            with pytest.raises(InputError, match="needs linear losses"):
+                measure_egv_inf(seq)

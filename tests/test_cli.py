@@ -19,6 +19,7 @@ from smoothconvex.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXPERIMENTS,
                               run)
 from smoothconvex.problems import psi_transform
 
+import frozen_kernels
 from test_reachability import SMALL
 from test_references import REFERENCE
 
@@ -409,10 +410,13 @@ class TestRunOutputs:
         ("gv_regret_sweep", ["--T=20", "--d=2", "--egv_grid=1;4;16"], 3),
         ("soft_constraints", SMALL["soft_constraints"], 2),
         ("ogd_vs_omp_adversary", SMALL["ogd_vs_omp_adversary"], 2),
-        ("expert_switch", ["--T=20", "--m_grid=4;16;8"], 3)])
+        ("expert_switch", ["--T=20", "--m_grid=4;16;8"], 3),
+        ("hinge_mistakes", SMALL["hinge_mistakes"], 41),
+        ("hinge_mistakes", ["--T=20", "--radius_R=2.5"], 41)])
     def test_forked_parts_write_the_serial_bytes(self, tmp_path, monkeypatch, experiment,
                                                  args, parts, cpus):
-        # one seed: its experiment's parts fork, up to one process per CPU and part
+        # one seed: its experiment's parts fork, up to one process per CPU and
+        # part; hinge_mistakes maps the rows of two grids, 41 and 61 of them
         forks, fork = [], os.fork
 
         def counted():
@@ -421,7 +425,9 @@ class TestRunOutputs:
 
         monkeypatch.setattr(cli.os, "fork", counted)
         name = f"{experiment}_0.csv"
-        for out, usable, want in (("forked", cpus, min(cpus, parts) - 1), ("serial", 1, 0)):
+        maps = 2 if experiment == "hinge_mistakes" else 1
+        for out, usable, want in (("forked", cpus, maps * (min(cpus, parts) - 1)),
+                                  ("serial", 1, 0)):
             forks.clear()
             monkeypatch.setattr(cli, "usable_cpus", lambda: usable)
             assert main(["run", experiment, *args, "--seed", "0",
@@ -431,6 +437,39 @@ class TestRunOutputs:
         assert forked == (tmp_path / "serial" / name).read_bytes()
         if args == SMALL[experiment]:
             assert forked == (REFERENCE / name).read_bytes()
+
+    # coarse-grid minima tied, bit for bit, at three points (w = (-1.5, -4.75),
+    # (-1.25, -4.75), (-1.0, -4.75); and (1.0, 1.0), (1.25, 1.0), (1.5, 1.0)),
+    # where the fine grid around the first tied point gives another value than
+    # around the others; with the coordinates swapped, the three share a row
+    TIED = [[[0.625, -0.875], [0.125, -0.125], [-0.5, -0.125], [-0.125, 0.0]],
+            [[0.375, 0.625], [-1.0, -0.375], [1.0, -0.5], [0.0, 0.75]]]
+
+    @pytest.mark.parametrize("examples", TIED + [[r[::-1] for r in ex] for ex in TIED],
+                             ids=["rows-neg", "rows-pos", "one-row-neg", "one-row-pos"])
+    def test_comparator_grid_ties_resolve_as_the_serial_scan(self, examples):
+        examples, R = np.array(examples), 5.0   # a coarse step of 0.25: exact sums
+
+        def total(w):
+            return float(np.sum(np.maximum(0.0, 1.0 - examples @ w)))
+
+        def grid(half, res):
+            return np.arange(-half, half + res / 2, res)
+
+        values = {(a, b): total(np.array([a, b])) for a in grid(R, 0.05 * R)
+                  for b in grid(R, 0.05 * R) if a * a + b * b <= R * R}
+        least = min(values.values())
+        tied = [w for w, v in values.items() if v == least]   # in the scan's order
+        assert len(tied) == 3 and least < total(np.zeros(2))
+        fine = grid(0.06 * R, 0.002 * R)
+        ends = [min([least] + [total(w) for a in fine for b in fine
+                               if (w := np.array(t) + np.array([a, b])) @ w <= R * R])
+                for t in tied]
+        assert ends[0] not in ends[1:]
+        want = frozen_kernels.best_hinge(examples, R)
+        assert want == ends[0]
+        for workers in (1, 2, 3):
+            assert cli._best_hinge(examples, R, workers).hex() == want.hex(), workers
 
     @staticmethod
     def _gv_failing_at(monkeypatch, failing, how):
