@@ -11,12 +11,12 @@ contain commas); identical config+seed produces byte-identical files.
 The online chapter (`online`, `adversary`) is imported by the experiments
 that run it, on their first call, so a solver run never loads it.
 
-A run's process budget is C = `usable_cpus()`, its affinity mask: W =
-min(C, seeds) processes run the seeds, and each seed's experiment may split its
-independent parts over C // W (`gv_regret_sweep`, `soft_constraints`,
-`ogd_vs_omp_adversary`, `expert_switch` and `hinge_mistakes`, whose comparator
-grids split by rows), all through `_fork_map`. An experiment called directly
-gets `workers=1` and runs serially.
+The command line's seeds, and the independent parts of `gv_regret_sweep`,
+`soft_constraints`, `ogd_vs_omp_adversary` and `expert_switch`, map through
+`_fork_map`, which runs on W = min(C, items) processes, where C is
+`usable_cpus()`, the affinity mask, or within a share of an enclosing map that
+map's C // W. `run()`, `scripts/run_all_experiments.py` and a direct call of an
+experiment follow the same rule.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def write_csv(path: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def exp_emgd_variance(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_emgd_variance(seed: int, p: dict) -> ExperimentResult:
     data = problems.synthetic_classification(p["n"], p["d"], seed=7,
                                              row_norm=p["row_norm"])
     prob = problems.logistic_problem(data, lam=p["lam"])
@@ -107,7 +107,7 @@ def exp_emgd_variance(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
                             slope=metrics.loglog_slope(np.arange(1, len(vm) + 1), vm))
 
 
-def exp_mixedgrad_rate(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     m_min, m_max = p["m_min"], p["m_max"]
     data = problems.synthetic_regression(p["n"], p["d"], seed=11, noise=0.3,
                                          row_norm=1.0)
@@ -134,7 +134,7 @@ def exp_mixedgrad_rate(seed: int, p: dict, workers: int = 1) -> ExperimentResult
     return ExperimentResult(rows, final_metric=subs[-1], slope=slope)
 
 
-def exp_clippedsgd_target(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_clippedsgd_target(seed: int, p: dict) -> ExperimentResult:
     prob = problems.onedim_target_risk_problem(p["delta"])
     target = p["target_factor"] * prob.eps_opt
     tr = stochastic.clipped_sgd(prob, Domain.ball(1.0), seed=seed, m=p["stages"],
@@ -155,7 +155,7 @@ def _oneproj_setup(p):
     return obj, dom, ref["F"]
 
 
-def exp_oneproj_general(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_oneproj_general(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, subs, Ts = [], [], []
     for T in p["T_grid"]:
@@ -169,7 +169,7 @@ def exp_oneproj_general(seed: int, p: dict, workers: int = 1) -> ExperimentResul
                             slope=metrics.loglog_slope(Ts, subs))
 
 
-def exp_oneproj_strong(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, ratios = [], []
     for T in p["T_grid"]:
@@ -190,7 +190,7 @@ def _regret(learner, losses, best: float) -> float:
     return sum(learner.loss_values) - best
 
 
-def exp_gv_regret_sweep(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
     from . import adversary, online
     T, d, egvs = p["T"], p["d"], p["egv_grid"]
     dom = Domain.ball(1.0)
@@ -204,13 +204,13 @@ def exp_gv_regret_sweep(seed: int, p: dict, workers: int = 1) -> ExperimentResul
         return {"egv": measured, "regret": _regret(omp, seq, best),
                 "regret_iftrl": _regret(ift, seq, best)}
 
-    rows = _fork_map(level, egvs, workers)
+    rows = _fork_map(level, egvs)
     regs = [max(r["regret"], 1e-12) for r in rows]
     return ExperimentResult(rows, final_metric=regs[-1] / regs[0],
                             slope=metrics.loglog_slope(egvs, regs))
 
 
-def exp_ogd_vs_omp_adversary(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
     from . import adversary, online
     T, eta = p["T"], p["eta_ogd"]
     seq = adversary.ftrl_adversary(eta, T, gv_target=p["gv_target"])
@@ -219,13 +219,13 @@ def exp_ogd_vs_omp_adversary(seed: int, p: dict, workers: int = 1) -> Experiment
     ogd = online.OGD(dom, StepSchedule.constant(eta), dim=1)
     omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, egv), dim=1)
     _, best = metrics.comparator_minimum(seq, dom)
-    r_ogd, r_omp = _fork_map(lambda lr: _regret(lr, seq, best), [ogd, omp], workers)
+    r_ogd, r_omp = _fork_map(lambda lr: _regret(lr, seq, best), [ogd, omp])
     margin = r_ogd - 5.0 * r_omp  # nonnegative iff the 5x separation holds
     rows = [{"egv": egv, "regret": r_ogd, "regret_omp": r_omp, "margin": margin}]
     return ExperimentResult(rows, final_metric=margin)
 
 
-def exp_expert_switch(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_expert_switch(seed: int, p: dict) -> ExperimentResult:
     from . import adversary, online
     T = p["T"]
     rng = make_rng(seed)
@@ -245,12 +245,12 @@ def exp_expert_switch(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
         return {"iter": m, "egv": egv_inf, "regret": _regret(learner, losses, best),
                 "bound": bound}
 
-    rows = _fork_map(point, range(len(costs)), workers)
+    rows = _fork_map(point, range(len(costs)))
     worst = max([0.0] + [r["regret"] / r["bound"] for r in rows])
     return ExperimentResult(rows, final_metric=worst)
 
 
-def exp_bandit_estimate(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
     from . import online
     rows, worst = [], 0.0
     T = p["T"]
@@ -296,7 +296,7 @@ def _soft_instance(seed: int, p: dict):
     return losses, cons, T, R
 
 
-def exp_soft_constraints(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_soft_constraints(seed: int, p: dict) -> ExperimentResult:
     from . import online
     losses, cons, T, R = _soft_instance(seed, p)
     dom_true = Domain.ball(p["constraint_radius"])
@@ -308,7 +308,7 @@ def exp_soft_constraints(seed: int, p: dict, workers: int = 1) -> ExperimentResu
         regret = _regret(lr, losses, best)
         return regret, float(np.sum(lr.violations[:, 0] if lr is soft else lr.raw_violations))
 
-    (reg_soft, viol_soft), (reg_zero, viol_zero) = _fork_map(play, [soft, zero], workers)
+    (reg_soft, viol_soft), (reg_zero, viol_zero) = _fork_map(play, [soft, zero])
     a, delta = soft.a, soft.delta
     m = cons.m
     reg_bound = a * math.sqrt(T)
@@ -324,7 +324,7 @@ def exp_soft_constraints(seed: int, p: dict, workers: int = 1) -> ExperimentResu
                                                    viol_soft / viol_bound))
 
 
-def exp_penalty_impossibility(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
     from . import online
     T = p["T"]
     v = np.array([1.0, 0.0])
@@ -340,7 +340,7 @@ def exp_penalty_impossibility(seed: int, p: dict, workers: int = 1) -> Experimen
     return ExperimentResult(rows, final_metric=viol / T)
 
 
-def exp_psi_transform_table(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
     rows = []
     for gamma in p["gamma_grid"]:
         for eta in [round(0.1 * k, 1) for k in range(1, 10)]:
@@ -349,7 +349,7 @@ def exp_psi_transform_table(seed: int, p: dict, workers: int = 1) -> ExperimentR
     return ExperimentResult(rows, final_metric=rows[-1]["psi"])
 
 
-def exp_hinge_mistakes(seed: int, p: dict, workers: int = 1) -> ExperimentResult:
+def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     from . import adversary, online
     T = p["T"]
     # d = 2: the comparator search below covers a 2-D grid
@@ -359,7 +359,7 @@ def exp_hinge_mistakes(seed: int, p: dict, workers: int = 1) -> ExperimentResult
         learner.round(gx, 1.0)  # stream stores y·x, so the label is +1
     mistakes = learner.mistakes
     # best fixed comparator over a 2-D grid (coarse + refinement)
-    best = _best_hinge(examples, p["radius_R"], workers)
+    best = _best_hinge(examples, p["radius_R"])
     egv = 0.0
     prev = None
     for gx in learner.mistake_examples:
@@ -372,17 +372,13 @@ def exp_hinge_mistakes(seed: int, p: dict, workers: int = 1) -> ExperimentResult
     return ExperimentResult(rows, final_metric=mistakes / bound)
 
 
-def _best_hinge(examples: np.ndarray, R: float, workers: int = 1) -> float:
+def _best_hinge(examples: np.ndarray, R: float) -> float:
     """A grid estimate, from above, of the least total hinge loss of the
-    (T, 2) examples over the radius-R disc: the best point of a grid of step
-    0.05·R, then of a grid of step 0.002·R within ±0.06·R of it, so the number
-    of points tried does not grow with R.  It can miss the minimum: at the
-    defaults, seed 7, it gives 672.9035 where the least is 668.6204.
-
-    Each grid's rows map over `workers` processes.  A coarse row gives its
-    first least (value, point), and the rows merge in order by a strict <
-    from the origin's value: the serial scan's first least point, ties
-    included.  A fine row gives its least value."""
+    (T, 2) examples over the radius-R disc: the first least point of a grid
+    of step 0.05·R, then the least value of a grid of step 0.002·R within
+    ±0.06·R of it, so the number of points tried does not grow with R.  It
+    can miss the minimum: at the defaults, seed 7, it gives 672.9035 where
+    the least is 668.6204."""
     buf = np.empty(len(examples))
 
     def total(w):  # np.sum(np.maximum(0.0, 1.0 - examples @ w)) bit for bit
@@ -391,33 +387,17 @@ def _best_hinge(examples: np.ndarray, R: float, workers: int = 1) -> float:
         np.maximum(0.0, buf, out=buf)
         return float(np.add.reduce(buf))
 
-    def coarse_row(a):
-        best = (math.inf, None)
-        for b in coarse:
-            w = np.array([a, b])
-            if w @ w <= R * R:
-                v = total(w)
-                if v < best[0]:
-                    best = (v, w)
-        return best
-
-    def fine_row(a):
-        least = math.inf
-        for b in fine:
-            w = best_w + np.array([a, b])
-            if w @ w <= R * R:
-                least = min(least, total(w))
-        return least
-
     best_w, best_v = np.zeros(2), total(np.zeros(2))
-    res = 0.05 * R
-    coarse = np.arange(-R, R + res / 2, res)
-    for v, w in _fork_map(coarse_row, coarse, workers):
-        if v < best_v:
-            best_w, best_v = w, v
-    res = 0.002 * R
-    fine = np.arange(-0.06 * R, 0.06 * R + res / 2, res)
-    return min([best_v] + _fork_map(fine_row, fine, workers))
+    for half, res in ((R, 0.05 * R), (0.06 * R, 0.002 * R)):
+        center, grid = best_w, np.arange(-half, half + res / 2, res)
+        for a in grid:
+            for b in grid:
+                w = center + np.array([a, b])
+                if w @ w <= R * R:
+                    v = total(w)
+                    if v < best_v:
+                        best_w, best_v = w, v
+    return best_v
 
 
 # what _oneproj_setup reads
@@ -533,17 +513,16 @@ def resolve_params(experiment: str, overrides: dict) -> dict:
     return resolved
 
 
-def run(config: RunConfig, workers: int = 1) -> dict:
+def run(config: RunConfig) -> dict:
     """Execute one experiment run; returns the summary row.  A seed outside
-    0..SEED_MAX is refused, as on the command line.  An experiment with
-    independent parts maps them on up to `workers` processes."""
+    0..SEED_MAX is refused, as on the command line."""
     seed = _seed(config.seed, "seed")
     params = resolve_params(config.experiment, config.overrides)
     fn, _ = EXPERIMENTS[config.experiment]
     where = f"{config.experiment} seed={seed}"
     t0 = time.perf_counter()
     try:
-        result = fn(seed, params, workers=workers)
+        result = fn(seed, params)
     except (ArithmeticError, NumericError, np.linalg.LinAlgError) as exc:
         # a float `**` that overflows raises OverflowError(errno, text)
         overflow = isinstance(exc, OverflowError) and len(exc.args) == 2
@@ -585,14 +564,20 @@ def _one_blas_thread() -> None:
         put(1)
 
 
-def _fork_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], on W = min(workers, len(items)) processes. This
-    process maps items[0::W]; each of W − 1 forked children maps items[k::W]
-    and pipes back, pickled, its results up to its first failure and that
-    exception. The first failure in item order is raised, as a serial map
-    raises it. Before it forks, this process sets numpy's OpenBLAS to one
-    thread for good, so each process runs one."""
-    W = min(workers, len(items))
+_share_cpus = None  # within a share of a fork map: the CPUs that share may use
+
+
+def _fork_map(fn, items) -> list:
+    """[fn(x) for x in items], on W = min(C, len(items)) processes, where C is
+    `usable_cpus()` or, within a share of an enclosing map, that map's C // W.
+    This process maps items[0::W]; each of W − 1 forked children maps
+    items[k::W] and pipes back, pickled, its results up to its first failure
+    and that exception. The first failure in item order is raised, as a
+    serial map raises it. Before it forks, this process sets numpy's OpenBLAS
+    to one thread for good, so each process runs one."""
+    global _share_cpus
+    C = usable_cpus() if _share_cpus is None else _share_cpus
+    W = min(C, len(items))
 
     def share(k, catch=Exception):
         out = []
@@ -607,8 +592,9 @@ def _fork_map(fn, items, workers: int) -> list:
         _one_blas_thread()  # here, not in a child: there it would start a thread pool
     sys.stdout.flush()
     sys.stderr.flush()
-    children, shares = [], []
+    children, shares, outer = [], [], _share_cpus
     try:
+        _share_cpus = C // W  # the children inherit it
         for k in range(1, W):
             read_fd, write_fd = os.pipe()
             if (pid := os.fork()) == 0:  # the child reports and exits, never returns
@@ -625,6 +611,7 @@ def _fork_map(fn, items, workers: int) -> list:
             shares.append(pickle.loads(data) if data else [ChildProcessError(
                 f"the worker from {items[k]} on ended without a result")])
     finally:
+        _share_cpus = outer
         for pid, pipe in children:
             pipe.close()
             if len(shares) < W:  # stopped early: stop the children too
@@ -718,10 +705,7 @@ def _main_inner(argv) -> int:
     seeds = [_seed(s) for s in (file_seed if seed_text is None else seed_text).split(",")]
     resolve_params(experiment, overrides)  # every parameter error before any output
     tasks = [RunConfig(experiment, s, overrides, outdir) for s in seeds]
-    # W processes run the seeds, each with cpus // W for its parts
-    cpus = usable_cpus()
-    W = min(cpus, len(tasks))
-    write_summary(outdir, _fork_map(lambda task: run(task, cpus // W), tasks, W))
+    write_summary(outdir, _fork_map(run, tasks))
     return EXIT_OK
 
 
@@ -730,10 +714,10 @@ def _usage() -> str:
             "[--config FILE] [--out DIR] [--key=value ...]\n"
             "seeds run in parallel, one process per seed and usable CPU at most, and the\n"
             "CPUs they leave split the parts of gv_regret_sweep, soft_constraints,\n"
-            "ogd_vs_omp_adversary, expert_switch and hinge_mistakes (its comparator\n"
-            "grids' rows); the affinity mask caps all these processes, and\n"
-            "`taskset -c 0 smoothconvex run ...` runs serially. Only the calling\n"
-            "process writes summary.csv.\n"
+            "ogd_vs_omp_adversary and expert_switch; the affinity mask caps all these\n"
+            "processes, as it does for scripts/run_all_experiments.py and the library's\n"
+            "run(), and `taskset -c 0 smoothconvex run ...` runs serially. Only the\n"
+            "calling process writes summary.csv.\n"
             "experiments: " + ", ".join(sorted(EXPERIMENTS)))
 
 

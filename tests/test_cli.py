@@ -41,17 +41,43 @@ def no_child_left():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Runs every fork map of cli in this process and returns the list of the
-    worker counts they were given: the seeds' map first, then each seed's
-    map of its experiment's parts."""
+    """Runs every fork map of cli as it runs and returns the list of the
+    process counts they chose: the seeds' map first, then each seed's map of
+    its experiment's parts.  Each item returns, with its result, the pid that
+    ran it and the counts of the maps it made, so a forked share's nested
+    maps are counted too."""
     seen = []
-    serial = cli._fork_map
+    fork_map = cli._fork_map
 
-    def recording(fn, items, workers):
-        seen.append(workers)
-        return serial(fn, items, 1)
+    def recording(fn, items):
+        def tagged(x):
+            mark = len(seen)
+            result = fn(x)
+            nested = seen[mark:]
+            del seen[mark:]
+            return os.getpid(), nested, result
+
+        out = fork_map(tagged, items)
+        seen.append(len({pid for pid, _, _ in out}))
+        for _, nested, _ in out:
+            seen.extend(nested)
+        return [result for _, _, result in out]
 
     monkeypatch.setattr(cli, "_fork_map", recording)
+    return seen
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of this process's calls to os.fork, in order; a forked
+    child's own forks are not recorded here."""
+    seen, fork = [], os.fork
+
+    def counted():
+        seen.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", counted)
     return seen
 
 
@@ -118,19 +144,19 @@ class TestDispatch:
         pytest.param(1, "0", 1, 1, id="one-seed-one-cpu")])
     def test_workers_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
                                               cpus, seeds, want, parts, equals):
-        # one worker per seed and per usable CPU at most; each seed's parts
-        # may use the CPUs the seeds leave
+        # one worker per seed and per usable CPU at most; each seed's parts,
+        # three variation levels, may use the CPUs the seeds leave
         monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         flags = {"--seed": seeds, "--out": str(tmp_path)}
         args = ([f"{k}={v}" for k, v in flags.items()] if equals
                 else [a for kv in flags.items() for a in kv])
-        rc = main(["run", "soft_constraints", "--T=10", *args])
+        rc = main(["run", "gv_regret_sweep", "--T=10", "--d=2", "--egv_grid=1;4;16", *args])
         assert rc == EXIT_OK
         n = len(seeds.split(","))
         assert pool_sizes == [want] + [parts] * n
         assert want * parts <= cpus
         assert sorted(p.name for p in tmp_path.glob("*_?.csv")) == [
-            f"soft_constraints_{s}.csv" for s in seeds.split(",")]
+            f"gv_regret_sweep_{s}.csv" for s in seeds.split(",")]
 
     @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"],
                                       ["--m_min=5", "--m_max=4", "--seed", "0,1"]])
@@ -212,7 +238,7 @@ class TestDispatch:
     def test_numeric_exception_kinds_exit_3(self, tmp_path, capsys, monkeypatch, exc):
         # every ArithmeticError, LinAlgError and NumericError an experiment
         # raises is mapped
-        def fail(seed, params, workers=1):
+        def fail(seed, params):
             raise exc
         monkeypatch.setitem(EXPERIMENTS, "psi_transform_table",
                             (fail, EXPERIMENTS["psi_transform_table"][1]))
@@ -272,7 +298,7 @@ class TestDispatch:
 
     def test_other_exceptions_are_not_numeric_failures(self, tmp_path, monkeypatch):
         # the mapping is narrow: a program fault still surfaces as itself
-        def fail(seed, params, workers=1):
+        def fail(seed, params):
             raise KeyError("rows")
         monkeypatch.setitem(EXPERIMENTS, "psi_transform_table",
                             (fail, EXPERIMENTS["psi_transform_table"][1]))
@@ -413,19 +439,13 @@ class TestRunOutputs:
         ("expert_switch", ["--T=20", "--m_grid=4;16;8"], 3),
         ("hinge_mistakes", SMALL["hinge_mistakes"], 41),
         ("hinge_mistakes", ["--T=20", "--radius_R=2.5"], 41)])
-    def test_forked_parts_write_the_serial_bytes(self, tmp_path, monkeypatch, experiment,
-                                                 args, parts, cpus):
+    def test_forked_parts_write_the_serial_bytes(self, tmp_path, monkeypatch, forks,
+                                                 experiment, args, parts, cpus):
         # one seed: its experiment's parts fork, up to one process per CPU and
-        # part; hinge_mistakes maps the rows of two grids, 41 and 61 of them
-        forks, fork = [], os.fork
-
-        def counted():
-            forks.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(cli.os, "fork", counted)
+        # part; hinge_mistakes scans its comparator grids (41 coarse rows) in
+        # the calling process
         name = f"{experiment}_0.csv"
-        maps = 2 if experiment == "hinge_mistakes" else 1
+        maps = 0 if experiment == "hinge_mistakes" else 1
         for out, usable, want in (("forked", cpus, maps * (min(cpus, parts) - 1)),
                                   ("serial", 1, 0)):
             forks.clear()
@@ -468,8 +488,7 @@ class TestRunOutputs:
         assert ends[0] not in ends[1:]
         want = frozen_kernels.best_hinge(examples, R)
         assert want == ends[0]
-        for workers in (1, 2, 3):
-            assert cli._best_hinge(examples, R, workers).hex() == want.hex(), workers
+        assert cli._best_hinge(examples, R).hex() == want.hex()
 
     @staticmethod
     def _gv_failing_at(monkeypatch, failing, how):
@@ -509,6 +528,41 @@ class TestRunOutputs:
         assert capsys.readouterr().err == ("error: gv_regret_sweep seed=5: the worker from "
                                            "4.0 on ended without a result\n")
 
+    def test_budget_restored_after_a_failing_map(self, tmp_path, monkeypatch, forks):
+        # a level's failure unwinds through the parts' map and the seeds' map;
+        # the next run in this process still splits its parts over both CPUs
+        def fail(egv):
+            raise NumericError(f"level {egv} failed")
+
+        self._gv_failing_at(monkeypatch, {4.0}, fail)
+        rc = main(["run", "gv_regret_sweep", "--T=20", "--d=2", "--egv_grid=1;4;16",
+                   "--seed", "5", "--out", str(tmp_path / "failed")])
+        assert rc == EXIT_NUMERIC
+        forks.clear()
+        assert main(["run", "soft_constraints", *SMALL["soft_constraints"], "--seed", "0",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert len(forks) == 1
+        name = "soft_constraints_0.csv"
+        assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes()
+
+    def test_direct_calls_split_as_the_cli_does(self, tmp_path, monkeypatch, forks):
+        # an experiment called as test_acceptance calls it, and run(), take
+        # their process count from the affinity mask, as main does
+        experiment, name = "gv_regret_sweep", "gv_regret_sweep_0.csv"
+        overrides = dict(a[2:].split("=", 1) for a in SMALL[experiment])
+        fn, _ = EXPERIMENTS[experiment]
+        rows = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            forks.clear()
+            rows[cpus] = fn(0, resolve_params(experiment, overrides)).rows
+            assert len(forks) == cpus - 1
+            run(RunConfig(experiment, 0, overrides, str(tmp_path / str(cpus))))
+            assert len(forks) == 2 * (cpus - 1)
+        assert rows[2] == rows[1]
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        assert (tmp_path / "1" / name).read_bytes() == (REFERENCE / name).read_bytes()
+
     @pytest.mark.skipif(
         not glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                    "libscipy_openblas64_*.so"))
@@ -525,7 +579,8 @@ class TestRunOutputs:
                  "    a @ a\n"
                  "    return len(os.listdir('/proc/self/task'))\n"
                  "before = threads()\n"
-                 "shares = cli._fork_map(threads, [0, 1, 2], 3)\n"
+                 "cli.usable_cpus = lambda: 3\n"
+                 "shares = cli._fork_map(threads, [0, 1, 2])\n"
                  "print(before, shares[1:], threads())\n")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src),
@@ -540,10 +595,10 @@ class TestRunOutputs:
         """psi_transform_table, with each seed in `failing` ending by `how`."""
         fn, params = EXPERIMENTS["psi_transform_table"]
 
-        def patched(seed, p, workers=1):
+        def patched(seed, p):
             if seed in failing:
                 how(seed)
-            return fn(seed, p, workers)
+            return fn(seed, p)
 
         monkeypatch.setitem(EXPERIMENTS, "psi_transform_table", (patched, params))
         monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
@@ -579,6 +634,7 @@ class TestRunOutputs:
         with pytest.raises(KeyboardInterrupt):
             main(["run", "psi_transform_table", "--seed", "0,1", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 30
+        assert cli._share_cpus is None  # the interrupted map restored the budget
 
     def test_import_loads_no_process_pool(self, tmp_path):
         # the pool modules cost every CLI process start-up; a multi-seed run
