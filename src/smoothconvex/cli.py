@@ -32,8 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ConfigurationError, Domain, InputError, NumericError,
-                   StepSchedule, make_rng)
+from .core import ConfigurationError, Domain, InputError, NumericError, make_rng
 from . import metrics, problems, stochastic
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
@@ -216,7 +215,7 @@ def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
     seq = adversary.ftrl_adversary(eta, T, gv_target=p["gv_target"])
     dom = Domain.ball(1.0)
     egv = adversary.measure_egv_exact(seq)
-    ogd = online.OGD(dom, StepSchedule.constant(eta), dim=1)
+    ogd = online.OGD(dom, eta, dim=1)
     omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, egv), dim=1)
     _, best = metrics.comparator_minimum(seq, dom)
     r_ogd, r_omp = _fork_map(lambda lr: _regret(lr, seq, best), [ogd, omp])
@@ -331,8 +330,7 @@ def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
     loss = online.RoundLoss.from_linear(v)
     cons = online.ConstraintSet(
         funcs=[(lambda x: 1.0 - float(v @ x), lambda x: -v)], D=3.0, G=1.0, F=2.0)
-    learner = online.PenaltyOGD(cons, StepSchedule.constant(p["eta"]),
-                                delta=p["delta_penalty"], R=2.0, dim=2)
+    learner = online.PenaltyOGD(cons, p["eta"], delta=p["delta_penalty"], R=2.0, dim=2)
     for _ in range(T):
         learner.observe(loss)
     viol = float(np.sum(np.maximum(learner.violations[:, 0], 0.0)))

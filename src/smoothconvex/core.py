@@ -61,36 +61,12 @@ def as_point(x) -> Point:
     return x
 
 
-# ---------------------------------------------------------------------------
-# Step-size schedules
-# ---------------------------------------------------------------------------
-
-
-class StepSchedule:
-    """eta_t for t = 1, 2, ...; always positive."""
-
-    def __init__(self, kind: str, c: float):
-        if c <= 0:
-            raise ConfigurationError("schedule constant must be positive")
-        if kind not in ("constant", "inverse_sqrt"):
-            raise ConfigurationError(f"unknown schedule kind {kind!r}")
-        self.kind = kind
-        self.c = c
-
-    def at(self, t: int) -> float:
-        if t < 1:
-            raise InputError("schedule index starts at t=1")
-        if self.kind == "constant":
-            return self.c
-        return self.c / math.sqrt(t)
-
-    @classmethod
-    def constant(cls, eta: float) -> "StepSchedule":
-        return cls("constant", eta)
-
-    @classmethod
-    def inverse_sqrt(cls, c: float) -> "StepSchedule":
-        return cls("inverse_sqrt", c)
+def _at_least(what: str, value, least: int = 1):
+    """`value`, a horizon, epoch length or epoch count named by `what`,
+    refused unless it is at least `least` (a NaN is refused too)."""
+    if not value >= least:
+        raise ConfigurationError(f"{what} must be at least {least}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

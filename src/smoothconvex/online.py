@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (EPS_LOG, ConfigurationError, Domain, InputError, Point,
-                   StepSchedule, UnsupportedDomainError, _norm, ball_projector)
+                   UnsupportedDomainError, _at_least, _norm, ball_projector)
 
 
 def _frozen(v) -> np.ndarray:
@@ -171,29 +171,28 @@ class BaseLearner:
 
 
 class OGD(BaseLearner):
-    """Projected online gradient descent, the one projected-step loop: a
-    subclass only chooses the round's direction through _gradient."""
+    """Projected online gradient descent with the constant step `eta`, the
+    one projected-step loop: a subclass only chooses the round's direction
+    through _gradient.  A step that is not positive, NaN included, is
+    refused."""
 
-    def __init__(self, domain: Domain, schedule: StepSchedule, dim: int | None = None):
+    def __init__(self, domain: Domain, eta: float, dim: int | None = None):
+        if not eta > 0:
+            raise ConfigurationError(f"step size eta must be positive, got {eta!r}")
         super().__init__(dim, domain)
         self.x = domain.project(np.zeros(self.dim))
-        self.t = 0
         self._project = domain.projector()
-        self._step_at = schedule.at
-        if schedule.kind == "constant":  # every round's step, bound once as a 0-d array
-            step = np.array(schedule.at(1))
-            self._step_at = lambda t: step
+        self._step = np.array(eta)
 
     def predict(self) -> Point:
         return self.x
 
     def observe(self, loss: RoundLoss) -> None:
-        self.t += 1
         x = self.x
         self._decisions.frombytes(x.tobytes())
         self.loss_values.append(float(loss.value(x)))
         g = self._gradient(x, loss)
-        self.x = self._project(x - self._step_at(self.t) * g)
+        self.x = self._project(x - self._step * g)
 
     def _gradient(self, x: Point, loss: RoundLoss) -> Point:
         """The round's descent direction at the decision x."""
@@ -417,12 +416,6 @@ class ConstraintSet(NamedTuple):
         return cls(funcs=funcs, D=D, G=grad_bound, F=loss_bound)
 
 
-def _check_horizon(T: int) -> None:
-    """Refuse a horizon below one round; the tunings divide by a power of T."""
-    if T < 1:
-        raise ConfigurationError(f"horizon T must be at least 1, got T={T}")
-
-
 class SoftConstraintOGD(OGD):
     """Primal-dual descent-ascent meeting the constraints only in the long run.
 
@@ -430,20 +423,20 @@ class SoftConstraintOGD(OGD):
     loss gradient plus the dual-weighted constraint subgradients; the duals
     are kept nonnegative and damped by a quadratic regularizer so the
     constraint weights adapt to the accumulated violation.  A horizon T
-    below one round is refused.
+    below one round is refused: the tunings divide by a power of T.
     """
 
     def __init__(self, constraints: ConstraintSet, T: int, R: float = 1.0,
                  eta: float | None = None, delta: float | None = None,
                  dim: int | None = None):
-        _check_horizon(T)
+        _at_least("horizon T", T)
         ball = Domain.ball(R)   # refuses R <= 0 before R divides below
         self.cons = constraints
         m, G, D = constraints.m, constraints.G, constraints.D
         self.a = R * math.sqrt((m + 1) * G * G + 2 * m * D * D)
         self.eta = eta if eta is not None else R * R / (self.a * math.sqrt(T))
         self.delta = delta if delta is not None else 2.0 * (m + 1) * G * G
-        super().__init__(ball, StepSchedule.constant(self.eta), dim=dim)
+        super().__init__(ball, self.eta, dim=dim)
         self._eta_delta = self.eta * self.delta
         self._zero = _frozen(np.zeros(self.x.shape))
         self._lam = [0.0] * m
@@ -486,17 +479,19 @@ class SoftConstraintOGD(OGD):
         return loss.grad(x) + cons_grad
 
 
-def zero_violation_tuning(G: float, D: float, F: float, R: float, T: int,
-                          iters: int = 50) -> dict:
+_TUNING_ITERS = 50  # fixed-point sweeps of zero_violation_tuning
+
+
+def zero_violation_tuning(G: float, D: float, F: float, R: float, T: int) -> dict:
     """Fixed point of the coupled (a, b) tuning for the tightened-constraint
-    variant: delta = 4G², gamma = b·T^(−1/4)."""
+    variant, after _TUNING_ITERS sweeps: delta = 4G², gamma = b·T^(−1/4)."""
     if R <= 0:
         raise ConfigurationError("ball radius must be positive")
-    _check_horizon(T)
+    _at_least("horizon T", T)
     delta = 4.0 * G * G
     b = 0.0
     a = R * math.sqrt(2 * G * G + 3 * D * D)
-    for _ in range(iters):
+    for _ in range(_TUNING_ITERS):
         b = 2.0 * math.sqrt(F * (delta * R * R / a + a / (R * R)))
         a = R * math.sqrt(2 * G * G + 3 * (D * D + b * b))
     return {"a": a, "b": b, "delta": delta, "gamma": b * T ** (-0.25)}
@@ -532,12 +527,13 @@ class ZeroViolationOGD(SoftConstraintOGD):
 
 
 class PenaltyOGD(OGD):
-    """OGD on the radius-R ball down the penalized loss f_t + delta·Σ[g_i]₊
-    with a fixed weight; the baseline whose violation cannot vanish."""
+    """OGD with the constant step `eta` on the radius-R ball down the
+    penalized loss f_t + delta·Σ[g_i]₊ with a fixed weight; the baseline
+    whose violation cannot vanish."""
 
-    def __init__(self, constraints: ConstraintSet, schedule: StepSchedule,
+    def __init__(self, constraints: ConstraintSet, eta: float,
                  delta: float, R: float = 1.0, dim: int | None = None):
-        super().__init__(Domain.ball(R), schedule, dim=dim)
+        super().__init__(Domain.ball(R), eta, dim=dim)
         self.cons = constraints
         self.delta = delta
         self._delta = np.array(delta)

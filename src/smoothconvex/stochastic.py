@@ -7,12 +7,14 @@ constant and `lam` a strong-convexity modulus (refused unless positive when
 set); `snapshot_every` is the number of steps between records (0: about 200).
 
 Every solver counts full-gradient calls, stochastic calls and projections
-onto the domain exactly: the step loops (sgd, gd, agd) one projection per
-step, the epoch-based methods (the clipped-gradient solver and both
-mixed-oracle solvers) one per stochastic step, added once per epoch, and the
-two single-projection solvers their one projection each.  The step loops bind
-the domain's projection (Domain.projector) once per run; only the start point
-goes through the checked Domain.project.
+onto the domain exactly.  The step loops (sgd, gd, agd: one oracle call and
+one projection a step) and the two single-projection solvers (one stochastic
+call a step, one projection in all) set their counts once, from the horizon,
+after the loop.  The epoch-based methods (the clipped-gradient solver and
+both mixed-oracle solvers) add one call and one projection per stochastic
+step once per epoch, so each epoch's record reads the running count.  The
+step loops bind the domain's projection (Domain.projector) once per run; only
+the start point goes through the checked Domain.project.
 
 The three epoch methods share one inner loop (`_epoch`): each epoch binds a
 step closure over its anchor, its projector and its step size, and the loop
@@ -25,9 +27,9 @@ the solver owns, which the kernel may return as is.  The mixed-oracle
 solvers likewise bind the anchored difference once per epoch
 (FiniteSumProblem.anchored_diff), and hold their per-epoch scalar factors as
 0-d arrays, which numpy multiplies into a vector faster than a Python float
-with the same products.  An epoch length below
-one step is refused, as is a horizon below one step in every solver that
-averages its iterates over the horizon.
+with the same products.  An epoch count or epoch length below one is
+refused, as is a horizon below one step in the step loops and the
+single-projection solvers (core._at_least, one rule for all three).
 
 With `probe_variance`, emgd takes gradient_variance_probe at each epoch's end
 and anchor.  The probe walks the data in row blocks (problems.row_blocks), so
@@ -41,7 +43,7 @@ import warnings
 
 import numpy as np
 
-from .core import (ConfigurationError, Domain, NumericError, Point, StepSchedule,
+from .core import (ConfigurationError, Domain, NumericError, Point, _at_least,
                    _norm, clip_component, make_rng, two_ball_projector)
 from .problems import row_blocks
 
@@ -66,19 +68,6 @@ class Trace:
         self.records.append(kv)
 
 
-def _smoothness(problem, L: float | None, flavor: str = "component") -> float:
-    """Pick the smoothness constant a solver should run with: `L` when set.
-
-    flavor="component": the stochastic-oracle functions' constant (epoch
-    solvers); flavor="full": the averaged objective's constant (full-gradient
-    step sizes).  Both come from the objective's `constants`.
-    """
-    if L is not None:
-        return L
-    c = problem.constants
-    return c.L_comp if flavor == "component" else c.L_full
-
-
 def _strong_convexity(problem, lam: float | None) -> float:
     """`lam` when it is set, refused unless positive; otherwise the
     objective's `constants.lam` (0 when it is not strongly convex)."""
@@ -93,28 +82,6 @@ def _start(problem, w0: Point | None) -> Point:
     if w0 is not None:
         return np.asarray(w0, dtype=np.float64).copy()
     return np.zeros(problem.d)
-
-
-def _horizon(T: int, least: int = 1) -> int:
-    """T, refused unless it is at least `least` steps."""
-    if T < least:
-        raise ConfigurationError(f"horizon T must be at least {least}, got T={T}")
-    return T
-
-
-def _epoch_length(T1: int) -> int:
-    """A resolved epoch or stage length, refused unless at least one step."""
-    if T1 < 1:
-        raise ConfigurationError(f"epoch length must be at least 1 step, got {T1}")
-    return T1
-
-
-def _epoch_count(m: int | None, default: int) -> int:
-    """m, or `default` when it is unset; at least one epoch."""
-    m = default if m is None else m
-    if m < 1:
-        raise ConfigurationError(f"need at least one epoch or stage, got m={m}")
-    return m
 
 
 def _given_step(name: str, value: float | None) -> float | None:
@@ -181,13 +148,13 @@ def _epoch(w: Point, draws, step) -> tuple[Point, Point]:
 
 
 def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
-        schedule: StepSchedule | None = None, eta: float | None = None,
-        w0: Point | None = None, snapshot_every: int = 0,
+        eta: float | None = None, w0: Point | None = None, snapshot_every: int = 0,
         keep_iterates: bool = False) -> Trace:
-    """Projected stochastic gradient descent with uniform iterate averaging."""
-    T = _horizon(T)
+    """Projected stochastic gradient descent with step eta/√t at step t
+    (eta = 1 by default) and uniform iterate averaging."""
+    T = _at_least("horizon T", T)
     rng = make_rng(seed)
-    sched = schedule or StepSchedule.inverse_sqrt(_given_step("eta", eta) or 1.0)
+    eta = _given_step("eta", eta) or 1.0
     trace = Trace(header={"solver": "sgd"})
     project = domain.projector()
     w = domain.project(_start(problem, w0))
@@ -201,9 +168,8 @@ def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
                 rec["w"] = w.copy()
             trace.add(**rec)
         g = problem.stochastic_grad(w, rng)
-        trace.calls_stochastic += 1
-        w = project(w - sched.at(t) * g)
-        trace.projections += 1
+        w = project(w - eta / math.sqrt(t) * g)
+    trace.calls_stochastic = trace.projections = T
     avg /= T
     trace.final_point = avg
     if keep_iterates:
@@ -214,7 +180,8 @@ def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
 def gd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
        w0: Point | None = None, L: float | None = None, snapshot_every: int = 0) -> Trace:
     """Projected full-gradient descent, eta = 1/L by default."""
-    L = _smoothness(problem, L, "full")
+    T = _at_least("horizon T", T)
+    L = problem.constants.L_full if L is None else L
     eta = _given_step("eta", eta) or 1.0 / L
     trace = Trace(header={"solver": "gd", "eta": eta})
     project = domain.projector()
@@ -222,11 +189,10 @@ def gd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
     stride = _stride(T, snapshot_every)
     for t in range(1, T + 1):
         g = problem.full_grad(w)
-        trace.calls_full += 1
         w = project(w - eta * g)
-        trace.projections += 1
         if t % stride == 0 or t == T:
             trace.add(iter=t, objective=problem.full_value(w))
+    trace.calls_full = trace.projections = T
     trace.final_point = w
     return trace
 
@@ -238,7 +204,8 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
     theta_0 = 1, theta_s = 2/(s+2); the prox step uses 1/(theta_s L) so the
     scheme attains the 1/T^2 smooth rate on constrained problems.
     """
-    L = _smoothness(problem, L, "full")
+    T = _at_least("horizon T", T)
+    L = problem.constants.L_full if L is None else L
     trace = Trace(header={"solver": "agd"})
     project = domain.projector()
     h = domain.project(_start(problem, w0))
@@ -248,12 +215,11 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
         theta = 1.0 if s == 0 else 2.0 / (s + 2.0)
         g_pt = (1.0 - theta) * h + theta * f
         grad = problem.full_grad(g_pt)
-        trace.calls_full += 1
         f = project(f - grad / (theta * L))
-        trace.projections += 1
         h = (1.0 - theta) * h + theta * f
         if (s + 1) % stride == 0 or s + 1 == T:
             trace.add(iter=s + 1, objective=problem.full_value(h))
+    trace.calls_full = trace.projections = T
     trace.final_point = h
     return trace
 
@@ -281,19 +247,19 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         raise ConfigurationError("clipped_sgd needs a positive target risk")
     if not (0 < epsilon < 1 and 0 < tau < 1):
         raise ConfigurationError("epsilon and tau must lie in (0, 1)")
-    beta = _smoothness(problem, L)
+    beta = problem.constants.L_comp if L is None else L
     alpha = _strong_convexity(problem, lam)
     if alpha <= 0:
         raise ConfigurationError("clipped_sgd needs a strongly convex problem")
     xi = xi if xi is not None else 4.0 * beta / (alpha * tau)
-    m = _epoch_count(m, 8)
+    m = _at_least("epoch or stage count m", 8 if m is None else m)
     d = problem.d
     stage_count = max(1, math.ceil(math.log2(max(xi * beta * R * R / target_risk, 2.0))))
     T1_presc = math.ceil(4 * max(
         (xi**3 * beta * d + 2.0 * xi * beta * math.sqrt(d))
         / (epsilon * alpha) * math.log(max(m * stage_count / delta, 2.0)),
         16.0 * xi**2 * beta**2 / (alpha**2 * epsilon**2)))
-    T1 = _epoch_length(T1 if T1 is not None else min(T1_presc, max(1, T // m)))
+    T1 = _at_least("epoch length", T1 if T1 is not None else min(T1_presc, max(1, T // m)))
     eta = _given_step("eta", eta) or 1.0 / (2.0 * xi * beta * math.sqrt(T1))
 
     trace = Trace(header={
@@ -354,11 +320,11 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     gamma = gamma_shrink
     if gamma <= 1.0:
         raise ConfigurationError("shrink factor must exceed 1")
-    beta = _smoothness(problem, L)
-    m = _epoch_count(m, 5)
+    beta = problem.constants.L_comp if L is None else L
+    m = _at_least("epoch count m", 5 if m is None else m)
     T1_presc = math.ceil(300.0 * math.log(m / delta))
     budget_T1 = max(1, math.floor(T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))
-    T1 = _epoch_length(T1 if T1 is not None else min(T1_presc, budget_T1))
+    T1 = _at_least("epoch length", T1 if T1 is not None else min(T1_presc, budget_T1))
     lam = lambda1 if lambda1 is not None else 16.0 * beta
     Delta = _given_step("Delta1", Delta1) or R
     eta = _given_step("eta", eta) or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
@@ -414,13 +380,13 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
     `Delta1` is the first epoch's radius, by default twice the domain's.
     """
     R = _ball_radius(domain, "emgd")
-    L = _smoothness(problem, L)
+    L = problem.constants.L_comp if L is None else L
     lam = _strong_convexity(problem, lam)
     if lam <= 0:
         raise ConfigurationError("strong convexity required; use mixed_grad instead")
-    m = _epoch_count(m, 8)
+    m = _at_least("epoch count m", 8 if m is None else m)
     T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / delta))
-    T = _epoch_length(T1 if T1 is not None else min(T_presc, T))
+    T = _at_least("epoch length", T1 if T1 is not None else min(T_presc, T))
     eta = _given_step("eta", eta) or 1.0 / (L * math.sqrt(T))
     Delta = _given_step("Delta1", Delta1) or 2.0 * R
 
@@ -516,7 +482,7 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     """
     if domain.rho <= 0:
         raise ConfigurationError("boundary gradient bound rho must be positive")
-    T = _horizon(T)
+    T = _at_least("horizon T", T)
     G1 = G1 if G1 is not None else _declared(objective, "grad_bound", "G1")(1.0)
     G2, C2 = domain.G2, domain.C2
     gamma = _given_step("gamma", gamma)
@@ -535,7 +501,6 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     for t in range(1, T + 1):
         xbar += x
         g = objective.stochastic_grad(x, rng)
-        trace.calls_stochastic += 1
         gx = domain.g(x)
         xp = x - eta * (g + lam * domain.g_grad(x))
         x = xp / max(_norm(xp), 1.0)
@@ -544,7 +509,7 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
             trace.add(iter=t, objective=objective.full_value(x), constraint=gx, dual=lam)
     xbar /= T
     trace.final_point = domain.project(xbar)
-    trace.projections += 1
+    trace.calls_stochastic, trace.projections = T, 1
     return trace
 
 
@@ -566,7 +531,7 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
         raise ConfigurationError("sgd_st's default step needs a strongly convex objective")
     gamma = _given_step("gamma", gamma)
     # the default gamma = log(T)/T is positive only from T = 2 on
-    T = _horizon(T, least=1 if gamma else 2)
+    T = _at_least("horizon T", T, 1 if gamma else 2)
     gamma = gamma or math.log(T) / T
     G1 = G1 if G1 is not None else _declared(objective, "grad_bound", "G1")(1.0)
     lam0 = lambda0 if lambda0 is not None else 1.05 * G1 / domain.rho
@@ -582,7 +547,6 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     for t in range(1, T + 1):
         xbar += x
         g = objective.stochastic_grad(x, rng)
-        trace.calls_stochastic += 1
         gx = domain.g(x)
         z = lam0 * gx / gamma
         weight = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
@@ -593,5 +557,5 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
             trace.add(iter=t, objective=objective.full_value(x), constraint=gx, weight=weight)
     xbar /= T
     trace.final_point = domain.project(xbar)
-    trace.projections += 1
+    trace.calls_stochastic, trace.projections = T, 1
     return trace

@@ -122,14 +122,14 @@ def domain_project(domain, x):
     raise ValueError(domain.kind)
 
 
-def ogd_rounds(domain, schedule, dim, losses):
+def ogd_rounds(domain, eta, dim, losses):
     x = domain_project(domain, np.zeros(dim))
     decisions, values = [], []
-    for t, loss in enumerate(losses, 1):
+    for loss in losses:
         decisions.append(x.copy())
         values.append(float(loss.value(x)))
         g = loss.grad(x)
-        x = domain_project(domain, x - schedule.at(t) * g)
+        x = domain_project(domain, x - eta * g)
     return {"decisions": decisions, "loss_values": values}
 
 
@@ -257,10 +257,10 @@ def zero_violation_rounds(funcs, tuning, T, R, dim, losses):
     return out
 
 
-def penalty_rounds(funcs, schedule, delta, R, dim, losses):
+def penalty_rounds(funcs, eta, delta, R, dim, losses):
     x = np.zeros(dim)
     decisions, values, violations = [], [], []
-    for t, loss in enumerate(losses, 1):
+    for loss in losses:
         decisions.append(x.copy())
         values.append(float(loss.value(x)))
         vals = np.array([g(x) for g, _ in funcs])
@@ -269,7 +269,7 @@ def penalty_rounds(funcs, schedule, delta, R, dim, losses):
         for v, (_, gg) in zip(vals, funcs):
             if v > 0:
                 g = g + delta * gg(x)
-        x = project_ball(x - schedule.at(t) * g, R)
+        x = project_ball(x - eta * g, R)
     return {"decisions": decisions, "loss_values": values, "violations": violations}
 
 

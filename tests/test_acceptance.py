@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from smoothconvex.core import Domain, StepSchedule, make_rng
+from smoothconvex.core import Domain, make_rng
 from smoothconvex import adversary, cli, metrics, online, problems, stochastic
 
 
@@ -363,7 +363,7 @@ def test_criterion_11_foundations():
 
     # seed determinism of a full solver run
     dom = Domain.ball(1.0)
-    cfg = dict(seed=17, T=300, schedule=StepSchedule.inverse_sqrt(0.1), keep_iterates=True)
+    cfg = dict(seed=17, T=300, eta=0.1, keep_iterates=True)
     a = stochastic.sgd(prob, dom, **cfg)
     b = stochastic.sgd(prob, dom, **cfg)
     ok &= np.array_equal(a.final_point, b.final_point)

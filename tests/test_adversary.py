@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smoothconvex import adversary
-from smoothconvex.core import Domain, InputError, StepSchedule, make_rng
+from smoothconvex.core import Domain, InputError, make_rng
 from smoothconvex.adversary import (alternating_linear, classification_stream,
                                     drifting_quadratics, ftrl_adversary, measure_egv,
                                     measure_egv_exact, measure_egv_inf)
@@ -41,7 +41,7 @@ class TestFtrlAdversary:
         eta, T = 0.01, 10_000
         seq = ftrl_adversary(eta, T)
         dom = Domain.ball(1.0)
-        learner = OGD(dom, StepSchedule.constant(eta), dim=1)
+        learner = OGD(dom, eta, dim=1)
         for l in seq:
             learner.observe(l)
         # comparator by exhaustive 1-D grid at 1e-3

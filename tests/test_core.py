@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothconvex.core import (_norm, ConfigurationError, Domain, DomainError,
-                               InputError, MirrorMap, StepSchedule,
-                               UnsupportedDomainError, ball_projector,
-                               clip_component, dykstra, make_rng, project_ball,
-                               project_l1_ball, project_simplex, project_two_balls,
-                               prox_step, two_ball_projector)
+                               InputError, MirrorMap, UnsupportedDomainError,
+                               ball_projector, clip_component, dykstra, make_rng,
+                               project_ball, project_l1_ball, project_simplex,
+                               project_two_balls, prox_step, two_ball_projector)
 from smoothconvex.online import OMP
 from smoothconvex.problems import from_arrays
 
@@ -519,12 +518,6 @@ class TestClip:
 
 
 class TestSchedulesAndOracles:
-    def test_schedule_values(self):
-        assert StepSchedule.constant(0.3).at(7) == 0.3
-        assert StepSchedule.inverse_sqrt(2.0).at(4) == 1.0
-        with pytest.raises(ConfigurationError):
-            StepSchedule.constant(0.0)
-
     def test_oracle_unbiased(self):
         rng0 = make_rng(123)
         X = rng0.standard_normal((20, 4))

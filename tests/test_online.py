@@ -9,7 +9,7 @@ import pytest
 
 from smoothconvex import cli
 from smoothconvex.core import (ConfigurationError, Domain, InputError,
-                               StepSchedule, UnsupportedDomainError, make_rng)
+                               UnsupportedDomainError, make_rng)
 from smoothconvex.adversary import (alternating_linear, classification_stream,
                                     ftrl_adversary)
 from smoothconvex.metrics import comparator_minimum, final_regret
@@ -33,14 +33,14 @@ def const_seq(v, T):
 
 class TestOGD:
     def test_zero_losses_never_move(self):
-        ogd = OGD(UNIT, StepSchedule.constant(0.5), dim=3)
+        ogd = OGD(UNIT, 0.5, dim=3)
         for _ in range(5):
             ogd.observe(linear(np.zeros(3)))
         assert all(np.array_equal(x, np.zeros(3)) for x in ogd.decisions)
 
     def test_hand_recursion_clipped(self):
         dom = Domain.box([-1.0], [1.0])
-        ogd = OGD(dom, StepSchedule.constant(0.5))
+        ogd = OGD(dom, 0.5)
         xs = []
         for _ in range(4):
             xs.append(ogd.predict()[0])
@@ -50,7 +50,7 @@ class TestOGD:
     def test_alternating_movement_until_clipping(self):
         # +/- alternating linear losses: each step moves by eta*|f| inside the ball
         dom = Domain.ball(1.0)
-        ogd = OGD(dom, StepSchedule.constant(0.3), dim=1)
+        ogd = OGD(dom, 0.3, dim=1)
         f = np.array([0.5])
         prev = ogd.predict().copy()
         moves = []
@@ -329,9 +329,12 @@ class TestConstructionChecks:
         lambda: HingeClassifierPD(2, eta=0.0),
         lambda: HingeClassifierPD(2, R=-1.0),
         lambda: HingeClassifierPD(2, R=0.0),
+        lambda: OGD(UNIT, 0.0, dim=2),
+        lambda: OGD(UNIT, -0.5, dim=2),
+        lambda: OGD(UNIT, math.nan, dim=2),
     ], ids=["bandit-delta-neg", "bandit-delta-0", "bandit-G-0", "omp-L-0", "omp-L-neg",
             "iftrl-L-0", "iftrl-L-neg", "hinge-eta-neg", "hinge-eta-0", "hinge-R-neg",
-            "hinge-R-0"])
+            "hinge-R-0", "ogd-eta-0", "ogd-eta-neg", "ogd-eta-nan"])
     def test_nonpositive_parameter_refused(self, make):
         with pytest.raises(ConfigurationError):
             make()
@@ -387,8 +390,9 @@ class TestSoftConstraints:
         lambda c: SoftConstraintOGD(c, T=100, R=1.0, dim=2, eta=0.0),
         lambda c: SoftConstraintOGD(c, T=100, R=0.0, dim=2),
         lambda c: ZeroViolationOGD(c, T=100, R=0.0, dim=2),
-        lambda c: PenaltyOGD(c, StepSchedule.constant(0.1), delta=1.0, R=-1.0, dim=2),
-    ], ids=["soft-eta0", "soft-R0", "zero-R0", "penalty-Rneg"])
+        lambda c: PenaltyOGD(c, 0.1, delta=1.0, R=-1.0, dim=2),
+        lambda c: PenaltyOGD(c, math.nan, delta=1.0, R=1.0, dim=2),
+    ], ids=["soft-eta0", "soft-R0", "zero-R0", "penalty-Rneg", "penalty-eta-nan"])
     def test_nonpositive_step_or_radius_refused(self, make):
         with pytest.raises(ConfigurationError):
             make(self.make_cons())
@@ -447,7 +451,7 @@ class TestSoftConstraints:
         cons = ConstraintSet(funcs=[(lambda x: 1.0 - float(v @ x), lambda x: -v)],
                              D=3.0, G=1.0, F=2.0)
         T = 1000
-        lr = PenaltyOGD(cons, StepSchedule.constant(0.05), delta=0.5, R=2.0, dim=2)
+        lr = PenaltyOGD(cons, 0.05, delta=0.5, R=2.0, dim=2)
         for _ in range(T):
             lr.observe(linear(v))
         viol = float(np.sum(np.maximum([x[0] for x in lr.violations], 0.0)))
@@ -466,7 +470,7 @@ class TestFeasibilityAcrossLearners:
         rng = make_rng(11)
         T = 60
         for make in (
-            lambda: OGD(UNIT, StepSchedule.inverse_sqrt(0.4), dim=3),
+            lambda: OGD(UNIT, 0.4, dim=3),
             lambda: OMP(UNIT, L=1.0, eta=0.3, dim=3),
             lambda: IFTRL(UNIT, L=1.0, eta=0.5, dim=3),
         ):
@@ -580,7 +584,7 @@ def _priced_run(kind):
         lr = IFTRL(UNIT, L=1.0, eta=0.5, dim=3)
     elif kind == "OGD":
         seq = ftrl_adversary(0.2, 300, gv_target=200.0)
-        lr = OGD(UNIT, StepSchedule.constant(0.2), dim=1)
+        lr = OGD(UNIT, 0.2, dim=1)
     elif kind == "ExpertOMP":
         rng = make_rng(4)
         c1, c2 = rng.uniform(0, 1, size=5), rng.uniform(0, 1, size=5)
@@ -698,11 +702,10 @@ class TestFrozenRounds:
     @pytest.mark.parametrize("kind", ["ball", "box"])
     def test_ogd(self, kind):
         dom, losses = _ROUND_DOMAINS[kind], _mixed_losses(_ROUNDS_T, 3, 1)
-        sched = StepSchedule.inverse_sqrt(0.5)
-        lr = OGD(dom, sched, dim=3)
+        lr = OGD(dom, 0.5, dim=3)
         for l in losses:
             lr.observe(l)
-        want = frozen_kernels.ogd_rounds(dom, sched, 3, losses)
+        want = frozen_kernels.ogd_rounds(dom, 0.5, 3, losses)
         _assert_records_match(lr, want)
         if kind == "ball":
             _assert_both_branches(lr.decisions, 1.0)
@@ -775,11 +778,10 @@ class TestFrozenRounds:
 
     def test_penalty_ogd(self):
         cons, losses = _soft_cons(), list(_soft_rounds(_ROUNDS_T, 4.0))
-        sched = StepSchedule.constant(0.05)
-        lr = PenaltyOGD(cons, sched, delta=3.0, R=0.8, dim=2)
+        lr = PenaltyOGD(cons, 0.05, delta=3.0, R=0.8, dim=2)
         for l in losses:
             lr.observe(l)
-        want = frozen_kernels.penalty_rounds(cons.funcs, sched, 3.0, 0.8, 2, losses)
+        want = frozen_kernels.penalty_rounds(cons.funcs, 0.05, 3.0, 0.8, 2, losses)
         _assert_records_match(lr, want, ("decisions", "loss_values", "violations"))
         assert np.all(np.any(np.array(lr.violations) > 0, axis=0))
         _assert_both_branches(lr.decisions, 0.8)
@@ -793,7 +795,7 @@ def _recording_cases():
     experts = [linear(rng.uniform(0.0, 1.0, size=4)) for _ in range(T)]
     quad = [RoundLoss.from_quadratic(1.5 * rng.standard_normal(d)) for _ in range(T)]
     return {
-        "OGD": (lambda: OGD(UNIT, StepSchedule.constant(0.3), dim=d), mixed),
+        "OGD": (lambda: OGD(UNIT, 0.3, dim=d), mixed),
         "IFTRL": (lambda: IFTRL(UNIT, L=1.0, eta=0.3, dim=d), mixed),
         "OMP": (lambda: OMP(UNIT, L=1.0, eta=0.5, dim=d), mixed),
         "OMP-simplex": (lambda: OMP(Domain.simplex(4), L=1.0, eta=0.5, dim=4), experts),
@@ -803,8 +805,7 @@ def _recording_cases():
                               list(_soft_rounds(T))),
         "ZeroViolationOGD": (lambda: ZeroViolationOGD(_soft_cons(), T, R=0.8, dim=2),
                              list(_soft_rounds(T))),
-        "PenaltyOGD": (lambda: PenaltyOGD(_soft_cons(), StepSchedule.constant(0.05),
-                                          delta=3.0, R=0.8, dim=2),
+        "PenaltyOGD": (lambda: PenaltyOGD(_soft_cons(), 0.05, delta=3.0, R=0.8, dim=2),
                        list(_soft_rounds(T))),
     }
 
@@ -844,14 +845,13 @@ class TestLearnerDimension:
     with ConfigurationError before building a point."""
 
     @pytest.mark.parametrize("make", [
-        lambda dim: OGD(UNIT, StepSchedule.constant(0.1), dim=dim),
+        lambda dim: OGD(UNIT, 0.1, dim=dim),
         lambda dim: IFTRL(UNIT, L=1.0, eta=0.5, dim=dim),
         lambda dim: OMP(UNIT, L=1.0, eta=0.1, dim=dim),
         lambda dim: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=dim),
         lambda dim: SoftConstraintOGD(_soft_cons(), T=10, dim=dim),
         lambda dim: ZeroViolationOGD(_soft_cons(), T=10, dim=dim),
-        lambda dim: PenaltyOGD(_soft_cons(), StepSchedule.constant(0.05), delta=1.0,
-                               dim=dim),
+        lambda dim: PenaltyOGD(_soft_cons(), 0.05, delta=1.0, dim=dim),
         lambda dim: HingeClassifierPD(dim),
     ], ids=["OGD", "IFTRL", "OMP", "BanditOMP", "SoftConstraintOGD", "ZeroViolationOGD",
             "PenaltyOGD", "HingeClassifierPD"])
@@ -861,7 +861,7 @@ class TestLearnerDimension:
             make(dim)
 
     @pytest.mark.parametrize("make", [
-        lambda: OGD(Domain.ball(1.0), StepSchedule.constant(0.1)),
+        lambda: OGD(Domain.ball(1.0), 0.1),
         lambda: OMP(Domain.ball(1.0), L=1.0, eta=0.1),
         lambda: IFTRL(Domain.ball(1.0), L=1.0, eta=0.5),
     ], ids=["OGD", "OMP", "IFTRL"])
@@ -878,8 +878,7 @@ class TestLearnerDimension:
 
 class TestFlatRecords:
     def test_records_are_fresh_read_only_rows(self):
-        lr = PenaltyOGD(_soft_cons(), StepSchedule.constant(0.05), delta=3.0, R=0.8,
-                        dim=2)
+        lr = PenaltyOGD(_soft_cons(), 0.05, delta=3.0, R=0.8, dim=2)
         rounds = list(_soft_rounds(6, 4.0))
         for l in rounds[:5]:
             lr.observe(l)

@@ -63,7 +63,6 @@ ALLOWED = {
     "core.HalfspaceCut.sample": "criterion 11",
     "core.project_l1_ball": "criterion 11",
     "stochastic.sgd": "criterion 11",
-    "core.StepSchedule.inverse_sqrt": "criterion 11: sgd's schedule",
     "problems.FiniteSumProblem.stochastic_grad": "criterion 11; objective protocol",
     "problems.FiniteSumProblem.component": "criterion 11; objective protocol",
     "problems.FiniteSumProblem.component_grad": "criterion 11; objective protocol",

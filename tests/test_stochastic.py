@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothconvex.core import (ConfigurationError, Domain, DomainError, StepSchedule,
+from smoothconvex.core import (ConfigurationError, Domain, DomainError,
                                UnsupportedDomainError, clip_component, make_rng)
 from smoothconvex.metrics import loglog_slope, reference_optimum
 from smoothconvex.problems import (NoisyQuadratic, from_arrays,
@@ -48,16 +48,16 @@ def traces_equal(a: Trace, b: Trace) -> bool:
 class TestSgd:
     def test_hand_recursion_zero_variance(self):
         prob = from_arrays([[1.0]], [0.0], 0.0, "squared")  # F(w) = w^2
-        tr = sgd(prob, Domain.ball(10.0), seed=1, T=2, schedule=StepSchedule.constant(0.25),
-                 w0=np.array([1.0]), keep_iterates=True)
+        tr = sgd(prob, Domain.ball(10.0), seed=1, T=2, eta=0.25, w0=np.array([1.0]),
+                 keep_iterates=True)
         ws = [r["w"][0] for r in tr.records if "w" in r]
-        assert ws == [1.0, 0.5, 0.25]
+        assert ws == [1.0, 0.5, 0.5 - 0.25 / math.sqrt(2.0)]
 
     def test_final_average_feasible(self):
         data = synthetic_regression(30, 3, seed=0)
         prob = least_squares_problem(data, lam=0.0)
         dom = Domain.ball(0.5)
-        tr = sgd(prob, dom, seed=2, T=500, schedule=StepSchedule.inverse_sqrt(0.2))
+        tr = sgd(prob, dom, seed=2, T=500, eta=0.2)
         assert dom.contains(tr.final_point, tol=1e-10)
         assert tr.calls_stochastic == 500
 
@@ -74,7 +74,7 @@ class TestSgd:
         Ts = [100, 1000, 10_000, 100_000]
         subs = []
         for T in Ts:
-            tr = sgd(prob, dom, seed=6, T=T, schedule=StepSchedule.inverse_sqrt(0.2))
+            tr = sgd(prob, dom, seed=6, T=T, eta=0.2)
             subs.append(prob.full_value(tr.final_point) - ref["F"])
         slope = loglog_slope(Ts, subs)
         assert -0.65 <= slope <= -0.35
@@ -83,7 +83,7 @@ class TestSgd:
         data = synthetic_regression(20, 3, seed=7)
         prob = least_squares_problem(data, lam=0.01)
         dom = Domain.ball(1.0)
-        cfg = dict(seed=11, T=300, schedule=StepSchedule.inverse_sqrt(0.1), keep_iterates=True)
+        cfg = dict(seed=11, T=300, eta=0.1, keep_iterates=True)
         assert traces_equal(sgd(prob, dom, **cfg), sgd(prob, dom, **cfg))
 
 
@@ -448,9 +448,10 @@ class TestEpochCount:
 class TestHorizon:
     """A horizon or an epoch length below one step is refused, not divided by."""
 
-    @pytest.mark.parametrize("solver", [sgd], ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("solver", [sgd, gd, agd], ids=lambda s: s.__name__)
     def test_zero_horizon_refused(self, solver):
-        # the iterate average divided by T = 0 and returned [nan nan]
+        # sgd's iterate average divided by T = 0 and returned [nan nan]; the
+        # step loops set their counts from T
         obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
         with pytest.raises(ConfigurationError, match="horizon"):
             solver(obj, Domain.ball(0.8), T=0)
@@ -518,7 +519,7 @@ _ALL_SOLVERS = [sgd, gd, agd, clipped_sgd, mixed_grad, emgd, sgd_pd, sgd_st]
 
 # each solver's keyword-only parameters: exactly the values it reads
 _PARAMETERS = {
-    sgd: {"seed", "T", "schedule", "eta", "w0", "snapshot_every", "keep_iterates"},
+    sgd: {"seed", "T", "eta", "w0", "snapshot_every", "keep_iterates"},
     gd: {"T", "eta", "w0", "L", "snapshot_every"},
     agd: {"T", "w0", "L", "snapshot_every"},
     clipped_sgd: {"seed", "T", "m", "T1", "eta", "L", "lam", "xi", "epsilon", "tau",
