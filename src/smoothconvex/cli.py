@@ -12,7 +12,7 @@ The online chapter (`online`, `adversary`) is imported by the experiments
 that run it, on their first call, so a solver run never loads it.
 
 The command line's seeds, and the independent parts of `gv_regret_sweep`,
-`soft_constraints`, `ogd_vs_omp_adversary` and `expert_switch`, map through
+`soft_constraints` and `expert_switch`, map through
 `_fork_map`, which runs on W = min(C, items) processes, where C is
 `usable_cpus()`, the affinity mask, or within a share of an enclosing map that
 map's C // W. `run()`, `scripts/run_all_experiments.py` and a direct call of an
@@ -183,9 +183,11 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
 
 def _regret(learner, losses, best: float) -> float:
     """`learner`'s regret after a round on each of `losses`, against the best
-    fixed point's total loss `best`; the learner prices its own decisions."""
-    for l in losses:
-        learner.observe(l)
+    fixed point's total loss `best`; the learner prices its own decisions.
+    `play` computes each round that does not repeat an earlier state and
+    loss, and copies the records of those that do: the same floats as an
+    observe loop, bit for bit."""
+    learner.play(losses)
     return sum(learner.loss_values) - best
 
 
@@ -218,7 +220,8 @@ def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
     ogd = online.OGD(dom, eta, dim=1)
     omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, egv), dim=1)
     _, best = metrics.comparator_minimum(seq, dom)
-    r_ogd, r_omp = _fork_map(lambda lr: _regret(lr, seq, best), [ogd, omp])
+    # both learners replay most rounds: forking costs more than the rounds
+    r_ogd, r_omp = _regret(ogd, seq, best), _regret(omp, seq, best)
     margin = r_ogd - 5.0 * r_omp  # nonnegative iff the 5x separation holds
     rows = [{"egv": egv, "regret": r_ogd, "regret_omp": r_omp, "margin": margin}]
     return ExperimentResult(rows, final_metric=margin)
@@ -711,11 +714,11 @@ def _usage() -> str:
     return ("usage: smoothconvex run <experiment> [--seed S[,S2,...]] "
             "[--config FILE] [--out DIR] [--key=value ...]\n"
             "seeds run in parallel, one process per seed and usable CPU at most, and the\n"
-            "CPUs they leave split the parts of gv_regret_sweep, soft_constraints,\n"
-            "ogd_vs_omp_adversary and expert_switch; the affinity mask caps all these\n"
-            "processes, as it does for scripts/run_all_experiments.py and the library's\n"
-            "run(), and `taskset -c 0 smoothconvex run ...` runs serially. Only the\n"
-            "calling process writes summary.csv.\n"
+            "CPUs they leave split the parts of gv_regret_sweep, soft_constraints and\n"
+            "expert_switch; the affinity mask caps all these processes, as it does for\n"
+            "scripts/run_all_experiments.py and the library's run(), and\n"
+            "`taskset -c 0 smoothconvex run ...` runs serially. Only the calling process\n"
+            "writes summary.csv.\n"
             "experiments: " + ", ".join(sorted(EXPERIMENTS)))
 
 

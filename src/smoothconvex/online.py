@@ -16,6 +16,20 @@ array.  The constraint learners record their m violation values a round the
 same way (`violations`, (rounds, m)); ZeroViolationOGD's `raw_violations` is
 an array('d').
 
+`play(losses)` observes a whole sequence and skips the rounds that repeat.
+OGD, OMP and IFTRL name the arrays that, with a round's loss, fix the rest of
+the run (`_state`).  Before each round play keys their bytes with the
+identity of the round's loss.  Where a key recurs after P rounds, play
+copies the records of every whole period ahead in which each loss is the
+very object of P rounds before, instead of computing those rounds.  It
+compares bytes and identities, never values, so its records and final state
+are an observe loop's, bit for bit; sequences that share a few RoundLoss
+objects (`adversary.alternating_linear`, `ftrl_adversary`) compute a handful
+of rounds.  A learner whose rounds change more than its state and its two
+records (BanditOMP, the constraint learners) names no state and plays every
+round, as does ExpertOMP, whose weights do not repeat on `expert_switch`'s
+costs.
+
 A RoundLoss is one of two slot-based kinds: linear (a cost vector) or
 quadratic ½‖x − c‖² (a center).  Each computes value and grad in methods
 over its read-only vector, so a round holds no closure;
@@ -43,6 +57,7 @@ Every learner here is run by an experiment in `cli`.
 from __future__ import annotations
 
 import math
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -139,6 +154,32 @@ def _rows(record, width: int) -> np.ndarray:
     return rows
 
 
+def _repeats(losses, r: int, P: int) -> int:
+    """How many rounds from round r on each play the very loss (`is`) of P
+    rounds before: compared in C a doubling chunk at a time, so the count
+    costs time in proportion to itself, not to the rounds left."""
+    n, step = 0, 1
+    while r + n < len(losses):
+        a = r + n
+        same = list(map(is_, losses[a:a + step], losses[a - P:a - P + step]))
+        if not all(same):
+            return n + same.index(False)
+        n, step = n + len(same), 2 * step
+    return n
+
+
+_CHUNK = 4096  # floats a replayed record grows by at a time
+
+
+def _append_copies(record, a: int, b: int, k: int) -> None:
+    """Append k copies of record[a:b], about _CHUNK floats at a time, so no
+    temporary copy grows with k."""
+    window = record[a:b]
+    per = max(1, _CHUNK // len(window))
+    for done in range(0, k, per):
+        record.extend(window * min(per, k - done))
+
+
 class BaseLearner:
     """Common bookkeeping: the decision played and the loss paid each round,
     which each learner's observe appends as it plays the round.
@@ -148,7 +189,14 @@ class BaseLearner:
     growable buffer of d floats a round, which `decisions` reads back.  The
     dimension d is the domain's when it has one, else `dim`; a missing d or
     one below 1 is refused.
+
+    `_state` names the float64 arrays that, with a round's loss, fix the
+    round's two records and every later state; `play` replays a round only
+    for a learner that names them.  A learner whose rounds change anything
+    else, or keep another record, names none.
     """
+
+    _state: tuple = ()
 
     def __init__(self, dim: int | None, domain: Domain | None = None):
         d = domain.dim if domain is not None and domain.dim is not None else dim
@@ -164,6 +212,37 @@ class BaseLearner:
         (rounds, d) array."""
         return _rows(self._decisions, self.dim)
 
+    def play(self, losses) -> None:
+        """Observe each of the sequence `losses` in turn, as observe would,
+        bit for bit, without computing a round that repeats an earlier one.
+
+        Before round r the learner's state bytes and the loss's identity
+        form a key; if round r0 < r had the same key, each of the whole
+        periods P = r − r0 ahead in which every loss is the loss P rounds
+        before it plays rounds r0..r−1 again: their records are copied, and
+        the state after them is the state now.  Only bytes and identities
+        are compared, never values.  A learner that names no state observes
+        every round."""
+        names = self._state
+        if not names:
+            for loss in losses:
+                self.observe(loss)
+            return
+        seen, d, base, r = {}, self.dim, len(self.loss_values), 0
+        while r < len(losses):
+            key = (id(losses[r]), b"".join([getattr(self, a).tobytes() for a in names]))
+            P = r - seen.get(key, r)
+            seen[key] = r
+            k = P and _repeats(losses, r, P) // P
+            if k:
+                a, b = base + r - P, base + r
+                _append_copies(self.loss_values, a, b, k)
+                _append_copies(self._decisions, a * d, b * d, k)
+                r += k * P
+            else:
+                self.observe(losses[r])
+                r += 1
+
 
 # ---------------------------------------------------------------------------
 # Gradient-descent family
@@ -175,6 +254,8 @@ class OGD(BaseLearner):
     one projected-step loop: a subclass only chooses the round's direction
     through _gradient.  A step that is not positive, NaN included, is
     refused."""
+
+    _state = ("x",)
 
     def __init__(self, domain: Domain, eta: float, dim: int | None = None):
         if not eta > 0:
@@ -207,11 +288,13 @@ class IFTRL(BaseLearner):
     """Regularized-leader learner whose decision steps off the leader point
     with the previous round's gradient (two gradient evaluations per round)."""
 
+    _state = ("z", "grad_sum", "stale_grad")
+
     def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None):
         super().__init__(dim, domain)
         if not 0.0 < eta <= 1.0:
             raise ConfigurationError("eta must lie in (0, 1]")
-        if L <= 0:
+        if not L > 0:
             raise ConfigurationError("smoothness L must be positive")
         if domain.kind not in _LEADER_KINDS:
             raise UnsupportedDomainError(f"no closed-form leader solve for {domain.kind}")
@@ -240,11 +323,13 @@ class OMP(BaseLearner):
     """Two-prox extra-gradient learner; one new gradient evaluation per round.
     Both prox steps are _prox, a projected gradient step with step η/L."""
 
+    _state = ("z", "prev_grad")
+
     def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None):
         super().__init__(dim, domain)
-        if eta <= 0:
+        if not eta > 0:
             raise ConfigurationError("eta must be positive")
-        if L <= 0:
+        if not L > 0:
             raise ConfigurationError("smoothness L must be positive")
         self.z = domain.project(np.zeros(self.dim))
         self.prev_grad = np.zeros(self.dim)
@@ -280,7 +365,11 @@ class ExpertOMP(OMP):
     (the entropy map's prox step), from uniform weights, the projection of
     the origin; observe also takes a plain cost vector.  A round's cost must
     be linear, one entry per expert, and nonnegative; anything else, NaN
-    included, is refused with InputError before the weights move."""
+    included, is refused with InputError before the weights move.  Its
+    weights move every round on the `expert_switch` costs, so keying them
+    for `play` costs more than it saves: it names no state to replay."""
+
+    _state = ()
 
     def __init__(self, m: int, eta: float, L: float = 1.0):
         super().__init__(Domain.simplex(m), L, eta)
@@ -312,7 +401,10 @@ class ExpertOMP(OMP):
 class BanditOMP(OMP):
     """Deterministic multi-point bandit learner: OMP on the shrunk ball
     (1−alpha)·W with L = G, whose gradient is estimated from d+1 value
-    queries on a coordinate stencil."""
+    queries on a coordinate stencil.  Its rounds also count queries and
+    keep the last estimate, so it names no state to replay."""
+
+    _state = ()
 
     def __init__(self, domain: Domain, G: float, delta: float, eta: float,
                  dim: int):
@@ -355,7 +447,7 @@ class HingeClassifierPD(BaseLearner):
         self.eta = eta if eta is not None else 1.0 / (2.0 * math.sqrt(2.0))
         if not 0.0 < self.eta <= 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12:
             raise ConfigurationError("step size must lie in (0, 1/(2*sqrt(2))]")
-        if R <= 0:
+        if not R > 0:
             raise ConfigurationError("ball radius must be positive")
         self.w = np.zeros(dim)
         self.wp = np.zeros(dim)
@@ -423,8 +515,12 @@ class SoftConstraintOGD(OGD):
     loss gradient plus the dual-weighted constraint subgradients; the duals
     are kept nonnegative and damped by a quadratic regularizer so the
     constraint weights adapt to the accumulated violation.  A horizon T
-    below one round is refused: the tunings divide by a power of T.
+    below one round is refused: the tunings divide by a power of T.  Its
+    rounds also move the duals and record violations, so it and
+    ZeroViolationOGD name no state to replay.
     """
+
+    _state = ()
 
     def __init__(self, constraints: ConstraintSet, T: int, R: float = 1.0,
                  eta: float | None = None, delta: float | None = None,
@@ -529,10 +625,15 @@ class ZeroViolationOGD(SoftConstraintOGD):
 class PenaltyOGD(OGD):
     """OGD with the constant step `eta` on the radius-R ball down the
     penalized loss f_t + delta·Σ[g_i]₊ with a fixed weight; the baseline
-    whose violation cannot vanish."""
+    whose violation cannot vanish.  A negative or NaN weight is refused.
+    Its rounds also record violations, so it names no state to replay."""
+
+    _state = ()
 
     def __init__(self, constraints: ConstraintSet, eta: float,
                  delta: float, R: float = 1.0, dim: int | None = None):
+        if not delta >= 0:
+            raise ConfigurationError(f"penalty weight delta must be nonnegative, got {delta!r}")
         super().__init__(Domain.ball(R), eta, dim=dim)
         self.cons = constraints
         self.delta = delta

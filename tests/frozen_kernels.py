@@ -13,6 +13,10 @@ Also the two closed-form variation loops, as they stood before they priced
 each distinct pair of consecutive rounds once, and the hinge comparator's
 grid search, as it stood before its rows were split over processes.
 
+Also the per-round observe loop that ran every learner over its sequence,
+as it stood before `play` replayed the rounds that repeat an earlier state
+and loss.
+
 The bitwise tests compare against these copies, not against the library, so
 that they keep pinning the original floats.  np.linalg.norm stands in for
 core._norm, which is bit-identical to it (see test_core.py::TestNorm).
@@ -120,6 +124,12 @@ def domain_project(domain, x):
     if domain.kind == "box":
         return np.clip(x, domain.lo, domain.hi)
     raise ValueError(domain.kind)
+
+
+def observe_rounds(learner, losses):
+    """`learner` observes each of `losses` in turn, computing every round."""
+    for loss in losses:
+        learner.observe(loss)
 
 
 def ogd_rounds(domain, eta, dim, losses):

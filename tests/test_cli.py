@@ -442,10 +442,11 @@ class TestRunOutputs:
     def test_forked_parts_write_the_serial_bytes(self, tmp_path, monkeypatch, forks,
                                                  experiment, args, parts, cpus):
         # one seed: its experiment's parts fork, up to one process per CPU and
-        # part; hinge_mistakes scans its comparator grids (41 coarse rows) in
-        # the calling process
+        # part; hinge_mistakes scans its comparator grids (41 coarse rows),
+        # and ogd_vs_omp_adversary plays its two learners, in the calling
+        # process
         name = f"{experiment}_0.csv"
-        maps = 0 if experiment == "hinge_mistakes" else 1
+        maps = 0 if experiment in ("hinge_mistakes", "ogd_vs_omp_adversary") else 1
         for out, usable, want in (("forked", cpus, maps * (min(cpus, parts) - 1)),
                                   ("serial", 1, 0)):
             forks.clear()

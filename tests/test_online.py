@@ -1,5 +1,6 @@
 """Round-protocol learners: hand recursions, structural guarantees, bounds."""
 
+import copy
 import math
 import struct
 import tracemalloc
@@ -13,7 +14,7 @@ from smoothconvex.core import (ConfigurationError, Domain, InputError,
 from smoothconvex.adversary import (alternating_linear, classification_stream,
                                     ftrl_adversary)
 from smoothconvex.metrics import comparator_minimum, final_regret
-from smoothconvex.online import (OGD, OMP, IFTRL, BanditOMP, ConstraintSet,
+from smoothconvex.online import (OGD, OMP, IFTRL, BanditOMP, BaseLearner, ConstraintSet,
                                  ExpertOMP, HingeClassifierPD, PenaltyOGD,
                                  RoundLoss, SoftConstraintOGD, ZeroViolationOGD,
                                  zero_violation_tuning)
@@ -312,10 +313,16 @@ class TestHingeClassifierPD:
         assert h.mistakes > 0
 
 
+# one constraint for the penalty learner's construction checks
+PENALTY_CONS = ConstraintSet(funcs=[(lambda x: -1.0, lambda x: np.zeros(2))],
+                             D=1.0, G=1.0, F=1.0)
+
+
 class TestConstructionChecks:
-    """A non-positive step size, smoothness, radius or query offset would
-    divide by zero, climb the cost or leave the domain in some later round;
-    each learner refuses it when it is built."""
+    """A non-positive or NaN step size, smoothness, radius or query offset,
+    or a negative or NaN penalty weight, would divide by zero, climb the
+    cost or leave the domain in some later round; each learner refuses it
+    when it is built."""
 
     @pytest.mark.parametrize("make", [
         lambda: BanditOMP(UNIT, G=1.0, delta=-0.5, eta=0.1, dim=2),
@@ -332,9 +339,19 @@ class TestConstructionChecks:
         lambda: OGD(UNIT, 0.0, dim=2),
         lambda: OGD(UNIT, -0.5, dim=2),
         lambda: OGD(UNIT, math.nan, dim=2),
+        lambda: OMP(UNIT, L=1.0, eta=math.nan, dim=2),
+        lambda: OMP(UNIT, L=math.nan, eta=0.5, dim=2),
+        lambda: IFTRL(UNIT, L=math.nan, eta=0.5, dim=2),
+        lambda: ExpertOMP(3, eta=math.nan),
+        lambda: BanditOMP(UNIT, G=1.0, delta=0.1, eta=math.nan, dim=2),
+        lambda: HingeClassifierPD(2, R=math.nan),
+        lambda: PenaltyOGD(PENALTY_CONS, 0.1, delta=math.nan, dim=2),
+        lambda: PenaltyOGD(PENALTY_CONS, 0.1, delta=-0.5, dim=2),
     ], ids=["bandit-delta-neg", "bandit-delta-0", "bandit-G-0", "omp-L-0", "omp-L-neg",
             "iftrl-L-0", "iftrl-L-neg", "hinge-eta-neg", "hinge-eta-0", "hinge-R-neg",
-            "hinge-R-0", "ogd-eta-0", "ogd-eta-neg", "ogd-eta-nan"])
+            "hinge-R-0", "ogd-eta-0", "ogd-eta-neg", "ogd-eta-nan", "omp-eta-nan",
+            "omp-L-nan", "iftrl-L-nan", "expert-eta-nan", "bandit-eta-nan", "hinge-R-nan",
+            "penalty-delta-nan", "penalty-delta-neg"])
     def test_nonpositive_parameter_refused(self, make):
         with pytest.raises(ConfigurationError):
             make()
@@ -930,3 +947,204 @@ class TestFlatRecords:
             tracemalloc.stop()
         assert len(learners[0].decisions) == len(learners[1].decisions) == T
         assert held < 4_000_000, f"{held / 1e6:.2f} MB held"
+
+
+def _counted(learner):
+    """A one-item list that counts `learner`'s observe calls from now on."""
+    calls, observe = [0], learner.observe
+
+    def counting(loss):
+        calls[0] += 1
+        observe(loss)
+
+    learner.observe = counting
+    return calls
+
+
+def _as_expert_costs(seq, m=3, seed=12):
+    """`seq` with each distinct loss object replaced by one nonnegative linear
+    loss on m experts: the same pattern of shared rounds."""
+    rng, costs = make_rng(seed), {}
+    return [costs.setdefault(id(l), linear(rng.uniform(0.0, 1.0, size=m))) for l in seq]
+
+
+def _broken_periods(d):
+    """Runs of shared losses with periods 2 and 4, each broken by a round
+    that fits no period, one of them halfway through a period."""
+    a, b, c = (linear(v * np.ones(d)) for v in (0.5, -0.5, 0.25))
+    return ([a, b] * 15 + [a, c] + [b, a] * 10 + [a, a, b, b] * 10 + [a, a, c]
+            + [b, b, a, a] * 6)
+
+
+def _equal_vectors(d, T=120):
+    """Alternating ±f, each round a new object: equal vectors, no shared loss."""
+    f = np.zeros(d)
+    f[0] = 0.5
+    return [linear(f if t % 2 == 0 else -f) for t in range(T)]
+
+
+# name: (learner factory on dimension d, its state, whether it takes expert costs)
+_PLAYERS = {
+    "OGD": (lambda d: OGD(UNIT, 0.2, dim=d), ("x",), False),
+    "OMP": (lambda d: OMP(UNIT, L=1.0, eta=0.3, dim=d), ("z", "prev_grad"), False),
+    "IFTRL": (lambda d: IFTRL(UNIT, L=1.0, eta=0.5, dim=d),
+              ("z", "grad_sum", "stale_grad"), False),
+    "ExpertOMP": (lambda m: ExpertOMP(m, eta=0.5), ("z", "prev_grad"), True),
+}
+
+_PLAYED = {
+    "alternating": lambda: alternating_linear(4.0, 400, 3),
+    "ftrl-s0": lambda: ftrl_adversary(2.0, 400),              # s = 0
+    "ftrl-blocks": lambda: ftrl_adversary(0.2, 400),          # 0 < s = 5 < √T
+    "ftrl-zero-tail": lambda: ftrl_adversary(0.01, 400),      # s = 100 ≥ √T
+    "broken-periods": lambda: _broken_periods(2),
+    "equal-vectors": lambda: _equal_vectors(2),
+}
+
+
+def _dim(seq):
+    return seq[0].linear.shape[0]
+
+
+def _assert_played_as_observed(played, observed, state):
+    assert ([v.hex() for v in played.loss_values]
+            == [v.hex() for v in observed.loss_values])
+    assert played.decisions.tobytes() == observed.decisions.tobytes()
+    for name in state:
+        assert getattr(played, name).tobytes() == getattr(observed, name).tobytes(), name
+
+
+def _snapshot(learner) -> dict:
+    """Each attribute's bytes, for an array or record; a copy of a list; else
+    the object itself."""
+    return {k: v.tobytes() if hasattr(v, "tobytes") else copy.copy(v) if isinstance(v, list)
+            else v for k, v in vars(learner).items()}
+
+
+def _unreplayed(learner, losses) -> set:
+    """The attributes that a few played rounds change, other than the
+    learner's declared state and the two records that `play` replays."""
+    before = _snapshot(learner)
+    learner.play(losses)
+    after = _snapshot(learner)
+    changed = {k for k in after
+               if k not in before or before[k] is not after[k] and before[k] != after[k]}
+    return changed - set(learner._state) - {"loss_values", "_decisions"}
+
+
+def _learner_classes(cls=BaseLearner):
+    for sub in cls.__subclasses__():
+        if sub.__module__ == BaseLearner.__module__:
+            yield sub
+            yield from _learner_classes(sub)
+
+
+# every learner class, and what builds one and the losses it plays (None: it
+# plays labelled examples, not losses)
+_GUARDED = {
+    OGD: lambda: OGD(UNIT, 0.2, dim=2),
+    IFTRL: lambda: IFTRL(UNIT, L=1.0, eta=0.5, dim=2),
+    OMP: lambda: OMP(UNIT, L=1.0, eta=0.3, dim=2),
+    ExpertOMP: lambda: ExpertOMP(2, eta=0.5),
+    BanditOMP: lambda: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=2),
+    SoftConstraintOGD: lambda: SoftConstraintOGD(_soft_cons(), 12, R=0.8, dim=2),
+    ZeroViolationOGD: lambda: ZeroViolationOGD(_soft_cons(), 12, R=0.8, dim=2),
+    PenaltyOGD: lambda: PenaltyOGD(_soft_cons(), 0.3, delta=3.0, R=0.8, dim=2),
+    HingeClassifierPD: None,
+}
+
+
+class TestPlay:
+    """`play` gives the records and the final state of the per-round observe
+    loop (frozen_kernels.observe_rounds), bit for bit, on the sequences whose
+    shared rounds it replays and on those where it must not."""
+
+    @pytest.mark.parametrize("seq", sorted(_PLAYED))
+    @pytest.mark.parametrize("name", sorted(_PLAYERS))
+    def test_play_is_the_observe_loop(self, name, seq):
+        make, state, experts = _PLAYERS[name]
+        losses = _PLAYED[seq]()
+        if experts:
+            losses = _as_expert_costs(losses)
+        played, observed = make(_dim(losses)), make(_dim(losses))
+        calls = _counted(played)
+        played.play(losses)
+        frozen_kernels.observe_rounds(observed, losses)
+        _assert_played_as_observed(played, observed, state)
+        if seq == "equal-vectors" or not played._state:
+            assert calls[0] == len(losses)
+        else:   # some shared rounds were replayed
+            assert calls[0] < len(losses)
+
+    def test_a_repeated_state_with_another_loss_is_computed(self):
+        # OGD at eta = 0.2 plays x = -0.8 at rounds 4 and 6, against +f, then -f
+        losses = ftrl_adversary(0.2, 400)[:10]
+        lr = OGD(UNIT, 0.2, dim=1)
+        calls = _counted(lr)
+        lr.play(losses)
+        assert lr.decisions[4].tobytes() == lr.decisions[6].tobytes()
+        assert lr.decisions[4][0] == -0.8 and losses[4] is not losses[6]
+        assert calls[0] == 10
+
+    @pytest.mark.parametrize("name", ["OGD", "OMP", "IFTRL"])
+    def test_rounds_observed_before_play_keep_their_place(self, name):
+        make, state, _ = _PLAYERS[name]
+        first, rest = _mixed_losses(7, 3, 13), alternating_linear(4.0, 300, 3)
+        played, observed = make(3), make(3)
+        frozen_kernels.observe_rounds(played, first)
+        calls = _counted(played)
+        played.play(rest)
+        frozen_kernels.observe_rounds(observed, first + rest)
+        assert calls[0] < 20    # rounds were replayed past the first seven
+        _assert_played_as_observed(played, observed, state)
+
+    @pytest.mark.parametrize("make", [
+        lambda egv: OMP(UNIT, L=1.0, eta=OMP.tuned_eta(1.0, egv), dim=5),
+        lambda egv: IFTRL(UNIT, L=1.0, eta=min(1.0, 1.0 / math.sqrt(egv)), dim=5),
+    ], ids=["OMP", "IFTRL"])
+    @pytest.mark.parametrize("egv", [1.0, 64.0])
+    def test_a_gv_regret_sweep_level_computes_a_handful_of_rounds(self, make, egv):
+        # 50,000 replayed decision floats: the records grow in several chunks
+        seq = alternating_linear(egv, 10_000, 5)
+        played, observed = make(egv), make(egv)
+        calls = _counted(played)
+        played.play(seq)
+        frozen_kernels.observe_rounds(observed, seq)
+        assert calls[0] <= 5
+        _assert_played_as_observed(played, observed, played._state)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ExpertOMP(3, eta=0.5),
+        lambda: PenaltyOGD(_soft_cons(), 0.05, delta=1.0, dim=2),
+    ], ids=["ExpertOMP", "PenaltyOGD"])
+    def test_a_learner_that_names_no_state_computes_every_round(self, make):
+        lr = make()
+        calls = _counted(lr)
+        lr.play([linear(np.ones(lr.dim))] * 500)
+        assert not lr._state and calls[0] == 500
+
+    def test_every_learner_class_is_guarded(self):
+        assert set(_learner_classes()) == set(_GUARDED)
+
+    @pytest.mark.parametrize("cls", sorted(_GUARDED, key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_declared_state_is_all_a_round_changes(self, cls):
+        # a learner that names a state must change nothing else in a round
+        # but its two records; one that changes more must name none
+        if _GUARDED[cls] is None:   # no observe: nothing for play to replay
+            assert cls._state == ()
+            return
+        lr = _GUARDED[cls]()
+        assert all(getattr(lr, a).dtype == np.float64 for a in lr._state)
+        losses = [linear(v) for v in make_rng(14).uniform(0.0, 1.0, size=(6, lr.dim))]
+        changed = _unreplayed(lr, losses)
+        assert not (lr._state and changed), f"{cls.__name__} also changes {changed}"
+
+    def test_the_guard_sees_a_field_outside_the_state(self):
+        class Counting(OGD):   # inherits OGD's state, but counts its rounds too
+            def _gradient(self, x, loss):
+                self.rounds = getattr(self, "rounds", 0) + 1
+                return super()._gradient(x, loss)
+
+        losses = [linear(v) for v in make_rng(15).uniform(0.0, 1.0, size=(4, 2))]
+        assert _unreplayed(Counting(UNIT, 0.2, dim=2), losses) == {"rounds"}
