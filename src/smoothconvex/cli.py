@@ -115,11 +115,11 @@ def exp_mixedgrad_rate(seed: int, p: dict) -> ExperimentResult:
     wopt = np.linalg.lstsq(prob.X, prob.y, rcond=None)[0]
     dom = Domain.ball(2.0 * float(np.linalg.norm(wopt)))
     fstar = metrics.reference_optimum(prob, dom)["F"]
-    # lambda1 scaled to the averaged objective's smoothness: with the
+    # lambda1 is scaled to the averaged objective's smoothness: with the
     # worst-case 16*beta setting the shrinking-domain schedule outruns the
-    # regularization path at this dimension and the rate never shows
-    # with T1 fixed, the run at m is the first m epochs of the run at m_max, and
-    # epoch m's record holds that run's counters and full_value(final_point)
+    # regularization path at this dimension and the rate never shows.
+    # With T1 fixed, the run at m is the first m epochs of the run at m_max,
+    # and epoch m's record holds that run's counters and full_value(final_point).
     tr = stochastic.mixed_grad(prob, dom, seed=seed, T1=p["T1"], m=m_max,
                                lambda1=p["lambda1_factor"] * prob.constants.L_full,
                                eta=p["eta_factor"] / beta)

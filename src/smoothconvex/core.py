@@ -11,6 +11,13 @@ Projections come in two forms.  The checked form (`Domain.project`,
 The bound form (`Domain.projector`, `ball_projector`) settles the checks and
 any dispatch once and returns the bare kernel for a loop to call each step;
 the checked form is those checks plus the same kernel.
+
+A set's outer radius is fixed by its kind: max(1, r) for a ball, 1 for a
+halfspace cut.  `_at_least` is the one rule for a horizon, an epoch count or
+an epoch length, such as the `T1` that stochastic.clipped_sgd and
+stochastic.mixed_grad require.  Of the solvers, gd, agd and clipped_sgd take
+a smoothness constant `L`, and sgd_pd and sgd_st a record stride
+`snapshot_every`; the rest read `L` from the problem's constants.
 """
 
 from __future__ import annotations
@@ -294,14 +301,14 @@ class Domain:
 
 
 class Ball(Domain):
-    """{‖x‖ ≤ r}, g(x) = ‖x‖² − r²; the outer radius is max(1, r) by default."""
+    """{‖x‖ ≤ r}, g(x) = ‖x‖² − r²; the outer radius is max(1, r)."""
 
     kind = "ball"
 
-    def __init__(self, r: float, outer_radius: float | None = None):
-        if r <= 0:
+    def __init__(self, r: float):
+        if not r > 0:
             raise ConfigurationError("ball radius must be positive")
-        self.r, self.outer_radius = float(r), float(outer_radius or max(1.0, r))
+        self.r, self.outer_radius = float(r), float(max(1.0, r))
 
     def g(self, x: Point) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -425,7 +432,7 @@ class L1Ball(Domain):
     kind = "l1_ball"
 
     def __init__(self, r: float, dim: int | None = None):
-        if r <= 0:
+        if not r > 0:
             raise ConfigurationError("l1 radius must be positive")
         self.r, self.dim, self.outer_radius = float(r), dim, float(max(1.0, r))
 
@@ -463,17 +470,16 @@ class L1Ball(Domain):
 
 
 class HalfspaceCut(Domain):
-    """{⟨a, x⟩ ≤ b} within the ball of radius `outer_radius`, g(x) = ⟨a, x⟩ − b;
+    """{⟨a, x⟩ ≤ b} within the unit ball (`outer_radius` 1), g(x) = ⟨a, x⟩ − b;
     a must be nonzero.  No linear-minimization routine."""
 
     kind = "halfspace_cut"
 
-    def __init__(self, a, b: float, outer_radius: float = 1.0):
+    def __init__(self, a, b: float):
         a = as_point(a)
         if np.linalg.norm(a) == 0:
             raise ConfigurationError("halfspace normal must be nonzero")
-        self.a, self.b, self.dim = a, float(b), a.shape[0]
-        self.outer_radius = float(outer_radius)
+        self.a, self.b, self.dim, self.outer_radius = a, float(b), a.shape[0], 1.0
 
     def g(self, x: Point) -> float:
         return float(self.a @ np.asarray(x, dtype=np.float64) - self.b)

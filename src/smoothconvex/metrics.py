@@ -53,7 +53,7 @@ def reference_optimum(problem, domain: Domain, steps: int = 100_000) -> dict:
     budgets = [steps] if steps <= _FIRST_BUDGET else [_FIRST_BUDGET, steps]
     L = problem.constants.L_full
     for budget in budgets:
-        w = agd(problem, domain, T=budget, snapshot_every=budget).final_point
+        w = agd(problem, domain, T=budget).final_point
         g = problem.full_grad(w)
         pg = (w - domain.project(w - g / L)) * L
         certificate = float(np.linalg.norm(pg))

@@ -581,7 +581,7 @@ _TUNING_ITERS = 50  # fixed-point sweeps of zero_violation_tuning
 def zero_violation_tuning(G: float, D: float, F: float, R: float, T: int) -> dict:
     """Fixed point of the coupled (a, b) tuning for the tightened-constraint
     variant, after _TUNING_ITERS sweeps: delta = 4G², gamma = b·T^(−1/4)."""
-    if R <= 0:
+    if not R > 0:
         raise ConfigurationError("ball radius must be positive")
     _at_least("horizon T", T)
     delta = 4.0 * G * G

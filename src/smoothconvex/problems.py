@@ -373,6 +373,8 @@ class NoisyQuadratic:
     constants = Constants(1.0, 1.0, 1.0)
 
     def __init__(self, center: np.ndarray, noise: float = 0.0):
+        if not noise >= 0:
+            raise ConfigurationError(f"noise level must be nonnegative, got {noise!r}")
         self.center = center
         self.noise = noise
 

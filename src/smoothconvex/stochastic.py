@@ -2,9 +2,13 @@
 
 Each solver is called as `solver(problem, domain, *, ...)` with keyword-only
 parameters, exactly the values it reads; any other name raises TypeError.  An
-unset parameter takes the solver's default.  `L` is always a smoothness
-constant and `lam` a strong-convexity modulus (refused unless positive when
-set); `snapshot_every` is the number of steps between records (0: about 200).
+unset parameter takes the solver's default, and a set one that must be
+positive (a step, radius, constant or weight) is refused unless > 0, NaN
+included.  `lam` is a strong-convexity modulus.  gd, agd and clipped_sgd take
+a smoothness constant `L`; the others read theirs from `problem.constants`.
+sgd_pd and sgd_st take `snapshot_every`, the steps between records (0: about
+200); sgd records about 200 points, gd and agd none.  clipped_sgd and
+mixed_grad require the first epoch's length `T1`.
 
 Every solver counts full-gradient calls, stochastic calls and projections
 onto the domain exactly.  The step loops (sgd, gd, agd: one oracle call and
@@ -48,18 +52,18 @@ from .core import (ConfigurationError, Domain, NumericError, Point, _at_least,
 from .problems import row_blocks
 
 
-class Trace:
-    """Per-iteration log of a solver run."""
+_DELTA = 0.1  # failure probability of the prescribed emgd epoch length and sgd_pd gamma
 
-    def __init__(self, header: dict | None = None, records: list | None = None,
-                 calls_full: int = 0, calls_stochastic: int = 0, projections: int = 0,
-                 final_point: Point | None = None):
-        self.header = {} if header is None else header
-        self.records = [] if records is None else records
-        self.calls_full = calls_full
-        self.calls_stochastic = calls_stochastic
-        self.projections = projections  # projections onto the true domain K
-        self.final_point = final_point
+
+class Trace:
+    """Per-iteration log of a solver run, its oracle and projection counts
+    and its final point."""
+
+    def __init__(self):
+        self.records: list[dict] = []
+        self.calls_full = self.calls_stochastic = 0
+        self.projections = 0  # projections onto the true domain K
+        self.final_point: Point | None = None
 
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.records if name in r])
@@ -71,11 +75,7 @@ class Trace:
 def _strong_convexity(problem, lam: float | None) -> float:
     """`lam` when it is set, refused unless positive; otherwise the
     objective's `constants.lam` (0 when it is not strongly convex)."""
-    if lam is not None:
-        if not lam > 0:
-            raise ConfigurationError(f"strong convexity lam must be positive, got {lam!r}")
-        return lam
-    return problem.constants.lam
+    return _given_step("strong convexity lam", lam) or problem.constants.lam
 
 
 def _start(problem, w0: Point | None) -> Point:
@@ -85,8 +85,8 @@ def _start(problem, w0: Point | None) -> Point:
 
 
 def _given_step(name: str, value: float | None) -> float | None:
-    """A step size `eta`, step parameter `gamma` or first-epoch radius
-    `Delta1` when it is set, refused unless positive; None when unset, so
+    """A parameter that must be positive (a step, radius, constant, weight or
+    target) when it is set, refused unless > 0, NaN too; None when unset, so
     `... or default` takes the default only then."""
     if value is not None and not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
@@ -102,11 +102,9 @@ def _declared(objective, attr: str, param: str):
     return getattr(objective, attr)
 
 
-def _stride(T: int, snapshot_every: int) -> int:
+def _stride(T: int, snapshot_every: int = 0) -> int:
     """Steps between records: `snapshot_every`, or about 200 records when 0."""
-    if snapshot_every > 0:
-        return snapshot_every
-    return max(1, T // 200)
+    return snapshot_every if snapshot_every > 0 else max(1, T // 200)
 
 
 def _ball_radius(domain: Domain, solver: str) -> float:
@@ -148,18 +146,19 @@ def _epoch(w: Point, draws, step) -> tuple[Point, Point]:
 
 
 def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
-        eta: float | None = None, w0: Point | None = None, snapshot_every: int = 0,
+        eta: float | None = None, w0: Point | None = None,
         keep_iterates: bool = False) -> Trace:
     """Projected stochastic gradient descent with step eta/√t at step t
-    (eta = 1 by default) and uniform iterate averaging."""
+    (eta = 1 by default) and uniform iterate averaging; records about 200
+    objectives, or every iterate with `keep_iterates`."""
     T = _at_least("horizon T", T)
     rng = make_rng(seed)
     eta = _given_step("eta", eta) or 1.0
-    trace = Trace(header={"solver": "sgd"})
+    trace = Trace()
     project = domain.projector()
     w = domain.project(_start(problem, w0))
     avg = np.zeros_like(w)
-    stride = _stride(T, snapshot_every)
+    stride = _stride(T)
     for t in range(1, T + 1):
         avg += w
         if keep_iterates or t % stride == 1 or stride == 1:
@@ -177,48 +176,42 @@ def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     return trace
 
 
-def gd(problem, domain: Domain, *, T: int = 1000, eta: float | None = None,
-       w0: Point | None = None, L: float | None = None, snapshot_every: int = 0) -> Trace:
-    """Projected full-gradient descent, eta = 1/L by default."""
+def gd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
+       L: float | None = None) -> Trace:
+    """Projected full-gradient descent with step 1/L; records nothing."""
     T = _at_least("horizon T", T)
-    L = problem.constants.L_full if L is None else L
-    eta = _given_step("eta", eta) or 1.0 / L
-    trace = Trace(header={"solver": "gd", "eta": eta})
+    eta = 1.0 / (_given_step("L", L) or problem.constants.L_full)
+    trace = Trace()
     project = domain.projector()
     w = domain.project(_start(problem, w0))
-    stride = _stride(T, snapshot_every)
-    for t in range(1, T + 1):
+    for _ in range(T):
         g = problem.full_grad(w)
         w = project(w - eta * g)
-        if t % stride == 0 or t == T:
-            trace.add(iter=t, objective=problem.full_value(w))
     trace.calls_full = trace.projections = T
     trace.final_point = w
     return trace
 
 
 def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
-        L: float | None = None, snapshot_every: int = 0) -> Trace:
+        L: float | None = None) -> Trace:
     """Accelerated projected gradient (two-sequence averaging scheme).
 
     theta_0 = 1, theta_s = 2/(s+2); the prox step uses 1/(theta_s L) so the
-    scheme attains the 1/T^2 smooth rate on constrained problems.
+    scheme attains the 1/T^2 smooth rate on constrained problems.  Records
+    nothing.
     """
     T = _at_least("horizon T", T)
-    L = problem.constants.L_full if L is None else L
-    trace = Trace(header={"solver": "agd"})
+    L = _given_step("L", L) or problem.constants.L_full
+    trace = Trace()
     project = domain.projector()
     h = domain.project(_start(problem, w0))
     f = h.copy()
-    stride = _stride(T, snapshot_every)
     for s in range(T):
         theta = 1.0 if s == 0 else 2.0 / (s + 2.0)
         g_pt = (1.0 - theta) * h + theta * f
         grad = problem.full_grad(g_pt)
         f = project(f - grad / (theta * L))
         h = (1.0 - theta) * h + theta * f
-        if (s + 1) % stride == 0 or s + 1 == T:
-            trace.add(iter=s + 1, objective=problem.full_value(h))
     trace.calls_full = trace.projections = T
     trace.final_point = h
     return trace
@@ -229,47 +222,37 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
 # ---------------------------------------------------------------------------
 
 
-def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
-                m: int | None = None, T1: int | None = None, eta: float | None = None,
-                L: float | None = None, lam: float | None = None, xi: float | None = None,
-                epsilon: float = 0.5, tau: float = 0.1, target_risk: float | None = None,
-                delta: float = 0.1) -> Trace:
+def clipped_sgd(problem, domain: Domain, *, seed: int = 0, m: int | None = None,
+                T1: int, eta: float | None = None, L: float | None = None,
+                lam: float | None = None, xi: float | None = None, epsilon: float = 0.5,
+                tau: float = 0.1, target_risk: float | None = None) -> Trace:
     """Fixed-size stages with componentwise gradient clipping and domain shrinking.
 
     Per stage k: clip level gamma_k = 2·xi·beta·Delta_k, projection onto
     domain ∩ ball(center_k, Delta_k), stage-end averaging, and
     Delta_{k+1} = sqrt(eps·Delta_k² + tau·target_risk).
 
-    `xi` is the clip-level factor above, by default 4·beta/(lam·tau).
+    `T1` is the stage length; `xi` is the clip-level factor above, by default
+    4·beta/(lam·tau); `L` is beta, by default problem.constants.L_comp.
     """
     R = _ball_radius(domain, "clipped_sgd")
-    if target_risk is None or target_risk <= 0:
+    if _given_step("target_risk", target_risk) is None:
         raise ConfigurationError("clipped_sgd needs a positive target risk")
     if not (0 < epsilon < 1 and 0 < tau < 1):
         raise ConfigurationError("epsilon and tau must lie in (0, 1)")
-    beta = problem.constants.L_comp if L is None else L
+    beta = _given_step("L", L) or problem.constants.L_comp
     alpha = _strong_convexity(problem, lam)
     if alpha <= 0:
         raise ConfigurationError("clipped_sgd needs a strongly convex problem")
-    xi = xi if xi is not None else 4.0 * beta / (alpha * tau)
+    xi = _given_step("xi", xi) or 4.0 * beta / (alpha * tau)
     m = _at_least("epoch or stage count m", 8 if m is None else m)
-    d = problem.d
-    stage_count = max(1, math.ceil(math.log2(max(xi * beta * R * R / target_risk, 2.0))))
-    T1_presc = math.ceil(4 * max(
-        (xi**3 * beta * d + 2.0 * xi * beta * math.sqrt(d))
-        / (epsilon * alpha) * math.log(max(m * stage_count / delta, 2.0)),
-        16.0 * xi**2 * beta**2 / (alpha**2 * epsilon**2)))
-    T1 = _at_least("epoch length", T1 if T1 is not None else min(T1_presc, max(1, T // m)))
+    T1 = _at_least("epoch length", T1)
     eta = _given_step("eta", eta) or 1.0 / (2.0 * xi * beta * math.sqrt(T1))
 
-    trace = Trace(header={
-        "solver": "clipped_sgd", "xi": xi, "T1": T1, "eta": eta,
-        "stage_count_prescribed": stage_count,
-        "T1_prescribed": T1_presc, "T1_capped": T1 < T1_presc,
-    })
+    trace = Trace()
     rng = make_rng(seed)
-    center = np.zeros(d)
-    origin = np.zeros(d)
+    center = np.zeros(problem.d)
+    origin = np.zeros(problem.d)
     Delta = R
     fixed_point = math.sqrt(tau * target_risk / (1.0 - epsilon))
     for k in range(1, m + 1):
@@ -288,10 +271,8 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
         if abs(new_Delta - fixed_point) > abs(Delta - fixed_point) + 1e-12:
             raise NumericError("stage-radius recursion moved away from its fixed point")
         Delta = new_Delta
-        rec = {"stage": k, "delta": Delta, "gamma_k": gamma_k,
-               "objective": problem.full_value(center),
-               "calls_stochastic": trace.calls_stochastic}
-        trace.add(**rec)
+        trace.add(stage=k, delta=Delta, gamma_k=gamma_k, objective=problem.full_value(center),
+                  calls_stochastic=trace.calls_stochastic)
     trace.final_point = center
     return trace
 
@@ -301,11 +282,9 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
 # ---------------------------------------------------------------------------
 
 
-def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
-               m: int | None = None, T1: int | None = None, eta: float | None = None,
-               L: float | None = None, Delta1: float | None = None,
-               lambda1: float | None = None, gamma_shrink: float = 2.0,
-               delta: float = 0.1) -> Trace:
+def mixed_grad(problem, domain: Domain, *, seed: int = 0, m: int | None = None,
+               T1: int, eta: float | None = None, Delta1: float | None = None,
+               lambda1: float | None = None, gamma_shrink: float = 2.0) -> Trace:
     """Epoch solver mixing one full gradient per epoch with anchored
     stochastic gradients; regularization, step size, and domain all shrink by
     gamma while epoch length grows by gamma².
@@ -314,25 +293,21 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     {w : w + center ∈ domain, ‖w‖ ≤ Delta_k}, which is the intersection of
     two balls only when the domain is a ball; other domains are refused.
 
-    `Delta1`, `lambda1`: first epoch's radius and regularization (R, 16·L).
+    `T1`, `Delta1`, `lambda1`: first epoch's length (required), radius and
+    regularization (by default R and 16·L_comp).
     """
     R = _ball_radius(domain, "mixed_grad")
     gamma = gamma_shrink
-    if gamma <= 1.0:
-        raise ConfigurationError("shrink factor must exceed 1")
-    beta = problem.constants.L_comp if L is None else L
+    if not 1.0 < gamma < math.inf:
+        raise ConfigurationError(f"shrink factor must exceed 1 and be finite, got {gamma!r}")
+    beta = problem.constants.L_comp
     m = _at_least("epoch count m", 5 if m is None else m)
-    T1_presc = math.ceil(300.0 * math.log(m / delta))
-    budget_T1 = max(1, math.floor(T * (gamma**2 - 1) / (gamma ** (2 * m) - 1)))
-    T1 = _at_least("epoch length", T1 if T1 is not None else min(T1_presc, budget_T1))
-    lam = lambda1 if lambda1 is not None else 16.0 * beta
+    T1 = _at_least("epoch length", T1)
+    lam = _given_step("lambda1", lambda1) or 16.0 * beta
     Delta = _given_step("Delta1", Delta1) or R
     eta = _given_step("eta", eta) or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
 
-    trace = Trace(header={
-        "solver": "mixed_grad", "T1": T1, "lambda1": lam, "eta1": eta,
-        "T1_prescribed": T1_presc, "T1_capped": T1 < T1_presc,
-    })
+    trace = Trace()
     rng = make_rng(seed)
     center = np.zeros(problem.d)
     origin = np.zeros(problem.d)
@@ -370,30 +345,28 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
 
 
 def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None = None,
-         T1: int | None = None, eta: float | None = None, L: float | None = None,
-         lam: float | None = None, Delta1: float | None = None, delta: float = 0.1,
+         T1: int | None = None, lam: float | None = None, Delta1: float | None = None,
          probe_variance: bool = False) -> Trace:
     """Fixed-length epochs: one full gradient each, anchored stochastic
     gradients within, iterate averaging, and a domain radius halving in square
     every epoch (Delta ← Delta/√2).
 
+    `T1` is the epoch length, by default the prescribed
+    1152·(L/lam)²·log(1/δ) capped at `T`, with L = problem.constants.L_comp;
     `Delta1` is the first epoch's radius, by default twice the domain's.
     """
     R = _ball_radius(domain, "emgd")
-    L = problem.constants.L_comp if L is None else L
+    L = problem.constants.L_comp
     lam = _strong_convexity(problem, lam)
     if lam <= 0:
         raise ConfigurationError("strong convexity required; use mixed_grad instead")
     m = _at_least("epoch count m", 8 if m is None else m)
-    T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / delta))
+    T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / _DELTA))
     T = _at_least("epoch length", T1 if T1 is not None else min(T_presc, T))
-    eta = _given_step("eta", eta) or 1.0 / (L * math.sqrt(T))
+    eta = 1.0 / (L * math.sqrt(T))
     Delta = _given_step("Delta1", Delta1) or 2.0 * R
 
-    trace = Trace(header={
-        "solver": "emgd", "T_per_epoch": T, "eta": eta,
-        "T_prescribed": T_presc, "T_capped": T < T_presc,
-    })
+    trace = Trace()
     rng = make_rng(seed)
     eta_0d = np.array(eta)  # 0-d: see mixed_grad
     center = np.zeros(problem.d)
@@ -470,29 +443,30 @@ def gradient_variance_probe(problem, point: Point, center: Point, *, _coefs=None
 
 
 def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
-           eta: float | None = None, gamma: float | None = None, G1: float | None = None,
-           delta: float = 0.1, snapshot_every: int = 0) -> Trace:
+           gamma: float | None = None, G1: float | None = None,
+           snapshot_every: int = 0) -> Trace:
     """Primal-dual stochastic descent touching the true domain exactly once.
 
     Iterates stay in the unit-ball surrogate via renormalization; the dual
     ascent on the regularized Lagrangian replaces per-step projections, and
     the averaged iterate is projected onto the domain at output time only.
 
-    `G1` bounds the gradient on the unit ball, by default objective.grad_bound(1.0).
+    `G1` bounds the gradient on the unit ball, by default
+    objective.grad_bound(1.0); the step is eta = gamma/(2·G2²).
     """
     if domain.rho <= 0:
         raise ConfigurationError("boundary gradient bound rho must be positive")
     T = _at_least("horizon T", T)
-    G1 = G1 if G1 is not None else _declared(objective, "grad_bound", "G1")(1.0)
+    G1 = _given_step("G1", G1) or _declared(objective, "grad_bound", "G1")(1.0)
     G2, C2 = domain.G2, domain.C2
     gamma = _given_step("gamma", gamma)
     if gamma is None:
         sigma = _declared(objective, "noise", "gamma")
         gamma = G2 * G2 / math.sqrt(
-            (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / delta)) * sigma * sigma) * T)
-    eta = _given_step("eta", eta) or gamma / (2.0 * G2 * G2)
+            (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / _DELTA)) * sigma * sigma) * T)
+    eta = gamma / (2.0 * G2 * G2)
 
-    trace = Trace(header={"solver": "sgd_pd", "gamma": gamma, "eta": eta})
+    trace = Trace()
     rng = make_rng(seed)
     x = np.zeros(objective.d)
     lam = 0.0
@@ -533,13 +507,13 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     # the default gamma = log(T)/T is positive only from T = 2 on
     T = _at_least("horizon T", T, 1 if gamma else 2)
     gamma = gamma or math.log(T) / T
-    G1 = G1 if G1 is not None else _declared(objective, "grad_bound", "G1")(1.0)
-    lam0 = lambda0 if lambda0 is not None else 1.05 * G1 / domain.rho
+    G1 = _given_step("G1", G1) or _declared(objective, "grad_bound", "G1")(1.0)
+    lam0 = _given_step("lambda0", lambda0) or 1.05 * G1 / domain.rho
     if lam0 <= G1 / domain.rho:
         warnings.warn("lambda0 <= G1/rho: the convergence guarantee is void",
                       RuntimeWarning)
 
-    trace = Trace(header={"solver": "sgd_st", "gamma": gamma, "lambda0": lam0})
+    trace = Trace()
     rng = make_rng(seed)
     x = np.zeros(objective.d)
     xbar = np.zeros_like(x)

@@ -414,6 +414,21 @@ class TestRunOutputs:
                     tmp_path / "serial" / name).read_bytes()
         assert forks == []
 
+    def test_no_bundled_openblas_skips_the_pin(self, monkeypatch, forks):
+        # where numpy links another BLAS the glob finds no libscipy_openblas64:
+        # nothing is loaded or pinned, and a fork map still returns the serial
+        # results.  The real pin is taken first, so this process stays pinned.
+        import ctypes
+        cli._one_blas_thread()
+        cli._one_blas_thread.cache_clear()
+        monkeypatch.setattr(glob, "glob", lambda *args, **kwargs: [])
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: pytest.fail("pinned"))
+        assert cli._one_blas_thread() is None
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        items = list(range(7))
+        assert cli._fork_map(lambda x: x * x - 3, items) == [x * x - 3 for x in items]
+        assert len(forks) == 1
+
     def test_forked_seeds_write_the_serial_bytes(self, tmp_path, monkeypatch):
         small = ["--n=40", "--d=4", "--T=40", "--epochs=3", "--seed", "0,1,2"]
         for out, cpus in (("forked", 3), ("serial", 1)):  # 3: two forked children

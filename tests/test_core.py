@@ -86,17 +86,19 @@ class TestProjection:
     @pytest.mark.parametrize("build, error", [
         (lambda: Domain.ball(0.0), ConfigurationError),
         (lambda: Domain.ball(-1.0), ConfigurationError),
+        (lambda: Domain.ball(math.nan), ConfigurationError),
         (lambda: Domain.box([0.0, 0.0], [1.0]), InputError),
         (lambda: Domain.box([0.0, 2.0], [1.0, 1.0]), ConfigurationError),
         (lambda: Domain.simplex(0), ConfigurationError),
         (lambda: Domain.l1_ball(0.0, dim=2), ConfigurationError),
         (lambda: Domain.l1_ball(-1.5), ConfigurationError),
+        (lambda: Domain.l1_ball(math.nan), ConfigurationError),
         (lambda: Domain.halfspace_cut([0.0, 0.0], 0.5), ConfigurationError),
         # the kind-string constructor is gone, so it cannot skip the checks
         (lambda: Domain("ball", r=-1.0), TypeError),
-    ], ids=["ball_r0", "ball_r_negative", "box_unequal_shapes", "box_lo_above_hi",
-            "simplex_dim0", "l1_ball_r0", "l1_ball_r_negative",
-            "halfspace_zero_normal", "kind_string"])
+    ], ids=["ball_r0", "ball_r_negative", "ball_r_nan", "box_unequal_shapes",
+            "box_lo_above_hi", "simplex_dim0", "l1_ball_r0", "l1_ball_r_negative",
+            "l1_ball_r_nan", "halfspace_zero_normal", "kind_string"])
     def test_bad_domain_refused_when_built(self, build, error):
         with pytest.raises(error):
             build()

@@ -90,7 +90,7 @@ class TestReferenceOptimum:
         dom = Domain.ball(2.0 * float(np.linalg.norm(wls)))
         ref = reference_optimum(prob, dom)
         assert ref["certificate"] <= CERTIFICATE_TOL
-        short = agd(prob, dom, T=1000, snapshot_every=1000)
+        short = agd(prob, dom, T=1000)
         assert np.array_equal(ref["w"], short.final_point)
 
     def test_uncertified_problem_gets_full_budget_answer(self):
@@ -99,7 +99,7 @@ class TestReferenceOptimum:
         dom = Domain.ball(2000.0)
         steps = 3000
         ref = reference_optimum(prob, dom, steps=steps)
-        full = agd(prob, dom, T=steps, snapshot_every=steps)
+        full = agd(prob, dom, T=steps)
         assert ref["certificate"] > CERTIFICATE_TOL
         assert np.array_equal(ref["w"], full.final_point)
         assert ref["F"] == prob.full_value(full.final_point)

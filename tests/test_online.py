@@ -407,9 +407,11 @@ class TestSoftConstraints:
         lambda c: SoftConstraintOGD(c, T=100, R=1.0, dim=2, eta=0.0),
         lambda c: SoftConstraintOGD(c, T=100, R=0.0, dim=2),
         lambda c: ZeroViolationOGD(c, T=100, R=0.0, dim=2),
+        lambda c: zero_violation_tuning(c.G, c.D, c.F, math.nan, 100),
         lambda c: PenaltyOGD(c, 0.1, delta=1.0, R=-1.0, dim=2),
         lambda c: PenaltyOGD(c, math.nan, delta=1.0, R=1.0, dim=2),
-    ], ids=["soft-eta0", "soft-R0", "zero-R0", "penalty-Rneg", "penalty-eta-nan"])
+    ], ids=["soft-eta0", "soft-R0", "zero-R0", "zero-R-nan", "penalty-Rneg",
+            "penalty-eta-nan"])
     def test_nonpositive_step_or_radius_refused(self, make):
         with pytest.raises(ConfigurationError):
             make(self.make_cons())

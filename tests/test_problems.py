@@ -344,6 +344,15 @@ def test_every_objective_has_the_one_protocol(make):
         assert not hasattr(obj, alias), alias
 
 
+@pytest.mark.parametrize("noise", [-0.1, math.nan], ids=["negative", "nan"])
+def test_noisy_quadratic_refuses_a_negative_noise_level(noise):
+    # a negative level was left out of the gradient yet lowered grad_bound,
+    # and a NaN one made sgd_pd's default gamma NaN and its answer [nan nan]
+    with pytest.raises(ConfigurationError, match="noise level"):
+        NoisyQuadratic(center=np.array([1.2, 0.0]), noise=noise)
+    assert NoisyQuadratic(center=np.array([1.2, 0.0])).grad_bound() == 2.2
+
+
 class TestOneDimTargetRisk:
     def test_expected_loss_at_zero(self):
         d = 0.05

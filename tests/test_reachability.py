@@ -98,7 +98,7 @@ ALLOWED = {
     # tests that check a thesis claim read these
     "problems.smoothed_hinge_value":
         "criterion 10's and test_problems' ψ oracles compare against it",
-    "stochastic.gd": "the GD baseline of the mixed chapter's claim (ROADMAP item 6)",
+    "stochastic.gd": "the GD baseline of the mixed chapter's claim (ROADMAP item 18)",
     # public protocol and plumbing
     "online.OGD.predict": "learner protocol: predict/observe",
     "online.SoftConstraintOGD.lam": "the duals as an array (test_online's dual checks)",

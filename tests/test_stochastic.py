@@ -128,8 +128,7 @@ class TestFullGradientBaselines:
     @pytest.mark.parametrize("solver", [gd, agd])
     def test_one_projection_counted_per_step(self, solver):
         prob = from_arrays(np.eye(3), np.ones(3), 0.0, "squared")
-        step = {} if solver is agd else {"eta": 0.1}   # agd takes no step size
-        tr = solver(prob, Domain.ball(0.5), T=37, **step)
+        tr = solver(prob, Domain.ball(0.5), T=37)
         assert tr.projections == 37
 
 
@@ -181,6 +180,13 @@ class TestMixedGrad:
         prob = from_arrays(np.eye(2), np.zeros(2), 0.0, "squared")
         with pytest.raises(ConfigurationError):
             mixed_grad(prob, Domain.ball(1.0), seed=0, T1=2, m=2, gamma_shrink=1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_nan_or_infinite_factor(self, gamma):
+        # the epoch-length budget these fed raised a bare ValueError
+        prob = from_arrays(np.eye(2), np.zeros(2), 0.0, "squared")
+        with pytest.raises(ConfigurationError, match="shrink factor"):
+            mixed_grad(prob, Domain.ball(1.0), seed=0, T1=2, m=2, gamma_shrink=gamma)
 
     @pytest.mark.parametrize("solver", [mixed_grad, emgd, clipped_sgd],
                              ids=lambda s: s.__name__)
@@ -412,9 +418,9 @@ class TestEpochLoops:
 def _epoch_solver_run(name, m, **params):
     if name == "clipped_sgd":
         prob = onedim_target_risk_problem(0.05)
-        return clipped_sgd(prob, Domain.ball(1.0), seed=0, m=m, T1=5,
-                           target_risk=2.0 * prob.eps_opt, L=prob.constants.L_comp,
-                           lam=prob.constants.lam, **params)
+        base = dict(target_risk=2.0 * prob.eps_opt, L=prob.constants.L_comp,
+                    lam=prob.constants.lam)
+        return clipped_sgd(prob, Domain.ball(1.0), seed=0, m=m, T1=5, **{**base, **params})
     prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
     solver = {"mixed_grad": mixed_grad, "emgd": emgd}[name]
     return solver(prob, Domain.ball(2.0), seed=0, T1=3, m=m, **params)
@@ -423,7 +429,7 @@ def _epoch_solver_run(name, m, **params):
 def _step_solver_run(name, **params):
     if name in ("mixed_grad", "emgd", "clipped_sgd"):
         return _epoch_solver_run(name, None, **params)
-    solver = {"sgd": sgd, "gd": gd, "sgd_pd": sgd_pd, "sgd_st": sgd_st}[name]
+    solver = {"sgd": sgd, "gd": gd, "agd": agd, "sgd_pd": sgd_pd, "sgd_st": sgd_st}[name]
     obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
     return solver(obj, Domain.ball(0.8), T=5, **params)
 
@@ -474,19 +480,29 @@ class TestHorizon:
 
 
 class TestStepSize:
-    """An explicit step size `eta`, step parameter `gamma` or first-epoch
-    radius `Delta1` is used as given and refused unless positive; only an unset
-    one takes the default."""
+    """An explicit step size `eta`, step parameter `gamma`, first-epoch radius
+    `Delta1`, smoothness `L`, clip factor `xi`, target risk, regularization
+    `lambda1`, penalty weight `lambda0` or gradient bound `G1` is used as given
+    and refused unless positive, NaN too; only an unset one takes the
+    default."""
 
+    # a lambda0 at or below G1/rho = 1.625 here makes sgd_st warn that its guarantee is void
+    _VALID = {"lambda0": 2.0}
+
+    # the ids from clipped_sgd-target_risk on ran to NaN, divided by zero or
+    # ran on with a zero constant before their check
     @pytest.mark.parametrize("name,field", [
-        ("sgd", "eta"), ("gd", "eta"), ("clipped_sgd", "eta"), ("mixed_grad", "eta"), ("emgd", "eta"),
-        ("sgd_pd", "eta"), ("sgd_pd", "gamma"), ("sgd_st", "eta"),
-        ("sgd_st", "gamma"), ("mixed_grad", "Delta1"), ("emgd", "Delta1")])
+        ("sgd", "eta"), ("clipped_sgd", "eta"), ("mixed_grad", "eta"),
+        ("sgd_pd", "gamma"), ("sgd_st", "eta"),
+        ("sgd_st", "gamma"), ("mixed_grad", "Delta1"), ("emgd", "Delta1"),
+        ("clipped_sgd", "target_risk"), ("clipped_sgd", "xi"), ("clipped_sgd", "L"),
+        ("mixed_grad", "lambda1"), ("gd", "L"), ("agd", "L"), ("sgd_pd", "G1"),
+        ("sgd_st", "G1"), ("sgd_st", "lambda0")])
     def test_nonpositive_step_refused(self, name, field):
-        for value in (0.0, -0.5):
+        for value in (0.0, -0.5, math.nan):
             with pytest.raises(ConfigurationError, match=f"{field} must be positive"):
                 _step_solver_run(name, **{field: value})
-        _step_solver_run(name, **{field: 0.05})
+        _step_solver_run(name, **{field: self._VALID.get(field, 0.05)})
 
 
 class TestStrongConvexity:
@@ -497,9 +513,9 @@ class TestStrongConvexity:
     @pytest.mark.parametrize("solver", [clipped_sgd, sgd_st], ids=lambda s: s.__name__)
     def test_nonpositive_modulus_refused(self, solver, lam):
         obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
-        extra = {"target_risk": 0.05, "T1": 4, "m": 2} if solver is clipped_sgd else {}
+        extra = {"target_risk": 0.05, "T1": 4, "m": 2} if solver is clipped_sgd else {"T": 20}
         with pytest.raises(ConfigurationError, match="lam must be positive"):
-            solver(obj, Domain.ball(0.8), T=20, lam=lam, **extra)
+            solver(obj, Domain.ball(0.8), lam=lam, **extra)
 
     def test_clipped_sgd_refuses_problem_without_modulus(self):
         # unregularized logistic loss is not strongly convex: its modulus is
@@ -519,15 +535,14 @@ _ALL_SOLVERS = [sgd, gd, agd, clipped_sgd, mixed_grad, emgd, sgd_pd, sgd_st]
 
 # each solver's keyword-only parameters: exactly the values it reads
 _PARAMETERS = {
-    sgd: {"seed", "T", "eta", "w0", "snapshot_every", "keep_iterates"},
-    gd: {"T", "eta", "w0", "L", "snapshot_every"},
-    agd: {"T", "w0", "L", "snapshot_every"},
-    clipped_sgd: {"seed", "T", "m", "T1", "eta", "L", "lam", "xi", "epsilon", "tau",
-                  "target_risk", "delta"},
-    mixed_grad: {"seed", "T", "m", "T1", "eta", "L", "Delta1", "lambda1", "gamma_shrink",
-                 "delta"},
-    emgd: {"seed", "T", "m", "T1", "eta", "L", "lam", "Delta1", "delta", "probe_variance"},
-    sgd_pd: {"seed", "T", "eta", "gamma", "G1", "delta", "snapshot_every"},
+    sgd: {"seed", "T", "eta", "w0", "keep_iterates"},
+    gd: {"T", "w0", "L"},
+    agd: {"T", "w0", "L"},
+    clipped_sgd: {"seed", "m", "T1", "eta", "L", "lam", "xi", "epsilon", "tau",
+                  "target_risk"},
+    mixed_grad: {"seed", "m", "T1", "eta", "Delta1", "lambda1", "gamma_shrink"},
+    emgd: {"seed", "T", "m", "T1", "lam", "Delta1", "probe_variance"},
+    sgd_pd: {"seed", "T", "gamma", "G1", "snapshot_every"},
     sgd_st: {"seed", "T", "eta", "gamma", "G1", "lam", "lambda0", "snapshot_every"},
 }
 
@@ -564,8 +579,7 @@ def test_final_point_feasible_or_domain_refused(solver, d, seed, lo, width, radi
     else:
         prob = NoisyQuadratic(center=rng.uniform(-1.5, 1.5, size=d), noise=0.3)
         params = {sgd: dict(seed=seed, T=12), gd: dict(T=12, L=1.0), agd: dict(T=12, L=1.0),
-                  clipped_sgd: dict(seed=seed, T=12, T1=4, m=3, target_risk=0.05, L=1.0,
-                                    lam=1.0),
+                  clipped_sgd: dict(seed=seed, T1=4, m=3, target_risk=0.05, L=1.0, lam=1.0),
                   sgd_pd: dict(seed=seed, T=12, G1=1.0),
                   sgd_st: dict(seed=seed, T=12, G1=1.0, lam=1.0)}[solver]
     for domain in domains:
@@ -688,9 +702,11 @@ class TestOneProjection:
         assert np.all(tr.column("dual") == 0.0)
 
     def test_dual_follows_its_update_when_the_constraint_binds(self):
-        obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.5)
-        tr = sgd_pd(obj, Domain.ball(0.8), seed=0, T=200, snapshot_every=1)
-        gamma, eta = tr.header["gamma"], tr.header["eta"]
+        # gamma near its default here, 0.096; the step is gamma/(2·G2²)
+        obj, dom, gamma = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.5), \
+            Domain.ball(0.8), 0.1
+        tr = sgd_pd(obj, dom, seed=0, T=200, snapshot_every=1, gamma=gamma)
+        eta = gamma / (2.0 * dom.G2 * dom.G2)
         assert len(tr.records) == 200
         assert sum(r["dual"] > 0 for r in tr.records) > 0
         prev = 0.0
@@ -701,10 +717,10 @@ class TestOneProjection:
     def test_pd_reduces_to_plain_sgd_when_dual_zero(self):
         obj = NoisyQuadratic(center=np.zeros(2), noise=0.1)
         dom = Domain.ball(0.95)
-        tr = sgd_pd(obj, dom, seed=2, T=200, snapshot_every=1)
+        tr = sgd_pd(obj, dom, seed=2, T=200, snapshot_every=1, gamma=0.1)
         # replay the plain recursion x <- renormalize(x - eta g) with the same rng
         rng = make_rng(2)
-        eta = tr.header["eta"]
+        eta = 0.1 / (2.0 * dom.G2 * dom.G2)
         x = np.zeros(2)
         objs = tr.column("objective")
         for t in range(1, 201):
