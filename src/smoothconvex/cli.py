@@ -334,8 +334,7 @@ def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
     cons = online.ConstraintSet(
         funcs=[(lambda x: 1.0 - float(v @ x), lambda x: -v)], D=3.0, G=1.0, F=2.0)
     learner = online.PenaltyOGD(cons, p["eta"], delta=p["delta_penalty"], R=2.0, dim=2)
-    for _ in range(T):
-        learner.observe(loss)
+    learner.play([loss] * T)   # x settles on the boundary: play copies the later rounds
     viol = float(np.sum(np.maximum(learner.violations[:, 0], 0.0)))
     rows = [{"iter": T, "violation": viol, "threshold": 0.5 * T}]
     return ExperimentResult(rows, final_metric=viol / T)
@@ -379,7 +378,22 @@ def _best_hinge(examples: np.ndarray, R: float) -> float:
     of step 0.05·R, then the least value of a grid of step 0.002·R within
     ±0.06·R of it, so the number of points tried does not grow with R.  It
     can miss the minimum: at the defaults, seed 7, it gives 672.9035 where
-    the least is 668.6204."""
+    the least is 668.6204.
+
+    A point is priced only if it can win.  Each term max(0, 1 − ⟨x_t, w⟩) is
+    at least 1 − ⟨x_t, w⟩, so total(w) ≥ T − ⟨s, w⟩ with s = Σ_t x_t, and a
+    point whose bound, less a margin, is not below the best total so far
+    would fail the scan's strict `<`.  The margin covers the rounding of
+    both sides: with S = T + 2R·Σ_t‖x_t‖₁, which bounds each side's terms
+    on every grid point (each coordinate is within 2R), the sums of at most
+    T terms, the products and the subtractions put each side off its exact
+    value by at most about (T + 3)·u·S (u = ε/2, in any summation order),
+    so the two differ by less than (T + 4)·ε·S beyond the exact inequality;
+    the margin 2·(T + 2)·ε·S leaves T·ε·S to spare for rounding the
+    comparison.
+    A bound that is not finite (an infinite or NaN example, or an overflow)
+    prices its point.  The points priced, the scan order and each total are
+    those of the full scan, so the result is its float, bit for bit."""
     buf = np.empty(len(examples))
 
     def total(w):  # np.sum(np.maximum(0.0, 1.0 - examples @ w)) bit for bit
@@ -388,16 +402,26 @@ def _best_hinge(examples: np.ndarray, R: float) -> float:
         np.maximum(0.0, buf, out=buf)
         return float(np.add.reduce(buf))
 
+    T, s = len(examples), examples.sum(axis=0)
+    S = T + 2.0 * R * float(np.abs(examples).sum())
+    margin = 2.0 * (T + 2) * sys.float_info.epsilon * S
     best_w, best_v = np.zeros(2), total(np.zeros(2))
     for half, res in ((R, 0.05 * R), (0.06 * R, 0.002 * R)):
         center, grid = best_w, np.arange(-half, half + res / 2, res)
-        for a in grid:
-            for b in grid:
-                w = center + np.array([a, b])
-                if w @ w <= R * R:
-                    v = total(w)
-                    if v < best_v:
-                        best_w, best_v = w, v
+        # each point's bound T − ⟨s, w⟩ − margin, one row of the grid a row;
+        # −inf where it is not finite
+        with np.errstate(all="ignore"):
+            floors = T - (s[0] * (center[0] + grid)[:, None]
+                          + s[1] * (center[1] + grid)) - margin
+        floors[~np.isfinite(floors)] = -np.inf
+        for a, row in zip(grid, floors.tolist()):
+            for b, floor in zip(grid, row):
+                if floor < best_v:
+                    w = center + np.array([a, b])
+                    if w @ w <= R * R:
+                        v = total(w)
+                        if v < best_v:
+                            best_w, best_v = w, v
     return best_v
 
 

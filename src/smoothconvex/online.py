@@ -17,24 +17,33 @@ same way (`violations`, (rounds, m)); ZeroViolationOGD's `raw_violations` is
 an array('d').
 
 `play(losses)` observes a whole sequence and skips the rounds that repeat.
-OGD, OMP and IFTRL name the arrays that, with a round's loss, fix the rest of
-the run (`_state`).  Before each round play keys their bytes with the
-identity of the round's loss.  Where a key recurs after P rounds, play
-copies the records of every whole period ahead in which each loss is the
-very object of P rounds before, instead of computing those rounds.  It
-compares bytes and identities, never values, so its records and final state
-are an observe loop's, bit for bit; sequences that share a few RoundLoss
-objects (`adversary.alternating_linear`, `ftrl_adversary`) compute a handful
-of rounds.  A learner whose rounds change more than its state and its two
-records (BanditOMP, the constraint learners) names no state and plays every
-round, as does ExpertOMP, whose weights do not repeat on `expert_switch`'s
-costs.
+OGD, OMP, IFTRL and PenaltyOGD name the arrays that, with a round's loss,
+fix the rest of the run (`_state`).  Before each round play keys their bytes
+with the identity of the round's loss.  Where a key recurs after P rounds,
+play copies the records of every whole period ahead in which each loss is
+the very object of P rounds before, instead of computing those rounds: the
+two every learner keeps, and any other it declares in `_records`
+(PenaltyOGD's violations).  It compares bytes and identities, never values,
+so its records and final state are an observe loop's, bit for bit;
+sequences that share a few RoundLoss objects (`adversary.alternating_linear`,
+`ftrl_adversary`) compute a handful of rounds.  A learner whose rounds
+change more than its state and its records (BanditOMP, SoftConstraintOGD,
+ZeroViolationOGD) names no state and plays every round.  So does ExpertOMP,
+whose weights do not repeat on `expert_switch`'s costs; there its rounds are
+cheap instead: OMP's second prox step, along the round's gradient, has the
+first step's inputs whenever that gradient is the very array of the round
+before (a linear loss served again returns its cost vector itself), so its
+result is the decision and it is not computed, and ExpertOMP checks a
+RoundLoss once, not each time the same object comes back.
 
 A RoundLoss is one of two slot-based kinds: linear (a cost vector) or
 quadratic ½‖x − c‖² (a center).  Each computes value and grad in methods
-over its read-only vector, so a round holds no closure;
-`RoundLoss.quadratic_rounds` builds T quadratic rounds over one read-only
-(T, d) copy of their centers, each round a row view of it.
+over its read-only vector, so a round holds no closure, and value_grad
+gives the two from the same operations at once: a quadratic round prices
+its residual x − c once.  OGD and OMP take a round's value and gradient
+from value_grad, and OGD's subclasses choose their direction from that
+gradient.  `RoundLoss.quadratic_rounds` builds T quadratic rounds over one
+read-only (T, d) copy of their centers, each round a row view of it.
 
 Each learner binds its domain's projection once, at construction
 (Domain.projector, ball_projector), and calls the bare kernel every round on
@@ -44,13 +53,15 @@ PenaltyOGD's weight) are bound once as 0-d float64 arrays: the same IEEE
 operations as with the Python floats, without numpy converting a float on
 every call.  The soft-constraint duals are a list of Python floats, updated
 one at a time by the operations of the array form in its order; `lam` reads
-them as a fresh array.
+them as a fresh array, and each weighs its subgradient through a 0-d
+buffer that holds it.
 
 OGD is the one projected-step loop: SoftConstraintOGD, ZeroViolationOGD and
 PenaltyOGD are OGD subclasses that choose only the round's direction.  OMP is
 the one extra-gradient loop, whose step is a projected gradient step:
-BanditOMP is an OMP subclass with that step, and ExpertOMP one whose step is
-the multiplicative update on the simplex.
+BanditOMP is an OMP subclass with that step, whose round estimates the
+gradient from value queries, and ExpertOMP one whose step is the
+multiplicative update on the simplex.
 Every learner here is run by an experiment in `cli`.
 """
 
@@ -73,8 +84,9 @@ def _frozen(v) -> np.ndarray:
 
 
 class RoundLoss:
-    """One round's cost: value(x) and grad(x), plus the cost vector or the
-    center when the loss is linear or quadratic.
+    """One round's cost: value(x), grad(x) and value_grad(x), the two at
+    once, plus the cost vector or the center when the loss is linear or
+    quadratic.
 
     A RoundLoss is of one of two kinds, built by from_linear, from_quadratic
     and quadratic_rounds: subclasses whose value and grad are methods over a
@@ -121,6 +133,10 @@ class _LinearLoss(RoundLoss):
     def grad(self, x: Point) -> Point:
         return self.linear
 
+    def value_grad(self, x: Point) -> tuple:
+        """(value(x), grad(x)) by the same operations."""
+        return float(self.linear.dot(x)) + 0.0, self.linear
+
 
 class _QuadraticLoss(RoundLoss):
     """½‖x − c‖² for the read-only center c."""
@@ -136,6 +152,12 @@ class _QuadraticLoss(RoundLoss):
 
     def grad(self, x: Point) -> Point:
         return x - self.quad_center
+
+    def value_grad(self, x: Point) -> tuple:
+        """(value(x), grad(x)) from one residual x − c: the same operations
+        as the two calls, which compute it twice."""
+        r = x - self.quad_center
+        return 0.5 * float(r.dot(r)), r
 
 
 def _record():
@@ -191,9 +213,11 @@ class BaseLearner:
     one below 1 is refused.
 
     `_state` names the float64 arrays that, with a round's loss, fix the
-    round's two records and every later state; `play` replays a round only
-    for a learner that names them.  A learner whose rounds change anything
-    else, or keep another record, names none.
+    round's records and every later state; `play` replays a round only for a
+    learner that names them.  A learner whose rounds change anything else
+    names none.  `_records` names the flat records a round appends to, each
+    with its width in floats a round: the two above, and any other that a
+    learner keeps and declares there.
     """
 
     _state: tuple = ()
@@ -212,6 +236,10 @@ class BaseLearner:
         (rounds, d) array."""
         return _rows(self._decisions, self.dim)
 
+    def _records(self) -> tuple:
+        """(attribute, floats a round) of each record a round appends to."""
+        return (("loss_values", 1), ("_decisions", self.dim))
+
     def play(self, losses) -> None:
         """Observe each of the sequence `losses` in turn, as observe would,
         bit for bit, without computing a round that repeats an earlier one.
@@ -220,15 +248,17 @@ class BaseLearner:
         form a key; if round r0 < r had the same key, each of the whole
         periods P = r − r0 ahead in which every loss is the loss P rounds
         before it plays rounds r0..r−1 again: their records are copied, and
-        the state after them is the state now.  Only bytes and identities
-        are compared, never values.  A learner that names no state observes
+        the state after them is the state now: each of `_records` grows by
+        k copies of those rounds' rows.  Only bytes and identities are
+        compared, never values.  A learner that names no state observes
         every round."""
         names = self._state
         if not names:
             for loss in losses:
                 self.observe(loss)
             return
-        seen, d, base, r = {}, self.dim, len(self.loss_values), 0
+        records = [(getattr(self, a), width) for a, width in self._records()]
+        seen, base, r = {}, len(self.loss_values), 0
         while r < len(losses):
             key = (id(losses[r]), b"".join([getattr(self, a).tobytes() for a in names]))
             P = r - seen.get(key, r)
@@ -236,8 +266,8 @@ class BaseLearner:
             k = P and _repeats(losses, r, P) // P
             if k:
                 a, b = base + r - P, base + r
-                _append_copies(self.loss_values, a, b, k)
-                _append_copies(self._decisions, a * d, b * d, k)
+                for record, width in records:
+                    _append_copies(record, a * width, b * width, k)
                 r += k * P
             else:
                 self.observe(losses[r])
@@ -251,9 +281,9 @@ class BaseLearner:
 
 class OGD(BaseLearner):
     """Projected online gradient descent with the constant step `eta`, the
-    one projected-step loop: a subclass only chooses the round's direction
-    through _gradient.  A step that is not positive, NaN included, is
-    refused."""
+    one projected-step loop: a subclass only turns the round's loss gradient
+    into its direction, through _direction.  A step that is not positive,
+    NaN included, is refused."""
 
     _state = ("x",)
 
@@ -271,13 +301,14 @@ class OGD(BaseLearner):
     def observe(self, loss: RoundLoss) -> None:
         x = self.x
         self._decisions.frombytes(x.tobytes())
-        self.loss_values.append(float(loss.value(x)))
-        g = self._gradient(x, loss)
-        self.x = self._project(x - self._step * g)
+        value, g = loss.value_grad(x)
+        self.loss_values.append(value)
+        self.x = self._project(x - self._step * self._direction(x, g))
 
-    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
-        """The round's descent direction at the decision x."""
-        return loss.grad(x)
+    def _direction(self, x: Point, g: Point) -> Point:
+        """The round's descent direction at the decision x, whose loss
+        gradient is g."""
+        return g
 
 
 # sets where argmin ⟨x, G⟩ + (c/2)‖x‖² is the projection of −G/c
@@ -321,7 +352,12 @@ class IFTRL(BaseLearner):
 
 class OMP(BaseLearner):
     """Two-prox extra-gradient learner; one new gradient evaluation per round.
-    Both prox steps are _prox, a projected gradient step with step η/L."""
+    Both prox steps are _prox, a projected gradient step with step η/L.  The
+    first steps from z along the previous gradient to the decision x, the
+    second from z along the round's gradient g; when g is the very array of
+    the previous round (a linear loss's cost vector, served again), the
+    second has the first's inputs, so its result is x and it is not
+    computed."""
 
     _state = ("z", "prev_grad")
 
@@ -346,18 +382,14 @@ class OMP(BaseLearner):
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
         self._decisions.frombytes(x.tobytes())
-        self.loss_values.append(float(loss.value(x)))
-        g = self._gradient(x, loss)
-        self.z = self._prox(self.z, g)
+        value, g = loss.value_grad(x)
+        self.loss_values.append(value)
+        self.z = x if g is self.prev_grad else self._prox(self.z, g)
         self.prev_grad = g
 
     def _prox(self, z: Point, g: Point) -> Point:
         """The step from z along −g: a new array."""
         return self._project(z - self._step * g)
-
-    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
-        """The round's gradient at the decision x."""
-        return loss.grad(x)
 
 
 class ExpertOMP(OMP):
@@ -365,7 +397,9 @@ class ExpertOMP(OMP):
     (the entropy map's prox step), from uniform weights, the projection of
     the origin; observe also takes a plain cost vector.  A round's cost must
     be linear, one entry per expert, and nonnegative; anything else, NaN
-    included, is refused with InputError before the weights move.  Its
+    included, is refused with InputError before the weights move.  A
+    RoundLoss's cost vector is read-only, so a loss is checked once: the
+    very object served again on the next round is not checked again.  Its
     weights move every round on the `expert_switch` costs, so keying them
     for `play` costs more than it saves: it names no state to replay."""
 
@@ -373,6 +407,7 @@ class ExpertOMP(OMP):
 
     def __init__(self, m: int, eta: float, L: float = 1.0):
         super().__init__(Domain.simplex(m), L, eta)
+        self._checked = None   # the last loss that passed the checks
 
     def _prox(self, z: Point, g: Point) -> Point:
         """z·exp(−(η/L)·g), normalised, in the log domain: a new array."""
@@ -386,23 +421,26 @@ class ExpertOMP(OMP):
         return math.sqrt(math.log(m) / max(egv_inf, 1e-300))
 
     def observe(self, loss) -> None:
-        if not isinstance(loss, RoundLoss):
-            loss = RoundLoss.from_linear(loss)
-        f = loss.linear
-        if f is None:
-            raise InputError("expert losses must be linear: one cost per expert")
-        if f.shape != self.z.shape:
-            raise InputError(f"expert losses need shape {self.z.shape}, got {f.shape}")
-        if not f.min() >= 0:    # also false for a NaN cost
-            raise InputError("expert losses must be nonnegative numbers")
+        if loss is not self._checked:
+            if not isinstance(loss, RoundLoss):
+                loss = RoundLoss.from_linear(loss)
+            f = loss.linear
+            if f is None:
+                raise InputError("expert losses must be linear: one cost per expert")
+            if f.shape != self.z.shape:
+                raise InputError(f"expert losses need shape {self.z.shape}, got {f.shape}")
+            if not f.min() >= 0:    # also false for a NaN cost
+                raise InputError("expert losses must be nonnegative numbers")
+            self._checked = loss
         super().observe(loss)
 
 
 class BanditOMP(OMP):
     """Deterministic multi-point bandit learner: OMP on the shrunk ball
     (1−alpha)·W with L = G, whose gradient is estimated from d+1 value
-    queries on a coordinate stencil.  Its rounds also count queries and
-    keep the last estimate, so it names no state to replay."""
+    queries on a coordinate stencil; the value it records is the stencil's
+    center query.  Its rounds also count queries and keep the last estimate,
+    so it names no state to replay."""
 
     _state = ()
 
@@ -417,10 +455,13 @@ class BanditOMP(OMP):
         self.value_queries = 0
         self.last_estimate: Point | None = None
 
-    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
-        d = x.shape[0]
+    def observe(self, loss: RoundLoss) -> None:
+        x = self.predict()
+        self._decisions.frombytes(x.tobytes())
         f0 = float(loss.value(x))
+        self.loss_values.append(f0)
         self.value_queries += 1
+        d = x.shape[0]
         g = np.zeros(d)
         for i in range(d):
             e = np.zeros(d)
@@ -428,7 +469,8 @@ class BanditOMP(OMP):
             g[i] = (float(loss.value(x + e)) - f0) / self.delta
             self.value_queries += 1
         self.last_estimate = g
-        return g
+        self.z = self._prox(self.z, g)
+        self.prev_grad = g
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +577,7 @@ class SoftConstraintOGD(OGD):
         super().__init__(ball, self.eta, dim=dim)
         self._eta_delta = self.eta * self.delta
         self._zero = _frozen(np.zeros(self.x.shape))
+        self._dual = np.array(0.0)   # the dual that weighs a subgradient
         self._lam = [0.0] * m
         self._violations = _record()
 
@@ -552,15 +595,18 @@ class SoftConstraintOGD(OGD):
     def _terms(self, x: Point):
         """The constrained values as floats (the round's violations record)
         and Σ lam_i ∇g_i(x) at x; with every dual zero, a shared read-only
-        zero vector."""
+        zero vector.  Each dual weighs its subgradient through a 0-d array:
+        the same IEEE operations as with the float, for less than numpy
+        takes to convert one."""
         vals = self.cons.values(x)
-        grad = self._zero
+        grad, dual = self._zero, self._dual
         for lam_i, (_, gg) in zip(self._lam, self.cons.funcs):
             if lam_i != 0.0:
-                grad = grad + lam_i * gg(x)
+                dual[()] = lam_i
+                grad = grad + dual * gg(x)
         return vals, grad
 
-    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
+    def _direction(self, x: Point, g: Point) -> Point:
         vals, cons_grad = self._terms(x)
         self._violations.extend(vals)
         # lam ← max(lam + η(g − ηδ·lam), 0) one dual at a time in Python
@@ -572,7 +618,7 @@ class SoftConstraintOGD(OGD):
             u = l + eta * (v - eta_delta * l)
             lam.append(u if u > 0.0 or u != u else 0.0)
         self._lam = lam
-        return loss.grad(x) + cons_grad
+        return g + cons_grad
 
 
 _TUNING_ITERS = 50  # fixed-point sweeps of zero_violation_tuning
@@ -618,7 +664,8 @@ class ZeroViolationOGD(SoftConstraintOGD):
         grad = self._zero
         lam = self._lam[0]
         if lam != 0.0:
-            grad = grad + lam * self.cons.funcs[vals.index(g_max)][1](x)
+            self._dual[()] = lam
+            grad = grad + self._dual * self.cons.funcs[vals.index(g_max)][1](x)
         return [g_max + self.gamma_tighten], grad
 
 
@@ -626,9 +673,10 @@ class PenaltyOGD(OGD):
     """OGD with the constant step `eta` on the radius-R ball down the
     penalized loss f_t + delta·Σ[g_i]₊ with a fixed weight; the baseline
     whose violation cannot vanish.  A negative or NaN weight is refused.
-    Its rounds also record violations, so it names no state to replay."""
+    A round's violations are a function of its decision x, so x with the
+    loss fixes all three records: `play` replays it, violations too."""
 
-    _state = ()
+    _state = ("x",)
 
     def __init__(self, constraints: ConstraintSet, eta: float,
                  delta: float, R: float = 1.0, dim: int | None = None):
@@ -646,10 +694,12 @@ class PenaltyOGD(OGD):
         (rounds, m) array."""
         return _rows(self._violations, self.cons.m)
 
-    def _gradient(self, x: Point, loss: RoundLoss) -> Point:
+    def _records(self) -> tuple:
+        return super()._records() + (("_violations", self.cons.m),)
+
+    def _direction(self, x: Point, g: Point) -> Point:
         vals = self.cons.values(x)
         self._violations.extend(vals)
-        g = loss.grad(x)
         for v, (_, gg) in zip(vals, self.cons.funcs):
             if v > 0:
                 g = g + self._delta * gg(x)

@@ -225,7 +225,7 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
 def clipped_sgd(problem, domain: Domain, *, seed: int = 0, m: int | None = None,
                 T1: int, eta: float | None = None, L: float | None = None,
                 lam: float | None = None, xi: float | None = None, epsilon: float = 0.5,
-                tau: float = 0.1, target_risk: float | None = None) -> Trace:
+                tau: float = 0.1, target_risk: float) -> Trace:
     """Fixed-size stages with componentwise gradient clipping and domain shrinking.
 
     Per stage k: clip level gamma_k = 2·xi·beta·Delta_k, projection onto
@@ -452,15 +452,17 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     the averaged iterate is projected onto the domain at output time only.
 
     `G1` bounds the gradient on the unit ball, by default
-    objective.grad_bound(1.0); the step is eta = gamma/(2·G2²).
+    objective.grad_bound(1.0); only the default gamma reads it, so with a
+    given gamma an objective need not declare it.  The step is
+    eta = gamma/(2·G2²).
     """
     if domain.rho <= 0:
         raise ConfigurationError("boundary gradient bound rho must be positive")
     T = _at_least("horizon T", T)
-    G1 = _given_step("G1", G1) or _declared(objective, "grad_bound", "G1")(1.0)
+    G1, gamma = _given_step("G1", G1), _given_step("gamma", gamma)
     G2, C2 = domain.G2, domain.C2
-    gamma = _given_step("gamma", gamma)
-    if gamma is None:
+    if gamma is None:   # only the default gamma reads G1
+        G1 = G1 or _declared(objective, "grad_bound", "G1")(1.0)
         sigma = _declared(objective, "noise", "gamma")
         gamma = G2 * G2 / math.sqrt(
             (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / _DELTA)) * sigma * sigma) * T)

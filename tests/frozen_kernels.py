@@ -2,8 +2,9 @@
 before the two-ball projector was built once per epoch and before the
 anchored difference subtracted its anchor once; and of the online learners'
 round updates, as they stood before each learner bound its projection once
-and recorded its decisions without a copy, and before ExpertOMP and
-BanditOMP ran through OMP's round.
+and recorded its decisions without a copy, before ExpertOMP and
+BanditOMP ran through OMP's round, and before OMP took its first prox step's
+result for the second when a round's gradient is the round before's array.
 
 Also the matrix forms of the exact variance probe, as they stood before it
 walked the data in row blocks: the n × d component-gradient matrix and the
@@ -11,7 +12,9 @@ variances taken from two of them.
 
 Also the two closed-form variation loops, as they stood before they priced
 each distinct pair of consecutive rounds once, and the hinge comparator's
-grid search, as it stood before its rows were split over processes.
+grid search, as it stood before its rows were split over processes and
+before it skipped the points whose lower bound shows they cannot win: it
+prices every point in the disc.
 
 Also the per-round observe loop that ran every learner over its sequence,
 as it stood before `play` replayed the rounds that repeat an earlier state

@@ -507,6 +507,29 @@ class TestRunOutputs:
         assert cli._best_hinge(examples, R).hex() == want.hex()
 
     @staticmethod
+    def _hinge_streams():
+        """40 example streams: drifting ones at T = 1 to 120, drift 0 to 1,
+        a mirror-symmetric one, and one with a NaN example."""
+        from smoothconvex.adversary import classification_stream
+        streams = [classification_stream((0.0, 1.0, 0.1, 0.5, 0.03)[k % 5],
+                                         (1, 2, 5, 40, 120, 17, 3)[k % 7], 2, seed=k)
+                   for k in range(38)]
+        # x and its mirror (−x₀, x₁): at R = 2.5, whose grid steps are dyadic,
+        # the coarse least 1.34375 ties exactly at w = (−0.125, 1.375),
+        # (0, 1.375) and (0.125, 1.375)
+        streams.append(np.array([[0.25, 0.75], [-0.25, 0.75], [0.0, -0.25]]))
+        streams.append(np.array([[0.6, 0.8], [np.nan, 0.1], [-0.2, 0.3]]))
+        return streams
+
+    @pytest.mark.parametrize("R", [0.05, 0.3, 1.0, 2.5, 4.0])
+    def test_comparator_skips_no_point_that_could_win(self, R):
+        # the bound T − ⟨Σ x_t, w⟩ prices fewer points; the float is the full
+        # scan's, bit for bit (NaN included), on 40 streams at each of 5 radii
+        for examples in self._hinge_streams():
+            assert cli._best_hinge(examples, R).hex() == (
+                frozen_kernels.best_hinge(examples, R).hex()), (R, examples[:2])
+
+    @staticmethod
     def _gv_failing_at(monkeypatch, failing, how):
         """gv_regret_sweep on 2 CPUs, with each grid level in `failing`
         ending by `how`."""

@@ -134,9 +134,10 @@ class TestOMP:
 
     def test_one_gradient_evaluation_per_round(self, monkeypatch):
         loss, calls = linear([1.0, 0.0]), []
-        grad = type(loss).grad
-        monkeypatch.setattr(type(loss), "grad",
-                            lambda self, x: calls.append(x) or grad(self, x))
+        for name in ("grad", "value_grad"):   # either way of asking for one
+            method = getattr(type(loss), name)
+            monkeypatch.setattr(type(loss), name, lambda self, x, method=method:
+                                calls.append(x) or method(self, x))
         omp = OMP(UNIT, L=1.0, eta=0.5, dim=2)
         for _ in range(10):
             omp.observe(loss)
@@ -795,6 +796,68 @@ class TestFrozenRounds:
                                          "raw_violations"))
         assert np.all(lr.lam > 0)
 
+    @pytest.mark.parametrize("kind", ["soft", "zero", "penalty"])
+    def test_constraint_learner_on_linear_and_quadratic_rounds(self, kind):
+        # value_grad of both loss kinds feeds the direction: mixed rounds,
+        # against the same frozen loops
+        cons, losses = _soft_cons(), _mixed_losses(_ROUNDS_T, 2, 17)
+        fields = ("decisions", "loss_values", "violations")
+        if kind == "soft":
+            lr = SoftConstraintOGD(cons, _ROUNDS_T, R=0.8, dim=2)
+            want = frozen_kernels.soft_constraint_rounds(cons.funcs, cons.G, cons.D,
+                                                         _ROUNDS_T, 0.8, 2, losses)
+            fields += ("lam",)
+        elif kind == "zero":
+            lr = ZeroViolationOGD(cons, _ROUNDS_T, R=0.8, dim=2)
+            tun = zero_violation_tuning(cons.G, cons.D, cons.F, 0.8, _ROUNDS_T)
+            want = frozen_kernels.zero_violation_rounds(cons.funcs, tun, _ROUNDS_T, 0.8, 2,
+                                                        losses)
+            fields += ("lam", "raw_violations")
+        else:
+            lr = PenaltyOGD(cons, 0.05, delta=3.0, R=0.8, dim=2)
+            want = frozen_kernels.penalty_rounds(cons.funcs, 0.05, 3.0, 0.8, 2, losses)
+        for l in losses:
+            lr.observe(l)
+        _assert_records_match(lr, want, fields)
+        assert np.any(np.array(lr.violations) > 0)
+
+    @pytest.mark.parametrize("how", ["observe", "play"])
+    @pytest.mark.parametrize("kind", ["OMP", "ExpertOMP"])
+    def test_a_cost_served_again_reuses_the_first_prox_step(self, kind, how):
+        # [c1]*k + [c2]*k: the round's gradient is the very cost vector of the
+        # round before on all rounds but the first and the switch
+        c1, c2 = make_rng(16).uniform(0.0, 1.0, size=(2, 4))
+        losses = [linear(c1)] * 150 + [linear(c2)] * 150
+        if kind == "OMP":
+            lr, want = (OMP(UNIT, L=1.0, eta=0.7, dim=4),
+                        frozen_kernels.omp_rounds(UNIT, 1.0, 0.7, 4, losses))
+        else:
+            lr, want = (ExpertOMP(4, eta=0.6, L=1.5),
+                        frozen_kernels.expert_omp_rounds(4, 0.6, 1.5, losses))
+        calls = _counted_prox(lr)
+        if how == "play":
+            lr.play(losses)
+        else:
+            frozen_kernels.observe_rounds(lr, losses)
+        _assert_records_match(lr, want)
+        if how == "observe" or not lr._state:   # every round computed
+            assert calls[0] == 300 + 2
+
+    @pytest.mark.parametrize("kind", ["linear", "mixed"])
+    def test_prox_steps_are_the_rounds_and_the_gradient_changes(self, kind):
+        # T + (rounds whose gradient is not the array of the round before);
+        # a quadratic round's gradient is a fresh array
+        f, g = linear([0.5, -0.25, 0.0]), linear([-0.5, 0.0, 0.25])
+        losses = ([f, f, g, f, f, f, g, g] * 12 if kind == "linear"
+                  else _mixed_losses(60, 3, 18) + [f] * 5)
+        lr = OMP(UNIT, L=1.0, eta=0.4, dim=3)
+        calls = _counted_prox(lr)
+        frozen_kernels.observe_rounds(lr, losses)
+        changes = sum(1 for t, l in enumerate(losses)
+                      if t == 0 or l.quad_center is not None or l is not losses[t - 1])
+        assert calls[0] == len(losses) + changes < 2 * len(losses)
+        _assert_records_match(lr, frozen_kernels.omp_rounds(UNIT, 1.0, 0.4, 3, losses))
+
     def test_penalty_ogd(self):
         cons, losses = _soft_cons(), list(_soft_rounds(_ROUNDS_T, 4.0))
         lr = PenaltyOGD(cons, 0.05, delta=3.0, R=0.8, dim=2)
@@ -963,6 +1026,18 @@ def _counted(learner):
     return calls
 
 
+def _counted_prox(learner):
+    """A one-item list that counts `learner`'s prox steps from now on."""
+    calls, prox = [0], learner._prox
+
+    def counting(z, g):
+        calls[0] += 1
+        return prox(z, g)
+
+    learner._prox = counting
+    return calls
+
+
 def _as_expert_costs(seq, m=3, seed=12):
     """`seq` with each distinct loss object replaced by one nonnegative linear
     loss on m experts: the same pattern of shared rounds."""
@@ -985,6 +1060,16 @@ def _equal_vectors(d, T=120):
     return [linear(f if t % 2 == 0 else -f) for t in range(T)]
 
 
+def _penalty(d):
+    """PenaltyOGD on dimension d, under a ball constraint and a cut on the
+    first coordinate."""
+    e0 = np.eye(d)[0]
+    cons = ConstraintSet(funcs=[ball_constraint(0.7), (lambda x: float(x[0]) - 0.3,
+                                                       lambda x: e0)],
+                         D=1.0, G=2.5, F=2.5)
+    return PenaltyOGD(cons, 0.2, delta=3.0, R=0.8, dim=d)
+
+
 # name: (learner factory on dimension d, its state, whether it takes expert costs)
 _PLAYERS = {
     "OGD": (lambda d: OGD(UNIT, 0.2, dim=d), ("x",), False),
@@ -992,6 +1077,7 @@ _PLAYERS = {
     "IFTRL": (lambda d: IFTRL(UNIT, L=1.0, eta=0.5, dim=d),
               ("z", "grad_sum", "stale_grad"), False),
     "ExpertOMP": (lambda m: ExpertOMP(m, eta=0.5), ("z", "prev_grad"), True),
+    "PenaltyOGD": (_penalty, ("x",), False),
 }
 
 _PLAYED = {
@@ -1011,7 +1097,8 @@ def _dim(seq):
 def _assert_played_as_observed(played, observed, state):
     assert ([v.hex() for v in played.loss_values]
             == [v.hex() for v in observed.loss_values])
-    assert played.decisions.tobytes() == observed.decisions.tobytes()
+    for name, _ in played._records():   # the decisions, and any other record
+        assert getattr(played, name).tobytes() == getattr(observed, name).tobytes(), name
     for name in state:
         assert getattr(played, name).tobytes() == getattr(observed, name).tobytes(), name
 
@@ -1025,13 +1112,13 @@ def _snapshot(learner) -> dict:
 
 def _unreplayed(learner, losses) -> set:
     """The attributes that a few played rounds change, other than the
-    learner's declared state and the two records that `play` replays."""
+    learner's declared state and the records that `play` replays."""
     before = _snapshot(learner)
     learner.play(losses)
     after = _snapshot(learner)
     changed = {k for k in after
                if k not in before or before[k] is not after[k] and before[k] != after[k]}
-    return changed - set(learner._state) - {"loss_values", "_decisions"}
+    return changed - set(learner._state) - {name for name, _ in learner._records()}
 
 
 def _learner_classes(cls=BaseLearner):
@@ -1115,10 +1202,7 @@ class TestPlay:
         assert calls[0] <= 5
         _assert_played_as_observed(played, observed, played._state)
 
-    @pytest.mark.parametrize("make", [
-        lambda: ExpertOMP(3, eta=0.5),
-        lambda: PenaltyOGD(_soft_cons(), 0.05, delta=1.0, dim=2),
-    ], ids=["ExpertOMP", "PenaltyOGD"])
+    @pytest.mark.parametrize("make", [lambda: ExpertOMP(3, eta=0.5)], ids=["ExpertOMP"])
     def test_a_learner_that_names_no_state_computes_every_round(self, make):
         lr = make()
         calls = _counted(lr)
@@ -1144,9 +1228,9 @@ class TestPlay:
 
     def test_the_guard_sees_a_field_outside_the_state(self):
         class Counting(OGD):   # inherits OGD's state, but counts its rounds too
-            def _gradient(self, x, loss):
+            def _direction(self, x, g):
                 self.rounds = getattr(self, "rounds", 0) + 1
-                return super()._gradient(x, loss)
+                return super()._direction(x, g)
 
         losses = [linear(v) for v in make_rng(15).uniform(0.0, 1.0, size=(4, 2))]
         assert _unreplayed(Counting(UNIT, 0.2, dim=2), losses) == {"rounds"}

@@ -149,8 +149,10 @@ class TestClippedSgd:
 
     def test_requires_positive_target(self):
         prob = onedim_target_risk_problem(0.05)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError, match="target_risk"):
             clipped_sgd(prob, Domain.ball(1.0), seed=0, m=2, T1=5)
+        with pytest.raises(ConfigurationError, match="positive target risk"):
+            clipped_sgd(prob, Domain.ball(1.0), seed=0, m=2, T1=5, target_risk=None)
 
     def test_reaches_target_risk_neighborhood(self):
         # clippedsgd_target's final_metric is the risk over (1 + tau/(1 − eps))·target
@@ -195,8 +197,9 @@ class TestMixedGrad:
         # max|w| = 0.0656; each epoch solver refuses the box before it reads
         # the problem, so a problem of None is never touched
         box = Domain.box(-0.05 * np.ones(5), 0.05 * np.ones(5))
+        extra = {"target_risk": 0.05} if solver is clipped_sgd else {}   # required there
         with pytest.raises(ConfigurationError, match=f"{solver.__name__} needs a ball"):
-            solver(None, box, seed=0, T1=20, m=3)
+            solver(None, box, seed=0, T1=20, m=3, **extra)
 
     def test_determinism(self):
         data = synthetic_regression(25, 3, seed=12)
@@ -694,6 +697,15 @@ class TestOneProjection:
         for tr in (sgd_pd(obj, ball, T=5, G1=1.0, gamma=0.1),
                    sgd_st(obj, ball, T=5, G1=1.0)):
             assert ball.contains(tr.final_point)
+
+    def test_given_gamma_needs_no_gradient_bound(self):
+        # only the default gamma reads G1: a given gamma runs on an objective
+        # that declares no grad_bound, as it would with any G1
+        obj, ball = onedim_target_risk_problem(0.3), Domain.ball(0.8)
+        tr = sgd_pd(obj, ball, T=5, gamma=0.1)
+        assert tr.final_point.tobytes() == sgd_pd(obj, ball, T=5, gamma=0.1,
+                                                  G1=7.0).final_point.tobytes()
+        assert ball.contains(tr.final_point)
 
     def test_dual_stays_zero_when_deep_feasible(self):
         obj = NoisyQuadratic(center=np.zeros(2), noise=0.1)
