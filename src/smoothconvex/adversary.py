@@ -82,6 +82,7 @@ def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> li
     if speed < 0:
         raise InputError("drift speed must be nonnegative")
     centers = np.zeros((T, d))
+    # math.cos and math.sin, since np.cos and np.sin need not round alike
     for t in range(T):
         ang = speed * t
         centers[t, 0] = radius * math.cos(ang)

@@ -11,12 +11,12 @@ contain commas); identical config+seed produces byte-identical files.
 The online chapter (`online`, `adversary`) is imported by the experiments
 that run it, on their first call, so a solver run never loads it.
 
-The command line's seeds, and the independent parts of `gv_regret_sweep`,
-`soft_constraints` and `expert_switch`, map through
-`_fork_map`, which runs on W = min(C, items) processes, where C is
-`usable_cpus()`, the affinity mask, or within a share of an enclosing map that
-map's C // W. `run()`, `scripts/run_all_experiments.py` and a direct call of an
-experiment follow the same rule.
+The command line's seeds, and the independent parts of `soft_constraints`
+and `expert_switch`, map through `_fork_map`, which runs on W = min(C, items)
+processes, where C is `usable_cpus()`, the affinity mask, or within a share
+of an enclosing map that map's C // W. `run()`,
+`scripts/run_all_experiments.py` and a direct call of an experiment follow
+the same rule.
 """
 
 from __future__ import annotations
@@ -195,17 +195,15 @@ def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
     from . import adversary, online
     T, d, egvs = p["T"], p["d"], p["egv_grid"]
     dom = Domain.ball(1.0)
-
-    def level(egv):  # one grid level, independent of the others
+    rows = []
+    for egv in egvs:
         seq = adversary.alternating_linear(egv, T, d)
         measured = adversary.measure_egv_exact(seq)
         omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, measured), dim=d)
         ift = online.IFTRL(dom, L=1.0, eta=min(1.0, 1.0 / math.sqrt(measured)), dim=d)
         _, best = metrics.comparator_minimum(seq, dom)
-        return {"egv": measured, "regret": _regret(omp, seq, best),
-                "regret_iftrl": _regret(ift, seq, best)}
-
-    rows = _fork_map(level, egvs)
+        rows.append({"egv": measured, "regret": _regret(omp, seq, best),
+                     "regret_iftrl": _regret(ift, seq, best)})
     regs = [max(r["regret"], 1e-12) for r in rows]
     return ExperimentResult(rows, final_metric=regs[-1] / regs[0],
                             slope=metrics.loglog_slope(egvs, regs))
@@ -278,7 +276,7 @@ def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
 
 
 def _soft_instance(seed: int, p: dict):
-    from . import online
+    from . import adversary, online
     T, R = p["T"], p["radius_R"]
     rng = make_rng(seed)
     r_c = p["constraint_radius"]
@@ -287,10 +285,7 @@ def _soft_instance(seed: int, p: dict):
     # gradient's 2 is a 0-d array, as `online` binds its step constants
     two = np.array(2.0)
     g = (lambda x: float(x.dot(x)) - rc2, lambda x: two * x)
-    # the rounds share one read-only (T, 2) copy of the centers; math.cos and
-    # math.sin, since np.cos and np.sin need not round alike
-    losses = online.RoundLoss.quadratic_rounds(
-        [(0.9 * math.cos(0.001 * t), 0.9 * math.sin(0.001 * t)) for t in range(T)])
+    losses = adversary.drifting_quadratics(0.001, T, 2, radius=0.9)
     G = max(2.0 * R, R + 0.9)  # gradient bounds for losses and constraint over RB
     F = 0.5 * (R + 0.9) ** 2
     cons = online.ConstraintSet.from_samples([g], dim=2, ball_radius=R, loss_bound=F,
@@ -360,12 +355,8 @@ def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     mistakes = learner.mistakes
     # best fixed comparator over a 2-D grid (coarse + refinement)
     best = _best_hinge(examples, p["radius_R"])
-    egv = 0.0
-    prev = None
-    for gx in learner.mistake_examples:
-        dv = gx - (np.zeros_like(gx) if prev is None else prev)
-        egv += float(dv @ dv)
-        prev = gx
+    egv = adversary.measure_egv_exact(
+        [online.RoundLoss.from_linear(gx) for gx in learner.mistake_examples])
     bound = best + math.sqrt(2.0) * (p["radius_R"] ** 2 + 1.0) * max(2.0, math.sqrt(egv))
     rows = [{"iter": T, "mistakes": mistakes, "hinge_best": best, "egv": egv,
              "bound": bound}]
@@ -738,8 +729,8 @@ def _usage() -> str:
     return ("usage: smoothconvex run <experiment> [--seed S[,S2,...]] "
             "[--config FILE] [--out DIR] [--key=value ...]\n"
             "seeds run in parallel, one process per seed and usable CPU at most, and the\n"
-            "CPUs they leave split the parts of gv_regret_sweep, soft_constraints and\n"
-            "expert_switch; the affinity mask caps all these processes, as it does for\n"
+            "CPUs they leave split the parts of soft_constraints and expert_switch;\n"
+            "the affinity mask caps all these processes, as it does for\n"
             "scripts/run_all_experiments.py and the library's run(), and\n"
             "`taskset -c 0 smoothconvex run ...` runs serially. Only the calling process\n"
             "writes summary.csv.\n"

@@ -530,10 +530,9 @@ class HalfspaceCut(Domain):
         return c0 + math.sqrt(rho2) * v / nv
 
     def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
+        ball = Ball(self.outer_radius)
         for _ in range(10_000):
-            v = rng.standard_normal(self.dim)
-            v /= max(np.linalg.norm(v), 1e-15)
-            v = v * self.outer_radius * rng.uniform() ** (1.0 / self.dim)
+            v = ball.sample(rng, self.dim)
             if self.contains(v):
                 return v
         raise NumericError("rejection sampling failed; halfspace cut too thin")

@@ -64,10 +64,13 @@ def reference_optimum(problem, domain: Domain, steps: int = 100_000) -> dict:
 
 def loglog_slope(xs, ys) -> float:
     """Least-squares slope of log y against log x; a value that is not
-    positive has no logarithm and is refused with NumericError."""
+    positive has no logarithm and is refused with NumericError.  Fewer than
+    two distinct xs fix no slope: NaN, the summary's "no slope"."""
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     if not (np.all(xs > 0) and np.all(ys > 0)):
         raise NumericError("log-log slope needs positive values")
+    if xs.size < 2 or xs.min() == xs.max():  # np.unique would load numpy.ma
+        return np.nan
     lx, ly = np.log(xs), np.log(ys)
     A = np.stack([lx, np.ones_like(lx)], axis=1)
     sol, *_ = np.linalg.lstsq(A, ly, rcond=None)

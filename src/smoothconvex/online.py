@@ -59,9 +59,9 @@ buffer that holds it.
 OGD is the one projected-step loop: SoftConstraintOGD, ZeroViolationOGD and
 PenaltyOGD are OGD subclasses that choose only the round's direction.  OMP is
 the one extra-gradient loop, whose step is a projected gradient step:
-BanditOMP is an OMP subclass with that step, whose round estimates the
-gradient from value queries, and ExpertOMP one whose step is the
-multiplicative update on the simplex.
+BanditOMP is an OMP subclass with that step that runs OMP's round through
+_feedback, which estimates the gradient from value queries, and ExpertOMP
+one whose step is the multiplicative update on the simplex.
 Every learner here is run by an experiment in `cli`.
 """
 
@@ -357,7 +357,8 @@ class OMP(BaseLearner):
     second from z along the round's gradient g; when g is the very array of
     the previous round (a linear loss's cost vector, served again), the
     second has the first's inputs, so its result is x and it is not
-    computed."""
+    computed.  A subclass takes the round's value and gradient another way
+    by overriding _feedback, as OGD's override _direction."""
 
     _state = ("z", "prev_grad")
 
@@ -382,10 +383,14 @@ class OMP(BaseLearner):
     def observe(self, loss: RoundLoss) -> None:
         x = self.predict()
         self._decisions.frombytes(x.tobytes())
-        value, g = loss.value_grad(x)
+        value, g = self._feedback(loss, x)
         self.loss_values.append(value)
         self.z = x if g is self.prev_grad else self._prox(self.z, g)
         self.prev_grad = g
+
+    def _feedback(self, loss: RoundLoss, x: Point) -> tuple:
+        """The round's recorded value and its gradient, at the decision x."""
+        return loss.value_grad(x)
 
     def _prox(self, z: Point, g: Point) -> Point:
         """The step from z along −g: a new array."""
@@ -455,11 +460,10 @@ class BanditOMP(OMP):
         self.value_queries = 0
         self.last_estimate: Point | None = None
 
-    def observe(self, loss: RoundLoss) -> None:
-        x = self.predict()
-        self._decisions.frombytes(x.tobytes())
+    def _feedback(self, loss: RoundLoss, x: Point) -> tuple:
+        """The center query's value and the forward-difference gradient: a
+        new array, never the round before's, so OMP takes its second step."""
         f0 = float(loss.value(x))
-        self.loss_values.append(f0)
         self.value_queries += 1
         d = x.shape[0]
         g = np.zeros(d)
@@ -469,8 +473,7 @@ class BanditOMP(OMP):
             g[i] = (float(loss.value(x + e)) - f0) / self.delta
             self.value_queries += 1
         self.last_estimate = g
-        self.z = self._prox(self.z, g)
-        self.prev_grad = g
+        return f0, g
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ prices every point in the disc.
 
 Also the per-round observe loop that ran every learner over its sequence,
 as it stood before `play` replayed the rounds that repeat an earlier state
-and loss.
+and loss, and HalfspaceCut's rejection sampler, as it stood before it drew
+its candidates through Ball.sample.
 
 The bitwise tests compare against these copies, not against the library, so
 that they keep pinning the original floats.  np.linalg.norm stands in for
@@ -127,6 +128,18 @@ def domain_project(domain, x):
     if domain.kind == "box":
         return np.clip(x, domain.lo, domain.hi)
     raise ValueError(domain.kind)
+
+
+def halfspace_cut_sample(dom, rng):
+    """HalfspaceCut.sample: uniform candidates from the unit ball until one
+    lies in the cut."""
+    for _ in range(10_000):
+        v = rng.standard_normal(dom.dim)
+        v /= max(np.linalg.norm(v), 1e-15)
+        v = v * dom.outer_radius * rng.uniform() ** (1.0 / dom.dim)
+        if dom.contains(v):
+            return v
+    raise AssertionError("rejection sampling failed")
 
 
 def observe_rounds(learner, losses):

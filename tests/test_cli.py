@@ -145,18 +145,18 @@ class TestDispatch:
     def test_workers_capped_by_seeds_and_cpus(self, tmp_path, monkeypatch, pool_sizes,
                                               cpus, seeds, want, parts, equals):
         # one worker per seed and per usable CPU at most; each seed's parts,
-        # three variation levels, may use the CPUs the seeds leave
+        # three grid points, may use the CPUs the seeds leave
         monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         flags = {"--seed": seeds, "--out": str(tmp_path)}
         args = ([f"{k}={v}" for k, v in flags.items()] if equals
                 else [a for kv in flags.items() for a in kv])
-        rc = main(["run", "gv_regret_sweep", "--T=10", "--d=2", "--egv_grid=1;4;16", *args])
+        rc = main(["run", "expert_switch", "--T=10", "--m_grid=4;8;16", *args])
         assert rc == EXIT_OK
         n = len(seeds.split(","))
         assert pool_sizes == [want] + [parts] * n
         assert want * parts <= cpus
         assert sorted(p.name for p in tmp_path.glob("*_?.csv")) == [
-            f"gv_regret_sweep_{s}.csv" for s in seeds.split(",")]
+            f"expert_switch_{s}.csv" for s in seeds.split(",")]
 
     @pytest.mark.parametrize("args", [["--m_min=5", "--m_max=4"], ["--m_min=0"],
                                       ["--m_min=5", "--m_max=4", "--seed", "0,1"]])
@@ -361,6 +361,15 @@ class TestRunOutputs:
         assert os.path.exists(tmp_path / "penalty_impossibility_1.csv")
         assert os.path.exists(tmp_path / "penalty_impossibility_2.csv")
 
+    def test_single_level_sweep_has_no_slope(self, tmp_path, capsys):
+        # one level is one x: the summary says "no slope", not a made-up one
+        rc = main(["run", "gv_regret_sweep", "--T=5", "--egv_grid=1e308",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        header, rows = read_csv(tmp_path / "summary.csv")
+        assert rows[0][header.index("slope")] == "nan"
+        assert " slope=nan " in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -402,7 +411,7 @@ class TestRunOutputs:
             monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
             monkeypatch.setattr(cli.os, "fork", lambda: forks.append(1) or fork())
         assert cli.usable_cpus() == 1
-        for experiment, seeds in (("emgd_variance", "0,1"), ("gv_regret_sweep", "0")):
+        for experiment, seeds in (("emgd_variance", "0,1"), ("soft_constraints", "0")):
             args = SMALL[experiment]
             assert main(["run", experiment, *args, "--seed", seeds,
                          "--out", str(tmp_path / "cli")]) == EXIT_OK
@@ -458,10 +467,11 @@ class TestRunOutputs:
                                                  experiment, args, parts, cpus):
         # one seed: its experiment's parts fork, up to one process per CPU and
         # part; hinge_mistakes scans its comparator grids (41 coarse rows),
-        # and ogd_vs_omp_adversary plays its two learners, in the calling
-        # process
+        # gv_regret_sweep plays its levels and ogd_vs_omp_adversary its two
+        # learners in the calling process
         name = f"{experiment}_0.csv"
-        maps = 0 if experiment in ("hinge_mistakes", "ogd_vs_omp_adversary") else 1
+        maps = 0 if experiment in ("hinge_mistakes", "gv_regret_sweep",
+                                   "ogd_vs_omp_adversary") else 1
         for out, usable, want in (("forked", cpus, maps * (min(cpus, parts) - 1)),
                                   ("serial", 1, 0)):
             forks.clear()
@@ -530,51 +540,53 @@ class TestRunOutputs:
                 frozen_kernels.best_hinge(examples, R).hex()), (R, examples[:2])
 
     @staticmethod
-    def _gv_failing_at(monkeypatch, failing, how):
-        """gv_regret_sweep on 2 CPUs, with each grid level in `failing`
-        ending by `how`."""
-        from smoothconvex import adversary
-        level = adversary.alternating_linear
+    def _experts_failing_at(monkeypatch, failing, how):
+        """expert_switch on 2 CPUs, with each grid point whose m is in
+        `failing` ending by `how`."""
+        tuned = online.ExpertOMP.tuned_eta
 
-        def patched(egv, T, d):
-            if egv in failing:
-                how(egv)
-            return level(egv, T, d)
+        def patched(m, egv_inf):
+            if m in failing:
+                how(m)
+            return tuned(m, egv_inf)
 
-        monkeypatch.setattr(adversary, "alternating_linear", patched)
+        monkeypatch.setattr(online.ExpertOMP, "tuned_eta", staticmethod(patched))
         monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
 
-    @pytest.mark.parametrize("failing,named", [({4.0, 16.0}, 4.0), ({1.0, 4.0}, 1.0)])
+    @pytest.mark.parametrize("failing,named", [({8, 16}, 8), ({4, 8}, 4)])
     def test_first_failing_part_in_item_order_exits_3(self, tmp_path, monkeypatch, capsys,
                                                       failing, named):
-        # levels 1 and 16 run in this process, level 4 in a forked child
-        def fail(egv):
-            raise NumericError(f"level {egv} failed")
+        # m = 4 and 16 run in this process, m = 8 in a forked child
+        def fail(m):
+            raise NumericError(f"m {m} failed")
 
-        self._gv_failing_at(monkeypatch, failing, fail)
-        rc = main(["run", "gv_regret_sweep", "--T=20", "--d=2", "--egv_grid=1;4;16",
+        self._experts_failing_at(monkeypatch, failing, fail)
+        rc = main(["run", "expert_switch", "--T=20", "--m_grid=4;8;16",
                    "--seed", "5", "--out", str(tmp_path)])
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == (
-            f"numeric failure: gv_regret_sweep seed=5: level {named} failed\n")
+            f"numeric failure: expert_switch seed=5: m {named} failed\n")
 
     def test_part_worker_ending_without_a_result_exits_2(self, tmp_path, monkeypatch,
                                                          capsys):
-        self._gv_failing_at(monkeypatch, {4.0}, lambda egv: os._exit(1))
-        rc = main(["run", "gv_regret_sweep", "--T=20", "--d=2", "--egv_grid=1;4;16",
+        # m = 8, the grid's item 1, is the forked child's: ended here, it
+        # would end the calling process
+        self._experts_failing_at(monkeypatch, {8}, lambda m: os._exit(1))
+        rc = main(["run", "expert_switch", "--T=20", "--m_grid=4;8;16",
                    "--seed", "5", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err == ("error: gv_regret_sweep seed=5: the worker from "
-                                           "4.0 on ended without a result\n")
+        assert capsys.readouterr().err == ("error: expert_switch seed=5: the worker from "
+                                           "1 on ended without a result\n")
 
     def test_budget_restored_after_a_failing_map(self, tmp_path, monkeypatch, forks):
-        # a level's failure unwinds through the parts' map and the seeds' map;
-        # the next run in this process still splits its parts over both CPUs
-        def fail(egv):
-            raise NumericError(f"level {egv} failed")
+        # a grid point's failure unwinds through the parts' map and the seeds'
+        # map; the next run in this process still splits its parts over both
+        # CPUs
+        def fail(m):
+            raise NumericError(f"m {m} failed")
 
-        self._gv_failing_at(monkeypatch, {4.0}, fail)
-        rc = main(["run", "gv_regret_sweep", "--T=20", "--d=2", "--egv_grid=1;4;16",
+        self._experts_failing_at(monkeypatch, {8}, fail)
+        rc = main(["run", "expert_switch", "--T=20", "--m_grid=4;8;16",
                    "--seed", "5", "--out", str(tmp_path / "failed")])
         assert rc == EXIT_NUMERIC
         forks.clear()
@@ -587,7 +599,7 @@ class TestRunOutputs:
     def test_direct_calls_split_as_the_cli_does(self, tmp_path, monkeypatch, forks):
         # an experiment called as test_acceptance calls it, and run(), take
         # their process count from the affinity mask, as main does
-        experiment, name = "gv_regret_sweep", "gv_regret_sweep_0.csv"
+        experiment, name = "soft_constraints", "soft_constraints_0.csv"
         overrides = dict(a[2:].split("=", 1) for a in SMALL[experiment])
         fn, _ = EXPERIMENTS[experiment]
         rows = {}
@@ -695,10 +707,12 @@ class TestRunOutputs:
 
     def test_solver_run_loads_neither_dataclasses_nor_the_online_chapter(self, tmp_path):
         # both cost every CLI process start-up; the online experiments import
-        # the chapter when they run
+        # the chapter when they run.  numpy.ma, which np.unique loads, costs a
+        # run's log-log slope about 13 ms
         src = Path(cli.__file__).resolve().parents[1]
         probe = ("import sys, smoothconvex.cli as cli\n"
-                 "watch = ('dataclasses', 'smoothconvex.online', 'smoothconvex.adversary')\n"
+                 "watch = ('dataclasses', 'numpy.ma', 'smoothconvex.online',\n"
+                 "         'smoothconvex.adversary')\n"
                  "seen = [sorted(m for m in watch if m in sys.modules)]\n"
                  "for argv in (['mixedgrad_rate', '--m_max=4', '--n=20', '--d=3', '--T1=4'],\n"
                  "             ['hinge_mistakes', '--T=20']):\n"

@@ -588,6 +588,20 @@ class TestProjectionProperties:
         assert np.all(p * np.sign(np.array(xs)) >= -1e-15)
 
 
+class TestHalfspaceCutSample:
+    @pytest.mark.parametrize("b", [-0.5, 0.0, 0.3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_draws_are_the_frozen_samplers_bit_for_bit(self, d, b):
+        # each draw, and the generator's next number after it, on seeds 0 to 199
+        dom = Domain.halfspace_cut(np.linspace(1.0, -0.5, d), b)
+        for seed in range(200):
+            rng, frozen_rng = make_rng(seed), make_rng(seed)
+            got = dom.sample(rng)
+            want = frozen_kernels.halfspace_cut_sample(dom, frozen_rng)
+            assert got.tobytes() == want.tobytes(), seed
+            assert rng.random() == frozen_rng.random(), seed
+
+
 class TestHalfspaceCutProjection:
     def test_matches_dykstra_on_random_instances(self):
         rng = make_rng(99)

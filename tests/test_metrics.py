@@ -1,6 +1,7 @@
 """Comparator minima, final regret, slopes and the reference-optimum solver."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,12 @@ class TestSlope:
         xs = np.logspace(2, 5, 12)
         ys = 3.0 * xs ** (-0.7) * np.exp(rng.normal(0, 0.05, size=12))
         assert abs(loglog_slope(xs, ys) + 0.7) <= 0.05
+
+    @pytest.mark.parametrize("xs, ys", [([10.0], [3.0]), ([5.0, 5.0], [1.0, 2.0])],
+                             ids=["one-point", "one-x"])
+    def test_one_distinct_x_has_no_slope(self, xs, ys):
+        # a line through one x has any slope: NaN, the summary's "no slope"
+        assert math.isnan(loglog_slope(xs, ys))
 
     @pytest.mark.parametrize("xs, ys", [([1.0, 2.0], [1.0, 0.0]), ([0.0, 2.0], [1.0, 2.0]),
                                         ([1.0, 2.0], [-1.0, 2.0]), ([1.0, 2.0], [np.nan, 1.0])])
