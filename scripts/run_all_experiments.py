@@ -14,14 +14,15 @@ import argparse
 import os
 import sys
 
-from smoothconvex.cli import EXPERIMENTS, RunConfig, _seed, run, write_summary
+from smoothconvex.cli import EXPERIMENTS, RunConfig, _seeds, run, write_summary
 from smoothconvex.core import ConfigurationError
 
 
 def seed_list(text: str) -> list[int]:
-    """The comma list as seeds, each checked against the CLI's range."""
+    """The comma list as seeds, each checked against the CLI's range; a
+    repeated seed is refused, as the CLI refuses it."""
     try:
-        return [_seed(s) for s in text.split(",")]
+        return _seeds(text)
     except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -279,17 +279,12 @@ def _soft_instance(seed: int, p: dict):
     from . import adversary, online
     T, R = p["T"], p["radius_R"]
     rng = make_rng(seed)
-    r_c = p["constraint_radius"]
-    rc2 = r_c * r_c
-    # x.dot(x) is x @ x bit for bit: a sum of squares has no signed zero; the
-    # gradient's 2 is a 0-d array, as `online` binds its step constants
-    two = np.array(2.0)
-    g = (lambda x: float(x.dot(x)) - rc2, lambda x: two * x)
+    ball = Domain.ball(p["constraint_radius"])
     losses = adversary.drifting_quadratics(0.001, T, 2, radius=0.9)
     G = max(2.0 * R, R + 0.9)  # gradient bounds for losses and constraint over RB
     F = 0.5 * (R + 0.9) ** 2
-    cons = online.ConstraintSet.from_samples([g], dim=2, ball_radius=R, loss_bound=F,
-                                             grad_bound=G, rng=rng)
+    cons = online.ConstraintSet.from_samples([(ball.g, ball.g_grad)], dim=2, ball_radius=R,
+                                             loss_bound=F, grad_bound=G, rng=rng)
     return losses, cons, T, R
 
 
@@ -326,8 +321,8 @@ def exp_penalty_impossibility(seed: int, p: dict) -> ExperimentResult:
     T = p["T"]
     v = np.array([1.0, 0.0])
     loss = online.RoundLoss.from_linear(v)
-    cons = online.ConstraintSet(
-        funcs=[(lambda x: 1.0 - float(v @ x), lambda x: -v)], D=3.0, G=1.0, F=2.0)
+    cut = Domain.halfspace_cut(-v, -1.0)   # g(x) = 1 − ⟨v, x⟩
+    cons = online.ConstraintSet(funcs=[(cut.g, cut.g_grad)], D=3.0, G=1.0, F=2.0)
     learner = online.PenaltyOGD(cons, p["eta"], delta=p["delta_penalty"], R=2.0, dim=2)
     learner.play([loss] * T)   # x settles on the boundary: play copies the later rounds
     viol = float(np.sum(np.maximum(learner.violations[:, 0], 0.0)))
@@ -346,18 +341,20 @@ def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
 
 def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     from . import adversary, online
-    T = p["T"]
+    T, R = p["T"], p["radius_R"]
+    if not math.isfinite(R * R):   # the comparator search and the bound square R
+        raise ConfigurationError(f"radius_R must have a finite square, got {R!r}")
     # d = 2: the comparator search below covers a 2-D grid
     examples = adversary.classification_stream(p["drift"], T, 2, seed=seed)
-    learner = online.HingeClassifierPD(2, R=p["radius_R"])
+    learner = online.HingeClassifierPD(2, R=R)
     for gx in examples:
         learner.round(gx, 1.0)  # stream stores y·x, so the label is +1
     mistakes = learner.mistakes
     # best fixed comparator over a 2-D grid (coarse + refinement)
-    best = _best_hinge(examples, p["radius_R"])
+    best = _best_hinge(examples, R)
     egv = adversary.measure_egv_exact(
         [online.RoundLoss.from_linear(gx) for gx in learner.mistake_examples])
-    bound = best + math.sqrt(2.0) * (p["radius_R"] ** 2 + 1.0) * max(2.0, math.sqrt(egv))
+    bound = best + math.sqrt(2.0) * (R ** 2 + 1.0) * max(2.0, math.sqrt(egv))
     rows = [{"iter": T, "mistakes": mistakes, "hinge_best": best, "egv": egv,
              "bound": bound}]
     return ExperimentResult(rows, final_metric=mistakes / bound)
@@ -650,18 +647,22 @@ def write_summary(outdir: str, summaries) -> None:
               f"runtime_ms={row['runtime_ms']}")
 
 
-def _int(flag: str, text) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigurationError(f"{flag} expects an integer, got {text!r}") from None
+def _seeds(text: str) -> list[int]:
+    """The comma list `text` as seeds, none repeated: its runs would write one CSV."""
+    seeds = [_seed(s) for s in text.split(",")]
+    if len(set(seeds)) < len(seeds):
+        raise ConfigurationError(f"--seed repeats a seed: {text!r}")
+    return seeds
 
 
 def _seed(text, name: str = "--seed") -> int:
     """`text`, a string or an int, as a seed in 0..SEED_MAX; `name` is how
     the caller gave it.  make_rng keeps a seed's low 64 bits, so a seed
     outside that range would alias onto one inside it."""
-    seed = _int(name, text)
+    try:
+        seed = int(text)
+    except ValueError:
+        raise ConfigurationError(f"{name} expects an integer, got {text!r}") from None
     if not 0 <= seed <= SEED_MAX:
         raise ConfigurationError(f"{name} must lie in 0..{SEED_MAX}, got {text!r}")
     return seed
@@ -718,7 +719,7 @@ def _main_inner(argv) -> int:
     # config-file values first, explicit flags on top, whatever their order
     overrides = {**from_files, **explicit}
     file_seed = overrides.pop("seed", "0")
-    seeds = [_seed(s) for s in (file_seed if seed_text is None else seed_text).split(",")]
+    seeds = _seeds(file_seed if seed_text is None else seed_text)
     resolve_params(experiment, overrides)  # every parameter error before any output
     tasks = [RunConfig(experiment, s, overrides, outdir) for s in seeds]
     write_summary(outdir, _fork_map(run, tasks))

@@ -11,6 +11,10 @@ Projections come in two forms.  The checked form (`Domain.project`,
 The bound form (`Domain.projector`, `ball_projector`) settles the checks and
 any dispatch once and returns the bare kernel for a loop to call each step;
 the checked form is those checks plus the same kernel.
+A kind's constraint `g` and its gradient `g_grad` are array kernels of a
+1-D float64 point, so a (g, g_grad) pair is one `online.ConstraintSet`
+constraint.  Ball's pair, which sgd_pd and sgd_st call every step, is bare
+like its projector: it neither checks nor converts its point.
 
 A set's outer radius is fixed by its kind: max(1, r) for a ball, 1 for a
 halfspace cut.  `_at_least` is the one rule for a horizon, an epoch count or
@@ -198,23 +202,25 @@ def two_ball_projector(c1: Point, r1: float, c2: Point, r2: float):
         n = (c2 - c1) / gap
         # offset h of the ring plane from c1 along n
         h = (gap * gap + r1 * r1 - r2 * r2) / (2.0 * gap)
-        q = c1 + h * n
-        rho2 = r1 * r1 - h * h
-        rho = math.sqrt(max(rho2, 0.0))
-        v = x - q
-        v_perp = v - np.dot(v, n) * n
-        nv = _norm(v_perp)
-        if nv < 1e-15:
-            # degenerate: any ring point is nearest; pick a deterministic axis
-            e = np.zeros_like(x)
-            e[int(np.argmin(np.abs(n)))] = 1.0
-            v_perp = e - np.dot(e, n) * n
-            nv = _norm(v_perp)
-            if nv == 0.0:
-                return q  # 1-D: the balls touch only at q
-        return q + rho * (v_perp / nv)
+        return _onto_ring(x, c1 + h * n, n, math.sqrt(max(r1 * r1 - h * h, 0.0)))
 
     return project
+
+
+def _onto_ring(x: Point, q: Point, n: Point, rho: float) -> Point:
+    """x's nearest point on the radius-rho ring about q in the plane normal to unit n."""
+    v = x - q
+    v_perp = v - np.dot(v, n) * n
+    nv = _norm(v_perp)
+    if nv < 1e-15:
+        # degenerate: any ring point is nearest; pick a deterministic axis
+        e = np.zeros_like(x)
+        e[int(np.argmin(np.abs(n)))] = 1.0
+        v_perp = e - np.dot(e, n) * n
+        nv = _norm(v_perp)
+        if nv == 0.0:
+            return q  # 1-D: the ring is the point q
+    return q + rho * (v_perp / nv)
 
 
 def project_two_balls(x: Point, c1: Point, r1: float, c2: Point, r2: float) -> Point:
@@ -311,11 +317,11 @@ class Ball(Domain):
         self.r, self.outer_radius = float(r), float(max(1.0, r))
 
     def g(self, x: Point) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return float(x @ x - self.r * self.r)
+        # x.dot(x) is x @ x bit for bit: a sum of squares has no signed zero
+        return float(x.dot(x)) - self.r * self.r
 
     def g_grad(self, x: Point) -> Point:
-        return 2.0 * np.asarray(x, dtype=np.float64)
+        return x + x   # 2.0 * x bit for bit, without converting the 2.0 each call
 
     @property
     def rho(self) -> float:
@@ -515,19 +521,10 @@ class HalfspaceCut(Domain):
         if np.linalg.norm(p2) <= r + 1e-14:
             return p2
         # both active: nearest point on the sphere ∩ hyperplane ring
-        c0 = (b / na2) * a
         rho2 = r * r - b * b / na2
         if rho2 < 0:
             raise DomainError("halfspace does not intersect the outer sphere")
-        xh = x - (a @ x - b) / na2 * a
-        v = xh - c0
-        nv = np.linalg.norm(v)
-        if nv < 1e-15:
-            e = np.zeros_like(x)
-            e[int(np.argmin(np.abs(a)))] = 1.0
-            v = e - (a @ e) / na2 * a
-            nv = np.linalg.norm(v)
-        return c0 + math.sqrt(rho2) * v / nv
+        return _onto_ring(x, (b / na2) * a, a / math.sqrt(na2), math.sqrt(rho2))
 
     def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
         ball = Ball(self.outer_radius)

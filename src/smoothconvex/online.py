@@ -74,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (EPS_LOG, ConfigurationError, Domain, InputError, Point,
-                   UnsupportedDomainError, _at_least, _norm, ball_projector)
+                   UnsupportedDomainError, _at_least, _norm)
 
 
 def _frozen(v) -> np.ndarray:
@@ -190,6 +190,12 @@ def _repeats(losses, r: int, P: int) -> int:
     return n
 
 
+def _dim(d):
+    if d is None or not d >= 1:
+        raise ConfigurationError(f"a learner needs dim >= 1, got dim={d!r}")
+    return d
+
+
 _CHUNK = 4096  # floats a replayed record grows by at a time
 
 
@@ -222,11 +228,8 @@ class BaseLearner:
 
     _state: tuple = ()
 
-    def __init__(self, dim: int | None, domain: Domain | None = None):
-        d = domain.dim if domain is not None and domain.dim is not None else dim
-        if d is None or not d >= 1:
-            raise ConfigurationError(f"a learner needs dim >= 1, got dim={d!r}")
-        self.dim = d
+    def __init__(self, dim: int | None, domain: Domain):
+        self.dim = _dim(dim if domain.dim is None else domain.dim)
         self._decisions = _record()
         self.loss_values = _record()
 
@@ -398,8 +401,8 @@ class OMP(BaseLearner):
 
 
 class ExpertOMP(OMP):
-    """OMP on the m-expert simplex whose step is the multiplicative update
-    (the entropy map's prox step), from uniform weights, the projection of
+    """OMP on the m-expert simplex at L = 1 whose step is the multiplicative
+    update (the entropy map's prox step), from uniform weights, the projection of
     the origin; observe also takes a plain cost vector.  A round's cost must
     be linear, one entry per expert, and nonnegative; anything else, NaN
     included, is refused with InputError before the weights move.  A
@@ -410,12 +413,12 @@ class ExpertOMP(OMP):
 
     _state = ()
 
-    def __init__(self, m: int, eta: float, L: float = 1.0):
-        super().__init__(Domain.simplex(m), L, eta)
+    def __init__(self, m: int, eta: float):
+        super().__init__(Domain.simplex(m), 1.0, eta)
         self._checked = None   # the last loss that passed the checks
 
     def _prox(self, z: Point, g: Point) -> Point:
-        """z·exp(−(η/L)·g), normalised, in the log domain: a new array."""
+        """z·exp(−η·g), normalised, in the log domain: a new array."""
         logu = np.log(np.maximum(z, EPS_LOG)) - self._step * g
         logu -= logu.max()
         u = np.exp(logu)
@@ -481,26 +484,24 @@ class BanditOMP(OMP):
 # ---------------------------------------------------------------------------
 
 
-class HingeClassifierPD(BaseLearner):
+class HingeClassifierPD:
     """Mistake-driven online classifier: primal-dual extra-gradient updates on
     the hinge loss max over alpha in [0, 1] of alpha·(1 − ⟨w, y x⟩), with w
     on the radius-R ball; predicts before updating and updates only on
-    mistakes."""
+    mistakes, which it keeps: it has no `play` and no per-round records."""
 
     def __init__(self, dim: int, R: float = 1.0, eta: float | None = None):
-        super().__init__(dim)
+        dim = _dim(dim)
         self.eta = eta if eta is not None else 1.0 / (2.0 * math.sqrt(2.0))
         if not 0.0 < self.eta <= 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12:
             raise ConfigurationError("step size must lie in (0, 1/(2*sqrt(2))]")
-        if not R > 0:
-            raise ConfigurationError("ball radius must be positive")
+        self._project = Domain.ball(R).projector()   # refuses R <= 0
         self.w = np.zeros(dim)
         self.wp = np.zeros(dim)
         self.alpha = 0.0
         self.beta = 0.0
         self.mistakes = 0
         self.mistake_examples: list[Point] = []
-        self._project = ball_projector(R)
 
     def round(self, x: Point, y: float) -> float:
         """Returns the prediction score; updates internally on a mistake."""
@@ -524,7 +525,7 @@ class HingeClassifierPD(BaseLearner):
 
 
 class ConstraintSet(NamedTuple):
-    """m scalar constraints g_i ≤ 0 with subgradients."""
+    """m scalar constraints g_i ≤ 0 with subgradients, such as a domain's (g, g_grad)."""
 
     funcs: list          # list of (g, grad) callables
     D: float             # bound on |g_i| over the ball

@@ -188,10 +188,10 @@ def omp_rounds(domain, L, eta, dim, losses):
     return {"decisions": decisions, "loss_values": values}
 
 
-def expert_omp_rounds(m, eta, L, losses):
+def expert_omp_rounds(m, eta, losses):
     """ExpertOMP with its own multiplicative update; losses are linear."""
     def mult_update(w, f):
-        logw = np.log(np.maximum(w, 1e-300)) - (eta / L) * f
+        logw = np.log(np.maximum(w, 1e-300)) - eta * f
         logw -= logw.max()
         out = np.exp(logw)
         return out / out.sum()

@@ -109,11 +109,23 @@ class TestDispatch:
         ["--config"],
         ["--seed", "-1"],
         ["--seed", "18446744073709551616"],
+        ["--seed", "1,1"],                  # two runs would write one CSV
+        ["--seed=0,2,0"],
+        ["--seed", "1,01"],
     ])
     def test_malformed_flag_exits_2_with_message(self, tmp_path, capsys, args):
         rc = main(["run", "penalty_impossibility", "--out", str(tmp_path), *args])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_seed_repeated_in_a_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 1,1\nT = 10\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["run", "penalty_impossibility", "--config", str(config), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --seed repeats a seed: '1,1'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,message", [
         (["--jobs", "2"], "unrecognized argument '--jobs'"),
@@ -202,6 +214,9 @@ class TestDispatch:
         ("hinge_mistakes", "--radius_R=-1", "radius_R"),
         ("hinge_mistakes", "--radius_R=nan", "radius_R"),
         ("hinge_mistakes", "--radius_R=inf", "radius_R"),
+        ("hinge_mistakes", "--radius_R=1e160", "radius_R"),   # R * R overflows
+        ("hinge_mistakes", "--radius_R=1e200", "radius_R"),
+        ("hinge_mistakes", "--radius_R=1e308", "radius_R"),
         ("ogd_vs_omp_adversary", "--gv_target=nan", "gv_target"),
         ("oneproj_general", "--center_x=nan", "center_x"),
     ])
@@ -218,7 +233,6 @@ class TestDispatch:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("args", [
-        ["hinge_mistakes", "--radius_R=1e160"],          # R ** 2 overflows
         ["soft_constraints", "--radius_R=1e200", "--T=10"],
         ["emgd_variance", "--row_norm=1e300", "--n=5", "--T=5"],  # eigvalsh fails
     ], ids=lambda args: args[0])
@@ -288,6 +302,19 @@ class TestDispatch:
             env=dict(os.environ, PYTHONPATH=str(root / "src")))
         assert done.returncode == 2
         assert "--seed must lie in 0.." in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_run_all_script_refuses_a_repeated_seed(self, tmp_path):
+        root = Path(cli.__file__).resolve().parents[2]
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_all_experiments.py"),
+             "--seed", "3,1,3", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        assert done.returncode == 2
+        assert "--seed repeats a seed: '3,1,3'" in done.stderr
+        assert "Traceback" not in done.stderr
         assert not out.exists()
 
     def test_largest_seed_runs(self, tmp_path):

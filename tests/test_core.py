@@ -161,6 +161,34 @@ class TestProjection:
             assert dom.rho - 1e-9 <= n <= dom.G2 + 1e-9
 
 
+class TestBallConstraint:
+    """Ball.g and g_grad are bare kernels of a float64 point, bit for bit the
+    checked forms they replaced, frozen here."""
+
+    @staticmethod
+    def frozen_g(x, r):
+        return float(x @ x - r * r)
+
+    @staticmethod
+    def frozen_g_grad(x):
+        return 2.0 * x
+
+    @pytest.mark.parametrize("r", [1e-3, 0.7, 1.0, 2.5, 1e100])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_g_and_g_grad_are_the_frozen_forms_bit_for_bit(self, r, d):
+        rng, ball = make_rng(12), Domain.ball(r)
+        xs = rng.standard_normal((3000, d)) * r * rng.uniform(0.0, 2.0, size=(3000, 1))
+        # signed zeros, on the sphere, and at the center
+        zeros = rng.random(xs.shape) < 0.3
+        xs[zeros] = np.where(rng.random(xs.shape) < 0.5, 0.0, -0.0)[zeros]
+        xs[:4] = 0.0
+        xs[1, 0], xs[2, 0], xs[3] = r, -r, -0.0
+        for x in xs:
+            assert ball.g(x).hex() == self.frozen_g(x, r).hex(), x
+            assert ball.g_grad(x).tobytes() == self.frozen_g_grad(x).tobytes(), x
+            assert ball.g_grad(x).dtype == np.float64 and ball.g_grad(x).shape == x.shape
+
+
 class TestNorm:
     @pytest.mark.parametrize("n", range(1, 65))
     def test_bitwise_equal_to_linalg_norm(self, n):

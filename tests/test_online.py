@@ -290,6 +290,16 @@ class TestHingeClassifierPD:
         with pytest.raises(ConfigurationError):
             HingeClassifierPD(2, eta=0.5)
 
+    def test_has_no_round_records_or_play(self):
+        # it plays labelled examples, not losses: a `decisions` record that
+        # stays empty and a `play` without observe would only mislead
+        h = HingeClassifierPD(2, R=1.0)
+        for gx in classification_stream(0.1, 2, 2, seed=3):
+            h.round(gx, 1.0)
+        assert not isinstance(h, BaseLearner)
+        for name in ("play", "observe", "decisions", "loss_values", "_state", "_records"):
+            assert not hasattr(h, name), name
+
     def test_mistake_bound_on_drifting_stream(self):
         T, d = 2000, 2
         pts = classification_stream(0.02, T, d, seed=7)
@@ -755,10 +765,10 @@ class TestFrozenRounds:
         rng = make_rng(5)
         losses = [RoundLoss.from_linear(rng.uniform(0.0, 40.0 if t % 7 == 0 else 1.0, size=5))
                   for t in range(_ROUNDS_T)]
-        lr = ExpertOMP(5, eta=0.6, L=1.5)
+        lr = ExpertOMP(5, eta=0.6)
         for t, l in enumerate(losses):
             lr.observe(l if t % 2 else l.linear)   # plain cost vectors on even rounds
-        _assert_records_match(lr, frozen_kernels.expert_omp_rounds(5, 0.6, 1.5, losses))
+        _assert_records_match(lr, frozen_kernels.expert_omp_rounds(5, 0.6, losses))
 
     def test_bandit_omp(self):
         rng = make_rng(4)
@@ -832,8 +842,8 @@ class TestFrozenRounds:
             lr, want = (OMP(UNIT, L=1.0, eta=0.7, dim=4),
                         frozen_kernels.omp_rounds(UNIT, 1.0, 0.7, 4, losses))
         else:
-            lr, want = (ExpertOMP(4, eta=0.6, L=1.5),
-                        frozen_kernels.expert_omp_rounds(4, 0.6, 1.5, losses))
+            lr, want = (ExpertOMP(4, eta=0.6),
+                        frozen_kernels.expert_omp_rounds(4, 0.6, losses))
         calls = _counted_prox(lr)
         if how == "play":
             lr.play(losses)
@@ -1128,8 +1138,7 @@ def _learner_classes(cls=BaseLearner):
             yield from _learner_classes(sub)
 
 
-# every learner class, and what builds one and the losses it plays (None: it
-# plays labelled examples, not losses)
+# every learner class, and what builds one
 _GUARDED = {
     OGD: lambda: OGD(UNIT, 0.2, dim=2),
     IFTRL: lambda: IFTRL(UNIT, L=1.0, eta=0.5, dim=2),
@@ -1139,7 +1148,6 @@ _GUARDED = {
     SoftConstraintOGD: lambda: SoftConstraintOGD(_soft_cons(), 12, R=0.8, dim=2),
     ZeroViolationOGD: lambda: ZeroViolationOGD(_soft_cons(), 12, R=0.8, dim=2),
     PenaltyOGD: lambda: PenaltyOGD(_soft_cons(), 0.3, delta=3.0, R=0.8, dim=2),
-    HingeClassifierPD: None,
 }
 
 
@@ -1217,9 +1225,6 @@ class TestPlay:
     def test_declared_state_is_all_a_round_changes(self, cls):
         # a learner that names a state must change nothing else in a round
         # but its two records; one that changes more must name none
-        if _GUARDED[cls] is None:   # no observe: nothing for play to replay
-            assert cls._state == ()
-            return
         lr = _GUARDED[cls]()
         assert all(getattr(lr, a).dtype == np.float64 for a in lr._state)
         losses = [linear(v) for v in make_rng(14).uniform(0.0, 1.0, size=(6, lr.dim))]

@@ -45,15 +45,15 @@ SMALL = {
 # its 1-based place among them in source order, as in `<lambda>[2]`.
 ALLOWED = {
     # criterion 11: projection, sampling and sgd on all five domain kinds
-    "core.as_point": "criterion 11: the box and halfspace constructors",
     "core.Box.__init__": "criterion 11",
     "core.L1Ball.__init__": "criterion 11",
-    "core.HalfspaceCut.__init__": "criterion 11",
     "core.Box.projector": "criterion 11",
     "core.Box.projector.<locals>.<lambda>": "criterion 11: the box kernel",
     "core.L1Ball.projector": "criterion 11",
     "core.HalfspaceCut.projector": "criterion 11",
     "core.HalfspaceCut._project": "criterion 11",
+    "core._onto_ring": "criterion 11: the halfspace projection; two-ball steps that "
+                       "meet both spheres (test_core)",
     "core.HalfspaceCut.contains": "criterion 11: the halfspace projection",
     "core.Domain.contains": "criterion 11: the halfspace projection",
     "core.Ball.sample": "criterion 11",
@@ -78,8 +78,6 @@ ALLOWED = {
     "core.L1Ball.g_grad": "test_final_point_feasible_or_domain_refused",
     "core.L1Ball.G2": "test_final_point_feasible_or_domain_refused",
     "core.L1Ball.C2": "test_final_point_feasible_or_domain_refused",
-    "core.HalfspaceCut.g": "test_final_point_feasible_or_domain_refused; criterion 11",
-    "core.HalfspaceCut.g_grad": "test_final_point_feasible_or_domain_refused",
     "core.HalfspaceCut.rho": "test_final_point_feasible_or_domain_refused",
     "core.HalfspaceCut.C2": "test_final_point_feasible_or_domain_refused",
     # the comparator's linear minimum on each kind (test_metrics)
