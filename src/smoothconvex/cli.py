@@ -342,8 +342,9 @@ def exp_psi_transform_table(seed: int, p: dict) -> ExperimentResult:
 def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     from . import adversary, online
     T, R = p["T"], p["radius_R"]
-    if not math.isfinite(R * R):   # the comparator search and the bound square R
-        raise ConfigurationError(f"radius_R must have a finite square, got {R!r}")
+    # the bound's least value, which also keeps the search's w·w ≤ ~2R² finite
+    if not math.isfinite(math.sqrt(2.0) * (R * R + 1.0) * 2.0):
+        raise ConfigurationError(f"radius_R must keep the bound finite, got {R!r}")
     # d = 2: the comparator search below covers a 2-D grid
     examples = adversary.classification_stream(p["drift"], T, 2, seed=seed)
     learner = online.HingeClassifierPD(2, R=R)
@@ -355,6 +356,8 @@ def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     egv = adversary.measure_egv_exact(
         [online.RoundLoss.from_linear(gx) for gx in learner.mistake_examples])
     bound = best + math.sqrt(2.0) * (R ** 2 + 1.0) * max(2.0, math.sqrt(egv))
+    if not math.isfinite(bound):
+        raise NumericError(f"mistake bound is {bound!r} at radius_R={R!r}")
     rows = [{"iter": T, "mistakes": mistakes, "hinge_best": best, "egv": egv,
              "bound": bound}]
     return ExperimentResult(rows, final_metric=mistakes / bound)

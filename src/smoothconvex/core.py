@@ -11,17 +11,18 @@ Projections come in two forms.  The checked form (`Domain.project`,
 The bound form (`Domain.projector`, `ball_projector`) settles the checks and
 any dispatch once and returns the bare kernel for a loop to call each step;
 the checked form is those checks plus the same kernel.
-A kind's constraint `g` and its gradient `g_grad` are array kernels of a
-1-D float64 point, so a (g, g_grad) pair is one `online.ConstraintSet`
+Every kind's `g` is its membership test, which `contains` reads; the
+boundary constants rho, G2 and C2 belong to Ball alone, and the outer radius
+to the halfspace cut alone.  Ball's and the cut's (g, g_grad) pairs are
+array kernels of a 1-D float64 point, each one `online.ConstraintSet`
 constraint.  Ball's pair, which sgd_pd and sgd_st call every step, is bare
 like its projector: it neither checks nor converts its point.
 
-A set's outer radius is fixed by its kind: max(1, r) for a ball, 1 for a
-halfspace cut.  `_at_least` is the one rule for a horizon, an epoch count or
-an epoch length, such as the `T1` that stochastic.clipped_sgd and
-stochastic.mixed_grad require.  Of the solvers, gd, agd and clipped_sgd take
-a smoothness constant `L`, and sgd_pd and sgd_st a record stride
-`snapshot_every`; the rest read `L` from the problem's constants.
+`_at_least` is the one rule for a horizon, an epoch count or an epoch
+length, such as the `T1` that stochastic.clipped_sgd and stochastic.mixed_grad
+require.  Of the solvers, gd, agd and clipped_sgd take a smoothness constant
+`L`, and sgd_pd and sgd_st a record stride `snapshot_every`; the rest read
+`L` from the problem's constants.
 """
 
 from __future__ import annotations
@@ -266,19 +267,14 @@ class Domain:
     when built: Domain.ball, .box, .simplex, .l1_ball and .halfspace_cut are
     Ball, Box, Simplex, L1Ball and HalfspaceCut, and `kind` names each.
 
-    The scalar constraint g (membership ⇔ g(x) ≤ 0) with its subgradient
-    g_grad and the boundary constants (rho lower-bounding ‖∇g‖ on the
-    boundary, G2 upper-bounding ‖∇g‖ and C2 upper-bounding |g| over the outer
-    ball of radius `outer_radius`) feed the single-projection and
-    long-term-constraint solvers.
+    Every kind's scalar constraint g is its membership test (x is in the set
+    ⇔ g(x) ≤ 0), which `contains` reads.  Ball alone carries the boundary
+    constants of the single-projection solvers: rho lower-bounding ‖∇g‖ on
+    the boundary, G2 upper-bounding ‖∇g‖ and C2 upper-bounding |g| over the
+    ball of radius max(1, r).  The halfspace cut alone has an outer radius.
     """
 
     dim: int | None = None  # None: points of any dimension
-    rho = G2 = 1.0  # piecewise-linear g: unit-norm subgradients on facets
-
-    @property
-    def C2(self) -> float:
-        return 2.0 * self.outer_radius + 1.0
 
     def contains(self, x: Point, tol: float = 1e-10) -> bool:
         return self.g(x) <= tol
@@ -307,14 +303,14 @@ class Domain:
 
 
 class Ball(Domain):
-    """{‖x‖ ≤ r}, g(x) = ‖x‖² − r²; the outer radius is max(1, r)."""
+    """{‖x‖ ≤ r}, g(x) = ‖x‖² − r², with boundary constants over radius max(1, r)."""
 
     kind = "ball"
 
     def __init__(self, r: float):
         if not r > 0:
             raise ConfigurationError("ball radius must be positive")
-        self.r, self.outer_radius = float(r), float(max(1.0, r))
+        self.r = float(r)
 
     def g(self, x: Point) -> float:
         # x.dot(x) is x @ x bit for bit: a sum of squares has no signed zero
@@ -329,11 +325,11 @@ class Ball(Domain):
 
     @property
     def G2(self) -> float:
-        return 2.0 * self.outer_radius
+        return 2.0 * max(1.0, self.r)
 
     @property
     def C2(self) -> float:
-        R = self.outer_radius
+        R = max(1.0, self.r)
         return max(self.r * self.r, R * R - self.r * self.r)
 
     def projector(self):
@@ -364,29 +360,14 @@ class Box(Domain):
         if np.any(lo > hi):
             raise ConfigurationError("empty box: lo > hi")
         self.lo, self.hi, self.dim = lo, hi, lo.shape[0]
-        self.outer_radius = float(max(np.linalg.norm(lo), np.linalg.norm(hi)))
 
     def g(self, x: Point) -> float:
         x = np.asarray(x, dtype=np.float64)
         return float(np.max(np.maximum(self.lo - x, x - self.hi)))
 
-    def g_grad(self, x: Point) -> Point:
-        x = np.asarray(x, dtype=np.float64)
-        viol_lo, viol_hi = self.lo - x, x - self.hi
-        out = np.zeros_like(x)
-        if np.max(viol_lo) >= np.max(viol_hi):
-            out[int(np.argmax(viol_lo))] = -1.0
-        else:
-            out[int(np.argmax(viol_hi))] = 1.0
-        return out
-
     def projector(self):
         lo, hi = self.lo, self.hi
         return lambda x: np.clip(x, lo, hi)
-
-    def linear_minimizer(self, c: Point) -> Point:
-        c = self._check_dim(np.asarray(c, dtype=np.float64))
-        return np.where(c > 0, self.lo, np.where(c < 0, self.hi, self.lo))
 
     def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
         return rng.uniform(self.lo, self.hi)
@@ -400,24 +381,11 @@ class Simplex(Domain):
     def __init__(self, dim: int):
         if dim < 1:
             raise ConfigurationError("simplex needs dim >= 1")
-        self.dim, self.outer_radius = dim, 1.0
+        self.dim = dim
 
     def g(self, x: Point) -> float:
         x = np.asarray(x, dtype=np.float64)
         return float(max(np.max(-x), abs(x.sum() - 1.0)))
-
-    def g_grad(self, x: Point) -> Point:
-        x = np.asarray(x, dtype=np.float64)
-        s = x.sum() - 1.0
-        if abs(s) >= np.max(-x):
-            return np.full_like(x, math.copysign(1.0, s))
-        out = np.zeros_like(x)
-        out[int(np.argmax(-x))] = -1.0
-        return out
-
-    @property
-    def G2(self) -> float:
-        return math.sqrt(self.dim)
 
     def projector(self):
         return project_simplex
@@ -440,32 +408,13 @@ class L1Ball(Domain):
     def __init__(self, r: float, dim: int | None = None):
         if not r > 0:
             raise ConfigurationError("l1 radius must be positive")
-        self.r, self.dim, self.outer_radius = float(r), dim, float(max(1.0, r))
+        self.r, self.dim = float(r), dim
 
     def g(self, x: Point) -> float:
         return float(np.abs(np.asarray(x, dtype=np.float64)).sum() - self.r)
 
-    def g_grad(self, x: Point) -> Point:
-        return np.sign(np.asarray(x, dtype=np.float64))
-
-    @property
-    def G2(self) -> float:
-        return math.sqrt(self.dim or 1)
-
-    @property
-    def C2(self) -> float:
-        return self.G2 * self.outer_radius + self.r
-
     def projector(self):
         return functools.partial(project_l1_ball, r=self.r)
-
-    def linear_minimizer(self, c: Point) -> Point:
-        c = self._check_dim(np.asarray(c, dtype=np.float64))
-        out = np.zeros_like(c)
-        i = int(np.argmax(np.abs(c)))
-        if c[i] != 0:
-            out[i] = -math.copysign(self.r, c[i])
-        return out
 
     def sample(self, rng: np.random.Generator, dim: int | None = None) -> Point:
         d = self.dim if self.dim is not None else dim
@@ -492,16 +441,6 @@ class HalfspaceCut(Domain):
 
     def g_grad(self, x: Point) -> Point:
         return self.a.copy()
-
-    @property
-    def rho(self) -> float:
-        return float(np.linalg.norm(self.a))
-
-    G2 = rho
-
-    @property
-    def C2(self) -> float:
-        return self.rho * self.outer_radius + abs(self.b)
 
     def contains(self, x: Point, tol: float = 1e-10) -> bool:
         return super().contains(x, tol) and np.linalg.norm(x) <= self.outer_radius + tol

@@ -11,9 +11,11 @@ from .stochastic import agd
 
 def comparator_minimum(sequence, domain: Domain):
     """min over the domain of Σ_t f_t(x), in closed form: for linear losses
-    over a set with a linear-minimization routine, and for shifted quadratics
-    ½‖x − c_t‖² (the projection of the mean center).  A sequence that mixes
-    the two kinds is refused with UnsupportedDomainError."""
+    over a ball or simplex, and for shifted quadratics ½‖x − c_t‖² (the
+    projection of the mean center).  Linear losses over another kind, and a
+    sequence that mixes the two kinds, are refused with
+    UnsupportedDomainError.  Neither form reads boundary constants (Ball's
+    alone) or an outer radius (the halfspace cut's alone); g is membership."""
     losses = list(sequence)
     if all(l.linear is not None for l in losses):
         total = np.sum([l.linear for l in losses], axis=0)

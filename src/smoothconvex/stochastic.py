@@ -20,20 +20,22 @@ step once per epoch, so each epoch's record reads the running count.  The
 step loops bind the domain's projection (Domain.projector) once per run; only
 the start point goes through the checked Domain.project.
 
-The three epoch methods share one inner loop (`_epoch`): each epoch binds a
-step closure over its anchor, its projector and its step size, and the loop
-sums the iterates the steps start from.  Their domain must be a ball, and
-any other domain is refused with ConfigurationError before any work: each
-epoch projects onto the domain ∩ that epoch's ball, and the projector, a
-core.two_ball_projector, is built once per epoch, so each step pays only for
-projecting its point.  Every step hands the projector a fresh point that
-the solver owns, which the kernel may return as is.  The mixed-oracle
-solvers likewise bind the anchored difference once per epoch
+All five epoch and single-projection solvers refuse any domain but a ball with
+ConfigurationError before any work (`_ball_radius`): sgd_pd and sgd_st read
+boundary constants, which Ball alone has (every kind's g is only membership,
+and the outer radius is the halfspace cut's alone).  The three epoch methods
+share one inner loop (`_epoch`): each epoch binds a step closure over its
+anchor, its projector and its step size, and the loop sums the iterates the
+steps start from.  Each epoch projects onto the domain ∩ that epoch's ball,
+and the projector, a core.two_ball_projector, is built once per epoch, so each
+step pays only for projecting its point.  Every step hands the projector a
+fresh point that the solver owns, which the kernel may return as is.  The
+mixed-oracle solvers likewise bind the anchored difference once per epoch
 (FiniteSumProblem.anchored_diff), and hold their per-epoch scalar factors as
 0-d arrays, which numpy multiplies into a vector faster than a Python float
-with the same products.  An epoch count or epoch length below one is
-refused, as is a horizon below one step in the step loops and the
-single-projection solvers (core._at_least, one rule for all three).
+with the same products.  An epoch count or epoch length below one is refused,
+as is a horizon below one step in the step loops and the single-projection
+solvers (core._at_least, one rule for all three).
 
 With `probe_variance`, emgd takes gradient_variance_probe at each epoch's end
 and anchor.  The probe walks the data in row blocks (problems.row_blocks), so
@@ -108,9 +110,10 @@ def _stride(T: int, snapshot_every: int = 0) -> int:
 
 
 def _ball_radius(domain: Domain, solver: str) -> float:
-    """The radius of the epoch solvers' domain, which must be a ball centered
-    at the origin: each epoch projects onto the domain ∩ the epoch's ball,
-    which only for a ball domain is the exact two-ball kernel."""
+    """The radius of `solver`'s domain, which must be a ball at the origin:
+    an epoch's domain ∩ ball is the exact two-ball kernel only for a ball,
+    and only Ball has the boundary constants sgd_pd and sgd_st read (every
+    kind's g is only membership; the outer radius is the halfspace cut's)."""
     if domain.kind != "ball":
         raise ConfigurationError(f"{solver} needs a ball domain, got {domain.kind!r}")
     return domain.r
@@ -456,8 +459,7 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     given gamma an objective need not declare it.  The step is
     eta = gamma/(2·G2²).
     """
-    if domain.rho <= 0:
-        raise ConfigurationError("boundary gradient bound rho must be positive")
+    _ball_radius(domain, "sgd_pd")
     T = _at_least("horizon T", T)
     G1, gamma = _given_step("G1", G1), _given_step("gamma", gamma)
     G2, C2 = domain.G2, domain.C2
@@ -501,6 +503,7 @@ def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
 
     `lambda0` weighs the penalty, by default 1.05·G1/rho (`G1` as in sgd_pd).
     """
+    _ball_radius(domain, "sgd_st")
     alpha = _strong_convexity(objective, lam)
     eta = _given_step("eta", eta)
     if eta is None and alpha <= 0:

@@ -214,6 +214,7 @@ class TestDispatch:
         ("hinge_mistakes", "--radius_R=-1", "radius_R"),
         ("hinge_mistakes", "--radius_R=nan", "radius_R"),
         ("hinge_mistakes", "--radius_R=inf", "radius_R"),
+        ("hinge_mistakes", "--radius_R=1.3e154", "radius_R"),  # R * R is finite, the bound not
         ("hinge_mistakes", "--radius_R=1e160", "radius_R"),   # R * R overflows
         ("hinge_mistakes", "--radius_R=1e200", "radius_R"),
         ("hinge_mistakes", "--radius_R=1e308", "radius_R"),
@@ -243,6 +244,17 @@ class TestDispatch:
         assert err.startswith("numeric failure: ") and "Traceback" not in err
         assert err.startswith(f"numeric failure: {args[0]} seed=0: ")
         assert "(34, " not in err  # OverflowError's text, not its errno tuple
+
+    def test_hinge_bound_that_overflows_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the least bound at R = 1e100 is finite; an egv of 1e300 takes it to inf
+        from smoothconvex import adversary
+        monkeypatch.setattr(adversary, "measure_egv_exact", lambda losses: 1e300)
+        rc = main(["run", "hinge_mistakes", "--radius_R=1e100", "--T=20",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: hinge_mistakes seed=0: mistake bound is inf")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
                                      FloatingPointError("underflow in exp"),

@@ -66,24 +66,12 @@ ALLOWED = {
     "problems.FiniteSumProblem.stochastic_grad": "criterion 11; objective protocol",
     "problems.FiniteSumProblem.component": "criterion 11; objective protocol",
     "problems.FiniteSumProblem.component_grad": "criterion 11; objective protocol",
-    # the constraint and boundary constants of the kinds no experiment uses:
-    # test_stochastic's test_final_point_feasible_or_domain_refused
-    "core.Domain.C2": "test_final_point_feasible_or_domain_refused: box, simplex",
-    "core.Box.g": "test_final_point_feasible_or_domain_refused",
-    "core.Box.g_grad": "test_final_point_feasible_or_domain_refused",
-    "core.Simplex.g": "test_final_point_feasible_or_domain_refused",
-    "core.Simplex.g_grad": "test_final_point_feasible_or_domain_refused",
-    "core.Simplex.G2": "test_final_point_feasible_or_domain_refused",
-    "core.L1Ball.g": "test_final_point_feasible_or_domain_refused",
-    "core.L1Ball.g_grad": "test_final_point_feasible_or_domain_refused",
-    "core.L1Ball.G2": "test_final_point_feasible_or_domain_refused",
-    "core.L1Ball.C2": "test_final_point_feasible_or_domain_refused",
-    "core.HalfspaceCut.rho": "test_final_point_feasible_or_domain_refused",
-    "core.HalfspaceCut.C2": "test_final_point_feasible_or_domain_refused",
-    # the comparator's linear minimum on each kind (test_metrics)
-    "core.Box.linear_minimizer": "test_metrics: the comparator on each kind",
-    "core.L1Ball.linear_minimizer": "test_metrics: the comparator on each kind",
-    "core.Domain.linear_minimizer": "test_metrics: the comparator refuses a halfspace cut",
+    # membership on the kinds no experiment uses: Domain.contains reads g
+    "core.Box.g": "membership: Domain.contains",
+    "core.Simplex.g": "membership: Domain.contains",
+    "core.L1Ball.g": "membership: Domain.contains",
+    "core.Domain.linear_minimizer":
+        "test_metrics: the comparator refuses a box, l1 ball or halfspace cut",
     # perfbench's kernel table times these (ROADMAP item 1)
     "core.project_ball": "perfbench kernel table (ROADMAP item 1)",
     "core.project_two_balls": "perfbench kernel table (ROADMAP item 1)",

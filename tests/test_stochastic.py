@@ -679,6 +679,15 @@ class TestOneProjection:
         self.obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
         self.dom = Domain.ball(0.8)
 
+    @pytest.mark.parametrize("dom", [
+        Domain.box(-np.ones(2), np.ones(2)), Domain.simplex(2), Domain.l1_ball(1.0, dim=2),
+        Domain.halfspace_cut(np.array([1.0, 0.0]), 0.5)], ids=lambda d: d.kind)
+    @pytest.mark.parametrize("solver", [sgd_pd, sgd_st], ids=lambda s: s.__name__)
+    def test_rejects_non_ball_domain(self, solver, dom):
+        # refused before the objective is read: None stands in for it
+        with pytest.raises(ConfigurationError, match="needs a ball"):
+            solver(None, dom)
+
     def test_exactly_one_projection_and_feasible(self):
         for solver, extra in ((sgd_pd, {}), (sgd_st, {"lam": 1.0})):
             tr = solver(self.obj, self.dom, seed=0, T=2000, **extra)
