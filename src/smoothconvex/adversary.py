@@ -37,7 +37,7 @@ def alternating_linear(egv: float, T: int, d: int) -> list:
     hits `egv`; the flip-dominated family where tracking gains vanish and
     regret actually scales with the variation."""
     _check_sizes(T, d)
-    if egv <= 0:
+    if not egv > 0:
         raise InputError("target variation must be positive")
     f = np.zeros(d)
     f[0] = math.sqrt(egv / (4.0 * T - 3.0))
@@ -55,7 +55,7 @@ def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
     s = 0: start with −f then alternate ±f every round.
     """
     _check_sizes(T, d)
-    if eta <= 0:
+    if not eta > 0:
         raise InputError("adversary needs the learner step size eta > 0")
     f = np.zeros(d)
     f[0] = 1.0
@@ -79,7 +79,7 @@ def drifting_quadratics(speed: float, T: int, d: int, radius: float = 0.5) -> li
     radians per round (smooth with unit curvature); the T rounds share one
     read-only (T, d) array of centers."""
     _check_sizes(T, d)
-    if speed < 0:
+    if not speed >= 0:
         raise InputError("drift speed must be nonnegative")
     centers = np.zeros((T, d))
     # math.cos and math.sin, since np.cos and np.sin need not round alike
@@ -96,7 +96,7 @@ def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> np.nda
     one a row of a read-only (T, d) float64 array; round t's hinge loss is
     max(0, 1 − ⟨w, y_t x_t⟩)."""
     _check_sizes(T, d)
-    if drift < 0:
+    if not drift >= 0:
         raise InputError("drift must be nonnegative")
     rng = make_rng(seed)
     v = rng.standard_normal(d)

@@ -172,7 +172,7 @@ def exp_oneproj_strong(seed: int, p: dict) -> ExperimentResult:
     obj, dom, fstar = _oneproj_setup(p)
     rows, ratios = [], []
     for T in p["T_grid"]:
-        tr = stochastic.sgd_st(obj, dom, seed=seed, T=T, lam=1.0)
+        tr = stochastic.sgd_st(obj, dom, seed=seed, T=T)
         sub = obj.full_value(tr.final_point) - fstar
         ratio = sub * T / math.log(T)
         rows.append({"iter": T, "suboptimality": sub, "violation": dom.g(tr.final_point),

@@ -20,9 +20,8 @@ like its projector: it neither checks nor converts its point.
 
 `_at_least` is the one rule for a horizon, an epoch count or an epoch
 length, such as the `T1` that stochastic.clipped_sgd and stochastic.mixed_grad
-require.  Of the solvers, gd, agd and clipped_sgd take a smoothness constant
-`L`, and sgd_pd and sgd_st a record stride `snapshot_every`; the rest read
-`L` from the problem's constants.
+require.  No solver takes a smoothness or strong-convexity constant: each
+reads its own from the problem's constants.
 """
 
 from __future__ import annotations
@@ -434,6 +433,8 @@ class HalfspaceCut(Domain):
         a = as_point(a)
         if np.linalg.norm(a) == 0:
             raise ConfigurationError("halfspace normal must be nonzero")
+        if not math.isfinite(b):
+            raise ConfigurationError(f"halfspace offset must be finite, got {b!r}")
         self.a, self.b, self.dim, self.outer_radius = a, float(b), a.shape[0], 1.0
 
     def g(self, x: Point) -> float:
@@ -553,7 +554,7 @@ def prox_step(mirror_map: MirrorMap, domain: Domain, z: Point, g: Point,
 
 def clip_component(gamma: float, g: Point) -> Point:
     """Componentwise sign(g_i)·min(gamma, |g_i|); ‖result‖∞ ≤ gamma."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError("clip level must be positive")
     g = np.asarray(g, dtype=np.float64)
     return np.sign(g) * np.minimum(gamma, np.abs(g))

@@ -487,14 +487,14 @@ class BanditOMP(OMP):
 class HingeClassifierPD:
     """Mistake-driven online classifier: primal-dual extra-gradient updates on
     the hinge loss max over alpha in [0, 1] of alpha·(1 − ⟨w, y x⟩), with w
-    on the radius-R ball; predicts before updating and updates only on
-    mistakes, which it keeps: it has no `play` and no per-round records."""
+    on the radius-R ball at the thesis's fixed step eta = 1/(2√2); predicts
+    before updating and updates only on mistakes, which it keeps: it has no
+    `play` and no per-round records."""
 
-    def __init__(self, dim: int, R: float = 1.0, eta: float | None = None):
+    eta = 1.0 / (2.0 * math.sqrt(2.0))
+
+    def __init__(self, dim: int, R: float = 1.0):
         dim = _dim(dim)
-        self.eta = eta if eta is not None else 1.0 / (2.0 * math.sqrt(2.0))
-        if not 0.0 < self.eta <= 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12:
-            raise ConfigurationError("step size must lie in (0, 1/(2*sqrt(2))]")
         self._project = Domain.ball(R).projector()   # refuses R <= 0
         self.w = np.zeros(dim)
         self.wp = np.zeros(dim)

@@ -47,9 +47,10 @@ def load_libsvm(path, normalize: bool = False) -> LabeledDataset:
     """Read a text file with one example per line: "label idx:val idx:val ...".
 
     Comments after '#' are ignored; indices are 1-based and must be strictly
-    increasing within a row; a zero label is rejected.  The features are
-    returned dense, with d the largest index seen.  With normalize=True every
-    nonzero row is scaled to unit l2 norm.
+    increasing within a row; a zero label, and a label or value that is not
+    finite, is rejected.  The features are returned dense, with d the largest
+    index seen.  With normalize=True every nonzero row is scaled to unit l2
+    norm.
     """
     rows, labels = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -64,6 +65,8 @@ def load_libsvm(path, normalize: bool = False) -> LabeledDataset:
                 raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
             if label == 0.0:
                 raise ParseError(f"line {lineno}: zero label")
+            if not math.isfinite(label):
+                raise ParseError(f"line {lineno}: non-finite label {parts[0]!r}")
             row = []
             prev = 0
             for tok in parts[1:]:
@@ -72,6 +75,8 @@ def load_libsvm(path, normalize: bool = False) -> LabeledDataset:
                     idx, val = int(idx_s), float(val_s)
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
+                if not math.isfinite(val):
+                    raise ParseError(f"line {lineno}: non-finite feature value {tok!r}")
                 if idx <= prev:
                     raise ParseError(f"line {lineno}: feature indices must increase (got {idx} after {prev})")
                 prev = idx
@@ -118,8 +123,8 @@ class FiniteSumProblem:
                              f"got X of shape {X.shape}")
         if loss not in ("logistic", "squared"):
             raise ConfigurationError(f"unknown loss {loss!r}")
-        if lam_reg < 0:
-            raise ConfigurationError("regularizer must be nonnegative")
+        if not lam_reg >= 0:
+            raise ConfigurationError(f"regularizer must be nonnegative, got {lam_reg!r}")
         self.X, self.y, self.lam_reg, self.loss = X, y, lam_reg, loss
         self.constants = estimate_constants(self)
 
@@ -407,7 +412,7 @@ class NoisyQuadratic:
 
 def smoothed_hinge_value(z, gamma: float):
     """(1/γ)·log(1 + exp(γ(1 − z))); stable for large γ(1−z)."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError("smoothing parameter must be positive")
     u = gamma * (1.0 - np.asarray(z, dtype=np.float64))
     return np.logaddexp(0.0, u) / gamma
@@ -434,7 +439,7 @@ def psi_transform(eta: float, gamma: float) -> float:
     γ → ∞ it holds only while c(e) ≤ log(1/e), i.e. for e ≤ 0.6545; for
     larger |η| the exact transform dips below it.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError("smoothing parameter must be positive")
     if not -1.0 < eta < 1.0:
         raise DomainError("eta must lie in (-1, 1)")

@@ -1,14 +1,14 @@
 """Stochastic and deterministic solvers returning per-iteration Traces.
 
 Each solver is called as `solver(problem, domain, *, ...)` with keyword-only
-parameters, exactly the values it reads; any other name raises TypeError.  An
-unset parameter takes the solver's default, and a set one that must be
-positive (a step, radius, constant or weight) is refused unless > 0, NaN
-included.  `lam` is a strong-convexity modulus.  gd, agd and clipped_sgd take
-a smoothness constant `L`; the others read theirs from `problem.constants`.
-sgd_pd and sgd_st take `snapshot_every`, the steps between records (0: about
-200); sgd records about 200 points, gd and agd none.  clipped_sgd and
-mixed_grad require the first epoch's length `T1`.
+parameters, exactly the values some experiment sets; any other name raises
+TypeError.  Every other constant is the thesis's prescription from the
+objective: smoothness and strong convexity from `problem.constants`, and
+sgd_pd's and sgd_st's gradient bound G1 and noise level from the objective's
+`grad_bound` and `noise`.  An unset parameter takes the solver's default, and
+a set step, radius, weight or target is refused unless > 0, NaN included.
+sgd, sgd_pd and sgd_st record about 200 points, gd and agd none.
+clipped_sgd and mixed_grad require the first epoch's length `T1`.
 
 Every solver counts full-gradient calls, stochastic calls and projections
 onto the domain exactly.  The step loops (sgd, gd, agd: one oracle call and
@@ -34,8 +34,8 @@ mixed-oracle solvers likewise bind the anchored difference once per epoch
 (FiniteSumProblem.anchored_diff), and hold their per-epoch scalar factors as
 0-d arrays, which numpy multiplies into a vector faster than a Python float
 with the same products.  An epoch count or epoch length below one is refused,
-as is a horizon below one step in the step loops and the single-projection
-solvers (core._at_least, one rule for all three).
+as is a horizon below one step in the step loops and sgd_pd, or below two in
+sgd_st (core._at_least, one rule for all three).
 
 With `probe_variance`, emgd takes gradient_variance_probe at each epoch's end
 and anchor.  The probe walks the data in row blocks (problems.row_blocks), so
@@ -45,7 +45,6 @@ its working memory grows with the block size, not with n.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -74,39 +73,25 @@ class Trace:
         self.records.append(kv)
 
 
-def _strong_convexity(problem, lam: float | None) -> float:
-    """`lam` when it is set, refused unless positive; otherwise the
-    objective's `constants.lam` (0 when it is not strongly convex)."""
-    return _given_step("strong convexity lam", lam) or problem.constants.lam
-
-
-def _start(problem, w0: Point | None) -> Point:
-    if w0 is not None:
-        return np.asarray(w0, dtype=np.float64).copy()
-    return np.zeros(problem.d)
-
-
 def _given_step(name: str, value: float | None) -> float | None:
-    """A parameter that must be positive (a step, radius, constant, weight or
-    target) when it is set, refused unless > 0, NaN too; None when unset, so
+    """A parameter that must be positive (a step, radius, weight or target)
+    when it is set, refused unless > 0, NaN too; None when unset, so
     `... or default` takes the default only then."""
     if value is not None and not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
     return value
 
 
-def _declared(objective, attr: str, param: str):
-    """objective.<attr>, which the default of `param` reads; an objective
-    that does not declare it is refused, naming the parameter to set."""
+def _declared(objective, attr: str):
+    """objective.<attr>, which a prescribed constant reads, or refusal."""
     if not hasattr(objective, attr):
-        raise ConfigurationError(f"{type(objective).__name__} has no {attr}; "
-                                 f"set {param}")
+        raise ConfigurationError(f"{type(objective).__name__} has no {attr}")
     return getattr(objective, attr)
 
 
-def _stride(T: int, snapshot_every: int = 0) -> int:
-    """Steps between records: `snapshot_every`, or about 200 records when 0."""
-    return snapshot_every if snapshot_every > 0 else max(1, T // 200)
+def _stride(T: int) -> int:
+    """Steps between records: about 200 records in all."""
+    return max(1, T // 200)
 
 
 def _ball_radius(domain: Domain, solver: str) -> float:
@@ -149,17 +134,16 @@ def _epoch(w: Point, draws, step) -> tuple[Point, Point]:
 
 
 def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
-        eta: float | None = None, w0: Point | None = None,
-        keep_iterates: bool = False) -> Trace:
-    """Projected stochastic gradient descent with step eta/√t at step t
-    (eta = 1 by default) and uniform iterate averaging; records about 200
-    objectives, or every iterate with `keep_iterates`."""
+        eta: float | None = None, keep_iterates: bool = False) -> Trace:
+    """Projected stochastic gradient descent from the projected origin with
+    step eta/√t at step t (eta = 1 by default) and uniform iterate averaging;
+    records about 200 objectives, or every iterate with `keep_iterates`."""
     T = _at_least("horizon T", T)
     rng = make_rng(seed)
     eta = _given_step("eta", eta) or 1.0
     trace = Trace()
     project = domain.projector()
-    w = domain.project(_start(problem, w0))
+    w = domain.project(np.zeros(problem.d))
     avg = np.zeros_like(w)
     stride = _stride(T)
     for t in range(1, T + 1):
@@ -179,14 +163,14 @@ def sgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000,
     return trace
 
 
-def gd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
-       L: float | None = None) -> Trace:
-    """Projected full-gradient descent with step 1/L; records nothing."""
+def gd(problem, domain: Domain, *, T: int = 1000) -> Trace:
+    """Projected full-gradient descent from the projected origin with step
+    1/L, L = problem.constants.L_full; records nothing."""
     T = _at_least("horizon T", T)
-    eta = 1.0 / (_given_step("L", L) or problem.constants.L_full)
+    eta = 1.0 / problem.constants.L_full
     trace = Trace()
     project = domain.projector()
-    w = domain.project(_start(problem, w0))
+    w = domain.project(np.zeros(problem.d))
     for _ in range(T):
         g = problem.full_grad(w)
         w = project(w - eta * g)
@@ -195,19 +179,16 @@ def gd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
     return trace
 
 
-def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
-        L: float | None = None) -> Trace:
-    """Accelerated projected gradient (two-sequence averaging scheme).
-
-    theta_0 = 1, theta_s = 2/(s+2); the prox step uses 1/(theta_s L) so the
-    scheme attains the 1/T^2 smooth rate on constrained problems.  Records
-    nothing.
-    """
+def agd(problem, domain: Domain, *, T: int = 1000) -> Trace:
+    """Accelerated projected gradient (two-sequence averaging scheme) from
+    the projected origin: theta_0 = 1, theta_s = 2/(s+2), and the prox step
+    uses 1/(theta_s L), L = problem.constants.L_full, so the scheme attains
+    the 1/T^2 smooth rate on constrained problems.  Records nothing."""
     T = _at_least("horizon T", T)
-    L = _given_step("L", L) or problem.constants.L_full
+    L = problem.constants.L_full
     trace = Trace()
     project = domain.projector()
-    h = domain.project(_start(problem, w0))
+    h = domain.project(np.zeros(problem.d))
     f = h.copy()
     for s in range(T):
         theta = 1.0 if s == 0 else 2.0 / (s + 2.0)
@@ -226,31 +207,29 @@ def agd(problem, domain: Domain, *, T: int = 1000, w0: Point | None = None,
 
 
 def clipped_sgd(problem, domain: Domain, *, seed: int = 0, m: int | None = None,
-                T1: int, eta: float | None = None, L: float | None = None,
-                lam: float | None = None, xi: float | None = None, epsilon: float = 0.5,
-                tau: float = 0.1, target_risk: float) -> Trace:
+                T1: int, epsilon: float = 0.5, tau: float = 0.1, target_risk: float) -> Trace:
     """Fixed-size stages with componentwise gradient clipping and domain shrinking.
 
     Per stage k: clip level gamma_k = 2·xi·beta·Delta_k, projection onto
-    domain ∩ ball(center_k, Delta_k), stage-end averaging, and
+    domain ∩ ball(center_k, Delta_k) with step eta, stage-end averaging, and
     Delta_{k+1} = sqrt(eps·Delta_k² + tau·target_risk).
 
-    `T1` is the stage length; `xi` is the clip-level factor above, by default
-    4·beta/(lam·tau); `L` is beta, by default problem.constants.L_comp.
+    `T1` is the stage length.  With beta = problem.constants.L_comp and
+    alpha = problem.constants.lam, the clip-level factor is
+    xi = 4·beta/(alpha·tau) and the step eta = 1/(2·xi·beta·√T1).
     """
     R = _ball_radius(domain, "clipped_sgd")
     if _given_step("target_risk", target_risk) is None:
         raise ConfigurationError("clipped_sgd needs a positive target risk")
     if not (0 < epsilon < 1 and 0 < tau < 1):
         raise ConfigurationError("epsilon and tau must lie in (0, 1)")
-    beta = _given_step("L", L) or problem.constants.L_comp
-    alpha = _strong_convexity(problem, lam)
-    if alpha <= 0:
+    beta, alpha = problem.constants.L_comp, problem.constants.lam
+    if not alpha > 0:
         raise ConfigurationError("clipped_sgd needs a strongly convex problem")
-    xi = _given_step("xi", xi) or 4.0 * beta / (alpha * tau)
+    xi = 4.0 * beta / (alpha * tau)
     m = _at_least("epoch or stage count m", 8 if m is None else m)
     T1 = _at_least("epoch length", T1)
-    eta = _given_step("eta", eta) or 1.0 / (2.0 * xi * beta * math.sqrt(T1))
+    eta = 1.0 / (2.0 * xi * beta * math.sqrt(T1))
 
     trace = Trace()
     rng = make_rng(seed)
@@ -286,28 +265,26 @@ def clipped_sgd(problem, domain: Domain, *, seed: int = 0, m: int | None = None,
 
 
 def mixed_grad(problem, domain: Domain, *, seed: int = 0, m: int | None = None,
-               T1: int, eta: float | None = None, Delta1: float | None = None,
-               lambda1: float | None = None, gamma_shrink: float = 2.0) -> Trace:
+               T1: int, eta: float | None = None, lambda1: float | None = None) -> Trace:
     """Epoch solver mixing one full gradient per epoch with anchored
     stochastic gradients; regularization, step size, and domain all shrink by
-    gamma while epoch length grows by gamma².
+    gamma = 2 while epoch length grows by gamma².
 
     Works in shifted coordinates: epoch k optimizes over
     {w : w + center ∈ domain, ‖w‖ ≤ Delta_k}, which is the intersection of
     two balls only when the domain is a ball; other domains are refused.
 
-    `T1`, `Delta1`, `lambda1`: first epoch's length (required), radius and
-    regularization (by default R and 16·L_comp).
+    `T1` is the first epoch's length (required); its radius is the domain's
+    R, and its step `eta` and regularization `lambda1` are by default
+    1/(2·beta·√(3·T1)) and 16·beta, with beta = problem.constants.L_comp.
     """
     R = _ball_radius(domain, "mixed_grad")
-    gamma = gamma_shrink
-    if not 1.0 < gamma < math.inf:
-        raise ConfigurationError(f"shrink factor must exceed 1 and be finite, got {gamma!r}")
+    gamma = 2.0
     beta = problem.constants.L_comp
     m = _at_least("epoch count m", 5 if m is None else m)
     T1 = _at_least("epoch length", T1)
     lam = _given_step("lambda1", lambda1) or 16.0 * beta
-    Delta = _given_step("Delta1", Delta1) or R
+    Delta = R
     eta = _given_step("eta", eta) or 1.0 / (2.0 * beta * math.sqrt(3.0 * T1))
 
     trace = Trace()
@@ -348,20 +325,20 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, m: int | None = None,
 
 
 def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None = None,
-         T1: int | None = None, lam: float | None = None, Delta1: float | None = None,
+         T1: int | None = None, Delta1: float | None = None,
          probe_variance: bool = False) -> Trace:
     """Fixed-length epochs: one full gradient each, anchored stochastic
     gradients within, iterate averaging, and a domain radius halving in square
     every epoch (Delta ← Delta/√2).
 
     `T1` is the epoch length, by default the prescribed
-    1152·(L/lam)²·log(1/δ) capped at `T`, with L = problem.constants.L_comp;
-    `Delta1` is the first epoch's radius, by default twice the domain's.
+    1152·(L/lam)²·log(1/δ) capped at `T`, with L and lam the L_comp and lam
+    of problem.constants; `Delta1` is the first epoch's radius, by default
+    twice the domain's.
     """
     R = _ball_radius(domain, "emgd")
-    L = problem.constants.L_comp
-    lam = _strong_convexity(problem, lam)
-    if lam <= 0:
+    L, lam = problem.constants.L_comp, problem.constants.lam
+    if not lam > 0:
         raise ConfigurationError("strong convexity required; use mixed_grad instead")
     m = _at_least("epoch count m", 8 if m is None else m)
     T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / _DELTA))
@@ -445,29 +422,23 @@ def gradient_variance_probe(problem, point: Point, center: Point, *, _coefs=None
 # ---------------------------------------------------------------------------
 
 
-def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
-           gamma: float | None = None, G1: float | None = None,
-           snapshot_every: int = 0) -> Trace:
+def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000) -> Trace:
     """Primal-dual stochastic descent touching the true domain exactly once.
 
     Iterates stay in the unit-ball surrogate via renormalization; the dual
     ascent on the regularized Lagrangian replaces per-step projections, and
     the averaged iterate is projected onto the domain at output time only.
-
-    `G1` bounds the gradient on the unit ball, by default
-    objective.grad_bound(1.0); only the default gamma reads it, so with a
-    given gamma an objective need not declare it.  The step is
-    eta = gamma/(2·G2²).
+    The dual regularization gamma = G2²/√((G1² + C2² + (1 + log(2/δ))σ²)·T)
+    reads the unit ball's gradient bound G1 = objective.grad_bound(1.0) and
+    σ = objective.noise; the step is eta = gamma/(2·G2²).
     """
     _ball_radius(domain, "sgd_pd")
     T = _at_least("horizon T", T)
-    G1, gamma = _given_step("G1", G1), _given_step("gamma", gamma)
+    G1 = _declared(objective, "grad_bound")(1.0)
+    sigma = _declared(objective, "noise")
     G2, C2 = domain.G2, domain.C2
-    if gamma is None:   # only the default gamma reads G1
-        G1 = G1 or _declared(objective, "grad_bound", "G1")(1.0)
-        sigma = _declared(objective, "noise", "gamma")
-        gamma = G2 * G2 / math.sqrt(
-            (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / _DELTA)) * sigma * sigma) * T)
+    gamma = G2 * G2 / math.sqrt(
+        (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / _DELTA)) * sigma * sigma) * T)
     eta = gamma / (2.0 * G2 * G2)
 
     trace = Trace()
@@ -475,7 +446,7 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     x = np.zeros(objective.d)
     lam = 0.0
     xbar = np.zeros_like(x)
-    stride = _stride(T, snapshot_every)
+    stride = _stride(T)
     for t in range(1, T + 1):
         xbar += x
         g = objective.stochastic_grad(x, rng)
@@ -491,45 +462,37 @@ def sgd_pd(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
     return trace
 
 
-def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000,
-           eta: float | None = None, gamma: float | None = None, G1: float | None = None,
-           lam: float | None = None, lambda0: float | None = None,
-           snapshot_every: int = 0) -> Trace:
+def sgd_st(objective, domain: Domain, *, seed: int = 0, T: int = 1000) -> Trace:
     """Single-projection stochastic descent for strongly convex objectives.
 
     The domain constraint enters through a softmax smoothing of the penalty;
     each step follows the smoothed gradient with a logistic constraint weight,
-    and only the averaged output is projected.
-
-    `lambda0` weighs the penalty, by default 1.05·G1/rho (`G1` as in sgd_pd).
+    and only the averaged output is projected.  The step at t is
+    1/(2·alpha·t), alpha = objective.constants.lam; the smoothing is
+    gamma = log(T)/T and the penalty weight lambda0 = 1.05·G1/rho (G1 as in
+    sgd_pd), just above the G1/rho the guarantee needs.
     """
     _ball_radius(domain, "sgd_st")
-    alpha = _strong_convexity(objective, lam)
-    eta = _given_step("eta", eta)
-    if eta is None and alpha <= 0:
-        raise ConfigurationError("sgd_st's default step needs a strongly convex objective")
-    gamma = _given_step("gamma", gamma)
-    # the default gamma = log(T)/T is positive only from T = 2 on
-    T = _at_least("horizon T", T, 1 if gamma else 2)
-    gamma = gamma or math.log(T) / T
-    G1 = _given_step("G1", G1) or _declared(objective, "grad_bound", "G1")(1.0)
-    lam0 = _given_step("lambda0", lambda0) or 1.05 * G1 / domain.rho
-    if lam0 <= G1 / domain.rho:
-        warnings.warn("lambda0 <= G1/rho: the convergence guarantee is void",
-                      RuntimeWarning)
+    alpha = objective.constants.lam
+    if not alpha > 0:
+        raise ConfigurationError("sgd_st needs a strongly convex objective")
+    # gamma = log(T)/T is positive only from T = 2 on
+    T = _at_least("horizon T", T, 2)
+    gamma = math.log(T) / T
+    lam0 = 1.05 * _declared(objective, "grad_bound")(1.0) / domain.rho
 
     trace = Trace()
     rng = make_rng(seed)
     x = np.zeros(objective.d)
     xbar = np.zeros_like(x)
-    stride = _stride(T, snapshot_every)
+    stride = _stride(T)
     for t in range(1, T + 1):
         xbar += x
         g = objective.stochastic_grad(x, rng)
         gx = domain.g(x)
         z = lam0 * gx / gamma
         weight = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
-        eta_t = eta or 1.0 / (2.0 * alpha * t)
+        eta_t = 1.0 / (2.0 * alpha * t)
         xp = x - eta_t * (g + weight * lam0 * domain.g_grad(x))
         x = xp / max(_norm(xp), 1.0)
         if t % stride == 0 or t == T:

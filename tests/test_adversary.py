@@ -110,8 +110,23 @@ class TestAlternatingLinear:
             assert measure_egv_exact(seq) == pytest.approx(egv, rel=1e-9)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            alternating_linear(0.0, 10, 2)
+        for egv in (0.0, math.nan):
+            with pytest.raises(InputError):
+                alternating_linear(egv, 10, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ftrl_adversary(math.nan, 3),
+    lambda: ftrl_adversary(-0.5, 3),
+    lambda: drifting_quadratics(math.nan, 3, 2),
+    lambda: drifting_quadratics(-0.1, 3, 2),
+    lambda: classification_stream(math.nan, 3, 2),
+], ids=["ftrl-nan", "ftrl-negative", "drifting-nan", "drifting-negative",
+        "stream-nan"])
+def test_bad_parameter_refused(build):
+    # the NaN cases built NaN rounds, or raised a bare ValueError (ftrl)
+    with pytest.raises(InputError):
+        build()
 
 
 class TestClassificationStream:

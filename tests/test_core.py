@@ -94,11 +94,15 @@ class TestProjection:
         (lambda: Domain.l1_ball(-1.5), ConfigurationError),
         (lambda: Domain.l1_ball(math.nan), ConfigurationError),
         (lambda: Domain.halfspace_cut([0.0, 0.0], 0.5), ConfigurationError),
+        # a NaN offset projected every point to [nan nan]
+        (lambda: Domain.halfspace_cut([1.0, 0.0], math.nan), ConfigurationError),
+        (lambda: Domain.halfspace_cut([1.0, 0.0], math.inf), ConfigurationError),
         # the kind-string constructor is gone, so it cannot skip the checks
         (lambda: Domain("ball", r=-1.0), TypeError),
     ], ids=["ball_r0", "ball_r_negative", "ball_r_nan", "box_unequal_shapes",
             "box_lo_above_hi", "simplex_dim0", "l1_ball_r0", "l1_ball_r_negative",
-            "l1_ball_r_nan", "halfspace_zero_normal", "kind_string"])
+            "l1_ball_r_nan", "halfspace_zero_normal", "halfspace_b_nan", "halfspace_b_inf",
+            "kind_string"])
     def test_bad_domain_refused_when_built(self, build, error):
         with pytest.raises(error):
             build()
@@ -540,8 +544,10 @@ class TestClip:
             clip_component(0.25, np.array([-3.0, 0.25, 0.0])), [-0.25, 0.25, 0.0])
 
     def test_rejects_nonpositive_level(self):
-        with pytest.raises(ConfigurationError):
-            clip_component(0.0, np.array([1.0]))
+        # a NaN level clipped every component to nan
+        for gamma in (0.0, math.nan):
+            with pytest.raises(ConfigurationError):
+                clip_component(gamma, np.array([1.0]))
 
     @given(st.floats(0.01, 10.0), st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_infinity_norm_bound(self, gamma, gs):

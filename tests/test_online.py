@@ -271,7 +271,7 @@ class TestBanditOMP:
 
 class TestHingeClassifierPD:
     def test_hinge_no_update_when_correct(self):
-        h = HingeClassifierPD(2, R=1.0, eta=0.1)
+        h = HingeClassifierPD(2, R=1.0)
         h.w = np.array([0.5, 0.0])
         w_before = h.w.copy()
         s = h.round(np.array([1.0, 0.0]), 1.0)  # correct confident prediction
@@ -279,16 +279,20 @@ class TestHingeClassifierPD:
         np.testing.assert_array_equal(h.w, w_before)
 
     def test_hinge_single_mistake_updates(self):
-        h = HingeClassifierPD(2, R=1.0, eta=0.1)
+        h = HingeClassifierPD(2, R=1.0)
+        eta = 1.0 / (2.0 * math.sqrt(2.0))
         h.round(np.array([1.0, 0.0]), 1.0)  # score 0 counts as a mistake
         assert h.mistakes == 1
-        assert h.beta == 0.1
-        assert h.alpha == pytest.approx(0.2)
+        assert h.beta == eta
+        assert h.alpha == pytest.approx(2.0 * eta)
         np.testing.assert_array_equal(h.w, np.zeros(2))  # alpha_1 was 0
 
     def test_step_size_cap(self):
-        with pytest.raises(ConfigurationError):
-            HingeClassifierPD(2, eta=0.5)
+        # the step is the thesis's 1/(2√2), the cap of its range; none is given
+        assert HingeClassifierPD(2).eta == 1.0 / (2.0 * math.sqrt(2.0))
+        for eta in (0.1, 0.5):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'eta'"):
+                HingeClassifierPD(2, eta=eta)
 
     def test_has_no_round_records_or_play(self):
         # it plays labelled examples, not losses: a `decisions` record that
@@ -343,8 +347,6 @@ class TestConstructionChecks:
         lambda: OMP(UNIT, L=-1.0, eta=0.5, dim=2),
         lambda: IFTRL(UNIT, L=0.0, eta=0.5, dim=2),
         lambda: IFTRL(UNIT, L=-1.0, eta=0.5, dim=2),
-        lambda: HingeClassifierPD(2, eta=-0.1),
-        lambda: HingeClassifierPD(2, eta=0.0),
         lambda: HingeClassifierPD(2, R=-1.0),
         lambda: HingeClassifierPD(2, R=0.0),
         lambda: OGD(UNIT, 0.0, dim=2),
@@ -359,7 +361,7 @@ class TestConstructionChecks:
         lambda: PenaltyOGD(PENALTY_CONS, 0.1, delta=math.nan, dim=2),
         lambda: PenaltyOGD(PENALTY_CONS, 0.1, delta=-0.5, dim=2),
     ], ids=["bandit-delta-neg", "bandit-delta-0", "bandit-G-0", "omp-L-0", "omp-L-neg",
-            "iftrl-L-0", "iftrl-L-neg", "hinge-eta-neg", "hinge-eta-0", "hinge-R-neg",
+            "iftrl-L-0", "iftrl-L-neg", "hinge-R-neg",
             "hinge-R-0", "ogd-eta-0", "ogd-eta-neg", "ogd-eta-nan", "omp-eta-nan",
             "omp-L-nan", "iftrl-L-nan", "expert-eta-nan", "bandit-eta-nan", "hinge-R-nan",
             "penalty-delta-nan", "penalty-delta-neg"])

@@ -86,6 +86,22 @@ class TestLibsvmParsing:
             with pytest.raises(InputError, match="feature"):
                 build(ds, 0.1)
 
+    @pytest.mark.parametrize("text", ["1.5 1:nan 2:0.3\n", "-2 1:inf\n", "nan 2:1.0\n",
+                                      "1 1:0.5\n-inf 1:1\n"],
+                             ids=["value_nan", "value_inf", "label_nan", "label_inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, text):
+        # these loaded, and gave a problem whose constants were all NaN
+        p = tmp_path / "f.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"line {text.count(chr(10))}: non-finite"):
+            load_libsvm(p)
+
+    @pytest.mark.parametrize("lam", [math.nan, -0.1], ids=["nan", "negative"])
+    def test_bad_regularizer_rejected(self, lam):
+        # a NaN one gave NaN constants
+        with pytest.raises(ConfigurationError, match="regularizer"):
+            from_arrays(np.eye(2), [1.0, 2.0], lam, "squared")
+
     def test_no_rows_rejected(self):
         with pytest.raises(InputError, match="example"):
             from_arrays(np.zeros((0, 3)), np.zeros(0), 0.0, "squared")
@@ -474,8 +490,12 @@ class TestPsiTransform:
             psi_transform(1.0, 5.0)
         with pytest.raises(DomainError):
             psi_transform(-1.2, 5.0)
-        with pytest.raises(ConfigurationError):
-            psi_transform(0.5, 0.0)
+        # a NaN smoothing parameter returned nan
+        for gamma in (0.0, math.nan):
+            with pytest.raises(ConfigurationError):
+                psi_transform(0.5, gamma)
+            with pytest.raises(ConfigurationError):
+                smoothed_hinge_value(0.5, gamma)
 
     @given(st.floats(-0.99, 0.99), st.floats(0.2, 200.0))
     @settings(max_examples=200)

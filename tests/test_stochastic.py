@@ -15,7 +15,7 @@ from smoothconvex.problems import (NoisyQuadratic, from_arrays,
                                    onedim_target_risk_problem, row_blocks,
                                    synthetic_classification, synthetic_regression,
                                    least_squares_problem, logistic_problem)
-from smoothconvex.stochastic import (_DRAW_BLOCK, Trace,
+from smoothconvex.stochastic import (_DELTA, _DRAW_BLOCK, Trace,
                                      _component_draws, agd, clipped_sgd, emgd, gd,
                                      gradient_variance_probe, mixed_grad, sgd,
                                      sgd_pd, sgd_st)
@@ -47,11 +47,11 @@ def traces_equal(a: Trace, b: Trace) -> bool:
 
 class TestSgd:
     def test_hand_recursion_zero_variance(self):
-        prob = from_arrays([[1.0]], [0.0], 0.0, "squared")  # F(w) = w^2
-        tr = sgd(prob, Domain.ball(10.0), seed=1, T=2, eta=0.25, w0=np.array([1.0]),
-                 keep_iterates=True)
-        ws = [r["w"][0] for r in tr.records if "w" in r]
-        assert ws == [1.0, 0.5, 0.5 - 0.25 / math.sqrt(2.0)]
+        # F(w) = w^2 from w = 1, as F(u) = (u + 1)^2 from the origin: u = w - 1
+        prob = from_arrays([[1.0]], [-1.0], 0.0, "squared")
+        tr = sgd(prob, Domain.ball(10.0), seed=1, T=2, eta=0.25, keep_iterates=True)
+        us = [r["w"][0] for r in tr.records if "w" in r]
+        assert us == [0.0, -0.5, -0.5 - 0.25 / math.sqrt(2.0)]
 
     def test_final_average_feasible(self):
         data = synthetic_regression(30, 3, seed=0)
@@ -89,10 +89,12 @@ class TestSgd:
 
 class TestFullGradientBaselines:
     def test_agd_contracts_on_identity_quadratic(self):
+        # from w0 toward 0, as from the origin toward -w0 (y = -X·w0)
         d = 5
-        prob = from_arrays(np.eye(d), np.zeros(d), 0.0, "squared")
-        tr = agd(prob, Domain.ball(10.0), T=200, w0=np.ones(d) / math.sqrt(d), L=2.0)
-        assert np.linalg.norm(tr.final_point) <= 1e-8
+        w0 = np.ones(d) / math.sqrt(d)
+        prob = from_arrays(np.eye(d), -w0, 0.0, "squared")
+        tr = agd(prob, Domain.ball(10.0), T=200)
+        assert np.linalg.norm(tr.final_point + w0) <= 1e-8
 
     def test_agd_beats_gd_on_ill_conditioned(self):
         rng = make_rng(8)
@@ -100,13 +102,13 @@ class TestFullGradientBaselines:
         evals = np.concatenate([[1e-3], rng.uniform(0.5, 1.0, d - 2), [1.0]])
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         X = Q @ np.diag(np.sqrt(evals)) @ Q.T  # X^T X has condition 1e3
-        prob = from_arrays(X, np.zeros(d), 0.0, "squared")
         w0 = rng.standard_normal(d)
         w0 /= np.linalg.norm(w0)
+        # F(w) = ‖Xw‖²/d from w0, as F(u) = ‖X(u + w0)‖²/d from the origin
+        prob = from_arrays(X, -X @ w0, 0.0, "squared")
         dom = Domain.ball(10.0)
-        L_full = 2.0 * np.max(evals) / d
-        sub_gd = gd(prob, dom, T=300, w0=w0, L=L_full).final_point
-        sub_ag = agd(prob, dom, T=300, w0=w0, L=L_full).final_point
+        sub_gd = gd(prob, dom, T=300).final_point
+        sub_ag = agd(prob, dom, T=300).final_point
         f_gd, f_ag = prob.full_value(sub_gd), prob.full_value(sub_ag)
         assert f_gd >= 10.0 * f_ag
 
@@ -117,7 +119,7 @@ class TestFullGradientBaselines:
         ref = reference_optimum(prob, dom)
         w0 = np.zeros(4)
         for T in (50, 200):
-            tr = gd(prob, dom, T=T, w0=w0)
+            tr = gd(prob, dom, T=T)
             bound = 2.0 * prob.constants.L_full * np.linalg.norm(w0 - ref["w"]) ** 2 / T
             assert prob.full_value(tr.final_point) - ref["F"] <= bound + 1e-12
 
@@ -136,16 +138,18 @@ class TestClippedSgd:
     def test_radius_recursion_value(self):
         prob = onedim_target_risk_problem(0.05)
         tr = clipped_sgd(prob, Domain.ball(1.0), seed=3, m=1, T1=20, target_risk=0.01,
-                         epsilon=0.5, tau=0.1, xi=2.0, L=2.0, lam=2.0)
+                         epsilon=0.5, tau=0.1)
         assert abs(tr.records[0]["delta"] - math.sqrt(0.501)) < 1e-12
         assert tr.calls_stochastic == 1 * 20  # stages x fixed stage length
 
     def test_clip_level_formula(self):
         prob = onedim_target_risk_problem(0.05)
-        # first stage: Delta_1 = R of the ball
+        # first stage: Delta_1 = R of the ball; xi = 4·beta/(alpha·tau)
+        beta, alpha = prob.constants.L_comp, prob.constants.lam
         tr = clipped_sgd(prob, Domain.ball(0.5), seed=3, m=1, T1=5, target_risk=0.01,
-                         epsilon=0.5, tau=0.1, xi=2.0, L=1.0, lam=1.0)
-        assert abs(tr.records[0]["gamma_k"] - 2.0 * 2.0 * 1.0 * 0.5) < 1e-12
+                         epsilon=0.5, tau=0.1)
+        xi = 4.0 * beta / (alpha * 0.1)
+        assert abs(tr.records[0]["gamma_k"] - 2.0 * xi * beta * 0.5) < 1e-12
 
     def test_requires_positive_target(self):
         prob = onedim_target_risk_problem(0.05)
@@ -177,18 +181,6 @@ class TestMixedGrad:
         for i in range(10):
             z = prob.anchored_component_diff(i, np.zeros(3), np.zeros(3))
             assert np.array_equal(z, np.zeros(3))
-
-    def test_rejects_nonshrinking_factor(self):
-        prob = from_arrays(np.eye(2), np.zeros(2), 0.0, "squared")
-        with pytest.raises(ConfigurationError):
-            mixed_grad(prob, Domain.ball(1.0), seed=0, T1=2, m=2, gamma_shrink=1.0)
-
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_rejects_nan_or_infinite_factor(self, gamma):
-        # the epoch-length budget these fed raised a bare ValueError
-        prob = from_arrays(np.eye(2), np.zeros(2), 0.0, "squared")
-        with pytest.raises(ConfigurationError, match="shrink factor"):
-            mixed_grad(prob, Domain.ball(1.0), seed=0, T1=2, m=2, gamma_shrink=gamma)
 
     @pytest.mark.parametrize("solver", [mixed_grad, emgd, clipped_sgd],
                              ids=lambda s: s.__name__)
@@ -223,7 +215,7 @@ class TestEmgd:
         prob = from_arrays(np.eye(3), np.zeros(3), 0.0, "squared")
         prob.constants = prob.constants._replace(lam=0.0)  # Constants is immutable
         with pytest.raises(ConfigurationError):
-            emgd(prob, Domain.ball(1.0), seed=0, T1=5, m=2, lam=0.0)
+            emgd(prob, Domain.ball(1.0), seed=0, T1=5, m=2)
 
     def test_budget_accounting(self):
         data = synthetic_regression(20, 3, seed=14)
@@ -290,6 +282,13 @@ def per_call_emgd(prob, R, seed, T, m, eta, Delta):
     return center
 
 
+def prescribed_clip(prob, tau, T1):
+    """clipped_sgd's clip-level factor xi and step eta from prob's constants."""
+    beta, alpha = prob.constants.L_comp, prob.constants.lam
+    xi = 4.0 * beta / (alpha * tau)
+    return xi, 1.0 / (2.0 * xi * beta * math.sqrt(T1))
+
+
 def per_call_clipped_sgd(prob, R, seed, m, T1, eta, xi, L, target_risk, epsilon, tau):
     """clipped_sgd's stages on a ball, on the frozen per-call projection."""
     rng = make_rng(seed)
@@ -322,18 +321,17 @@ class TestEpochLoops:
             # the generators are left in the same state
             assert blocked.integers(1 << 62) == per_call.integers(1 << 62)
 
-    # (R, Delta1) pairs: the first makes the domain ball and the two-ball ring
-    # bind, the second the shrinking ball
-    @pytest.mark.parametrize("R,Delta1", [(1.0, 1.0), (2.0, 0.3)])
-    def test_mixed_grad_matches_per_call_loop(self, R, Delta1):
+    # (R, step factor) pairs: the first makes the domain ball and the
+    # two-ball ring bind, the second each ball alone and the ring
+    @pytest.mark.parametrize("R,step", [(1.0, 0.25), (2.0, 2.0)])
+    def test_mixed_grad_matches_per_call_loop(self, R, step):
         data = synthetic_regression(40, 5, seed=17, noise=0.3, row_norm=1.0)
         prob = least_squares_problem(data, lam=0.0)
-        lam, eta = prob.constants.L_full, 0.25 / prob.constants.L_comp
-        # epochs of 300, 1200, 4800 steps cross the draw-block boundary
-        tr = mixed_grad(prob, Domain.ball(R), seed=4, T1=300, m=3, lambda1=lam, eta=eta,
-                        Delta1=Delta1)
-        want = per_call_mixed_grad(prob, R, seed=4, T1=300, m=3, lam=lam, eta=eta,
-                                   Delta=Delta1)
+        lam, eta = prob.constants.L_full, step / prob.constants.L_comp
+        # epochs of 300, 1200, 4800 steps cross the draw-block boundary; the
+        # first epoch's radius is the domain's
+        tr = mixed_grad(prob, Domain.ball(R), seed=4, T1=300, m=3, lambda1=lam, eta=eta)
+        want = per_call_mixed_grad(prob, R, seed=4, T1=300, m=3, lam=lam, eta=eta, Delta=R)
         assert np.array_equal(tr.final_point, want)
 
     @pytest.mark.parametrize("R,Delta1", [(2.0, 2.0), (0.3, 0.2)])
@@ -381,17 +379,16 @@ class TestEpochLoops:
     def test_clipped_sgd_counts_projections(self):
         prob = onedim_target_risk_problem(0.05)
         tr = clipped_sgd(prob, Domain.ball(1.0), seed=0, m=3, T1=40,
-                         target_risk=2.0 * prob.eps_opt, L=prob.constants.L_comp,
-                         lam=prob.constants.lam)
+                         target_risk=2.0 * prob.eps_opt)
         assert tr.projections == tr.calls_stochastic == 3 * 40
 
     @pytest.mark.parametrize("R", [1.0, 0.3])
     def test_clipped_sgd_matches_per_call_loop(self, R):
         prob = onedim_target_risk_problem(0.05)
-        target, eps, tau, xi, T1, eta = 2.0 * prob.eps_opt, 0.5, 0.1, 2.0, 200, 0.05
-        tr = clipped_sgd(prob, Domain.ball(R), seed=8, m=4, T1=T1, eta=eta, xi=xi,
-                         target_risk=target, epsilon=eps, tau=tau,
-                         L=prob.constants.L_comp, lam=prob.constants.lam)
+        target, eps, tau, T1 = 2.0 * prob.eps_opt, 0.5, 0.1, 200
+        xi, eta = prescribed_clip(prob, tau, T1)
+        tr = clipped_sgd(prob, Domain.ball(R), seed=8, m=4, T1=T1,
+                         target_risk=target, epsilon=eps, tau=tau)
         rng = make_rng(8)
         center, Delta = np.zeros(1), R
         for _ in range(4):
@@ -407,22 +404,23 @@ class TestEpochLoops:
             Delta = math.sqrt(eps * Delta**2 + tau * target)
         assert np.array_equal(tr.final_point, center)
 
-    @pytest.mark.parametrize("R", [2.0, 0.3])
+    @pytest.mark.parametrize("R", [2.0, 0.01])
     def test_clipped_sgd_matches_per_call_loop_on_finite_sum(self, R):
-        # several coordinates, so both balls and the ring between them bind
+        # several coordinates; at the prescribed step, R = 0.01 makes the
+        # domain ball and the ring between the balls bind
         data = synthetic_classification(60, 4, seed=23, row_norm=1.0)
         prob = logistic_problem(data, lam=5e-2)
-        params = dict(seed=9, m=4, T1=600, eta=0.2, xi=3.0, L=prob.constants.L_comp,
-                      target_risk=0.05, epsilon=0.5, tau=0.1)
-        tr = clipped_sgd(prob, Domain.ball(R), lam=prob.constants.lam, **params)
-        assert np.array_equal(tr.final_point, per_call_clipped_sgd(prob, R, **params))
+        params = dict(seed=9, m=4, T1=600, target_risk=0.05, epsilon=0.5, tau=0.1)
+        tr = clipped_sgd(prob, Domain.ball(R), **params)
+        xi, eta = prescribed_clip(prob, 0.1, 600)
+        assert np.array_equal(tr.final_point, per_call_clipped_sgd(
+            prob, R, eta=eta, xi=xi, L=prob.constants.L_comp, **params))
 
 
 def _epoch_solver_run(name, m, **params):
     if name == "clipped_sgd":
         prob = onedim_target_risk_problem(0.05)
-        base = dict(target_risk=2.0 * prob.eps_opt, L=prob.constants.L_comp,
-                    lam=prob.constants.lam)
+        base = dict(target_risk=2.0 * prob.eps_opt)
         return clipped_sgd(prob, Domain.ball(1.0), seed=0, m=m, T1=5, **{**base, **params})
     prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
     solver = {"mixed_grad": mixed_grad, "emgd": emgd}[name]
@@ -467,15 +465,13 @@ class TestHorizon:
 
     @pytest.mark.parametrize("solver,params", [
         (mixed_grad, {"T1": 0}), (emgd, {"T1": 0}), (emgd, {"T": 0}),
-        (clipped_sgd, {"T1": 0}), (clipped_sgd, {"T1": 0, "eta": 0.1})],
-        ids=["mixed_grad-T1", "emgd-T1", "emgd-T", "clipped_sgd-T1", "clipped_sgd-T1-eta"])
+        (clipped_sgd, {"T1": 0})],
+        ids=["mixed_grad-T1", "emgd-T1", "emgd-T", "clipped_sgd-T1"])
     def test_zero_epoch_length_refused(self, solver, params):
-        # the default step divided by sqrt(0), and clipped_sgd with a given
-        # step averaged no iterate and returned [nan]
+        # the default step divided by sqrt(0)
         if solver is clipped_sgd:
             prob = onedim_target_risk_problem(0.05)
-            params = dict(target_risk=2.0 * prob.eps_opt, L=prob.constants.L_comp,
-                          lam=prob.constants.lam, **params)
+            params = dict(target_risk=2.0 * prob.eps_opt, **params)
         else:
             prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
         with pytest.raises(ConfigurationError, match="epoch length"):
@@ -483,72 +479,55 @@ class TestHorizon:
 
 
 class TestStepSize:
-    """An explicit step size `eta`, step parameter `gamma`, first-epoch radius
-    `Delta1`, smoothness `L`, clip factor `xi`, target risk, regularization
-    `lambda1`, penalty weight `lambda0` or gradient bound `G1` is used as given
-    and refused unless positive, NaN too; only an unset one takes the
-    default."""
-
-    # a lambda0 at or below G1/rho = 1.625 here makes sgd_st warn that its guarantee is void
-    _VALID = {"lambda0": 2.0}
+    """An explicit step size `eta`, first-epoch radius `Delta1`, target risk
+    or regularization `lambda1` is used as given and refused unless
+    positive, NaN too; only an unset one takes the default."""
 
     # the ids from clipped_sgd-target_risk on ran to NaN, divided by zero or
     # ran on with a zero constant before their check
     @pytest.mark.parametrize("name,field", [
-        ("sgd", "eta"), ("clipped_sgd", "eta"), ("mixed_grad", "eta"),
-        ("sgd_pd", "gamma"), ("sgd_st", "eta"),
-        ("sgd_st", "gamma"), ("mixed_grad", "Delta1"), ("emgd", "Delta1"),
-        ("clipped_sgd", "target_risk"), ("clipped_sgd", "xi"), ("clipped_sgd", "L"),
-        ("mixed_grad", "lambda1"), ("gd", "L"), ("agd", "L"), ("sgd_pd", "G1"),
-        ("sgd_st", "G1"), ("sgd_st", "lambda0")])
+        ("sgd", "eta"), ("mixed_grad", "eta"), ("emgd", "Delta1"),
+        ("clipped_sgd", "target_risk"), ("mixed_grad", "lambda1")])
     def test_nonpositive_step_refused(self, name, field):
         for value in (0.0, -0.5, math.nan):
             with pytest.raises(ConfigurationError, match=f"{field} must be positive"):
                 _step_solver_run(name, **{field: value})
-        _step_solver_run(name, **{field: self._VALID.get(field, 0.05)})
+        _step_solver_run(name, **{field: 0.05})
 
 
 class TestStrongConvexity:
-    """An explicit strong-convexity modulus `lam` is used as given and refused
-    unless positive; only an unset one takes the problem's."""
-
-    @pytest.mark.parametrize("lam", [0.0, -1.0])
-    @pytest.mark.parametrize("solver", [clipped_sgd, sgd_st], ids=lambda s: s.__name__)
-    def test_nonpositive_modulus_refused(self, solver, lam):
-        obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
-        extra = {"target_risk": 0.05, "T1": 4, "m": 2} if solver is clipped_sgd else {"T": 20}
-        with pytest.raises(ConfigurationError, match="lam must be positive"):
-            solver(obj, Domain.ball(0.8), lam=lam, **extra)
+    """A solver whose prescribed step or clip level divides by the
+    strong-convexity modulus refuses a problem whose constants.lam is 0."""
 
     def test_clipped_sgd_refuses_problem_without_modulus(self):
         # unregularized logistic loss is not strongly convex: its modulus is
-        # lam = lam_reg = 0, so the unset lam is 0; sgd_st's default step
-        # 1/(2·lam·t) needs it too, a given eta does not
+        # lam = lam_reg = 0; sgd_st's step 1/(2·lam·t) needs it too
         prob = from_arrays(np.eye(3), [1.0, -1.0, 1.0], 0.0, "logistic")
         assert prob.constants.lam == 0.0
         ball = Domain.ball(0.8)
         with pytest.raises(ConfigurationError, match="strongly convex"):
             clipped_sgd(prob, ball, T1=4, m=2, target_risk=0.05)
         with pytest.raises(ConfigurationError, match="strongly convex"):
-            sgd_st(prob, ball, T=10, G1=1.0)
-        assert ball.contains(sgd_st(prob, ball, T=10, G1=1.0, eta=0.1).final_point)
+            sgd_st(prob, ball, T=10)
 
 
 _ALL_SOLVERS = [sgd, gd, agd, clipped_sgd, mixed_grad, emgd, sgd_pd, sgd_st]
 
-# each solver's keyword-only parameters: exactly the values it reads
+# each solver's keyword-only parameters: exactly the values some experiment
+# sets; every constant the objective fixes is read from it
 _PARAMETERS = {
-    sgd: {"seed", "T", "eta", "w0", "keep_iterates"},
-    gd: {"T", "w0", "L"},
-    agd: {"T", "w0", "L"},
-    clipped_sgd: {"seed", "m", "T1", "eta", "L", "lam", "xi", "epsilon", "tau",
-                  "target_risk"},
-    mixed_grad: {"seed", "m", "T1", "eta", "Delta1", "lambda1", "gamma_shrink"},
-    emgd: {"seed", "T", "m", "T1", "lam", "Delta1", "probe_variance"},
-    sgd_pd: {"seed", "T", "gamma", "G1", "snapshot_every"},
-    sgd_st: {"seed", "T", "eta", "gamma", "G1", "lam", "lambda0", "snapshot_every"},
+    sgd: {"seed", "T", "eta", "keep_iterates"},
+    gd: {"T"},
+    agd: {"T"},
+    clipped_sgd: {"seed", "m", "T1", "epsilon", "tau", "target_risk"},
+    mixed_grad: {"seed", "m", "T1", "eta", "lambda1"},
+    emgd: {"seed", "T", "m", "T1", "Delta1", "probe_variance"},
+    sgd_pd: {"seed", "T"},
+    sgd_st: {"seed", "T"},
 }
-
+# names that only overrode what the objective or the thesis fixes
+_FIXED = {"w0", "L", "lam", "xi", "Delta1", "gamma_shrink", "gamma", "G1", "lambda0",
+          "snapshot_every"}
 
 
 @pytest.mark.parametrize("solver", _ALL_SOLVERS, ids=lambda s: s.__name__)
@@ -557,8 +536,9 @@ def test_solver_takes_only_the_parameters_it_reads(solver):
     assert list(params)[:2] in (["problem", "domain"], ["objective", "domain"])
     assert {n for n, p in params.items() if p.kind is p.KEYWORD_ONLY} == _PARAMETERS[solver]
     assert len(params) == 2 + len(_PARAMETERS[solver])
-    # every name another solver takes is refused, not silently ignored
-    for name in sorted(set().union(*_PARAMETERS.values()) - _PARAMETERS[solver]):
+    # every name another solver takes, or that the objective fixes, is
+    # refused, not silently ignored
+    for name in sorted(set().union(_FIXED, *_PARAMETERS.values()) - _PARAMETERS[solver]):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             solver(None, None, **{name: 1})
 
@@ -581,10 +561,9 @@ def test_final_point_feasible_or_domain_refused(solver, d, seed, lo, width, radi
         params = dict(seed=seed, T1=4, m=3)
     else:
         prob = NoisyQuadratic(center=rng.uniform(-1.5, 1.5, size=d), noise=0.3)
-        params = {sgd: dict(seed=seed, T=12), gd: dict(T=12, L=1.0), agd: dict(T=12, L=1.0),
-                  clipped_sgd: dict(seed=seed, T1=4, m=3, target_risk=0.05, L=1.0, lam=1.0),
-                  sgd_pd: dict(seed=seed, T=12, G1=1.0),
-                  sgd_st: dict(seed=seed, T=12, G1=1.0, lam=1.0)}[solver]
+        params = {sgd: dict(seed=seed, T=12), gd: dict(T=12), agd: dict(T=12),
+                  clipped_sgd: dict(seed=seed, T1=4, m=3, target_risk=0.05),
+                  sgd_pd: dict(seed=seed, T=12), sgd_st: dict(seed=seed, T=12)}[solver]
     for domain in domains:
         try:
             tr = solver(prob, domain, **params)
@@ -674,6 +653,13 @@ class TestVarianceProbe:
         assert peak < 1_000_000, f"{peak / 1e6:.2f} MB above the problem"
 
 
+def prescribed_pd_gamma(obj, dom, T):
+    """sgd_pd's dual regularization gamma from obj's and dom's constants."""
+    G1, sigma, G2, C2 = obj.grad_bound(1.0), obj.noise, dom.G2, dom.C2
+    return G2 * G2 / math.sqrt(
+        (G1 * G1 + C2 * C2 + (1.0 + math.log(2.0 / _DELTA)) * sigma * sigma) * T)
+
+
 class TestOneProjection:
     def setup_method(self):
         self.obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
@@ -689,44 +675,38 @@ class TestOneProjection:
             solver(None, dom)
 
     def test_exactly_one_projection_and_feasible(self):
-        for solver, extra in ((sgd_pd, {}), (sgd_st, {"lam": 1.0})):
-            tr = solver(self.obj, self.dom, seed=0, T=2000, **extra)
+        for solver in (sgd_pd, sgd_st):
+            tr = solver(self.obj, self.dom, seed=0, T=2000)
             assert tr.projections == 1
             assert self.dom.g(tr.final_point) <= 1e-10
 
     def test_default_without_its_source_refused(self):
-        # OneDimTargetRisk declares neither grad_bound (G1's default) nor
-        # noise (sgd_pd's default gamma)
+        # OneDimTargetRisk declares neither grad_bound (G1) nor noise (read
+        # by sgd_pd's gamma); Bounded declares only grad_bound
         obj, ball = onedim_target_risk_problem(0.3), Domain.ball(0.8)
         for solver in (sgd_pd, sgd_st):
-            with pytest.raises(ConfigurationError, match="grad_bound; set G1"):
+            with pytest.raises(ConfigurationError, match="has no grad_bound"):
                 solver(obj, ball, T=5)
-        with pytest.raises(ConfigurationError, match="noise; set gamma"):
-            sgd_pd(obj, ball, T=5, G1=1.0)
-        for tr in (sgd_pd(obj, ball, T=5, G1=1.0, gamma=0.1),
-                   sgd_st(obj, ball, T=5, G1=1.0)):
-            assert ball.contains(tr.final_point)
 
-    def test_given_gamma_needs_no_gradient_bound(self):
-        # only the default gamma reads G1: a given gamma runs on an objective
-        # that declares no grad_bound, as it would with any G1
-        obj, ball = onedim_target_risk_problem(0.3), Domain.ball(0.8)
-        tr = sgd_pd(obj, ball, T=5, gamma=0.1)
-        assert tr.final_point.tobytes() == sgd_pd(obj, ball, T=5, gamma=0.1,
-                                                  G1=7.0).final_point.tobytes()
-        assert ball.contains(tr.final_point)
+        class Bounded:
+            def grad_bound(self, radius):
+                return radius
+
+        with pytest.raises(ConfigurationError, match="Bounded has no noise"):
+            sgd_pd(Bounded(), ball, T=5)
 
     def test_dual_stays_zero_when_deep_feasible(self):
         obj = NoisyQuadratic(center=np.zeros(2), noise=0.1)
         dom = Domain.ball(0.95)
-        tr = sgd_pd(obj, dom, seed=1, T=500, snapshot_every=1)
+        tr = sgd_pd(obj, dom, seed=1, T=500)
         assert np.all(tr.column("dual") == 0.0)
 
     def test_dual_follows_its_update_when_the_constraint_binds(self):
-        # gamma near its default here, 0.096; the step is gamma/(2·G2²)
-        obj, dom, gamma = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.5), \
-            Domain.ball(0.8), 0.1
-        tr = sgd_pd(obj, dom, seed=0, T=200, snapshot_every=1, gamma=gamma)
+        # the prescribed gamma is 0.096 here; the step is gamma/(2·G2²), and
+        # T = 200 records every step
+        obj, dom = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.5), Domain.ball(0.8)
+        tr = sgd_pd(obj, dom, seed=0, T=200)
+        gamma = prescribed_pd_gamma(obj, dom, 200)
         eta = gamma / (2.0 * dom.G2 * dom.G2)
         assert len(tr.records) == 200
         assert sum(r["dual"] > 0 for r in tr.records) > 0
@@ -738,10 +718,10 @@ class TestOneProjection:
     def test_pd_reduces_to_plain_sgd_when_dual_zero(self):
         obj = NoisyQuadratic(center=np.zeros(2), noise=0.1)
         dom = Domain.ball(0.95)
-        tr = sgd_pd(obj, dom, seed=2, T=200, snapshot_every=1, gamma=0.1)
+        tr = sgd_pd(obj, dom, seed=2, T=200)
         # replay the plain recursion x <- renormalize(x - eta g) with the same rng
         rng = make_rng(2)
-        eta = 0.1 / (2.0 * dom.G2 * dom.G2)
+        eta = prescribed_pd_gamma(obj, dom, 200) / (2.0 * dom.G2 * dom.G2)
         x = np.zeros(2)
         objs = tr.column("objective")
         for t in range(1, 201):
@@ -755,10 +735,12 @@ class TestOneProjection:
         # (lambda0*g/gamma = -40): weight < 1e-17 so the step follows f alone
         obj = NoisyQuadratic(center=np.array([2.0, 0.0]), noise=0.0)
         dom = Domain.ball(1.0)
-        tr = sgd_st(obj, dom, seed=0, T=3, lam=1.0, snapshot_every=1, gamma=1.0,
-                    lambda0=2.0)
-        # first iterate x1 = 0 has g(x1) = -1, weight = sigmoid(-2)
-        assert abs(tr.records[0]["weight"] - 1.0 / (1.0 + math.exp(2.0))) < 1e-15
+        tr = sgd_st(obj, dom, seed=0, T=3)
+        # first iterate x1 = 0 has g(x1) = -1, weight = sigmoid(-lambda0/gamma)
+        # with lambda0 = 1.05·G1/rho and gamma = log(T)/T
+        lambda0, gamma = 1.05 * obj.grad_bound(1.0) / dom.rho, math.log(3) / 3
+        assert dom.g(np.zeros(2)) == -1.0
+        assert abs(tr.records[0]["weight"] - 1.0 / (1.0 + math.exp(lambda0 / gamma))) < 1e-15
         assert math.exp(-40.0) / (1.0 + math.exp(-40.0)) < 1e-17
         z = 0.0
         assert 1.0 / (1.0 + math.exp(-z)) == 0.5
@@ -774,30 +756,19 @@ class TestOneProjection:
 
     @pytest.mark.parametrize("solver,T", [(sgd_st, 1), (sgd_st, 0), (sgd_pd, 0)])
     def test_too_short_horizon_refused(self, solver, T):
-        # sgd_st's default gamma = log(T)/T is zero at T = 1 and undefined at T = 0
-        extra = {"lam": 1.0} if solver is sgd_st else {}
+        # sgd_st's gamma = log(T)/T is zero at T = 1 and undefined at T = 0
         with pytest.raises(ConfigurationError, match="horizon"):
-            solver(self.obj, self.dom, seed=0, T=T, **extra)
+            solver(self.obj, self.dom, seed=0, T=T)
 
     def test_one_step_horizon_runs(self):
-        for solver, extra in ((sgd_pd, {}), (sgd_st, {"lam": 1.0, "gamma": 0.5})):
-            tr = solver(self.obj, self.dom, seed=0, T=1, **extra)
-            assert tr.calls_stochastic == 1 and tr.projections == 1
-
-    @pytest.mark.parametrize("make", [
-        lambda: from_arrays(np.eye(3), [1.0, -1.0, 1.0], 0.1, "logistic"),
-        lambda: onedim_target_risk_problem(0.05)], ids=["logistic", "onedim"])
-    def test_pd_runs_without_noise_level_when_gamma_given(self, make):
-        # only the default gamma reads objective.noise, which these lack
-        obj, dom = make(), Domain.ball(0.8)
-        tr = sgd_pd(obj, dom, seed=0, T=50, G1=1.0, gamma=0.5)
-        assert dom.contains(tr.final_point)
+        tr = sgd_pd(self.obj, self.dom, seed=0, T=1)
+        assert tr.calls_stochastic == 1 and tr.projections == 1
 
     def test_st_log_over_t_ratio_bounded(self):
         ref = reference_optimum(self.obj, self.dom)
         ratios = []
         for T in (1000, 10_000, 100_000):
-            tr = sgd_st(self.obj, self.dom, seed=3, T=T, lam=1.0)
+            tr = sgd_st(self.obj, self.dom, seed=3, T=T)
             sub = self.obj.full_value(tr.final_point) - ref["F"]
             ratios.append(sub * T / math.log(T))
         assert max(ratios) / min(ratios) <= 3.0
@@ -812,7 +783,7 @@ class TestRateBounds:
         w0 = np.zeros(4)
         L = prob.constants.L_full
         for T in (20, 60, 180):
-            tr = agd(prob, dom, T=T, w0=w0)
+            tr = agd(prob, dom, T=T)
             bound = 2.0 * L * np.linalg.norm(w0 - ref["w"]) ** 2 / T ** 2
             assert prob.full_value(tr.final_point) - ref["F"] <= bound + 1e-12
 
@@ -829,7 +800,7 @@ class TestRateBounds:
     def test_one_projection_budget_counters(self):
         obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.3)
         dom = Domain.ball(0.8)
-        for solver, extra in ((sgd_pd, {}), (sgd_st, {"lam": 1.0})):
-            tr = solver(obj, dom, seed=0, T=750, **extra)
+        for solver in (sgd_pd, sgd_st):
+            tr = solver(obj, dom, seed=0, T=750)
             assert tr.calls_stochastic == 750
 
