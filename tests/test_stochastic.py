@@ -123,6 +123,29 @@ class TestFullGradientBaselines:
             bound = 2.0 * prob.constants.L_full * np.linalg.norm(w0 - ref["w"]) ** 2 / T
             assert prob.full_value(tr.final_point) - ref["F"] <= bound + 1e-12
 
+    @pytest.mark.parametrize("domain", [Domain.ball(0.5), Domain.box(np.full(3, 0.2),
+                                                                      np.full(3, 0.6))],
+                             ids=["ball", "box"])
+    @pytest.mark.parametrize("solver", [gd, agd], ids=lambda s: s.__name__)
+    def test_steps_with_the_objectives_smoothness(self, solver, domain):
+        # from the projected origin, which the box does not hold, at the
+        # objective's L_full: set to 3x its own, so only a read of
+        # constants.L_full can match the hand recursion
+        prob = least_squares_problem(synthetic_regression(20, 3, seed=5), lam=0.1)
+        prob.constants = prob.constants._replace(L_full=3.0 * prob.constants.L_full)
+        L, project = prob.constants.L_full, domain.projector()
+        h = f = domain.project(np.zeros(3))
+        for s in range(25):
+            if solver is gd:
+                f = project(f - 1.0 / L * prob.full_grad(f))
+                continue
+            theta = 1.0 if s == 0 else 2.0 / (s + 2.0)
+            grad = prob.full_grad((1.0 - theta) * h + theta * f)
+            f = project(f - grad / (theta * L))
+            h = (1.0 - theta) * h + theta * f
+        want = f if solver is gd else h
+        assert np.array_equal(solver(prob, domain, T=25).final_point, want)
+
     def test_cgd_simplex_vertex_step(self):
         assert np.array_equal(Domain.simplex(3).linear_minimizer(np.array([3.0, 1.0, 2.0])),
                               [0.0, 1.0, 0.0])
@@ -497,7 +520,18 @@ class TestStepSize:
 
 class TestStrongConvexity:
     """A solver whose prescribed step or clip level divides by the
-    strong-convexity modulus refuses a problem whose constants.lam is 0."""
+    strong-convexity modulus refuses a problem whose constants.lam is not
+    positive, NaN too."""
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("solver", [clipped_sgd, emgd, sgd_st], ids=lambda s: s.__name__)
+    def test_nonpositive_modulus_refused(self, solver, lam):
+        obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
+        obj.constants = obj.constants._replace(lam=lam)  # Constants is immutable
+        extra = {clipped_sgd: {"target_risk": 0.05, "T1": 4, "m": 2},
+                 emgd: {"T1": 4, "m": 2}, sgd_st: {"T": 20}}[solver]
+        with pytest.raises(ConfigurationError, match="strongly convex|strong convexity"):
+            solver(obj, Domain.ball(0.8), **extra)
 
     def test_clipped_sgd_refuses_problem_without_modulus(self):
         # unregularized logistic loss is not strongly convex: its modulus is
