@@ -8,12 +8,12 @@ share one read-only (T, d) array of centers, each round a row view of it;
 every cost vector and center is read-only, so no learner can change one round
 through another.  classification_stream returns no losses: its examples are
 the rows of one read-only (T, d) array.  Every generator refuses T < 1 and
-d < 1 with InputError.
+d < 1 with InputError; ftrl_adversary's sequence is 1-D.
 
-The closed-form variation measures (measure_egv_exact's linear branch,
-measure_egv_inf) price each distinct pair of consecutive RoundLoss objects
-once and add the terms in round order, so a sequence built from a few shared
-rounds costs a dict lookup a round, with the float sum unchanged.
+The closed-form variation measures (measure_egv_exact, measure_egv_inf)
+price each distinct pair of consecutive RoundLoss objects once and add the
+terms in round order, so a sequence built from a few shared rounds costs a
+dict lookup a round, with the float sum unchanged.
 """
 
 from __future__ import annotations
@@ -45,32 +45,32 @@ def alternating_linear(egv: float, T: int, d: int) -> list:
     return [pair[t % 2] for t in range(T)]
 
 
-def ftrl_adversary(eta: float, T: int, gv_target: float | None = None,
-                   d: int = 1) -> list:
-    """Leader-punishing linear sequence keyed on s = ⌊1/eta⌋.
+def ftrl_adversary(eta: float, T: int, gv_target: float) -> list:
+    """Leader-punishing 1-D linear sequence keyed on s = ⌊1/eta⌋, with the
+    variation budget gv_target: a finite number ≥ 0, else InputError.
 
-    s ≥ √T: play a fixed unit vector for ⌊s/2⌋ rounds, zeros after.
-    0 < s < √T: flip the vector every s rounds for as many periods as the
-    variation budget (gv_target, default 4·⌊T/(2s)⌋) allows, zeros after.
-    s = 0: start with −f then alternate ±f every round.
+    s ≥ √T: play f = +1 for ⌊s/2⌋ rounds, zeros after.
+    0 < s < √T: flip f every s rounds for as many of the ⌊T/(2s)⌋ periods as
+    ⌊gv_target/4⌋ allows, zeros after.
+    s = 0: start with −f, then alternate ±f every round for as many of the
+    T − 1 rounds as ⌊gv_target/4⌋ allows, zeros after.
     """
-    _check_sizes(T, d)
+    _check_sizes(T, 1)
     if not eta > 0:
         raise InputError("adversary needs the learner step size eta > 0")
-    f = np.zeros(d)
-    f[0] = 1.0
+    if not 0 <= gv_target < math.inf:
+        raise InputError(f"variation budget gv_target must be finite and >= 0, "
+                         f"got {gv_target!r}")
+    f = np.ones(1)
     plus, minus = RoundLoss.from_linear(f), RoundLoss.from_linear(-f)
-    s = math.floor(1.0 / eta)
+    s, flips = math.floor(1.0 / eta), int(gv_target // 4)
     if s >= math.sqrt(T):
         losses = [plus] * min(s // 2, T)
     elif s > 0:
-        max_periods = T // (2 * s)
-        tau = max_periods if gv_target is None else min(max_periods, int(gv_target // 4))
-        losses = ([plus] * s + [minus] * s) * tau
+        losses = ([plus] * s + [minus] * s) * min(T // (2 * s), flips)
     else:
-        budget = T - 1 if gv_target is None else min(T - 1, int(gv_target // 4))
-        losses = [minus] + [(plus, minus)[k % 2] for k in range(budget)]
-    losses += [RoundLoss.from_linear(np.zeros(d))] * (T - len(losses))
+        losses = [minus] + [(plus, minus)[k % 2] for k in range(min(T - 1, flips))]
+    losses += [RoundLoss.from_linear(np.zeros(1))] * (T - len(losses))
     return losses[:T]
 
 
@@ -121,23 +121,6 @@ def classification_stream(drift: float, T: int, d: int, seed: int = 0) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def measure_egv(sequence: list, probe_points) -> float:
-    """Point-form gradual variation Σ_{t=0}^{T−1} ‖∇f_{t+1}(y_t) − ∇f_t(y_t)‖²
-    with f₀ ≡ 0 over the T rounds of `sequence`; probe_points supplies
-    y_0..y_{T−1}."""
-    pts = [np.asarray(p, dtype=np.float64) for p in probe_points]
-    if len(pts) < len(sequence):
-        raise InputError("need one probe point per round (y_0 .. y_{T-1})")
-    total = 0.0
-    for t in range(len(sequence)):
-        y = pts[t]
-        g_next = sequence[t].grad(y)
-        g_prev = np.zeros_like(g_next) if t == 0 else sequence[t - 1].grad(y)
-        d = g_next - g_prev
-        total += float(d @ d)
-    return total
-
-
 def _pair_sum(sequence: list, term) -> float:
     """Σ_t term(prev, cur) over the rounds in order, prev None for round 1
     and the round before otherwise.  Each distinct (prev, cur) pair of
@@ -156,10 +139,12 @@ def _pair_sum(sequence: list, term) -> float:
     return total
 
 
-def _linear_sq(prev, cur) -> float:
-    """‖f_t − f_{t−1}‖² of two linear rounds, f_0 ≡ 0."""
-    f = cur.linear
-    d = f - (np.zeros_like(f) if prev is None else prev.linear)
+def _origin_sq(prev, cur) -> float:
+    """‖∇f_t(0) − ∇f_{t−1}(0)‖² of two rounds, f_0 ≡ 0: a linear round's
+    gradient is its cost vector, a quadratic round's is 0 − c.  The origin
+    is the scalar 0.0, which broadcasts as a vector of +0.0 would."""
+    g = cur.grad(0.0)
+    d = g - (np.zeros_like(g) if prev is None else prev.grad(0.0))
     return float(d.dot(d))
 
 
@@ -176,17 +161,15 @@ def _inf_sq(prev, cur) -> float:
 
 
 def measure_egv_exact(sequence: list) -> float:
-    """Sup-form gradual variation for families whose gradient differences do
-    not depend on the probe point (all-linear or all-quadratic losses), so the
-    origin serves as every round's probe.  A sequence that mixes the two kinds
-    is refused with InputError: its differences do depend on the probe."""
-    if all(l.linear is not None for l in sequence):
-        # ∇f_t(y) = linear for every y: measure_egv's terms without the probes
-        return _pair_sum(sequence, _linear_sq)
-    if all(l.quad_center is not None for l in sequence):
-        origin = np.zeros_like(sequence[0].quad_center)
-        return measure_egv(sequence, [origin] * len(sequence))
-    raise InputError("closed-form variation needs all-linear or all-quadratic losses")
+    """Gradual variation Σ_t ‖∇f_t − ∇f_{t−1}‖², f_0 ≡ 0, for families whose
+    gradient differences do not depend on the point (all-linear or
+    all-quadratic losses), so each term is taken at the origin.  A sequence
+    that mixes the two kinds is refused with InputError: its differences do
+    depend on the point."""
+    if not (all(l.linear is not None for l in sequence)
+            or all(l.quad_center is not None for l in sequence)):
+        raise InputError("closed-form variation needs all-linear or all-quadratic losses")
+    return _pair_sum(sequence, _origin_sq)
 
 
 def measure_egv_inf(sequence: list) -> float:

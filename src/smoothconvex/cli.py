@@ -199,8 +199,8 @@ def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
     for egv in egvs:
         seq = adversary.alternating_linear(egv, T, d)
         measured = adversary.measure_egv_exact(seq)
-        omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, measured), dim=d)
-        ift = online.IFTRL(dom, L=1.0, eta=min(1.0, 1.0 / math.sqrt(measured)), dim=d)
+        omp = online.OMP(dom, eta=online.OMP.tuned_eta(measured), dim=d)
+        ift = online.IFTRL(dom, eta=min(1.0, 1.0 / math.sqrt(measured)), dim=d)
         _, best = metrics.comparator_minimum(seq, dom)
         rows.append({"egv": measured, "regret": _regret(omp, seq, best),
                      "regret_iftrl": _regret(ift, seq, best)})
@@ -212,11 +212,11 @@ def exp_gv_regret_sweep(seed: int, p: dict) -> ExperimentResult:
 def exp_ogd_vs_omp_adversary(seed: int, p: dict) -> ExperimentResult:
     from . import adversary, online
     T, eta = p["T"], p["eta_ogd"]
-    seq = adversary.ftrl_adversary(eta, T, gv_target=p["gv_target"])
+    seq = adversary.ftrl_adversary(eta, T, p["gv_target"])
     dom = Domain.ball(1.0)
     egv = adversary.measure_egv_exact(seq)
     ogd = online.OGD(dom, eta, dim=1)
-    omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, egv), dim=1)
+    omp = online.OMP(dom, eta=online.OMP.tuned_eta(egv), dim=1)
     _, best = metrics.comparator_minimum(seq, dom)
     # both learners replay most rounds: forking costs more than the rounds
     r_ogd, r_omp = _regret(ogd, seq, best), _regret(omp, seq, best)
@@ -257,8 +257,8 @@ def exp_bandit_estimate(seed: int, p: dict) -> ExperimentResult:
     for d in p["d_grid"]:
         rng = make_rng(seed + d)
         dom = Domain.ball(1.0)
-        delta = p["delta"]
-        learner = online.BanditOMP(dom, G=2.0, delta=delta, eta=delta / (4 * d * math.sqrt(2)),
+        delta, G = p["delta"], 2.0   # G: the gradient bound the step divides by
+        learner = online.BanditOMP(dom, delta=delta, eta=delta / (4 * d * math.sqrt(2)) / G,
                                    dim=d)
         centers = [rng.standard_normal(d) * 0.3 for _ in range(T)]
         max_err = 0.0
@@ -349,7 +349,7 @@ def exp_hinge_mistakes(seed: int, p: dict) -> ExperimentResult:
     examples = adversary.classification_stream(p["drift"], T, 2, seed=seed)
     learner = online.HingeClassifierPD(2, R=R)
     for gx in examples:
-        learner.round(gx, 1.0)  # stream stores y·x, so the label is +1
+        learner.round(gx)
     mistakes = learner.mistakes
     # best fixed comparator over a 2-D grid (coarse + refinement)
     best = _best_hinge(examples, R)

@@ -2,12 +2,13 @@
 
 Every learner but HingeClassifierPD exposes predict() -> decision and
 observe(loss) -> None, which supports full-information and bandit feedback
-with one harness; HingeClassifierPD takes one labelled example per
-round(x, y).  Each learner refuses a non-positive step size, smoothness
-constant, radius or query offset at construction, and a missing or
-non-positive dimension (`dim`, when the domain has none), and ExpertOMP
-refuses a cost that is not linear, has the wrong length, or has a negative
-or NaN entry.  Each observe records the round's decision and the loss it
+with one harness; HingeClassifierPD takes one example y·x per round(gx).
+Each learner refuses a non-positive step size, radius or query offset at
+construction, and a missing or non-positive dimension (`dim`, when the
+domain has none); the soft-constraint learners refuse constraint bounds
+that their tunings cannot use; and ExpertOMP refuses a round that is not a
+linear RoundLoss, or whose cost has the wrong length or a negative or NaN
+entry.  Each observe records the round's decision and the loss it
 paid (`decisions`, `loss_values`) as it plays the round, in flat float64
 records, so a long run keeps no Python object per round: the loss values
 are an array('d'), and each decision is copied into one growable buffer of d
@@ -48,7 +49,7 @@ read-only (T, d) copy of their centers, each round a row view of it.
 Each learner binds its domain's projection once, at construction
 (Domain.projector, ball_projector), and calls the bare kernel every round on
 the fresh point it has just built.  The step constants a round applies to a
-vector (OGD's constant step, OMP's and IFTRL's η/L, IFTRL's −L/η,
+vector (OGD's constant step, OMP's and IFTRL's η, IFTRL's −1/η,
 PenaltyOGD's weight) are bound once as 0-d float64 arrays: the same IEEE
 operations as with the Python floats, without numpy converting a float on
 every call.  The soft-constraint duals are a list of Python floats, updated
@@ -320,16 +321,15 @@ _LEADER_KINDS = ("ball", "box", "simplex")
 
 class IFTRL(BaseLearner):
     """Regularized-leader learner whose decision steps off the leader point
-    with the previous round's gradient (two gradient evaluations per round)."""
+    with the previous round's gradient (two gradient evaluations per round),
+    with the step η in (0, 1]; the leader is weighted by 1/η."""
 
     _state = ("z", "grad_sum", "stale_grad")
 
-    def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None):
+    def __init__(self, domain: Domain, eta: float, dim: int | None = None):
         super().__init__(dim, domain)
         if not 0.0 < eta <= 1.0:
             raise ConfigurationError("eta must lie in (0, 1]")
-        if not L > 0:
-            raise ConfigurationError("smoothness L must be positive")
         if domain.kind not in _LEADER_KINDS:
             raise UnsupportedDomainError(f"no closed-form leader solve for {domain.kind}")
         d = self.dim
@@ -337,9 +337,9 @@ class IFTRL(BaseLearner):
         self.grad_sum = np.zeros(d)
         self.stale_grad = np.zeros(d)   # ∇f_{t-1}(z_{t-1}); zero for round 1
         self._project = domain.projector()
-        # the leader's c = L/η enters as G/(−c), which is −G/c bit for bit in
+        # the leader's c = 1/η enters as G/(−c), which is −G/c bit for bit in
         # one operation
-        self._step, self._neg_c = np.array(eta / L), np.array(-(L / eta))
+        self._step, self._neg_c = np.array(eta), np.array(-(1.0 / eta))
 
     def predict(self) -> Point:
         return self._project(self.z - self._step * self.stale_grad)
@@ -355,7 +355,7 @@ class IFTRL(BaseLearner):
 
 class OMP(BaseLearner):
     """Two-prox extra-gradient learner; one new gradient evaluation per round.
-    Both prox steps are _prox, a projected gradient step with step η/L.  The
+    Both prox steps are _prox, a projected gradient step with step η.  The
     first steps from z along the previous gradient to the decision x, the
     second from z along the round's gradient g; when g is the very array of
     the previous round (a linear loss's cost vector, served again), the
@@ -365,20 +365,19 @@ class OMP(BaseLearner):
 
     _state = ("z", "prev_grad")
 
-    def __init__(self, domain: Domain, L: float, eta: float, dim: int | None = None):
+    def __init__(self, domain: Domain, eta: float, dim: int | None = None):
         super().__init__(dim, domain)
         if not eta > 0:
             raise ConfigurationError("eta must be positive")
-        if not L > 0:
-            raise ConfigurationError("smoothness L must be positive")
         self.z = domain.project(np.zeros(self.dim))
         self.prev_grad = np.zeros(self.dim)
         self._project = domain.projector()
-        self._step = np.array(eta / L)
+        self._step = np.array(eta)
 
     @staticmethod
-    def tuned_eta(L: float, egv: float) -> float:
-        return 0.5 * min(1.0 / math.sqrt(2.0), L / math.sqrt(max(egv, 1e-300)))
+    def tuned_eta(egv: float) -> float:
+        """The step ½·min(1/√2, 1/√egv) for the gradual variation egv."""
+        return 0.5 * min(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(max(egv, 1e-300)))
 
     def predict(self) -> Point:
         return self._prox(self.z, self.prev_grad)
@@ -401,10 +400,10 @@ class OMP(BaseLearner):
 
 
 class ExpertOMP(OMP):
-    """OMP on the m-expert simplex at L = 1 whose step is the multiplicative
-    update (the entropy map's prox step), from uniform weights, the projection of
-    the origin; observe also takes a plain cost vector.  A round's cost must
-    be linear, one entry per expert, and nonnegative; anything else, NaN
+    """OMP on the m-expert simplex whose step is the multiplicative update
+    (the entropy map's prox step), from uniform weights, the projection of
+    the origin.  A round must be a linear RoundLoss whose cost has one entry
+    per expert, each nonnegative; anything else, a plain cost vector and NaN
     included, is refused with InputError before the weights move.  A
     RoundLoss's cost vector is read-only, so a loss is checked once: the
     very object served again on the next round is not checked again.  Its
@@ -414,7 +413,7 @@ class ExpertOMP(OMP):
     _state = ()
 
     def __init__(self, m: int, eta: float):
-        super().__init__(Domain.simplex(m), 1.0, eta)
+        super().__init__(Domain.simplex(m), eta)
         self._checked = None   # the last loss that passed the checks
 
     def _prox(self, z: Point, g: Point) -> Point:
@@ -428,11 +427,9 @@ class ExpertOMP(OMP):
     def tuned_eta(m: int, egv_inf: float) -> float:
         return math.sqrt(math.log(m) / max(egv_inf, 1e-300))
 
-    def observe(self, loss) -> None:
+    def observe(self, loss: RoundLoss) -> None:
         if loss is not self._checked:
-            if not isinstance(loss, RoundLoss):
-                loss = RoundLoss.from_linear(loss)
-            f = loss.linear
+            f = getattr(loss, "linear", None)
             if f is None:
                 raise InputError("expert losses must be linear: one cost per expert")
             if f.shape != self.z.shape:
@@ -444,21 +441,20 @@ class ExpertOMP(OMP):
 
 
 class BanditOMP(OMP):
-    """Deterministic multi-point bandit learner: OMP on the shrunk ball
-    (1−alpha)·W with L = G, whose gradient is estimated from d+1 value
+    """Deterministic multi-point bandit learner: OMP with step eta on the
+    shrunk ball (1−alpha)·W, whose gradient is estimated from d+1 value
     queries on a coordinate stencil; the value it records is the stencil's
     center query.  Its rounds also count queries and keep the last estimate,
     so it names no state to replay."""
 
     _state = ()
 
-    def __init__(self, domain: Domain, G: float, delta: float, eta: float,
-                 dim: int):
+    def __init__(self, domain: Domain, delta: float, eta: float, dim: int):
         if domain.kind != "ball":
             raise UnsupportedDomainError("bandit learner requires a ball domain")
         if not 0.0 < delta < domain.r:
             raise ConfigurationError("query offset must lie in (0, ball radius)")
-        super().__init__(Domain.ball(domain.r * (1.0 - delta / domain.r)), G, eta, dim=dim)
+        super().__init__(Domain.ball(domain.r * (1.0 - delta / domain.r)), eta, dim=dim)
         self.delta = delta
         self.value_queries = 0
         self.last_estimate: Point | None = None
@@ -487,9 +483,10 @@ class BanditOMP(OMP):
 class HingeClassifierPD:
     """Mistake-driven online classifier: primal-dual extra-gradient updates on
     the hinge loss max over alpha in [0, 1] of alpha·(1 − ⟨w, y x⟩), with w
-    on the radius-R ball at the thesis's fixed step eta = 1/(2√2); predicts
-    before updating and updates only on mistakes, which it keeps: it has no
-    `play` and no per-round records."""
+    on the radius-R ball at the thesis's fixed step eta = 1/(2√2).  Each
+    round takes the example times its label, gx = y·x; it predicts before
+    updating and updates only on mistakes, which it keeps: it has no `play`
+    and no per-round records."""
 
     eta = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -503,20 +500,20 @@ class HingeClassifierPD:
         self.mistakes = 0
         self.mistake_examples: list[Point] = []
 
-    def round(self, x: Point, y: float) -> float:
-        """Returns the prediction score; updates internally on a mistake."""
-        score = float(self.w @ x)
-        if score * y <= 0:
+    def round(self, gx: Point) -> None:
+        """Play the example gx = y·x: a score ⟨w, gx⟩ of at most 0 is a
+        mistake, which keeps a float64 copy of gx and updates."""
+        score = float(self.w @ gx)
+        if score <= 0:
             self.mistakes += 1
-            gx = y * np.asarray(x, dtype=np.float64)
+            gx = np.array(gx, dtype=np.float64)
             self.mistake_examples.append(gx)
-            margin = 1.0 - float(self.w @ gx)
+            margin = 1.0 - score
             alpha_old = self.alpha
             self.beta = min(max(self.beta + self.eta * margin, 0.0), 1.0)
             self.wp = self._project(self.wp + self.eta * alpha_old * gx)
             self.alpha = min(max(self.beta + self.eta * margin, 0.0), 1.0)
             self.w = self._project(self.wp + self.eta * alpha_old * gx)
-        return score
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +554,12 @@ class ConstraintSet(NamedTuple):
 class SoftConstraintOGD(OGD):
     """Primal-dual descent-ascent meeting the constraints only in the long run.
 
-    OGD on the radius-R ball with a constant step eta, whose direction is the
-    loss gradient plus the dual-weighted constraint subgradients; the duals
-    are kept nonnegative and damped by a quadratic regularizer so the
-    constraint weights adapt to the accumulated violation.  A horizon T
-    below one round is refused: the tunings divide by a power of T.  Its
+    OGD on the radius-R ball with the step eta = R²/(a·√T), whose direction
+    is the loss gradient plus the dual-weighted constraint subgradients; the
+    duals are kept nonnegative and damped by a quadratic regularizer of
+    weight delta so the constraint weights adapt to the accumulated
+    violation; _tuning gives (a, delta).  A horizon T below one round is
+    refused, as are no constraints, G ≤ 0 and a negative or NaN D or F.  Its
     rounds also move the duals and record violations, so it and
     ZeroViolationOGD name no state to replay.
     """
@@ -569,21 +567,27 @@ class SoftConstraintOGD(OGD):
     _state = ()
 
     def __init__(self, constraints: ConstraintSet, T: int, R: float = 1.0,
-                 eta: float | None = None, delta: float | None = None,
                  dim: int | None = None):
         _at_least("horizon T", T)
         ball = Domain.ball(R)   # refuses R <= 0 before R divides below
+        c = constraints
+        if not (c.m >= 1 and c.G > 0 and c.D >= 0 and c.F >= 0):
+            raise ConfigurationError(f"constraints need m >= 1, G > 0, D >= 0 and F >= 0, "
+                                     f"got m={c.m}, G={c.G!r}, D={c.D!r}, F={c.F!r}")
         self.cons = constraints
-        m, G, D = constraints.m, constraints.G, constraints.D
-        self.a = R * math.sqrt((m + 1) * G * G + 2 * m * D * D)
-        self.eta = eta if eta is not None else R * R / (self.a * math.sqrt(T))
-        self.delta = delta if delta is not None else 2.0 * (m + 1) * G * G
+        self.a, self.delta = self._tuning(R, T)
+        self.eta = R * R / (self.a * math.sqrt(T))
         super().__init__(ball, self.eta, dim=dim)
         self._eta_delta = self.eta * self.delta
         self._zero = _frozen(np.zeros(self.x.shape))
         self._dual = np.array(0.0)   # the dual that weighs a subgradient
-        self._lam = [0.0] * m
+        self._lam = [0.0] * c.m
         self._violations = _record()
+
+    def _tuning(self, R: float, T: int) -> tuple:
+        """(a, delta) = (R·√((m+1)G² + 2mD²), 2(m+1)G²) for `cons`."""
+        m, G, D = self.cons.m, self.cons.G, self.cons.D
+        return R * math.sqrt((m + 1) * G * G + 2 * m * D * D), 2.0 * (m + 1) * G * G
 
     @property
     def lam(self) -> np.ndarray:
@@ -646,18 +650,21 @@ def zero_violation_tuning(G: float, D: float, F: float, R: float, T: int) -> dic
 class ZeroViolationOGD(SoftConstraintOGD):
     """Soft-constraint learner on the single tightened constraint
     g(x) + gamma ≤ 0 with g = max_i g_i, which clears the long-run constraint
-    exactly at the price of a larger regret.  `cons` holds the raw
-    constraints; one dual weights the subgradient of the first maximal g_i."""
+    exactly at the price of a larger regret.  Its (a, delta) and the margin
+    gamma are zero_violation_tuning's.  `cons` holds the raw constraints;
+    one dual weights the subgradient of the first maximal g_i."""
 
     def __init__(self, constraints: ConstraintSet, T: int, R: float = 1.0,
                  dim: int | None = None):
-        tun = zero_violation_tuning(constraints.G, constraints.D, constraints.F, R, T)
-        super().__init__(constraints, T, R=R, dim=dim,
-                         eta=R * R / (tun["a"] * math.sqrt(T)), delta=tun["delta"])
+        super().__init__(constraints, T, R=R, dim=dim)
         self._lam = [0.0]
-        self.a = tun["a"]
-        self.gamma_tighten = tun["gamma"]
         self.raw_violations = _record()
+
+    def _tuning(self, R: float, T: int) -> tuple:
+        c = self.cons
+        tun = zero_violation_tuning(c.G, c.D, c.F, R, T)
+        self.gamma_tighten = tun["gamma"]
+        return tun["a"], tun["delta"]
 
     def _terms(self, x: Point):
         # one evaluation of the raw constraints serves the violation record,

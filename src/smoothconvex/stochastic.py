@@ -325,16 +325,16 @@ def mixed_grad(problem, domain: Domain, *, seed: int = 0, m: int | None = None,
 
 
 def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None = None,
-         T1: int | None = None, Delta1: float | None = None,
-         probe_variance: bool = False) -> Trace:
+         Delta1: float | None = None, probe_variance: bool = False) -> Trace:
     """Fixed-length epochs: one full gradient each, anchored stochastic
     gradients within, iterate averaging, and a domain radius halving in square
     every epoch (Delta ← Delta/√2).
 
-    `T1` is the epoch length, by default the prescribed
-    1152·(L/lam)²·log(1/δ) capped at `T`, with L and lam the L_comp and lam
-    of problem.constants; `Delta1` is the first epoch's radius, by default
-    twice the domain's.
+    The epoch length is the prescribed 1152·(L/lam)²·log(1/δ) capped at `T`,
+    with L and lam the L_comp and lam of problem.constants; a `T` below 1,
+    NaN included, is refused, and `T` = inf leaves the prescribed length
+    uncapped.  `Delta1` is the first epoch's radius, by default twice the
+    domain's.
     """
     R = _ball_radius(domain, "emgd")
     L, lam = problem.constants.L_comp, problem.constants.lam
@@ -342,7 +342,7 @@ def emgd(problem, domain: Domain, *, seed: int = 0, T: int = 1000, m: int | None
         raise ConfigurationError("strong convexity required; use mixed_grad instead")
     m = _at_least("epoch count m", 8 if m is None else m)
     T_presc = math.ceil(1152.0 * (L / lam) ** 2 * math.log(1.0 / _DELTA))
-    T = _at_least("epoch length", T1 if T1 is not None else min(T_presc, T))
+    T = min(T_presc, _at_least("epoch length", T))
     eta = 1.0 / (L * math.sqrt(T))
     Delta = _given_step("Delta1", Delta1) or 2.0 * R
 

@@ -11,7 +11,10 @@ walked the data in row blocks: the n × d component-gradient matrix and the
 variances taken from two of them.
 
 Also the two closed-form variation loops, as they stood before they priced
-each distinct pair of consecutive rounds once, and the hinge comparator's
+each distinct pair of consecutive rounds once; the point-form variation
+with one probe point per round, which measure_egv_exact took at the origin
+on a quadratic sequence before both kinds went through one pair sum; and
+the hinge comparator's
 grid search, as it stood before its rows were split over processes and
 before it skipped the points whose lower bound shows they cannot win: it
 prices every point in the disc.
@@ -307,6 +310,22 @@ def measure_egv_exact_linear(sequence):
         d = f - prev
         total += float(d.dot(d))
         prev = f
+    return total
+
+
+def measure_egv(sequence, probe_points):
+    """Point-form gradual variation Σ_{t=0}^{T−1} ‖∇f_{t+1}(y_t) − ∇f_t(y_t)‖²
+    with f₀ ≡ 0 over the T rounds of `sequence`; probe_points supplies
+    y_0..y_{T−1}."""
+    pts = [np.asarray(p, dtype=np.float64) for p in probe_points]
+    assert len(pts) >= len(sequence), "need one probe point per round"
+    total = 0.0
+    for t in range(len(sequence)):
+        y = pts[t]
+        g_next = sequence[t].grad(y)
+        g_prev = np.zeros_like(g_next) if t == 0 else sequence[t - 1].grad(y)
+        d = g_next - g_prev
+        total += float(d @ d)
     return total
 
 

@@ -71,7 +71,7 @@ def test_criterion_02_emgd_linear_rate():
     delta1 = max(math.sqrt(2 * (f0 - fstar) / lam), float(np.linalg.norm(wstar))) * 1.05
     good = 0
     for seed in range(10):
-        tr = stochastic.emgd(prob, dom, seed=seed, T=10_000, T1=5000, m=6, Delta1=delta1)
+        tr = stochastic.emgd(prob, dom, seed=seed, T=5000, m=6, Delta1=delta1)
         if all(rec["objective"] - fstar <= lam * delta1**2 / 2 ** (k + 1)
                for k, rec in enumerate(tr.records, start=1)):
             good += 1
@@ -129,7 +129,7 @@ def test_criterion_05_gradual_variation_regret():
     regs = {}
     for T in (100, 10_000):
         seq = [online.RoundLoss.from_linear(f)] * T
-        omp = online.OMP(dom, L=1.0, eta=online.OMP.tuned_eta(1.0, egv), dim=2)
+        omp = online.OMP(dom, eta=online.OMP.tuned_eta(egv), dim=2)
         for l in seq:
             omp.observe(l)
         regs[T] = metrics.final_regret(omp.decisions, seq, dom)
@@ -384,7 +384,7 @@ def test_criterion_12_mistake_bound():
     pts = adversary.classification_stream(0.1, T, d, seed=7)
     learner = online.HingeClassifierPD(d, R=1.0)
     for gx in pts:
-        learner.round(gx, 1.0)
+        learner.round(gx)
 
     def hinge_total(w):
         return float(np.sum(np.maximum(0.0, 1.0 - pts @ w)))

@@ -8,11 +8,17 @@ import pytest
 from smoothconvex import adversary
 from smoothconvex.core import Domain, InputError, make_rng
 from smoothconvex.adversary import (alternating_linear, classification_stream,
-                                    drifting_quadratics, ftrl_adversary, measure_egv,
+                                    drifting_quadratics, ftrl_adversary,
                                     measure_egv_exact, measure_egv_inf)
 from smoothconvex.online import OGD, RoundLoss
 
 import frozen_kernels
+from frozen_kernels import measure_egv
+
+
+def free(T):
+    """A variation budget of 4T: ftrl_adversary flips on every round it may."""
+    return 4.0 * T
 
 
 class TestFtrlAdversary:
@@ -20,26 +26,26 @@ class TestFtrlAdversary:
         def signs(seq):
             return [l.linear[0] for l in seq]
         # case II, s = 1 < sqrt(6): flip every s rounds
-        assert signs(ftrl_adversary(1.0, 6)) == [1.0, -1.0] * 3
+        assert signs(ftrl_adversary(1.0, 6, free(6))) == [1.0, -1.0] * 3
         # case III, s = 0: start negative, then alternate every round
-        assert signs(ftrl_adversary(2.0, 6)) == [-1.0, 1.0] * 3
+        assert signs(ftrl_adversary(2.0, 6, free(6))) == [-1.0, 1.0] * 3
         # case I, s = 20 >= 10: s/2 rounds of the unit vector, zeros after
-        assert signs(ftrl_adversary(0.05, 100)) == [1.0] * 10 + [0.0] * 90
+        assert signs(ftrl_adversary(0.05, 100, free(100))) == [1.0] * 10 + [0.0] * 90
 
     def test_case2_period_pattern(self):
-        seq = ftrl_adversary(1.0, 6)
+        seq = ftrl_adversary(1.0, 6, free(6))
         signs = [l.linear[0] for l in seq]
         assert signs == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
 
     def test_case3_starts_negative(self):
-        seq = ftrl_adversary(2.0, 5)
+        seq = ftrl_adversary(2.0, 5, free(5))
         signs = [l.linear[0] for l in seq]
         assert signs[0] == -1.0
         assert signs[1] == 1.0 and signs[2] == -1.0
 
     def test_ogd_pays_on_the_construction(self):
         eta, T = 0.01, 10_000
-        seq = ftrl_adversary(eta, T)
+        seq = ftrl_adversary(eta, T, free(T))
         dom = Domain.ball(1.0)
         learner = OGD(dom, eta, dim=1)
         for l in seq:
@@ -116,15 +122,19 @@ class TestAlternatingLinear:
 
 
 @pytest.mark.parametrize("build", [
-    lambda: ftrl_adversary(math.nan, 3),
-    lambda: ftrl_adversary(-0.5, 3),
+    lambda: ftrl_adversary(math.nan, 3, free(3)),
+    lambda: ftrl_adversary(-0.5, 3, free(3)),
+    lambda: ftrl_adversary(0.5, 3, math.nan),
+    lambda: ftrl_adversary(0.5, 3, math.inf),
+    lambda: ftrl_adversary(0.5, 3, -4.0),
     lambda: drifting_quadratics(math.nan, 3, 2),
     lambda: drifting_quadratics(-0.1, 3, 2),
     lambda: classification_stream(math.nan, 3, 2),
-], ids=["ftrl-nan", "ftrl-negative", "drifting-nan", "drifting-negative",
-        "stream-nan"])
+], ids=["ftrl-nan", "ftrl-negative", "ftrl-budget-nan", "ftrl-budget-inf",
+        "ftrl-budget-negative", "drifting-nan", "drifting-negative", "stream-nan"])
 def test_bad_parameter_refused(build):
-    # the NaN cases built NaN rounds, or raised a bare ValueError (ftrl)
+    # the NaN cases built NaN rounds, or raised a bare ValueError (ftrl); a
+    # negative budget built a sequence of zeros
     with pytest.raises(InputError):
         build()
 
@@ -164,14 +174,6 @@ class TestVariationMeasures:
         pts = [np.ones(2) * k for k in range(5)]
         assert measure_egv(seq, pts) == pytest.approx(float(f @ f))
 
-    def test_linear_sequence_probe_independent(self):
-        rng = make_rng(5)
-        vecs = rng.uniform(-1, 1, size=(6, 2))
-        seq = [RoundLoss.from_linear(v) for v in vecs]
-        a = measure_egv(seq, [rng.standard_normal(2) for _ in range(6)])
-        b = measure_egv(seq, [np.zeros(2)] * 6)
-        assert a == pytest.approx(b, abs=1e-12)
-
     def test_infinity_norm_variant(self):
         seq = [RoundLoss.from_linear(np.array([0.5, 0.2])),
                RoundLoss.from_linear(np.array([0.1, 0.9]))]
@@ -190,19 +192,24 @@ class TestVariationMeasures:
             measure_egv_exact(seq)
 
 
-@pytest.mark.parametrize("build", [
-    lambda T, d: alternating_linear(1.0, T, d),
-    lambda T, d: ftrl_adversary(0.5, T, d=d),
-    lambda T, d: drifting_quadratics(0.1, T, d),
-    lambda T, d: classification_stream(0.1, T, d),
-], ids=["alternating", "ftrl", "drifting", "classification"])
-@pytest.mark.parametrize("T,d", [(0, 2), (-1, 2), (3, 0), (3, -2)])
+_SIZED = {
+    "alternating": lambda T, d: alternating_linear(1.0, T, d),
+    "ftrl": lambda T, d: ftrl_adversary(0.5, T, 0.0),   # 1-D: no d to refuse
+    "drifting": lambda T, d: drifting_quadratics(0.1, T, d),
+    "classification": lambda T, d: classification_stream(0.1, T, d),
+}
+
+
+@pytest.mark.parametrize("build,T,d", [
+    pytest.param(build, T, d, id=f"{T}-{d}-{name}")
+    for name, build in _SIZED.items()
+    for T, d in ([(0, 1), (-1, 1)] if name == "ftrl" else [(0, 2), (-1, 2), (3, 0), (3, -2)])])
 def test_generator_refuses_empty_sizes(build, T, d):
     with pytest.raises(InputError, match=f"got T={T}, d={d}"):
         build(T, d)
 
 
-def _one_object_per_round(name, *args, **kw):
+def _one_object_per_round(name, *args):
     """Per-round cost vectors of the generators as built with one RoundLoss
     per round (the reference the shared-object generators must reproduce)."""
     if name == "alternating":
@@ -210,16 +217,15 @@ def _one_object_per_round(name, *args, **kw):
         f = np.zeros(d)
         f[0] = math.sqrt(egv / (4.0 * T - 3.0))
         return [f if t % 2 == 0 else -f for t in range(T)]
-    eta, T = args   # ftrl
-    gv, f = kw.get("gv_target"), np.array([1.0])
+    eta, T, gv = args   # ftrl
+    f = np.array([1.0])
     s = math.floor(1.0 / eta)
     if s >= math.sqrt(T):
         out = [f] * min(s // 2, T)
     elif s > 0:
-        tau = T // (2 * s) if gv is None else min(T // (2 * s), int(gv // 4))
-        out = ([f] * s + [-f] * s) * tau
+        out = ([f] * s + [-f] * s) * min(T // (2 * s), int(gv // 4))
     else:
-        budget = T - 1 if gv is None else min(T - 1, int(gv // 4))
+        budget = min(T - 1, int(gv // 4))
         out, sign = [-f], 1.0
         for _ in range(budget):
             out.append(sign * f)
@@ -228,22 +234,18 @@ def _one_object_per_round(name, *args, **kw):
 
 
 SHARED_GENERATORS = [
-    pytest.param("alternating", lambda: alternating_linear(16.0, 301, 4), (16.0, 301, 4),
-                 {}, id="alternating"),
-    pytest.param("ftrl", lambda: ftrl_adversary(0.05, 100), (0.05, 100), {},
-                 id="ftrl-case-I"),
-    pytest.param("ftrl", lambda: ftrl_adversary(0.2, 300, gv_target=200.0), (0.2, 300),
-                 {"gv_target": 200.0}, id="ftrl-case-II"),
-    pytest.param("ftrl", lambda: ftrl_adversary(2.0, 301, gv_target=400.0), (2.0, 301),
-                 {"gv_target": 400.0}, id="ftrl-case-III"),
+    pytest.param("alternating", alternating_linear, (16.0, 301, 4), id="alternating"),
+    pytest.param("ftrl", ftrl_adversary, (0.05, 100, free(100)), id="ftrl-case-I"),
+    pytest.param("ftrl", ftrl_adversary, (0.2, 300, 200.0), id="ftrl-case-II"),
+    pytest.param("ftrl", ftrl_adversary, (2.0, 301, 400.0), id="ftrl-case-III"),
 ]
 
 
 class TestSharedRoundObjects:
-    @pytest.mark.parametrize("name,build,args,kw", SHARED_GENERATORS)
-    def test_rounds_equal_one_object_per_round(self, name, build, args, kw):
-        seq = build()
-        want = _one_object_per_round(name, *args, **kw)
+    @pytest.mark.parametrize("name,build,args", SHARED_GENERATORS)
+    def test_rounds_equal_one_object_per_round(self, name, build, args):
+        seq = build(*args)
+        want = _one_object_per_round(name, *args)
         assert len(want) == len(seq)
         for t, f in enumerate(want):
             np.testing.assert_array_equal(seq[t].linear, f, strict=True)
@@ -251,9 +253,9 @@ class TestSharedRoundObjects:
         # each distinct cost vector is one object
         assert len({id(l) for l in seq}) == len({tuple(f) for f in want})
 
-    @pytest.mark.parametrize("name,build,args,kw", SHARED_GENERATORS)
-    def test_exact_variation_equals_point_form_at_origin(self, name, build, args, kw):
-        seq = build()
+    @pytest.mark.parametrize("name,build,args", SHARED_GENERATORS)
+    def test_exact_variation_equals_point_form_at_origin(self, name, build, args):
+        seq = build(*args)
         d = seq[0].linear.shape[0]
         assert measure_egv_exact(seq) == measure_egv(seq, [np.zeros(d)] * len(seq))
 
@@ -273,9 +275,9 @@ def _one_object_each(seq):
 
 VARIATION_SEQUENCES = [
     pytest.param(lambda: alternating_linear(16.0, 301, 4), id="alternating"),
-    pytest.param(lambda: ftrl_adversary(0.05, 100), id="ftrl-case-I"),
-    pytest.param(lambda: ftrl_adversary(0.2, 300, gv_target=200.0), id="ftrl-case-II"),
-    pytest.param(lambda: ftrl_adversary(2.0, 301, gv_target=400.0), id="ftrl-case-III"),
+    pytest.param(lambda: ftrl_adversary(0.05, 100, free(100)), id="ftrl-case-I"),
+    pytest.param(lambda: ftrl_adversary(0.2, 300, 200.0), id="ftrl-case-II"),
+    pytest.param(lambda: ftrl_adversary(2.0, 301, 400.0), id="ftrl-case-III"),
     pytest.param(lambda: _two_blocks(16, 777, 3), id="two-blocks"),
     pytest.param(lambda: _one_object_each(alternating_linear(4.0, 300, 3)),
                  id="alternating-one-object-each"),
@@ -287,8 +289,8 @@ VARIATION_SEQUENCES = [
 
 
 class TestVariationPairs:
-    """measure_egv_exact's linear branch and measure_egv_inf price each
-    distinct (previous, current) pair of round objects once."""
+    """measure_egv_exact and measure_egv_inf price each distinct (previous,
+    current) pair of round objects once."""
 
     @pytest.mark.parametrize("build", VARIATION_SEQUENCES)
     def test_bits_equal_the_per_round_loops(self, build):
@@ -296,16 +298,30 @@ class TestVariationPairs:
         assert measure_egv_exact(seq).hex() == frozen_kernels.measure_egv_exact_linear(seq).hex()
         assert measure_egv_inf(seq).hex() == frozen_kernels.measure_egv_inf(seq).hex()
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: drifting_quadratics(0.07, 300, 3, radius=0.4), id="drifting"),
+        pytest.param(lambda: drifting_quadratics(0.0, 50, 2), id="drifting-still"),
+        pytest.param(lambda: RoundLoss.quadratic_rounds(make_rng(10).standard_normal((200, 4))),
+                     id="random-centers"),
+        pytest.param(lambda: [RoundLoss.from_quadratic(c)
+                              for c in (np.full(2, -0.0), np.array([0.5, -1.5]))] * 40,
+                     id="shared-with-signed-zeros"),
+    ])
+    def test_quadratic_bits_equal_the_point_form_at_the_origin(self, build):
+        seq = build()
+        origin = np.zeros_like(seq[0].quad_center)
+        assert measure_egv_exact(seq).hex() == measure_egv(seq, [origin] * len(seq)).hex()
+
     @pytest.mark.parametrize("build", VARIATION_SEQUENCES)
     def test_each_distinct_pair_priced_once(self, build, monkeypatch):
         seq = build()
         pairs = {(id(p), id(c)) for p, c in zip([None] + seq, seq)}
-        for name in ("_linear_sq", "_inf_sq"):
+        for name in ("_origin_sq", "_inf_sq"):
             priced, term = [], getattr(adversary, name)
             monkeypatch.setattr(adversary, name,
                                 lambda p, c, term=term, priced=priced:
                                 priced.append((id(p), id(c))) or term(p, c))
-            measure_egv_exact(seq) if name == "_linear_sq" else measure_egv_inf(seq)
+            measure_egv_exact(seq) if name == "_origin_sq" else measure_egv_inf(seq)
             assert sorted(priced) == sorted(pairs), name
 
     def test_infinity_norm_refuses_a_quadratic_round(self):

@@ -407,9 +407,9 @@ class TestProjector:
 
     @pytest.mark.parametrize("dom", all_domains(), ids=lambda d: d.kind)
     def test_omp_step_matches_checked_projection(self, dom):
-        # OMP's bound step is the checked projection of z − (η/L)·g, bit for bit
+        # OMP's bound step is the checked projection of z − η·g, bit for bit
         rng = make_rng(11)
-        omp = OMP(dom, L=2.0, eta=0.6, dim=4)
+        omp = OMP(dom, eta=0.6 / 2.0, dim=4)
         for _ in range(50):
             z, g = rng.uniform(-2, 2, size=4), rng.standard_normal(4)
             want = dom.project(z - 0.3 * g)
@@ -456,7 +456,7 @@ class TestProxStep:
 
     def test_euclidean_is_projected_step(self):
         dom = Domain.box([-10.0, -10.0], [10.0, 10.0])
-        omp = OMP(dom, L=1.0, eta=0.5, dim=2)
+        omp = OMP(dom, eta=0.5, dim=2)
         out = omp._prox(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [0.5, 1.0], atol=1e-15)
 
@@ -510,7 +510,7 @@ class TestProxStep:
             z = dom.sample(rng, dim=4)
             g = rng.standard_normal(4)
             eta = float(rng.uniform(0.01, 2.0))
-            a = OMP(dom, L=1.0, eta=eta, dim=4)._prox(z, g)
+            a = OMP(dom, eta=eta, dim=4)._prox(z, g)
             b = dom.project(z - eta * g)
             assert np.max(np.abs(a - b)) < 1e-10
 

@@ -1,6 +1,7 @@
 """Round-protocol learners: hand recursions, structural guarantees, bounds."""
 
 import copy
+import inspect
 import math
 import struct
 import tracemalloc
@@ -65,15 +66,15 @@ class TestOGD:
 
 class TestIFTRL:
     def test_round_one_at_origin(self):
-        assert np.array_equal(IFTRL(UNIT, L=1.0, eta=1.0, dim=2).predict(), np.zeros(2))
+        assert np.array_equal(IFTRL(UNIT, eta=1.0, dim=2).predict(), np.zeros(2))
 
     def test_eta_range_enforced(self):
         with pytest.raises(ConfigurationError):
-            IFTRL(UNIT, L=1.0, eta=1.5, dim=2)
+            IFTRL(UNIT, eta=1.5, dim=2)
 
     def test_unsupported_leader_domain(self):
         with pytest.raises(UnsupportedDomainError):
-            IFTRL(Domain.l1_ball(1.0, dim=2), L=1.0, eta=0.5, dim=2)
+            IFTRL(Domain.l1_ball(1.0, dim=2), eta=0.5, dim=2)
 
     def test_constant_losses_regret_T_independent(self):
         f = np.array([1.0, 0.0])  # exactly representable geometry
@@ -81,7 +82,7 @@ class TestIFTRL:
         eta = min(1.0, 1.0 / math.sqrt(egv))
         regs = []
         for T in (100, 10_000):
-            lr = IFTRL(UNIT, L=1.0, eta=eta, dim=2)
+            lr = IFTRL(UNIT, eta=eta, dim=2)
             seq = const_seq(f, T)
             for l in seq:
                 lr.observe(l)
@@ -94,7 +95,7 @@ class TestIFTRL:
         g = np.array([0.0, 0.6])
         T = 200
         egv = float(f @ f) + float((g - f) @ (g - f))
-        lr = IFTRL(UNIT, L=1.0, eta=min(1.0, 1.0 / math.sqrt(egv)), dim=2)
+        lr = IFTRL(UNIT, eta=min(1.0, 1.0 / math.sqrt(egv)), dim=2)
         seq = [linear(f)] * (T // 2) + [linear(g)] * (T // 2)
         for l in seq:
             lr.observe(l)
@@ -113,7 +114,7 @@ class TestIFTRL:
 
 class TestOMP:
     def test_zero_losses_fixed(self):
-        omp = OMP(UNIT, L=1.0, eta=0.5, dim=2)
+        omp = OMP(UNIT, eta=0.5, dim=2)
         for _ in range(3):
             omp.observe(linear(np.zeros(2)))
         assert all(np.array_equal(x, np.zeros(2)) for x in omp.decisions)
@@ -121,10 +122,10 @@ class TestOMP:
     def test_constant_losses_regret_T_independent(self):
         f = np.array([1.0, 0.0])
         egv = float(f @ f)
-        eta = OMP.tuned_eta(1.0, egv)
+        eta = OMP.tuned_eta(egv)
         regs = []
         for T in (100, 10_000):
-            omp = OMP(UNIT, L=1.0, eta=eta, dim=2)
+            omp = OMP(UNIT, eta=eta, dim=2)
             seq = const_seq(f, T)
             for l in seq:
                 omp.observe(l)
@@ -138,7 +139,7 @@ class TestOMP:
             method = getattr(type(loss), name)
             monkeypatch.setattr(type(loss), name, lambda self, x, method=method:
                                 calls.append(x) or method(self, x))
-        omp = OMP(UNIT, L=1.0, eta=0.5, dim=2)
+        omp = OMP(UNIT, eta=0.5, dim=2)
         for _ in range(10):
             omp.observe(loss)
         assert len(calls) == 10
@@ -155,24 +156,24 @@ class TestExpertOMP:
     def test_uniform_losses_keep_decision(self):
         e = ExpertOMP(3, eta=0.7)
         d0 = e.predict().copy()
-        e.observe(np.array([0.4, 0.4, 0.4]))
+        e.observe(linear([0.4, 0.4, 0.4]))
         np.testing.assert_allclose(e.predict(), d0, atol=1e-15)
 
     def test_two_expert_closed_form(self):
         e = ExpertOMP(2, eta=math.log(2.0))
-        e.observe(np.array([1.0, 0.0]))
+        e.observe(linear([1.0, 0.0]))
         np.testing.assert_allclose(e.z, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
     def test_zero_cost_is_a_fixed_point(self):
         e = ExpertOMP(2, eta=3.7)
-        e.observe(np.zeros(2))
+        e.observe(linear(np.zeros(2)))
         np.testing.assert_allclose(e.z, [0.5, 0.5], atol=1e-15)
 
     def test_step_is_the_multiplicative_update(self):
         z, f = np.array([0.2, 0.3, 0.5]), np.array([1.5, 0.0, 0.5])
         e = ExpertOMP(3, eta=0.7)
         e.z = z
-        e.observe(f)
+        e.observe(linear(f))
         want = z * np.exp(-0.7 * f)
         want /= want.sum()
         np.testing.assert_allclose(e.z, want, atol=1e-14)
@@ -181,23 +182,24 @@ class TestExpertOMP:
         rng = make_rng(0)
         e = ExpertOMP(6, eta=0.3)
         for _ in range(200):
-            e.observe(rng.uniform(0, 1, size=6))
+            e.observe(linear(rng.uniform(0, 1, size=6)))
             assert abs(e.predict().sum() - 1.0) <= 1e-12
 
     def test_negative_losses_rejected(self):
         with pytest.raises(InputError):
-            ExpertOMP(2, eta=0.1).observe(np.array([-0.1, 0.2]))
+            ExpertOMP(2, eta=0.1).observe(linear([-0.1, 0.2]))
 
     @pytest.mark.parametrize("cost", [
-        np.array([0.2, np.nan, 0.1]),
-        RoundLoss.from_linear(np.array([0.2, np.nan, 0.1])),
+        linear([np.nan, 0.2, 0.1]),
+        linear([0.2, np.nan, 0.1]),
         RoundLoss.from_quadratic(np.zeros(3)),
-        np.array([0.2, 0.1]),
-        np.array([0.2, 0.1, 0.3, 0.4]),
-    ], ids=["nan", "nan-roundloss", "quadratic", "short", "long"])
+        linear([0.2, 0.1]),
+        linear([0.2, 0.1, 0.3, 0.4]),
+        np.array([0.2, 0.1, 0.3]),
+    ], ids=["nan", "nan-roundloss", "quadratic", "short", "long", "plain-vector"])
     def test_bad_cost_refused_before_the_weights_move(self, cost):
         e = ExpertOMP(3, eta=0.5)
-        e.observe(np.array([0.3, 0.1, 0.2]))
+        e.observe(linear([0.3, 0.1, 0.2]))
         z, prev = e.z.tobytes(), e.prev_grad.tobytes()
         with pytest.raises(InputError):
             e.observe(cost)
@@ -226,14 +228,14 @@ class TestExpertOMP:
 
 class TestBanditOMP:
     def test_linear_estimate_exact(self):
-        b = BanditOMP(UNIT, G=1.0, delta=0.05, eta=0.01, dim=3)
+        b = BanditOMP(UNIT, delta=0.05, eta=0.01, dim=3)
         c = np.array([0.3, -0.2, 0.7])
         b.observe(linear(c))
         np.testing.assert_allclose(b.last_estimate, c, atol=1e-10)
 
     def test_quadratic_estimate_hits_bound_exactly(self):
         d, delta = 3, 0.1
-        b = BanditOMP(UNIT, G=1.0, delta=delta, eta=0.01, dim=d)
+        b = BanditOMP(UNIT, delta=delta, eta=0.01, dim=d)
         loss = RoundLoss.from_quadratic(np.zeros(d))   # ½‖x‖²
         x = b.predict()
         b.observe(loss)
@@ -244,7 +246,7 @@ class TestBanditOMP:
 
     def test_query_accounting_and_feasibility(self):
         T, d = 50, 4
-        b = BanditOMP(Domain.ball(0.9), G=1.0, delta=0.05, eta=0.02, dim=d)
+        b = BanditOMP(Domain.ball(0.9), delta=0.05, eta=0.02, dim=d)
         rng = make_rng(2)
         for _ in range(T):
             x = b.predict()
@@ -255,7 +257,7 @@ class TestBanditOMP:
     def test_smooth_loss_estimate_error_bound(self):
         d, delta, L = 2, 0.05, 1.0
         rng = make_rng(3)
-        b = BanditOMP(UNIT, G=2.0, delta=delta, eta=0.01, dim=d)
+        b = BanditOMP(UNIT, delta=delta, eta=0.01 / 2.0, dim=d)
         for _ in range(100):
             c = rng.standard_normal(d) * 0.4
             loss = RoundLoss.from_quadratic(c)
@@ -266,7 +268,7 @@ class TestBanditOMP:
 
     def test_offset_must_fit_radius(self):
         with pytest.raises(ConfigurationError):
-            BanditOMP(Domain.ball(0.1), G=1.0, delta=0.2, eta=0.01, dim=2)
+            BanditOMP(Domain.ball(0.1), delta=0.2, eta=0.01, dim=2)
 
 
 class TestHingeClassifierPD:
@@ -274,14 +276,14 @@ class TestHingeClassifierPD:
         h = HingeClassifierPD(2, R=1.0)
         h.w = np.array([0.5, 0.0])
         w_before = h.w.copy()
-        s = h.round(np.array([1.0, 0.0]), 1.0)  # correct confident prediction
-        assert s > 0 and h.mistakes == 0
+        h.round(np.array([1.0, 0.0]))  # correct confident prediction: score 0.5
+        assert h.mistakes == 0
         np.testing.assert_array_equal(h.w, w_before)
 
     def test_hinge_single_mistake_updates(self):
         h = HingeClassifierPD(2, R=1.0)
         eta = 1.0 / (2.0 * math.sqrt(2.0))
-        h.round(np.array([1.0, 0.0]), 1.0)  # score 0 counts as a mistake
+        h.round(np.array([1.0, 0.0]))  # score 0 counts as a mistake
         assert h.mistakes == 1
         assert h.beta == eta
         assert h.alpha == pytest.approx(2.0 * eta)
@@ -299,7 +301,7 @@ class TestHingeClassifierPD:
         # stays empty and a `play` without observe would only mislead
         h = HingeClassifierPD(2, R=1.0)
         for gx in classification_stream(0.1, 2, 2, seed=3):
-            h.round(gx, 1.0)
+            h.round(gx)
         assert not isinstance(h, BaseLearner)
         for name in ("play", "observe", "decisions", "loss_values", "_state", "_records"):
             assert not hasattr(h, name), name
@@ -309,7 +311,7 @@ class TestHingeClassifierPD:
         pts = classification_stream(0.02, T, d, seed=7)
         h = HingeClassifierPD(d, R=1.0)
         for gx in pts:
-            h.round(gx, 1.0)
+            h.round(gx)
         # best fixed comparator by grid over the 2-D disc
 
         def hinge_total(w):
@@ -334,44 +336,82 @@ PENALTY_CONS = ConstraintSet(funcs=[(lambda x: -1.0, lambda x: np.zeros(2))],
 
 
 class TestConstructionChecks:
-    """A non-positive or NaN step size, smoothness, radius or query offset,
+    """A non-positive or NaN step size, radius or query offset,
     or a negative or NaN penalty weight, would divide by zero, climb the
     cost or leave the domain in some later round; each learner refuses it
     when it is built."""
 
     @pytest.mark.parametrize("make", [
-        lambda: BanditOMP(UNIT, G=1.0, delta=-0.5, eta=0.1, dim=2),
-        lambda: BanditOMP(UNIT, G=1.0, delta=0.0, eta=0.1, dim=2),
-        lambda: BanditOMP(UNIT, G=0.0, delta=0.1, eta=0.1, dim=2),
-        lambda: OMP(UNIT, L=0.0, eta=0.5, dim=2),
-        lambda: OMP(UNIT, L=-1.0, eta=0.5, dim=2),
-        lambda: IFTRL(UNIT, L=0.0, eta=0.5, dim=2),
-        lambda: IFTRL(UNIT, L=-1.0, eta=0.5, dim=2),
+        lambda: BanditOMP(UNIT, delta=-0.5, eta=0.1, dim=2),
+        lambda: BanditOMP(UNIT, delta=0.0, eta=0.1, dim=2),
         lambda: HingeClassifierPD(2, R=-1.0),
         lambda: HingeClassifierPD(2, R=0.0),
         lambda: OGD(UNIT, 0.0, dim=2),
         lambda: OGD(UNIT, -0.5, dim=2),
         lambda: OGD(UNIT, math.nan, dim=2),
-        lambda: OMP(UNIT, L=1.0, eta=math.nan, dim=2),
-        lambda: OMP(UNIT, L=math.nan, eta=0.5, dim=2),
-        lambda: IFTRL(UNIT, L=math.nan, eta=0.5, dim=2),
+        lambda: OMP(UNIT, eta=math.nan, dim=2),
         lambda: ExpertOMP(3, eta=math.nan),
-        lambda: BanditOMP(UNIT, G=1.0, delta=0.1, eta=math.nan, dim=2),
+        lambda: BanditOMP(UNIT, delta=0.1, eta=math.nan, dim=2),
         lambda: HingeClassifierPD(2, R=math.nan),
         lambda: PenaltyOGD(PENALTY_CONS, 0.1, delta=math.nan, dim=2),
         lambda: PenaltyOGD(PENALTY_CONS, 0.1, delta=-0.5, dim=2),
-    ], ids=["bandit-delta-neg", "bandit-delta-0", "bandit-G-0", "omp-L-0", "omp-L-neg",
-            "iftrl-L-0", "iftrl-L-neg", "hinge-R-neg",
+    ], ids=["bandit-delta-neg", "bandit-delta-0", "hinge-R-neg",
             "hinge-R-0", "ogd-eta-0", "ogd-eta-neg", "ogd-eta-nan", "omp-eta-nan",
-            "omp-L-nan", "iftrl-L-nan", "expert-eta-nan", "bandit-eta-nan", "hinge-R-nan",
+            "expert-eta-nan", "bandit-eta-nan", "hinge-R-nan",
             "penalty-delta-nan", "penalty-delta-neg"])
     def test_nonpositive_parameter_refused(self, make):
         with pytest.raises(ConfigurationError):
             make()
 
 
+# each online callable's parameters, in order: exactly the values some
+# experiment sets
+_ONLINE_PARAMETERS = {
+    "OGD": (OGD, ["domain", "eta", "dim"]),
+    "IFTRL": (IFTRL, ["domain", "eta", "dim"]),
+    "OMP": (OMP, ["domain", "eta", "dim"]),
+    "OMP.tuned_eta": (OMP.tuned_eta, ["egv"]),
+    "ExpertOMP": (ExpertOMP, ["m", "eta"]),
+    "BanditOMP": (BanditOMP, ["domain", "delta", "eta", "dim"]),
+    "HingeClassifierPD": (HingeClassifierPD, ["dim", "R"]),
+    "HingeClassifierPD.round": (HingeClassifierPD(2).round, ["gx"]),
+    "SoftConstraintOGD": (SoftConstraintOGD, ["constraints", "T", "R", "dim"]),
+    "ZeroViolationOGD": (ZeroViolationOGD, ["constraints", "T", "R", "dim"]),
+    "PenaltyOGD": (PenaltyOGD, ["constraints", "eta", "delta", "R", "dim"]),
+    "ftrl_adversary": (ftrl_adversary, ["eta", "T", "gv_target"]),
+}
+# names that only divided η (L, and BanditOMP's G), or that only tests set
+_DELETED = {"L", "G", "eta", "delta", "x", "y", "d"}
+
+
+@pytest.mark.parametrize("name", sorted(_ONLINE_PARAMETERS))
+def test_online_callable_takes_only_the_parameters_an_experiment_sets(name):
+    fn, want = _ONLINE_PARAMETERS[name]
+    assert list(inspect.signature(fn).parameters) == want
+    # every name another callable takes, or that was deleted, is refused
+    others = set().union(_DELETED, *(p for _, p in _ONLINE_PARAMETERS.values())) - set(want)
+    for other in sorted(others):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{other}'"):
+            fn(**{other: 1})
+
+
 def ball_constraint(r):
     return (lambda x: float(x @ x) - r * r, lambda x: 2.0 * x)
+
+
+# constraint bounds the soft-constraint learners refuse: each raised a bare
+# ValueError or ZeroDivisionError, was refused as a bad step size, or ran
+# (G < 0, and an empty set until its first round)
+_BAD_BOUNDS = {"F-neg": dict(F=-1.0), "G-neg": dict(G=-2.0), "D-nan": dict(D=math.nan),
+               "G0-D0": dict(G=0.0, D=0.0), "no-constraints": dict(funcs=[])}
+
+
+class _UnitTuned(SoftConstraintOGD):
+    """SoftConstraintOGD tuned to a = delta = 1: at R = 1 and T = 100 its
+    step is eta = 1/(1·√100) = 0.1."""
+
+    def _tuning(self, R, T):
+        return 1.0, 1.0
 
 
 class TestSoftConstraints:
@@ -388,7 +428,8 @@ class TestSoftConstraints:
     def test_dual_update_formula(self):
         cons = ConstraintSet(funcs=[(lambda x: -1.0, lambda x: np.zeros(2))],
                              D=1.0, G=1.0, F=1.0)
-        lr = SoftConstraintOGD(cons, T=100, R=1.0, dim=2, eta=0.1, delta=1.0)
+        lr = _UnitTuned(cons, T=100, R=1.0, dim=2)
+        assert (lr.eta, lr.delta) == (0.1, 1.0)
         lr._lam = [0.2]
         lr.observe(linear(np.zeros(2)))
         # lam' = [0.2*(1 - 0.1*0.1*1... ) ...] with eta=0.1, delta=1, g=-1:
@@ -417,14 +458,15 @@ class TestSoftConstraints:
         assert float(np.sum(lr.raw_violations)) <= 0.0
 
     @pytest.mark.parametrize("make", [
-        lambda c: SoftConstraintOGD(c, T=100, R=1.0, dim=2, eta=0.0),
         lambda c: SoftConstraintOGD(c, T=100, R=0.0, dim=2),
         lambda c: ZeroViolationOGD(c, T=100, R=0.0, dim=2),
         lambda c: zero_violation_tuning(c.G, c.D, c.F, math.nan, 100),
         lambda c: PenaltyOGD(c, 0.1, delta=1.0, R=-1.0, dim=2),
         lambda c: PenaltyOGD(c, math.nan, delta=1.0, R=1.0, dim=2),
-    ], ids=["soft-eta0", "soft-R0", "zero-R0", "zero-R-nan", "penalty-Rneg",
-            "penalty-eta-nan"])
+    ] + [lambda c, learner=learner, bad=bad: learner(c._replace(**bad), T=100, R=1.0, dim=2)
+         for learner in (SoftConstraintOGD, ZeroViolationOGD) for bad in _BAD_BOUNDS.values()],
+        ids=["soft-R0", "zero-R0", "zero-R-nan", "penalty-Rneg", "penalty-eta-nan"]
+        + [f"{kind}-{name}" for kind in ("soft", "zero") for name in _BAD_BOUNDS])
     def test_nonpositive_step_or_radius_refused(self, make):
         with pytest.raises(ConfigurationError):
             make(self.make_cons())
@@ -432,9 +474,8 @@ class TestSoftConstraints:
     @pytest.mark.parametrize("T", [0, -5, 0.5])
     @pytest.mark.parametrize("make", [
         lambda c, T: SoftConstraintOGD(c, T=T, R=1.0, dim=2),
-        lambda c, T: SoftConstraintOGD(c, T=T, R=1.0, dim=2, eta=0.1),
         lambda c, T: ZeroViolationOGD(c, T=T, R=1.0, dim=2),
-    ], ids=["soft", "soft-given-eta", "zero"])
+    ], ids=["soft", "zero"])
     def test_horizon_below_one_refused(self, make, T):
         with pytest.raises(ConfigurationError, match="horizon T"):
             make(self.make_cons(), T)
@@ -457,7 +498,7 @@ class TestSoftConstraints:
         cons = ConstraintSet(funcs=[(lambda x: v, lambda x: np.zeros(2))],
                              D=1.0, G=1.0, F=1.0)
         if kind == "soft":
-            lr = SoftConstraintOGD(cons, T=100, R=1.0, dim=2, eta=0.1, delta=1.0)
+            lr = _UnitTuned(cons, T=100, R=1.0, dim=2)
         else:
             lr = ZeroViolationOGD(cons, T=100, R=1.0, dim=2)
             lr.gamma_tighten = 0.0   # the tightened value is v itself
@@ -503,8 +544,8 @@ class TestFeasibilityAcrossLearners:
         T = 60
         for make in (
             lambda: OGD(UNIT, 0.4, dim=3),
-            lambda: OMP(UNIT, L=1.0, eta=0.3, dim=3),
-            lambda: IFTRL(UNIT, L=1.0, eta=0.5, dim=3),
+            lambda: OMP(UNIT, eta=0.3, dim=3),
+            lambda: IFTRL(UNIT, eta=0.5, dim=3),
         ):
             lr = make()
             for _ in range(T):
@@ -518,14 +559,14 @@ class TestEgvScalingInvariant:
         T, d = 10_000, 5
         egvs = [1.0, 4.0, 16.0, 64.0]
         for make, tune in (
-            (lambda eta: OMP(UNIT, L=1.0, eta=eta, dim=d), OMP.tuned_eta),
-            (lambda eta: IFTRL(UNIT, L=1.0, eta=eta, dim=d),
-             lambda L, e: min(1.0, L / math.sqrt(e))),
+            (lambda eta: OMP(UNIT, eta=eta, dim=d), OMP.tuned_eta),
+            (lambda eta: IFTRL(UNIT, eta=eta, dim=d),
+             lambda e: min(1.0, 1.0 / math.sqrt(e))),
         ):
             regs = []
             for egv in egvs:
                 seq = alternating_linear(egv, T, d)
-                lr = make(tune(1.0, egv))
+                lr = make(tune(egv))
                 for l in seq:
                     lr.observe(l)
                 regs.append(final_regret(lr.decisions, seq, UNIT))
@@ -586,7 +627,7 @@ class TestRoundLossReadOnly:
 
     def test_full_omp_run_leaves_every_round_intact(self):
         seq = alternating_linear(4.0, 200, 3)
-        omp = OMP(UNIT, L=1.0, eta=0.3, dim=3)
+        omp = OMP(UNIT, eta=0.3, dim=3)
         for l in seq:
             omp.observe(l)
         fresh = alternating_linear(4.0, 200, 3)
@@ -610,10 +651,10 @@ def _priced_run(kind):
     dom = UNIT
     if kind == "OMP":
         seq = alternating_linear(4.0, 300, 3)
-        lr = OMP(UNIT, L=1.0, eta=OMP.tuned_eta(1.0, 4.0), dim=3)
+        lr = OMP(UNIT, eta=OMP.tuned_eta(4.0), dim=3)
     elif kind == "IFTRL":
         seq = alternating_linear(4.0, 300, 3)
-        lr = IFTRL(UNIT, L=1.0, eta=0.5, dim=3)
+        lr = IFTRL(UNIT, eta=0.5, dim=3)
     elif kind == "OGD":
         seq = ftrl_adversary(0.2, 300, gv_target=200.0)
         lr = OGD(UNIT, 0.2, dim=1)
@@ -679,8 +720,13 @@ class TestZeroViolationRound:
             funcs=[(lambda x: raw_max(x)[0] + zero.gamma_tighten,
                     lambda x: cons.funcs[raw_max(x)[1]][1](x))],
             D=cons.D + zero.gamma_tighten, G=cons.G, F=cons.F)
-        ref = SoftConstraintOGD(tightened, T, R=1.0, eta=zero.eta, delta=zero.delta,
-                                dim=2)
+
+        class Reference(SoftConstraintOGD):   # zero's tuning on the tightened set
+            def _tuning(self, R, T):
+                return zero.a, zero.delta
+
+        ref = Reference(tightened, T, R=1.0, dim=2)
+        assert (ref.eta, ref.delta) == (zero.eta, zero.delta)
         for l in _soft_rounds(T):
             zero.observe(l)
             ref.observe(l)
@@ -745,7 +791,7 @@ class TestFrozenRounds:
     @pytest.mark.parametrize("kind", ["ball", "box"])
     def test_iftrl(self, kind):
         dom, losses = _ROUND_DOMAINS[kind], _mixed_losses(_ROUNDS_T, 3, 2)
-        lr = IFTRL(dom, L=1.0, eta=0.3, dim=3)
+        lr = IFTRL(dom, eta=0.3, dim=3)
         for l in losses:
             lr.observe(l)
         _assert_records_match(lr, frozen_kernels.iftrl_rounds(dom, 1.0, 0.3, 3, losses))
@@ -755,7 +801,7 @@ class TestFrozenRounds:
     @pytest.mark.parametrize("kind", ["ball", "box"])
     def test_omp_euclidean(self, kind):
         dom, losses = _ROUND_DOMAINS[kind], _mixed_losses(_ROUNDS_T, 3, 3)
-        lr = OMP(dom, L=2.0, eta=0.7, dim=3)
+        lr = OMP(dom, eta=0.7 / 2.0, dim=3)
         for l in losses:
             lr.observe(l)
         _assert_records_match(lr, frozen_kernels.omp_rounds(dom, 2.0, 0.7, 3, losses))
@@ -768,15 +814,15 @@ class TestFrozenRounds:
         losses = [RoundLoss.from_linear(rng.uniform(0.0, 40.0 if t % 7 == 0 else 1.0, size=5))
                   for t in range(_ROUNDS_T)]
         lr = ExpertOMP(5, eta=0.6)
-        for t, l in enumerate(losses):
-            lr.observe(l if t % 2 else l.linear)   # plain cost vectors on even rounds
+        for l in losses:
+            lr.observe(l)
         _assert_records_match(lr, frozen_kernels.expert_omp_rounds(5, 0.6, losses))
 
     def test_bandit_omp(self):
         rng = make_rng(4)
         losses = [RoundLoss.from_quadratic(1.5 * rng.standard_normal(3))
                   for _ in range(_ROUNDS_T)]
-        lr = BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=3)
+        lr = BanditOMP(UNIT, delta=0.1, eta=0.5 / 2.0, dim=3)
         for l in losses:
             lr.observe(l)
         want = frozen_kernels.bandit_omp_rounds(1.0, 2.0, 0.1, 0.5, 3, losses)
@@ -841,7 +887,7 @@ class TestFrozenRounds:
         c1, c2 = make_rng(16).uniform(0.0, 1.0, size=(2, 4))
         losses = [linear(c1)] * 150 + [linear(c2)] * 150
         if kind == "OMP":
-            lr, want = (OMP(UNIT, L=1.0, eta=0.7, dim=4),
+            lr, want = (OMP(UNIT, eta=0.7, dim=4),
                         frozen_kernels.omp_rounds(UNIT, 1.0, 0.7, 4, losses))
         else:
             lr, want = (ExpertOMP(4, eta=0.6),
@@ -862,7 +908,7 @@ class TestFrozenRounds:
         f, g = linear([0.5, -0.25, 0.0]), linear([-0.5, 0.0, 0.25])
         losses = ([f, f, g, f, f, f, g, g] * 12 if kind == "linear"
                   else _mixed_losses(60, 3, 18) + [f] * 5)
-        lr = OMP(UNIT, L=1.0, eta=0.4, dim=3)
+        lr = OMP(UNIT, eta=0.4, dim=3)
         calls = _counted_prox(lr)
         frozen_kernels.observe_rounds(lr, losses)
         changes = sum(1 for t, l in enumerate(losses)
@@ -890,11 +936,11 @@ def _recording_cases():
     quad = [RoundLoss.from_quadratic(1.5 * rng.standard_normal(d)) for _ in range(T)]
     return {
         "OGD": (lambda: OGD(UNIT, 0.3, dim=d), mixed),
-        "IFTRL": (lambda: IFTRL(UNIT, L=1.0, eta=0.3, dim=d), mixed),
-        "OMP": (lambda: OMP(UNIT, L=1.0, eta=0.5, dim=d), mixed),
-        "OMP-simplex": (lambda: OMP(Domain.simplex(4), L=1.0, eta=0.5, dim=4), experts),
+        "IFTRL": (lambda: IFTRL(UNIT, eta=0.3, dim=d), mixed),
+        "OMP": (lambda: OMP(UNIT, eta=0.5, dim=d), mixed),
+        "OMP-simplex": (lambda: OMP(Domain.simplex(4), eta=0.5, dim=4), experts),
         "ExpertOMP": (lambda: ExpertOMP(4, eta=0.5), experts),
-        "BanditOMP": (lambda: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=d), quad),
+        "BanditOMP": (lambda: BanditOMP(UNIT, delta=0.1, eta=0.5 / 2.0, dim=d), quad),
         "SoftConstraintOGD": (lambda: SoftConstraintOGD(_soft_cons(), T, R=0.8, dim=2),
                               list(_soft_rounds(T))),
         "ZeroViolationOGD": (lambda: ZeroViolationOGD(_soft_cons(), T, R=0.8, dim=2),
@@ -925,7 +971,7 @@ class TestRecordedDecisions:
         seen = []
         for gx in classification_stream(0.3, 200, 2, seed=6):
             before = lr.mistakes
-            lr.round(gx, 1.0)
+            lr.round(gx)
             if lr.mistakes > before:
                 seen.append(lr.mistake_examples[-1].copy())
         assert len(seen) > 1
@@ -940,9 +986,9 @@ class TestLearnerDimension:
 
     @pytest.mark.parametrize("make", [
         lambda dim: OGD(UNIT, 0.1, dim=dim),
-        lambda dim: IFTRL(UNIT, L=1.0, eta=0.5, dim=dim),
-        lambda dim: OMP(UNIT, L=1.0, eta=0.1, dim=dim),
-        lambda dim: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=dim),
+        lambda dim: IFTRL(UNIT, eta=0.5, dim=dim),
+        lambda dim: OMP(UNIT, eta=0.1, dim=dim),
+        lambda dim: BanditOMP(UNIT, delta=0.1, eta=0.5 / 2.0, dim=dim),
         lambda dim: SoftConstraintOGD(_soft_cons(), T=10, dim=dim),
         lambda dim: ZeroViolationOGD(_soft_cons(), T=10, dim=dim),
         lambda dim: PenaltyOGD(_soft_cons(), 0.05, delta=1.0, dim=dim),
@@ -956,8 +1002,8 @@ class TestLearnerDimension:
 
     @pytest.mark.parametrize("make", [
         lambda: OGD(Domain.ball(1.0), 0.1),
-        lambda: OMP(Domain.ball(1.0), L=1.0, eta=0.1),
-        lambda: IFTRL(Domain.ball(1.0), L=1.0, eta=0.5),
+        lambda: OMP(Domain.ball(1.0), eta=0.1),
+        lambda: IFTRL(Domain.ball(1.0), eta=0.5),
     ], ids=["OGD", "OMP", "IFTRL"])
     def test_default_dim_on_a_ball_refused(self, make):
         with pytest.raises(ConfigurationError, match="dim=None"):
@@ -965,7 +1011,7 @@ class TestLearnerDimension:
 
     def test_domain_dimension_wins_over_dim(self):
         box = Domain.box(-np.ones(3), np.ones(3))
-        lr = OMP(box, L=1.0, eta=0.1, dim=5)
+        lr = OMP(box, eta=0.1, dim=5)
         lr.observe(linear(np.ones(3)))
         assert lr.dim == 3 and lr.decisions.shape == (1, 3)
 
@@ -1085,18 +1131,20 @@ def _penalty(d):
 # name: (learner factory on dimension d, its state, whether it takes expert costs)
 _PLAYERS = {
     "OGD": (lambda d: OGD(UNIT, 0.2, dim=d), ("x",), False),
-    "OMP": (lambda d: OMP(UNIT, L=1.0, eta=0.3, dim=d), ("z", "prev_grad"), False),
-    "IFTRL": (lambda d: IFTRL(UNIT, L=1.0, eta=0.5, dim=d),
+    "OMP": (lambda d: OMP(UNIT, eta=0.3, dim=d), ("z", "prev_grad"), False),
+    "IFTRL": (lambda d: IFTRL(UNIT, eta=0.5, dim=d),
               ("z", "grad_sum", "stale_grad"), False),
     "ExpertOMP": (lambda m: ExpertOMP(m, eta=0.5), ("z", "prev_grad"), True),
     "PenaltyOGD": (_penalty, ("x",), False),
 }
 
+_FREE = 1600.0   # a variation budget of 4T: ftrl_adversary flips on every round it may
+
 _PLAYED = {
     "alternating": lambda: alternating_linear(4.0, 400, 3),
-    "ftrl-s0": lambda: ftrl_adversary(2.0, 400),              # s = 0
-    "ftrl-blocks": lambda: ftrl_adversary(0.2, 400),          # 0 < s = 5 < √T
-    "ftrl-zero-tail": lambda: ftrl_adversary(0.01, 400),      # s = 100 ≥ √T
+    "ftrl-s0": lambda: ftrl_adversary(2.0, 400, _FREE),          # s = 0
+    "ftrl-blocks": lambda: ftrl_adversary(0.2, 400, _FREE),      # 0 < s = 5 < √T
+    "ftrl-zero-tail": lambda: ftrl_adversary(0.01, 400, _FREE),  # s = 100 ≥ √T
     "broken-periods": lambda: _broken_periods(2),
     "equal-vectors": lambda: _equal_vectors(2),
 }
@@ -1143,10 +1191,10 @@ def _learner_classes(cls=BaseLearner):
 # every learner class, and what builds one
 _GUARDED = {
     OGD: lambda: OGD(UNIT, 0.2, dim=2),
-    IFTRL: lambda: IFTRL(UNIT, L=1.0, eta=0.5, dim=2),
-    OMP: lambda: OMP(UNIT, L=1.0, eta=0.3, dim=2),
+    IFTRL: lambda: IFTRL(UNIT, eta=0.5, dim=2),
+    OMP: lambda: OMP(UNIT, eta=0.3, dim=2),
     ExpertOMP: lambda: ExpertOMP(2, eta=0.5),
-    BanditOMP: lambda: BanditOMP(UNIT, G=2.0, delta=0.1, eta=0.5, dim=2),
+    BanditOMP: lambda: BanditOMP(UNIT, delta=0.1, eta=0.5 / 2.0, dim=2),
     SoftConstraintOGD: lambda: SoftConstraintOGD(_soft_cons(), 12, R=0.8, dim=2),
     ZeroViolationOGD: lambda: ZeroViolationOGD(_soft_cons(), 12, R=0.8, dim=2),
     PenaltyOGD: lambda: PenaltyOGD(_soft_cons(), 0.3, delta=3.0, R=0.8, dim=2),
@@ -1177,7 +1225,7 @@ class TestPlay:
 
     def test_a_repeated_state_with_another_loss_is_computed(self):
         # OGD at eta = 0.2 plays x = -0.8 at rounds 4 and 6, against +f, then -f
-        losses = ftrl_adversary(0.2, 400)[:10]
+        losses = ftrl_adversary(0.2, 400, _FREE)[:10]
         lr = OGD(UNIT, 0.2, dim=1)
         calls = _counted(lr)
         lr.play(losses)
@@ -1198,8 +1246,8 @@ class TestPlay:
         _assert_played_as_observed(played, observed, state)
 
     @pytest.mark.parametrize("make", [
-        lambda egv: OMP(UNIT, L=1.0, eta=OMP.tuned_eta(1.0, egv), dim=5),
-        lambda egv: IFTRL(UNIT, L=1.0, eta=min(1.0, 1.0 / math.sqrt(egv)), dim=5),
+        lambda egv: OMP(UNIT, eta=OMP.tuned_eta(egv), dim=5),
+        lambda egv: IFTRL(UNIT, eta=min(1.0, 1.0 / math.sqrt(egv)), dim=5),
     ], ids=["OMP", "IFTRL"])
     @pytest.mark.parametrize("egv", [1.0, 64.0])
     def test_a_gv_regret_sweep_level_computes_a_handful_of_rounds(self, make, egv):

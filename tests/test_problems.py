@@ -326,7 +326,7 @@ class TestConstants:
         for w, center in rng.standard_normal((4, 2, 40)):
             c, f = (gradient_variance_probe(p, w, center).values() for p in probs)
             assert hexes(c) == hexes(f)
-        c, f = (emgd(p, Domain.ball(1.0), seed=3, T1=20, m=2).final_point for p in probs)
+        c, f = (emgd(p, Domain.ball(1.0), seed=3, T=20, m=2).final_point for p in probs)
         assert hexes(c) == hexes(f)
 
     def test_direct_construction_matches_from_arrays(self):
@@ -336,7 +336,7 @@ class TestConstants:
         direct = FiniteSumProblem(X=data.X, y=data.labels, lam_reg=0.1, loss="logistic")
         built = from_arrays(data.X, data.labels, 0.1, "logistic")
         assert direct.constants == built.constants
-        a, b = (emgd(p, Domain.ball(1.0), seed=3, T1=5, m=2).final_point
+        a, b = (emgd(p, Domain.ball(1.0), seed=3, T=5, m=2).final_point
                 for p in (direct, built))
         assert np.array_equal(a, b)
         with pytest.raises(InputError, match="feature"):

@@ -45,6 +45,10 @@ def traces_equal(a: Trace, b: Trace) -> bool:
     return True
 
 
+# the keyword that sets each epoch solver's epoch length
+_LENGTH = {clipped_sgd: "T1", mixed_grad: "T1", emgd: "T"}
+
+
 class TestSgd:
     def test_hand_recursion_zero_variance(self):
         # F(w) = w^2 from w = 1, as F(u) = (u + 1)^2 from the origin: u = w - 1
@@ -214,7 +218,7 @@ class TestMixedGrad:
         box = Domain.box(-0.05 * np.ones(5), 0.05 * np.ones(5))
         extra = {"target_risk": 0.05} if solver is clipped_sgd else {}   # required there
         with pytest.raises(ConfigurationError, match=f"{solver.__name__} needs a ball"):
-            solver(None, box, seed=0, T1=20, m=3, **extra)
+            solver(None, box, seed=0, m=3, **{_LENGTH[solver]: 20}, **extra)
 
     def test_determinism(self):
         data = synthetic_regression(25, 3, seed=12)
@@ -228,7 +232,7 @@ class TestEmgd:
     def test_radius_halving_in_square(self):
         data = synthetic_regression(20, 3, seed=13)
         prob = least_squares_problem(data, lam=0.5)
-        tr = emgd(prob, Domain.ball(2.0), seed=0, T1=10, m=6, Delta1=1.0)
+        tr = emgd(prob, Domain.ball(2.0), seed=0, T=10, m=6, Delta1=1.0)
         deltas = tr.column("delta")
         np.testing.assert_allclose(deltas, [2.0 ** (-k / 2) for k in range(6)],
                                    atol=1e-12)
@@ -238,19 +242,28 @@ class TestEmgd:
         prob = from_arrays(np.eye(3), np.zeros(3), 0.0, "squared")
         prob.constants = prob.constants._replace(lam=0.0)  # Constants is immutable
         with pytest.raises(ConfigurationError):
-            emgd(prob, Domain.ball(1.0), seed=0, T1=5, m=2)
+            emgd(prob, Domain.ball(1.0), seed=0, T=5, m=2)
+
+    def test_infinite_horizon_runs_the_prescribed_epoch(self):
+        # one row x = 1: L = lam = 2, so the prescribed 1152·(L/lam)²·log 10
+        # steps, which T = inf leaves uncapped
+        prob = from_arrays(np.ones((1, 1)), np.ones(1), 0.0, "squared")
+        assert prob.constants.L_comp == prob.constants.lam == 2.0
+        tr = emgd(prob, Domain.ball(1.0), seed=0, T=math.inf, m=2)
+        assert tr.calls_stochastic == 2 * math.ceil(1152.0 * math.log(10.0)) == 2 * 2653
+        assert traces_equal(tr, emgd(prob, Domain.ball(1.0), seed=0, T=2653, m=2))
 
     def test_budget_accounting(self):
         data = synthetic_regression(20, 3, seed=14)
         prob = least_squares_problem(data, lam=0.2)
-        tr = emgd(prob, Domain.ball(2.0), seed=0, T1=50, m=4)
+        tr = emgd(prob, Domain.ball(2.0), seed=0, T=50, m=4)
         assert tr.calls_full == 4
         assert tr.calls_stochastic == 4 * 50
 
     def test_mixed_variance_collapse_invariant(self):
         data = synthetic_classification(200, 8, seed=15, row_norm=1.0)
         prob = logistic_problem(data, lam=1e-2)
-        tr = emgd(prob, Domain.ball(2.0), seed=1, T1=4000, m=10, probe_variance=True,
+        tr = emgd(prob, Domain.ball(2.0), seed=1, T=4000, m=10, probe_variance=True,
                   Delta1=2.0)
         vm = tr.column("variance_mixed")
         vs = tr.column("variance_sgd")
@@ -313,21 +326,24 @@ def prescribed_clip(prob, tau, T1):
 
 
 def per_call_clipped_sgd(prob, R, seed, m, T1, eta, xi, L, target_risk, epsilon, tau):
-    """clipped_sgd's stages on a ball, on the frozen per-call projection."""
+    """clipped_sgd's stages on a ball, on the frozen per-call projection: the
+    final center, and how many gradient components the clip changed."""
     rng = make_rng(seed)
-    center, Delta = np.zeros(prob.d), R
+    center, Delta, clipped = np.zeros(prob.d), R, 0
     for _ in range(m):
         gamma_k = 2.0 * xi * L * Delta
         w = center.copy()
         ssum = np.zeros_like(w)
         for _ in range(T1):
             ssum += w
-            v = clip_component(gamma_k, prob.stochastic_grad(w, rng))
+            g = prob.stochastic_grad(w, rng)
+            v = clip_component(gamma_k, g)
+            clipped += int(np.count_nonzero(v != g))
             w = frozen_kernels.project_two_balls(w - eta * v, np.zeros_like(w), R,
                                                  center, Delta)
         center = ssum / T1
         Delta = math.sqrt(epsilon * Delta**2 + tau * target_risk)
-    return center
+    return center, clipped
 
 
 class TestEpochLoops:
@@ -363,7 +379,7 @@ class TestEpochLoops:
         prob = logistic_problem(data, lam=1e-2)
         L = prob.constants.L_comp
         T = 1500
-        tr = emgd(prob, Domain.ball(R), seed=6, T1=T, m=3, Delta1=Delta1)
+        tr = emgd(prob, Domain.ball(R), seed=6, T=T, m=3, Delta1=Delta1)
         want = per_call_emgd(prob, R, seed=6, T=T, m=3, eta=1.0 / (L * math.sqrt(T)),
                              Delta=Delta1)
         assert np.array_equal(tr.final_point, want)
@@ -396,7 +412,7 @@ class TestEpochLoops:
     def test_one_projection_counted_per_stochastic_step(self, solver):
         data = synthetic_regression(20, 3, seed=19)
         prob = least_squares_problem(data, lam=0.2)
-        tr = solver(prob, Domain.ball(2.0), seed=0, T1=7, m=3)
+        tr = solver(prob, Domain.ball(2.0), seed=0, m=3, **{_LENGTH[solver]: 7})
         assert tr.projections == tr.calls_stochastic > 0
 
     def test_clipped_sgd_counts_projections(self):
@@ -427,17 +443,26 @@ class TestEpochLoops:
             Delta = math.sqrt(eps * Delta**2 + tau * target)
         assert np.array_equal(tr.final_point, center)
 
-    @pytest.mark.parametrize("R", [2.0, 0.01])
-    def test_clipped_sgd_matches_per_call_loop_on_finite_sum(self, R):
-        # several coordinates; at the prescribed step, R = 0.01 makes the
-        # domain ball and the ring between the balls bind
-        data = synthetic_classification(60, 4, seed=23, row_norm=1.0)
-        prob = logistic_problem(data, lam=5e-2)
+    @pytest.mark.parametrize("make,R,binds", [
+        pytest.param(lambda: logistic_problem(synthetic_classification(
+            60, 4, seed=23, row_norm=1.0), lam=5e-2), R, False, id=str(R))
+        for R in (2.0, 0.01)] + [
+        # one row x = 1 with a target far outside the ball: |∇f| ≈ 200
+        # exceeds the first clip level 8·(L²/lam)·R/tau = 160 at R = 1
+        pytest.param(lambda: from_arrays(np.ones((1, 1)), [100.0], 0.0, "squared"), 1.0,
+                     True, id="far-target")])
+    def test_clipped_sgd_matches_per_call_loop_on_finite_sum(self, make, R, binds):
+        # the logistic problem has several coordinates; at the prescribed
+        # step, R = 0.01 makes the domain ball and the ring between the balls
+        # bind
+        prob = make()
         params = dict(seed=9, m=4, T1=600, target_risk=0.05, epsilon=0.5, tau=0.1)
         tr = clipped_sgd(prob, Domain.ball(R), **params)
         xi, eta = prescribed_clip(prob, 0.1, 600)
-        assert np.array_equal(tr.final_point, per_call_clipped_sgd(
-            prob, R, eta=eta, xi=xi, L=prob.constants.L_comp, **params))
+        want, clipped = per_call_clipped_sgd(prob, R, eta=eta, xi=xi,
+                                             L=prob.constants.L_comp, **params)
+        assert np.array_equal(tr.final_point, want)
+        assert (clipped > 0) == binds
 
 
 def _epoch_solver_run(name, m, **params):
@@ -447,7 +472,7 @@ def _epoch_solver_run(name, m, **params):
         return clipped_sgd(prob, Domain.ball(1.0), seed=0, m=m, T1=5, **{**base, **params})
     prob = least_squares_problem(synthetic_regression(20, 3, seed=19), lam=0.2)
     solver = {"mixed_grad": mixed_grad, "emgd": emgd}[name]
-    return solver(prob, Domain.ball(2.0), seed=0, T1=3, m=m, **params)
+    return solver(prob, Domain.ball(2.0), seed=0, m=m, **{_LENGTH[solver]: 3}, **params)
 
 
 def _step_solver_run(name, **params):
@@ -487,11 +512,12 @@ class TestHorizon:
             solver(obj, Domain.ball(0.8), T=0)
 
     @pytest.mark.parametrize("solver,params", [
-        (mixed_grad, {"T1": 0}), (emgd, {"T1": 0}), (emgd, {"T": 0}),
+        (mixed_grad, {"T1": 0}), (emgd, {"T": 0}), (emgd, {"T": math.nan}),
         (clipped_sgd, {"T1": 0})],
-        ids=["mixed_grad-T1", "emgd-T1", "emgd-T", "clipped_sgd-T1"])
+        ids=["mixed_grad-T1", "emgd-T", "emgd-T-nan", "clipped_sgd-T1"])
     def test_zero_epoch_length_refused(self, solver, params):
-        # the default step divided by sqrt(0)
+        # the default step divided by sqrt(0); emgd ran its full prescribed
+        # epoch at T = nan, since min(prescribed, nan) is the prescribed
         if solver is clipped_sgd:
             prob = onedim_target_risk_problem(0.05)
             params = dict(target_risk=2.0 * prob.eps_opt, **params)
@@ -529,7 +555,7 @@ class TestStrongConvexity:
         obj = NoisyQuadratic(center=np.array([1.2, 0.0]), noise=0.4)
         obj.constants = obj.constants._replace(lam=lam)  # Constants is immutable
         extra = {clipped_sgd: {"target_risk": 0.05, "T1": 4, "m": 2},
-                 emgd: {"T1": 4, "m": 2}, sgd_st: {"T": 20}}[solver]
+                 emgd: {"T": 4, "m": 2}, sgd_st: {"T": 20}}[solver]
         with pytest.raises(ConfigurationError, match="strongly convex|strong convexity"):
             solver(obj, Domain.ball(0.8), **extra)
 
@@ -555,7 +581,7 @@ _PARAMETERS = {
     agd: {"T"},
     clipped_sgd: {"seed", "m", "T1", "epsilon", "tau", "target_risk"},
     mixed_grad: {"seed", "m", "T1", "eta", "lambda1"},
-    emgd: {"seed", "T", "m", "T1", "Delta1", "probe_variance"},
+    emgd: {"seed", "T", "m", "Delta1", "probe_variance"},
     sgd_pd: {"seed", "T"},
     sgd_st: {"seed", "T"},
 }
@@ -592,7 +618,7 @@ def test_final_point_feasible_or_domain_refused(solver, d, seed, lo, width, radi
     if solver in (mixed_grad, emgd):
         prob = from_arrays(rng.standard_normal((8, d)), rng.standard_normal(8), 0.1,
                            "squared")
-        params = dict(seed=seed, T1=4, m=3)
+        params = dict(seed=seed, m=3, **{_LENGTH[solver]: 4})
     else:
         prob = NoisyQuadratic(center=rng.uniform(-1.5, 1.5, size=d), noise=0.3)
         params = {sgd: dict(seed=seed, T=12), gd: dict(T=12), agd: dict(T=12),
@@ -664,7 +690,7 @@ class TestVarianceProbe:
         points = []
         loss_coefs = prob.loss_coefs
         prob.loss_coefs = lambda w: points.append(w.copy()) or loss_coefs(w)
-        tr = emgd(prob, Domain.ball(2.0), seed=2, T1=200, m=5, probe_variance=True)
+        tr = emgd(prob, Domain.ball(2.0), seed=2, T=200, m=5, probe_variance=True)
         # one X @ w per anchor, m + 1 in all: epoch k runs from points[k] to points[k + 1]
         assert len(points) == 6 and points[-1].tobytes() == tr.final_point.tobytes()
         for rec, center, end in zip(tr.records, points[:-1], points[1:], strict=True):
@@ -676,10 +702,10 @@ class TestVarianceProbe:
         """emgd with probe_variance at 5000 × 50: about 5.8 MB above the live
         problem when the probe built n × d gradient matrices."""
         prob = logistic_problem(synthetic_classification(5000, 50, seed=7), lam=1e-3)
-        emgd(prob, Domain.ball(10.0), T1=5, m=1, probe_variance=True)  # warm-up
+        emgd(prob, Domain.ball(10.0), T=5, m=1, probe_variance=True)  # warm-up
         tracemalloc.start()
         try:
-            tr = emgd(prob, Domain.ball(10.0), seed=0, T1=50, m=3, probe_variance=True)
+            tr = emgd(prob, Domain.ball(10.0), seed=0, T=50, m=3, probe_variance=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
